@@ -2,7 +2,7 @@
 //! `tables --bench-closure` and the committed `BENCH_closure.json`
 //! artifact.
 //!
-//! Four comparisons, matching the four optimizations:
+//! Three comparisons, matching the three optimizations:
 //!
 //! * **closure**: one-shot GLOBAL ESTIMATES — the generic rational
 //!   Floyd–Warshall versus [`clocksync_graph::fast_closure`] (scaled
@@ -21,10 +21,6 @@
 //!   the hierarchical per-component composition) on WAN-like
 //!   ring-plus-chords and 3-dimensional toroid topologies at
 //!   `n = 1024…4096`, where edge density is far below 1%.
-//! * **sparse_resync**: the steady-state cache at large `n` — one
-//!   strictly-tightening `relax_edge` on the dense `n²` [`Closure`] cache
-//!   versus the component-blocked [`SparseClosure`] (`Σ k_b²` memory,
-//!   `O(k²)` per tightening) on a many-component domain.
 //!
 //! Timings are minima over several repetitions — the stable estimator for
 //! a throughput-bound kernel — and the emitted JSON is hand-rolled (flat
@@ -36,7 +32,7 @@ use std::time::Instant;
 use clocksync::{estimated_local_shifts, DelayRange, LinkAssumption, Network, OnlineSynchronizer};
 use clocksync_graph::{
     blocked_floyd_warshall_i64, dispatch_closure_i64, fast_closure, floyd_warshall_with_paths,
-    plan_closure_kernel, Closure, SparseClosure, SquareMatrix, Weight, UNREACHABLE,
+    plan_closure_kernel, SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, Nanos, Ratio};
@@ -190,20 +186,6 @@ pub struct SparseRow {
     pub sparse_ns: u128,
 }
 
-/// One row of the large-`n` incremental-cache comparison.
-pub struct SparseResyncRow {
-    /// Total node count.
-    pub n: usize,
-    /// Weakly-connected components in the domain.
-    pub components: usize,
-    /// Closure entries the blocked cache retains (`Σ k_b²` vs `n²`).
-    pub retained_entries: usize,
-    /// One tightening on the dense `n²` cache, nanoseconds.
-    pub dense_relax_ns: u128,
-    /// One tightening on the component-blocked cache, nanoseconds.
-    pub blocked_relax_ns: u128,
-}
-
 /// Times the dense blocked kernel against the density-dispatched sparse
 /// backend on one topology.
 fn measure_sparse_one(topology: String, m: SquareMatrix<i64>) -> SparseRow {
@@ -253,64 +235,6 @@ pub fn measure_sparse(sizes: &[usize]) -> Vec<SparseRow> {
         ));
     }
     rows
-}
-
-/// Times one strictly-tightening `relax_edge` on a many-component domain
-/// (`components` rings of `n / components` nodes each) under both cache
-/// representations, averaged over `iters` tightenings.
-pub fn measure_sparse_resync(n: usize, components: usize, iters: usize) -> SparseResyncRow {
-    let k = n / components;
-    assert!(k >= 2, "components need at least two nodes");
-    type W = Ext<i64>;
-    // Ring edges per component, in global indices.
-    let mut edges: Vec<(usize, usize, W)> = Vec::new();
-    for c in 0..components {
-        let base = c * k;
-        for i in 0..k {
-            let (a, b) = (base + i, base + (i + 1) % k);
-            edges.push((a, b, Ext::Finite(500_000)));
-            edges.push((b, a, Ext::Finite(500_000)));
-        }
-    }
-
-    // The blocked cache absorbs the edges directly; the dense cache is
-    // spliced from the blocked one (computing a 4096-node generic closure
-    // from scratch just to set up the baseline would dwarf the bench).
-    let mut blocked: SparseClosure<W> =
-        SparseClosure::from_edges(n, &edges).expect("rings have no negative cycle");
-    let (dist, next) = blocked.to_dense();
-    let mut dense = Closure::from_parts(dist, next);
-
-    let tighten = |i: usize| -> (usize, usize, W) {
-        let c = i % components;
-        let base = c * k;
-        // Strictly decreasing weights: every relax does real work.
-        (base, base + 1, Ext::Finite(400_000 - (i as i64) * 1_000))
-    };
-    let start = Instant::now();
-    for i in 0..iters {
-        let (u, v, w) = tighten(i);
-        dense
-            .relax_edge(u, v, w)
-            .expect("tightening stays consistent");
-    }
-    let dense_relax_ns = start.elapsed().as_nanos() / iters as u128;
-    let start = Instant::now();
-    for i in 0..iters {
-        let (u, v, w) = tighten(i);
-        blocked
-            .relax_edge(u, v, w)
-            .expect("tightening stays consistent");
-    }
-    let blocked_relax_ns = start.elapsed().as_nanos() / iters as u128;
-
-    SparseResyncRow {
-        n,
-        components,
-        retained_entries: blocked.retained_entries(),
-        dense_relax_ns,
-        blocked_relax_ns,
-    }
 }
 
 /// One row of the one-shot closure comparison.
@@ -421,12 +345,11 @@ fn speedup(slow: u128, fast: u128) -> f64 {
     }
 }
 
-/// Runs all four suites and renders the `BENCH_closure.json` document.
+/// Runs all three suites and renders the `BENCH_closure.json` document.
 pub fn bench_closure_json() -> String {
     let closure = measure_closure(&[64, 128, 256, 512]);
     let resync = measure_resync(128, 32);
     let sparse = measure_sparse(&[1024, 2048, 4096]);
-    let sparse_resync = measure_sparse_resync(4096, 64, 16);
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -475,25 +398,13 @@ pub fn bench_closure_json() -> String {
             if idx + 1 < sparse.len() { "," } else { "" },
         );
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"sparse_resync\": [\n");
-    let _ = writeln!(
-        out,
-        "    {{ \"n\": {}, \"components\": {}, \"retained_entries\": {}, \"dense_relax_ns\": {}, \"blocked_relax_ns\": {}, \"speedup\": {:.2} }}",
-        sparse_resync.n,
-        sparse_resync.components,
-        sparse_resync.retained_entries,
-        sparse_resync.dense_relax_ns,
-        sparse_resync.blocked_relax_ns,
-        speedup(sparse_resync.dense_relax_ns, sparse_resync.blocked_relax_ns),
-    );
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }
 
 /// Validates a `BENCH_closure.json` document: schema, non-empty
-/// `closure`/`resync`/`sparse`/`sparse_resync` sections, and the
+/// `closure`/`resync`/`sparse` sections, and the
 /// acceptance floor on the sparse-backend speedup — at least one `sparse`
 /// row must have `n ≥ 4096`, edge density `≤ 1%`, and a dense-over-sparse
 /// speedup of at least `min_speedup`. Density and speedups are recomputed
@@ -512,7 +423,7 @@ pub fn check_bench_closure_json(doc: &str, min_speedup: f64) -> Result<(), Strin
     if bench != "global_estimates_closure" {
         return Err(format!("unexpected bench id `{bench}`"));
     }
-    for section in ["closure", "resync", "sparse_resync"] {
+    for section in ["closure", "resync"] {
         let rows = json
             .field(section, "document")
             .and_then(|k| k.as_array(section).map(<[_]>::to_vec))
@@ -612,16 +523,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sparse_resync_measurement_keeps_blocks_disjoint() {
-        let row = measure_sparse_resync(64, 4, 8);
-        assert_eq!(row.n, 64);
-        assert_eq!(row.components, 4);
-        // 4 blocks of 16 nodes: 4 · 16² entries, a quarter of n².
-        assert_eq!(row.retained_entries, 4 * 16 * 16);
-        assert!(row.dense_relax_ns > 0 && row.blocked_relax_ns > 0);
-    }
-
     fn sample_doc(n: u64, edges: u64, dense: u128, sparse: u128) -> String {
         format!(
             "{{ \"bench\": \"global_estimates_closure\", \
@@ -629,10 +530,7 @@ mod tests {
              \"resync\": [ {{ \"n\": 128, \"full_ns\": 10, \"incremental_ns\": 1 }} ], \
              \"sparse\": [ {{ \"topology\": \"wan\", \"n\": {n}, \"edges\": {edges}, \
              \"density\": 0.0, \"kernel\": \"sparse-johnson\", \
-             \"dense_ns\": {dense}, \"sparse_ns\": {sparse}, \"speedup\": 99.0 }} ], \
-             \"sparse_resync\": [ {{ \"n\": {n}, \"components\": 64, \
-             \"retained_entries\": 4096, \"dense_relax_ns\": 10, \
-             \"blocked_relax_ns\": 1, \"speedup\": 10.0 }} ] }}"
+             \"dense_ns\": {dense}, \"sparse_ns\": {sparse}, \"speedup\": 99.0 }} ] }}"
         )
     }
 

@@ -153,10 +153,7 @@ fn run() -> Result<(), String> {
                     Json::object([
                         ("a", Json::Int(s.a.index() as i128)),
                         ("b", Json::Int(s.b.index() as i128)),
-                        (
-                            "skew_ns",
-                            opt_f64(s.skew.finite().map(|r| r.to_f64())),
-                        ),
+                        ("skew_ns", opt_f64(s.skew.finite().map(|r| r.to_f64()))),
                     ])
                 };
                 let local_skews = report.outcome.local_skews();

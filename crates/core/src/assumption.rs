@@ -769,10 +769,8 @@ mod tests {
         // §6 slack `d̃min − lower` must grow accordingly, never clamp.
         let fwd = far_samples(&[6]);
         let ev = LinkEvidence::from_samples(&fwd, &[]);
-        let tight =
-            LinkAssumption::symmetric_bounds(DelayRange::at_least(Nanos::new(2)));
-        let virt =
-            LinkAssumption::symmetric_bounds(DelayRange::at_least(Nanos::new(-3)));
+        let tight = LinkAssumption::symmetric_bounds(DelayRange::at_least(Nanos::new(2)));
+        let virt = LinkAssumption::symmetric_bounds(DelayRange::at_least(Nanos::new(-3)));
         assert_eq!(tight.estimated_mls(&ev), fin(4));
         assert_eq!(virt.estimated_mls(&ev), fin(9));
         assert!(DelayRange::at_least(Nanos::new(-3)).contains(Nanos::ZERO));

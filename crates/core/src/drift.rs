@@ -39,7 +39,11 @@ impl DriftingOutcome {
     ///
     /// Panics if `rates.len()` differs from the outcome's processor
     /// count.
-    pub fn new(outcome: SyncOutcome, valid_at: RealTime, rates: Vec<DriftBound>) -> DriftingOutcome {
+    pub fn new(
+        outcome: SyncOutcome,
+        valid_at: RealTime,
+        rates: Vec<DriftBound>,
+    ) -> DriftingOutcome {
         assert_eq!(
             rates.len(),
             outcome.corrections().len(),
@@ -193,7 +197,8 @@ mod tests {
     #[test]
     fn zero_rates_degenerate_bit_exactly() {
         let base = outcome();
-        let d = DriftingOutcome::uniform(base.clone(), RealTime::from_nanos(2_040), DriftBound::ZERO);
+        let d =
+            DriftingOutcome::uniform(base.clone(), RealTime::from_nanos(2_040), DriftBound::ZERO);
         let much_later = RealTime::from_nanos(2_040) + Nanos::from_secs(3_600);
         assert_eq!(d.pair_bound_at(P, Q, much_later), base.pair_bound(P, Q));
         assert_eq!(d.precision_at(much_later), base.precision());

@@ -90,7 +90,5 @@ pub use estimates::{
 };
 pub use network::{Network, NetworkBuilder};
 pub use online::{BatchObservation, OnlineSynchronizer};
-pub use shifts::{
-    shifts, shifts_with_kernel, synchronizable_components, ShiftsKernel, ShiftsResult,
-};
+pub use shifts::{shifts, synchronizable_components, ShiftsResult};
 pub use synchronizer::{ComponentReport, LocalSkew, SyncOutcome, Synchronizer};

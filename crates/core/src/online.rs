@@ -22,14 +22,17 @@
 //! [`OnlineSynchronizer::outcome`] call rebuilds from scratch.
 //!
 //! The `A_max` stage is cached the same way: alongside the closure the
-//! synchronizer keeps each component's certified critical cycle and
-//! converged Howard policy. Because a `relax_edge` tightening only ever
-//! *decreases* closure entries, every cycle mean can only drop — so when
-//! the cached critical cycle's mean is unchanged it is still the maximum
-//! and `A_max` is reused after an `O(n)` revalidation; when it dropped,
-//! Howard restarts from the cached policy instead of from scratch. Either
-//! way the result is bit-identical to a cold computation (the equivalence
-//! tests check this), only faster.
+//! synchronizer keeps each component's *warm state* — its certified
+//! `A_max`, critical cycle and Howard policy. A component without one (the
+//! first outcome, or after an eviction) runs the one-shot SHIFTS, scaled
+//! Karp, exactly as batch does, and seeds the policy from the critical
+//! cycle. Because a `relax_edge` tightening only ever *decreases* closure
+//! entries, every cycle mean can only drop — so when the cached critical
+//! cycle's mean is unchanged it is still the maximum and `A_max` is reused
+//! after an `O(n)` revalidation; when it dropped, Howard restarts from the
+//! cached policy instead of from scratch. Either way the outcome is
+//! bit-identical to a cold computation (the equivalence tests check this),
+//! only faster.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -94,8 +97,8 @@ pub struct OnlineSynchronizer {
     /// a bulk view merge or an inconsistency, until the next
     /// [`OnlineSynchronizer::outcome`] rebuilds it.
     cached: Option<Closure<ExtRatio>>,
-    /// Per-component `A_max` certificates and Howard policies from the
-    /// last [`OnlineSynchronizer::outcome`], keyed by the component's
+    /// Per-component warm states (`A_max`, critical cycle, Howard policy)
+    /// from the last [`OnlineSynchronizer::outcome`], keyed by the component's
     /// sorted member list. Invariant: an entry exists only if, since it
     /// was written, the closure entries among its members changed solely
     /// by tightenings (loosenings evict exactly the keys that intersect
@@ -547,12 +550,13 @@ impl OnlineSynchronizer {
     /// `A_max` is maintained incrementally: each component first
     /// revalidates the critical cycle cached by the previous call — still
     /// certifying under pure tightenings means `A_max` is unchanged — and
-    /// only on a miss runs Howard, warm-started from the cached policy.
-    /// Only the final shortest-path pass (the cheap SHIFTS step) is always
-    /// recomputed. The result is bit-identical to the batch
-    /// [`SyncOutcome::from_global_estimates`] on the same closure, except
-    /// that the reported critical cycle may be a different (equally
-    /// certifying) witness.
+    /// only on a miss runs Howard, warm-started from the cached policy. A
+    /// component with no cached state runs the one-shot scaled Karp
+    /// instead. Only the final shortest-path pass (the cheap SHIFTS step)
+    /// is always recomputed. Whichever kernel ran, the components —
+    /// precision, corrections and the canonical critical cycle — are
+    /// bit-identical to the batch [`SyncOutcome::from_global_estimates`]
+    /// on the same closure.
     ///
     /// # Errors
     ///
@@ -567,8 +571,8 @@ impl OnlineSynchronizer {
         let components = synchronizable_components(&dist);
         // Warm states are keyed by member list: a component that merged or
         // split since its state was written gets a different key (its
-        // sub-matrix indices remapped wholesale) and misses to a cold
-        // Howard run; a component whose membership is unchanged has only
+        // sub-matrix indices remapped wholesale) and misses to a one-shot
+        // Karp run; a component whose membership is unchanged has only
         // seen tightenings — or nothing — since, which the warm-start
         // contract tolerates. Rebuilding the map from scratch keeps only
         // the current partition's keys, so stale keys never accumulate.

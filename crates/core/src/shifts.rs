@@ -2,17 +2,19 @@
 //! estimates.
 //!
 //! The stage splits into two steps: `A_max` (a maximum cycle mean) and a
-//! single-source shortest-path pass. For `A_max` three interchangeable
-//! kernels exist — see [`ShiftsKernel`]. All of them are exact and agree on
-//! every input; [`shifts`] runs Howard's policy iteration, the fastest in
-//! practice, and keeps Karp (the paper's algorithm) as the differential
-//! oracle the test suite races it against. DESIGN.md §4c spells out the
-//! scaling bound, the fallback rule, and the warm-start invariant.
+//! single-source shortest-path pass. The caller's own state picks the exact
+//! `A_max` kernel; there is no option for it. A SHIFTS without a usable
+//! warm state ([`shifts`], and every cold online component) runs Karp's
+//! recurrence — the paper's algorithm — through the scaled-`i64`
+//! [`fast_max_cycle_mean`]. An online component first revalidates its
+//! cached critical cycle, and runs Howard's policy iteration from its cached
+//! policy only when that cycle stopped certifying. Every route computes the
+//! same exact `A_max`, hence the same corrections, and reports the same
+//! canonical critical cycle, so the kernel that ran never shows in the
+//! output. DESIGN.md §4c gives the measurements behind the rule, the
+//! scaling bound, the fallback and the warm-start invariant.
 
-use clocksync_graph::{
-    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, CycleMean, DiGraph,
-    SquareMatrix,
-};
+use clocksync_graph::{bellman_ford, fast_max_cycle_mean, howard_solve, DiGraph, SquareMatrix};
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, ExtRatio, Ratio};
 
@@ -25,45 +27,15 @@ pub struct ShiftsResult {
     pub precision: Ratio,
     /// A cyclic processor sequence achieving the maximum average shift —
     /// the bottleneck that *forces* the precision (Theorem 4.4). Indices
-    /// are into `members`.
+    /// are into `members`. Among all such cycles this is the canonical
+    /// one: a shortest cycle through the smallest processor on any of
+    /// them, lexicographically first among those.
     pub critical_cycle: Vec<usize>,
 }
 
-/// Which maximum-cycle-mean engine computes `A_max` inside [`shifts`].
-///
-/// Every kernel is exact: `A_max` and the corrections are bit-identical
-/// across all three on every input (a property the equivalence suite
-/// checks); only the witness cycle may differ, and each kernel's witness
-/// certifies the same precision. They differ solely in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShiftsKernel {
-    /// Howard's policy iteration — the default practical kernel, fastest
-    /// on closure-shaped (dense, metric) instances and warm-startable.
-    #[default]
-    Howard,
-    /// Karp through the scaled-`i64` kernel
-    /// ([`clocksync_graph::fast_max_cycle_mean`]), falling back to the
-    /// exact rational Karp when scaling would overflow.
-    KarpScaled,
-    /// The exact-rational Karp recurrence — the paper's algorithm, kept as
-    /// the differential oracle for the fast kernels.
-    KarpExact,
-}
-
-impl ShiftsKernel {
-    /// Stable short name, recorded on the `sync.shifts` observability span.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShiftsKernel::Howard => "howard",
-            ShiftsKernel::KarpScaled => "karp-scaled-i64",
-            ShiftsKernel::KarpExact => "karp-rational",
-        }
-    }
-}
-
-/// Cached SHIFTS state of one component, in component-local indices: the
-/// certified `A_max` with its witness cycle, and the converged Howard
-/// policy for warm-starting the next resynchronization.
+/// Warm state of one online component, in component-local indices: the
+/// certified `A_max` with its canonical critical cycle, and the Howard
+/// policy to restart from once that cycle stops certifying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ShiftsState {
     pub(crate) a_max: Ratio,
@@ -76,8 +48,8 @@ pub(crate) struct ShiftsState {
 ///
 /// 1. `A_max = max_θ m̃s(θ)/|θ|` over cyclic sequences — a maximum cycle
 ///    mean on the complete graph of estimates (by Lemma 4.5 this equals
-///    the true `A_max` over actual maximal shifts), computed by the
-///    default [`ShiftsKernel::Howard`];
+///    the true `A_max` over actual maximal shifts), computed by Karp's
+///    recurrence through [`fast_max_cycle_mean`];
 /// 2. corrections are shortest-path distances from `root` under
 ///    `w(p,q) = A_max − m̃s(p,q)` (no negative cycles by construction).
 ///
@@ -86,61 +58,27 @@ pub(crate) struct ShiftsState {
 ///
 /// # Panics
 ///
-/// Panics if any closure entry is infinite, or if the closure admits a
-/// negative cycle under the derived weights (impossible for a closure that
-/// passed [`crate::global_estimates`]).
+/// Panics if `root` is out of range, if any closure entry is infinite, or
+/// if the closure admits a negative cycle under the derived weights
+/// (impossible for a closure that passed [`crate::global_estimates`]).
 pub fn shifts(closure: &SquareMatrix<ExtRatio>, root: usize) -> ShiftsResult {
-    shifts_with_kernel(closure, root, ShiftsKernel::default())
+    shifts_howard_warm(closure, root, None).0
 }
 
-/// [`shifts`] with an explicit `A_max` kernel choice — the hook the
-/// equivalence tests and benches use to race the engines against each
-/// other. Contract and panics as [`shifts`].
-pub fn shifts_with_kernel(
-    closure: &SquareMatrix<ExtRatio>,
-    root: usize,
-    kernel: ShiftsKernel,
-) -> ShiftsResult {
-    let n = closure.n();
-    assert!(root < n, "root out of range");
-    if n == 1 {
-        return trivial_result();
-    }
-    // All entries are finite and the diagonal is 0, so a cycle always
-    // exists and A_max ≥ 0.
-    let cm: CycleMean = match kernel {
-        ShiftsKernel::Howard => {
-            howard_solve(closure, None)
-                .expect("closure always contains cycles")
-                .cycle_mean
-        }
-        ShiftsKernel::KarpScaled => {
-            fast_max_cycle_mean(closure).expect("closure always contains cycles")
-        }
-        ShiftsKernel::KarpExact => {
-            karp_max_cycle_mean(closure).expect("closure always contains cycles")
-        }
-    };
-    ShiftsResult {
-        corrections: corrections_under(closure, root, cm.mean),
-        precision: cm.mean,
-        critical_cycle: cm.cycle,
-    }
-}
-
-/// The Howard-kernel SHIFTS with incremental `A_max`, for the online
-/// synchronizer: returns the result plus the [`ShiftsState`] to warm-start
-/// the next call.
+/// SHIFTS with incremental `A_max`, for the online synchronizer: returns
+/// the result plus the [`ShiftsState`] for the next call.
 ///
 /// When `warm` is given, the caller asserts that since that state was
 /// computed the closure evolved **only by entrywise tightenings under the
 /// same component partition** (the online synchronizer's `relax_edge`
 /// regime). Then every cycle mean is ≤ its cached value, so if the cached
 /// critical cycle's mean is unchanged it is still the maximum — `A_max`,
-/// witness, and policy are reused without running any cycle-mean kernel at
+/// cycle, and policy are reused without running any cycle-mean kernel at
 /// all (`O(n)` revalidation). Otherwise Howard restarts from the cached
-/// policy, which is still a valid policy (finite entries stay finite) and
-/// usually one improvement step from optimal.
+/// policy, which is still a valid seed (finite entries stay finite) and
+/// usually a few improvement steps from optimal. Without a usable state —
+/// none, or one sized for another component — this is [`shifts`], and the
+/// returned policy is seeded along the critical cycle.
 ///
 /// # Panics
 ///
@@ -151,30 +89,35 @@ pub(crate) fn shifts_howard_warm(
     warm: Option<&ShiftsState>,
 ) -> (ShiftsResult, ShiftsState) {
     let n = closure.n();
-    assert!(root < n, "root out of range");
-    if n == 1 {
-        let state = ShiftsState {
-            a_max: Ratio::ZERO,
-            cycle: vec![0],
-            policy: vec![0],
-        };
-        return (trivial_result(), state);
-    }
-    let revalidated = warm.filter(|s| {
-        s.policy.len() == n
-            && !s.cycle.is_empty()
-            && s.cycle.iter().all(|&v| v < n)
-            && cycle_mean(closure, &s.cycle) == s.a_max
-    });
-    let state = match revalidated {
-        Some(s) => s.clone(),
-        None => {
-            let sol = howard_solve(closure, warm.map(|s| s.policy.as_slice()))
-                .expect("closure always contains cycles");
+    let usable = warm
+        .filter(|s| s.policy.len() == n && !s.cycle.is_empty() && s.cycle.iter().all(|&v| v < n));
+    let state = match usable {
+        // Tightenings only ever remove critical cycles, so a cached
+        // canonical cycle that still certifies is still the canonical one.
+        Some(s) if cycle_mean(closure, &s.cycle) == s.a_max => s.clone(),
+        Some(s) => {
+            let sol =
+                howard_solve(closure, Some(&s.policy)).expect("closure always contains cycles");
             ShiftsState {
                 a_max: sol.cycle_mean.mean,
                 cycle: sol.cycle_mean.cycle,
                 policy: sol.policy,
+            }
+        }
+        None => {
+            // All entries are finite and the diagonal is 0, so a cycle
+            // always exists and A_max ≥ 0.
+            let cm = fast_max_cycle_mean(closure).expect("closure always contains cycles");
+            // Seed Howard's policy along the witness; every other node is
+            // left unset, which `howard_solve` fills with its cold choice.
+            let mut policy = vec![usize::MAX; n];
+            for (t, &v) in cm.cycle.iter().enumerate() {
+                policy[v] = cm.cycle[(t + 1) % cm.cycle.len()];
+            }
+            ShiftsState {
+                a_max: cm.mean,
+                cycle: cm.cycle,
+                policy,
             }
         }
     };
@@ -184,14 +127,6 @@ pub(crate) fn shifts_howard_warm(
         critical_cycle: state.cycle.clone(),
     };
     (result, state)
-}
-
-fn trivial_result() -> ShiftsResult {
-    ShiftsResult {
-        corrections: vec![Ratio::ZERO],
-        precision: Ratio::ZERO,
-        critical_cycle: vec![0],
-    }
 }
 
 /// The mean weight of a cyclic node sequence over the closure.
@@ -250,7 +185,7 @@ pub fn synchronizable_components(closure: &SquareMatrix<ExtRatio>) -> Vec<Vec<Pr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clocksync_graph::Weight;
+    use clocksync_graph::{karp_max_cycle_mean, Weight};
 
     fn fin(x: i128) -> ExtRatio {
         Ext::Finite(Ratio::from_int(x))
@@ -286,22 +221,44 @@ mod tests {
         tri[(0, 2)] = fin(11);
         let closures = [two_node(6, 2), two_node(0, 0), two_node(100, 1), tri];
         for c in &closures {
-            let reference = shifts_with_kernel(c, 0, ShiftsKernel::KarpExact);
-            for kernel in [ShiftsKernel::Howard, ShiftsKernel::KarpScaled] {
-                let r = shifts_with_kernel(c, 0, kernel);
-                assert_eq!(r.precision, reference.precision, "{kernel:?} on {c:?}");
-                assert_eq!(r.corrections, reference.corrections, "{kernel:?} on {c:?}");
-                // Every kernel's witness certifies the same precision.
-                assert_eq!(cycle_mean(c, &r.critical_cycle), r.precision);
-            }
+            // The reference: the paper's exact Karp, then Bellman–Ford.
+            let karp = karp_max_cycle_mean(c).unwrap();
+            let reference = corrections_under(c, 0, karp.mean);
+            let r = shifts(c, 0);
+            assert_eq!(r.precision, karp.mean, "{c:?}");
+            assert_eq!(r.corrections, reference, "{c:?}");
+            assert_eq!(r.critical_cycle, karp.cycle, "{c:?}");
+            let howard = howard_solve(c, None).unwrap().cycle_mean;
+            assert_eq!(howard.mean, karp.mean, "{c:?}");
+            assert_eq!(corrections_under(c, 0, howard.mean), reference, "{c:?}");
+            // Every kernel names the same witness, and it certifies.
+            assert_eq!(howard.cycle, karp.cycle, "{c:?}");
+            assert_eq!(cycle_mean(c, &karp.cycle), karp.mean);
         }
     }
 
     #[test]
-    fn kernel_names_are_stable() {
-        assert_eq!(ShiftsKernel::default().name(), "howard");
-        assert_eq!(ShiftsKernel::KarpScaled.name(), "karp-scaled-i64");
-        assert_eq!(ShiftsKernel::KarpExact.name(), "karp-rational");
+    fn critical_cycle_is_canonical_among_ties() {
+        // Two critical 2-cycles tie at mean 409395: 0↔1 and 1↔2. The
+        // canonical one runs through the smallest critical processor.
+        let rows = [
+            [0, 714_592, 141_187],
+            [104_198, 0, 245_385],
+            [-119_647, 573_405, 0],
+        ];
+        let c = SquareMatrix::from_fn(3, |i, j| fin(rows[i][j]));
+        let cold = shifts(&c, 0);
+        assert_eq!(cold.precision, Ratio::from_int(409_395));
+        assert_eq!(cold.critical_cycle, vec![0, 1]);
+        // Reach the same closure warm: 1↔2 is first the only critical
+        // cycle, then a tightening makes it tie, so its cached witness
+        // fails revalidation and Howard runs. The outcome is the cold one.
+        let mut looser = c.clone();
+        looser[(1, 2)] = fin(246_385);
+        let (first, state) = shifts_howard_warm(&looser, 0, None);
+        assert_eq!(first.critical_cycle, vec![1, 2]);
+        let (warm, _) = shifts_howard_warm(&c, 0, Some(&state));
+        assert_eq!(warm, cold);
     }
 
     #[test]
@@ -318,16 +275,37 @@ mod tests {
 
     #[test]
     fn warm_state_recomputes_when_the_critical_cycle_drops() {
-        let mut c = two_node(6, 2);
-        let (_, state) = shifts_howard_warm(&c, 0, None);
-        // Tighten an edge on the critical cycle: A_max falls from 4 to 3.
+        // Two pairs {0,1} and {2,3} with cross estimates 6 (a metric:
+        // every entry obeys the triangle inequality). The 0↔1 cycle
+        // (mean 10) is critical; 2↔3 (mean 8) is next.
+        let mut c = SquareMatrix::from_fn(4, |i, j| {
+            if i == j {
+                fin(0)
+            } else if i / 2 == j / 2 {
+                fin(if i < 2 { 10 } else { 8 })
+            } else {
+                fin(6)
+            }
+        });
+        let (first, state) = shifts_howard_warm(&c, 0, None);
+        // The cold start is the one-shot SHIFTS and seeds the policy along
+        // the critical cycle only.
+        assert_eq!(first, shifts(&c, 0));
+        assert_eq!(first.critical_cycle, vec![0, 1]);
+        assert_eq!(state.policy, [1, 0, usize::MAX, usize::MAX]);
+        // Tighten an edge on the critical cycle: 0↔1 falls to mean 7, so
+        // the cached witness fails revalidation and Howard restarts from
+        // the seeded policy, switching to the 2↔3 cycle.
         c[(0, 1)] = fin(4);
         let (warm, new_state) = shifts_howard_warm(&c, 0, Some(&state));
         let cold = shifts(&c, 0);
-        assert_eq!(warm.precision, Ratio::from_int(3));
+        assert_eq!(warm.precision, Ratio::from_int(8));
         assert_eq!(warm.precision, cold.precision);
         assert_eq!(warm.corrections, cold.corrections);
         assert_eq!(new_state.a_max, warm.precision);
+        assert_eq!(cycle_mean(&c, &new_state.cycle), warm.precision);
+        // Howard converged: every node now has a chosen successor.
+        assert!(new_state.policy.iter().all(|&s| s < 4));
     }
 
     #[test]
@@ -378,6 +356,7 @@ mod tests {
         let r = shifts(&m, 0);
         assert_eq!(r.precision, Ratio::ZERO);
         assert_eq!(r.corrections, vec![Ratio::ZERO]);
+        assert_eq!(r.critical_cycle, vec![0]);
         let (rw, state) = shifts_howard_warm(&m, 0, None);
         assert_eq!(rw, r);
         assert_eq!(state.policy, vec![0]);

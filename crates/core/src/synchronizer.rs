@@ -10,7 +10,7 @@ use clocksync_obs::Recorder;
 use crate::analysis::{rho_bar, worst_pair};
 use crate::degradation::{classify_degradations, LinkDegradation};
 use crate::estimates::global_estimates_traced;
-use crate::shifts::{shifts, synchronizable_components, ShiftsKernel, ShiftsResult};
+use crate::shifts::{shifts, synchronizable_components, ShiftsResult};
 use crate::{estimated_local_shifts, Network, SyncError};
 
 /// The optimal clock synchronization algorithm of the paper, specialized
@@ -120,7 +120,6 @@ impl Synchronizer {
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            span.field("kernel", ShiftsKernel::default().name());
             let mut outcome = SyncOutcome::from_global_estimates(closure);
             span.field("components", outcome.components().len());
             outcome.set_constraint_chains(chains);

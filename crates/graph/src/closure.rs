@@ -22,9 +22,7 @@
 //!   `O(n²)` instead of recomputing the full `O(n³)` closure. Online
 //!   synchronizers observe one message at a time, and each observation can
 //!   only tighten the estimate of the link it travelled on, so steady-state
-//!   resynchronization becomes a sequence of `relax_edge` calls. The
-//!   component-blocked [`crate::SparseClosure`] is its sparse-representation
-//!   equivalent for domains too large to hold an `n × n` matrix.
+//!   resynchronization becomes a sequence of `relax_edge` calls.
 
 use std::fmt;
 

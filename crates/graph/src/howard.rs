@@ -4,10 +4,11 @@
 //! reference algorithm with a clean `O(n·m)` bound; Howard's algorithm
 //! (policy iteration over successor choices) has a weaker worst-case story
 //! but is famously fast in practice — Dasdan's experimental studies place
-//! it first on most instance families. The workspace keeps both: Karp as
-//! the exact differential oracle that matches the paper, Howard as the
-//! default practical SHIFTS kernel, each property-tested against the other
-//! and against brute force.
+//! it first on most instance families. Its edge here is the warm start: the
+//! online synchronizer runs it only when a cached critical cycle stops
+//! certifying, restarting from the cached policy, while one-shot SHIFTS use
+//! Karp over scaled `i64` weights (measurements in DESIGN.md §4c). It is
+//! property-tested against exact Karp and against brute force.
 //!
 //! All arithmetic is exact [`Ratio`] arithmetic, which also guarantees
 //! termination: each iteration strictly improves the policy's value
@@ -19,6 +20,7 @@
 
 use clocksync_time::{Ext, Ratio};
 
+use crate::karp::{canonical_cycle, is_difference};
 use crate::{CycleMean, SquareMatrix};
 
 /// The converged output of Howard's policy iteration: the answer plus the
@@ -169,26 +171,27 @@ pub fn howard_solve(
         }
     }
 
-    // Witness: λ* is attained on the cycle the converged policy reaches
-    // from any argmax node (λ is constant along a policy path), so follow
-    // the policy from the first argmax node until a vertex repeats.
-    let &v_star = nodes
+    // Witness: among the nodes of value λ*, the converged bias is a
+    // potential — h(u) ≥ w(u,v) + h(v) − λ* on every edge between them,
+    // with equality exactly on tight edges — and every critical cycle lies
+    // there, so the canonical cycle is Karp's.
+    let lambda_star = nodes
         .iter()
-        .max_by_key(|&&v| lambda[v])
+        .map(|&v| lambda[v])
+        .max()
         .expect("nodes is non-empty");
-    let mut pos = vec![usize::MAX; n];
-    let mut path = Vec::new();
-    let mut v = v_star;
-    while pos[v] == usize::MAX {
-        pos[v] = path.len();
-        path.push(v);
-        v = policy[v];
-    }
-    let cycle = path[pos[v]..].to_vec();
+    let top: Vec<bool> = (0..n)
+        .map(|v| live[v] && lambda[v] == lambda_star)
+        .collect();
+    let shifted: Vec<Ratio> = h.iter().map(|&hv| hv - lambda_star).collect();
+    let cycle = canonical_cycle(n, |u, v| match m[(u, v)] {
+        Ext::Finite(w) => top[u] && top[v] && is_difference(h[u], shifted[v], w),
+        _ => false,
+    });
 
     Some(HowardSolution {
         cycle_mean: CycleMean {
-            mean: lambda[v_star],
+            mean: lambda_star,
             cycle,
         },
         policy,

@@ -12,6 +12,8 @@
 //! ending at `v` (starting anywhere; this is the usual super-source
 //! formulation). All arithmetic is exact [`Ratio`] arithmetic.
 
+use std::collections::VecDeque;
+
 use clocksync_time::{Ext, Ratio};
 
 use crate::SquareMatrix;
@@ -23,7 +25,9 @@ pub struct CycleMean {
     pub mean: Ratio,
     /// A witness cycle achieving the mean, as a node sequence
     /// `c_0, c_1, …, c_{k-1}` (the closing edge `c_{k-1} → c_0` is
-    /// implicit). Never empty.
+    /// implicit). Never empty. Every kernel reports the same canonical
+    /// one: a shortest cycle through the smallest node on any cycle of
+    /// this mean, lexicographically first among those.
     pub cycle: Vec<usize>,
 }
 
@@ -92,30 +96,21 @@ pub fn karp_max_cycle_mean(m: &SquareMatrix<Ext<Ratio>>) -> Option<CycleMean> {
         return None;
     }
 
-    // d[k][v] = max weight of a k-edge walk ending at v; parent[k][v] is the
-    // predecessor realizing it.
+    // d[k][v] = max weight of a k-edge walk ending at v.
     let mut d: Vec<Vec<Ext<Ratio>>> = Vec::with_capacity(n + 1);
-    let mut parent: Vec<Vec<usize>> = Vec::with_capacity(n + 1);
     d.push(vec![Ext::Finite(Ratio::ZERO); n]);
-    parent.push(vec![usize::MAX; n]);
     for k in 1..=n {
         let mut row = vec![Ext::<Ratio>::NegInf; n];
-        let mut par = vec![usize::MAX; n];
         for &(u, v, w) in &edges {
             if let Ext::Finite(du) = d[k - 1][u] {
-                let cand = Ext::Finite(du + w);
-                if cand > row[v] {
-                    row[v] = cand;
-                    par[v] = u;
-                }
+                row[v] = row[v].max(Ext::Finite(du + w));
             }
         }
         d.push(row);
-        parent.push(par);
     }
 
     // λ* = max_v min_k (D_n(v) − D_k(v)) / (n − k).
-    let mut best: Option<(Ratio, usize)> = None;
+    let mut best: Option<Ratio> = None;
     for v in 0..n {
         let dn = match d[n][v] {
             Ext::Finite(x) => x,
@@ -132,101 +127,113 @@ pub fn karp_max_cycle_mean(m: &SquareMatrix<Ext<Ratio>>) -> Option<CycleMean> {
             }
         }
         if let Some(vm) = v_min {
-            match best {
-                Some((b, _)) if b >= vm => {}
-                _ => best = Some((vm, v)),
-            }
+            best = Some(best.map_or(vm, |b| b.max(vm)));
         }
     }
-    let (lambda, v_star) = best?;
+    let lambda = best?;
 
-    // Witness extraction: walk n parent steps back from v*; every cycle on a
-    // maximal n-walk has mean ≤ λ*, and at least one achieves it.
-    let mut walk = Vec::with_capacity(n + 1);
-    let mut v = v_star;
-    for k in (0..=n).rev() {
-        walk.push(v);
-        if k > 0 {
-            v = parent[k][v];
-        }
-    }
-    walk.reverse(); // now walk[0] -> walk[1] -> ... -> walk[n] = v*
-
-    let cycle = extract_best_cycle(&walk, m, lambda);
+    // Witness: π(v) = max_{k<n} D_k(v) − k·λ* is a potential with
+    // π(u) + w(u,v) − λ* ≤ π(v) on every edge (Karp's theorem bounds the
+    // k = n term), so the critical cycles are the cycles of its tight edges.
+    let pi: Vec<Ratio> = (0..n)
+        .map(|v| {
+            (0..n)
+                .filter_map(|k| {
+                    d[k][v]
+                        .finite()
+                        .map(|dk| dk - lambda * Ratio::from_int(k as i128))
+                })
+                .max()
+                .expect("D_0 is finite")
+        })
+        .collect();
+    let cycle = canonical_cycle(n, |u, v| match m[(u, v)] {
+        Ext::Finite(w) => pi[u] + w - lambda == pi[v],
+        _ => false,
+    });
     Some(CycleMean {
         mean: lambda,
         cycle,
     })
 }
 
-/// Returns a repeated-vertex segment of `walk` (as a cycle) whose mean
-/// equals `lambda`.
-fn extract_best_cycle(walk: &[usize], m: &SquareMatrix<Ext<Ratio>>, lambda: Ratio) -> Vec<usize> {
-    extract_cycle_prefix_scan(
-        walk,
-        Ratio::ZERO,
-        |a, b| m[(a, b)].finite().expect("walk follows existing edges"),
-        |sum, len| sum == lambda * Ratio::from_int(len as i128),
-        |s1, l1, s2, l2| {
-            // s1/l1 vs s2/l2 with positive lengths: cross-multiply.
-            (s1 * Ratio::from_int(l2 as i128)).cmp(&(s2 * Ratio::from_int(l1 as i128)))
-        },
-    )
-}
-
-/// The witness-extraction core shared by the rational and `i64` Karp
-/// kernels.
+/// The canonical critical cycle, shared by every maximum-cycle-mean kernel
+/// so they all report the same witness: among the cycles of mean `λ*`, a
+/// shortest one through the smallest node on any of them,
+/// lexicographically first among those.
 ///
-/// Prefix sums over the walk make each candidate segment `O(1)`: when
-/// `walk[i] == walk[j]`, the segment `walk[i..j]` is a cycle — its closing
-/// edge `walk[j-1] → walk[j] = walk[i]` is itself a walk edge — with total
-/// weight `prefix[j] − prefix[i]`. Scanning end positions in order and
-/// keeping every earlier occurrence of each vertex visits `O(n²)`
-/// candidates worst case (`O(n)` when the first repeat already achieves
-/// the target mean, the common case) instead of re-summing each segment
-/// from scratch, which made the old extraction `O(n³)` `Ratio` work.
+/// `tight(u, v)` must say whether edge `u → v` has zero reduced cost
+/// under some potential `π` with `π(u) + w(u,v) − λ* ≤ π(v)` on every
+/// edge. A cycle has mean `λ*` exactly when all its edges are tight, so
+/// the critical cycles are the cycles of the tight graph whatever
+/// potential the kernel used, and so is the choice. It is also stable
+/// under edge-weight decreases that keep `λ*`: they only remove critical
+/// cycles, and while the chosen one survives, its start stays the
+/// smallest critical node and every step stays the first shortest way
+/// back.
 ///
-/// Returns the first segment whose `(sum, len)` satisfies `is_lambda`,
-/// falling back to the best segment under `cmp` (fraction comparison of
-/// `(sum, len)` pairs); by Karp's theorem a maximal walk carries a cycle of
-/// mean `λ*`, so the fallback also certifies when `is_lambda` tests `λ*`.
-pub(crate) fn extract_cycle_prefix_scan<S>(
-    walk: &[usize],
-    zero: S,
-    mut edge_weight: impl FnMut(usize, usize) -> S,
-    is_lambda: impl Fn(S, usize) -> bool,
-    cmp: impl Fn(S, usize, S, usize) -> std::cmp::Ordering,
-) -> Vec<usize>
-where
-    S: Copy + std::ops::Add<Output = S> + std::ops::Sub<Output = S>,
-{
-    // prefix[t] = total weight of the first t edges of the walk.
-    let mut prefix = Vec::with_capacity(walk.len());
-    prefix.push(zero);
-    for t in 1..walk.len() {
-        let w = edge_weight(walk[t - 1], walk[t]);
-        prefix.push(prefix[t - 1] + w);
+/// # Panics
+///
+/// Panics if the tight graph has no cycle (`λ*` was not the maximum).
+pub(crate) fn canonical_cycle(n: usize, tight: impl Fn(usize, usize) -> bool) -> Vec<usize> {
+    let succ: Vec<Vec<usize>> = (0..n)
+        .map(|u| (0..n).filter(|&v| tight(u, v)).collect())
+        .collect();
+    let mut pred = vec![Vec::new(); n];
+    for (u, out) in succ.iter().enumerate() {
+        for &v in out {
+            pred[v].push(u);
+        }
     }
-
-    let nodes = walk.iter().copied().max().map_or(0, |v| v + 1);
-    let mut occurrences: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-    let mut best_cycle: Option<(S, usize, usize)> = None;
-    for (j, &v) in walk.iter().enumerate() {
-        for &i in &occurrences[v] {
-            let (sum, len) = (prefix[j] - prefix[i], j - i);
-            if is_lambda(sum, len) {
-                return walk[i..j].to_vec();
-            }
-            match best_cycle {
-                Some((bs, bi, bj)) if cmp(bs, bj - bi, sum, len).is_ge() => {}
-                _ => best_cycle = Some((sum, i, j)),
+    for s in 0..n {
+        // Tight-edge hop distances to `s`.
+        let mut hops = vec![usize::MAX; n];
+        hops[s] = 0;
+        let mut queue = VecDeque::from([s]);
+        while let Some(v) = queue.pop_front() {
+            for &u in &pred[v] {
+                if hops[u] == usize::MAX {
+                    hops[u] = hops[v] + 1;
+                    queue.push_back(u);
+                }
             }
         }
-        occurrences[v].push(j);
+        let step = |v: usize| {
+            succ[v]
+                .iter()
+                .copied()
+                .filter(|&q| hops[q] != usize::MAX)
+                .min_by_key(|&q| (hops[q], q))
+        };
+        let Some(mut v) = step(s) else {
+            continue; // `s` is on no critical cycle
+        };
+        let mut cycle = vec![s];
+        while v != s {
+            cycle.push(v);
+            v = step(v).expect("a node at finite distance steps closer");
+        }
+        return cycle;
     }
-    // Fall back to the best cycle found.
-    let (_, i, j) = best_cycle.expect("an n-edge walk over n nodes must repeat a vertex");
-    walk[i..j].to_vec()
+    panic!("no cycle of tight edges: λ* is not the maximum cycle mean")
+}
+
+/// Whether `a − b == c`, by cross-multiplying (no gcd, so cheap enough for
+/// a tightness test on every edge); exact `Ratio` arithmetic if a product
+/// overflows.
+pub(crate) fn is_difference(a: Ratio, b: Ratio, c: Ratio) -> bool {
+    let (an, ad) = (a.numerator(), a.denominator());
+    let (bn, bd) = (b.numerator(), b.denominator());
+    let (cn, cd) = (c.numerator(), c.denominator());
+    // a − b = (an·bd − bn·ad) / (ad·bd), and denominators are positive.
+    let cross = || {
+        let lhs = an
+            .checked_mul(bd)?
+            .checked_sub(bn.checked_mul(ad)?)?
+            .checked_mul(cd)?;
+        Some(lhs == cn.checked_mul(ad)?.checked_mul(bd)?)
+    };
+    cross().unwrap_or_else(|| a - b == c)
 }
 
 #[cfg(test)]
@@ -249,6 +256,17 @@ mod tests {
             total += m[(from, to)].finite().unwrap();
         }
         total * Ratio::new(1, cycle.len() as i128)
+    }
+
+    #[test]
+    fn is_difference_survives_overflowing_cross_products() {
+        let (half, third) = (Ratio::new(1, 2), Ratio::new(1, 3));
+        assert!(is_difference(half, third, Ratio::new(1, 6)));
+        assert!(!is_difference(half, third, Ratio::new(1, 5)));
+        // an·bd overflows i128 here; the exact fallback still answers.
+        let (a, b) = (Ratio::new(1 << 120, 1025), Ratio::new(1 << 119, 1025));
+        assert!(is_difference(a, b, a - b));
+        assert!(!is_difference(a, b, a));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! [`Closure`] caches a computed closure so single-edge tightenings can be
 //! absorbed in `O(n²)` via [`Closure::relax_edge`] instead of a full
 //! `O(n³)` recompute. The `A_max` stage has the same two-tier design:
-//! [`fast_max_cycle_mean`] rescales to the `i64` Karp kernel
-//! ([`karp_max_cycle_mean_i64`]) with exact fallback, and [`howard_solve`]
-//! runs policy iteration with a witness cycle and a warm-startable policy.
+//! [`fast_max_cycle_mean`] rescales to an `i64` Karp kernel with exact
+//! fallback for one-shot use, and [`howard_solve`] runs policy iteration
+//! with a witness cycle and a warm-startable policy for cached state.
 //!
 //! # Examples
 //!
@@ -68,11 +68,9 @@ pub use floyd_warshall::{floyd_warshall, floyd_warshall_with_paths, reconstruct_
 pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
-pub use scaled_karp::{
-    fast_max_cycle_mean, karp_max_cycle_mean_i64, try_scaled_karp, CycleMeanI64, NO_EDGE,
-};
+pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
 pub use sparse::{
     derive_successors_i64, hierarchical_closure_i64, hierarchical_closure_i64_with_partition,
-    sparse_closure_i64, weak_components_i64, CsrGraph, SparseClosure,
+    sparse_closure_i64, weak_components_i64, CsrGraph,
 };
 pub use weight::Weight;

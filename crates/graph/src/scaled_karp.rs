@@ -6,10 +6,10 @@
 //! destination vertices with rayon — and map the answer back. Scaling by a
 //! positive constant multiplies every walk weight by that constant, so
 //! every comparison Karp's recurrence makes is preserved *exactly*: the
-//! scaled kernel's `D_k` tables, parent pointers, argmax vertex, and
-//! witness walk are the scaled images of the exact kernel's, and dividing
-//! the resulting `λ*` by the scale recovers the exact rational answer
-//! bit-for-bit ([`Ratio`] is canonical). When scaling would overflow —
+//! scaled kernel's `D_k` tables and witness potentials are the scaled
+//! images of the exact kernel's, so both pick the same canonical witness
+//! cycle, and dividing the resulting `λ*` by the scale recovers the exact
+//! rational answer bit-for-bit ([`Ratio`] is canonical). When scaling would overflow —
 //! oversized common denominator or magnitudes too close to the sentinel —
 //! [`fast_max_cycle_mean`] falls back to the exact
 //! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean).
@@ -18,12 +18,12 @@ use rayon::prelude::*;
 
 use clocksync_time::{Ext, Ratio};
 
-use crate::karp::extract_cycle_prefix_scan;
+use crate::karp::canonical_cycle;
 use crate::{karp_max_cycle_mean, CycleMean, SquareMatrix};
 
 /// Sentinel for "no edge" / "no walk" in the `i64` Karp kernel. Far enough
 /// from `i64::MIN` that no intermediate the kernel forms can wrap.
-pub const NO_EDGE: i64 = i64::MIN / 4;
+const NO_EDGE: i64 = i64::MIN / 4;
 
 /// Largest common denominator the scaling pass will build (same bound as
 /// the closure fast path; estimate matrices have denominators 1 or 2).
@@ -44,13 +44,13 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
 
 /// The result of the integer maximum-cycle-mean kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CycleMeanI64 {
+struct CycleMeanI64 {
     /// Numerator of `λ*` (a difference of walk weights; not reduced).
-    pub num: i64,
+    num: i64,
     /// Denominator of `λ*` (a cycle-length difference, `1..=n`).
-    pub den: i64,
+    den: i64,
     /// A witness cycle achieving the mean, conventions as [`CycleMean`].
-    pub cycle: Vec<usize>,
+    cycle: Vec<usize>,
 }
 
 /// Exactly rescales a `NegInf`-absent rational weight matrix to
@@ -108,12 +108,12 @@ fn cmp_frac(a1: i64, b1: i64, a2: i64, b2: i64) -> std::cmp::Ordering {
 /// this before delegating here). Returns `None` when the graph has no
 /// cycle.
 ///
-/// The recurrence mirrors [`karp_max_cycle_mean`](crate::karp_max_cycle_mean)
-/// decision-for-decision (same strict-improvement tie-breaking, same
-/// witness extraction), so on a scaled matrix the two kernels produce the
-/// *same* walk and witness cycle. Rounds relax all destination vertices
+/// The recurrence and its witness mirror
+/// [`karp_max_cycle_mean`](crate::karp_max_cycle_mean) on the scaled
+/// values, so on a scaled matrix the two kernels produce the *same* mean
+/// and canonical witness cycle. Rounds relax all destination vertices
 /// independently, in parallel via rayon for `n ≥ 128`.
-pub fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
+fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
     let n = m.n();
     if n == 0 {
         return None;
@@ -132,42 +132,31 @@ pub fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
         return None;
     }
 
-    // d[k][v] = max weight of a k-edge walk ending at v (NO_EDGE = none);
-    // parent[k][v] is the predecessor realizing it.
-    let relax = |v: usize, prev: &[i64]| -> (i64, usize) {
+    // d[k][v] = max weight of a k-edge walk ending at v (NO_EDGE = none).
+    let relax = |v: usize, prev: &[i64]| -> i64 {
         let mut best = NO_EDGE;
-        let mut par = usize::MAX;
-        for (u, (&w, &du)) in wt[v * n..(v + 1) * n].iter().zip(prev).enumerate() {
-            if w == NO_EDGE || du == NO_EDGE {
-                continue;
-            }
-            let cand = du + w;
-            if par == usize::MAX || cand > best {
-                best = cand;
-                par = u;
+        for (&w, &du) in wt[v * n..(v + 1) * n].iter().zip(prev) {
+            if w != NO_EDGE && du != NO_EDGE {
+                best = best.max(du + w);
             }
         }
-        (best, par)
+        best
     };
     let mut d: Vec<Vec<i64>> = Vec::with_capacity(n + 1);
-    let mut parent: Vec<Vec<usize>> = Vec::with_capacity(n + 1);
     d.push(vec![0; n]);
-    parent.push(vec![usize::MAX; n]);
     for k in 1..=n {
         let prev = &d[k - 1];
-        let (row, par): (Vec<i64>, Vec<usize>) = if n >= PAR_THRESHOLD {
-            let pairs: Vec<(i64, usize)> = (0..n).into_par_iter().map(|v| relax(v, prev)).collect();
-            pairs.into_iter().unzip()
+        let row: Vec<i64> = if n >= PAR_THRESHOLD {
+            (0..n).into_par_iter().map(|v| relax(v, prev)).collect()
         } else {
-            (0..n).map(|v| relax(v, prev)).unzip()
+            (0..n).map(|v| relax(v, prev)).collect()
         };
         d.push(row);
-        parent.push(par);
     }
 
     // λ* = max_v min_k (D_n(v) − D_k(v)) / (n − k), exactly as the rational
     // kernel computes it (fraction comparisons by cross-multiplication).
-    let mut best: Option<(i64, i64, usize)> = None;
+    let mut best: Option<(i64, i64)> = None;
     for v in 0..n {
         let dn = d[n][v];
         if dn == NO_EDGE {
@@ -187,36 +176,30 @@ pub fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
         }
         if let Some((vn, vd)) = v_min {
             match best {
-                Some((bn, bd, _)) if cmp_frac(bn, bd, vn, vd).is_ge() => {}
-                _ => best = Some((vn, vd, v)),
+                Some((bn, bd)) if cmp_frac(bn, bd, vn, vd).is_ge() => {}
+                _ => best = Some((vn, vd)),
             }
         }
     }
-    let (lambda_num, lambda_den, v_star) = best?;
+    let (lambda_num, lambda_den) = best?;
 
-    // Witness extraction: n parent steps back from v*, then the shared
-    // prefix-sum repeated-vertex scan.
-    let mut walk = Vec::with_capacity(n + 1);
-    let mut v = v_star;
-    for k in (0..=n).rev() {
-        walk.push(v);
-        if k > 0 {
-            v = parent[k][v];
-        }
-    }
-    walk.reverse(); // now walk[0] -> walk[1] -> ... -> walk[n] = v*
-
-    let cycle = extract_cycle_prefix_scan(
-        &walk,
-        0i128,
-        |a, b| {
-            let w = m[(a, b)];
-            debug_assert!(w != NO_EDGE, "walk follows existing edges");
-            w as i128
-        },
-        |sum, len| sum * lambda_den as i128 == lambda_num as i128 * len as i128,
-        |s1, l1, s2, l2| (s1 * l2 as i128).cmp(&(s2 * l1 as i128)),
-    );
+    // Witness: the exact kernel's potential π(v) = max_{k<n} D_k(v) − k·λ*,
+    // times `lambda_den` so it stays integral; the tight edges, and so the
+    // canonical cycle, are the scaled image of the exact kernel's.
+    let (num, den) = (lambda_num as i128, lambda_den as i128);
+    let pi: Vec<i128> = (0..n)
+        .map(|v| {
+            (0..n)
+                .filter(|&k| d[k][v] != NO_EDGE)
+                .map(|k| d[k][v] as i128 * den - k as i128 * num)
+                .max()
+                .expect("D_0 is finite")
+        })
+        .collect();
+    let cycle = canonical_cycle(n, |u, v| {
+        let w = m[(u, v)];
+        w != NO_EDGE && pi[u] + w as i128 * den - num == pi[v]
+    });
     Some(CycleMeanI64 {
         num: lambda_num,
         den: lambda_den,

@@ -13,11 +13,7 @@
 //!   pairs in `O(n·(m + n log n))`;
 //! * [`hierarchical_closure_i64`] — per-weak-component closures composed
 //!   through boundary nodes, so a domain of many small components pays
-//!   only the sum of its component costs (and the boundary graph's);
-//! * [`SparseClosure`] — the component-blocked, incrementally-maintained
-//!   equivalent of [`crate::Closure`]: memory `Σ k_b²` over block sizes
-//!   instead of `n²`, and `O(k²)` per [`SparseClosure::relax_edge`]
-//!   tightening.
+//!   only the sum of its component costs (and the boundary graph's).
 //!
 //! All backends agree **exactly** with the dense kernels on distances and
 //! reachability (the property suite in `tests/sparse_equivalence.rs`
@@ -33,8 +29,8 @@ use rayon::prelude::*;
 
 use crate::blocked::PAR_THRESHOLD;
 use crate::{
-    blocked_floyd_warshall_i64, Closure, NegativeCycleError, RelaxOutcome, SquareMatrix, Weight,
-    SPARSE_MAX_DENSITY, SPARSE_MIN_N, UNREACHABLE,
+    blocked_floyd_warshall_i64, NegativeCycleError, SquareMatrix, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
+    UNREACHABLE,
 };
 
 /// A compressed-sparse-row digraph over sentinel-encoded `i64` weights:
@@ -626,262 +622,4 @@ pub fn hierarchical_closure_i64_with_partition(
     let g = CsrGraph::from_matrix(weights);
     let next = derive_successors_i64(&g, &dist);
     Ok((dist, next))
-}
-
-/// The component-blocked, sparse-representation equivalent of the dense
-/// [`Closure`] cache: one dense sub-closure per weakly-connected block,
-/// nothing at all for cross-block pairs (they are `+∞` by definition).
-///
-/// Memory is `Σ k_b²` over block sizes instead of `n²`, and a
-/// [`SparseClosure::relax_edge`] tightening costs `O(k²)` in its block —
-/// which is what keeps steady-state online resynchronization incremental
-/// on domains of many small components (a 10⁵-node domain of 100-node
-/// components holds 10⁷ entries instead of 10¹⁰). A cross-block edge
-/// insertion merges the two blocks and is exact: the closure of a
-/// disjoint union plus one connecting edge is precisely what
-/// [`Closure::relax_edge`] computes over the merged matrix.
-///
-/// # Examples
-///
-/// ```
-/// use clocksync_graph::{RelaxOutcome, SparseClosure};
-/// use clocksync_time::Ext;
-///
-/// let mut c: SparseClosure<Ext<i64>> = SparseClosure::new(4);
-/// assert_eq!(c.block_count(), 4);
-/// c.relax_edge(0, 1, Ext::Finite(3))?;
-/// c.relax_edge(1, 2, Ext::Finite(4))?;
-/// assert_eq!(c.dist(0, 2), Ext::Finite(7));
-/// assert_eq!(c.dist(0, 3), Ext::PosInf); // cross-block: stored nowhere
-/// assert_eq!(c.block_count(), 2);
-/// # Ok::<(), clocksync_graph::NegativeCycleError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SparseClosure<W> {
-    block_of: Vec<usize>,
-    blocks: Vec<Option<Block<W>>>,
-}
-
-#[derive(Debug, Clone)]
-struct Block<W> {
-    /// Sorted global node ids.
-    members: Vec<usize>,
-    /// Dense closure over the members' local indices.
-    closure: Closure<W>,
-}
-
-impl<W: Weight> Block<W> {
-    fn local(&self, global: usize) -> usize {
-        self.members
-            .binary_search(&global)
-            .expect("node not in its own block")
-    }
-}
-
-impl<W: Weight> SparseClosure<W> {
-    /// An edgeless cache over `n` nodes: `n` singleton blocks.
-    pub fn new(n: usize) -> SparseClosure<W> {
-        let blocks = (0..n)
-            .map(|i| {
-                Some(Block {
-                    members: vec![i],
-                    closure: Closure::from_parts(
-                        SquareMatrix::filled(1, W::zero()),
-                        SquareMatrix::filled(1, usize::MAX),
-                    ),
-                })
-            })
-            .collect();
-        SparseClosure {
-            block_of: (0..n).collect(),
-            blocks,
-        }
-    }
-
-    /// Builds the cache by relaxing an edge list into [`SparseClosure::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NegativeCycleError`] when the edges close a negative
-    /// cycle.
-    pub fn from_edges(
-        n: usize,
-        edges: &[(usize, usize, W)],
-    ) -> Result<SparseClosure<W>, NegativeCycleError> {
-        let mut c = SparseClosure::new(n);
-        for &(u, v, w) in edges {
-            c.relax_edge(u, v, w)?;
-        }
-        Ok(c)
-    }
-
-    /// The number of nodes.
-    pub fn n(&self) -> usize {
-        self.block_of.len()
-    }
-
-    /// The number of live blocks (weakly-connected groups merged so far).
-    pub fn block_count(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_some()).count()
-    }
-
-    /// The sorted members of the block containing `i`.
-    pub fn block_members(&self, i: usize) -> &[usize] {
-        let b = self.blocks[self.block_of[i]]
-            .as_ref()
-            .expect("live node points at a dead block");
-        &b.members
-    }
-
-    /// Total closure entries held — the `Σ k_b²` memory footprint the
-    /// blocked representation pays instead of `n²`.
-    pub fn retained_entries(&self) -> usize {
-        self.blocks
-            .iter()
-            .flatten()
-            .map(|b| b.members.len() * b.members.len())
-            .sum()
-    }
-
-    /// The closure distance from `i` to `j` (`+∞` across blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    pub fn dist(&self, i: usize, j: usize) -> W {
-        let bi = self.block_of[i];
-        if bi != self.block_of[j] {
-            return W::infinity();
-        }
-        let b = self.blocks[bi].as_ref().expect("live node, dead block");
-        b.closure.dist()[(b.local(i), b.local(j))]
-    }
-
-    /// The node after `i` on a shortest `i → j` path, or `None` when
-    /// unreachable or `i == j` (the [`crate::reconstruct_path`]
-    /// convention, lifted to global indices).
-    pub fn next_hop(&self, i: usize, j: usize) -> Option<usize> {
-        let bi = self.block_of[i];
-        if bi != self.block_of[j] {
-            return None;
-        }
-        let b = self.blocks[bi].as_ref().expect("live node, dead block");
-        let s = b.closure.next()[(b.local(i), b.local(j))];
-        if s == usize::MAX {
-            None
-        } else {
-            Some(b.members[s])
-        }
-    }
-
-    /// Incorporates an edge `u → v` of weight `w` — the sparse counterpart
-    /// of [`Closure::relax_edge`], with the same [`RelaxOutcome`]
-    /// staleness contract. Within a block this is the `O(k²)` dense
-    /// relaxation; across blocks it first merges the two blocks (the
-    /// closure of a disjoint union is the block-diagonal composite) and
-    /// then relaxes the connecting edge, which is exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NegativeCycleError`] when the edge closes a negative
-    /// cycle. As with the dense cache, the closure state is then
-    /// unspecified and must be discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn relax_edge(
-        &mut self,
-        u: usize,
-        v: usize,
-        w: W,
-    ) -> Result<RelaxOutcome, NegativeCycleError> {
-        let n = self.n();
-        assert!(u < n && v < n, "edge endpoint out of range");
-        if u == v {
-            return if w < W::zero() {
-                Err(NegativeCycleError { witness: u })
-            } else {
-                Ok(RelaxOutcome::Unchanged)
-            };
-        }
-        let (bu, bv) = (self.block_of[u], self.block_of[v]);
-        if bu == bv {
-            let b = self.blocks[bu].as_mut().expect("live node, dead block");
-            let (lu, lv) = (b.local(u), b.local(v));
-            return b.closure.relax_edge(lu, lv, w);
-        }
-        if !w.is_reachable() {
-            // An unreachable edge across blocks changes nothing — and the
-            // cross-block distance is already +∞, so nothing can be stale.
-            return Ok(RelaxOutcome::Unchanged);
-        }
-        // Merge the two blocks, then relax the connecting edge.
-        let a = self.blocks[bu].take().expect("live node, dead block");
-        let b = self.blocks[bv].take().expect("live node, dead block");
-        let mut members = Vec::with_capacity(a.members.len() + b.members.len());
-        members.extend_from_slice(&a.members);
-        members.extend_from_slice(&b.members);
-        members.sort_unstable();
-        let k = members.len();
-        let mut dist = SquareMatrix::filled(k, W::infinity());
-        let mut next = SquareMatrix::filled(k, usize::MAX);
-        for part in [&a, &b] {
-            let remap: Vec<usize> = part
-                .members
-                .iter()
-                .map(|&g| members.binary_search(&g).expect("member of the union"))
-                .collect();
-            let (pd, pn) = (part.closure.dist(), part.closure.next());
-            for x in 0..part.members.len() {
-                for y in 0..part.members.len() {
-                    dist[(remap[x], remap[y])] = pd[(x, y)];
-                    let s = pn[(x, y)];
-                    next[(remap[x], remap[y])] = if s == usize::MAX {
-                        usize::MAX
-                    } else {
-                        remap[s]
-                    };
-                }
-            }
-        }
-        let new_id = self.blocks.len();
-        for &m in &members {
-            self.block_of[m] = new_id;
-        }
-        let block = Block {
-            members,
-            closure: Closure::from_parts(dist, next),
-        };
-        self.blocks.push(Some(block));
-        let b = self.blocks[new_id].as_mut().expect("just inserted");
-        let (lu, lv) = (b.local(u), b.local(v));
-        b.closure.relax_edge(lu, lv, w)
-    }
-
-    /// Materializes the dense `(dist, next)` pair (global indices,
-    /// [`crate::floyd_warshall_with_paths`] conventions) — for
-    /// equivalence tests and small-n interop; at large `n` this is the
-    /// `n²` the blocked representation exists to avoid.
-    pub fn to_dense(&self) -> (SquareMatrix<W>, SquareMatrix<usize>) {
-        let n = self.n();
-        let mut dist =
-            SquareMatrix::from_fn(n, |i, j| if i == j { W::zero() } else { W::infinity() });
-        let mut next = SquareMatrix::filled(n, usize::MAX);
-        for b in self.blocks.iter().flatten() {
-            let (bd, bn) = (b.closure.dist(), b.closure.next());
-            for (x, &gx) in b.members.iter().enumerate() {
-                for (y, &gy) in b.members.iter().enumerate() {
-                    dist[(gx, gy)] = bd[(x, y)];
-                    let s = bn[(x, y)];
-                    next[(gx, gy)] = if s == usize::MAX {
-                        usize::MAX
-                    } else {
-                        b.members[s]
-                    };
-                }
-            }
-        }
-        (dist, next)
-    }
 }

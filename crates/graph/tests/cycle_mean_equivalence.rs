@@ -6,9 +6,9 @@
 //!   **bit-identical** to [`karp_max_cycle_mean`] — the same `λ*` *and*
 //!   the same witness cycle — whenever scaling applies, and must fall back
 //!   to it (hence stay identical trivially) when it does not.
-//! * [`howard_solve`] must find the same `λ*`, with a witness cycle whose
-//!   mean equals it exactly, from a cold start and from any warm-start
-//!   policy.
+//! * [`howard_solve`] must find the same `λ*` and the same canonical
+//!   witness cycle, whose mean equals it exactly, from a cold start and
+//!   from any warm-start policy.
 //! * On small graphs, all of them must agree with the exhaustive
 //!   [`brute::max_cycle_mean_brute`] oracle over simple cycles.
 //!
@@ -105,6 +105,8 @@ proptest! {
             howard_solve(&m, None).map(|s| s.cycle_mean.mean),
             oracle
         );
+        // Every kernel names the same canonical witness.
+        prop_assert_eq!(howard_solve(&m, None).map(|s| s.cycle_mean), exact.clone());
         // Every reported witness achieves the reported mean exactly.
         if let Some(cm) = &exact {
             prop_assert_eq!(brute::cycle_mean(&m, &cm.cycle), cm.mean);
@@ -125,8 +127,8 @@ proptest! {
         let cold = howard_solve(&m, None);
         let warm = howard_solve(&m, Some(&seed));
         prop_assert_eq!(
-            cold.as_ref().map(|s| s.cycle_mean.mean),
-            warm.as_ref().map(|s| s.cycle_mean.mean)
+            cold.as_ref().map(|s| &s.cycle_mean),
+            warm.as_ref().map(|s| &s.cycle_mean)
         );
         if let Some(w) = &warm {
             prop_assert_eq!(brute::cycle_mean(&m, &w.cycle_mean.cycle), w.cycle_mean.mean);
@@ -148,7 +150,7 @@ proptest! {
         let exact = karp_max_cycle_mean(&m).expect("complete graph has cycles");
         prop_assert_eq!(inner.unwrap().as_ref().map(|cm| cm.mean), Some(exact.mean));
         let howard = howard_solve(&m, None).expect("complete graph has cycles");
-        prop_assert_eq!(howard.cycle_mean.mean, exact.mean);
         prop_assert_eq!(brute::cycle_mean(&m, &howard.cycle_mean.cycle), exact.mean);
+        prop_assert_eq!(howard.cycle_mean, exact);
     }
 }

@@ -745,7 +745,10 @@ impl Worker {
                 observations.extend_from_slice(&job.batch.observations);
             }
             let merged = ObservationBatch::new(domain.clone(), observations);
-            if let Ok(receipt) = self.service.ingest(&merged) {
+            if let Ok(receipt) = self
+                .service
+                .ingest_as_shard(&merged, self.shard, &self.recorder)
+            {
                 self.stats.messages += receipt.applied as u64;
                 let last = jobs.len() - 1;
                 return jobs
@@ -776,10 +779,9 @@ impl Worker {
         }
         jobs.iter()
             .map(|job| {
-                let result = self.service.ingest(&job.batch).map(|mut receipt| {
-                    receipt.shard = self.shard;
-                    receipt
-                });
+                let result = self
+                    .service
+                    .ingest_as_shard(&job.batch, self.shard, &self.recorder);
                 if let Ok(receipt) = &result {
                     self.stats.messages += receipt.applied as u64;
                 }
@@ -1024,6 +1026,60 @@ mod tests {
             p.wait().unwrap();
         }
         svc.shutdown();
+    }
+
+    #[test]
+    fn workers_trace_one_ingest_span_per_batch_on_its_shard() {
+        use clocksync_obs::{FieldValue, TraceRecord};
+        let recorder = Recorder::enabled();
+        let svc = ConcurrentService::start_with_recorder(
+            ServiceConfig {
+                max_coalesce: 1,
+                ..config(3)
+            },
+            recorder.clone(),
+        );
+        let domains = ["a", "b", "c", "d", "e", "f"];
+        for d in domains {
+            svc.register_domain(d, net()).unwrap();
+        }
+        let routes: HashMap<&str, usize> = domains.iter().map(|&d| (d, svc.shard_of(d))).collect();
+        assert!(routes.values().any(|&shard| shard != 0), "{routes:?}");
+        let batches = (0..24i64)
+            .map(|i| {
+                let t = 1_000 * i;
+                ObservationBatch::new(domains[i as usize % 6], vec![obs(P, Q, t, t + 400)])
+            })
+            .collect();
+        for receipt in svc.ingest_all(batches) {
+            receipt.unwrap();
+        }
+        svc.shutdown();
+        let trace = recorder.snapshot();
+        let mut spans = 0;
+        for record in &trace.records {
+            let TraceRecord::Span { name, fields, .. } = record else {
+                continue;
+            };
+            if name != "svc.ingest" {
+                continue;
+            }
+            spans += 1;
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let Some(FieldValue::Str(domain)) = field("domain") else {
+                panic!("svc.ingest span without a domain: {fields:?}");
+            };
+            assert_eq!(
+                field("shard"),
+                Some(&FieldValue::from(routes[domain.as_str()])),
+                "{domain}"
+            );
+        }
+        assert_eq!(spans, 24);
+        // The one-shard service inside each worker is not the service: it
+        // publishes no service-wide gauges.
+        assert_eq!(trace.gauge("svc.shards"), None);
+        assert_eq!(trace.gauge("svc.domains"), None);
     }
 
     #[test]

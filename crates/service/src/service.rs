@@ -217,21 +217,30 @@ impl SyncService {
     /// clock reading).
     pub fn ingest(&mut self, batch: &ObservationBatch) -> Result<IngestReceipt, ServiceError> {
         let shard = self.map.route(batch.domain.as_str());
-        let window = self.window;
         let recorder = self.recorder.clone();
-        let state = self.shards[shard]
-            .domains
-            .get_mut(&batch.domain)
-            .ok_or_else(|| ServiceError::UnknownDomain {
-                domain: batch.domain.clone(),
-            })?;
-        let receipt = apply_batch(state, batch, shard, window, &recorder)?;
+        let receipt = self.ingest_as_shard(batch, shard, &recorder)?;
         self.update_gauges();
         if self.recorder.is_enabled() {
             self.recorder
                 .gauge("svc.batch_depth", batch.observations.len() as f64);
         }
         Ok(receipt)
+    }
+
+    /// Applies a batch as [`SyncService::ingest`] does, for a worker that
+    /// runs this one-shard service as shard `shard` of a larger engine: the
+    /// `svc.ingest` span goes to `recorder` and, like the receipt, names
+    /// `shard`. No gauge is published, since this service's shard and
+    /// domain counts are not the engine's.
+    pub(crate) fn ingest_as_shard(
+        &mut self,
+        batch: &ObservationBatch,
+        shard: usize,
+        recorder: &Recorder,
+    ) -> Result<IngestReceipt, ServiceError> {
+        let window = self.window;
+        let state = self.domain_mut(batch.domain.as_str())?;
+        apply_batch(state, batch, shard, window, recorder)
     }
 
     /// Applies many batches, parallelized across shards: each shard's

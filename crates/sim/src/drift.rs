@@ -626,7 +626,14 @@ mod tests {
             DriftError::RateOutOfRange { ppm: -5 }
         );
         assert!(matches!(
-            run_continuous_resync(&sim(), &ResyncConfig { max_ppm: 1_000_000, ..Default::default() }, 1),
+            run_continuous_resync(
+                &sim(),
+                &ResyncConfig {
+                    max_ppm: 1_000_000,
+                    ..Default::default()
+                },
+                1
+            ),
             Err(DriftError::RateOutOfRange { ppm: 1_000_000 })
         ));
     }

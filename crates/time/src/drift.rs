@@ -176,15 +176,9 @@ mod tests {
         // 3ppm over 1ns is 3/10⁶ — not representable in integer nanos,
         // exact as a rational.
         assert_eq!(rate.decay_over(Nanos::new(1)), Ratio::new(3, 1_000_000));
-        assert_eq!(
-            rate.decay_over(Nanos::from_secs(2)),
-            Ratio::from_int(6_000)
-        );
+        assert_eq!(rate.decay_over(Nanos::from_secs(2)), Ratio::from_int(6_000));
         // Magnitude: querying before the validity instant widens too.
-        assert_eq!(
-            rate.decay_over(Nanos::new(-1_000_000)),
-            Ratio::from_int(3)
-        );
+        assert_eq!(rate.decay_over(Nanos::new(-1_000_000)), Ratio::from_int(3));
     }
 
     #[test]
@@ -198,12 +192,11 @@ mod tests {
 
     #[test]
     fn infinite_estimates_stay_infinite() {
-        let est = DriftingEstimate::new(
-            Ext::PosInf,
-            RealTime::ZERO,
-            DriftBound::from_ppm(1_000),
+        let est = DriftingEstimate::new(Ext::PosInf, RealTime::ZERO, DriftBound::from_ppm(1_000));
+        assert_eq!(
+            est.value_at(RealTime::from_nanos(i64::MAX / 2)),
+            Ext::PosInf
         );
-        assert_eq!(est.value_at(RealTime::from_nanos(i64::MAX / 2)), Ext::PosInf);
     }
 
     #[test]

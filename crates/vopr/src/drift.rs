@@ -30,6 +30,7 @@ use clocksync_time::{Ext, Nanos, Ratio};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::rng::VoprRng;
+use crate::runner::{panic_message, with_quiet_panics};
 
 /// Salt separating this fuzzer's RNG stream from the scenario
 /// generator's, the runner's and the Marzullo fuzzer's.
@@ -67,19 +68,7 @@ fn sample_offsets() -> [Nanos; 4] {
 }
 
 fn quiet<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    let saved = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = catch_unwind(AssertUnwindSafe(f));
-    std::panic::set_hook(saved);
-    result.map_err(|payload| {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
+    with_quiet_panics(|| catch_unwind(AssertUnwindSafe(f)).map_err(panic_message))
 }
 
 fn check_seed(seed: u64) -> Result<(), String> {
@@ -101,9 +90,8 @@ fn check_seed(seed: u64) -> Result<(), String> {
         .probes(probes)
         .spacing(spacing)
         .build();
-    let ctx = format!(
-        "seed {seed}: n={n}, probes={probes}, max_ppm={max_ppm}, delays=[{lo}, {hi}]"
-    );
+    let ctx =
+        format!("seed {seed}: n={n}, probes={probes}, max_ppm={max_ppm}, delays=[{lo}, {hi}]");
 
     // Oracle: no-panic. The scenario is truthful by construction, so a
     // typed error is as much an oracle failure as a panic would be — but

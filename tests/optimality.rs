@@ -94,22 +94,33 @@ fn critical_cycle_certifies_the_precision() {
 #[test]
 fn every_kernel_realizes_the_same_lower_bound() {
     // The optimality theorems do not care which A_max engine ran: on the
-    // hand-computed two-node instance all three kernels certify exactly
-    // A_max = 40 with identical corrections.
-    use clocksync::{shifts_with_kernel, ShiftsKernel};
+    // hand-computed two-node instance, the one-shot SHIFTS and Howard's
+    // policy iteration both certify exactly A_max = 40, with the witness
+    // and corrections of the paper's exact Karp followed by Bellman–Ford.
+    use clocksync::shifts;
+    use clocksync_graph::{bellman_ford, howard_solve, karp_max_cycle_mean, DiGraph};
     let (net, exec) = two_node();
     let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
     let closure = outcome.global_shift_estimates();
-    for kernel in [
-        ShiftsKernel::Howard,
-        ShiftsKernel::KarpScaled,
-        ShiftsKernel::KarpExact,
-    ] {
-        let r = shifts_with_kernel(closure, 0, kernel);
-        assert_eq!(r.precision, Ratio::from_int(40), "{kernel:?}");
-        assert_eq!(Ext::Finite(r.precision), outcome.precision());
-        assert_eq!(r.corrections, outcome.corrections(), "{kernel:?}");
+    let karp = karp_max_cycle_mean(closure).unwrap();
+    let mut g = DiGraph::new(closure.n());
+    for (a, b, &w) in closure.iter_off_diagonal() {
+        g.add_edge(a, b, Ext::Finite(karp.mean - w.finite().unwrap()));
     }
+    let reference: Vec<Ratio> = bellman_ford(&g, 0)
+        .unwrap()
+        .into_iter()
+        .map(|d| d.finite().unwrap())
+        .collect();
+    assert_eq!(karp.mean, Ratio::from_int(40));
+    assert_eq!(Ext::Finite(karp.mean), outcome.precision());
+    assert_eq!(reference, outcome.corrections());
+
+    let r = shifts(closure, 0);
+    assert_eq!(r.precision, karp.mean);
+    assert_eq!(r.corrections, reference);
+    assert_eq!(r.critical_cycle, karp.cycle);
+    assert_eq!(howard_solve(closure, None).unwrap().cycle_mean, karp);
 }
 
 /// A path instance where the global (closure) cycle dominates any single

@@ -201,13 +201,28 @@ fn declared_but_silent_links_do_not_break_anything() {
 
 #[test]
 fn shifts_kernels_are_interchangeable_end_to_end() {
-    // The SHIFTS stage has three A_max engines (Howard by default, scaled
-    // and exact Karp behind it); on real pipeline closures they must yield
-    // identical precisions AND identical corrections, and every kernel's
-    // critical cycle must certify the same precision.
-    use clocksync::{shifts_with_kernel, synchronizable_components, ShiftsKernel};
-    use clocksync_graph::SquareMatrix;
-    use clocksync_time::Ratio;
+    // On real pipeline closures, the one-shot SHIFTS (scaled Karp) and
+    // Howard's policy iteration (the online warm-miss kernel) must yield
+    // the precision, corrections and witness of the paper's exact Karp
+    // followed by Bellman–Ford. So the reported components cannot depend
+    // on the kernel: an online synchronizer fed message by message (warm
+    // revalidations and Howard restarts) ends on exactly the batch ones.
+    use clocksync::{shifts, synchronizable_components, OnlineSynchronizer};
+    use clocksync_graph::{bellman_ford, howard_solve, karp_max_cycle_mean, DiGraph, SquareMatrix};
+    use clocksync_time::{ExtRatio, Ratio};
+
+    fn corrections(sub: &SquareMatrix<ExtRatio>, a_max: Ratio) -> Vec<Ratio> {
+        let mut g = DiGraph::new(sub.n());
+        for (a, b, &w) in sub.iter_off_diagonal() {
+            g.add_edge(
+                a,
+                b,
+                Ext::Finite(a_max - w.finite().expect("finite closure")),
+            );
+        }
+        let dist = bellman_ford(&g, 0).expect("no negative cycle under A_max");
+        dist.into_iter().map(|d| d.finite().unwrap()).collect()
+    }
 
     let topologies = [
         Topology::Path(5),
@@ -226,35 +241,58 @@ fn shifts_kernels_are_interchangeable_end_to_end() {
         for seed in 0..3 {
             let run = sim.run(seed);
             let outcome = run.synchronize().expect("consistent run");
+            let mut online = OnlineSynchronizer::new(run.network.clone());
+            for m in run.execution.views().message_observations() {
+                online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock);
+                online.outcome().expect("consistent prefix");
+            }
+            let streamed = online.outcome().expect("consistent run");
+            assert_eq!(
+                streamed.components(),
+                outcome.components(),
+                "{topo:?} seed {seed}: warm components diverged from batch"
+            );
             let closure = outcome.global_shift_estimates();
             for members in synchronizable_components(closure) {
                 let k = members.len();
                 let sub = SquareMatrix::from_fn(k, |a, b| {
                     closure[(members[a].index(), members[b].index())]
                 });
-                let reference = shifts_with_kernel(&sub, 0, ShiftsKernel::KarpExact);
-                for kernel in [ShiftsKernel::Howard, ShiftsKernel::KarpScaled] {
-                    let r = shifts_with_kernel(&sub, 0, kernel);
-                    assert_eq!(
-                        r.precision, reference.precision,
-                        "{topo:?} seed {seed}: {kernel:?} precision diverged"
-                    );
-                    assert_eq!(
-                        r.corrections, reference.corrections,
-                        "{topo:?} seed {seed}: {kernel:?} corrections diverged"
-                    );
-                    let cycle = &r.critical_cycle;
-                    let mut total = Ratio::ZERO;
-                    for t in 0..cycle.len() {
-                        let (from, to) = (cycle[t], cycle[(t + 1) % cycle.len()]);
-                        total += sub[(from, to)].finite().expect("finite closure");
-                    }
-                    assert_eq!(
-                        total * Ratio::new(1, cycle.len() as i128),
-                        r.precision,
-                        "{topo:?} seed {seed}: {kernel:?} witness does not certify"
-                    );
+                let karp = karp_max_cycle_mean(&sub).expect("closure has cycles");
+                let reference = corrections(&sub, karp.mean);
+                let cycle = &karp.cycle;
+                let mut total = Ratio::ZERO;
+                for t in 0..cycle.len() {
+                    let (from, to) = (cycle[t], cycle[(t + 1) % cycle.len()]);
+                    total += sub[(from, to)].finite().expect("finite closure");
                 }
+                assert_eq!(
+                    total * Ratio::new(1, cycle.len() as i128),
+                    karp.mean,
+                    "{topo:?} seed {seed}: Karp's witness does not certify"
+                );
+                let r = shifts(&sub, 0);
+                assert_eq!(
+                    r.precision, karp.mean,
+                    "{topo:?} seed {seed}: shifts precision"
+                );
+                assert_eq!(
+                    r.corrections, reference,
+                    "{topo:?} seed {seed}: shifts corrections"
+                );
+                assert_eq!(
+                    &r.critical_cycle, cycle,
+                    "{topo:?} seed {seed}: shifts witness"
+                );
+                let howard = howard_solve(&sub, None).expect("closure has cycles");
+                let cm = howard.cycle_mean;
+                assert_eq!(cm.mean, karp.mean, "{topo:?} seed {seed}: Howard precision");
+                assert_eq!(
+                    corrections(&sub, cm.mean),
+                    reference,
+                    "{topo:?} seed {seed}: Howard corrections"
+                );
+                assert_eq!(&cm.cycle, cycle, "{topo:?} seed {seed}: Howard witness");
             }
         }
     }
