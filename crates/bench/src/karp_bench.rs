@@ -6,7 +6,7 @@
 //! * **kernels**: one-shot maximum cycle mean on closure-shaped complete
 //!   matrices — the exact rational Karp recurrence (the paper's algorithm)
 //!   versus [`clocksync_graph::fast_max_cycle_mean`] (Karp over scaled
-//!   `i64` weights, parallel rounds) versus
+//!   `i64` weights) versus
 //!   [`clocksync_graph::howard_solve`] (policy iteration, the warm-miss
 //!   kernel of the online synchronizer). All three return bit-identical
 //!   `A_max` — the equivalence suite proves it — so only speed is at

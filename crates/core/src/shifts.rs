@@ -5,18 +5,25 @@
 //! single-source shortest-path pass. The caller's own state picks the exact
 //! `A_max` kernel; there is no option for it. A SHIFTS without a usable
 //! warm state ([`shifts`], and every cold online component) runs Karp's
-//! recurrence — the paper's algorithm — through the scaled-`i64`
-//! [`fast_max_cycle_mean`]. An online component first revalidates its
-//! cached critical cycle, and runs Howard's policy iteration from its cached
-//! policy only when that cycle stopped certifying. Every route computes the
-//! same exact `A_max`, hence the same corrections, and reports the same
-//! canonical critical cycle, so the kernel that ran never shows in the
-//! output. DESIGN.md §4c gives the measurements behind the rule, the
-//! scaling bound, the fallback and the warm-start invariant.
+//! recurrence — the paper's algorithm — over scaled `i64` weights and
+//! takes the corrections from the same scaled matrix
+//! ([`max_cycle_mean_with_distances`]). An online component first
+//! revalidates its cached critical cycle, and runs Howard's policy
+//! iteration from its cached policy only when that cycle stopped
+//! certifying; its corrections come from [`shifted_distances`]. Either
+//! way the corrections pass is an early-exit Bellman–Ford over scaled
+//! `i64` rows, with the rational Bellman–Ford as the fallback when scaling
+//! bails. Every route computes the same exact `A_max`, hence the same
+//! corrections, and reports the same canonical critical cycle, so the
+//! kernel that ran never shows in the output. DESIGN.md §4c gives the
+//! measurements behind the rule, the scaling bounds, the fallbacks and the
+//! warm-start invariant.
 
-use clocksync_graph::{bellman_ford, fast_max_cycle_mean, howard_solve, DiGraph, SquareMatrix};
+use clocksync_graph::{
+    howard_solve, max_cycle_mean_with_distances, shifted_distances, SquareMatrix,
+};
 use clocksync_model::ProcessorId;
-use clocksync_time::{Ext, ExtRatio, Ratio};
+use clocksync_time::{ExtRatio, Ratio};
 
 /// The output of [`shifts`] on one synchronizable component.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +56,13 @@ pub(crate) struct ShiftsState {
 /// 1. `A_max = max_θ m̃s(θ)/|θ|` over cyclic sequences — a maximum cycle
 ///    mean on the complete graph of estimates (by Lemma 4.5 this equals
 ///    the true `A_max` over actual maximal shifts), computed by Karp's
-///    recurrence through [`fast_max_cycle_mean`];
+///    recurrence;
 /// 2. corrections are shortest-path distances from `root` under
 ///    `w(p,q) = A_max − m̃s(p,q)` (no negative cycles by construction).
+///
+/// Both steps run on one scaled-`i64` copy of the closure
+/// ([`max_cycle_mean_with_distances`]), or on the exact rational kernels
+/// when the closure does not scale.
 ///
 /// The caller (the synchronizer) is responsible for splitting the system
 /// into components with finite mutual estimates first.
@@ -76,7 +87,8 @@ pub fn shifts(closure: &SquareMatrix<ExtRatio>, root: usize) -> ShiftsResult {
 /// cycle, and policy are reused without running any cycle-mean kernel at
 /// all (`O(n)` revalidation). Otherwise Howard restarts from the cached
 /// policy, which is still a valid seed (finite entries stay finite) and
-/// usually a few improvement steps from optimal. Without a usable state —
+/// usually a few improvement steps from optimal. Either way the
+/// corrections come from [`shifted_distances`]. Without a usable state —
 /// none, or one sized for another component — this is [`shifts`], and the
 /// returned policy is seeded along the critical cycle.
 ///
@@ -91,38 +103,41 @@ pub(crate) fn shifts_howard_warm(
     let n = closure.n();
     let usable = warm
         .filter(|s| s.policy.len() == n && !s.cycle.is_empty() && s.cycle.iter().all(|&v| v < n));
-    let state = match usable {
+    let (state, corrections) = match usable {
         // Tightenings only ever remove critical cycles, so a cached
         // canonical cycle that still certifies is still the canonical one.
-        Some(s) if cycle_mean(closure, &s.cycle) == s.a_max => s.clone(),
+        Some(s) if cycle_mean(closure, &s.cycle) == s.a_max => (s.clone(), None),
         Some(s) => {
             let sol =
                 howard_solve(closure, Some(&s.policy)).expect("closure always contains cycles");
-            ShiftsState {
+            let state = ShiftsState {
                 a_max: sol.cycle_mean.mean,
                 cycle: sol.cycle_mean.cycle,
                 policy: sol.policy,
-            }
+            };
+            (state, None)
         }
         None => {
             // All entries are finite and the diagonal is 0, so a cycle
             // always exists and A_max ≥ 0.
-            let cm = fast_max_cycle_mean(closure).expect("closure always contains cycles");
+            let (cm, corrections) = max_cycle_mean_with_distances(closure, root)
+                .expect("closure always contains cycles");
             // Seed Howard's policy along the witness; every other node is
             // left unset, which `howard_solve` fills with its cold choice.
             let mut policy = vec![usize::MAX; n];
             for (t, &v) in cm.cycle.iter().enumerate() {
                 policy[v] = cm.cycle[(t + 1) % cm.cycle.len()];
             }
-            ShiftsState {
+            let state = ShiftsState {
                 a_max: cm.mean,
                 cycle: cm.cycle,
                 policy,
-            }
+            };
+            (state, Some(corrections))
         }
     };
     let result = ShiftsResult {
-        corrections: corrections_under(closure, root, state.a_max),
+        corrections: corrections.unwrap_or_else(|| corrections_under(closure, root, state.a_max)),
         precision: state.a_max,
         critical_cycle: state.cycle.clone(),
     };
@@ -141,17 +156,8 @@ fn cycle_mean(closure: &SquareMatrix<ExtRatio>, cycle: &[usize]) -> Ratio {
 
 /// Step 2 of SHIFTS: distances from `root` under `w(p,q) = A_max − m̃s(p,q)`.
 fn corrections_under(closure: &SquareMatrix<ExtRatio>, root: usize, a_max: Ratio) -> Vec<Ratio> {
-    let n = closure.n();
-    let mut g = DiGraph::new(n);
-    for (i, j, &w) in closure.iter_off_diagonal() {
-        let w = w.expect_finite("shifts requires a finite closure");
-        g.add_edge(i, j, Ext::Finite(a_max - w));
-    }
-    let dist = bellman_ford(&g, root)
-        .expect("A_max-shifted closure has no negative cycles by Theorem 4.4");
-    dist.into_iter()
-        .map(|d| d.expect_finite("complete graph distances are finite"))
-        .collect()
+    shifted_distances(closure, a_max, root)
+        .expect("A_max-shifted closure has no negative cycles by Theorem 4.4")
 }
 
 /// Groups processors into *synchronizable components*: `p` and `q` belong
@@ -185,7 +191,8 @@ pub fn synchronizable_components(closure: &SquareMatrix<ExtRatio>) -> Vec<Vec<Pr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clocksync_graph::{karp_max_cycle_mean, Weight};
+    use clocksync_graph::{bellman_ford, karp_max_cycle_mean, DiGraph, Weight};
+    use clocksync_time::Ext;
 
     fn fin(x: i128) -> ExtRatio {
         Ext::Finite(Ratio::from_int(x))
@@ -210,6 +217,16 @@ mod tests {
         assert_eq!(r.critical_cycle.len(), 2);
     }
 
+    /// The rational reference for step 2: Bellman–Ford over a `DiGraph`.
+    fn rational_corrections(c: &SquareMatrix<ExtRatio>, a_max: Ratio) -> Vec<Ratio> {
+        let mut g = DiGraph::new(c.n());
+        for (i, j, &w) in c.iter_off_diagonal() {
+            g.add_edge(i, j, Ext::Finite(a_max - w.finite().unwrap()));
+        }
+        let dist = bellman_ford(&g, 0).expect("no negative cycle under A_max");
+        dist.into_iter().map(|d| d.finite().unwrap()).collect()
+    }
+
     #[test]
     fn all_kernels_agree_on_precision_and_corrections() {
         let mut tri = SquareMatrix::filled(3, <ExtRatio as Weight>::zero());
@@ -221,9 +238,10 @@ mod tests {
         tri[(0, 2)] = fin(11);
         let closures = [two_node(6, 2), two_node(0, 0), two_node(100, 1), tri];
         for c in &closures {
-            // The reference: the paper's exact Karp, then Bellman–Ford.
+            // The reference: the paper's exact Karp, then the rational
+            // Bellman–Ford.
             let karp = karp_max_cycle_mean(c).unwrap();
-            let reference = corrections_under(c, 0, karp.mean);
+            let reference = rational_corrections(c, karp.mean);
             let r = shifts(c, 0);
             assert_eq!(r.precision, karp.mean, "{c:?}");
             assert_eq!(r.corrections, reference, "{c:?}");

@@ -37,8 +37,8 @@ use crate::{
 /// matrices produced from integer-nanosecond observations have
 /// denominators 1 or 2 (the round-trip estimator halves an RTT), so this
 /// is generous; it exists to bail out before `lcm` or the scaled
-/// magnitudes overflow.
-const MAX_SCALE: i128 = 1 << 40;
+/// magnitudes overflow. Every scaling front end in the crate shares it.
+pub(crate) const MAX_SCALE: i128 = 1 << 40;
 
 fn gcd(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
@@ -47,6 +47,30 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
         b = t;
     }
     a.abs()
+}
+
+/// The least common multiple of a running common denominator (at most
+/// [`MAX_SCALE`]) and one more denominator, or `None` once it passes
+/// [`MAX_SCALE`] — the LCM step of every scaling front end in the crate.
+pub(crate) fn lcm_scale(scale: i128, den: i128) -> Option<i128> {
+    // Estimate matrices have denominators 1 or 2: skip the i128 divisions.
+    if den == 1 || den == scale {
+        return Some(scale);
+    }
+    scale
+        .checked_mul(den / gcd(scale, den))
+        .filter(|&s| s <= MAX_SCALE)
+}
+
+/// `r · scale` as an integer, for a `scale` that `r`'s denominator
+/// divides; `None` on `i128` overflow.
+pub(crate) fn scaled_numerator(r: Ratio, scale: i128) -> Option<i128> {
+    let factor = match r.denominator() {
+        1 => scale,
+        den if den == scale => 1,
+        den => scale / den,
+    };
+    r.numerator().checked_mul(factor)
 }
 
 /// Why [`scaled_weights`] refused to rescale a matrix to `i64` — the
@@ -98,16 +122,10 @@ pub fn scaled_weights(
 ) -> Result<(SquareMatrix<i64>, i128), ScaleBailout> {
     let n = m.n();
     let mut scale: i128 = 1;
-    for (_, _, &w) in m.iter() {
+    for &w in m.as_slice() {
         match w {
             Ext::Finite(r) => {
-                let den = r.denominator();
-                scale = scale
-                    .checked_mul(den / gcd(scale, den))
-                    .ok_or(ScaleBailout::ScaleOverflow)?;
-                if scale > MAX_SCALE {
-                    return Err(ScaleBailout::ScaleOverflow);
-                }
+                scale = lcm_scale(scale, r.denominator()).ok_or(ScaleBailout::ScaleOverflow)?;
             }
             Ext::PosInf => {}
             Ext::NegInf => return Err(ScaleBailout::NegInfWeight),
@@ -116,21 +134,17 @@ pub fn scaled_weights(
     // Any shortest path has at most n−1 edges, so the kernel's sums stay
     // within n·limit, far from the sentinel.
     let limit = UNREACHABLE / (4 * (n as i64).max(1));
-    let mut out = SquareMatrix::filled(n, UNREACHABLE);
-    for (i, j, &w) in m.iter() {
-        if let Ext::Finite(r) = w {
-            let scaled = r
-                .numerator()
-                .checked_mul(scale / r.denominator())
-                .ok_or(ScaleBailout::MagnitudeOverflow)?;
-            let v = i64::try_from(scaled).map_err(|_| ScaleBailout::MagnitudeOverflow)?;
-            if !(-limit..=limit).contains(&v) {
-                return Err(ScaleBailout::MagnitudeOverflow);
-            }
-            out[(i, j)] = v;
-        }
+    let mut out = Vec::with_capacity(n * n);
+    for &w in m.as_slice() {
+        out.push(match w {
+            Ext::Finite(r) => scaled_numerator(r, scale)
+                .and_then(|v| i64::try_from(v).ok())
+                .filter(|v| (-limit..=limit).contains(v))
+                .ok_or(ScaleBailout::MagnitudeOverflow)?,
+            _ => UNREACHABLE,
+        });
     }
-    Ok((out, scale))
+    Ok((SquareMatrix::from_vec(n, out), scale))
 }
 
 /// The result type of the closure functions: `(dist, next)` on success,

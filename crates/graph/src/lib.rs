@@ -9,7 +9,9 @@
 //!    metric closure — [`karp_max_cycle_mean`] (Karp 1978, `O(n·m)`).
 //! 3. **SHIFTS** (paper §4.4): single-source shortest paths under weights
 //!    `w(p,q) = A_max − m̃s(p,q)`, which may be negative but contain no
-//!    negative cycle — [`bellman_ford`].
+//!    negative cycle — [`shifted_distances`], an early-exit Bellman–Ford
+//!    over scaled `i64` rows with the generic [`bellman_ford`] as its
+//!    fallback.
 //!
 //! Weights are generic over the [`Weight`] trait; the workspace instantiates
 //! it with [`clocksync_time::ExtRatio`] so every computation is exact.
@@ -26,6 +28,8 @@
 //! [`fast_max_cycle_mean`] rescales to an `i64` Karp kernel with exact
 //! fallback for one-shot use, and [`howard_solve`] runs policy iteration
 //! with a witness cycle and a warm-startable policy for cached state.
+//! [`max_cycle_mean_with_distances`] runs the one-shot `A_max` and the
+//! SHIFTS distances from a single rescaling.
 //!
 //! # Examples
 //!
@@ -53,6 +57,7 @@ mod howard;
 mod karp;
 mod matrix;
 mod scaled_karp;
+mod shifted;
 mod sparse;
 mod weight;
 
@@ -69,6 +74,7 @@ pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
+pub use shifted::{max_cycle_mean_with_distances, shifted_distances, try_scaled_shifted_distances};
 pub use sparse::{
     derive_successors_i64, hierarchical_closure_i64, hierarchical_closure_i64_with_partition,
     sparse_closure_i64, weak_components_i64, CsrGraph,

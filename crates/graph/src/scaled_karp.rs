@@ -2,9 +2,9 @@
 //!
 //! Mirrors the closure subsystem's architecture (see `closure.rs`): rescale
 //! the rational weight matrix by the least common denominator to plain
-//! `i64`, run a cache-friendly integer kernel — parallelized over
-//! destination vertices with rayon — and map the answer back. Scaling by a
-//! positive constant multiplies every walk weight by that constant, so
+//! `i64`, run a cache-friendly integer kernel on the calling thread, and
+//! map the answer back. Scaling by a positive constant multiplies every
+//! walk weight by that constant, so
 //! every comparison Karp's recurrence makes is preserved *exactly*: the
 //! scaled kernel's `D_k` tables and witness potentials are the scaled
 //! images of the exact kernel's, so both pick the same canonical witness
@@ -12,34 +12,23 @@
 //! rational answer bit-for-bit ([`Ratio`] is canonical). When scaling would overflow —
 //! oversized common denominator or magnitudes too close to the sentinel —
 //! [`fast_max_cycle_mean`] falls back to the exact
-//! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean).
-
-use rayon::prelude::*;
+//! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean). The corrections
+//! pass of SHIFTS reuses this front end (see `shifted.rs`).
 
 use clocksync_time::{Ext, Ratio};
 
+use crate::closure::{lcm_scale, scaled_numerator};
 use crate::karp::canonical_cycle;
 use crate::{karp_max_cycle_mean, CycleMean, SquareMatrix};
 
 /// Sentinel for "no edge" / "no walk" in the `i64` Karp kernel. Far enough
 /// from `i64::MIN` that no intermediate the kernel forms can wrap.
-const NO_EDGE: i64 = i64::MIN / 4;
+pub(crate) const NO_EDGE: i64 = i64::MIN / 4;
 
-/// Largest common denominator the scaling pass will build (same bound as
-/// the closure fast path; estimate matrices have denominators 1 or 2).
-const MAX_SCALE: i128 = 1 << 40;
-
-/// Matrices at least this large relax each round's destinations in
-/// parallel; below it the rayon fork/join overhead outweighs the row work.
-const PAR_THRESHOLD: usize = 128;
-
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.abs()
+/// The largest scaled magnitude an `n`-node matrix may hold: any
+/// `(n+1)`-term sum of such weights stays below `i64::MAX / 4`.
+pub(crate) fn magnitude_limit(n: usize) -> i64 {
+    (i64::MAX / 4) / (n as i64 + 1)
 }
 
 /// The result of the integer maximum-cycle-mean kernel.
@@ -58,18 +47,14 @@ struct CycleMeanI64 {
 /// denominator. `None` when the matrix cannot be represented safely: a
 /// `PosInf` entry, an oversized common denominator, or magnitudes big
 /// enough that an `(n+1)`-edge walk sum could approach the sentinel.
-fn scaled_cycle_weights(m: &SquareMatrix<Ext<Ratio>>) -> Option<(SquareMatrix<i64>, i128)> {
+pub(crate) fn scaled_cycle_weights(
+    m: &SquareMatrix<Ext<Ratio>>,
+) -> Option<(SquareMatrix<i64>, i128)> {
     let n = m.n();
     let mut scale: i128 = 1;
-    for (_, _, &w) in m.iter() {
+    for &w in m.as_slice() {
         match w {
-            Ext::Finite(r) => {
-                let den = r.denominator();
-                scale = scale.checked_mul(den / gcd(scale, den))?;
-                if scale > MAX_SCALE {
-                    return None;
-                }
-            }
+            Ext::Finite(r) => scale = lcm_scale(scale, r.denominator())?,
             // Defer the "resolve infinities first" contract to the exact
             // kernel the caller falls back to.
             Ext::PosInf => return None,
@@ -79,19 +64,21 @@ fn scaled_cycle_weights(m: &SquareMatrix<Ext<Ratio>>) -> Option<(SquareMatrix<i6
     // Walks have at most n edges and the extraction sums at most n more, so
     // keep every |weight| small enough that (n+1)-term sums stay far from
     // the sentinel.
-    let limit = (i64::MAX / 4) / (n as i64 + 1);
-    let mut out = SquareMatrix::filled(n, NO_EDGE);
-    for (i, j, &w) in m.iter() {
-        if let Ext::Finite(r) = w {
-            let scaled = r.numerator().checked_mul(scale / r.denominator())?;
-            let v = i64::try_from(scaled).ok()?;
-            if !(-limit..=limit).contains(&v) {
-                return None;
+    let limit = magnitude_limit(n);
+    let mut out = Vec::with_capacity(n * n);
+    for &w in m.as_slice() {
+        out.push(match w {
+            Ext::Finite(r) => {
+                let v = i64::try_from(scaled_numerator(r, scale)?).ok()?;
+                if !(-limit..=limit).contains(&v) {
+                    return None;
+                }
+                v
             }
-            out[(i, j)] = v;
-        }
+            _ => NO_EDGE,
+        });
     }
-    Some((out, scale))
+    Some((SquareMatrix::from_vec(n, out), scale))
 }
 
 /// Compares the fractions `a1/b1` and `a2/b2` (positive denominators) by
@@ -111,8 +98,9 @@ fn cmp_frac(a1: i64, b1: i64, a2: i64, b2: i64) -> std::cmp::Ordering {
 /// The recurrence and its witness mirror
 /// [`karp_max_cycle_mean`](crate::karp_max_cycle_mean) on the scaled
 /// values, so on a scaled matrix the two kernels produce the *same* mean
-/// and canonical witness cycle. Rounds relax all destination vertices
-/// independently, in parallel via rayon for `n ≥ 128`.
+/// and canonical witness cycle. Rounds run on the calling thread: the
+/// vendored rayon spawns OS threads on every call, which costs more than a
+/// round's `n²` additions at the sizes SHIFTS sees.
 fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
     let n = m.n();
     if n == 0 {
@@ -145,12 +133,7 @@ fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
     let mut d: Vec<Vec<i64>> = Vec::with_capacity(n + 1);
     d.push(vec![0; n]);
     for k in 1..=n {
-        let prev = &d[k - 1];
-        let row: Vec<i64> = if n >= PAR_THRESHOLD {
-            (0..n).into_par_iter().map(|v| relax(v, prev)).collect()
-        } else {
-            (0..n).map(|v| relax(v, prev)).collect()
-        };
+        let row: Vec<i64> = (0..n).map(|v| relax(v, &d[k - 1])).collect();
         d.push(row);
     }
 
@@ -214,13 +197,19 @@ fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
 /// "silently fell back".
 pub fn try_scaled_karp(m: &SquareMatrix<Ext<Ratio>>) -> Option<Option<CycleMean>> {
     let (scaled, scale) = scaled_cycle_weights(m)?;
-    Some(karp_max_cycle_mean_i64(&scaled).map(|r| CycleMean {
-        mean: Ratio::new(r.num as i128, r.den as i128 * scale),
-        cycle: r.cycle,
-    }))
+    Some(scaled_karp(&scaled, scale))
 }
 
-/// The maximum cycle mean via the parallel scaled-`i64` kernel whenever the
+/// Karp on a matrix scaled by [`scaled_cycle_weights`], mapped back to the
+/// exact [`CycleMean`] of the unscaled matrix.
+pub(crate) fn scaled_karp(scaled: &SquareMatrix<i64>, scale: i128) -> Option<CycleMean> {
+    karp_max_cycle_mean_i64(scaled).map(|r| CycleMean {
+        mean: Ratio::new(r.num as i128, r.den as i128 * scale),
+        cycle: r.cycle,
+    })
+}
+
+/// The maximum cycle mean via the scaled-`i64` kernel whenever the
 /// input can be exactly rescaled (the common case for estimate matrices),
 /// and via the exact rational [`karp_max_cycle_mean`](crate::karp_max_cycle_mean)
 /// otherwise. Both routes produce the identical [`CycleMean`] — mean *and*
@@ -253,6 +242,7 @@ pub fn fast_max_cycle_mean(m: &SquareMatrix<Ext<Ratio>>) -> Option<CycleMean> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closure::MAX_SCALE;
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<Ext<Ratio>> {
         let mut m = SquareMatrix::filled(n, Ext::<Ratio>::NegInf);
@@ -325,10 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rounds_match_serial_decisions() {
-        // n past PAR_THRESHOLD: the rayon path must agree with the exact
-        // rational kernel bit-for-bit, witness included.
-        let n = PAR_THRESHOLD;
+    fn random_128_node_matrix_matches_exact_karp() {
+        // A sparse random matrix with mixed denominators: the scaled path
+        // must agree with the exact rational kernel bit-for-bit, witness
+        // included.
+        let n = 128;
         let mut m = SquareMatrix::filled(n, Ext::<Ratio>::NegInf);
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
