@@ -12,7 +12,8 @@
 //!   [`OnlineSynchronizer::global_estimates`]. The baseline re-derives the
 //!   local estimates and recomputes the full closure per resync (the
 //!   behavior before the incremental cache); the incremental path folds
-//!   the tightened link in with `relax_edge` in `O(n²)`. Both arms cover
+//!   the tightened link into the scaled-`i64` cache with `relax_edge` in
+//!   `O(n²)` and converts the cache to rationals once. Both arms cover
 //!   exactly the GLOBAL ESTIMATES step — corrections derivation (Karp's
 //!   cycle mean) is identical on both strategies and excluded.
 //! * **sparse**: the large-`n` closure backends — the dense blocked
@@ -253,7 +254,8 @@ pub struct ResyncRow {
     pub n: usize,
     /// Full recompute per resync (pre-cache behavior), nanoseconds.
     pub full_ns: u128,
-    /// Incremental `relax_edge` on the cached closure, nanoseconds.
+    /// Incremental `relax_edge` on the scaled cache plus the conversion
+    /// `global_estimates()` returns, nanoseconds.
     pub incremental_ns: u128,
 }
 
@@ -294,7 +296,8 @@ pub fn measure_closure(sizes: &[usize]) -> Vec<ClosureRow> {
 pub fn measure_resync(n: usize, iters: usize) -> ResyncRow {
     let network = ring_network(n);
 
-    // Incremental: warm cache, each observation relaxes it in O(n²).
+    // Incremental: warm cache, each observation relaxes it in O(n²) and
+    // each query converts it to rationals once.
     let mut online = OnlineSynchronizer::new(network.clone());
     warm_up(&mut online, n);
     online.outcome().expect("consistent warm-up");

@@ -197,10 +197,7 @@ pub fn measure_resync(n: usize, iters: usize) -> ResyncRow {
             Nanos::new(delay),
         );
         delay -= 1_000;
-        let closure = baseline
-            .global_estimates()
-            .expect("consistent stream")
-            .clone();
+        let closure = baseline.global_estimates().expect("consistent stream");
         let components = synchronizable_components(&closure);
         for members in components {
             let k = members.len();

@@ -4,11 +4,15 @@
 //! resynchronization the paper cites) do not hand over complete views in
 //! one batch: timestamped messages trickle in and the corrections are
 //! recomputed on demand. [`OnlineSynchronizer`] maintains the per-link
-//! evidence incrementally and keeps the GLOBAL ESTIMATES closure *cached*:
-//! each new observation re-estimates only the link it travelled on and
-//! folds the (monotonically tighter) edge into the cached closure with
-//! [`clocksync_graph::Closure::relax_edge`] in `O(n²)`, so steady-state
-//! resynchronization never pays the `O(n³)` full recompute.
+//! evidence incrementally and keeps the GLOBAL ESTIMATES closure *cached*
+//! as a [`clocksync_graph::Closure`]: `i64` multiples of the `m̃ls`
+//! matrix's common denominator. Each new observation re-estimates only the
+//! link it travelled on and folds the (monotonically tighter) edge into the
+//! cache with [`clocksync_graph::Closure::relax_edge`] — `O(n²)` integer
+//! operations over the finite entries of one column and one row — so
+//! steady-state resynchronization never pays the `O(n³)` full recompute.
+//! Rationals appear only at the edges: each [`OnlineSynchronizer::outcome`]
+//! converts the cached distances to [`ExtRatio`] once.
 //!
 //! Because the estimators depend on the views only through per-link
 //! evidence (Lemmas 6.2/6.5), feeding observations incrementally is
@@ -18,8 +22,14 @@
 //! the incremental closure update exact: a tightened link is an edge-weight
 //! decrease, the one operation `relax_edge` absorbs without error. Should
 //! an estimate ever loosen (no built-in assumption does this, but the cache
-//! does not assume it), the cache is invalidated and the next
-//! [`OnlineSynchronizer::outcome`] call rebuilds from scratch.
+//! does not assume it), the cache re-closes the affected component. A
+//! tightened estimate the cache's scale cannot represent (the first
+//! half-nanosecond estimate on an integer-scaled cache, or a magnitude
+//! near the sentinel) drops the cache, and the next
+//! [`OnlineSynchronizer::outcome`] rebuilds it at the new common
+//! denominator; when `m̃ls` does not scale at all, the synchronizer holds
+//! no cache and every outcome runs [`clocksync_graph::fast_closure`]'s
+//! exact rational fallback.
 //!
 //! The `A_max` stage is cached the same way: alongside the closure the
 //! synchronizer keeps each component's *warm state* — its certified
@@ -36,7 +46,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use clocksync_graph::{Closure, RelaxOutcome, SquareMatrix};
+use clocksync_graph::{fast_closure, Closure, NegativeCycleError, RelaxOutcome, SquareMatrix};
 use clocksync_model::{LinkObservations, ModelError, MsgSample, ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, ExtRatio, Nanos};
 
@@ -92,11 +102,15 @@ pub struct OnlineSynchronizer {
     /// arrive; always equal to
     /// `estimated_local_shifts(&network, &observations)`.
     local: clocksync_graph::SquareMatrix<ExtRatio>,
-    /// The closure of `local`, when valid. Tightenings are folded in by
-    /// `relax_edge`, loosenings by a component-scoped patch; `None` after
-    /// a bulk view merge or an inconsistency, until the next
-    /// [`OnlineSynchronizer::outcome`] rebuilds it.
-    cached: Option<Closure<ExtRatio>>,
+    /// The closure of `local` on scaled integers, when valid. Tightenings
+    /// are folded in by `relax_edge`, loosenings by a component-scoped
+    /// patch. `None` after a bulk view merge, an inconsistency or a
+    /// tightening off the cache's scale, until the next
+    /// [`OnlineSynchronizer::outcome`] rebuilds it — and for as long as
+    /// `local` does not scale. Invariant: while present, every finite
+    /// `local` entry is exact at the cache's scale and within its
+    /// magnitude limit.
+    cached: Option<Closure>,
     /// Per-component warm states (`A_max`, critical cycle, Howard policy)
     /// from the last [`OnlineSynchronizer::outcome`], keyed by the component's
     /// sorted member list. Invariant: an entry exists only if, since it
@@ -363,9 +377,10 @@ impl OnlineSynchronizer {
     /// A round-trip sample on link `{a, b}` moves the evidence both ways
     /// (a slow message raises `d̃max`, which tightens the *opposite*
     /// direction's upper-bound slack), so both directed entries are
-    /// recomputed. Tightenings relax the cache in `O(n²)`; a loosening or
-    /// an inconsistency (negative cycle) drops the cache instead, leaving
-    /// the rebuild — and the canonical error report — to
+    /// recomputed. Tightenings relax the cache in `O(n²)`; one the cache's
+    /// scale cannot represent drops the closure for a rebuild at the new
+    /// scale, and an inconsistency (negative cycle) drops every cache,
+    /// leaving the rebuild — and the canonical error report — to
     /// [`OnlineSynchronizer::outcome`].
     fn refresh_link(&mut self, a: ProcessorId, b: ProcessorId) {
         for (p, q) in [(a, b), (b, a)] {
@@ -380,54 +395,40 @@ impl OnlineSynchronizer {
                 continue;
             }
             self.local[(u, v)] = w;
-            if w < old {
-                if self.cached.is_some() {
-                    // A real tightening below the cached path metric pays
-                    // the relaxation loop; scope it to the edge's weak
-                    // component at large n — entries outside it cannot
-                    // change (they lack a finite path to u or from v), so
-                    // steady state costs O(k²), not O(n²). The common
-                    // no-op case (w at or above the cached distance) skips
-                    // the component scan and hits relax_edge's O(1) exit.
-                    let members = {
-                        let cache = self.cached.as_ref().expect("checked above");
-                        let tightens = w < cache.dist()[(u, v)];
-                        if tightens && self.network.n() >= clocksync_graph::SPARSE_MIN_N {
-                            Some(self.undirected_component(u, v))
-                        } else {
-                            None
-                        }
-                    };
-                    let cache = self.cached.as_mut().expect("checked above");
-                    let relaxed = match &members {
-                        Some(m) => cache.relax_edge_within(u, v, w, m),
-                        None => cache.relax_edge(u, v, w),
-                    };
-                    match relaxed {
-                        Err(_) => {
-                            // Inconsistent observations: the relaxation
-                            // poisoned the cache. Estimates only tighten,
-                            // so the inconsistency is permanent; outcome()
-                            // will recompute and report the canonical
-                            // witness.
-                            self.invalidate_caches();
-                        }
-                        Ok(RelaxOutcome::StaleLoosening) => {
-                            // Reachable and harmless: w < old guarantees
-                            // the underlying edge tightened; the cached
-                            // path metric is simply already below w, so
-                            // per the RelaxOutcome contract there is
-                            // nothing to patch.
-                        }
-                        Ok(RelaxOutcome::Tightened | RelaxOutcome::Unchanged) => {}
-                    }
-                }
-            } else {
+            if w > old {
                 // An estimate loosened (evidence was retracted via
                 // forget_link, or a custom assumption did it): only the
                 // component the edge lives in can be affected, so patch
                 // the caches there and keep the rest warm.
                 self.invalidate_loosened(u, v);
+                continue;
+            }
+            let Some(cache) = self.cached.as_mut() else {
+                continue;
+            };
+            match cache.relax_edge(u, v, w) {
+                Ok(RelaxOutcome::Tightened | RelaxOutcome::Unchanged) => {}
+                Ok(RelaxOutcome::StaleLoosening) => {
+                    // Reachable and harmless: w < old guarantees the
+                    // underlying edge tightened; the cached path metric is
+                    // simply already below w, so per the RelaxOutcome
+                    // contract there is nothing to patch.
+                }
+                Ok(RelaxOutcome::Unrepresentable) => {
+                    // w is off the cache's scale (e.g. the first half-ns
+                    // estimate on an integer cache) or too large for it:
+                    // rebuild at the new common denominator on the next
+                    // outcome(). The closure only tightened, so the warm
+                    // A_max states stay.
+                    self.cached = None;
+                }
+                Err(_) => {
+                    // Inconsistent observations: the relaxation poisoned
+                    // the cache. Estimates only tighten, so the
+                    // inconsistency is permanent; outcome() will recompute
+                    // and report the canonical witness.
+                    self.invalidate_caches();
+                }
             }
         }
     }
@@ -443,10 +444,11 @@ impl OnlineSynchronizer {
     /// (Seeding the search with both endpoints reproduces the old
     /// component even when the loosening to `+∞` just disconnected them,
     /// and synchronizable components never straddle its boundary because
-    /// mutual finiteness implies undirected connectivity.) So: recompute
-    /// the closure of that component's sub-matrix, splice it into the
-    /// cached closure, and evict exactly the `A_max` states whose members
-    /// intersect it. Everything outside is untouched and stays warm.
+    /// mutual finiteness implies undirected connectivity.) So: re-close
+    /// that component's sub-matrix at the cache's scale, splice it into
+    /// the cached closure, and evict exactly the `A_max` states whose
+    /// members intersect it. Everything outside is untouched and stays
+    /// warm.
     fn invalidate_loosened(&mut self, u: usize, v: usize) {
         let members = self.undirected_component(u, v);
         let mut affected = vec![false; self.network.n()];
@@ -455,28 +457,14 @@ impl OnlineSynchronizer {
         }
         self.shifts_states
             .retain(|key, _| key.iter().all(|p| !affected[p.index()]));
-        let Some(cache) = self.cached.take() else {
+        let Some(cache) = self.cached.as_mut() else {
             return;
         };
-        let k = members.len();
-        let sub_local = SquareMatrix::from_fn(k, |i, j| self.local[(members[i], members[j])]);
-        match Closure::fast(&sub_local) {
-            Ok(sub) => {
-                let (mut dist, mut next) = cache.into_parts();
-                let (sub_dist, sub_next) = sub.into_parts();
-                for i in 0..k {
-                    for j in 0..k {
-                        dist[(members[i], members[j])] = sub_dist[(i, j)];
-                        let s = sub_next[(i, j)];
-                        next[(members[i], members[j])] = if s == usize::MAX {
-                            usize::MAX
-                        } else {
-                            members[s]
-                        };
-                    }
-                }
-                self.cached = Some(Closure::from_parts(dist, next));
-            }
+        match cache.reclose_within(&self.local, &members) {
+            Ok(true) => {}
+            // A component weight is off the cache's scale: rebuild on the
+            // next outcome().
+            Ok(false) => self.cached = None,
             Err(_) => {
                 // A negative cycle cannot appear from a pure loosening,
                 // but stay safe if it somehow does: fall back to the full
@@ -511,43 +499,50 @@ impl OnlineSynchronizer {
     }
 
     /// Rebuilds the cached closure if an invalidation (or nothing yet)
-    /// left it empty.
-    fn ensure_cache(&mut self) -> Result<&Closure<ExtRatio>, SyncError> {
+    /// left it empty. `Ok(None)` when `m̃ls` does not scale: the
+    /// synchronizer then holds no cache and callers take
+    /// [`fast_closure`]'s rational fallback.
+    fn ensure_cache(&mut self) -> Result<Option<&Closure>, SyncError> {
         if self.cached.is_none() {
-            let closure =
-                Closure::fast(&self.local).map_err(|e| SyncError::InconsistentObservations {
-                    witness: ProcessorId(e.witness),
-                })?;
-            self.cached = Some(closure);
+            match Closure::new(&self.local) {
+                Ok(built) => self.cached = Some(built.map_err(inconsistent)?),
+                Err(_) => return Ok(None),
+            }
         }
-        Ok(self.cached.as_ref().expect("cache was just rebuilt"))
+        Ok(self.cached.as_ref())
     }
 
     /// The current GLOBAL ESTIMATES matrix `m̃s` — each entry bounds how
-    /// far its column processor can lag its row processor — served
-    /// straight from the incrementally-maintained cache.
+    /// far its column processor can lag its row processor — converted from
+    /// the incrementally-maintained cache.
     ///
-    /// In steady state this costs only the `O(n²)` relaxation already paid
-    /// by the last `observe_*` call; nothing is cloned and no corrections
-    /// are derived, so prefer it over [`OnlineSynchronizer::outcome`] when
-    /// only pair bounds are needed between resynchronizations.
+    /// In steady state this costs the `O(n²)` relaxation already paid by
+    /// the last `observe_*` call plus one `O(n²)` conversion to
+    /// [`ExtRatio`]; no corrections are derived, so prefer it over
+    /// [`OnlineSynchronizer::outcome`] when only pair bounds are needed
+    /// between resynchronizations.
     ///
     /// # Errors
     ///
     /// Returns [`SyncError::InconsistentObservations`] if the accumulated
     /// observations contradict the declared assumptions.
-    pub fn global_estimates(
-        &mut self,
-    ) -> Result<&clocksync_graph::SquareMatrix<ExtRatio>, SyncError> {
-        Ok(self.ensure_cache()?.dist())
+    pub fn global_estimates(&mut self) -> Result<SquareMatrix<ExtRatio>, SyncError> {
+        match self.ensure_cache()? {
+            Some(cache) => Ok(cache.ratio_dist()),
+            None => fast_closure(&self.local)
+                .map(|(dist, _)| dist)
+                .map_err(inconsistent),
+        }
     }
 
     /// Computes the optimal corrections for everything observed so far.
     ///
     /// The GLOBAL ESTIMATES closure comes from the incremental cache (kept
-    /// current by the `observe_*` methods; recomputed via
-    /// [`clocksync_graph::fast_closure`] only after an invalidation), and
-    /// `A_max` is maintained incrementally: each component first
+    /// current by the `observe_*` methods and rebuilt with the
+    /// [`fast_closure`] kernels only after an invalidation), converted to
+    /// rationals once per call; when `m̃ls` does not scale,
+    /// [`fast_closure`]'s rational fallback computes it instead. `A_max`
+    /// is maintained incrementally: each component first
     /// revalidates the critical cycle cached by the previous call — still
     /// certifying under pure tightenings means `A_max` is unchanged — and
     /// only on a miss runs Howard, warm-started from the cached policy. A
@@ -563,10 +558,9 @@ impl OnlineSynchronizer {
     /// Returns [`SyncError::InconsistentObservations`] if the accumulated
     /// observations contradict the declared assumptions.
     pub fn outcome(&mut self) -> Result<SyncOutcome, SyncError> {
-        self.ensure_cache()?;
-        let (dist, next) = {
-            let cache = self.cached.as_ref().expect("cache was just ensured");
-            (cache.dist().clone(), cache.next().clone())
+        let (dist, next) = match self.ensure_cache()? {
+            Some(cache) => (cache.ratio_dist(), cache.next().clone()),
+            None => fast_closure(&self.local).map_err(inconsistent)?,
         };
         let components = synchronizable_components(&dist);
         // Warm states are keyed by member list: a component that merged or
@@ -594,6 +588,13 @@ impl OnlineSynchronizer {
         ));
         outcome.set_edges(self.network.links().map(|(p, q, _)| (p, q)).collect());
         Ok(outcome)
+    }
+}
+
+/// The typed report of a negative cycle in `m̃ls`.
+fn inconsistent(e: NegativeCycleError) -> SyncError {
+    SyncError::InconsistentObservations {
+        witness: ProcessorId(e.witness),
     }
 }
 
@@ -674,7 +675,7 @@ mod tests {
         );
         // The lightweight accessor serves the same matrix.
         assert_eq!(
-            online.global_estimates().unwrap(),
+            &online.global_estimates().unwrap(),
             batch.global_shift_estimates()
         );
     }

@@ -1,5 +1,5 @@
-//! The closure subsystem: a scaled fast path for one-shot closures and an
-//! incrementally-maintained [`Closure`] cache for online resynchronization.
+//! The closure subsystem: a scaled fast path for one-shot closures and the
+//! scaled-integer [`Closure`] cache behind online resynchronization.
 //!
 //! Two complementary optimizations of the GLOBAL ESTIMATES step live here:
 //!
@@ -17,12 +17,17 @@
 //!   path accepts; successor matrices are bit-identical on the dense
 //!   kernel and canonically tie-broken (but still valid) on the sparse
 //!   ones.
-//! * [`Closure`] — a cached `(dist, next)` pair supporting
-//!   [`Closure::relax_edge`]: applying a single-edge weight *decrease* in
-//!   `O(n²)` instead of recomputing the full `O(n³)` closure. Online
-//!   synchronizers observe one message at a time, and each observation can
-//!   only tighten the estimate of the link it travelled on, so steady-state
-//!   resynchronization becomes a sequence of `relax_edge` calls.
+//! * [`Closure`] — the online engine's cache: the closure as `i64`
+//!   multiples of one common denominator `scale` (the [`scaled_weights`]
+//!   encoding, [`UNREACHABLE`] for `+∞`) next to its successor matrix,
+//!   built by the same kernels [`fast_closure`] runs. [`Closure::relax_edge`]
+//!   applies a single-edge weight *decrease* in `O(n²)` integer operations
+//!   instead of recomputing the full `O(n³)` closure. Online synchronizers
+//!   observe one message at a time, and each observation can only tighten
+//!   the estimate of the link it travelled on, so steady-state
+//!   resynchronization becomes a sequence of `relax_edge` calls. Rationals
+//!   appear only at the edges: weights arrive as [`ExtRatio`], and
+//!   [`Closure::ratio_dist`] converts the distances back once per query.
 
 use std::fmt;
 
@@ -30,7 +35,7 @@ use clocksync_time::{Ext, ExtRatio, Ratio};
 
 use crate::{
     blocked_floyd_warshall_i64, floyd_warshall_with_paths, hierarchical_closure_i64,
-    sparse_closure_i64, NegativeCycleError, SquareMatrix, Weight, UNREACHABLE,
+    sparse_closure_i64, NegativeCycleError, SquareMatrix, UNREACHABLE,
 };
 
 /// Largest common denominator the scaling pass will build. Estimate
@@ -71,6 +76,48 @@ pub(crate) fn scaled_numerator(r: Ratio, scale: i128) -> Option<i128> {
         den => scale / den,
     };
     r.numerator().checked_mul(factor)
+}
+
+/// The largest scaled magnitude an `n`-node closure input may hold: a
+/// shortest path has at most `n − 1` edges, so every sum a kernel or a
+/// relaxation forms stays below `UNREACHABLE / 2`.
+fn entry_limit(n: usize) -> i64 {
+    UNREACHABLE / (4 * (n as i64).max(1))
+}
+
+/// `w · scale` in the sentinel encoding ([`UNREACHABLE`] for `+∞`), or
+/// `None` when `w` is `−∞`, its denominator does not divide `scale`, or
+/// the scaled value lies outside `±limit`.
+fn scale_weight(w: ExtRatio, scale: i128, limit: i64) -> Option<i64> {
+    match w {
+        Ext::PosInf => Some(UNREACHABLE),
+        Ext::NegInf => None,
+        Ext::Finite(r) => {
+            let den = r.denominator();
+            if den != 1 && den != scale && scale % den != 0 {
+                return None;
+            }
+            scaled_numerator(r, scale)
+                .and_then(|v| i64::try_from(v).ok())
+                .filter(|v| (-limit..=limit).contains(v))
+        }
+    }
+}
+
+/// Maps a sentinel-encoded matrix at `scale` back to extended rationals.
+fn unscale(dist: &SquareMatrix<i64>, scale: i128) -> SquareMatrix<ExtRatio> {
+    let data = dist
+        .as_slice()
+        .iter()
+        .map(|&v| {
+            if v == UNREACHABLE {
+                Ext::PosInf
+            } else {
+                Ext::Finite(Ratio::new(i128::from(v), scale))
+            }
+        })
+        .collect();
+    SquareMatrix::from_vec(dist.n(), data)
 }
 
 /// Why [`scaled_weights`] refused to rescale a matrix to `i64` — the
@@ -120,7 +167,6 @@ impl fmt::Display for ScaleBailout {
 pub fn scaled_weights(
     m: &SquareMatrix<ExtRatio>,
 ) -> Result<(SquareMatrix<i64>, i128), ScaleBailout> {
-    let n = m.n();
     let mut scale: i128 = 1;
     for &w in m.as_slice() {
         match w {
@@ -131,20 +177,13 @@ pub fn scaled_weights(
             Ext::NegInf => return Err(ScaleBailout::NegInfWeight),
         }
     }
-    // Any shortest path has at most n−1 edges, so the kernel's sums stay
-    // within n·limit, far from the sentinel.
-    let limit = UNREACHABLE / (4 * (n as i64).max(1));
-    let mut out = Vec::with_capacity(n * n);
-    for &w in m.as_slice() {
-        out.push(match w {
-            Ext::Finite(r) => scaled_numerator(r, scale)
-                .and_then(|v| i64::try_from(v).ok())
-                .filter(|v| (-limit..=limit).contains(v))
-                .ok_or(ScaleBailout::MagnitudeOverflow)?,
-            _ => UNREACHABLE,
-        });
-    }
-    Ok((SquareMatrix::from_vec(n, out), scale))
+    let limit = entry_limit(m.n());
+    let out = m
+        .as_slice()
+        .iter()
+        .map(|&w| scale_weight(w, scale, limit).ok_or(ScaleBailout::MagnitudeOverflow))
+        .collect::<Result<_, _>>()?;
+    Ok((SquareMatrix::from_vec(m.n(), out), scale))
 }
 
 /// The result type of the closure functions: `(dist, next)` on success,
@@ -190,6 +229,17 @@ impl ClosureKernel {
             ClosureKernel::DenseBlocked => "scaled-i64",
             ClosureKernel::SparseJohnson => "sparse-johnson",
             ClosureKernel::Hierarchical => "hier-components",
+        }
+    }
+
+    fn run(
+        self,
+        scaled: &SquareMatrix<i64>,
+    ) -> Result<(SquareMatrix<i64>, SquareMatrix<usize>), NegativeCycleError> {
+        match self {
+            ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(scaled),
+            ClosureKernel::SparseJohnson => sparse_closure_i64(scaled),
+            ClosureKernel::Hierarchical => hierarchical_closure_i64(scaled),
         }
     }
 }
@@ -258,11 +308,7 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
 pub fn dispatch_closure_i64(
     scaled: &SquareMatrix<i64>,
 ) -> Result<(SquareMatrix<i64>, SquareMatrix<usize>), NegativeCycleError> {
-    match plan_closure_kernel(scaled) {
-        ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(scaled),
-        ClosureKernel::SparseJohnson => sparse_closure_i64(scaled),
-        ClosureKernel::Hierarchical => hierarchical_closure_i64(scaled),
-    }
+    plan_closure_kernel(scaled).run(scaled)
 }
 
 /// Runs a scaled `i64` kernel if the matrix admits exact scaling,
@@ -278,22 +324,9 @@ pub fn try_scaled_closure_explained(
 ) -> Result<(ClosureKernel, ClosureResult), ScaleBailout> {
     let (scaled, scale) = scaled_weights(m)?;
     let kernel = plan_closure_kernel(&scaled);
-    let result = match kernel {
-        ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(&scaled),
-        ClosureKernel::SparseJohnson => sparse_closure_i64(&scaled),
-        ClosureKernel::Hierarchical => hierarchical_closure_i64(&scaled),
-    };
-    let result = result.map(|(dist, next)| {
-        let dist = SquareMatrix::from_fn(m.n(), |i, j| {
-            let v = dist[(i, j)];
-            if v == UNREACHABLE {
-                Ext::PosInf
-            } else {
-                Ext::Finite(Ratio::new(v as i128, scale))
-            }
-        });
-        (dist, next)
-    });
+    let result = kernel
+        .run(&scaled)
+        .map(|(dist, next)| (unscale(&dist, scale), next));
     Ok((kernel, result))
 }
 
@@ -370,6 +403,14 @@ pub enum RelaxOutcome {
     /// query; callers that only ever tighten may safely ignore this
     /// outcome.
     StaleLoosening,
+    /// `w` has no exact image at the cache's scale — it is `−∞`, its
+    /// denominator does not divide [`Closure::scale`], or its scaled
+    /// magnitude exceeds `UNREACHABLE / (4n)` — so the relaxation **was
+    /// not applied** and the cache is unchanged. The cache is still exact
+    /// for the graph without the edge, but cannot represent the graph with
+    /// it: a caller that keeps `w` MUST discard the cache and rebuild it
+    /// with [`Closure::new`], whose fresh common denominator may admit it.
+    Unrepresentable,
 }
 
 impl RelaxOutcome {
@@ -379,63 +420,64 @@ impl RelaxOutcome {
     }
 }
 
-/// A cached metric closure that can absorb single-edge weight decreases in
-/// `O(n²)` — the incremental engine behind online resynchronization.
+/// A cached metric closure on scaled integers that can absorb single-edge
+/// weight decreases in `O(n²)` — the incremental engine behind online
+/// resynchronization.
 ///
-/// The invariant: `dist` is the exact all-pairs shortest-path closure of
-/// some weighted digraph, and `next` is a valid successor matrix for it
-/// (`next[(i, j)]` begins a shortest `i → j` path; `usize::MAX` iff
-/// unreachable or `i == j`). [`Closure::relax_edge`] preserves the
-/// invariant under edge insertions/decreases; any other change requires a
-/// rebuild with [`Closure::new`].
+/// The invariant: `dist` holds, as multiples of `1/scale` in the
+/// [`scaled_weights`] encoding, the exact all-pairs shortest-path closure
+/// of some weighted digraph whose every finite edge weight is exact at
+/// `scale` and at most `UNREACHABLE / (4n)` in magnitude; `next` is a
+/// valid successor matrix for it (`next[(i, j)]` begins a shortest
+/// `i → j` path; `usize::MAX` iff unreachable or `i == j`). Every finite
+/// entry is then a path of at most `n − 1` such edges, so no sum a
+/// relaxation forms can reach the sentinel. [`Closure::relax_edge`]
+/// preserves the invariant under edge insertions and decreases,
+/// [`Closure::reclose_within`] under the reweighting of one component; any
+/// other change requires a rebuild with [`Closure::new`].
 ///
 /// # Examples
 ///
 /// ```
-/// use clocksync_graph::{Closure, SquareMatrix};
-/// use clocksync_time::Ext;
+/// use clocksync_graph::{Closure, SquareMatrix, Weight};
+/// use clocksync_time::{Ext, ExtRatio, Ratio};
 ///
 /// let mut m = SquareMatrix::filled(3, Ext::PosInf);
-/// for i in 0..3 { m[(i, i)] = Ext::Finite(0i64); }
-/// m[(0, 1)] = Ext::Finite(3);
-/// m[(1, 2)] = Ext::Finite(3);
-/// let mut c = Closure::new(&m)?;
-/// assert_eq!(c.dist()[(0, 2)], Ext::Finite(6));
+/// for i in 0..3 { m[(i, i)] = <ExtRatio as Weight>::zero(); }
+/// m[(0, 1)] = Ext::Finite(Ratio::new(3, 2));
+/// m[(1, 2)] = Ext::Finite(Ratio::from_int(3));
+/// let mut c = Closure::new(&m).expect("scales")?;
+/// assert_eq!(c.scale(), 2);
+/// assert_eq!(c.dist()[(0, 2)], 9);
 /// // A tighter 0 → 1 estimate arrives: every pair through it improves.
-/// assert!(c.relax_edge(0, 1, Ext::Finite(1))?.changed());
-/// assert_eq!(c.dist()[(0, 2)], Ext::Finite(4));
+/// assert!(c.relax_edge(0, 1, Ext::Finite(Ratio::new(1, 2)))?.changed());
+/// assert_eq!(c.ratio_dist()[(0, 2)], Ext::Finite(Ratio::new(7, 2)));
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Closure<W> {
-    dist: SquareMatrix<W>,
+pub struct Closure {
+    dist: SquareMatrix<i64>,
     next: SquareMatrix<usize>,
+    scale: i128,
 }
 
-impl<W: Weight> Closure<W> {
-    /// Builds the closure of a weight matrix with the generic exact kernel
-    /// (conventions of [`crate::floyd_warshall_with_paths`]).
+impl Closure {
+    /// Builds the closure of a weight matrix at its common denominator:
+    /// [`scaled_weights`], then [`dispatch_closure_i64`] — the kernels
+    /// [`fast_closure`] runs, so `dist` and `next` are exactly the scaled
+    /// images of its output.
     ///
     /// # Errors
     ///
-    /// Returns [`NegativeCycleError`] when the graph has a negative cycle.
-    pub fn new(m: &SquareMatrix<W>) -> Result<Closure<W>, NegativeCycleError> {
-        floyd_warshall_with_paths(m).map(|(dist, next)| Closure { dist, next })
-    }
-
-    /// Wraps an already-computed `(dist, next)` pair — e.g. the output of
-    /// [`fast_closure`]. The pair must satisfy the closure invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two matrices disagree on dimension.
-    pub fn from_parts(dist: SquareMatrix<W>, next: SquareMatrix<usize>) -> Closure<W> {
-        assert_eq!(
-            dist.n(),
-            next.n(),
-            "dist and next must have equal dimension"
-        );
-        Closure { dist, next }
+    /// The outer error is the [`ScaleBailout`] reason when `m` does not
+    /// scale (the caller should use [`fast_closure`], whose rational
+    /// fallback answers); the inner one is [`NegativeCycleError`] when the
+    /// graph has a negative cycle.
+    pub fn new(
+        m: &SquareMatrix<ExtRatio>,
+    ) -> Result<Result<Closure, NegativeCycleError>, ScaleBailout> {
+        let (scaled, scale) = scaled_weights(m)?;
+        Ok(dispatch_closure_i64(&scaled).map(|(dist, next)| Closure { dist, next, scale }))
     }
 
     /// The dimension.
@@ -443,19 +485,26 @@ impl<W: Weight> Closure<W> {
         self.dist.n()
     }
 
-    /// The closure distances.
-    pub fn dist(&self) -> &SquareMatrix<W> {
+    /// The common denominator: `dist` holds multiples of `1/scale`.
+    pub fn scale(&self) -> i128 {
+        self.scale
+    }
+
+    /// The closure distances times [`Closure::scale`], with
+    /// [`UNREACHABLE`] for `+∞`.
+    pub fn dist(&self) -> &SquareMatrix<i64> {
         &self.dist
+    }
+
+    /// The closure distances as extended rationals — the one conversion a
+    /// query pays.
+    pub fn ratio_dist(&self) -> SquareMatrix<ExtRatio> {
+        unscale(&self.dist, self.scale)
     }
 
     /// The successor matrix (see [`crate::reconstruct_path`]).
     pub fn next(&self) -> &SquareMatrix<usize> {
         &self.next
-    }
-
-    /// Consumes the cache, returning `(dist, next)`.
-    pub fn into_parts(self) -> (SquareMatrix<W>, SquareMatrix<usize>) {
-        (self.dist, self.next)
     }
 
     /// Incorporates a new edge `u → v` of weight `w` (equivalently: lowers
@@ -466,17 +515,21 @@ impl<W: Weight> Closure<W> {
     /// This is exact because a weight *decrease* cannot lengthen any
     /// shortest path, and any path improved by the change uses the new
     /// edge, splitting into an old shortest `i → u` prefix and `v → j`
-    /// suffix — both of which the cached closure already knows.
+    /// suffix — both of which the cached closure already knows. Only
+    /// pairs with a finite prefix and a finite suffix can improve, so the
+    /// loop runs over the finite entries of column `u` times those of row
+    /// `v`: on a multi-component domain that is the edge's own component.
     ///
     /// The [`RelaxOutcome`] makes the staleness contract explicit:
     /// [`RelaxOutcome::Tightened`] when entries changed,
     /// [`RelaxOutcome::Unchanged`] when `w` equals the cached `dist[(u,
     /// v)]` (or is a harmless non-negative self-loop / `+∞` over an
     /// already-unreachable pair — cases that can never hide a stale
-    /// cache), and [`RelaxOutcome::StaleLoosening`] when `w` is *strictly
-    /// looser* than the cached entry. A `StaleLoosening` relaxation is
-    /// **not applied**; see that variant's documentation for the caller's
-    /// obligation. All three no-op verdicts are detected in `O(1)`.
+    /// cache), [`RelaxOutcome::StaleLoosening`] when `w` is *strictly
+    /// looser* than the cached entry, and [`RelaxOutcome::Unrepresentable`]
+    /// when `w` is off the cache's scale. The last two are **not
+    /// applied**; see their documentation for the caller's obligation.
+    /// Every verdict but a real tightening is reached in `O(1)`.
     ///
     /// # Errors
     ///
@@ -492,123 +545,66 @@ impl<W: Weight> Closure<W> {
         &mut self,
         u: usize,
         v: usize,
-        w: W,
+        w: ExtRatio,
     ) -> Result<RelaxOutcome, NegativeCycleError> {
-        self.relax_edge_impl(u, v, w, None)
-    }
-
-    /// Like [`Closure::relax_edge`], but restricts the `O(n²)` update loop
-    /// to `members` — exact whenever `members` contains every node `x`
-    /// with finite `dist[(x, u)]` and every node `y` with finite
-    /// `dist[(v, y)]` (a superset of the weak component of `{u, v}` in the
-    /// closure's underlying graph always qualifies: finiteness demands an
-    /// undirected finite path). Steady-state resynchronization on a
-    /// multi-component domain then costs `O(k²)` per tightening, `k` the
-    /// component size, instead of `O(n²)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Closure::relax_edge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u`, `v` or any member is out of range.
-    pub fn relax_edge_within(
-        &mut self,
-        u: usize,
-        v: usize,
-        w: W,
-        members: &[usize],
-    ) -> Result<RelaxOutcome, NegativeCycleError> {
-        self.relax_edge_impl(u, v, w, Some(members))
-    }
-
-    fn relax_edge_impl(
-        &mut self,
-        u: usize,
-        v: usize,
-        w: W,
-        members: Option<&[usize]>,
-    ) -> Result<RelaxOutcome, NegativeCycleError> {
-        let n = self.dist.n();
+        let n = self.n();
         assert!(u < n && v < n, "edge endpoint out of range");
         if u == v {
             // A self-loop only matters when negative (a 1-cycle); the
             // closure diagonal is pinned at zero, so a non-negative one can
             // never have been baked into any entry — not a staleness risk.
-            return if w < W::zero() {
+            return if w < Ext::Finite(Ratio::ZERO) {
                 Err(NegativeCycleError { witness: u })
             } else {
                 Ok(RelaxOutcome::Unchanged)
             };
         }
+        let Some(w) = scale_weight(w, self.scale, entry_limit(n)) else {
+            return Ok(RelaxOutcome::Unrepresentable);
+        };
         let cached = self.dist[(u, v)];
-        if w == cached || (!w.is_reachable() && !cached.is_reachable()) {
+        if w == cached {
             return Ok(RelaxOutcome::Unchanged);
         }
-        if !w.is_reachable() || w > cached {
+        if w > cached {
             return Ok(RelaxOutcome::StaleLoosening);
         }
         // Snapshots: the new edge cannot change column u or row v unless it
         // closes a negative cycle (w + dist[(v, u)] ≥ 0 ⇒ no i → u path
         // improves by detouring through u → v → … → u), so reading the old
         // values below is exact; a closed negative cycle instead surfaces
-        // as a negative diagonal entry, reported as the error.
+        // as a negative diagonal entry, reported as the error. Each source
+        // carries dist[(i, u)] + w and the first hop of its new paths.
+        let sources: Vec<(usize, i64, usize)> = (0..n)
+            .filter_map(|i| {
+                let diu = self.dist[(i, u)];
+                let first_hop = if i == u { v } else { self.next[(i, u)] };
+                (diu != UNREACHABLE).then_some((i, diu + w, first_hop))
+            })
+            .collect();
+        let targets: Vec<(usize, i64)> = self
+            .dist
+            .row(v)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &dvj)| dvj != UNREACHABLE)
+            .map(|(j, &dvj)| (j, dvj))
+            .collect();
         let mut changed = false;
         let mut negative = None;
-        match members {
-            None => {
-                let col_u: Vec<W> = (0..n).map(|i| self.dist[(i, u)]).collect();
-                let row_v: Vec<W> = (0..n).map(|j| self.dist[(v, j)]).collect();
-                let next_u: Vec<usize> = (0..n).map(|i| self.next[(i, u)]).collect();
-                for i in 0..n {
-                    let diu = col_u[i];
-                    if !diu.is_reachable() {
-                        continue;
-                    }
-                    let base = diu + w;
-                    let first_hop = if i == u { v } else { next_u[i] };
-                    for (j, &dvj) in row_v.iter().enumerate() {
-                        if !dvj.is_reachable() {
-                            continue;
-                        }
-                        let cand = base + dvj;
-                        if cand < self.dist[(i, j)] {
-                            self.dist[(i, j)] = cand;
-                            self.next[(i, j)] = first_hop;
-                            changed = true;
-                            if i == j && negative.is_none() {
-                                negative = Some(i);
-                            }
-                        }
-                    }
-                }
-            }
-            Some(indices) => {
-                let col_u: Vec<W> = indices.iter().map(|&i| self.dist[(i, u)]).collect();
-                let row_v: Vec<W> = indices.iter().map(|&j| self.dist[(v, j)]).collect();
-                let next_u: Vec<usize> = indices.iter().map(|&i| self.next[(i, u)]).collect();
-                for (ii, &i) in indices.iter().enumerate() {
-                    let diu = col_u[ii];
-                    if !diu.is_reachable() {
-                        continue;
-                    }
-                    let base = diu + w;
-                    let first_hop = if i == u { v } else { next_u[ii] };
-                    for (jj, &dvj) in row_v.iter().enumerate() {
-                        if !dvj.is_reachable() {
-                            continue;
-                        }
-                        let j = indices[jj];
-                        let cand = base + dvj;
-                        if cand < self.dist[(i, j)] {
-                            self.dist[(i, j)] = cand;
-                            self.next[(i, j)] = first_hop;
-                            changed = true;
-                            if i == j && negative.is_none() {
-                                negative = Some(i);
-                            }
-                        }
+        let dist = self.dist.as_mut_slice();
+        let next = self.next.as_mut_slice();
+        for &(i, base, first_hop) in &sources {
+            let dist_i = &mut dist[i * n..(i + 1) * n];
+            let next_i = &mut next[i * n..(i + 1) * n];
+            for &(j, dvj) in &targets {
+                let cand = base + dvj;
+                if cand < dist_i[j] {
+                    dist_i[j] = cand;
+                    next_i[j] = first_hop;
+                    changed = true;
+                    if i == j && negative.is_none() {
+                        negative = Some(i);
                     }
                 }
             }
@@ -619,24 +615,70 @@ impl<W: Weight> Closure<W> {
             None => Ok(RelaxOutcome::Unchanged),
         }
     }
-}
 
-impl Closure<ExtRatio> {
-    /// Builds the closure via [`fast_closure`] (the parallel scaled-`i64`
-    /// kernel with generic fallback).
+    /// Recomputes the closure among `members` from the weights `m` at the
+    /// cache's scale and splices it in — the patch for a component whose
+    /// edges *loosened*, which [`Closure::relax_edge`] cannot absorb.
+    ///
+    /// Exact when `members` is closed under finite weights: every finite
+    /// `m` entry touching a member joins two members (a weak component of
+    /// `m`'s finite-edge graph qualifies), so no path leaves the set. The
+    /// sub-closure runs on [`dispatch_closure_i64`]; the kernels only add
+    /// and compare, so their choices — successors included — are the same
+    /// at any positive scale. Returns `Ok(false)` and leaves the cache
+    /// unchanged when some member-to-member weight has no exact image at
+    /// the cache's scale (see [`RelaxOutcome::Unrepresentable`]); the
+    /// caller must then discard the cache.
     ///
     /// # Errors
     ///
-    /// Returns [`NegativeCycleError`] when the graph has a negative cycle.
-    pub fn fast(m: &SquareMatrix<ExtRatio>) -> Result<Closure<ExtRatio>, NegativeCycleError> {
-        fast_closure(m).map(|(dist, next)| Closure { dist, next })
+    /// Returns [`NegativeCycleError`] when the component has a negative
+    /// cycle; the cache is left unchanged but describes a different
+    /// graph, so it must be discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m`'s dimension differs from the cache's or a member is
+    /// out of range.
+    pub fn reclose_within(
+        &mut self,
+        m: &SquareMatrix<ExtRatio>,
+        members: &[usize],
+    ) -> Result<bool, NegativeCycleError> {
+        assert_eq!(
+            m.n(),
+            self.n(),
+            "weights and cache must have equal dimension"
+        );
+        let limit = entry_limit(self.n());
+        let mut sub = Vec::with_capacity(members.len() * members.len());
+        for &i in members {
+            for &j in members {
+                match scale_weight(m[(i, j)], self.scale, limit) {
+                    Some(x) => sub.push(x),
+                    None => return Ok(false),
+                }
+            }
+        }
+        let (sub_dist, sub_next) =
+            dispatch_closure_i64(&SquareMatrix::from_vec(members.len(), sub))?;
+        for (a, &i) in members.iter().enumerate() {
+            for (b, &j) in members.iter().enumerate() {
+                self.dist[(i, j)] = sub_dist[(a, b)];
+                self.next[(i, j)] = match sub_next[(a, b)] {
+                    usize::MAX => usize::MAX,
+                    s => members[s],
+                };
+            }
+        }
+        Ok(true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reconstruct_path;
+    use crate::{reconstruct_path, Weight};
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<ExtRatio> {
         let mut m = SquareMatrix::from_fn(n, |i, j| {
@@ -650,6 +692,21 @@ mod tests {
             m[(a, b)] = Ext::Finite(Ratio::new(num, den));
         }
         m
+    }
+
+    fn closure(m: &SquareMatrix<ExtRatio>) -> Closure {
+        Closure::new(m)
+            .expect("test matrices scale")
+            .expect("no negative cycle")
+    }
+
+    /// The generic rational reference closure's distances.
+    fn reference(m: &SquareMatrix<ExtRatio>) -> SquareMatrix<ExtRatio> {
+        floyd_warshall_with_paths(m).expect("no negative cycle").0
+    }
+
+    fn int(v: i128) -> ExtRatio {
+        Ext::Finite(Ratio::from_int(v))
     }
 
     #[test]
@@ -689,7 +746,7 @@ mod tests {
         let mut m = ratio_matrix(2, &[(0, 1, 3, 1)]);
         m[(1, 0)] = Ext::Finite(Ratio::new(1, MAX_SCALE * 2 + 1));
         let (d, _) = fast_closure(&m).unwrap();
-        assert_eq!(d[(0, 1)], Ext::Finite(Ratio::from_int(3)));
+        assert_eq!(d[(0, 1)], int(3));
     }
 
     #[test]
@@ -701,36 +758,29 @@ mod tests {
     #[test]
     fn relax_edge_matches_full_recompute() {
         let mut m = ratio_matrix(4, &[(0, 1, 4, 1), (1, 2, 4, 1), (2, 3, 4, 1), (3, 0, 4, 1)]);
-        let mut c = Closure::new(&m).unwrap();
+        let mut c = closure(&m);
         // Tighten 1 → 2, then add a brand-new chord 0 → 2.
-        for (u, v, w) in [
-            (1usize, 2usize, Ratio::from_int(1)),
-            (0, 2, Ratio::from_int(2)),
-        ] {
-            m[(u, v)] = Ext::Finite(w);
-            c.relax_edge(u, v, Ext::Finite(w)).unwrap();
-            let fresh = Closure::new(&m).unwrap();
-            assert_eq!(c.dist(), fresh.dist());
+        for (u, v, w) in [(1usize, 2usize, int(1)), (0, 2, int(2))] {
+            m[(u, v)] = w;
+            assert!(c.relax_edge(u, v, w).unwrap().changed());
+            assert_eq!(c.ratio_dist(), reference(&m));
         }
     }
 
     #[test]
     fn relax_edge_no_op_cases() {
         let m = ratio_matrix(3, &[(0, 1, 2, 1), (1, 2, 2, 1)]);
-        let mut c = Closure::new(&m).unwrap();
+        let mut c = closure(&m);
         let before = c.clone();
         // Worse than the existing estimate: not applied, and flagged so a
         // caller that cannot rule out a genuine loosening knows to rebuild.
         assert_eq!(
-            c.relax_edge(0, 1, Ext::Finite(Ratio::from_int(7))).unwrap(),
+            c.relax_edge(0, 1, int(7)).unwrap(),
             RelaxOutcome::StaleLoosening
         );
         // Equal to it, unreachable-over-unreachable, and a nonnegative
         // self-loop: provably harmless no-ops.
-        assert_eq!(
-            c.relax_edge(0, 1, Ext::Finite(Ratio::from_int(2))).unwrap(),
-            RelaxOutcome::Unchanged
-        );
+        assert_eq!(c.relax_edge(0, 1, int(2)).unwrap(), RelaxOutcome::Unchanged);
         assert_eq!(
             c.relax_edge(2, 0, Ext::PosInf).unwrap(),
             RelaxOutcome::Unchanged
@@ -750,22 +800,21 @@ mod tests {
         // claiming the now-too-tight 4), and the caller's mandated rebuild
         // must agree with a fresh recompute.
         let mut m = ratio_matrix(3, &[(0, 1, 2, 1), (1, 2, 2, 1)]);
-        let mut c = Closure::new(&m).unwrap();
-        m[(0, 1)] = Ext::Finite(Ratio::from_int(9));
+        let mut c = closure(&m);
+        m[(0, 1)] = int(9);
         assert_eq!(
-            c.relax_edge(0, 1, Ext::Finite(Ratio::from_int(9))).unwrap(),
+            c.relax_edge(0, 1, int(9)).unwrap(),
             RelaxOutcome::StaleLoosening
         );
         // The stale cache still serves the outdated bound — which is
         // exactly why the contract demands a rebuild now.
-        assert_eq!(c.dist()[(0, 2)], Ext::Finite(Ratio::from_int(4)));
-        let rebuilt = Closure::fast(&m).unwrap();
-        let fresh = Closure::new(&m).unwrap();
-        assert_eq!(rebuilt.dist(), fresh.dist());
-        assert_eq!(rebuilt.dist()[(0, 2)], Ext::Finite(Ratio::from_int(11)));
+        assert_eq!(c.ratio_dist()[(0, 2)], int(4));
+        let rebuilt = closure(&m);
+        assert_eq!(rebuilt.ratio_dist(), reference(&m));
+        assert_eq!(rebuilt.ratio_dist()[(0, 2)], int(11));
         // A loosening to +∞ (forgotten link) over a finite entry is flagged
         // the same way.
-        let mut c2 = fresh.clone();
+        let mut c2 = rebuilt.clone();
         assert_eq!(
             c2.relax_edge(1, 2, Ext::PosInf).unwrap(),
             RelaxOutcome::StaleLoosening
@@ -773,9 +822,11 @@ mod tests {
     }
 
     #[test]
-    fn relax_edge_within_matches_unscoped() {
-        // Two weak components {0, 1, 2} and {3, 4}; tighten 0 → 1 scoped to
-        // its component and compare against the unscoped relaxation.
+    fn relax_edge_in_one_of_two_components_matches_recompute() {
+        // Two weak components {0, 1, 2} and {3, 4}: tightening 0 → 1 only
+        // loops over its own component (the finite entries of column 0 and
+        // row 1), yet must equal the full recompute, leave {3, 4} as it
+        // was, and still detect a negative cycle closed inside it.
         let edges = [
             (0, 1, 4, 1),
             (1, 2, 4, 1),
@@ -783,54 +834,136 @@ mod tests {
             (3, 4, 2, 1),
             (4, 3, 5, 1),
         ];
-        let m = ratio_matrix(5, &edges);
-        let mut scoped = Closure::new(&m).unwrap();
-        let mut full = scoped.clone();
-        let w = Ext::Finite(Ratio::from_int(1));
-        let a = scoped.relax_edge_within(0, 1, w, &[0, 1, 2]).unwrap();
-        let b = full.relax_edge(0, 1, w).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(scoped, full);
-        // And a scoped negative-cycle detection agrees too.
-        let bad = Ext::Finite(Ratio::from_int(-9));
-        assert!(scoped.relax_edge_within(1, 0, bad, &[0, 1, 2]).is_err());
-        assert!(full.relax_edge(1, 0, bad).is_err());
+        let mut m = ratio_matrix(5, &edges);
+        let mut c = closure(&m);
+        let before = c.clone();
+        m[(0, 1)] = int(1);
+        assert_eq!(c.relax_edge(0, 1, int(1)).unwrap(), RelaxOutcome::Tightened);
+        assert_eq!(c.ratio_dist(), reference(&m));
+        for i in 3..5 {
+            for j in 0..5 {
+                assert_eq!(c.dist()[(i, j)], before.dist()[(i, j)]);
+                assert_eq!(c.next()[(i, j)], before.next()[(i, j)]);
+            }
+        }
+        // dist(0, 1) = 1 now; an edge 1 → 0 of weight −9 closes a −8 cycle.
+        let err = c.relax_edge(1, 0, int(-9)).unwrap_err();
+        assert!(
+            err.witness < 3,
+            "witness {} outside the cycle's component",
+            err.witness
+        );
     }
 
     #[test]
     fn relax_edge_detects_negative_cycles() {
         let m = ratio_matrix(3, &[(0, 1, 2, 1), (1, 2, 2, 1), (2, 0, 2, 1)]);
-        let mut c = Closure::new(&m).unwrap();
+        let mut c = closure(&m);
         // dist(1, 0) = 4; an edge 0 → 1 of weight −5 closes a −1 cycle.
-        let err = c
-            .relax_edge(0, 1, Ext::Finite(Ratio::from_int(-5)))
-            .unwrap_err();
+        let err = c.relax_edge(0, 1, int(-5)).unwrap_err();
         let _ = err.witness;
         // Negative self-loops are 1-cycles.
-        let mut c2 = Closure::new(&m).unwrap();
-        assert!(c2
-            .relax_edge(1, 1, Ext::Finite(Ratio::from_int(-1)))
-            .is_err());
+        let mut c2 = closure(&m);
+        assert!(c2.relax_edge(1, 1, int(-1)).is_err());
     }
 
     #[test]
     fn relax_edge_keeps_successors_valid() {
         let m = ratio_matrix(4, &[(0, 1, 4, 1), (1, 2, 4, 1), (2, 3, 4, 1)]);
-        let mut c = Closure::new(&m).unwrap();
-        c.relax_edge(0, 2, Ext::Finite(Ratio::from_int(3))).unwrap();
-        c.relax_edge(1, 3, Ext::Finite(Ratio::from_int(5))).unwrap();
+        let mut c = closure(&m);
+        c.relax_edge(0, 2, int(3)).unwrap();
+        c.relax_edge(1, 3, int(5)).unwrap();
         for i in 0..4 {
             for j in 0..4 {
                 match reconstruct_path(c.next(), i, j) {
                     Some(path) => {
                         assert_eq!(path.first(), Some(&i));
                         assert_eq!(path.last(), Some(&j));
-                        assert!(c.dist()[(i, j)].is_reachable());
+                        assert_ne!(c.dist()[(i, j)], UNREACHABLE);
                     }
-                    None => assert!(!c.dist()[(i, j)].is_reachable()),
+                    None => assert_eq!(c.dist()[(i, j)], UNREACHABLE),
                 }
             }
         }
+    }
+
+    #[test]
+    fn relax_edge_refuses_weights_off_the_cache_scale() {
+        // An integer matrix builds at scale 1; a half-ns estimate has no
+        // image there, even though it would tighten dist(0, 1).
+        let mut m = ratio_matrix(3, &[(0, 1, 4, 1), (1, 2, 4, 1)]);
+        let mut c = closure(&m);
+        assert_eq!(c.scale(), 1);
+        let before = c.clone();
+        let half = Ext::Finite(Ratio::new(3, 2));
+        assert_eq!(
+            c.relax_edge(0, 1, half).unwrap(),
+            RelaxOutcome::Unrepresentable
+        );
+        assert_eq!(c, before);
+        // −∞ has no image at any scale.
+        assert_eq!(
+            c.relax_edge(0, 2, Ext::NegInf).unwrap(),
+            RelaxOutcome::Unrepresentable
+        );
+        assert_eq!(c, before);
+        // The mandated rebuild picks the new common denominator and agrees
+        // with the reference; at scale 2 integers still relax.
+        m[(0, 1)] = half;
+        let mut rebuilt = closure(&m);
+        assert_eq!(rebuilt.scale(), 2);
+        assert_eq!(rebuilt.ratio_dist(), reference(&m));
+        m[(1, 2)] = int(1);
+        assert!(rebuilt.relax_edge(1, 2, int(1)).unwrap().changed());
+        assert_eq!(rebuilt.ratio_dist(), reference(&m));
+    }
+
+    #[test]
+    fn relax_edge_refuses_weights_past_the_magnitude_limit() {
+        // The per-entry bound is UNREACHABLE / (4n), as in scaled_weights:
+        // at the limit the weight relaxes, one past it is refused.
+        let n = 3;
+        let limit = i128::from(UNREACHABLE / (4 * n as i64));
+        let m = ratio_matrix(n, &[(1, 2, 0, 1)]);
+        let mut c = closure(&m);
+        let before = c.clone();
+        for w in [limit + 1, -(limit + 1)] {
+            assert_eq!(
+                c.relax_edge(0, 1, int(w)).unwrap(),
+                RelaxOutcome::Unrepresentable
+            );
+            assert_eq!(c, before);
+        }
+        let mut m = m;
+        m[(0, 1)] = int(limit);
+        assert!(c.relax_edge(0, 1, int(limit)).unwrap().changed());
+        assert_eq!(c.ratio_dist(), reference(&m));
+    }
+
+    #[test]
+    fn reclose_within_matches_recompute_after_a_loosening() {
+        // Loosen 0 → 1 inside the {0, 1, 2} component and patch only that
+        // component: distances equal the reference, successors equal a
+        // fresh build's, and the {3, 4} component keeps its entries.
+        let edges = [
+            (0, 1, 1, 1),
+            (1, 2, 4, 1),
+            (2, 0, 1, 1),
+            (0, 2, 9, 1),
+            (3, 4, 2, 1),
+            (4, 3, 5, 1),
+        ];
+        let mut m = ratio_matrix(5, &edges);
+        let mut c = closure(&m);
+        m[(0, 1)] = int(7);
+        assert!(c.reclose_within(&m, &[0, 1, 2]).unwrap());
+        assert_eq!(c, closure(&m));
+        assert_eq!(c.ratio_dist(), reference(&m));
+        // A component weight off the cache's scale is refused untouched.
+        let before = c.clone();
+        m[(0, 1)] = Ext::Finite(Ratio::new(15, 2));
+        assert!(!c.reclose_within(&m, &[0, 1, 2]).unwrap());
+        assert_eq!(c, before);
     }
 
     #[test]
@@ -847,6 +980,7 @@ mod tests {
             try_scaled_closure_explained(&m).unwrap_err(),
             ScaleBailout::ScaleOverflow
         );
+        assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::ScaleOverflow);
         assert_eq!(ScaleBailout::MagnitudeOverflow.name(), "magnitude-overflow");
     }
 
@@ -876,17 +1010,17 @@ mod tests {
         // (and fast_closure still answers, via the generic kernel).
         let limit = (UNREACHABLE / (4 * 2)) as i128;
         let mut m = ratio_matrix(2, &[]);
-        m[(0, 1)] = Ext::Finite(Ratio::from_int(limit));
+        m[(0, 1)] = int(limit);
         let (_, result) = try_scaled_closure_explained(&m).expect("limit itself is admissible");
         let (d, _) = result.unwrap();
-        assert_eq!(d[(0, 1)], Ext::Finite(Ratio::from_int(limit)));
-        m[(0, 1)] = Ext::Finite(Ratio::from_int(limit + 1));
+        assert_eq!(d[(0, 1)], int(limit));
+        m[(0, 1)] = int(limit + 1);
         assert_eq!(
             try_scaled_closure_explained(&m).unwrap_err(),
             ScaleBailout::MagnitudeOverflow
         );
         let (d, _) = fast_closure(&m).unwrap();
-        assert_eq!(d[(0, 1)], Ext::Finite(Ratio::from_int(limit + 1)));
+        assert_eq!(d[(0, 1)], int(limit + 1));
     }
 
     #[test]
@@ -937,11 +1071,15 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips() {
-        let m = ratio_matrix(3, &[(0, 1, 1, 1), (1, 2, 1, 1)]);
-        let c = Closure::fast(&m).unwrap();
+    fn ratio_dist_round_trips_fast_closure() {
+        // The cache is the scaled image of fast_closure's output: converting
+        // it back gives the same distances and it holds the same successors.
+        let m = ratio_matrix(3, &[(0, 1, 1, 2), (1, 2, 1, 1), (2, 0, -1, 2)]);
+        let c = closure(&m);
         assert_eq!(c.n(), 3);
-        let (d, next) = c.clone().into_parts();
-        assert_eq!(Closure::from_parts(d, next), c);
+        assert_eq!(c.scale(), 2);
+        let (d, next) = fast_closure(&m).unwrap();
+        assert_eq!(c.ratio_dist(), d);
+        assert_eq!(c.next(), &next);
     }
 }

@@ -22,9 +22,12 @@
 //! the generic kernels: [`fast_closure`] scales rational matrices to plain
 //! `i64` and runs the parallel [`blocked_floyd_warshall_i64`] kernel
 //! (falling back to the generic one when exact scaling is impossible), and
-//! [`Closure`] caches a computed closure so single-edge tightenings can be
-//! absorbed in `O(n²)` via [`Closure::relax_edge`] instead of a full
-//! `O(n³)` recompute. The `A_max` stage has the same two-tier design:
+//! [`Closure`] caches a computed closure as `i64` multiples of the
+//! matrix's common denominator, so single-edge tightenings are absorbed
+//! in `O(n²)` integer operations via [`Closure::relax_edge`] instead of a
+//! full `O(n³)` recompute, and rationals reappear only when
+//! [`Closure::ratio_dist`] hands the distances back. The `A_max` stage has
+//! the same two-tier design:
 //! [`fast_max_cycle_mean`] rescales to an `i64` Karp kernel with exact
 //! fallback for one-shot use, and [`howard_solve`] runs policy iteration
 //! with a witness cycle and a warm-startable policy for cached state.

@@ -63,7 +63,25 @@ impl Ratio {
     /// # Panics
     ///
     /// Panics if `den == 0`.
+    #[inline]
     pub fn new(num: i128, den: i128) -> Ratio {
+        // Estimates are integer or half nanoseconds: denominators 1 and 2
+        // reduce without a gcd or an i128 division. Inlined so that loops
+        // in other crates, such as the closure cache's conversion, take
+        // this path without a call.
+        match den {
+            1 => Ratio { num, den: 1 },
+            2 if num % 2 == 0 => Ratio {
+                num: num >> 1,
+                den: 1,
+            },
+            2 => Ratio { num, den: 2 },
+            _ => Ratio::reduced(num, den),
+        }
+    }
+
+    /// [`Ratio::new`] through the gcd, for any denominator.
+    fn reduced(num: i128, den: i128) -> Ratio {
         assert!(den != 0, "Ratio denominator must be nonzero");
         let g = gcd(num, den);
         let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
@@ -348,6 +366,7 @@ impl fmt::Display for Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn normalization() {
@@ -466,6 +485,21 @@ mod tests {
         assert_eq!(wide_mul(1 << 64, 1 << 64), (1, 0));
         assert_eq!(wide_mul(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
         assert_eq!(wide_mul(u128::MAX, 2), (1, u128::MAX - 1));
+    }
+
+    proptest! {
+        /// The denominator-1 and -2 fast path of `Ratio::new` equals the
+        /// gcd path, zero and negative numerators included.
+        #[test]
+        fn new_fast_path_matches_gcd_path(
+            num in prop_oneof![-4i128..=4, -(1i128 << 100)..=(1i128 << 100)],
+        ) {
+            for den in [1, 2] {
+                let fast = Ratio::new(num, den);
+                prop_assert_eq!(fast, Ratio::reduced(num, den));
+                prop_assert!(fast.den > 0 && gcd(fast.num, fast.den) == 1);
+            }
+        }
     }
 
     #[test]

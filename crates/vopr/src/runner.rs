@@ -744,17 +744,16 @@ impl Runner<'_> {
 
     fn compact(&mut self, step: usize, kind: &str) -> Result<(), (String, String)> {
         let window = self.window;
-        let before =
-            match catch_unwind(AssertUnwindSafe(|| self.online.global_estimates().cloned())) {
-                Ok(Ok(m)) => Some(m),
-                Ok(Err(_)) => None,
-                Err(payload) => {
-                    return Err((
-                        "no-panic".into(),
-                        format!("closure computation panicked: {}", panic_message(payload)),
-                    ))
-                }
-            };
+        let before = match catch_unwind(AssertUnwindSafe(|| self.online.global_estimates())) {
+            Ok(Ok(m)) => Some(m),
+            Ok(Err(_)) => None,
+            Err(payload) => {
+                return Err((
+                    "no-panic".into(),
+                    format!("closure computation panicked: {}", panic_message(payload)),
+                ))
+            }
+        };
         let dropped = match catch_unwind(AssertUnwindSafe(|| self.online.compact_evidence(window)))
         {
             Ok(d) => d,
@@ -766,7 +765,7 @@ impl Runner<'_> {
             }
         };
         if let Some(before) = before {
-            let after = self.online.global_estimates().cloned();
+            let after = self.online.global_estimates();
             match after {
                 Ok(after) if after == before => {}
                 Ok(after) => {

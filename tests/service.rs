@@ -1,13 +1,16 @@
 //! Cross-crate integration tests of the sharded ingestion service:
 //! bounded-memory retention never changes any synchronization result
 //! (the Lemma 6.2 estimators depend only on extremal observations), the
-//! scoped cache invalidation is indistinguishable from a full flush, and
-//! adversarial clock readings surface as typed errors, never panics.
+//! scoped cache invalidation is indistinguishable from a full flush, the
+//! scaled closure cache matches a rebuild and batch synchronization across
+//! scale changes and unscalable estimates, and adversarial clock readings
+//! surface as typed errors, never panics.
 
 use clocksync::{
     BatchObservation, DelayRange, LinkAssumption, Network, OnlineSynchronizer, SyncError,
+    Synchronizer,
 };
-use clocksync_model::ProcessorId;
+use clocksync_model::{MessageId, MessageObservation, ProcessorId, ViewWindow};
 use clocksync_service::{run_soak, ObservationBatch, SoakConfig, SyncService};
 use clocksync_sim::{Simulation, Topology};
 use clocksync_time::{ClockTime, Nanos};
@@ -137,6 +140,134 @@ proptest! {
                 reference.invalidate_caches();
                 prop_assert_eq!(scoped.outcome(), reference.outcome());
             }
+        }
+    }
+}
+
+/// A domain of `symmetric_bounds` and `rtt_bias` links, optionally split
+/// into two halves with no link between them, plus a message stream over
+/// it, pre-chunked into batches. `links` holds `(p, q, rtt_bias, lo,
+/// width)`: bounds `[lo, lo + width]`, or a bias bound of `width`.
+#[derive(Debug, Clone)]
+struct MixedInput {
+    n: usize,
+    links: Vec<(usize, usize, bool, i64, i64)>,
+    batches: Vec<Vec<BatchObservation>>,
+}
+
+impl MixedInput {
+    fn network(&self) -> Network {
+        let mut b = Network::builder(self.n);
+        for &(p, q, rtt_bias, lo, width) in &self.links {
+            let assumption = if rtt_bias {
+                LinkAssumption::rtt_bias(Nanos::new(width))
+            } else {
+                LinkAssumption::symmetric_bounds(DelayRange::new(
+                    Nanos::new(lo),
+                    Nanos::new(lo + width),
+                ))
+            };
+            b = b.link(ProcessorId(p), ProcessorId(q), assumption);
+        }
+        b.build()
+    }
+}
+
+/// Each processor's clock runs a hidden offset ahead of real time. One
+/// link endpoint sits about 10^18 ns ahead in a quarter of the streams, so
+/// its estimates pass the scaling magnitude limit. Delays mostly stay in
+/// `[lo, lo + width]`, which every link kind admits; one message in 32
+/// takes an arbitrary delay and may make the stream inconsistent.
+fn mixed_input() -> impl Strategy<Value = MixedInput> {
+    (3usize..7).prop_flat_map(|n| {
+        let links = proptest::collection::vec(
+            (0..n, 0..n, any::<bool>(), 0i64..500_000, 1i64..1_000_000),
+            1..8,
+        );
+        let offsets = proptest::collection::vec(0i64..1_000_000, n);
+        let far = prop_oneof![
+            3 => Just(0i64),
+            1 => 999_000_000_000_000_000i64..=1_000_000_000_000_000_000,
+        ];
+        let messages = proptest::collection::vec(
+            (
+                0usize..64,
+                any::<bool>(),
+                0i64..10_000_000,
+                prop_oneof![31 => Just(None), 1 => (0i64..2_000_000).prop_map(Some)],
+                0i64..1_000_000,
+            ),
+            1..48,
+        );
+        (links, any::<bool>(), offsets, far, messages, 1usize..6).prop_map(
+            move |(links, split, mut offsets, far, messages, batch)| {
+                let half = |p: usize| p < n / 2;
+                let mut seen = std::collections::HashSet::new();
+                let links: Vec<_> = links
+                    .into_iter()
+                    .filter(|&(a, b, ..)| a != b && (!split || half(a) == half(b)))
+                    .filter(|&(a, b, ..)| seen.insert((a.min(b), a.max(b))))
+                    .collect();
+                if let Some(&(_, q, ..)) = links.first() {
+                    offsets[q] += far;
+                }
+                let observations: Vec<BatchObservation> = if links.is_empty() {
+                    Vec::new()
+                } else {
+                    messages
+                        .iter()
+                        .map(|&(ix, forward, sent, wild, spread)| {
+                            let (p, q, _, lo, width) = links[ix % links.len()];
+                            let (src, dst) = if forward { (p, q) } else { (q, p) };
+                            let delay = wild.unwrap_or(lo + spread % (width + 1));
+                            obs(src, dst, sent + offsets[src], sent + delay + offsets[dst])
+                        })
+                        .collect()
+                };
+                let batches = observations.chunks(batch).map(<[_]>::to_vec).collect();
+                MixedInput { n, links, batches }
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scaled closure cache never changes an answer. Half-ns
+    /// round-trip-bias estimates reach a cache built at scale 1 and force
+    /// a rebuild at scale 2; a clock ~10^18 ns ahead makes `m̃ls`
+    /// unscalable, leaving the engine uncached on the rational fallback.
+    /// After every batch the warm engine's outcome (or typed error) is
+    /// bit-identical to a reference that drops every cache and to batch
+    /// synchronization over the same messages.
+    #[test]
+    fn scaled_cache_matches_rebuild_and_batch(input in mixed_input()) {
+        prop_assume!(!input.links.is_empty());
+        let mut online = OnlineSynchronizer::new(input.network());
+        let mut reference = OnlineSynchronizer::new(input.network());
+        let batch = Synchronizer::new(input.network());
+        let mut window = ViewWindow::new(input.n);
+        for chunk in &input.batches {
+            prop_assert_eq!(online.ingest_batch(chunk), Ok(chunk.len()));
+            prop_assert_eq!(reference.ingest_batch(chunk), Ok(chunk.len()));
+            reference.invalidate_caches();
+            for o in chunk {
+                let id = MessageId(window.pushed());
+                window
+                    .push(MessageObservation {
+                        src: o.src,
+                        dst: o.dst,
+                        id,
+                        send_clock: o.send_clock,
+                        recv_clock: o.recv_clock,
+                    })
+                    .expect("generated clocks are valid");
+            }
+            let views = window.to_view_set().expect("generated views are valid");
+            let warm = online.outcome();
+            prop_assert_eq!(&warm, &reference.outcome());
+            prop_assert_eq!(&warm, &batch.synchronize(&views));
         }
     }
 }
