@@ -17,8 +17,9 @@
 //!                                 # BENCH_karp.json)
 //!   tables --check-bench-karp PATH \[min_speedup\]
 //!                                 # validate a BENCH_karp.json document
-//!                                 # (schema + fast-kernel speedup floor
-//!                                 # at n=256; default floor 10)
+//!                                 # (schema + fast-kernel and
+//!                                 # integer-Howard speedup floors at
+//!                                 # n=256; default floor 10)
 //!   tables --bench-ingest \[path\]  # measure the sharded ingestion service
 //!                                 # and write BENCH_ingest.json (default
 //!                                 # path: BENCH_ingest.json)
@@ -155,7 +156,7 @@ fn main() -> ExitCode {
             };
             match karp_bench::check_bench_karp_json(&doc, floor) {
                 Ok(()) => {
-                    eprintln!("{path} ok (fast-kernel speedup floor {floor}x)");
+                    eprintln!("{path} ok (fast-kernel and integer-Howard speedup floors {floor}x)");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {

@@ -6,16 +6,17 @@
 //! * **kernels**: one-shot maximum cycle mean on closure-shaped complete
 //!   matrices — the exact rational Karp recurrence (the paper's algorithm)
 //!   versus [`clocksync_graph::fast_max_cycle_mean`] (Karp over scaled
-//!   `i64` weights) versus
-//!   [`clocksync_graph::howard_solve`] (policy iteration, the warm-miss
-//!   kernel of the online synchronizer). All three return bit-identical
-//!   `A_max` — the equivalence suite proves it — so only speed is at
-//!   stake.
+//!   `i64` weights, the integer Howard kernel's cap fallback) versus
+//!   [`clocksync_graph::howard_solve`] (rational policy iteration, now a
+//!   test oracle) versus [`clocksync_graph::try_scaled_howard`] (policy
+//!   iteration over scaled `i64` weights, the kernel every SHIFTS runs).
+//!   All four return bit-identical `A_max` — the equivalence suite proves
+//!   it — so only speed is at stake.
 //! * **resync**: online steady state — one tightening observation followed
 //!   by full corrections via [`OnlineSynchronizer::outcome`]. The baseline
 //!   recomputes `A_max` cold per resync (the behavior before the
 //!   incremental cache); the incremental path revalidates the cached
-//!   critical cycle (or warm-starts Howard) instead.
+//!   critical cycle (or warm-starts integer Howard) instead.
 //!
 //! Timings are minima over several repetitions — the stable estimator for
 //! a throughput-bound kernel — and the emitted JSON is hand-rolled (flat
@@ -28,7 +29,8 @@ use clocksync::{
     synchronizable_components, DelayRange, LinkAssumption, Network, OnlineSynchronizer,
 };
 use clocksync_graph::{
-    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, DiGraph, SquareMatrix,
+    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_howard,
+    DiGraph, SquareMatrix,
 };
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, Nanos, Ratio};
@@ -73,15 +75,24 @@ pub struct KernelRow {
     pub karp_exact_ns: u128,
     /// Scaled-`i64` Karp via `fast_max_cycle_mean`, nanoseconds.
     pub karp_scaled_ns: u128,
-    /// Howard policy iteration (cold), nanoseconds.
+    /// Rational Howard policy iteration (cold), nanoseconds.
     pub howard_ns: u128,
+    /// Howard over scaled `i64` weights (cold) via `try_scaled_howard`,
+    /// nanoseconds.
+    pub howard_scaled_ns: u128,
 }
 
 impl KernelRow {
-    /// Exact Karp over the *fastest* fast kernel — the figure the
-    /// acceptance gate (≥ 10× at n = 256) reads.
+    /// Exact Karp over the *fastest* of scaled Karp and rational Howard —
+    /// the figure the first acceptance gate (≥ 10× at n = 256) reads.
     pub fn best_speedup(&self) -> f64 {
         speedup(self.karp_exact_ns, self.karp_scaled_ns.min(self.howard_ns))
+    }
+
+    /// Exact Karp over integer Howard — the figure the second acceptance
+    /// gate (≥ 10× at n = 256) reads.
+    pub fn howard_scaled_speedup(&self) -> f64 {
+        speedup(self.karp_exact_ns, self.howard_scaled_ns)
     }
 }
 
@@ -123,11 +134,18 @@ pub fn measure_kernels(sizes: &[usize]) -> Vec<KernelRow> {
                 },
                 5,
             );
+            let howard_scaled_ns = min_ns(
+                || {
+                    try_scaled_howard(std::hint::black_box(&m), None);
+                },
+                5,
+            );
             KernelRow {
                 n,
                 karp_exact_ns,
                 karp_scaled_ns,
                 howard_ns,
+                howard_scaled_ns,
             }
         })
         .collect()
@@ -252,13 +270,15 @@ pub fn bench_karp_json() -> String {
     for (idx, row) in kernels.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{ \"n\": {}, \"karp_exact_ns\": {}, \"karp_scaled_ns\": {}, \"howard_ns\": {}, \"speedup_scaled\": {:.2}, \"speedup_howard\": {:.2} }}{}",
+            "    {{ \"n\": {}, \"karp_exact_ns\": {}, \"karp_scaled_ns\": {}, \"howard_ns\": {}, \"howard_scaled_ns\": {}, \"speedup_scaled\": {:.2}, \"speedup_howard\": {:.2}, \"speedup_howard_scaled\": {:.2} }}{}",
             row.n,
             row.karp_exact_ns,
             row.karp_scaled_ns,
             row.howard_ns,
+            row.howard_scaled_ns,
             speedup(row.karp_exact_ns, row.karp_scaled_ns),
             speedup(row.karp_exact_ns, row.howard_ns),
+            row.howard_scaled_speedup(),
             if idx + 1 < kernels.len() { "," } else { "" },
         );
     }
@@ -278,9 +298,11 @@ pub fn bench_karp_json() -> String {
 }
 
 /// Validates a `BENCH_karp.json` document: schema, the required `n = 256`
-/// kernel row, and the acceptance floor on the fast-kernel speedup there.
-/// Speedups are recomputed from the integer timings, so a hand-edited
-/// `speedup_*` field cannot mask a regression.
+/// kernel row, and two acceptance floors there: the faster of scaled Karp
+/// and rational Howard, and integer Howard — the kernel SHIFTS runs — must
+/// each beat exact Karp by `min_speedup`. Speedups are recomputed from
+/// the integer timings, so a hand-edited `speedup_*` field cannot mask a
+/// regression.
 ///
 /// # Errors
 ///
@@ -301,17 +323,19 @@ pub fn check_bench_karp_json(doc: &str, min_speedup: f64) -> Result<(), String> 
     if kernels.is_empty() {
         return Err("kernels section is empty".to_string());
     }
-    let mut best_at_256 = None;
+    let mut at_256 = None;
     for row in &kernels {
         let n = row
             .field("n", "kernel row")
             .and_then(|v| v.as_u64("n"))
             .map_err(|e| e.to_string())?;
-        let mut ns = [0u128; 3];
-        for (slot, key) in ns
-            .iter_mut()
-            .zip(["karp_exact_ns", "karp_scaled_ns", "howard_ns"])
-        {
+        let mut ns = [0u128; 4];
+        for (slot, key) in ns.iter_mut().zip([
+            "karp_exact_ns",
+            "karp_scaled_ns",
+            "howard_ns",
+            "howard_scaled_ns",
+        ]) {
             let v = row
                 .field(key, "kernel row")
                 .and_then(|v| v.as_i128(key))
@@ -322,13 +346,18 @@ pub fn check_bench_karp_json(doc: &str, min_speedup: f64) -> Result<(), String> 
             *slot = v as u128;
         }
         if n == 256 {
-            best_at_256 = Some(speedup(ns[0], ns[1].min(ns[2])));
+            at_256 = Some((speedup(ns[0], ns[1].min(ns[2])), speedup(ns[0], ns[3])));
         }
     }
-    let best = best_at_256.ok_or("kernels section has no n=256 row")?;
+    let (best, howard_scaled) = at_256.ok_or("kernels section has no n=256 row")?;
     if best < min_speedup {
         return Err(format!(
             "fast-kernel speedup at n=256 is {best:.2}x, below the {min_speedup}x floor"
+        ));
+    }
+    if howard_scaled < min_speedup {
+        return Err(format!(
+            "integer-Howard speedup at n=256 is {howard_scaled:.2}x, below the {min_speedup}x floor"
         ));
     }
     let resync = json
@@ -352,6 +381,7 @@ mod tests {
         let exact = karp_max_cycle_mean(&m).unwrap();
         assert_eq!(fast_max_cycle_mean(&m), Some(exact.clone()));
         assert_eq!(howard_solve(&m, None).unwrap().cycle_mean.mean, exact.mean);
+        assert_eq!(try_scaled_howard(&m, None).unwrap().cycle_mean, exact);
     }
 
     #[test]
@@ -363,7 +393,9 @@ mod tests {
         assert!(rows[0].karp_exact_ns > 0);
         assert!(rows[0].karp_scaled_ns > 0);
         assert!(rows[0].howard_ns > 0);
+        assert!(rows[0].howard_scaled_ns > 0);
         assert!(rows[0].best_speedup() > 0.0);
+        assert!(rows[0].howard_scaled_speedup() > 0.0);
     }
 
     #[test]
@@ -374,11 +406,12 @@ mod tests {
         assert!(row.incremental_ns > 0 && row.cold_ns > 0);
     }
 
-    fn sample_doc(exact: u128, scaled: u128, howard: u128) -> String {
+    fn sample_doc(exact: u128, scaled: u128, howard: u128, howard_scaled: u128) -> String {
         format!(
             "{{ \"bench\": \"shifts_a_max_kernels\", \"kernels\": [ {{ \"n\": 256, \
              \"karp_exact_ns\": {exact}, \"karp_scaled_ns\": {scaled}, \"howard_ns\": {howard}, \
-             \"speedup_scaled\": 1.0, \"speedup_howard\": 1.0 }} ], \
+             \"howard_scaled_ns\": {howard_scaled}, \"speedup_scaled\": 1.0, \"speedup_howard\": 1.0, \
+             \"speedup_howard_scaled\": 1.0 }} ], \
              \"resync\": [ {{ \"n\": 96, \"cold_ns\": 10, \"incremental_ns\": 1, \"speedup\": 10.0 }} ] }}"
         )
     }
@@ -386,12 +419,15 @@ mod tests {
     #[test]
     fn checker_accepts_fast_documents_and_rejects_slow_ones() {
         assert_eq!(
-            check_bench_karp_json(&sample_doc(1_000, 50, 40), 10.0),
+            check_bench_karp_json(&sample_doc(1_000, 50, 40, 30), 10.0),
             Ok(())
         );
         // The floor reads the recomputed speedup, not the stated field.
-        let err = check_bench_karp_json(&sample_doc(1_000, 500, 400), 10.0).unwrap_err();
+        let err = check_bench_karp_json(&sample_doc(1_000, 500, 400, 30), 10.0).unwrap_err();
         assert!(err.contains("below the 10x floor"), "{err}");
+        // Integer Howard must clear the floor on its own.
+        let err = check_bench_karp_json(&sample_doc(1_000, 50, 40, 300), 10.0).unwrap_err();
+        assert!(err.contains("integer-Howard speedup"), "{err}");
     }
 
     #[test]
@@ -399,7 +435,8 @@ mod tests {
         assert!(check_bench_karp_json("not json", 1.0).is_err());
         assert!(check_bench_karp_json("{ \"bench\": \"other\" }", 1.0).is_err());
         let no_256 = "{ \"bench\": \"shifts_a_max_kernels\", \"kernels\": [ { \"n\": 8, \
-             \"karp_exact_ns\": 5, \"karp_scaled_ns\": 1, \"howard_ns\": 1 } ], \"resync\": [] }";
+             \"karp_exact_ns\": 5, \"karp_scaled_ns\": 1, \"howard_ns\": 1, \
+             \"howard_scaled_ns\": 1 } ], \"resync\": [] }";
         assert!(check_bench_karp_json(no_256, 1.0)
             .unwrap_err()
             .contains("n=256"));
@@ -411,7 +448,7 @@ mod tests {
         // validating only schema (floor 0): run the real emitter at full
         // size would be minutes, so this stays a schema round-trip on the
         // committed artifact format instead.
-        let doc = sample_doc(100, 1, 1);
+        let doc = sample_doc(100, 1, 1, 1);
         assert!(check_bench_karp_json(&doc, 0.0).is_ok());
     }
 }

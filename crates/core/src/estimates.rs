@@ -1,6 +1,6 @@
 //! Local shift estimates and the GLOBAL ESTIMATES step (paper §5).
 
-use clocksync_graph::{SquareMatrix, Weight};
+use clocksync_graph::{Closure, SquareMatrix, Weight};
 use clocksync_model::{LinkObservations, ProcessorId};
 use clocksync_time::ExtRatio;
 
@@ -97,14 +97,28 @@ pub fn global_estimates_traced(
     local: &SquareMatrix<ExtRatio>,
     recorder: &clocksync_obs::Recorder,
 ) -> Result<(SquareMatrix<ExtRatio>, SquareMatrix<usize>), SyncError> {
+    global_estimates_scaled(local, recorder).map(|(dist, next, _)| (dist, next))
+}
+
+/// [`global_estimates_traced`], also handing over the closure stage's own
+/// scaled integer matrix and its scale when `local` scales — what the batch
+/// synchronizer's SHIFTS reads.
+pub(crate) fn global_estimates_scaled(
+    local: &SquareMatrix<ExtRatio>,
+    recorder: &clocksync_obs::Recorder,
+) -> Result<GlobalEstimates, SyncError> {
     let mut span = recorder.span("sync.global_estimates");
     span.field("n", local.n());
     // Mirrors `clocksync_graph::fast_closure`, split open so the kernel
     // choice (and any scaling bailout) is observable.
-    let result = match clocksync_graph::try_scaled_closure_explained(local) {
+    let result = match Closure::new_explained(local) {
         Ok((kernel, result)) => {
             span.field("kernel", kernel.name());
-            result
+            result.map(|closure| {
+                let dist = closure.ratio_dist();
+                let (scaled, next, scale) = closure.into_parts();
+                (dist, next, Some((scaled, scale)))
+            })
         }
         Err(reason) => {
             span.field("kernel", "rational-generic");
@@ -120,13 +134,21 @@ pub fn global_estimates_traced(
                     ("n", clocksync_obs::FieldValue::from(local.n())),
                 ],
             );
-            clocksync_graph::floyd_warshall_with_paths(local)
+            clocksync_graph::floyd_warshall_with_paths(local).map(|(dist, next)| (dist, next, None))
         }
     };
     result.map_err(|e| SyncError::InconsistentObservations {
         witness: ProcessorId(e.witness),
     })
 }
+
+/// The closure of `m̃ls` with its successor matrix, and its scaled
+/// integers with their common denominator when `m̃ls` scales.
+pub(crate) type GlobalEstimates = (
+    SquareMatrix<ExtRatio>,
+    SquareMatrix<usize>,
+    Option<(SquareMatrix<i64>, i128)>,
+);
 
 #[cfg(test)]
 mod tests {

@@ -31,9 +31,10 @@
 //! 2. evaluate each link's local shift estimator
 //!    ([`LinkAssumption::estimated_mls`], §6);
 //! 3. [`global_estimates`] — all-pairs shortest paths (§5.3);
-//! 4. SHIFTS (§4.4) — Karp's maximum cycle mean gives the optimal
-//!    precision `A_max`, and shortest-path distances under
-//!    `A_max − m̃s` give the corrections.
+//! 4. SHIFTS (§4.4) — the maximum cycle mean gives the optimal
+//!    precision `A_max` (Howard's policy iteration over the closure's
+//!    scaled integers; Karp's recurrence as fallback and oracle), and
+//!    shortest-path distances under `A_max − m̃s` give the corrections.
 //!
 //! # Examples
 //!

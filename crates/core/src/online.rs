@@ -11,8 +11,9 @@
 //! cache with [`clocksync_graph::Closure::relax_edge`] — `O(n²)` integer
 //! operations over the finite entries of one column and one row — so
 //! steady-state resynchronization never pays the `O(n³)` full recompute.
-//! Rationals appear only at the edges: each [`OnlineSynchronizer::outcome`]
-//! converts the cached distances to [`ExtRatio`] once.
+//! SHIFTS reads the cache's integers directly; rationals appear only at
+//! the edges: each [`OnlineSynchronizer::outcome`] converts the cached
+//! distances to [`ExtRatio`] once, for the closure the outcome stores.
 //!
 //! Because the estimators depend on the views only through per-link
 //! evidence (Lemmas 6.2/6.5), feeding observations incrementally is
@@ -34,15 +35,17 @@
 //! The `A_max` stage is cached the same way: alongside the closure the
 //! synchronizer keeps each component's *warm state* — its certified
 //! `A_max`, critical cycle and Howard policy. A component without one (the
-//! first outcome, or after an eviction) runs the one-shot SHIFTS, scaled
-//! Karp, exactly as batch does, and seeds the policy from the critical
-//! cycle. Because a `relax_edge` tightening only ever *decreases* closure
-//! entries, every cycle mean can only drop — so when the cached critical
-//! cycle's mean is unchanged it is still the maximum and `A_max` is reused
-//! after an `O(n)` revalidation; when it dropped, Howard restarts from the
-//! cached policy instead of from scratch. Either way the outcome is
-//! bit-identical to a cold computation (the equivalence tests check this),
-//! only faster.
+//! first outcome, or after an eviction) runs integer Howard cold, exactly
+//! as batch does, and keeps its converged policy. Because a `relax_edge`
+//! tightening only ever *decreases* closure entries, every cycle mean can
+//! only drop — so when the cached critical cycle's mean is unchanged it is
+//! still the maximum and `A_max` is reused after an `O(n)` revalidation;
+//! when it dropped, integer Howard restarts from the cached policy instead
+//! of from scratch. A component whose scaled entries pass the integer
+//! kernels' bound, or any component while `m̃ls` does not scale, takes
+//! the rational route (exact Karp) and keeps no warm state. Either way the
+//! outcome is bit-identical to a cold computation (the equivalence tests
+//! and the fuzzer's `warm-equals-cold` oracle check this), only faster.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -51,7 +54,7 @@ use clocksync_model::{LinkObservations, ModelError, MsgSample, ProcessorId, View
 use clocksync_time::{ClockTime, ExtRatio, Nanos};
 
 use crate::degradation::classify_degradations;
-use crate::shifts::{shifts_howard_warm, synchronizable_components, ShiftsState};
+use crate::shifts::{shifts_warm, synchronizable_components, ShiftsState};
 use crate::{estimated_local_shifts, Network, SyncError, SyncOutcome};
 
 /// One message observation of an ingestion batch: the two endpoint clock
@@ -112,11 +115,12 @@ pub struct OnlineSynchronizer {
     /// magnitude limit.
     cached: Option<Closure>,
     /// Per-component warm states (`A_max`, critical cycle, Howard policy)
-    /// from the last [`OnlineSynchronizer::outcome`], keyed by the component's
-    /// sorted member list. Invariant: an entry exists only if, since it
-    /// was written, the closure entries among its members changed solely
-    /// by tightenings (loosenings evict exactly the keys that intersect
-    /// the affected component; see `invalidate_loosened`).
+    /// from the last [`OnlineSynchronizer::outcome`], keyed by the
+    /// component's sorted member list; components on the rational route
+    /// have none. Invariant: an entry exists only if, since it was
+    /// written, the closure entries among its members changed solely by
+    /// tightenings (loosenings evict exactly the keys that intersect the
+    /// affected component; see `invalidate_loosened`).
     shifts_states: HashMap<Vec<ProcessorId>, ShiftsState>,
 }
 
@@ -499,17 +503,15 @@ impl OnlineSynchronizer {
     }
 
     /// Rebuilds the cached closure if an invalidation (or nothing yet)
-    /// left it empty. `Ok(None)` when `m̃ls` does not scale: the
-    /// synchronizer then holds no cache and callers take
-    /// [`fast_closure`]'s rational fallback.
-    fn ensure_cache(&mut self) -> Result<Option<&Closure>, SyncError> {
+    /// left it empty. Leaves no cache when `m̃ls` does not scale: callers
+    /// then take [`fast_closure`]'s rational fallback.
+    fn ensure_cache(&mut self) -> Result<(), SyncError> {
         if self.cached.is_none() {
-            match Closure::new(&self.local) {
-                Ok(built) => self.cached = Some(built.map_err(inconsistent)?),
-                Err(_) => return Ok(None),
+            if let Ok(built) = Closure::new(&self.local) {
+                self.cached = Some(built.map_err(inconsistent)?);
             }
         }
-        Ok(self.cached.as_ref())
+        Ok(())
     }
 
     /// The current GLOBAL ESTIMATES matrix `m̃s` — each entry bounds how
@@ -527,7 +529,8 @@ impl OnlineSynchronizer {
     /// Returns [`SyncError::InconsistentObservations`] if the accumulated
     /// observations contradict the declared assumptions.
     pub fn global_estimates(&mut self) -> Result<SquareMatrix<ExtRatio>, SyncError> {
-        match self.ensure_cache()? {
+        self.ensure_cache()?;
+        match &self.cached {
             Some(cache) => Ok(cache.ratio_dist()),
             None => fast_closure(&self.local)
                 .map(|(dist, _)| dist)
@@ -539,34 +542,48 @@ impl OnlineSynchronizer {
     ///
     /// The GLOBAL ESTIMATES closure comes from the incremental cache (kept
     /// current by the `observe_*` methods and rebuilt with the
-    /// [`fast_closure`] kernels only after an invalidation), converted to
-    /// rationals once per call; when `m̃ls` does not scale,
-    /// [`fast_closure`]'s rational fallback computes it instead. `A_max`
-    /// is maintained incrementally: each component first
-    /// revalidates the critical cycle cached by the previous call — still
-    /// certifying under pure tightenings means `A_max` is unchanged — and
-    /// only on a miss runs Howard, warm-started from the cached policy. A
-    /// component with no cached state runs the one-shot scaled Karp
-    /// instead. Only the final shortest-path pass (the cheap SHIFTS step)
-    /// is always recomputed. Whichever kernel ran, the components —
-    /// precision, corrections and the canonical critical cycle — are
-    /// bit-identical to the batch [`SyncOutcome::from_global_estimates`]
-    /// on the same closure.
+    /// [`fast_closure`] kernels only after an invalidation). SHIFTS reads
+    /// each component straight from the cache's scaled integers — a
+    /// component spanning the whole domain without a copy — and `A_max` is
+    /// maintained incrementally: each component first revalidates the
+    /// critical cycle cached by the previous call (summed in `i128` over
+    /// the scaled entries) — still certifying under pure tightenings means
+    /// `A_max` is unchanged — and only on a miss runs integer Howard,
+    /// warm-started from the cached policy. A component with no cached
+    /// state runs integer Howard cold, as batch does, and caches its
+    /// converged policy. The corrections pass, the cheap SHIFTS step, is
+    /// always recomputed, on the same scaled entries. The one conversion
+    /// left is the closure [`SyncOutcome`] stores. When `m̃ls` does not
+    /// scale, [`fast_closure`]'s rational fallback computes the closure and
+    /// every component takes the rational route (exact Karp, no warm
+    /// state); so does a component whose scaled entries pass the integer
+    /// kernels' bound. Whichever route ran, the components — precision,
+    /// corrections and the canonical critical cycle — are bit-identical to
+    /// the batch [`SyncOutcome::from_global_estimates`] on the same
+    /// closure.
     ///
     /// # Errors
     ///
     /// Returns [`SyncError::InconsistentObservations`] if the accumulated
     /// observations contradict the declared assumptions.
     pub fn outcome(&mut self) -> Result<SyncOutcome, SyncError> {
-        let (dist, next) = match self.ensure_cache()? {
-            Some(cache) => (cache.ratio_dist(), cache.next().clone()),
-            None => fast_closure(&self.local).map_err(inconsistent)?,
+        self.ensure_cache()?;
+        let (dist, next, scaled) = match &self.cached {
+            Some(cache) => (
+                cache.ratio_dist(),
+                cache.next().clone(),
+                Some((cache.dist(), cache.scale())),
+            ),
+            None => {
+                let (dist, next) = fast_closure(&self.local).map_err(inconsistent)?;
+                (dist, next, None)
+            }
         };
         let components = synchronizable_components(&dist);
         // Warm states are keyed by member list: a component that merged or
         // split since its state was written gets a different key (its
-        // sub-matrix indices remapped wholesale) and misses to a one-shot
-        // Karp run; a component whose membership is unchanged has only
+        // sub-matrix indices remapped wholesale) and misses to a cold
+        // Howard run; a component whose membership is unchanged has only
         // seen tightenings — or nothing — since, which the warm-start
         // contract tolerates. Rebuilding the map from scratch keeps only
         // the current partition's keys, so stale keys never accumulate.
@@ -574,9 +591,11 @@ impl OnlineSynchronizer {
         let mut fresh = HashMap::with_capacity(components.len());
         let keys = components.clone();
         let mut outcome =
-            SyncOutcome::from_components_with(dist, components.clone(), |idx, sub| {
-                let (result, state) = shifts_howard_warm(sub, 0, prev.get(&keys[idx]));
-                fresh.insert(keys[idx].clone(), state);
+            SyncOutcome::from_components_with(dist, scaled, components, |idx, closure| {
+                let (result, state) = shifts_warm(closure, 0, prev.get(&keys[idx]));
+                if let Some(state) = state {
+                    fresh.insert(keys[idx].clone(), state);
+                }
                 result
             });
         self.shifts_states = fresh;
@@ -602,8 +621,10 @@ fn inconsistent(e: NegativeCycleError) -> SyncError {
 mod tests {
     use super::*;
     use crate::{DelayRange, LinkAssumption, Synchronizer};
+    use clocksync_graph::ScaledMatrix;
     use clocksync_model::ExecutionBuilder;
     use clocksync_time::{Ext, Ratio, RealTime};
+    use std::borrow::Cow;
 
     const P: ProcessorId = ProcessorId(0);
     const Q: ProcessorId = ProcessorId(1);
@@ -1046,5 +1067,48 @@ mod tests {
         reference.invalidate_caches();
         assert_eq!(online.outcome().unwrap(), reference.outcome().unwrap());
         assert_eq!(online.outcome().unwrap().precision(), Ext::PosInf);
+    }
+
+    #[test]
+    fn components_past_the_integer_bound_take_the_rational_route() {
+        // Six clocks 8·10^16 ns apart on a chain: every m̃ls entry scales,
+        // but the closure sums five of them between the chain's ends, past
+        // the integer SHIFTS kernels' bound for six nodes. The component
+        // takes the rational route, online and in batch alike.
+        let (n, gap) = (6, 80_000_000_000_000_000i64);
+        let bounds =
+            LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::ZERO, Nanos::new(1_000)));
+        let mut net = Network::builder(n);
+        let mut exec = ExecutionBuilder::new(n);
+        for i in 0..n {
+            exec = exec.start(ProcessorId(i), RealTime::from_nanos(gap * i as i64));
+        }
+        for i in 0..n - 1 {
+            let (p, q) = (ProcessorId(i), ProcessorId(i + 1));
+            net = net.link(p, q, bounds.clone());
+            let base = RealTime::from_nanos(gap * n as i64 + 10_000 * i as i64);
+            let forward = Nanos::new(300 + 50 * i as i64);
+            exec = exec.round_trips(p, q, 2, base, Nanos::new(5_000), forward, Nanos::new(400));
+        }
+        let (net, exec) = (net.build(), exec.build().unwrap());
+        let batch = Synchronizer::new(net.clone())
+            .synchronize(exec.views())
+            .unwrap();
+        assert!(batch.precision().is_finite());
+        let mut online = OnlineSynchronizer::new(net.clone());
+        online.ingest_views(exec.views()).unwrap();
+        assert_eq!(online.outcome().unwrap(), batch);
+        let cache = online.cached.as_ref().expect("m̃ls scales");
+        assert!(ScaledMatrix::new(Cow::Borrowed(cache.dist()), cache.scale()).is_none());
+        // Streamed into a warm cache, message by message.
+        let mut streamed = OnlineSynchronizer::new(net);
+        let _ = streamed.outcome().unwrap();
+        for m in exec.views().message_observations() {
+            streamed.observe_message(m.src, m.dst, m.send_clock, m.recv_clock);
+            streamed.outcome().unwrap();
+        }
+        let streamed = streamed.outcome().unwrap();
+        assert_eq!(streamed.corrections(), batch.corrections());
+        assert_eq!(streamed.components(), batch.components());
     }
 }

@@ -2,26 +2,28 @@
 //! estimates.
 //!
 //! The stage splits into two steps: `A_max` (a maximum cycle mean) and a
-//! single-source shortest-path pass. The caller's own state picks the exact
-//! `A_max` kernel; there is no option for it. A SHIFTS without a usable
-//! warm state ([`shifts`], and every cold online component) runs Karp's
-//! recurrence — the paper's algorithm — over scaled `i64` weights and
-//! takes the corrections from the same scaled matrix
-//! ([`max_cycle_mean_with_distances`]). An online component first
-//! revalidates its cached critical cycle, and runs Howard's policy
-//! iteration from its cached policy only when that cycle stopped
-//! certifying; its corrections come from [`shifted_distances`]. Either
-//! way the corrections pass is an early-exit Bellman–Ford over scaled
-//! `i64` rows, with the rational Bellman–Ford as the fallback when scaling
-//! bails. Every route computes the same exact `A_max`, hence the same
-//! corrections, and reports the same canonical critical cycle, so the
-//! kernel that ran never shows in the output. DESIGN.md §4c gives the
-//! measurements behind the rule, the scaling bounds, the fallbacks and the
-//! warm-start invariant.
+//! single-source shortest-path pass. Both run on the closure's scaled
+//! integers whenever it has them: the batch synchronizer and the online
+//! engine hand each component over as the closure stage computed it
+//! ([`ScaledMatrix`]), and [`shifts`] and
+//! [`SyncOutcome::from_global_estimates`](crate::SyncOutcome::from_global_estimates)
+//! scale their rational input once. There `A_max` is Howard's policy
+//! iteration over `i64` weights: cold without a warm state, restarted from
+//! the cached policy on a warm miss, and not run at all when an online
+//! component's cached critical cycle still certifies. The corrections pass
+//! is an early-exit Bellman–Ford over scaled `i64` rows. A component whose
+//! closure does not scale, or whose entries pass the integer kernels'
+//! magnitude bound, takes the one rational route, with or without a warm
+//! state: exact Karp, then [`shifted_distances`] on the rational entries
+//! (the rational Bellman–Ford unless they scale on their own). Every route
+//! computes the same exact `A_max`, hence the same corrections, and reports
+//! the same canonical critical cycle, so the route never shows in the
+//! output. DESIGN.md §4c gives the kernel rule, the bounds, the iteration
+//! cap and the warm-start invariant.
 
-use clocksync_graph::{
-    howard_solve, max_cycle_mean_with_distances, shifted_distances, SquareMatrix,
-};
+use std::borrow::Cow;
+
+use clocksync_graph::{karp_max_cycle_mean, shifted_distances, ScaledMatrix, SquareMatrix};
 use clocksync_model::ProcessorId;
 use clocksync_time::{ExtRatio, Ratio};
 
@@ -50,19 +52,29 @@ pub(crate) struct ShiftsState {
     pub(crate) policy: Vec<usize>,
 }
 
+/// One component's closure as SHIFTS receives it.
+#[derive(Debug)]
+pub(crate) enum ComponentClosure<'a> {
+    /// The closure's scaled entries, within the integer kernels' bound.
+    Scaled(ScaledMatrix<'a>),
+    /// The rational entries: the closure does not scale, or this
+    /// component's entries pass the bound.
+    Rational(Cow<'a, SquareMatrix<ExtRatio>>),
+}
+
 /// Runs the SHIFTS function on a *finite* closure of global shift
 /// estimates (all entries of `closure` must be finite):
 ///
 /// 1. `A_max = max_θ m̃s(θ)/|θ|` over cyclic sequences — a maximum cycle
 ///    mean on the complete graph of estimates (by Lemma 4.5 this equals
-///    the true `A_max` over actual maximal shifts), computed by Karp's
-///    recurrence;
+///    the true `A_max` over actual maximal shifts);
 /// 2. corrections are shortest-path distances from `root` under
 ///    `w(p,q) = A_max − m̃s(p,q)` (no negative cycles by construction).
 ///
 /// Both steps run on one scaled-`i64` copy of the closure
-/// ([`max_cycle_mean_with_distances`]), or on the exact rational kernels
-/// when the closure does not scale.
+/// ([`ScaledMatrix::from_ratio`]): integer Howard, then the integer
+/// corrections pass. When the closure does not scale they run on exact
+/// Karp and the rational Bellman–Ford instead.
 ///
 /// The caller (the synchronizer) is responsible for splitting the system
 /// into components with finite mutual estimates first.
@@ -73,11 +85,16 @@ pub(crate) struct ShiftsState {
 /// if the closure admits a negative cycle under the derived weights
 /// (impossible for a closure that passed [`crate::global_estimates`]).
 pub fn shifts(closure: &SquareMatrix<ExtRatio>, root: usize) -> ShiftsResult {
-    shifts_howard_warm(closure, root, None).0
+    let input = match ScaledMatrix::from_ratio(closure) {
+        Some(m) => ComponentClosure::Scaled(m),
+        None => ComponentClosure::Rational(Cow::Borrowed(closure)),
+    };
+    shifts_warm(input, root, None).0
 }
 
 /// SHIFTS with incremental `A_max`, for the online synchronizer: returns
-/// the result plus the [`ShiftsState`] for the next call.
+/// the result plus, on the scaled route, the [`ShiftsState`] for the next
+/// call.
 ///
 /// When `warm` is given, the caller asserts that since that state was
 /// computed the closure evolved **only by entrywise tightenings under the
@@ -85,79 +102,61 @@ pub fn shifts(closure: &SquareMatrix<ExtRatio>, root: usize) -> ShiftsResult {
 /// regime). Then every cycle mean is ≤ its cached value, so if the cached
 /// critical cycle's mean is unchanged it is still the maximum — `A_max`,
 /// cycle, and policy are reused without running any cycle-mean kernel at
-/// all (`O(n)` revalidation). Otherwise Howard restarts from the cached
-/// policy, which is still a valid seed (finite entries stay finite) and
-/// usually a few improvement steps from optimal. Either way the
-/// corrections come from [`shifted_distances`]. Without a usable state —
-/// none, or one sized for another component — this is [`shifts`], and the
-/// returned policy is seeded along the critical cycle.
+/// all (`O(n)` revalidation). Otherwise integer Howard restarts from the
+/// cached policy, which is a valid seed whatever changed and usually a few
+/// improvement steps from optimal. Without a usable state — none, or one
+/// sized for another component — Howard starts cold, and its converged
+/// policy becomes the next state. The rational route ignores `warm` and
+/// returns no state.
 ///
 /// # Panics
 ///
 /// As [`shifts`].
-pub(crate) fn shifts_howard_warm(
-    closure: &SquareMatrix<ExtRatio>,
+pub(crate) fn shifts_warm(
+    closure: ComponentClosure<'_>,
     root: usize,
     warm: Option<&ShiftsState>,
-) -> (ShiftsResult, ShiftsState) {
-    let n = closure.n();
+) -> (ShiftsResult, Option<ShiftsState>) {
+    let m = match closure {
+        ComponentClosure::Scaled(m) => m,
+        ComponentClosure::Rational(closure) => {
+            // All entries are finite and the diagonal is 0, so a cycle
+            // always exists and A_max ≥ 0.
+            let cm = karp_max_cycle_mean(&closure).expect("closure always contains cycles");
+            let corrections = shifted_distances(&closure, cm.mean, root)
+                .expect("A_max-shifted closure has no negative cycles by Theorem 4.4");
+            let result = ShiftsResult {
+                corrections,
+                precision: cm.mean,
+                critical_cycle: cm.cycle,
+            };
+            return (result, None);
+        }
+    };
+    let n = m.n();
     let usable = warm
         .filter(|s| s.policy.len() == n && !s.cycle.is_empty() && s.cycle.iter().all(|&v| v < n));
-    let (state, corrections) = match usable {
+    let state = match usable {
         // Tightenings only ever remove critical cycles, so a cached
         // canonical cycle that still certifies is still the canonical one.
-        Some(s) if cycle_mean(closure, &s.cycle) == s.a_max => (s.clone(), None),
-        Some(s) => {
-            let sol =
-                howard_solve(closure, Some(&s.policy)).expect("closure always contains cycles");
-            let state = ShiftsState {
+        Some(s) if m.cycle_mean(&s.cycle) == s.a_max => s.clone(),
+        _ => {
+            let sol = m.max_cycle_mean(usable.map(|s| s.policy.as_slice()));
+            ShiftsState {
                 a_max: sol.cycle_mean.mean,
                 cycle: sol.cycle_mean.cycle,
                 policy: sol.policy,
-            };
-            (state, None)
-        }
-        None => {
-            // All entries are finite and the diagonal is 0, so a cycle
-            // always exists and A_max ≥ 0.
-            let (cm, corrections) = max_cycle_mean_with_distances(closure, root)
-                .expect("closure always contains cycles");
-            // Seed Howard's policy along the witness; every other node is
-            // left unset, which `howard_solve` fills with its cold choice.
-            let mut policy = vec![usize::MAX; n];
-            for (t, &v) in cm.cycle.iter().enumerate() {
-                policy[v] = cm.cycle[(t + 1) % cm.cycle.len()];
             }
-            let state = ShiftsState {
-                a_max: cm.mean,
-                cycle: cm.cycle,
-                policy,
-            };
-            (state, Some(corrections))
         }
     };
     let result = ShiftsResult {
-        corrections: corrections.unwrap_or_else(|| corrections_under(closure, root, state.a_max)),
+        corrections: m
+            .shifted_distances(state.a_max, root)
+            .expect("A_max-shifted closure has no negative cycles by Theorem 4.4"),
         precision: state.a_max,
         critical_cycle: state.cycle.clone(),
     };
-    (result, state)
-}
-
-/// The mean weight of a cyclic node sequence over the closure.
-fn cycle_mean(closure: &SquareMatrix<ExtRatio>, cycle: &[usize]) -> Ratio {
-    let mut total = Ratio::ZERO;
-    for t in 0..cycle.len() {
-        let (from, to) = (cycle[t], cycle[(t + 1) % cycle.len()]);
-        total += closure[(from, to)].expect_finite("shifts requires a finite closure");
-    }
-    total * Ratio::new(1, cycle.len() as i128)
-}
-
-/// Step 2 of SHIFTS: distances from `root` under `w(p,q) = A_max − m̃s(p,q)`.
-fn corrections_under(closure: &SquareMatrix<ExtRatio>, root: usize, a_max: Ratio) -> Vec<Ratio> {
-    shifted_distances(closure, a_max, root)
-        .expect("A_max-shifted closure has no negative cycles by Theorem 4.4")
+    (result, Some(state))
 }
 
 /// Groups processors into *synchronizable components*: `p` and `q` belong
@@ -191,8 +190,25 @@ pub fn synchronizable_components(closure: &SquareMatrix<ExtRatio>) -> Vec<Vec<Pr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clocksync_graph::{bellman_ford, karp_max_cycle_mean, DiGraph, Weight};
+    use clocksync_graph::brute::cycle_mean;
+    use clocksync_graph::{bellman_ford, howard_solve, DiGraph, Weight};
     use clocksync_time::Ext;
+
+    /// The scaled route from `warm`, as an online component runs it.
+    fn shifts_howard_warm(
+        closure: &SquareMatrix<ExtRatio>,
+        root: usize,
+        warm: Option<&ShiftsState>,
+    ) -> (ShiftsResult, ShiftsState) {
+        let m = ScaledMatrix::from_ratio(closure).expect("test closures scale");
+        let (result, state) = shifts_warm(ComponentClosure::Scaled(m), root, warm);
+        (result, state.expect("the scaled route keeps a warm state"))
+    }
+
+    /// Step 2 of SHIFTS: distances from `root` under `w(p,q) = A_max − m̃s(p,q)`.
+    fn corrections_under(c: &SquareMatrix<ExtRatio>, root: usize, a_max: Ratio) -> Vec<Ratio> {
+        shifted_distances(c, a_max, root).expect("no negative cycle under A_max")
+    }
 
     fn fin(x: i128) -> ExtRatio {
         Ext::Finite(Ratio::from_int(x))
@@ -306,14 +322,14 @@ mod tests {
             }
         });
         let (first, state) = shifts_howard_warm(&c, 0, None);
-        // The cold start is the one-shot SHIFTS and seeds the policy along
-        // the critical cycle only.
+        // The cold start is the one-shot SHIFTS and keeps Howard's
+        // converged policy: every node leads into the critical cycle.
         assert_eq!(first, shifts(&c, 0));
         assert_eq!(first.critical_cycle, vec![0, 1]);
-        assert_eq!(state.policy, [1, 0, usize::MAX, usize::MAX]);
+        assert_eq!(state.policy, [1, 0, 0, 0]);
         // Tighten an edge on the critical cycle: 0↔1 falls to mean 7, so
         // the cached witness fails revalidation and Howard restarts from
-        // the seeded policy, switching to the 2↔3 cycle.
+        // the cached policy, switching to the 2↔3 cycle.
         c[(0, 1)] = fin(4);
         let (warm, new_state) = shifts_howard_warm(&c, 0, Some(&state));
         let cold = shifts(&c, 0);

@@ -1,6 +1,8 @@
 //! The end-to-end synchronizer: views in, optimal corrections out.
 
-use clocksync_graph::SquareMatrix;
+use std::borrow::Cow;
+
+use clocksync_graph::{scaled_weights, ScaledMatrix, SquareMatrix};
 use clocksync_model::{ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, Ext, ExtRatio, Ratio};
 use serde::{Deserialize, Serialize};
@@ -9,8 +11,8 @@ use clocksync_obs::Recorder;
 
 use crate::analysis::{rho_bar, worst_pair};
 use crate::degradation::{classify_degradations, LinkDegradation};
-use crate::estimates::global_estimates_traced;
-use crate::shifts::{shifts, synchronizable_components, ShiftsResult};
+use crate::estimates::global_estimates_scaled;
+use crate::shifts::{shifts_warm, synchronizable_components, ComponentClosure, ShiftsResult};
 use crate::{estimated_local_shifts, Network, SyncError};
 
 /// The optimal clock synchronization algorithm of the paper, specialized
@@ -116,11 +118,12 @@ impl Synchronizer {
             self.record_fusions(&observations);
             (observations, local)
         };
-        let (closure, chains) = global_estimates_traced(&local, &self.recorder)?;
+        let (closure, chains, scaled) = global_estimates_scaled(&local, &self.recorder)?;
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let mut outcome = SyncOutcome::from_global_estimates(closure);
+            let scaled = scaled.as_ref().map(|(m, scale)| (m, *scale));
+            let mut outcome = SyncOutcome::from_closure(closure, scaled);
             span.field("components", outcome.components().len());
             outcome.set_constraint_chains(chains);
             outcome
@@ -199,6 +202,20 @@ pub struct ComponentReport {
     pub critical_cycle: Vec<ProcessorId>,
 }
 
+/// `m` restricted to the ascending `members`: borrowed when they are every
+/// node, copied otherwise.
+fn restrict<'a, T: Copy>(
+    m: &'a SquareMatrix<T>,
+    members: &[ProcessorId],
+) -> Cow<'a, SquareMatrix<T>> {
+    if members.len() == m.n() {
+        return Cow::Borrowed(m);
+    }
+    Cow::Owned(SquareMatrix::from_fn(members.len(), |a, b| {
+        m[(members[a].index(), members[b].index())]
+    }))
+}
+
 /// One declared edge's local skew: the tight worst-case corrected-clock
 /// difference between its two (adjacent) endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,29 +245,53 @@ impl SyncOutcome {
     /// global shifts (as produced by [`crate::global_estimates`]). This is
     /// the entry point for callers that obtained the estimates by some
     /// other route than complete views — e.g. the distributed protocol's
-    /// leader, which receives per-link estimates in messages.
+    /// leader, which receives per-link estimates in messages. The closure
+    /// is scaled to integers once, here, and SHIFTS runs on that.
     pub fn from_global_estimates(closure: SquareMatrix<ExtRatio>) -> SyncOutcome {
-        let components = synchronizable_components(&closure);
-        SyncOutcome::from_components_with(closure, components, |_, sub| shifts(sub, 0))
+        let scaled = scaled_weights(&closure).ok();
+        SyncOutcome::from_closure(closure, scaled.as_ref().map(|(m, scale)| (m, *scale)))
     }
 
-    /// The component loop shared by [`SyncOutcome::from_global_estimates`]
-    /// and the online synchronizer's incremental path: `run_shifts` is
-    /// called once per component (in order, with the component index and
-    /// its sub-closure) so the caller can substitute a warm-started SHIFTS.
+    /// SHIFTS without warm states on every component of `closure`, read
+    /// from `scaled` (the same closure on scaled integers) when given.
+    fn from_closure(
+        closure: SquareMatrix<ExtRatio>,
+        scaled: Option<(&SquareMatrix<i64>, i128)>,
+    ) -> SyncOutcome {
+        let components = synchronizable_components(&closure);
+        SyncOutcome::from_components_with(closure, scaled, components, |_, c| {
+            shifts_warm(c, 0, None).0
+        })
+    }
+
+    /// The component loop shared by the cold batch paths and the online
+    /// synchronizer's incremental one: `run_shifts` is called once per
+    /// component (in order, with the component index and its closure) so
+    /// the caller can substitute a warm-started SHIFTS.
+    ///
+    /// `scaled` is `closure` on scaled integers with its common
+    /// denominator, when it scales. A component spanning the whole domain
+    /// then reads it as is; a smaller one copies its `i64` entries. A
+    /// component takes the rational route when `scaled` is `None` or its
+    /// entries pass the integer kernels' bound. Components must list their
+    /// members in ascending order.
     pub(crate) fn from_components_with(
         closure: SquareMatrix<ExtRatio>,
+        scaled: Option<(&SquareMatrix<i64>, i128)>,
         components: Vec<Vec<ProcessorId>>,
-        mut run_shifts: impl FnMut(usize, &SquareMatrix<ExtRatio>) -> ShiftsResult,
+        mut run_shifts: impl FnMut(usize, ComponentClosure<'_>) -> ShiftsResult,
     ) -> SyncOutcome {
         let n = closure.n();
         let mut corrections = vec![Ratio::ZERO; n];
         let mut reports = Vec::with_capacity(components.len());
         for (idx, members) in components.into_iter().enumerate() {
-            let k = members.len();
-            let sub =
-                SquareMatrix::from_fn(k, |a, b| closure[(members[a].index(), members[b].index())]);
-            let result = run_shifts(idx, &sub);
+            let scaled =
+                scaled.and_then(|(m, scale)| ScaledMatrix::new(restrict(m, &members), scale));
+            let input = match scaled {
+                Some(m) => ComponentClosure::Scaled(m),
+                None => ComponentClosure::Rational(restrict(&closure, &members)),
+            };
+            let result = run_shifts(idx, input);
             for (local_idx, p) in members.iter().enumerate() {
                 corrections[p.index()] = result.corrections[local_idx];
             }

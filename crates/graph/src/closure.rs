@@ -45,7 +45,7 @@ use crate::{
 /// magnitudes overflow. Every scaling front end in the crate shares it.
 pub(crate) const MAX_SCALE: i128 = 1 << 40;
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
+pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -322,12 +322,8 @@ pub fn dispatch_closure_i64(
 pub fn try_scaled_closure_explained(
     m: &SquareMatrix<ExtRatio>,
 ) -> Result<(ClosureKernel, ClosureResult), ScaleBailout> {
-    let (scaled, scale) = scaled_weights(m)?;
-    let kernel = plan_closure_kernel(&scaled);
-    let result = kernel
-        .run(&scaled)
-        .map(|(dist, next)| (unscale(&dist, scale), next));
-    Ok((kernel, result))
+    let (kernel, closure) = Closure::new_explained(m)?;
+    Ok((kernel, closure.map(|c| (c.ratio_dist(), c.next))))
 }
 
 /// Runs a scaled `i64` kernel if the matrix admits exact scaling.
@@ -476,8 +472,30 @@ impl Closure {
     pub fn new(
         m: &SquareMatrix<ExtRatio>,
     ) -> Result<Result<Closure, NegativeCycleError>, ScaleBailout> {
+        Closure::new_explained(m).map(|(_, closure)| closure)
+    }
+
+    /// [`Closure::new`], also naming the kernel [`plan_closure_kernel`]
+    /// chose.
+    ///
+    /// # Errors
+    ///
+    /// As [`Closure::new`].
+    pub fn new_explained(
+        m: &SquareMatrix<ExtRatio>,
+    ) -> Result<(ClosureKernel, Result<Closure, NegativeCycleError>), ScaleBailout> {
         let (scaled, scale) = scaled_weights(m)?;
-        Ok(dispatch_closure_i64(&scaled).map(|(dist, next)| Closure { dist, next, scale }))
+        let kernel = plan_closure_kernel(&scaled);
+        let closure = kernel
+            .run(&scaled)
+            .map(|(dist, next)| Closure { dist, next, scale });
+        Ok((kernel, closure))
+    }
+
+    /// The distances ([`Closure::dist`]), the successor matrix and the
+    /// scale, by value.
+    pub fn into_parts(self) -> (SquareMatrix<i64>, SquareMatrix<usize>, i128) {
+        (self.dist, self.next, self.scale)
     }
 
     /// The dimension.

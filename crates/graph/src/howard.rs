@@ -1,14 +1,17 @@
-//! Howard's policy-iteration algorithm for the maximum cycle mean.
+//! Howard's policy-iteration algorithm for the maximum cycle mean, in
+//! exact rational arithmetic — a test oracle.
 //!
 //! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean) is the paper's
 //! reference algorithm with a clean `O(n·m)` bound; Howard's algorithm
 //! (policy iteration over successor choices) has a weaker worst-case story
 //! but is famously fast in practice — Dasdan's experimental studies place
-//! it first on most instance families. Its edge here is the warm start: the
-//! online synchronizer runs it only when a cached critical cycle stops
-//! certifying, restarting from the cached policy, while one-shot SHIFTS use
-//! Karp over scaled `i64` weights (measurements in DESIGN.md §4c). It is
-//! property-tested against exact Karp and against brute force.
+//! it first on most instance families — and it can restart from any
+//! policy. Production SHIFTS run it over scaled `i64` weights
+//! ([`ScaledMatrix::max_cycle_mean`](crate::ScaledMatrix::max_cycle_mean),
+//! DESIGN.md §4c), which makes this kernel's decisions on the scaled image
+//! of its input. This rational version has no production caller: the
+//! equivalence suites hold the integer kernel to it policy for policy, and
+//! it is itself property-tested against exact Karp and brute force.
 //!
 //! All arithmetic is exact [`Ratio`] arithmetic, which also guarantees
 //! termination: each iteration strictly improves the policy's value

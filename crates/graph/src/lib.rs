@@ -26,13 +26,17 @@
 //! matrix's common denominator, so single-edge tightenings are absorbed
 //! in `O(n²)` integer operations via [`Closure::relax_edge`] instead of a
 //! full `O(n³)` recompute, and rationals reappear only when
-//! [`Closure::ratio_dist`] hands the distances back. The `A_max` stage has
-//! the same two-tier design:
-//! [`fast_max_cycle_mean`] rescales to an `i64` Karp kernel with exact
-//! fallback for one-shot use, and [`howard_solve`] runs policy iteration
-//! with a witness cycle and a warm-startable policy for cached state.
-//! [`max_cycle_mean_with_distances`] runs the one-shot `A_max` and the
-//! SHIFTS distances from a single rescaling.
+//! [`Closure::ratio_dist`] hands the distances back. SHIFTS reads that
+//! same integer closure: a [`ScaledMatrix`] holds one component of it,
+//! checked against the integer kernels' magnitude bound, and runs both
+//! SHIFTS steps on it — `A_max` by Howard's policy iteration over `i64`
+//! weights, warm-startable from any policy and capped with a scaled Karp
+//! fallback ([`ScaledMatrix::max_cycle_mean`]), and the corrections pass
+//! ([`ScaledMatrix::shifted_distances`]). The rational kernels —
+//! [`karp_max_cycle_mean`], [`howard_solve`], the generic
+//! [`bellman_ford`] — are the fallback for inputs that do not scale and
+//! the oracles the integer ones are tested against; [`fast_max_cycle_mean`]
+//! is scaled Karp on rational input.
 //!
 //! # Examples
 //!
@@ -59,6 +63,7 @@ mod floyd_warshall;
 mod howard;
 mod karp;
 mod matrix;
+mod scaled_howard;
 mod scaled_karp;
 mod shifted;
 mod sparse;
@@ -77,7 +82,9 @@ pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
-pub use shifted::{max_cycle_mean_with_distances, shifted_distances, try_scaled_shifted_distances};
+pub use shifted::{
+    shifted_distances, try_scaled_howard, try_scaled_shifted_distances, ScaledMatrix,
+};
 pub use sparse::{
     derive_successors_i64, hierarchical_closure_i64, hierarchical_closure_i64_with_partition,
     sparse_closure_i64, weak_components_i64, CsrGraph,

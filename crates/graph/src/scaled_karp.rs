@@ -12,8 +12,10 @@
 //! rational answer bit-for-bit ([`Ratio`] is canonical). When scaling would overflow —
 //! oversized common denominator or magnitudes too close to the sentinel —
 //! [`fast_max_cycle_mean`] falls back to the exact
-//! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean). The corrections
-//! pass of SHIFTS reuses this front end (see `shifted.rs`).
+//! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean). SHIFTS runs the
+//! scaled kernel only when integer Howard passes its iteration cap
+//! (`scaled_howard.rs`); [`crate::ScaledMatrix::from_ratio`] reuses this
+//! front end.
 
 use clocksync_time::{Ext, Ratio};
 
@@ -83,8 +85,8 @@ pub(crate) fn scaled_cycle_weights(
 
 /// Compares the fractions `a1/b1` and `a2/b2` (positive denominators) by
 /// `i128` cross-multiplication — exact, and far from overflow for the
-/// kernel's walk-weight differences.
-fn cmp_frac(a1: i64, b1: i64, a2: i64, b2: i64) -> std::cmp::Ordering {
+/// kernels' walk-weight differences and cycle sums.
+pub(crate) fn cmp_frac(a1: i64, b1: i64, a2: i64, b2: i64) -> std::cmp::Ordering {
     (a1 as i128 * b2 as i128).cmp(&(a2 as i128 * b1 as i128))
 }
 

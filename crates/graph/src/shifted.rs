@@ -1,39 +1,170 @@
-//! Exact shortest paths under shifted weights — the corrections pass of
-//! SHIFTS (paper §4.4, Theorem 4.6).
+//! The SHIFTS stage over scaled integers (paper §4.3–4.4, Theorem 4.6):
+//! the maximum cycle mean `A_max` of a closure component, and the
+//! corrections — shortest-path distances under shifted weights.
 //!
-//! For a dense matrix `m` and a shift `λ`, the weights are
+//! For a dense matrix `m` and a shift `λ`, the corrections weights are
 //! `w(p,q) = λ − m(p,q)` on every off-diagonal pair; the diagonal plays no
 //! part. When `λ` is at least the maximum cycle mean of `m`, no cycle is
 //! negative and the distances from a root are the optimal corrections.
 //!
-//! [`shifted_distances`] rescales `m` through the scaled Karp front end,
-//! extends the common denominator by `λ`'s, and runs an early-exit
+//! [`ScaledMatrix`] holds a component as the closure stage computed it:
+//! `i64` multiples of one common denominator, every entry within the
+//! integer kernels' magnitude bound. Its `A_max` is integer Howard's
+//! (`scaled_howard.rs`), warm-startable from any policy and capped with a
+//! scaled Karp fallback; its corrections pass is an early-exit
 //! Bellman–Ford over flat `i64` rows, building a [`Ratio`] only for each
-//! output. A positive rescaling multiplies every path weight by the same
-//! constant, so the distances divided by the scale are exact. When scaling
-//! bails — the common denominator passes `2^40` or a scaled weight passes
-//! `(i64::MAX/4)/(n+1)` — it runs the rational [`bellman_ford`] instead,
-//! with the same answers and the same errors and panics.
-//! [`max_cycle_mean_with_distances`] computes `λ*` and the distances under
-//! it from one scaling of `m`.
+//! output. The pass extends the common denominator by `λ`'s; when that
+//! multiple passes `2^40` or a shifted weight passes `(i64::MAX/4)/(n+1)`,
+//! it runs the rational [`bellman_ford`] instead, with the same answers.
+//! [`shifted_distances`] is the corrections pass of rational input: it
+//! scales `m` once at that boundary, and runs the rational
+//! [`bellman_ford`] when `m` does not scale.
+
+use std::borrow::Cow;
 
 use clocksync_time::{Ext, Ratio};
 
 use crate::closure::{lcm_scale, scaled_numerator};
-use crate::scaled_karp::{magnitude_limit, scaled_cycle_weights, scaled_karp, NO_EDGE};
-use crate::{
-    bellman_ford, karp_max_cycle_mean, CycleMean, DiGraph, NegativeCycleError, SquareMatrix,
-};
+use crate::scaled_howard::{iteration_cap, scaled_howard};
+use crate::scaled_karp::{magnitude_limit, scaled_cycle_weights};
+use crate::{bellman_ford, DiGraph, HowardSolution, NegativeCycleError, SquareMatrix};
 
 /// The panic message for an infinite off-diagonal entry.
 const NOT_FINITE: &str = "shifted distances need a finite matrix";
 
+/// A complete matrix of scaled integers — a SHIFTS component as the closure
+/// stage holds it — whose every entry, the diagonal included, lies within
+/// `±(i64::MAX/4)/(n+1)`: the bound under which the integer `A_max`
+/// kernels cannot overflow.
+///
+/// # Examples
+///
+/// ```
+/// use std::borrow::Cow;
+/// use clocksync_graph::{ScaledMatrix, SquareMatrix};
+/// use clocksync_time::Ratio;
+///
+/// // Halves: m(0,1) = 3 and m(1,0) = 1/2.
+/// let mut m = SquareMatrix::filled(2, 0i64);
+/// m[(0, 1)] = 6;
+/// m[(1, 0)] = 1;
+/// let m = ScaledMatrix::new(Cow::Owned(m), 2).expect("within the bound");
+/// let a_max = m.max_cycle_mean(None).cycle_mean.mean;
+/// assert_eq!(a_max, Ratio::new(7, 4));
+/// assert_eq!(m.shifted_distances(a_max, 0)?, [Ratio::ZERO, Ratio::new(-5, 4)]);
+/// # Ok::<(), clocksync_graph::NegativeCycleError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ScaledMatrix<'a> {
+    m: Cow<'a, SquareMatrix<i64>>,
+    scale: i128,
+}
+
+impl<'a> ScaledMatrix<'a> {
+    /// The matrix whose entries are `m`'s divided by `scale`, or `None`
+    /// when `m` is empty or an entry lies outside the bound — which also
+    /// rejects the closure's [`UNREACHABLE`](crate::UNREACHABLE) sentinel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not positive.
+    pub fn new(m: Cow<'a, SquareMatrix<i64>>, scale: i128) -> Option<ScaledMatrix<'a>> {
+        assert!(scale > 0, "the common denominator must be positive");
+        let limit = magnitude_limit(m.n());
+        let within = m.as_slice().iter().all(|x| (-limit..=limit).contains(x));
+        (m.n() > 0 && within).then_some(ScaledMatrix { m, scale })
+    }
+
+    /// Scales a rational matrix by the common denominator of its entries:
+    /// `None` when it is empty, has an infinite entry, the denominator
+    /// passes `2^40` or an entry passes the bound.
+    pub fn from_ratio(m: &SquareMatrix<Ext<Ratio>>) -> Option<ScaledMatrix<'static>> {
+        let (scaled, scale) = scaled_cycle_weights(m)?;
+        ScaledMatrix::new(Cow::Owned(scaled), scale)
+    }
+
+    /// The dimension.
+    pub fn n(&self) -> usize {
+        self.m.n()
+    }
+
+    /// The exact mean weight of a cyclic node sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is empty or names a node out of range.
+    pub fn cycle_mean(&self, cycle: &[usize]) -> Ratio {
+        let next = cycle.iter().skip(1).chain(cycle.first());
+        let sum: i128 = cycle
+            .iter()
+            .zip(next)
+            .map(|(&u, &v)| i128::from(self.m[(u, v)]))
+            .sum();
+        Ratio::new(sum, cycle.len() as i128 * self.scale)
+    }
+
+    /// The maximum cycle mean with its canonical witness — the one every
+    /// `A_max` kernel reports — by Howard's policy iteration over the
+    /// scaled entries, started from `warm` (any slice: entries that are not
+    /// nodes take the cold choice). Returns the converged policy, a warm
+    /// start for the next call. Past `10n + 10` policy evaluations it
+    /// answers with scaled Karp instead and returns the policy it reached.
+    pub fn max_cycle_mean(&self, warm: Option<&[usize]>) -> HowardSolution {
+        scaled_howard(&self.m, self.scale, warm, iteration_cap(self.n()))
+    }
+
+    /// Shortest-path distances from `source` under
+    /// `w(p,q) = shift − m(p,q)` over every off-diagonal pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NegativeCycleError`] if some cycle is negative under the
+    /// shifted weights, i.e. `shift` is below the mean of some cycle of at
+    /// least two nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn shifted_distances(
+        &self,
+        shift: Ratio,
+        source: usize,
+    ) -> Result<Vec<Ratio>, NegativeCycleError> {
+        self.try_shifted_distances(shift, source)
+            .unwrap_or_else(|| {
+                let scale = self.scale;
+                let m = SquareMatrix::from_fn(self.n(), |i, j| {
+                    Ext::Finite(Ratio::new(self.m[(i, j)].into(), scale))
+                });
+                rational_shifted_distances(&m, shift, source)
+            })
+    }
+
+    /// The integer corrections pass: `None` when the shifted weights do
+    /// not scale.
+    fn try_shifted_distances(
+        &self,
+        shift: Ratio,
+        source: usize,
+    ) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
+        assert!(source < self.n(), "source out of range");
+        let n = self.n();
+        let (w, scale) = shifted_weights(&self.m, self.scale, shift)?;
+        let dist = dense_bellman_ford(&w, n, source, magnitude_limit(n));
+        Some(dist.map(|d| {
+            d.into_iter()
+                .map(|x| Ratio::new(x as i128, scale))
+                .collect()
+        }))
+    }
+}
+
 /// Shortest-path distances from `source` under `w(p,q) = shift − m(p,q)`
 /// over every off-diagonal pair of `m`.
 ///
-/// Runs the scaled-`i64` kernel when `m` and `shift` admit exact scaling
-/// and the rational [`bellman_ford`] otherwise; both return the same
-/// distances.
+/// Runs [`ScaledMatrix::shifted_distances`] when `m` scales
+/// ([`ScaledMatrix::from_ratio`]) and the rational [`bellman_ford`]
+/// otherwise; both return the same distances.
 ///
 /// # Errors
 ///
@@ -65,8 +196,9 @@ pub fn shifted_distances(
     shift: Ratio,
     source: usize,
 ) -> Result<Vec<Ratio>, NegativeCycleError> {
-    match try_scaled_shifted_distances(m, shift, source) {
-        Some(result) => result,
+    assert!(source < m.n(), "source out of range");
+    match ScaledMatrix::from_ratio(m) {
+        Some(scaled) => scaled.shifted_distances(shift, source),
         None => rational_shifted_distances(m, shift, source),
     }
 }
@@ -86,46 +218,22 @@ pub fn try_scaled_shifted_distances(
     source: usize,
 ) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
     assert!(source < m.n(), "source out of range");
-    let (scaled, scale) = scaled_cycle_weights(m)?;
-    scaled_shifted_distances(&scaled, scale, shift, source)
+    ScaledMatrix::from_ratio(m)?.try_shifted_distances(shift, source)
 }
 
-/// The maximum cycle mean `λ*` of `m` (as
-/// [`fast_max_cycle_mean`](crate::fast_max_cycle_mean)) together with the
-/// [`shifted_distances`] from `source` under `λ*`, scaling `m` once for
-/// both. `None` when `m` has no cycle.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range or any entry is `+∞`, or if an
-/// off-diagonal entry is `−∞`.
-pub fn max_cycle_mean_with_distances(
+/// Runs [`ScaledMatrix::max_cycle_mean`] — integer Howard, started from
+/// `warm` — if `m` scales ([`ScaledMatrix::from_ratio`]); `None` when it
+/// does not. Exposed so the equivalence test suites can compare the
+/// integer kernel with the rational oracles on rational input.
+pub fn try_scaled_howard(
     m: &SquareMatrix<Ext<Ratio>>,
-    source: usize,
-) -> Option<(CycleMean, Vec<Ratio>)> {
-    assert!(source < m.n(), "source out of range");
-    let (cm, dist) = match scaled_cycle_weights(m) {
-        Some((scaled, scale)) => {
-            let cm = scaled_karp(&scaled, scale)?;
-            let dist = scaled_shifted_distances(&scaled, scale, cm.mean, source)
-                .unwrap_or_else(|| rational_shifted_distances(m, cm.mean, source));
-            (cm, dist)
-        }
-        None => {
-            let cm = karp_max_cycle_mean(m)?;
-            let dist = rational_shifted_distances(m, cm.mean, source);
-            (cm, dist)
-        }
-    };
-    // Every cycle's mean is at most λ*, so none is negative under λ* − m.
-    Some((
-        cm,
-        dist.expect("no cycle is negative under the maximum cycle mean"),
-    ))
+    warm: Option<&[usize]>,
+) -> Option<HowardSolution> {
+    ScaledMatrix::from_ratio(m).map(|scaled| scaled.max_cycle_mean(warm))
 }
 
-/// The rational fallback: the generic [`bellman_ford`] over a [`DiGraph`]
-/// of the off-diagonal shifted weights.
+/// The rational corrections pass: the generic [`bellman_ford`] over a
+/// [`DiGraph`] of the off-diagonal shifted weights.
 fn rational_shifted_distances(
     m: &SquareMatrix<Ext<Ratio>>,
     shift: Ratio,
@@ -140,24 +248,6 @@ fn rational_shifted_distances(
         .into_iter()
         .map(|d| d.expect_finite("complete graph distances are finite"))
         .collect())
-}
-
-/// The scaled kernel on a matrix already scaled by Karp's front end:
-/// `None` when the shifted weights do not scale.
-fn scaled_shifted_distances(
-    scaled: &SquareMatrix<i64>,
-    scale: i128,
-    shift: Ratio,
-    source: usize,
-) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
-    let n = scaled.n();
-    let (w, scale) = shifted_weights(scaled, scale, shift)?;
-    let dist = dense_bellman_ford(&w, n, source, magnitude_limit(n));
-    Some(dist.map(|d| {
-        d.into_iter()
-            .map(|x| Ratio::new(x as i128, scale))
-            .collect()
-    }))
 }
 
 /// The weights `shift − m(p,q)` as flat `i64` rows over the least common
@@ -186,7 +276,6 @@ fn shifted_weights(
             if p == q {
                 continue;
             }
-            assert!(x != NO_EDGE, "{NOT_FINITE}: value is -inf");
             let v = a.checked_sub(x as i128 * factor)?;
             if !(-limit..=limit).contains(&v) {
                 return None;
@@ -280,5 +369,18 @@ mod tests {
             shifted_distances(&m, Ratio::ONE, 0),
             Ok(vec![Ratio::ZERO, Ratio::from_int(limit + 1)])
         );
+    }
+
+    #[test]
+    fn scaled_matrices_hold_entries_within_the_limit() {
+        let limit = magnitude_limit(3);
+        let with = |x: i64| SquareMatrix::from_fn(3, |i, j| if (i, j) == (2, 0) { x } else { 0 });
+        for x in [-limit, limit] {
+            assert!(ScaledMatrix::new(Cow::Owned(with(x)), 2).is_some());
+        }
+        for x in [-limit - 1, limit + 1, crate::UNREACHABLE] {
+            assert!(ScaledMatrix::new(Cow::Owned(with(x)), 2).is_none());
+        }
+        assert!(ScaledMatrix::new(Cow::Owned(SquareMatrix::filled(0, 0)), 1).is_none());
     }
 }

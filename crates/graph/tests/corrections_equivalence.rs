@@ -6,15 +6,16 @@
 //!   return exactly the distances of the rational [`bellman_ford`] under
 //!   `w(p,q) = λ − m(p,q)`, whether scaling applies or bails, and fail
 //!   exactly when it fails (a shift below some cycle's mean);
-//! * [`max_cycle_mean_with_distances`] must return exact Karp's
-//!   [`CycleMean`](clocksync_graph::CycleMean) and those distances under
-//!   its mean;
+//! * on a matrix that scales, [`ScaledMatrix`] — the integer SHIFTS —
+//!   must return exact Karp's [`CycleMean`](clocksync_graph::CycleMean)
+//!   from integer Howard and those distances under its mean, and entries
+//!   past the integer kernels' bound must take the rational route;
 //! * an infinite off-diagonal entry panics, as in the rational kernel.
 
 use clocksync_graph::{
-    bellman_ford, fast_closure, fast_max_cycle_mean, karp_max_cycle_mean,
-    max_cycle_mean_with_distances, shifted_distances, try_scaled_karp,
-    try_scaled_shifted_distances, CycleMean, DiGraph, NegativeCycleError, SquareMatrix,
+    bellman_ford, fast_closure, fast_max_cycle_mean, karp_max_cycle_mean, shifted_distances,
+    try_scaled_howard, try_scaled_karp, try_scaled_shifted_distances, CycleMean, DiGraph,
+    NegativeCycleError, ScaledMatrix, SquareMatrix,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -99,10 +100,15 @@ fn check(
         outcome(shifted_distances(m, cm.mean, source)),
         reference.clone()
     );
-    prop_assert_eq!(
-        max_cycle_mean_with_distances(m, source),
-        Some((cm, reference.unwrap()))
-    );
+    // The integer SHIFTS, on one scaling of `m`: Howard's `A_max` and the
+    // corrections under it.
+    if let Some(scaled) = ScaledMatrix::from_ratio(m) {
+        prop_assert_eq!(scaled.max_cycle_mean(None).cycle_mean, cm.clone());
+        prop_assert_eq!(
+            outcome(scaled.shifted_distances(cm.mean, source)),
+            reference
+        );
+    }
     Ok(())
 }
 
@@ -177,6 +183,18 @@ proptest! {
         m[(0, 1)] = Ext::Finite(Ratio::from_int(-limit(n)));
         prop_assert!(try_scaled_karp(&m).is_some());
         check(&m, source % n, karp_max_cycle_mean, false)?;
+        // An entry of exactly the limit still takes integer Howard; one past
+        // it takes the rational route. Both answer as exact Karp.
+        for (x, integer) in [(limit(n), true), (limit(n) + 1, false)] {
+            let mut m = m.clone();
+            m[(1, 0)] = Ext::Finite(Ratio::from_int(x));
+            let howard = try_scaled_howard(&m, None);
+            prop_assert_eq!(howard.is_some(), integer);
+            if let Some(sol) = howard {
+                prop_assert_eq!(Some(sol.cycle_mean), karp_max_cycle_mean(&m));
+            }
+            check(&m, source % n, karp_max_cycle_mean, false)?;
+        }
     }
 }
 
@@ -211,6 +229,7 @@ fn pos_inf_entry_panics_on_the_rational_path() {
 #[test]
 #[should_panic(expected = "need a finite matrix: value is -inf")]
 fn neg_inf_entry_panics_on_the_scaled_path() {
-    // `−∞` scales to Karp's no-edge sentinel; the shifted weights reject it.
+    // `−∞` scales to Karp's no-edge sentinel, past the integer kernels'
+    // bound; the rational pass rejects it.
     let _ = shifted_distances(&with_infinite(Ext::NegInf), Ratio::ONE, 0);
 }

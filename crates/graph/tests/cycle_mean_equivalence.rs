@@ -9,14 +9,18 @@
 //! * [`howard_solve`] must find the same `λ*` and the same canonical
 //!   witness cycle, whose mean equals it exactly, from a cold start and
 //!   from any warm-start policy.
+//! * [`try_scaled_howard`] (Howard over scaled `i64` weights, the kernel
+//!   SHIFTS runs) must return exact Karp's whole `CycleMean` on complete
+//!   matrices, cold and from any warm-start policy, and converge to the
+//!   very policy [`howard_solve`] reaches from the same seed.
 //! * On small graphs, all of them must agree with the exhaustive
 //!   [`brute::max_cycle_mean_brute`] oracle over simple cycles.
 //!
 //! Each suite runs 1000 random cases.
 
 use clocksync_graph::{
-    brute, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_karp, SquareMatrix,
-    Weight,
+    brute, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_howard,
+    try_scaled_karp, SquareMatrix, Weight,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -68,6 +72,20 @@ fn closure_shaped() -> impl Strategy<Value = SquareMatrix<W>> {
                 } else {
                     v
                 }
+            })
+        })
+    })
+}
+
+/// A complete matrix — every entry an edge, self-loops included — of
+/// mixed-sign fractions with denominators 1 to 4: the integer Howard
+/// kernel's input domain, `n ≤ 9`.
+fn complete_graph() -> impl Strategy<Value = SquareMatrix<W>> {
+    (1usize..=9).prop_flat_map(|n| {
+        proptest::collection::vec((-60i128..=60, 1i128..=4), n * n).prop_map(move |cells| {
+            SquareMatrix::from_fn(n, |i, j| {
+                let (num, den) = cells[i * n + j];
+                Ext::Finite(Ratio::new(num, den))
             })
         })
     })
@@ -152,5 +170,19 @@ proptest! {
         let howard = howard_solve(&m, None).expect("complete graph has cycles");
         prop_assert_eq!(brute::cycle_mean(&m, &howard.cycle_mean.cycle), exact.mean);
         prop_assert_eq!(howard.cycle_mean, exact);
+    }
+
+    #[test]
+    fn integer_howard_matches_exact_karp_and_rational_howard(
+        m in prop_oneof![closure_shaped(), complete_graph()],
+        seed in garbage_policy(9),
+    ) {
+        let exact = karp_max_cycle_mean(&m).expect("complete graph has cycles");
+        for warm in [None, Some(seed.as_slice())] {
+            let fast = try_scaled_howard(&m, warm).expect("small fractions scale");
+            prop_assert_eq!(&fast.cycle_mean, &exact);
+            // Trajectory parity: the same decisions reach the same policy.
+            prop_assert_eq!(Some(fast), howard_solve(&m, warm));
+        }
     }
 }

@@ -14,6 +14,12 @@
 //!   compaction-never-loosens theorem, Lemma 6.2's extrema-sufficiency);
 //! * **concurrent-equals-sequential** — same for the concurrent engine,
 //!   plus receipt-for-receipt equality on every ingest and retraction;
+//! * **warm-equals-cold** — a clone of the reference that calls
+//!   `invalidate_caches()` must produce a bit-identical outcome (the
+//!   constraint-chain successors aside, which the cache tie-breaks by its
+//!   history), or the same error: the three targets all run warm, so this
+//!   is the one check that a warm Howard restart or a revalidated
+//!   certificate answers as a cold computation does;
 //! * **rho-equals-amax** — `ρ̄(x̄) = A_max` with equality at the computed
 //!   corrections (Theorem 5.2's optimality identity);
 //! * **estimate-soundness** — the true base offsets lie inside every
@@ -47,7 +53,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clocksync::{
-    BatchObservation, DelayRange, LinkAssumption, Network, OnlineSynchronizer, SyncOutcome,
+    BatchObservation, DelayRange, LinkAssumption, Network, OnlineSynchronizer, SyncError,
+    SyncOutcome,
 };
 use clocksync_graph::SquareMatrix;
 use clocksync_model::{LinkEvidence, MsgSample, ProcessorId};
@@ -812,6 +819,7 @@ impl Runner<'_> {
                 ))
             }
         };
+        self.check_warm_equals_cold(&online_out)?;
         let seq_out = match catch_unwind(AssertUnwindSafe(|| self.seq.outcome(DOMAIN))) {
             Ok(r) => r,
             Err(payload) => {
@@ -911,6 +919,51 @@ impl Runner<'_> {
             ]));
         }
         Ok(())
+    }
+
+    /// A clone of the reference that drops its caches must compute the
+    /// very same outcome, or the same error: the cached closure, the
+    /// revalidated certificates and the warm Howard restarts never change
+    /// an answer. The one field left out is the successor matrix behind
+    /// `constraint_chain`: the cache breaks ties between equally short
+    /// paths by its relaxation history, so either chain explains the bound.
+    fn check_warm_equals_cold(
+        &self,
+        warm: &Result<SyncOutcome, SyncError>,
+    ) -> Result<(), (String, String)> {
+        let mut cold = self.online.clone();
+        cold.invalidate_caches();
+        let cold_out = match catch_unwind(AssertUnwindSafe(|| cold.outcome())) {
+            Ok(r) => r,
+            Err(payload) => {
+                return Err((
+                    "no-panic".into(),
+                    format!("cache-free outcome panicked: {}", panic_message(payload)),
+                ))
+            }
+        };
+        let same = |w: &SyncOutcome, c: &SyncOutcome| {
+            w.corrections() == c.corrections()
+                && w.components() == c.components()
+                && w.global_shift_estimates() == c.global_shift_estimates()
+                && w.degradations() == c.degradations()
+        };
+        let detail = match (warm, &cold_out) {
+            (Ok(w), Ok(c)) if same(w, c) => return Ok(()),
+            (Err(w), Err(c)) if w == c => return Ok(()),
+            (Ok(w), Ok(c)) => format!(
+                "outcomes diverged: warm precision {}, cold precision {}",
+                ext_str(w.precision()),
+                ext_str(c.precision()),
+            ),
+            (Err(w), Err(c)) => format!("errors diverged: warm `{w}`, cold `{c}`"),
+            (w, c) => format!(
+                "one side errored: warm ok={}, cold ok={}",
+                w.is_ok(),
+                c.is_ok()
+            ),
+        };
+        Err(("warm-equals-cold".into(), detail))
     }
 
     fn check_identity(&self, outcome: &SyncOutcome) -> Result<(), (String, String)> {
