@@ -2,15 +2,15 @@
 //! the SHIFTS step (E7) — racing all four `A_max` kernels.
 //!
 //! The exact rational Karp recurrence is `O(n³)` rational operations, so
-//! it stops at n = 96; the scaled-`i64` Karp and Howard's policy iteration,
-//! rational and over scaled `i64` weights, continue to n = 256, pinning
+//! it stops at n = 96; the integer Karp and Howard's policy iteration,
+//! rational and over `i64` half-nanosecond counts, continue to n = 256, pinning
 //! the speedups `BENCH_karp.json` records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use clocksync_bench::karp_bench::closure_like;
-use clocksync_graph::{fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_howard};
+use clocksync_graph::{fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, ScaledMatrix};
 
 fn bench_karp(c: &mut Criterion) {
     let mut group = c.benchmark_group("max_cycle_mean");
@@ -28,7 +28,7 @@ fn bench_karp(c: &mut Criterion) {
             b.iter(|| howard_solve(black_box(m), None))
         });
         group.bench_with_input(BenchmarkId::new("howard-scaled", n), &m, |b, m| {
-            b.iter(|| try_scaled_howard(black_box(m), None))
+            b.iter(|| ScaledMatrix::from_ratio(black_box(m)).map(|s| s.max_cycle_mean(None)))
         });
     }
     group.finish();

@@ -8,8 +8,9 @@
 //!   versus [`clocksync_graph::fast_max_cycle_mean`] (Karp over scaled
 //!   `i64` weights, the integer Howard kernel's cap fallback) versus
 //!   [`clocksync_graph::howard_solve`] (rational policy iteration, now a
-//!   test oracle) versus [`clocksync_graph::try_scaled_howard`] (policy
-//!   iteration over scaled `i64` weights, the kernel every SHIFTS runs).
+//!   test oracle) versus [`clocksync_graph::ScaledMatrix::max_cycle_mean`]
+//!   (policy iteration over `i64` half-nanosecond counts, the kernel every
+//!   SHIFTS runs, timed with the encoding of its input).
 //!   All four return bit-identical `A_max` — the equivalence suite proves
 //!   it — so only speed is at stake.
 //! * **resync**: online steady state — one tightening observation followed
@@ -29,8 +30,8 @@ use clocksync::{
     synchronizable_components, DelayRange, LinkAssumption, Network, OnlineSynchronizer,
 };
 use clocksync_graph::{
-    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_howard,
-    DiGraph, SquareMatrix,
+    bellman_ford, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, DiGraph, ScaledMatrix,
+    SquareMatrix,
 };
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, Nanos, Ratio};
@@ -77,7 +78,7 @@ pub struct KernelRow {
     pub karp_scaled_ns: u128,
     /// Rational Howard policy iteration (cold), nanoseconds.
     pub howard_ns: u128,
-    /// Howard over scaled `i64` weights (cold) via `try_scaled_howard`,
+    /// Howard over `i64` half-nanosecond counts (cold), encoding included,
     /// nanoseconds.
     pub howard_scaled_ns: u128,
 }
@@ -136,7 +137,8 @@ pub fn measure_kernels(sizes: &[usize]) -> Vec<KernelRow> {
             );
             let howard_scaled_ns = min_ns(
                 || {
-                    try_scaled_howard(std::hint::black_box(&m), None);
+                    ScaledMatrix::from_ratio(std::hint::black_box(&m))
+                        .map(|counts| counts.max_cycle_mean(None));
                 },
                 5,
             );
@@ -381,7 +383,8 @@ mod tests {
         let exact = karp_max_cycle_mean(&m).unwrap();
         assert_eq!(fast_max_cycle_mean(&m), Some(exact.clone()));
         assert_eq!(howard_solve(&m, None).unwrap().cycle_mean.mean, exact.mean);
-        assert_eq!(try_scaled_howard(&m, None).unwrap().cycle_mean, exact);
+        let counts = ScaledMatrix::from_ratio(&m).expect("whole nanoseconds");
+        assert_eq!(counts.max_cycle_mean(None).cycle_mean, exact);
     }
 
     #[test]

@@ -22,20 +22,32 @@ fn fmt_ext(v: ExtRatio) -> String {
 }
 
 /// Builds the topology selected by `--topology` (and `--n`, `--rows`,
-/// `--cols`, `--extra-per-mille`).
+/// `--cols`, `--extra-per-mille`), rejecting sizes it cannot build: a ring
+/// needs three nodes, every other topology one.
 fn topology(args: &Args) -> Result<Topology, String> {
-    let n = args.get_usize("n", 4)?;
-    Ok(match args.get_str("topology", "ring") {
-        "path" => Topology::Path(n),
-        "ring" => Topology::Ring(n),
-        "star" => Topology::Star(n),
-        "complete" => Topology::Complete(n),
+    let kind = args.get_str("topology", "ring");
+    let at_least = |flag: &str, value: usize, min: usize| {
+        if value < min {
+            Err(format!(
+                "flag --{flag}: a {kind} needs at least {min}, got {value}"
+            ))
+        } else {
+            Ok(value)
+        }
+    };
+    let min_n = if kind == "ring" { 3 } else { 1 };
+    let n = || at_least("n", args.get_usize("n", 4)?, min_n);
+    Ok(match kind {
+        "path" => Topology::Path(n()?),
+        "ring" => Topology::Ring(n()?),
+        "star" => Topology::Star(n()?),
+        "complete" => Topology::Complete(n()?),
         "grid" => Topology::Grid {
-            rows: args.get_usize("rows", 2)?,
-            cols: args.get_usize("cols", 3)?,
+            rows: at_least("rows", args.get_usize("rows", 2)?, 1)?,
+            cols: at_least("cols", args.get_usize("cols", 3)?, 1)?,
         },
         "random" => Topology::RandomConnected {
-            n,
+            n: n()?,
             extra_per_mille: args.get_usize("extra-per-mille", 200)? as u32,
         },
         other => return Err(format!("unknown topology `{other}`")),
@@ -291,6 +303,32 @@ mod tests {
                 let run = simulate(&a).expect("valid combination");
                 assert!(sync(&run).is_ok(), "{topo}/{model}");
             }
+        }
+    }
+
+    #[test]
+    fn degenerate_topology_sizes_are_rejected_by_flag() {
+        for (topo, flag, value) in [
+            ("ring", "--n", "2"),
+            ("ring", "--n", "0"),
+            ("path", "--n", "0"),
+            ("star", "--n", "0"),
+            ("complete", "--n", "0"),
+            ("random", "--n", "0"),
+            ("grid", "--rows", "0"),
+            ("grid", "--cols", "0"),
+        ] {
+            let err = simulate(&args(&["simulate", "--topology", topo, flag, value])).unwrap_err();
+            assert!(err.contains(flag), "{topo} {flag} {value}: {err}");
+        }
+        // The smallest buildable sizes still simulate and synchronize.
+        for (topo, flag, value) in [
+            ("ring", "--n", "3"),
+            ("path", "--n", "1"),
+            ("grid", "--rows", "1"),
+        ] {
+            let run = simulate(&args(&["simulate", "--topology", topo, flag, value])).unwrap();
+            assert!(sync(&run).is_ok(), "{topo} {flag} {value}");
         }
     }
 

@@ -65,10 +65,10 @@ pub fn global_estimates(
 /// [`crate::SyncOutcome::constraint_chain`] reconstructs *which* sequence
 /// of links produces each global bound.
 ///
-/// Computed via [`clocksync_graph::fast_closure`]: estimate matrices have
-/// small common denominators (1 or 2 for nanosecond-granularity
-/// observations), so the closure runs on the parallel scaled-`i64` kernel;
-/// inputs that cannot be scaled exactly fall back to the generic
+/// Computed via [`clocksync_graph::fast_closure`]: every estimate is a
+/// whole or half nanosecond, so the closure runs on the parallel integer
+/// kernel over half-nanosecond counts; inputs without counts (off that
+/// grid, or past the magnitude bound) fall back to the generic
 /// rational-arithmetic kernel with identical results.
 ///
 /// # Errors
@@ -85,7 +85,7 @@ pub fn global_estimates_with_chains(
 /// kernel that actually ran (`scaled-i64`, `sparse-johnson`,
 /// `hier-components` or `rational-generic`) — so a BENCH regression on
 /// this stage is attributable to a kernel change rather than guessed at.
-/// When exact scaling fails and the stage falls off the fast path onto
+/// When an entry has no count and the stage falls off the fast path onto
 /// the `O(n³)` generic kernel, a `sync.closure_fallback` event records
 /// the [`clocksync_graph::ScaleBailout`] reason, making the perf cliff
 /// visible instead of silent.
@@ -101,7 +101,7 @@ pub fn global_estimates_traced(
 }
 
 /// [`global_estimates_traced`], also handing over the closure stage's own
-/// scaled integer matrix and its scale when `local` scales — what the batch
+/// half-nanosecond counts when `local` has them — what the batch
 /// synchronizer's SHIFTS reads.
 pub(crate) fn global_estimates_scaled(
     local: &SquareMatrix<ExtRatio>,
@@ -116,8 +116,8 @@ pub(crate) fn global_estimates_scaled(
             span.field("kernel", kernel.name());
             result.map(|closure| {
                 let dist = closure.ratio_dist();
-                let (scaled, next, scale) = closure.into_parts();
-                (dist, next, Some((scaled, scale)))
+                let (counts, next) = closure.into_parts();
+                (dist, next, Some(counts))
             })
         }
         Err(reason) => {
@@ -142,12 +142,12 @@ pub(crate) fn global_estimates_scaled(
     })
 }
 
-/// The closure of `m̃ls` with its successor matrix, and its scaled
-/// integers with their common denominator when `m̃ls` scales.
+/// The closure of `m̃ls` with its successor matrix, and its half-nanosecond
+/// counts when `m̃ls` has them.
 pub(crate) type GlobalEstimates = (
     SquareMatrix<ExtRatio>,
     SquareMatrix<usize>,
-    Option<(SquareMatrix<i64>, i128)>,
+    Option<SquareMatrix<i64>>,
 );
 
 #[cfg(test)]

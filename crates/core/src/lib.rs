@@ -33,8 +33,9 @@
 //! 3. [`global_estimates`] — all-pairs shortest paths (§5.3);
 //! 4. SHIFTS (§4.4) — the maximum cycle mean gives the optimal
 //!    precision `A_max` (Howard's policy iteration over the closure's
-//!    scaled integers; Karp's recurrence as fallback and oracle), and
-//!    shortest-path distances under `A_max − m̃s` give the corrections.
+//!    half-nanosecond counts; Karp's recurrence as fallback and oracle),
+//!    and shortest-path distances under `A_max − m̃s` give the
+//!    corrections.
 //!
 //! # Examples
 //!

@@ -5,8 +5,8 @@
 //! one batch: timestamped messages trickle in and the corrections are
 //! recomputed on demand. [`OnlineSynchronizer`] maintains the per-link
 //! evidence incrementally and keeps the GLOBAL ESTIMATES closure *cached*
-//! as a [`clocksync_graph::Closure`]: `i64` multiples of the `m̃ls`
-//! matrix's common denominator. Each new observation re-estimates only the
+//! as a [`clocksync_graph::Closure`]: `i64` counts of half nanoseconds,
+//! the grid every estimate lies on. Each new observation re-estimates only the
 //! link it travelled on and folds the (monotonically tighter) edge into the
 //! cache with [`clocksync_graph::Closure::relax_edge`] — `O(n²)` integer
 //! operations over the finite entries of one column and one row — so
@@ -24,13 +24,11 @@
 //! decrease, the one operation `relax_edge` absorbs without error. Should
 //! an estimate ever loosen (no built-in assumption does this, but the cache
 //! does not assume it), the cache re-closes the affected component. A
-//! tightened estimate the cache's scale cannot represent (the first
-//! half-nanosecond estimate on an integer-scaled cache, or a magnitude
-//! near the sentinel) drops the cache, and the next
-//! [`OnlineSynchronizer::outcome`] rebuilds it at the new common
-//! denominator; when `m̃ls` does not scale at all, the synchronizer holds
-//! no cache and every outcome runs [`clocksync_graph::fast_closure`]'s
-//! exact rational fallback.
+//! whole- or half-nanosecond estimate always relaxes in place; one with no
+//! count (a magnitude near the sentinel, or a value off the half-ns grid,
+//! which no built-in estimator produces) drops the cache, and while `m̃ls`
+//! holds such an entry the synchronizer keeps no cache and every outcome
+//! runs [`clocksync_graph::fast_closure`]'s exact rational fallback.
 //!
 //! The `A_max` stage is cached the same way: alongside the closure the
 //! synchronizer keeps each component's *warm state* — its certified
@@ -41,9 +39,9 @@
 //! only drop — so when the cached critical cycle's mean is unchanged it is
 //! still the maximum and `A_max` is reused after an `O(n)` revalidation;
 //! when it dropped, integer Howard restarts from the cached policy instead
-//! of from scratch. A component whose scaled entries pass the integer
-//! kernels' bound, or any component while `m̃ls` does not scale, takes
-//! the rational route (exact Karp) and keeps no warm state. Either way the
+//! of from scratch. A component whose counts pass the integer kernels'
+//! bound, or any component while `m̃ls` has no counts, takes the rational
+//! route (exact Karp) and keeps no warm state. Either way the
 //! outcome is bit-identical to a cold computation (the equivalence tests
 //! and the fuzzer's `warm-equals-cold` oracle check this), only faster.
 
@@ -105,14 +103,14 @@ pub struct OnlineSynchronizer {
     /// arrive; always equal to
     /// `estimated_local_shifts(&network, &observations)`.
     local: clocksync_graph::SquareMatrix<ExtRatio>,
-    /// The closure of `local` on scaled integers, when valid. Tightenings
-    /// are folded in by `relax_edge`, loosenings by a component-scoped
-    /// patch. `None` after a bulk view merge, an inconsistency or a
-    /// tightening off the cache's scale, until the next
+    /// The closure of `local` as half-nanosecond counts, when valid.
+    /// Tightenings are folded in by `relax_edge`, loosenings by a
+    /// component-scoped patch. `None` after a bulk view merge, an
+    /// inconsistency or a tightening without a count, until the next
     /// [`OnlineSynchronizer::outcome`] rebuilds it — and for as long as
-    /// `local` does not scale. Invariant: while present, every finite
-    /// `local` entry is exact at the cache's scale and within its
-    /// magnitude limit.
+    /// some `local` entry has no count. Invariant: while present, every
+    /// finite `local` entry has a count within the cache's magnitude
+    /// limit.
     cached: Option<Closure>,
     /// Per-component warm states (`A_max`, critical cycle, Howard policy)
     /// from the last [`OnlineSynchronizer::outcome`], keyed by the
@@ -381,9 +379,9 @@ impl OnlineSynchronizer {
     /// A round-trip sample on link `{a, b}` moves the evidence both ways
     /// (a slow message raises `d̃max`, which tightens the *opposite*
     /// direction's upper-bound slack), so both directed entries are
-    /// recomputed. Tightenings relax the cache in `O(n²)`; one the cache's
-    /// scale cannot represent drops the closure for a rebuild at the new
-    /// scale, and an inconsistency (negative cycle) drops every cache,
+    /// recomputed. Tightenings relax the cache in `O(n²)`; one without a
+    /// count drops the closure, and an inconsistency (negative cycle) drops
+    /// every cache,
     /// leaving the rebuild — and the canonical error report — to
     /// [`OnlineSynchronizer::outcome`].
     fn refresh_link(&mut self, a: ProcessorId, b: ProcessorId) {
@@ -419,11 +417,10 @@ impl OnlineSynchronizer {
                     // contract there is nothing to patch.
                 }
                 Ok(RelaxOutcome::Unrepresentable) => {
-                    // w is off the cache's scale (e.g. the first half-ns
-                    // estimate on an integer cache) or too large for it:
-                    // rebuild at the new common denominator on the next
-                    // outcome(). The closure only tightened, so the warm
-                    // A_max states stay.
+                    // w has no count (past the magnitude bound, or off the
+                    // half-ns grid): the closure takes the rational route
+                    // from the next outcome() on. The closure only
+                    // tightened, so the warm A_max states stay.
                     self.cached = None;
                 }
                 Err(_) => {
@@ -449,8 +446,8 @@ impl OnlineSynchronizer {
     /// component even when the loosening to `+∞` just disconnected them,
     /// and synchronizable components never straddle its boundary because
     /// mutual finiteness implies undirected connectivity.) So: re-close
-    /// that component's sub-matrix at the cache's scale, splice it into
-    /// the cached closure, and evict exactly the `A_max` states whose
+    /// that component's sub-matrix, splice it into the cached closure, and
+    /// evict exactly the `A_max` states whose
     /// members intersect it. Everything outside is untouched and stays
     /// warm.
     fn invalidate_loosened(&mut self, u: usize, v: usize) {
@@ -466,8 +463,8 @@ impl OnlineSynchronizer {
         };
         match cache.reclose_within(&self.local, &members) {
             Ok(true) => {}
-            // A component weight is off the cache's scale: rebuild on the
-            // next outcome().
+            // A component weight has no count: the next outcome() takes
+            // the rational route.
             Ok(false) => self.cached = None,
             Err(_) => {
                 // A negative cycle cannot appear from a pure loosening,
@@ -503,8 +500,8 @@ impl OnlineSynchronizer {
     }
 
     /// Rebuilds the cached closure if an invalidation (or nothing yet)
-    /// left it empty. Leaves no cache when `m̃ls` does not scale: callers
-    /// then take [`fast_closure`]'s rational fallback.
+    /// left it empty. Leaves no cache when an `m̃ls` entry has no count:
+    /// callers then take [`fast_closure`]'s rational fallback.
     fn ensure_cache(&mut self) -> Result<(), SyncError> {
         if self.cached.is_none() {
             if let Ok(built) = Closure::new(&self.local) {
@@ -543,21 +540,20 @@ impl OnlineSynchronizer {
     /// The GLOBAL ESTIMATES closure comes from the incremental cache (kept
     /// current by the `observe_*` methods and rebuilt with the
     /// [`fast_closure`] kernels only after an invalidation). SHIFTS reads
-    /// each component straight from the cache's scaled integers — a
+    /// each component straight from the cache's counts — a
     /// component spanning the whole domain without a copy — and `A_max` is
     /// maintained incrementally: each component first revalidates the
     /// critical cycle cached by the previous call (summed in `i128` over
-    /// the scaled entries) — still certifying under pure tightenings means
+    /// the counts) — still certifying under pure tightenings means
     /// `A_max` is unchanged — and only on a miss runs integer Howard,
     /// warm-started from the cached policy. A component with no cached
     /// state runs integer Howard cold, as batch does, and caches its
     /// converged policy. The corrections pass, the cheap SHIFTS step, is
-    /// always recomputed, on the same scaled entries. The one conversion
-    /// left is the closure [`SyncOutcome`] stores. When `m̃ls` does not
-    /// scale, [`fast_closure`]'s rational fallback computes the closure and
-    /// every component takes the rational route (exact Karp, no warm
-    /// state); so does a component whose scaled entries pass the integer
-    /// kernels' bound. Whichever route ran, the components — precision,
+    /// always recomputed, on the same counts. The one conversion left is the
+    /// closure [`SyncOutcome`] stores. When an `m̃ls` entry has no count,
+    /// [`fast_closure`]'s rational fallback computes the closure and every
+    /// component takes the rational route (exact Karp, no warm state); so
+    /// does a component whose counts pass the integer kernels' bound. Whichever route ran, the components — precision,
     /// corrections and the canonical critical cycle — are bit-identical to
     /// the batch [`SyncOutcome::from_global_estimates`] on the same
     /// closure.
@@ -568,12 +564,8 @@ impl OnlineSynchronizer {
     /// observations contradict the declared assumptions.
     pub fn outcome(&mut self) -> Result<SyncOutcome, SyncError> {
         self.ensure_cache()?;
-        let (dist, next, scaled) = match &self.cached {
-            Some(cache) => (
-                cache.ratio_dist(),
-                cache.next().clone(),
-                Some((cache.dist(), cache.scale())),
-            ),
+        let (dist, next, counts) = match &self.cached {
+            Some(cache) => (cache.ratio_dist(), cache.next().clone(), Some(cache.dist())),
             None => {
                 let (dist, next) = fast_closure(&self.local).map_err(inconsistent)?;
                 (dist, next, None)
@@ -591,7 +583,7 @@ impl OnlineSynchronizer {
         let mut fresh = HashMap::with_capacity(components.len());
         let keys = components.clone();
         let mut outcome =
-            SyncOutcome::from_components_with(dist, scaled, components, |idx, closure| {
+            SyncOutcome::from_components_with(dist, counts, components, |idx, closure| {
                 let (result, state) = shifts_warm(closure, 0, prev.get(&keys[idx]));
                 if let Some(state) = state {
                     fresh.insert(keys[idx].clone(), state);
@@ -1070,9 +1062,108 @@ mod tests {
     }
 
     #[test]
+    fn a_half_ns_estimate_relaxes_an_integer_cache_in_place() {
+        // Every estimate starts whole, so the warm cache holds only even
+        // counts. Then P → Q speeds up to 9 ns: the RTT-bias term
+        // (4 + 9 − 6)/2 = 7/2 tightens m̃ls(P, Q) to a half nanosecond,
+        // which relaxes in place instead of dropping the cache.
+        let r = ProcessorId(2);
+        let bias = LinkAssumption::rtt_bias(Nanos::new(4));
+        let net = Network::builder(3)
+            .link(P, Q, bias.clone())
+            .link(Q, r, bias)
+            .build();
+        let stream = [
+            (P, Q, 100, 10),
+            (Q, P, 200, 6),
+            (Q, r, 300, 8),
+            (r, Q, 400, 8),
+        ];
+        let last = (P, Q, 500, 9);
+        let mut online = OnlineSynchronizer::new(net.clone());
+        let mut exec = ExecutionBuilder::new(3);
+        for (src, dst, at, delay) in stream {
+            online.observe_message(
+                src,
+                dst,
+                ClockTime::from_nanos(at),
+                ClockTime::from_nanos(at + delay),
+            );
+            exec = exec.message(src, dst, RealTime::from_nanos(at), Nanos::new(delay));
+        }
+        let before = online.outcome().unwrap();
+        assert!(before
+            .global_shift_estimates()
+            .as_slice()
+            .iter()
+            .all(|w| match w {
+                Ext::Finite(x) => x.is_integer(),
+                _ => true,
+            }));
+        let (src, dst, at, delay) = last;
+        online.observe_message(
+            src,
+            dst,
+            ClockTime::from_nanos(at),
+            ClockTime::from_nanos(at + delay),
+        );
+        exec = exec.message(src, dst, RealTime::from_nanos(at), Nanos::new(delay));
+        assert_eq!(
+            online.local_estimates()[(0, 1)],
+            Ext::Finite(Ratio::new(7, 2))
+        );
+        assert!(
+            online.cached.is_some(),
+            "the cache survives the half-ns estimate"
+        );
+        let mut reference = online.clone();
+        reference.invalidate_caches();
+        let outcome = online.outcome().unwrap();
+        assert_eq!(outcome, reference.outcome().unwrap());
+        let batch = Synchronizer::new(net)
+            .synchronize(exec.build().unwrap().views())
+            .unwrap();
+        assert_eq!(outcome, batch);
+        assert!(outcome.precision() < before.precision());
+    }
+
+    #[test]
+    fn inconsistent_evidence_far_past_the_integer_bound_is_reported() {
+        // Every delay is 9 ns against bounds of [10, 1000] ns, so every
+        // m̃ls entry is −1 and the negative cycles start at the first
+        // Floyd–Warshall level. One 0 → 1 message from a clock 10^18 ns
+        // ahead sends the closure to the rational kernel; it must stop at
+        // that level instead of doubling entries until Ratio overflows.
+        let n = 100;
+        let bounds =
+            LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::new(10), Nanos::new(1_000)));
+        let mut net = Network::builder(n);
+        for p in 0..n {
+            for q in p + 1..n {
+                net = net.link(ProcessorId(p), ProcessorId(q), bounds.clone());
+            }
+        }
+        let mut online = OnlineSynchronizer::new(net.build());
+        for p in 0..n {
+            for q in 0..n {
+                if p != q {
+                    online.observe_estimated_delay(ProcessorId(p), ProcessorId(q), Nanos::new(9));
+                }
+            }
+        }
+        online.observe_estimated_delay(P, Q, Nanos::new(9 - 1_000_000_000_000_000_000));
+        let expected = SyncError::InconsistentObservations { witness: Q };
+        assert_eq!(online.outcome(), Err(expected.clone()));
+        assert_eq!(
+            crate::global_estimates(online.local_estimates()),
+            Err(expected)
+        );
+    }
+
+    #[test]
     fn components_past_the_integer_bound_take_the_rational_route() {
-        // Six clocks 8·10^16 ns apart on a chain: every m̃ls entry scales,
-        // but the closure sums five of them between the chain's ends, past
+        // Six clocks 8·10^16 ns apart on a chain: every m̃ls entry has a
+        // count, but the closure sums five of them between the chain's ends, past
         // the integer SHIFTS kernels' bound for six nodes. The component
         // takes the rational route, online and in batch alike.
         let (n, gap) = (6, 80_000_000_000_000_000i64);
@@ -1098,8 +1189,8 @@ mod tests {
         let mut online = OnlineSynchronizer::new(net.clone());
         online.ingest_views(exec.views()).unwrap();
         assert_eq!(online.outcome().unwrap(), batch);
-        let cache = online.cached.as_ref().expect("m̃ls scales");
-        assert!(ScaledMatrix::new(Cow::Borrowed(cache.dist()), cache.scale()).is_none());
+        let cache = online.cached.as_ref().expect("m̃ls has counts");
+        assert!(ScaledMatrix::new(Cow::Borrowed(cache.dist())).is_none());
         // Streamed into a warm cache, message by message.
         let mut streamed = OnlineSynchronizer::new(net);
         let _ = streamed.outcome().unwrap();

@@ -2,20 +2,21 @@
 //! estimates.
 //!
 //! The stage splits into two steps: `A_max` (a maximum cycle mean) and a
-//! single-source shortest-path pass. Both run on the closure's scaled
-//! integers whenever it has them: the batch synchronizer and the online
-//! engine hand each component over as the closure stage computed it
-//! ([`ScaledMatrix`]), and [`shifts`] and
+//! single-source shortest-path pass. Both run on the closure's
+//! half-nanosecond counts whenever it has them: the batch synchronizer and
+//! the online engine hand each component over as the closure stage
+//! computed it ([`ScaledMatrix`]), and [`shifts`] and
 //! [`SyncOutcome::from_global_estimates`](crate::SyncOutcome::from_global_estimates)
-//! scale their rational input once. There `A_max` is Howard's policy
+//! encode their rational input once. There `A_max` is Howard's policy
 //! iteration over `i64` weights: cold without a warm state, restarted from
 //! the cached policy on a warm miss, and not run at all when an online
 //! component's cached critical cycle still certifies. The corrections pass
-//! is an early-exit Bellman–Ford over scaled `i64` rows. A component whose
-//! closure does not scale, or whose entries pass the integer kernels'
+//! is an early-exit Bellman–Ford over `i64` rows. A component whose
+//! closure has no counts, or whose entries pass the integer kernels'
 //! magnitude bound, takes the one rational route, with or without a warm
 //! state: exact Karp, then [`shifted_distances`] on the rational entries
-//! (the rational Bellman–Ford unless they scale on their own). Every route
+//! (the rational Bellman–Ford unless they have counts on their own). Every
+//! route
 //! computes the same exact `A_max`, hence the same corrections, and reports
 //! the same canonical critical cycle, so the route never shows in the
 //! output. DESIGN.md §4c gives the kernel rule, the bounds, the iteration
@@ -55,9 +56,10 @@ pub(crate) struct ShiftsState {
 /// One component's closure as SHIFTS receives it.
 #[derive(Debug)]
 pub(crate) enum ComponentClosure<'a> {
-    /// The closure's scaled entries, within the integer kernels' bound.
+    /// The closure's half-nanosecond counts, within the integer kernels'
+    /// bound.
     Scaled(ScaledMatrix<'a>),
-    /// The rational entries: the closure does not scale, or this
+    /// The rational entries: the closure has no counts, or this
     /// component's entries pass the bound.
     Rational(Cow<'a, SquareMatrix<ExtRatio>>),
 }
@@ -71,9 +73,9 @@ pub(crate) enum ComponentClosure<'a> {
 /// 2. corrections are shortest-path distances from `root` under
 ///    `w(p,q) = A_max − m̃s(p,q)` (no negative cycles by construction).
 ///
-/// Both steps run on one scaled-`i64` copy of the closure
+/// Both steps run on one copy of the closure as half-nanosecond counts
 /// ([`ScaledMatrix::from_ratio`]): integer Howard, then the integer
-/// corrections pass. When the closure does not scale they run on exact
+/// corrections pass. When the closure has no counts they run on exact
 /// Karp and the rational Bellman–Ford instead.
 ///
 /// The caller (the synchronizer) is responsible for splitting the system
@@ -200,7 +202,7 @@ mod tests {
         root: usize,
         warm: Option<&ShiftsState>,
     ) -> (ShiftsResult, ShiftsState) {
-        let m = ScaledMatrix::from_ratio(closure).expect("test closures scale");
+        let m = ScaledMatrix::from_ratio(closure).expect("test closures have counts");
         let (result, state) = shifts_warm(ComponentClosure::Scaled(m), root, warm);
         (result, state.expect("the scaled route keeps a warm state"))
     }

@@ -122,8 +122,7 @@ impl Synchronizer {
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let scaled = scaled.as_ref().map(|(m, scale)| (m, *scale));
-            let mut outcome = SyncOutcome::from_closure(closure, scaled);
+            let mut outcome = SyncOutcome::from_closure(closure, scaled.as_ref());
             span.field("components", outcome.components().len());
             outcome.set_constraint_chains(chains);
             outcome
@@ -246,20 +245,22 @@ impl SyncOutcome {
     /// the entry point for callers that obtained the estimates by some
     /// other route than complete views — e.g. the distributed protocol's
     /// leader, which receives per-link estimates in messages. The closure
-    /// is scaled to integers once, here, and SHIFTS runs on that.
+    /// is encoded as half-nanosecond counts once, here, and SHIFTS runs on
+    /// that.
     pub fn from_global_estimates(closure: SquareMatrix<ExtRatio>) -> SyncOutcome {
-        let scaled = scaled_weights(&closure).ok();
-        SyncOutcome::from_closure(closure, scaled.as_ref().map(|(m, scale)| (m, *scale)))
+        let counts = scaled_weights(&closure).ok();
+        SyncOutcome::from_closure(closure, counts.as_ref())
     }
 
     /// SHIFTS without warm states on every component of `closure`, read
-    /// from `scaled` (the same closure on scaled integers) when given.
+    /// from `counts` (the same closure as half-nanosecond counts) when
+    /// given.
     fn from_closure(
         closure: SquareMatrix<ExtRatio>,
-        scaled: Option<(&SquareMatrix<i64>, i128)>,
+        counts: Option<&SquareMatrix<i64>>,
     ) -> SyncOutcome {
         let components = synchronizable_components(&closure);
-        SyncOutcome::from_components_with(closure, scaled, components, |_, c| {
+        SyncOutcome::from_components_with(closure, counts, components, |_, c| {
             shifts_warm(c, 0, None).0
         })
     }
@@ -269,15 +270,15 @@ impl SyncOutcome {
     /// component (in order, with the component index and its closure) so
     /// the caller can substitute a warm-started SHIFTS.
     ///
-    /// `scaled` is `closure` on scaled integers with its common
-    /// denominator, when it scales. A component spanning the whole domain
-    /// then reads it as is; a smaller one copies its `i64` entries. A
-    /// component takes the rational route when `scaled` is `None` or its
-    /// entries pass the integer kernels' bound. Components must list their
-    /// members in ascending order.
+    /// `counts` is `closure` as half-nanosecond counts, when it has them.
+    /// A component spanning the whole domain then reads it as is; a
+    /// smaller one copies its `i64` entries. A component takes the
+    /// rational route when `counts` is `None` or its entries pass the
+    /// integer kernels' bound. Components must list their members in
+    /// ascending order.
     pub(crate) fn from_components_with(
         closure: SquareMatrix<ExtRatio>,
-        scaled: Option<(&SquareMatrix<i64>, i128)>,
+        counts: Option<&SquareMatrix<i64>>,
         components: Vec<Vec<ProcessorId>>,
         mut run_shifts: impl FnMut(usize, ComponentClosure<'_>) -> ShiftsResult,
     ) -> SyncOutcome {
@@ -285,8 +286,7 @@ impl SyncOutcome {
         let mut corrections = vec![Ratio::ZERO; n];
         let mut reports = Vec::with_capacity(components.len());
         for (idx, members) in components.into_iter().enumerate() {
-            let scaled =
-                scaled.and_then(|(m, scale)| ScaledMatrix::new(restrict(m, &members), scale));
+            let scaled = counts.and_then(|m| ScaledMatrix::new(restrict(m, &members)));
             let input = match scaled {
                 Some(m) => ComponentClosure::Scaled(m),
                 None => ComponentClosure::Rational(restrict(&closure, &members)),

@@ -5,12 +5,11 @@
 //! arithmetic on every relaxation: an [`clocksync_time::Ratio`] addition
 //! costs a gcd plus several checked `i128` multiplications, and the
 //! `Ext<…>` wrapper adds a branch per operation. This module is the fast
-//! path behind [`crate::fast_closure`]: weights are pre-scaled to plain
-//! `i64` (possible whenever the matrix has a common denominator of
-//! reasonable size — always the case for estimate matrices derived from
-//! integer-nanosecond observations), "unreachable" is the sentinel
-//! [`UNREACHABLE`], and each `k`-round relaxes the `(i, j)` plane as
-//! independent row blocks in parallel via rayon.
+//! path behind [`crate::fast_closure`]: weights are pre-encoded as `i64`
+//! counts of half nanoseconds (always possible for estimate matrices
+//! derived from integer-nanosecond observations), "unreachable" is the
+//! sentinel [`UNREACHABLE`], and each `k`-round relaxes the `(i, j)` plane
+//! as independent row blocks in parallel via rayon.
 //!
 //! # Scheduling and exact equivalence
 //!
@@ -25,8 +24,10 @@
 //! without a negative cycle the kernel is **bit-identical** to the generic
 //! reference in both the distance and the successor matrix (the property
 //! suite in `tests/closure_equivalence.rs` checks this on thousands of
-//! random graphs). On negative-cycle inputs both kernels report an error,
-//! though possibly with different witness vertices.
+//! random graphs). Both kernels stop at the first level that leaves a
+//! negative diagonal entry. Until then row `k` does not change during
+//! level `k`, so the snapshot and the in-place reference agree there too,
+//! and both report the same witness vertex.
 //!
 //! Within a level, rows are independent: relaxing row `i` reads only row
 //! `i` itself and the row-`k` snapshot (`d[i][k]` lives in row `i`), so
@@ -40,8 +41,8 @@ use crate::{NegativeCycleError, SquareMatrix};
 /// The sentinel distance meaning "no path". Chosen so that
 /// `UNREACHABLE + |any admissible finite value|` cannot overflow and any
 /// partially-poisoned sum still compares above every finite distance;
-/// [`crate::fast_closure`] rejects inputs whose scaled magnitudes could
-/// get anywhere near it.
+/// [`crate::fast_closure`] rejects inputs whose counts could get anywhere
+/// near it.
 pub const UNREACHABLE: i64 = i64::MAX / 4;
 
 /// Below this dimension the kernels stay on the calling thread: an
@@ -92,12 +93,15 @@ fn relax_row(row: &mut Row, k: usize, row_k: &[i64]) {
 ///
 /// Callers must keep finite weight magnitudes far below [`UNREACHABLE`]
 /// (specifically `|w| · n` must not approach it); [`crate::fast_closure`]
-/// enforces this when it scales rational matrices down to this kernel.
+/// enforces this when it encodes rational matrices for this kernel.
 ///
 /// # Errors
 ///
 /// Returns [`NegativeCycleError`] when the graph contains a negative
-/// cycle, detected as a negative diagonal entry after the run.
+/// cycle: the run stops at the first level that leaves a negative diagonal
+/// entry and names the smallest such node. Up to that level every entry is
+/// a simple-path length, so no sum can overflow however negative the
+/// cycle.
 ///
 /// # Examples
 ///
@@ -143,8 +147,12 @@ pub fn blocked_floyd_warshall_i64(
     let threads = rayon::current_num_threads();
     let parallel = n >= PAR_THRESHOLD && threads > 1;
     let block = if parallel { n.div_ceil(threads) } else { n };
+    let negative = |rows: &[Row]| (0..n).find(|&i| rows[i].dist[i] < 0);
     let mut row_k = vec![0i64; n];
     for k in 0..n {
+        if let Some(witness) = negative(&rows) {
+            return Err(NegativeCycleError { witness });
+        }
         row_k.copy_from_slice(&rows[k].dist);
         if parallel {
             let snapshot = &row_k;
@@ -161,10 +169,8 @@ pub fn blocked_floyd_warshall_i64(
         }
     }
 
-    for (i, row) in rows.iter().enumerate() {
-        if row.dist[i] < 0 {
-            return Err(NegativeCycleError { witness: i });
-        }
+    if let Some(witness) = negative(&rows) {
+        return Err(NegativeCycleError { witness });
     }
 
     let mut dist = Vec::with_capacity(n * n);
@@ -241,6 +247,17 @@ mod tests {
     fn detects_negative_cycles() {
         let m = sentinel_matrix(2, &[(0, 1, 1), (1, 0, -2)]);
         assert!(blocked_floyd_warshall_i64(&m).is_err());
+    }
+
+    #[test]
+    fn a_dense_negative_matrix_stops_before_overflowing() {
+        // Every off-diagonal entry −1: once a diagonal entry is negative,
+        // entries would double at every later level and pass i64 within 64
+        // levels. Level 0 already closes 1 → 0 → 1.
+        let m = SquareMatrix::from_fn(64, |i, j| if i == j { 0 } else { -1i64 });
+        let err = blocked_floyd_warshall_i64(&m).unwrap_err();
+        assert_eq!(err.witness, 1);
+        assert_eq!(floyd_warshall_with_paths(&ext_matrix(&m)), Err(err));
     }
 
     #[test]

@@ -1,196 +1,78 @@
-//! The closure subsystem: a scaled fast path for one-shot closures and the
-//! scaled-integer [`Closure`] cache behind online resynchronization.
+//! The closure subsystem: an integer fast path for one-shot closures and
+//! the integer [`Closure`] cache behind online resynchronization.
 //!
 //! Two complementary optimizations of the GLOBAL ESTIMATES step live here:
 //!
 //! * [`fast_closure`] — the drop-in replacement for
 //!   [`crate::floyd_warshall_with_paths`] over [`ExtRatio`] matrices. It
-//!   rescales the matrix to plain `i64` (exact, via the least common
-//!   denominator) and dispatches on density: the parallel
+//!   encodes the matrix as `i64` counts of half nanoseconds (exact for
+//!   every estimate; `half_ns.rs`) and dispatches on density: the parallel
 //!   [`crate::blocked_floyd_warshall_i64`] kernel for dense inputs, the
 //!   Johnson-style [`crate::sparse_closure_i64`] for large sparse ones and
 //!   the per-component [`crate::hierarchical_closure_i64`] when the domain
 //!   splits into several weak components (see [`plan_closure_kernel`]). It
-//!   falls back to the generic reference kernel whenever exact scaling is
-//!   impossible or could overflow, reporting why via [`ScaleBailout`].
-//!   Distances are bit-identical to the reference on every input the fast
-//!   path accepts; successor matrices are bit-identical on the dense
-//!   kernel and canonically tie-broken (but still valid) on the sparse
-//!   ones.
-//! * [`Closure`] — the online engine's cache: the closure as `i64`
-//!   multiples of one common denominator `scale` (the [`scaled_weights`]
-//!   encoding, [`UNREACHABLE`] for `+∞`) next to its successor matrix,
-//!   built by the same kernels [`fast_closure`] runs. [`Closure::relax_edge`]
-//!   applies a single-edge weight *decrease* in `O(n²)` integer operations
-//!   instead of recomputing the full `O(n³)` closure. Online synchronizers
-//!   observe one message at a time, and each observation can only tighten
-//!   the estimate of the link it travelled on, so steady-state
-//!   resynchronization becomes a sequence of `relax_edge` calls. Rationals
-//!   appear only at the edges: weights arrive as [`ExtRatio`], and
-//!   [`Closure::ratio_dist`] converts the distances back once per query.
+//!   falls back to the generic reference kernel when an entry has no count
+//!   — off the half-nanosecond grid, `−∞`, or past the magnitude bound —
+//!   reporting why via [`ScaleBailout`]. Distances are bit-identical to the
+//!   reference on every input the fast path accepts; successor matrices
+//!   are bit-identical on the dense kernel and canonically tie-broken (but
+//!   still valid) on the sparse ones.
+//! * [`Closure`] — the online engine's cache: the closure as half-ns
+//!   counts (the [`scaled_weights`] encoding, [`UNREACHABLE`] for `+∞`)
+//!   next to its successor matrix, built by the same kernels
+//!   [`fast_closure`] runs. [`Closure::relax_edge`] applies a single-edge
+//!   weight *decrease* in `O(n²)` integer operations instead of
+//!   recomputing the full `O(n³)` closure. Online synchronizers observe one
+//!   message at a time, and each observation can only tighten the estimate
+//!   of the link it travelled on, so steady-state resynchronization becomes
+//!   a sequence of `relax_edge` calls. Rationals appear only at the edges:
+//!   weights arrive as [`ExtRatio`], and [`Closure::ratio_dist`] converts
+//!   the distances back once per query.
 
 use std::fmt;
 
 use clocksync_time::{Ext, ExtRatio, Ratio};
 
+use crate::half_ns::{self, closure_limit, ScaleBailout};
 use crate::{
     blocked_floyd_warshall_i64, floyd_warshall_with_paths, hierarchical_closure_i64,
     sparse_closure_i64, NegativeCycleError, SquareMatrix, UNREACHABLE,
 };
 
-/// Largest common denominator the scaling pass will build. Estimate
-/// matrices produced from integer-nanosecond observations have
-/// denominators 1 or 2 (the round-trip estimator halves an RTT), so this
-/// is generous; it exists to bail out before `lcm` or the scaled
-/// magnitudes overflow. Every scaling front end in the crate shares it.
-pub(crate) const MAX_SCALE: i128 = 1 << 40;
-
-pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.abs()
-}
-
-/// The least common multiple of a running common denominator (at most
-/// [`MAX_SCALE`]) and one more denominator, or `None` once it passes
-/// [`MAX_SCALE`] — the LCM step of every scaling front end in the crate.
-pub(crate) fn lcm_scale(scale: i128, den: i128) -> Option<i128> {
-    // Estimate matrices have denominators 1 or 2: skip the i128 divisions.
-    if den == 1 || den == scale {
-        return Some(scale);
-    }
-    scale
-        .checked_mul(den / gcd(scale, den))
-        .filter(|&s| s <= MAX_SCALE)
-}
-
-/// `r · scale` as an integer, for a `scale` that `r`'s denominator
-/// divides; `None` on `i128` overflow.
-pub(crate) fn scaled_numerator(r: Ratio, scale: i128) -> Option<i128> {
-    let factor = match r.denominator() {
-        1 => scale,
-        den if den == scale => 1,
-        den => scale / den,
-    };
-    r.numerator().checked_mul(factor)
-}
-
-/// The largest scaled magnitude an `n`-node closure input may hold: a
-/// shortest path has at most `n − 1` edges, so every sum a kernel or a
-/// relaxation forms stays below `UNREACHABLE / 2`.
-fn entry_limit(n: usize) -> i64 {
-    UNREACHABLE / (4 * (n as i64).max(1))
-}
-
-/// `w · scale` in the sentinel encoding ([`UNREACHABLE`] for `+∞`), or
-/// `None` when `w` is `−∞`, its denominator does not divide `scale`, or
-/// the scaled value lies outside `±limit`.
-fn scale_weight(w: ExtRatio, scale: i128, limit: i64) -> Option<i64> {
+/// The closure's image of an infinite weight: [`UNREACHABLE`] for `+∞`;
+/// `−∞` has none.
+fn closure_infinity(w: ExtRatio) -> Result<i64, ScaleBailout> {
     match w {
-        Ext::PosInf => Some(UNREACHABLE),
-        Ext::NegInf => None,
-        Ext::Finite(r) => {
-            let den = r.denominator();
-            if den != 1 && den != scale && scale % den != 0 {
-                return None;
-            }
-            scaled_numerator(r, scale)
-                .and_then(|v| i64::try_from(v).ok())
-                .filter(|v| (-limit..=limit).contains(v))
-        }
+        Ext::PosInf => Ok(UNREACHABLE),
+        _ => Err(ScaleBailout::NegInfWeight),
     }
 }
 
-/// Maps a sentinel-encoded matrix at `scale` back to extended rationals.
-fn unscale(dist: &SquareMatrix<i64>, scale: i128) -> SquareMatrix<ExtRatio> {
-    let data = dist
-        .as_slice()
-        .iter()
-        .map(|&v| {
-            if v == UNREACHABLE {
-                Ext::PosInf
-            } else {
-                Ext::Finite(Ratio::new(i128::from(v), scale))
-            }
-        })
-        .collect();
-    SquareMatrix::from_vec(dist.n(), data)
+/// A weight as a closure input over `n` nodes: its half-nanosecond count
+/// within [`closure_limit`], or [`UNREACHABLE`] for `+∞`.
+fn closure_weight(w: ExtRatio, n: usize) -> Result<i64, ScaleBailout> {
+    half_ns::encode_ext(w, closure_limit(n), closure_infinity)
 }
 
-/// Why [`scaled_weights`] refused to rescale a matrix to `i64` — the
-/// reasons the GLOBAL ESTIMATES step falls off the scaled kernels onto the
-/// `O(n³)` generic rational one. Surfaced through
-/// [`try_scaled_closure_explained`] so callers can make the perf cliff
-/// observable instead of silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleBailout {
-    /// The matrix contains a `NegInf` entry, which the sentinel encoding
-    /// cannot represent.
-    NegInfWeight,
-    /// The least common denominator of the finite entries exceeds
-    /// `MAX_SCALE` (or overflows `i128`).
-    ScaleOverflow,
-    /// A scaled entry's magnitude exceeds `UNREACHABLE / (4n)`, close
-    /// enough to the sentinel that `n` additions could overflow into it.
-    MagnitudeOverflow,
-}
-
-impl ScaleBailout {
-    /// A short stable label for obs fields and log lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScaleBailout::NegInfWeight => "neg-inf-weight",
-            ScaleBailout::ScaleOverflow => "scale-overflow",
-            ScaleBailout::MagnitudeOverflow => "magnitude-overflow",
-        }
-    }
-}
-
-impl fmt::Display for ScaleBailout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Exactly rescales an extended-rational matrix to sentinel-encoded `i64`,
-/// returning the scaled matrix and the common denominator, or the
-/// [`ScaleBailout`] reason when the matrix cannot be represented safely
-/// (`NegInf` entries, an oversized common denominator, or magnitudes big
-/// enough that `n` additions could approach [`UNREACHABLE`]).
+/// Encodes an extended-rational matrix as half-nanosecond counts in the
+/// sentinel encoding ([`UNREACHABLE`] for `+∞`), the input of every
+/// integer closure kernel, or names the [`ScaleBailout`] reason of the
+/// first entry without a count: `−∞`, a value off the half-nanosecond
+/// grid, or a magnitude big enough that the kernels' sums could approach
+/// the sentinel (DESIGN.md §4b).
 ///
 /// # Errors
 ///
-/// Returns the [`ScaleBailout`] reason when exact scaling is impossible.
-pub fn scaled_weights(
-    m: &SquareMatrix<ExtRatio>,
-) -> Result<(SquareMatrix<i64>, i128), ScaleBailout> {
-    let mut scale: i128 = 1;
-    for &w in m.as_slice() {
-        match w {
-            Ext::Finite(r) => {
-                scale = lcm_scale(scale, r.denominator()).ok_or(ScaleBailout::ScaleOverflow)?;
-            }
-            Ext::PosInf => {}
-            Ext::NegInf => return Err(ScaleBailout::NegInfWeight),
-        }
-    }
-    let limit = entry_limit(m.n());
-    let out = m
-        .as_slice()
-        .iter()
-        .map(|&w| scale_weight(w, scale, limit).ok_or(ScaleBailout::MagnitudeOverflow))
-        .collect::<Result<_, _>>()?;
-    Ok((SquareMatrix::from_vec(m.n(), out), scale))
+/// Returns the [`ScaleBailout`] reason when an entry has no count.
+pub fn scaled_weights(m: &SquareMatrix<ExtRatio>) -> Result<SquareMatrix<i64>, ScaleBailout> {
+    half_ns::encode_matrix(m, closure_limit(m.n()), closure_infinity)
 }
 
 /// The result type of the closure functions: `(dist, next)` on success,
 /// the negative-cycle witness otherwise.
 pub type ClosureResult = Result<(SquareMatrix<ExtRatio>, SquareMatrix<usize>), NegativeCycleError>;
 
-/// Below this dimension the scaled fast path always uses the dense
+/// Below this dimension the integer fast path always uses the dense
 /// blocked kernel: a sub-millisecond `n³` leaves nothing for the sparse
 /// backends to win, and the dense kernel's successor matrix is
 /// bit-identical to the generic reference (which the small-n equivalence
@@ -205,9 +87,8 @@ pub const SPARSE_MIN_N: usize = 192;
 /// streaming row relaxations win back.
 pub const SPARSE_MAX_DENSITY: f64 = 0.05;
 
-/// Which scaled-`i64` kernel [`fast_closure`] dispatched to, reported on
-/// the `sync.global_estimates` obs span (via
-/// [`try_scaled_closure_explained`]).
+/// Which integer kernel [`fast_closure`] dispatched to, reported on the
+/// `sync.global_estimates` obs span (via [`Closure::new_explained`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClosureKernel {
     /// The parallel blocked Floyd–Warshall ([`blocked_floyd_warshall_i64`]).
@@ -250,7 +131,7 @@ impl fmt::Display for ClosureKernel {
     }
 }
 
-/// Chooses the scaled kernel for a sentinel-encoded matrix — the density
+/// Chooses the integer kernel for a sentinel-encoded matrix — the density
 /// dispatch heuristic behind [`fast_closure`]:
 ///
 /// * `n < SPARSE_MIN_N` → [`ClosureKernel::DenseBlocked`] (bit-identical
@@ -311,38 +192,12 @@ pub fn dispatch_closure_i64(
     plan_closure_kernel(scaled).run(scaled)
 }
 
-/// Runs a scaled `i64` kernel if the matrix admits exact scaling,
-/// reporting which kernel the density dispatch chose, or the
-/// [`ScaleBailout`] reason when it does not (the caller should use the
-/// generic kernel, and knows why the fast path was lost).
-///
-/// # Errors
-///
-/// Returns the [`ScaleBailout`] reason when exact scaling is impossible.
-pub fn try_scaled_closure_explained(
-    m: &SquareMatrix<ExtRatio>,
-) -> Result<(ClosureKernel, ClosureResult), ScaleBailout> {
-    let (kernel, closure) = Closure::new_explained(m)?;
-    Ok((kernel, closure.map(|c| (c.ratio_dist(), c.next))))
-}
-
-/// Runs a scaled `i64` kernel if the matrix admits exact scaling.
-/// Returns `None` when it does not (the caller should use the generic
-/// kernel). Exposed so the equivalence test suite can tell "fast path
-/// taken" apart from "silently fell back"; use
-/// [`try_scaled_closure_explained`] to also learn the kernel choice or
-/// the bailout reason.
-pub fn try_scaled_closure(m: &SquareMatrix<ExtRatio>) -> Option<ClosureResult> {
-    try_scaled_closure_explained(m)
-        .ok()
-        .map(|(_, result)| result)
-}
-
 /// The all-pairs shortest-path closure with path successors — same
-/// contract as [`crate::floyd_warshall_with_paths`], computed via a
-/// scaled-`i64` kernel whenever the input can be exactly rescaled (the
-/// common case for estimate matrices), and via the generic exact kernel
-/// otherwise. The scaled path density-dispatches between the dense
+/// contract as [`crate::floyd_warshall_with_paths`], computed via an
+/// integer kernel on half-nanosecond counts ([`Closure::new`]) whenever
+/// every entry has one (always, for estimate matrices), and via the
+/// generic exact kernel otherwise. The integer path density-dispatches
+/// between the dense
 /// blocked kernel and the sparse/hierarchical backends (see
 /// [`plan_closure_kernel`]). On every input all routes produce identical
 /// distance matrices; on dense-kernel inputs the successor matrix is
@@ -370,8 +225,8 @@ pub fn try_scaled_closure(m: &SquareMatrix<ExtRatio>) -> Option<ClosureResult> {
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
 pub fn fast_closure(m: &SquareMatrix<ExtRatio>) -> ClosureResult {
-    match try_scaled_closure_explained(m) {
-        Ok((_, result)) => result,
+    match Closure::new(m) {
+        Ok(closure) => closure.map(|c| (c.ratio_dist(), c.next)),
         Err(_) => floyd_warshall_with_paths(m),
     }
 }
@@ -399,13 +254,13 @@ pub enum RelaxOutcome {
     /// query; callers that only ever tighten may safely ignore this
     /// outcome.
     StaleLoosening,
-    /// `w` has no exact image at the cache's scale — it is `−∞`, its
-    /// denominator does not divide [`Closure::scale`], or its scaled
-    /// magnitude exceeds `UNREACHABLE / (4n)` — so the relaxation **was
-    /// not applied** and the cache is unchanged. The cache is still exact
-    /// for the graph without the edge, but cannot represent the graph with
-    /// it: a caller that keeps `w` MUST discard the cache and rebuild it
-    /// with [`Closure::new`], whose fresh common denominator may admit it.
+    /// `w` has no half-nanosecond count within the cache's bound — it is
+    /// `−∞`, off the half-nanosecond grid, or past the magnitude bound of
+    /// DESIGN.md §4b — so the relaxation **was not applied** and the cache
+    /// is unchanged. The cache is still exact for the graph without the
+    /// edge, but cannot represent the graph with it: a caller that keeps
+    /// `w` MUST discard the cache, and [`Closure::new`] refuses that graph
+    /// too, so its closure takes the rational route.
     Unrepresentable,
 }
 
@@ -416,14 +271,14 @@ impl RelaxOutcome {
     }
 }
 
-/// A cached metric closure on scaled integers that can absorb single-edge
-/// weight decreases in `O(n²)` — the incremental engine behind online
-/// resynchronization.
+/// A cached metric closure on half-nanosecond counts that can absorb
+/// single-edge weight decreases in `O(n²)` — the incremental engine behind
+/// online resynchronization.
 ///
-/// The invariant: `dist` holds, as multiples of `1/scale` in the
-/// [`scaled_weights`] encoding, the exact all-pairs shortest-path closure
-/// of some weighted digraph whose every finite edge weight is exact at
-/// `scale` and at most `UNREACHABLE / (4n)` in magnitude; `next` is a
+/// The invariant: `dist` holds, in the [`scaled_weights`] encoding, the
+/// exact all-pairs shortest-path closure of some weighted digraph whose
+/// every finite edge weight is a count within the closure bound of
+/// DESIGN.md §4b; `next` is a
 /// valid successor matrix for it (`next[(i, j)]` begins a shortest
 /// `i → j` path; `usize::MAX` iff unreachable or `i == j`). Every finite
 /// entry is then a path of at most `n − 1` such edges, so no sum a
@@ -442,8 +297,8 @@ impl RelaxOutcome {
 /// for i in 0..3 { m[(i, i)] = <ExtRatio as Weight>::zero(); }
 /// m[(0, 1)] = Ext::Finite(Ratio::new(3, 2));
 /// m[(1, 2)] = Ext::Finite(Ratio::from_int(3));
-/// let mut c = Closure::new(&m).expect("scales")?;
-/// assert_eq!(c.scale(), 2);
+/// let mut c = Closure::new(&m).expect("whole and half nanoseconds")?;
+/// // Half nanoseconds: 3/2 + 3 = 9/2 ns.
 /// assert_eq!(c.dist()[(0, 2)], 9);
 /// // A tighter 0 → 1 estimate arrives: every pair through it improves.
 /// assert!(c.relax_edge(0, 1, Ext::Finite(Ratio::new(1, 2)))?.changed());
@@ -454,19 +309,18 @@ impl RelaxOutcome {
 pub struct Closure {
     dist: SquareMatrix<i64>,
     next: SquareMatrix<usize>,
-    scale: i128,
 }
 
 impl Closure {
-    /// Builds the closure of a weight matrix at its common denominator:
+    /// Builds the closure of a weight matrix on half-nanosecond counts:
     /// [`scaled_weights`], then [`dispatch_closure_i64`] — the kernels
-    /// [`fast_closure`] runs, so `dist` and `next` are exactly the scaled
+    /// [`fast_closure`] runs, so `dist` and `next` are exactly the encoded
     /// images of its output.
     ///
     /// # Errors
     ///
-    /// The outer error is the [`ScaleBailout`] reason when `m` does not
-    /// scale (the caller should use [`fast_closure`], whose rational
+    /// The outer error is the [`ScaleBailout`] reason when an entry of `m`
+    /// has no count (the caller should use [`fast_closure`], whose rational
     /// fallback answers); the inner one is [`NegativeCycleError`] when the
     /// graph has a negative cycle.
     pub fn new(
@@ -484,18 +338,18 @@ impl Closure {
     pub fn new_explained(
         m: &SquareMatrix<ExtRatio>,
     ) -> Result<(ClosureKernel, Result<Closure, NegativeCycleError>), ScaleBailout> {
-        let (scaled, scale) = scaled_weights(m)?;
+        let scaled = scaled_weights(m)?;
         let kernel = plan_closure_kernel(&scaled);
         let closure = kernel
             .run(&scaled)
-            .map(|(dist, next)| Closure { dist, next, scale });
+            .map(|(dist, next)| Closure { dist, next });
         Ok((kernel, closure))
     }
 
-    /// The distances ([`Closure::dist`]), the successor matrix and the
-    /// scale, by value.
-    pub fn into_parts(self) -> (SquareMatrix<i64>, SquareMatrix<usize>, i128) {
-        (self.dist, self.next, self.scale)
+    /// The distances ([`Closure::dist`]) and the successor matrix, by
+    /// value.
+    pub fn into_parts(self) -> (SquareMatrix<i64>, SquareMatrix<usize>) {
+        (self.dist, self.next)
     }
 
     /// The dimension.
@@ -503,12 +357,7 @@ impl Closure {
         self.dist.n()
     }
 
-    /// The common denominator: `dist` holds multiples of `1/scale`.
-    pub fn scale(&self) -> i128 {
-        self.scale
-    }
-
-    /// The closure distances times [`Closure::scale`], with
+    /// The closure distances as half-nanosecond counts, with
     /// [`UNREACHABLE`] for `+∞`.
     pub fn dist(&self) -> &SquareMatrix<i64> {
         &self.dist
@@ -517,7 +366,19 @@ impl Closure {
     /// The closure distances as extended rationals — the one conversion a
     /// query pays.
     pub fn ratio_dist(&self) -> SquareMatrix<ExtRatio> {
-        unscale(&self.dist, self.scale)
+        let data = self
+            .dist
+            .as_slice()
+            .iter()
+            .map(|&v| {
+                if v == UNREACHABLE {
+                    Ext::PosInf
+                } else {
+                    Ext::Finite(half_ns::decode(v))
+                }
+            })
+            .collect();
+        SquareMatrix::from_vec(self.n(), data)
     }
 
     /// The successor matrix (see [`crate::reconstruct_path`]).
@@ -545,7 +406,7 @@ impl Closure {
     /// already-unreachable pair — cases that can never hide a stale
     /// cache), [`RelaxOutcome::StaleLoosening`] when `w` is *strictly
     /// looser* than the cached entry, and [`RelaxOutcome::Unrepresentable`]
-    /// when `w` is off the cache's scale. The last two are **not
+    /// when `w` has no count within the bound. The last two are **not
     /// applied**; see their documentation for the caller's obligation.
     /// Every verdict but a real tightening is reached in `O(1)`.
     ///
@@ -577,7 +438,7 @@ impl Closure {
                 Ok(RelaxOutcome::Unchanged)
             };
         }
-        let Some(w) = scale_weight(w, self.scale, entry_limit(n)) else {
+        let Ok(w) = closure_weight(w, n) else {
             return Ok(RelaxOutcome::Unrepresentable);
         };
         let cached = self.dist[(u, v)];
@@ -634,19 +495,18 @@ impl Closure {
         }
     }
 
-    /// Recomputes the closure among `members` from the weights `m` at the
-    /// cache's scale and splices it in — the patch for a component whose
-    /// edges *loosened*, which [`Closure::relax_edge`] cannot absorb.
+    /// Recomputes the closure among `members` from the weights `m` and
+    /// splices it in — the patch for a component whose edges *loosened*,
+    /// which [`Closure::relax_edge`] cannot absorb.
     ///
     /// Exact when `members` is closed under finite weights: every finite
     /// `m` entry touching a member joins two members (a weak component of
     /// `m`'s finite-edge graph qualifies), so no path leaves the set. The
-    /// sub-closure runs on [`dispatch_closure_i64`]; the kernels only add
-    /// and compare, so their choices — successors included — are the same
-    /// at any positive scale. Returns `Ok(false)` and leaves the cache
-    /// unchanged when some member-to-member weight has no exact image at
-    /// the cache's scale (see [`RelaxOutcome::Unrepresentable`]); the
-    /// caller must then discard the cache.
+    /// sub-closure runs on [`dispatch_closure_i64`], under the bound of
+    /// the whole cache. Returns `Ok(false)` and leaves the cache unchanged
+    /// when some member-to-member weight has no count within it (see
+    /// [`RelaxOutcome::Unrepresentable`]); the caller must then discard
+    /// the cache.
     ///
     /// # Errors
     ///
@@ -668,13 +528,13 @@ impl Closure {
             self.n(),
             "weights and cache must have equal dimension"
         );
-        let limit = entry_limit(self.n());
+        let n = self.n();
         let mut sub = Vec::with_capacity(members.len() * members.len());
         for &i in members {
             for &j in members {
-                match scale_weight(m[(i, j)], self.scale, limit) {
-                    Some(x) => sub.push(x),
-                    None => return Ok(false),
+                match closure_weight(m[(i, j)], n) {
+                    Ok(x) => sub.push(x),
+                    Err(_) => return Ok(false),
                 }
             }
         }
@@ -739,10 +599,7 @@ mod tests {
                 (3, 0, 5, 1),
             ],
         );
-        assert!(
-            try_scaled_closure(&m).is_some(),
-            "should take the fast path"
-        );
+        assert!(Closure::new(&m).is_ok(), "should take the fast path");
         let (fd, fnext) = fast_closure(&m).unwrap();
         let (gd, gnext) = floyd_warshall_with_paths(&m).unwrap();
         assert_eq!(fd, gd);
@@ -753,16 +610,16 @@ mod tests {
     fn scaling_rejects_neg_inf_and_huge_denominators() {
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
         m[(1, 0)] = Ext::NegInf;
-        assert!(try_scaled_closure(&m).is_none());
+        assert!(Closure::new(&m).is_err());
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
-        m[(1, 0)] = Ext::Finite(Ratio::new(1, MAX_SCALE * 2 + 1));
-        assert!(try_scaled_closure(&m).is_none());
+        m[(1, 0)] = Ext::Finite(Ratio::new(1, (1 << 41) + 1));
+        assert!(Closure::new(&m).is_err());
     }
 
     #[test]
     fn fast_closure_falls_back_when_unscalable() {
         let mut m = ratio_matrix(2, &[(0, 1, 3, 1)]);
-        m[(1, 0)] = Ext::Finite(Ratio::new(1, MAX_SCALE * 2 + 1));
+        m[(1, 0)] = Ext::Finite(Ratio::new(1, (1 << 41) + 1));
         let (d, _) = fast_closure(&m).unwrap();
         assert_eq!(d[(0, 1)], int(3));
     }
@@ -906,40 +763,36 @@ mod tests {
     }
 
     #[test]
-    fn relax_edge_refuses_weights_off_the_cache_scale() {
-        // An integer matrix builds at scale 1; a half-ns estimate has no
-        // image there, even though it would tighten dist(0, 1).
+    fn relax_edge_takes_half_ns_weights_in_place() {
+        // A cache built on whole nanoseconds absorbs a half-ns estimate in
+        // place: it equals a rebuild, and whole nanoseconds still relax.
         let mut m = ratio_matrix(3, &[(0, 1, 4, 1), (1, 2, 4, 1)]);
         let mut c = closure(&m);
-        assert_eq!(c.scale(), 1);
-        let before = c.clone();
         let half = Ext::Finite(Ratio::new(3, 2));
-        assert_eq!(
-            c.relax_edge(0, 1, half).unwrap(),
-            RelaxOutcome::Unrepresentable
-        );
-        assert_eq!(c, before);
-        // −∞ has no image at any scale.
-        assert_eq!(
-            c.relax_edge(0, 2, Ext::NegInf).unwrap(),
-            RelaxOutcome::Unrepresentable
-        );
-        assert_eq!(c, before);
-        // The mandated rebuild picks the new common denominator and agrees
-        // with the reference; at scale 2 integers still relax.
         m[(0, 1)] = half;
-        let mut rebuilt = closure(&m);
-        assert_eq!(rebuilt.scale(), 2);
-        assert_eq!(rebuilt.ratio_dist(), reference(&m));
+        assert!(c.relax_edge(0, 1, half).unwrap().changed());
+        assert_eq!(c, closure(&m));
+        assert_eq!(c.ratio_dist(), reference(&m));
         m[(1, 2)] = int(1);
-        assert!(rebuilt.relax_edge(1, 2, int(1)).unwrap().changed());
-        assert_eq!(rebuilt.ratio_dist(), reference(&m));
+        assert!(c.relax_edge(1, 2, int(1)).unwrap().changed());
+        assert_eq!(c.ratio_dist(), reference(&m));
+        // −∞ and values off the half-ns grid have no count: refused, and
+        // the cache is untouched.
+        let before = c.clone();
+        for w in [Ext::NegInf, Ext::Finite(Ratio::new(1, 4))] {
+            assert_eq!(
+                c.relax_edge(0, 2, w).unwrap(),
+                RelaxOutcome::Unrepresentable
+            );
+            assert_eq!(c, before);
+        }
     }
 
     #[test]
     fn relax_edge_refuses_weights_past_the_magnitude_limit() {
-        // The per-entry bound is UNREACHABLE / (4n), as in scaled_weights:
-        // at the limit the weight relaxes, one past it is refused.
+        // The per-entry bound is UNREACHABLE / (4n) ns, as in
+        // scaled_weights: at the limit the weight relaxes, one past it is
+        // refused.
         let n = 3;
         let limit = i128::from(UNREACHABLE / (4 * n as i64));
         let m = ratio_matrix(n, &[(1, 2, 0, 1)]);
@@ -977,9 +830,14 @@ mod tests {
         assert!(c.reclose_within(&m, &[0, 1, 2]).unwrap());
         assert_eq!(c, closure(&m));
         assert_eq!(c.ratio_dist(), reference(&m));
-        // A component weight off the cache's scale is refused untouched.
-        let before = c.clone();
+        // A half-ns component weight re-closes in place like any other.
         m[(0, 1)] = Ext::Finite(Ratio::new(15, 2));
+        assert!(c.reclose_within(&m, &[0, 1, 2]).unwrap());
+        assert_eq!(c, closure(&m));
+        assert_eq!(c.ratio_dist(), reference(&m));
+        // A component weight off the half-ns grid is refused untouched.
+        let before = c.clone();
+        m[(0, 1)] = Ext::Finite(Ratio::new(15, 4));
         assert!(!c.reclose_within(&m, &[0, 1, 2]).unwrap());
         assert_eq!(c, before);
     }
@@ -989,36 +847,31 @@ mod tests {
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
         m[(1, 0)] = Ext::NegInf;
         assert_eq!(
-            try_scaled_closure_explained(&m).unwrap_err(),
+            Closure::new_explained(&m).unwrap_err(),
             ScaleBailout::NegInfWeight
         );
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
-        m[(1, 0)] = Ext::Finite(Ratio::new(1, MAX_SCALE * 2 + 1));
+        m[(1, 0)] = Ext::Finite(Ratio::new(1, (1 << 41) + 1));
         assert_eq!(
-            try_scaled_closure_explained(&m).unwrap_err(),
-            ScaleBailout::ScaleOverflow
+            Closure::new_explained(&m).unwrap_err(),
+            ScaleBailout::OffGrid
         );
-        assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::ScaleOverflow);
+        assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::OffGrid);
         assert_eq!(ScaleBailout::MagnitudeOverflow.name(), "magnitude-overflow");
     }
 
     #[test]
-    fn scaling_boundary_at_max_scale() {
-        // A common denominator of exactly MAX_SCALE is the last one the
-        // scaling pass accepts; one step beyond bails with ScaleOverflow.
+    fn scaling_boundary_at_the_half_ns_grid() {
+        // Half nanoseconds are the finest values the encoding holds; a
+        // quarter bails with OffGrid, and fast_closure still answers.
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
-        m[(1, 0)] = Ext::Finite(Ratio::new(1, MAX_SCALE));
-        let (_, result) = try_scaled_closure_explained(&m).expect("MAX_SCALE itself is admissible");
-        let (d, _) = result.unwrap();
-        assert_eq!(d[(1, 0)], Ext::Finite(Ratio::new(1, MAX_SCALE)));
-        // MAX_SCALE * 2 stays a power of two times two — still a single
-        // denominator, but past the cap.
-        let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
-        m[(1, 0)] = Ext::Finite(Ratio::new(1, MAX_SCALE * 2));
-        assert_eq!(
-            try_scaled_closure_explained(&m).unwrap_err(),
-            ScaleBailout::ScaleOverflow
-        );
+        m[(1, 0)] = Ext::Finite(Ratio::new(1, 2));
+        let c = closure(&m);
+        assert_eq!(c.dist()[(1, 0)], 1);
+        assert_eq!(c.ratio_dist(), reference(&m));
+        m[(1, 0)] = Ext::Finite(Ratio::new(1, 4));
+        assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::OffGrid);
+        assert_eq!(fast_closure(&m).unwrap().0, reference(&m));
     }
 
     #[test]
@@ -1029,12 +882,13 @@ mod tests {
         let limit = (UNREACHABLE / (4 * 2)) as i128;
         let mut m = ratio_matrix(2, &[]);
         m[(0, 1)] = int(limit);
-        let (_, result) = try_scaled_closure_explained(&m).expect("limit itself is admissible");
-        let (d, _) = result.unwrap();
-        assert_eq!(d[(0, 1)], int(limit));
+        let c = Closure::new(&m)
+            .expect("limit itself is admissible")
+            .unwrap();
+        assert_eq!(c.ratio_dist()[(0, 1)], int(limit));
         m[(0, 1)] = int(limit + 1);
         assert_eq!(
-            try_scaled_closure_explained(&m).unwrap_err(),
+            Closure::new_explained(&m).unwrap_err(),
             ScaleBailout::MagnitudeOverflow
         );
         let (d, _) = fast_closure(&m).unwrap();
@@ -1090,12 +944,12 @@ mod tests {
 
     #[test]
     fn ratio_dist_round_trips_fast_closure() {
-        // The cache is the scaled image of fast_closure's output: converting
+        // The cache is the encoded image of fast_closure's output: converting
         // it back gives the same distances and it holds the same successors.
         let m = ratio_matrix(3, &[(0, 1, 1, 2), (1, 2, 1, 1), (2, 0, -1, 2)]);
         let c = closure(&m);
         assert_eq!(c.n(), 3);
-        assert_eq!(c.scale(), 2);
+        assert_eq!(c.dist()[(1, 2)], 2);
         let (d, next) = fast_closure(&m).unwrap();
         assert_eq!(c.ratio_dist(), d);
         assert_eq!(c.next(), &next);

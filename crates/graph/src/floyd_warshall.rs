@@ -51,7 +51,10 @@ pub fn floyd_warshall<W: Weight>(
 /// # Errors
 ///
 /// Returns [`NegativeCycleError`] if the graph contains a negative-weight
-/// cycle.
+/// cycle. The kernel stops at the first `k`-level that leaves a negative
+/// diagonal entry and names the smallest such node: up to that level every
+/// entry is a simple-path length, so no sum can overflow however negative
+/// the cycle.
 pub fn floyd_warshall_with_paths<W: Weight>(
     m: &SquareMatrix<W>,
 ) -> Result<(SquareMatrix<W>, SquareMatrix<usize>), NegativeCycleError> {
@@ -70,7 +73,11 @@ pub fn floyd_warshall_with_paths<W: Weight>(
             d[(i, i)] = W::zero();
         }
     }
+    let negative = |d: &SquareMatrix<W>| (0..n).find(|&i| d[(i, i)] < W::zero());
     for k in 0..n {
+        if let Some(witness) = negative(&d) {
+            return Err(NegativeCycleError { witness });
+        }
         for i in 0..n {
             if !d[(i, k)].is_reachable() {
                 continue;
@@ -87,12 +94,10 @@ pub fn floyd_warshall_with_paths<W: Weight>(
             }
         }
     }
-    for i in 0..n {
-        if d[(i, i)] < W::zero() {
-            return Err(NegativeCycleError { witness: i });
-        }
+    match negative(&d) {
+        Some(witness) => Err(NegativeCycleError { witness }),
+        None => Ok((d, next)),
     }
-    Ok((d, next))
 }
 
 /// Expands a successor matrix into the node sequence of a shortest

@@ -6,9 +6,9 @@
 //! (policy iteration over successor choices) has a weaker worst-case story
 //! but is famously fast in practice — Dasdan's experimental studies place
 //! it first on most instance families — and it can restart from any
-//! policy. Production SHIFTS run it over scaled `i64` weights
+//! policy. Production SHIFTS run it over `i64` half-nanosecond counts
 //! ([`ScaledMatrix::max_cycle_mean`](crate::ScaledMatrix::max_cycle_mean),
-//! DESIGN.md §4c), which makes this kernel's decisions on the scaled image
+//! DESIGN.md §4c), which makes this kernel's decisions on the doubled image
 //! of its input. This rational version has no production caller: the
 //! equivalence suites hold the integer kernel to it policy for policy, and
 //! it is itself property-tested against exact Karp and brute force.

@@ -10,8 +10,7 @@
 //! 3. **SHIFTS** (paper §4.4): single-source shortest paths under weights
 //!    `w(p,q) = A_max − m̃s(p,q)`, which may be negative but contain no
 //!    negative cycle — [`shifted_distances`], an early-exit Bellman–Ford
-//!    over scaled `i64` rows with the generic [`bellman_ford`] as its
-//!    fallback.
+//!    over `i64` rows with the generic [`bellman_ford`] as its fallback.
 //!
 //! Weights are generic over the [`Weight`] trait; the workspace instantiates
 //! it with [`clocksync_time::ExtRatio`] so every computation is exact.
@@ -19,24 +18,27 @@
 //! [`brute`].
 //!
 //! For the GLOBAL ESTIMATES hot path there is a performance layer on top of
-//! the generic kernels: [`fast_closure`] scales rational matrices to plain
-//! `i64` and runs the parallel [`blocked_floyd_warshall_i64`] kernel
-//! (falling back to the generic one when exact scaling is impossible), and
-//! [`Closure`] caches a computed closure as `i64` multiples of the
-//! matrix's common denominator, so single-edge tightenings are absorbed
-//! in `O(n²)` integer operations via [`Closure::relax_edge`] instead of a
-//! full `O(n³)` recompute, and rationals reappear only when
-//! [`Closure::ratio_dist`] hands the distances back. SHIFTS reads that
-//! same integer closure: a [`ScaledMatrix`] holds one component of it,
-//! checked against the integer kernels' magnitude bound, and runs both
-//! SHIFTS steps on it — `A_max` by Howard's policy iteration over `i64`
-//! weights, warm-startable from any policy and capped with a scaled Karp
-//! fallback ([`ScaledMatrix::max_cycle_mean`]), and the corrections pass
+//! the generic kernels. Every estimate is a whole or half nanosecond, so
+//! the integer kernels hold it as an `i64` count of half nanoseconds; one
+//! module (`half_ns.rs`) owns that encoding and its magnitude bounds.
+//! [`fast_closure`] encodes rational matrices that way and runs the
+//! parallel [`blocked_floyd_warshall_i64`] kernel (falling back to the
+//! generic one for entries off the half-ns grid or past the bound), and
+//! [`Closure`] caches a computed closure as counts, so single-edge
+//! tightenings are absorbed in `O(n²)` integer operations via
+//! [`Closure::relax_edge`] instead of a full `O(n³)` recompute, and
+//! rationals reappear only when [`Closure::ratio_dist`] hands the
+//! distances back. SHIFTS reads that same integer closure: a
+//! [`ScaledMatrix`] holds one component of it, checked against the integer
+//! kernels' magnitude bound, and runs both SHIFTS steps on it — `A_max` by
+//! Howard's policy iteration over `i64` weights, warm-startable from any
+//! policy and capped with an integer Karp fallback
+//! ([`ScaledMatrix::max_cycle_mean`]), and the corrections pass
 //! ([`ScaledMatrix::shifted_distances`]). The rational kernels —
 //! [`karp_max_cycle_mean`], [`howard_solve`], the generic
-//! [`bellman_ford`] — are the fallback for inputs that do not scale and
-//! the oracles the integer ones are tested against; [`fast_max_cycle_mean`]
-//! is scaled Karp on rational input.
+//! [`bellman_ford`] — are the fallback for inputs without counts and the
+//! oracles the integer ones are tested against; [`fast_max_cycle_mean`]
+//! is integer Karp on rational input.
 //!
 //! # Examples
 //!
@@ -60,6 +62,7 @@ pub mod brute;
 mod closure;
 mod digraph;
 mod floyd_warshall;
+mod half_ns;
 mod howard;
 mod karp;
 mod matrix;
@@ -72,19 +75,17 @@ mod weight;
 pub use bellman_ford::{bellman_ford, NegativeCycleError};
 pub use blocked::{blocked_floyd_warshall_i64, UNREACHABLE};
 pub use closure::{
-    dispatch_closure_i64, fast_closure, plan_closure_kernel, scaled_weights, try_scaled_closure,
-    try_scaled_closure_explained, Closure, ClosureKernel, ClosureResult, RelaxOutcome,
-    ScaleBailout, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
+    dispatch_closure_i64, fast_closure, plan_closure_kernel, scaled_weights, Closure,
+    ClosureKernel, ClosureResult, RelaxOutcome, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
 };
 pub use digraph::{DiGraph, Edge};
 pub use floyd_warshall::{floyd_warshall, floyd_warshall_with_paths, reconstruct_path};
+pub use half_ns::ScaleBailout;
 pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
-pub use shifted::{
-    shifted_distances, try_scaled_howard, try_scaled_shifted_distances, ScaledMatrix,
-};
+pub use shifted::{shifted_distances, try_scaled_shifted_distances, ScaledMatrix};
 pub use sparse::{
     derive_successors_i64, hierarchical_closure_i64, hierarchical_closure_i64_with_partition,
     sparse_closure_i64, weak_components_i64, CsrGraph,

@@ -1,8 +1,8 @@
-//! Howard's policy iteration over scaled `i64` weights — the `A_max`
-//! kernel of every SHIFTS whose closure scales (DESIGN.md §4c).
+//! Howard's policy iteration over `i64` half-nanosecond counts — the
+//! `A_max` kernel of every SHIFTS whose closure has counts (DESIGN.md §4c).
 //!
 //! It makes the rational [`howard_solve`](crate::howard_solve)'s decisions
-//! on the scaled image of its input: the same initial policy, the same
+//! on the doubled image of its input: the same initial policy, the same
 //! warm-seed repair, the same phase 1 and phase 2. So it converges to the
 //! same policy, and it reads the same canonical witness off its bias
 //! through the shared `canonical_cycle`. Its input is complete — every
@@ -12,33 +12,39 @@
 //! A node's cycle value is the reduced pair `(p, q)` of its policy cycle's
 //! weight sum and length, compared by `i128` cross-multiplication. Its
 //! bias `h` is kept as `q·h`, an integer: each step along a policy path
-//! adds `q·w − p`, and with every `|w|` within
-//! [`magnitude_limit`](crate::scaled_karp::magnitude_limit)`(n)` that is at
-//! most `2q·limit`, so every `|q·h|` stays below `2n²·limit`, far inside
-//! `i128`. Phase 2 compares biases of nodes that share one value, hence
+//! adds `q·w − p`, and with every `|w|` within the SHIFTS bound
+//! (`half_ns.rs`) that is at most `2q·limit`, so every `|q·h|` stays below
+//! `2n²·limit`, far inside `i128`. Phase 2 compares biases of nodes that share one value, hence
 //! one `q`, so comparing `q·h` is comparing `h`.
 //!
 //! Howard's algorithm has no known polynomial bound on its iterations for
 //! cycle means, so the kernel gives up after [`iteration_cap`] policy
-//! evaluations and runs scaled Karp on the same matrix. Each iteration
+//! evaluations and runs integer Karp on the same matrix. Each iteration
 //! costs `O(n²)`, so the cap keeps the `O(n³)` worst case of Karp's
 //! recurrence.
 
-use clocksync_time::Ratio;
-
-use crate::closure::gcd;
+use crate::half_ns;
 use crate::karp::canonical_cycle;
 use crate::scaled_karp::{cmp_frac, scaled_karp};
 use crate::{CycleMean, HowardSolution, SquareMatrix};
 
 /// Policy evaluations allowed per node (plus this many) before the kernel
-/// falls back to scaled Karp.
+/// falls back to integer Karp.
 const ITERATIONS_PER_NODE: usize = 10;
 
 /// The iteration cap for an `n`-node matrix: `10n + 10` policy
 /// evaluations, counting the one that confirms convergence.
 pub(crate) fn iteration_cap(n: usize) -> usize {
     ITERATIONS_PER_NODE * (n + 1)
+}
+
+fn gcd(mut a: i64, mut b: i64) -> i64 {
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a.abs()
 }
 
 /// A cycle value `p/q` in lowest terms with `q > 0`, so equal values have
@@ -52,7 +58,7 @@ struct Value {
 impl Value {
     /// The mean of a cycle of `len` edges weighing `sum` in total.
     fn mean(sum: i64, len: i64) -> Value {
-        let g = gcd(sum.into(), len.into()) as i64;
+        let g = gcd(sum, len);
         Value {
             p: sum / g,
             q: len / g,
@@ -72,10 +78,10 @@ impl PartialOrd for Value {
     }
 }
 
-/// The maximum cycle mean of the complete matrix `m` (multiples of
-/// `1/scale`, every entry an edge within `magnitude_limit(n)`) by policy
+/// The maximum cycle mean of the complete matrix `m` (half-nanosecond
+/// counts, every entry an edge within the SHIFTS bound) by policy
 /// iteration from `warm`, with the canonical witness and the last policy.
-/// Past `cap` policy evaluations it returns scaled Karp's answer, which is
+/// Past `cap` policy evaluations it returns integer Karp's answer, which is
 /// the same, with the policy it had reached.
 ///
 /// # Panics
@@ -83,7 +89,6 @@ impl PartialOrd for Value {
 /// Panics if `m` is empty.
 pub(crate) fn scaled_howard(
     m: &SquareMatrix<i64>,
-    scale: i128,
     warm: Option<&[usize]>,
     cap: usize,
 ) -> HowardSolution {
@@ -120,12 +125,12 @@ pub(crate) fn scaled_howard(
             bias[u] - bias[v] + p == q * i128::from(w[u * n + v])
         });
         let cycle_mean = CycleMean {
-            mean: Ratio::new(p, q * scale),
+            mean: half_ns::decode_mean(p, q),
             cycle,
         };
         return HowardSolution { cycle_mean, policy };
     }
-    let cycle_mean = scaled_karp(m, scale).expect("a nonempty complete matrix has a cycle");
+    let cycle_mean = scaled_karp(m).expect("a nonempty complete matrix has a cycle");
     HowardSolution { cycle_mean, policy }
 }
 
@@ -223,21 +228,19 @@ fn improve_bias(w: &[i64], policy: &mut [usize], q: i64, bias: &[i128]) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::half_ns::shifts_limit;
     use crate::karp_max_cycle_mean;
-    use crate::scaled_karp::magnitude_limit;
-    use clocksync_time::Ext;
+    use clocksync_time::{Ext, Ratio};
 
-    /// A closure-shaped matrix: zero diagonal, the given off-diagonal
-    /// rows, scale 1.
+    /// A closure-shaped matrix of counts: zero diagonal, the given
+    /// off-diagonal rows.
     fn matrix(rows: &[&[i64]]) -> SquareMatrix<i64> {
         SquareMatrix::from_fn(rows.len(), |i, j| if i == j { 0 } else { rows[i][j] })
     }
 
-    /// `m` divided by `scale`, as rationals.
-    fn rational(m: &SquareMatrix<i64>, scale: i128) -> SquareMatrix<Ext<Ratio>> {
-        SquareMatrix::from_fn(m.n(), |i, j| {
-            Ext::Finite(Ratio::new(m[(i, j)].into(), scale))
-        })
+    /// The values the counts of `m` encode, as rationals.
+    fn rational(m: &SquareMatrix<i64>) -> SquareMatrix<Ext<Ratio>> {
+        SquareMatrix::from_fn(m.n(), |i, j| Ext::Finite(half_ns::decode(m[(i, j)])))
     }
 
     #[test]
@@ -245,28 +248,26 @@ mod tests {
         // Heaviest successors first: 0 → 1 → 0 at mean 5 and 2 → 3 → 2 at
         // mean 6, so the first evaluation cannot be the last.
         let m = matrix(&[&[0, 9, 1, 1], &[1, 0, 1, 1], &[1, 1, 0, 7], &[1, 1, 5, 0]]);
-        for scale in [1, 3] {
-            let capped = scaled_howard(&m, scale, None, 1);
-            let converged = scaled_howard(&m, scale, None, iteration_cap(4));
-            assert_ne!(capped.policy, converged.policy, "the cap must cut the run");
-            assert_eq!(capped.cycle_mean, converged.cycle_mean);
-            let exact = karp_max_cycle_mean(&rational(&m, scale));
-            assert_eq!(Some(capped.cycle_mean), exact);
-        }
+        let capped = scaled_howard(&m, None, 1);
+        let converged = scaled_howard(&m, None, iteration_cap(4));
+        assert_ne!(capped.policy, converged.policy, "the cap must cut the run");
+        assert_eq!(capped.cycle_mean, converged.cycle_mean);
+        let exact = karp_max_cycle_mean(&rational(&m));
+        assert_eq!(Some(capped.cycle_mean), exact);
     }
 
     #[test]
     fn biases_stay_exact_at_the_magnitude_limit() {
         // Entries of ±limit: scaled biases can pass i64, and the answer
         // must still be exact Karp's.
-        let limit = magnitude_limit(5);
+        let limit = shifts_limit(5);
         let m = SquareMatrix::from_fn(5, |i, j| match (i + 2 * j) % 3 {
             _ if i == j => 0,
             0 => limit,
             1 => -limit,
             _ => limit - 1,
         });
-        let fast = scaled_howard(&m, 1, None, iteration_cap(5));
-        assert_eq!(Some(fast.cycle_mean), karp_max_cycle_mean(&rational(&m, 1)));
+        let fast = scaled_howard(&m, None, iteration_cap(5));
+        assert_eq!(Some(fast.cycle_mean), karp_max_cycle_mean(&rational(&m)));
     }
 }

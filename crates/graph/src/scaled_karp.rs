@@ -1,37 +1,30 @@
-//! The scaled-`i64` fast path for Karp's maximum cycle mean.
+//! The integer fast path for Karp's maximum cycle mean.
 //!
-//! Mirrors the closure subsystem's architecture (see `closure.rs`): rescale
-//! the rational weight matrix by the least common denominator to plain
-//! `i64`, run a cache-friendly integer kernel on the calling thread, and
-//! map the answer back. Scaling by a positive constant multiplies every
-//! walk weight by that constant, so
-//! every comparison Karp's recurrence makes is preserved *exactly*: the
-//! scaled kernel's `D_k` tables and witness potentials are the scaled
-//! images of the exact kernel's, so both pick the same canonical witness
-//! cycle, and dividing the resulting `λ*` by the scale recovers the exact
-//! rational answer bit-for-bit ([`Ratio`] is canonical). When scaling would overflow —
-//! oversized common denominator or magnitudes too close to the sentinel —
-//! [`fast_max_cycle_mean`] falls back to the exact
+//! Mirrors the closure subsystem's architecture (see `closure.rs`): encode
+//! the rational weight matrix as `i64` counts of half nanoseconds
+//! (`half_ns.rs`), run a cache-friendly integer kernel on the calling
+//! thread, and map the answer back. Doubling multiplies every walk weight
+//! by two, so every comparison Karp's recurrence makes is preserved
+//! *exactly*: the integer kernel's `D_k` tables and witness potentials are
+//! the doubled images of the exact kernel's, so both pick the same
+//! canonical witness cycle, and halving the resulting `λ*` recovers the
+//! exact rational answer bit-for-bit ([`Ratio`] is canonical). When an
+//! entry has no count — off the half-ns grid, `+∞`, or past the SHIFTS
+//! bound — [`fast_max_cycle_mean`] falls back to the exact
 //! [`karp_max_cycle_mean`](crate::karp_max_cycle_mean). SHIFTS runs the
-//! scaled kernel only when integer Howard passes its iteration cap
-//! (`scaled_howard.rs`); [`crate::ScaledMatrix::from_ratio`] reuses this
-//! front end.
+//! integer kernel only when integer Howard passes its iteration cap
+//! (`scaled_howard.rs`).
 
 use clocksync_time::{Ext, Ratio};
 
-use crate::closure::{lcm_scale, scaled_numerator};
+use crate::half_ns::{self, shifts_limit, ScaleBailout};
 use crate::karp::canonical_cycle;
 use crate::{karp_max_cycle_mean, CycleMean, SquareMatrix};
 
-/// Sentinel for "no edge" / "no walk" in the `i64` Karp kernel. Far enough
-/// from `i64::MIN` that no intermediate the kernel forms can wrap.
-pub(crate) const NO_EDGE: i64 = i64::MIN / 4;
-
-/// The largest scaled magnitude an `n`-node matrix may hold: any
-/// `(n+1)`-term sum of such weights stays below `i64::MAX / 4`.
-pub(crate) fn magnitude_limit(n: usize) -> i64 {
-    (i64::MAX / 4) / (n as i64 + 1)
-}
+/// Sentinel for "no edge" / "no walk" in the `i64` Karp kernel. The kernel
+/// only ever compares it, never adds it, and it lies below every walk
+/// weight the SHIFTS bound admits (`half_ns.rs`).
+pub(crate) const NO_EDGE: i64 = i64::MIN;
 
 /// The result of the integer maximum-cycle-mean kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,45 +35,6 @@ struct CycleMeanI64 {
     den: i64,
     /// A witness cycle achieving the mean, conventions as [`CycleMean`].
     cycle: Vec<usize>,
-}
-
-/// Exactly rescales a `NegInf`-absent rational weight matrix to
-/// sentinel-encoded `i64`, returning the scaled matrix and the common
-/// denominator. `None` when the matrix cannot be represented safely: a
-/// `PosInf` entry, an oversized common denominator, or magnitudes big
-/// enough that an `(n+1)`-edge walk sum could approach the sentinel.
-pub(crate) fn scaled_cycle_weights(
-    m: &SquareMatrix<Ext<Ratio>>,
-) -> Option<(SquareMatrix<i64>, i128)> {
-    let n = m.n();
-    let mut scale: i128 = 1;
-    for &w in m.as_slice() {
-        match w {
-            Ext::Finite(r) => scale = lcm_scale(scale, r.denominator())?,
-            // Defer the "resolve infinities first" contract to the exact
-            // kernel the caller falls back to.
-            Ext::PosInf => return None,
-            Ext::NegInf => {}
-        }
-    }
-    // Walks have at most n edges and the extraction sums at most n more, so
-    // keep every |weight| small enough that (n+1)-term sums stay far from
-    // the sentinel.
-    let limit = magnitude_limit(n);
-    let mut out = Vec::with_capacity(n * n);
-    for &w in m.as_slice() {
-        out.push(match w {
-            Ext::Finite(r) => {
-                let v = i64::try_from(scaled_numerator(r, scale)?).ok()?;
-                if !(-limit..=limit).contains(&v) {
-                    return None;
-                }
-                v
-            }
-            _ => NO_EDGE,
-        });
-    }
-    Some((SquareMatrix::from_vec(n, out), scale))
 }
 
 /// Compares the fractions `a1/b1` and `a2/b2` (positive denominators) by
@@ -94,8 +48,8 @@ pub(crate) fn cmp_frac(a1: i64, b1: i64, a2: i64, b2: i64) -> std::cmp::Ordering
 /// equal to [`NO_EDGE`] mark absent edges, everything else is an edge
 /// weight (callers must keep weights small enough that `n`-term sums
 /// cannot overflow — the rational front end [`try_scaled_karp`] enforces
-/// this before delegating here). Returns `None` when the graph has no
-/// cycle.
+/// the SHIFTS bound before delegating here). Returns `None` when the graph
+/// has no cycle.
 ///
 /// The recurrence and its witness mirror
 /// [`karp_max_cycle_mean`](crate::karp_max_cycle_mean) on the scaled
@@ -192,35 +146,40 @@ fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
     })
 }
 
-/// Runs the scaled `i64` Karp kernel if the matrix admits exact scaling.
-/// Returns `None` when it does not (the caller should use the exact
+/// Runs the integer Karp kernel if every entry has a half-nanosecond
+/// count within the SHIFTS bound (`−∞` standing for a missing edge).
+/// Returns `None` when one does not (the caller should use the exact
 /// rational kernel); `Some(None)` means the graph has no cycle. Exposed so
 /// the equivalence test suite can tell "fast path taken" apart from
 /// "silently fell back".
 pub fn try_scaled_karp(m: &SquareMatrix<Ext<Ratio>>) -> Option<Option<CycleMean>> {
-    let (scaled, scale) = scaled_cycle_weights(m)?;
-    Some(scaled_karp(&scaled, scale))
+    let no_edge = |w| match w {
+        Ext::NegInf => Ok(NO_EDGE),
+        _ => Err(ScaleBailout::MagnitudeOverflow),
+    };
+    let counts = half_ns::encode_matrix(m, shifts_limit(m.n()), no_edge).ok()?;
+    Some(scaled_karp(&counts))
 }
 
-/// Karp on a matrix scaled by [`scaled_cycle_weights`], mapped back to the
-/// exact [`CycleMean`] of the unscaled matrix.
-pub(crate) fn scaled_karp(scaled: &SquareMatrix<i64>, scale: i128) -> Option<CycleMean> {
-    karp_max_cycle_mean_i64(scaled).map(|r| CycleMean {
-        mean: Ratio::new(r.num as i128, r.den as i128 * scale),
+/// Karp on a matrix of half-nanosecond counts, mapped back to the exact
+/// [`CycleMean`] of the values they encode.
+pub(crate) fn scaled_karp(counts: &SquareMatrix<i64>) -> Option<CycleMean> {
+    karp_max_cycle_mean_i64(counts).map(|r| CycleMean {
+        mean: half_ns::decode_mean(r.num.into(), r.den.into()),
         cycle: r.cycle,
     })
 }
 
-/// The maximum cycle mean via the scaled-`i64` kernel whenever the
-/// input can be exactly rescaled (the common case for estimate matrices),
-/// and via the exact rational [`karp_max_cycle_mean`](crate::karp_max_cycle_mean)
+/// The maximum cycle mean via the integer kernel whenever every entry has
+/// a half-nanosecond count (always, for estimate matrices), and via the
+/// exact rational [`karp_max_cycle_mean`](crate::karp_max_cycle_mean)
 /// otherwise. Both routes produce the identical [`CycleMean`] — mean *and*
 /// witness cycle — on every input the fast path accepts.
 ///
 /// # Panics
 ///
 /// Panics if any entry is `Ext::PosInf` (the contract of the exact kernel;
-/// the scaled path rejects such matrices and falls back).
+/// the integer path rejects such matrices and falls back).
 ///
 /// # Examples
 ///
@@ -244,7 +203,6 @@ pub fn fast_max_cycle_mean(m: &SquareMatrix<Ext<Ratio>>) -> Option<CycleMean> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::MAX_SCALE;
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<Ext<Ratio>> {
         let mut m = SquareMatrix::filled(n, Ext::<Ratio>::NegInf);
@@ -256,19 +214,44 @@ mod tests {
 
     #[test]
     fn scaled_path_matches_exact_karp_exactly() {
+        // The integer path runs exactly on the half-ns grid: 2/3 is off it.
         let cases = [
-            ratio_matrix(2, &[(0, 1, 3, 1), (1, 0, 1, 1)]),
-            ratio_matrix(3, &[(0, 1, 1, 2), (1, 2, 2, 3), (2, 0, 4, 1)]),
-            ratio_matrix(4, &[(0, 1, 2, 1), (1, 0, 2, 1), (2, 3, 4, 1), (3, 2, 6, 1)]),
-            ratio_matrix(2, &[(0, 0, 7, 2), (0, 1, 100, 1)]),
-            ratio_matrix(2, &[(0, 1, -3, 1), (1, 0, -1, 1)]),
-            ratio_matrix(5, &[(0, 1, 9, 1), (2, 3, 1, 1), (3, 4, 1, 1), (4, 2, 4, 1)]),
+            (ratio_matrix(2, &[(0, 1, 3, 1), (1, 0, 1, 1)]), true),
+            (
+                ratio_matrix(3, &[(0, 1, 1, 2), (1, 2, 2, 3), (2, 0, 4, 1)]),
+                false,
+            ),
+            (
+                ratio_matrix(4, &[(0, 1, 2, 1), (1, 0, 2, 1), (2, 3, 4, 1), (3, 2, 6, 1)]),
+                true,
+            ),
+            (ratio_matrix(2, &[(0, 0, 7, 2), (0, 1, 100, 1)]), true),
+            (ratio_matrix(2, &[(0, 1, -3, 1), (1, 0, -1, 1)]), true),
+            (
+                ratio_matrix(5, &[(0, 1, 9, 1), (2, 3, 1, 1), (3, 4, 1, 1), (4, 2, 4, 1)]),
+                true,
+            ),
         ];
-        for m in cases {
-            let fast = try_scaled_karp(&m).expect("should take the fast path");
-            assert_eq!(fast, karp_max_cycle_mean(&m), "mismatch on {m:?}");
-            assert_eq!(fast, fast_max_cycle_mean(&m));
+        for (m, on_grid) in cases {
+            let exact = karp_max_cycle_mean(&m);
+            let fast = try_scaled_karp(&m);
+            assert_eq!(fast.is_some(), on_grid, "route on {m:?}");
+            if let Some(fast) = fast {
+                assert_eq!(fast, exact, "mismatch on {m:?}");
+            }
+            assert_eq!(fast_max_cycle_mean(&m), exact);
         }
+    }
+
+    #[test]
+    fn walks_at_the_bound_stay_clear_of_no_edge() {
+        // Every entry −limit ns on a complete 2-node graph: every walk is
+        // as light as the bound allows, and Karp must still see it.
+        let limit = i128::from(shifts_limit(2) / 2);
+        let m = SquareMatrix::filled(2, Ext::Finite(Ratio::from_int(-limit)));
+        let fast = try_scaled_karp(&m).expect("within the bound");
+        assert_eq!(fast, karp_max_cycle_mean(&m));
+        assert_eq!(fast.unwrap().mean, Ratio::from_int(-limit));
     }
 
     #[test]
@@ -285,7 +268,7 @@ mod tests {
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1), (1, 0, 1, 1)]);
         m[(0, 1)] = Ext::PosInf;
         assert!(try_scaled_karp(&m).is_none());
-        let m = ratio_matrix(2, &[(0, 1, 1, 1), (1, 0, 1, MAX_SCALE * 2 + 1)]);
+        let m = ratio_matrix(2, &[(0, 1, 1, 1), (1, 0, 1, (1 << 41) + 1)]);
         assert!(try_scaled_karp(&m).is_none());
         // The public front end falls back to the exact kernel.
         assert_eq!(
@@ -318,9 +301,9 @@ mod tests {
 
     #[test]
     fn random_128_node_matrix_matches_exact_karp() {
-        // A sparse random matrix with mixed denominators: the scaled path
-        // must agree with the exact rational kernel bit-for-bit, witness
-        // included.
+        // A sparse random matrix of whole and half nanoseconds: the integer
+        // path must agree with the exact rational kernel bit-for-bit,
+        // witness included.
         let n = 128;
         let mut m = SquareMatrix::filled(n, Ext::<Ratio>::NegInf);
         let mut state = 0x9E3779B97F4A7C15u64;
@@ -334,7 +317,7 @@ mod tests {
             for j in 0..n {
                 if next() % 4 != 0 {
                     let num = (next() % 41) as i128 - 20;
-                    let den = 1 + (next() % 4) as i128;
+                    let den = 1 + (next() % 2) as i128;
                     m[(i, j)] = Ext::Finite(Ratio::new(num, den));
                 }
             }

@@ -1,4 +1,4 @@
-//! The SHIFTS stage over scaled integers (paper §4.3–4.4, Theorem 4.6):
+//! The SHIFTS stage over half-nanosecond counts (paper §4.3–4.4, Theorem 4.6):
 //! the maximum cycle mean `A_max` of a closure component, and the
 //! corrections — shortest-path distances under shifted weights.
 //!
@@ -8,34 +8,33 @@
 //! negative and the distances from a root are the optimal corrections.
 //!
 //! [`ScaledMatrix`] holds a component as the closure stage computed it:
-//! `i64` multiples of one common denominator, every entry within the
-//! integer kernels' magnitude bound. Its `A_max` is integer Howard's
-//! (`scaled_howard.rs`), warm-startable from any policy and capped with a
-//! scaled Karp fallback; its corrections pass is an early-exit
-//! Bellman–Ford over flat `i64` rows, building a [`Ratio`] only for each
-//! output. The pass extends the common denominator by `λ`'s; when that
-//! multiple passes `2^40` or a shifted weight passes `(i64::MAX/4)/(n+1)`,
-//! it runs the rational [`bellman_ford`] instead, with the same answers.
+//! `i64` counts of half nanoseconds (`half_ns.rs`), every entry within the
+//! SHIFTS bound. Its `A_max` is integer Howard's (`scaled_howard.rs`),
+//! warm-startable from any policy and capped with an integer Karp
+//! fallback; its corrections pass is an early-exit Bellman–Ford over flat
+//! `i64` rows, building a [`Ratio`] only for each output. For
+//! `λ = num/den` the pass measures in `1/(2·den)` ns, where each weight is
+//! the integer `2·num − den·m(p,q)`; when one passes the SHIFTS bound, it
+//! runs the rational [`bellman_ford`] instead, with the same answers.
 //! [`shifted_distances`] is the corrections pass of rational input: it
-//! scales `m` once at that boundary, and runs the rational
-//! [`bellman_ford`] when `m` does not scale.
+//! encodes `m` once at that boundary, and runs the rational
+//! [`bellman_ford`] when an entry has no count.
 
 use std::borrow::Cow;
 
 use clocksync_time::{Ext, Ratio};
 
-use crate::closure::{lcm_scale, scaled_numerator};
+use crate::half_ns::{self, shifts_limit, ScaleBailout};
 use crate::scaled_howard::{iteration_cap, scaled_howard};
-use crate::scaled_karp::{magnitude_limit, scaled_cycle_weights};
 use crate::{bellman_ford, DiGraph, HowardSolution, NegativeCycleError, SquareMatrix};
 
 /// The panic message for an infinite off-diagonal entry.
 const NOT_FINITE: &str = "shifted distances need a finite matrix";
 
-/// A complete matrix of scaled integers — a SHIFTS component as the closure
-/// stage holds it — whose every entry, the diagonal included, lies within
-/// `±(i64::MAX/4)/(n+1)`: the bound under which the integer `A_max`
-/// kernels cannot overflow.
+/// A complete matrix of half-nanosecond counts — a SHIFTS component as the
+/// closure stage holds it — whose every entry, the diagonal included, lies
+/// within `±2·⌊(i64::MAX/4)/(n+1)⌋`: the bound under which the integer
+/// `A_max` kernels cannot overflow (DESIGN.md §4c).
 ///
 /// # Examples
 ///
@@ -44,11 +43,11 @@ const NOT_FINITE: &str = "shifted distances need a finite matrix";
 /// use clocksync_graph::{ScaledMatrix, SquareMatrix};
 /// use clocksync_time::Ratio;
 ///
-/// // Halves: m(0,1) = 3 and m(1,0) = 1/2.
+/// // Half nanoseconds: m(0,1) = 3 and m(1,0) = 1/2.
 /// let mut m = SquareMatrix::filled(2, 0i64);
 /// m[(0, 1)] = 6;
 /// m[(1, 0)] = 1;
-/// let m = ScaledMatrix::new(Cow::Owned(m), 2).expect("within the bound");
+/// let m = ScaledMatrix::new(Cow::Owned(m)).expect("within the bound");
 /// let a_max = m.max_cycle_mean(None).cycle_mean.mean;
 /// assert_eq!(a_max, Ratio::new(7, 4));
 /// assert_eq!(m.shifted_distances(a_max, 0)?, [Ratio::ZERO, Ratio::new(-5, 4)]);
@@ -57,30 +56,25 @@ const NOT_FINITE: &str = "shifted distances need a finite matrix";
 #[derive(Debug, Clone)]
 pub struct ScaledMatrix<'a> {
     m: Cow<'a, SquareMatrix<i64>>,
-    scale: i128,
 }
 
 impl<'a> ScaledMatrix<'a> {
-    /// The matrix whose entries are `m`'s divided by `scale`, or `None`
-    /// when `m` is empty or an entry lies outside the bound — which also
-    /// rejects the closure's [`UNREACHABLE`](crate::UNREACHABLE) sentinel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive.
-    pub fn new(m: Cow<'a, SquareMatrix<i64>>, scale: i128) -> Option<ScaledMatrix<'a>> {
-        assert!(scale > 0, "the common denominator must be positive");
-        let limit = magnitude_limit(m.n());
+    /// The matrix of values the counts `m` encode, or `None` when `m` is
+    /// empty or an entry lies outside the bound — which also rejects the
+    /// closure's [`UNREACHABLE`](crate::UNREACHABLE) sentinel.
+    pub fn new(m: Cow<'a, SquareMatrix<i64>>) -> Option<ScaledMatrix<'a>> {
+        let limit = shifts_limit(m.n());
         let within = m.as_slice().iter().all(|x| (-limit..=limit).contains(x));
-        (m.n() > 0 && within).then_some(ScaledMatrix { m, scale })
+        (m.n() > 0 && within).then_some(ScaledMatrix { m })
     }
 
-    /// Scales a rational matrix by the common denominator of its entries:
-    /// `None` when it is empty, has an infinite entry, the denominator
-    /// passes `2^40` or an entry passes the bound.
+    /// Encodes a rational matrix as half-nanosecond counts: `None` when it
+    /// is empty or an entry is infinite, off the half-ns grid or past the
+    /// bound.
     pub fn from_ratio(m: &SquareMatrix<Ext<Ratio>>) -> Option<ScaledMatrix<'static>> {
-        let (scaled, scale) = scaled_cycle_weights(m)?;
-        ScaledMatrix::new(Cow::Owned(scaled), scale)
+        let no_count = |_| Err(ScaleBailout::MagnitudeOverflow);
+        let counts = half_ns::encode_matrix(m, shifts_limit(m.n()), no_count).ok()?;
+        ScaledMatrix::new(Cow::Owned(counts))
     }
 
     /// The dimension.
@@ -100,17 +94,17 @@ impl<'a> ScaledMatrix<'a> {
             .zip(next)
             .map(|(&u, &v)| i128::from(self.m[(u, v)]))
             .sum();
-        Ratio::new(sum, cycle.len() as i128 * self.scale)
+        half_ns::decode_mean(sum, cycle.len() as i128)
     }
 
     /// The maximum cycle mean with its canonical witness — the one every
     /// `A_max` kernel reports — by Howard's policy iteration over the
-    /// scaled entries, started from `warm` (any slice: entries that are not
-    /// nodes take the cold choice). Returns the converged policy, a warm
-    /// start for the next call. Past `10n + 10` policy evaluations it
-    /// answers with scaled Karp instead and returns the policy it reached.
+    /// counts, started from `warm` (any slice: entries that are not nodes
+    /// take the cold choice). Returns the converged policy, a warm start
+    /// for the next call. Past `10n + 10` policy evaluations it answers
+    /// with integer Karp instead and returns the policy it reached.
     pub fn max_cycle_mean(&self, warm: Option<&[usize]>) -> HowardSolution {
-        scaled_howard(&self.m, self.scale, warm, iteration_cap(self.n()))
+        scaled_howard(&self.m, warm, iteration_cap(self.n()))
     }
 
     /// Shortest-path distances from `source` under
@@ -132,16 +126,15 @@ impl<'a> ScaledMatrix<'a> {
     ) -> Result<Vec<Ratio>, NegativeCycleError> {
         self.try_shifted_distances(shift, source)
             .unwrap_or_else(|| {
-                let scale = self.scale;
                 let m = SquareMatrix::from_fn(self.n(), |i, j| {
-                    Ext::Finite(Ratio::new(self.m[(i, j)].into(), scale))
+                    Ext::Finite(half_ns::decode(self.m[(i, j)]))
                 });
                 rational_shifted_distances(&m, shift, source)
             })
     }
 
-    /// The integer corrections pass: `None` when the shifted weights do
-    /// not scale.
+    /// The integer corrections pass: `None` when a shifted weight has no
+    /// integer image within the bound.
     fn try_shifted_distances(
         &self,
         shift: Ratio,
@@ -149,11 +142,13 @@ impl<'a> ScaledMatrix<'a> {
     ) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
         assert!(source < self.n(), "source out of range");
         let n = self.n();
-        let (w, scale) = shifted_weights(&self.m, self.scale, shift)?;
-        let dist = dense_bellman_ford(&w, n, source, magnitude_limit(n));
+        let w = shifted_weights(&self.m, shift)?;
+        let dist = dense_bellman_ford(&w, n, source, shifts_limit(n));
+        // A distance of x units of 1/(2·den) ns is x/den counts of ½ ns.
+        let den = shift.denominator();
         Some(dist.map(|d| {
             d.into_iter()
-                .map(|x| Ratio::new(x as i128, scale))
+                .map(|x| half_ns::decode_mean(x.into(), den))
                 .collect()
         }))
     }
@@ -162,7 +157,7 @@ impl<'a> ScaledMatrix<'a> {
 /// Shortest-path distances from `source` under `w(p,q) = shift − m(p,q)`
 /// over every off-diagonal pair of `m`.
 ///
-/// Runs [`ScaledMatrix::shifted_distances`] when `m` scales
+/// Runs [`ScaledMatrix::shifted_distances`] when `m` has counts
 /// ([`ScaledMatrix::from_ratio`]) and the rational [`bellman_ford`]
 /// otherwise; both return the same distances.
 ///
@@ -203,15 +198,16 @@ pub fn shifted_distances(
     }
 }
 
-/// Runs the scaled-`i64` kernel of [`shifted_distances`] if `m` and
-/// `shift` admit exact scaling; `None` when they do not (the caller should
-/// use the rational kernel). Exposed so the equivalence test suite can
-/// tell "fast path taken" apart from "silently fell back".
+/// Runs the integer kernel of [`shifted_distances`] if `m` has counts and
+/// every shifted weight an integer image within the bound; `None` when
+/// not (the caller should use the rational kernel). Exposed so the
+/// equivalence test suite can tell "fast path taken" apart from "silently
+/// fell back".
 ///
 /// # Panics
 ///
-/// As [`shifted_distances`], except that a `+∞` entry makes scaling bail
-/// instead.
+/// As [`shifted_distances`], except that an infinite entry makes the
+/// encoding bail instead.
 pub fn try_scaled_shifted_distances(
     m: &SquareMatrix<Ext<Ratio>>,
     shift: Ratio,
@@ -219,17 +215,6 @@ pub fn try_scaled_shifted_distances(
 ) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
     assert!(source < m.n(), "source out of range");
     ScaledMatrix::from_ratio(m)?.try_shifted_distances(shift, source)
-}
-
-/// Runs [`ScaledMatrix::max_cycle_mean`] — integer Howard, started from
-/// `warm` — if `m` scales ([`ScaledMatrix::from_ratio`]); `None` when it
-/// does not. Exposed so the equivalence test suites can compare the
-/// integer kernel with the rational oracles on rational input.
-pub fn try_scaled_howard(
-    m: &SquareMatrix<Ext<Ratio>>,
-    warm: Option<&[usize]>,
-) -> Option<HowardSolution> {
-    ScaledMatrix::from_ratio(m).map(|scaled| scaled.max_cycle_mean(warm))
 }
 
 /// The rational corrections pass: the generic [`bellman_ford`] over a
@@ -250,23 +235,19 @@ fn rational_shifted_distances(
         .collect())
 }
 
-/// The weights `shift − m(p,q)` as flat `i64` rows over the least common
-/// multiple of `scale` and `shift`'s denominator, returned with it; the
-/// diagonal is zero, which never shortens a path. `None` when that
-/// multiple passes `MAX_SCALE` or a weight's magnitude passes
-/// [`magnitude_limit`].
-fn shifted_weights(
-    scaled: &SquareMatrix<i64>,
-    scale: i128,
-    shift: Ratio,
-) -> Option<(Vec<i64>, i128)> {
-    let n = scaled.n();
-    let common = lcm_scale(scale, shift.denominator())?;
-    let factor = common / scale;
-    let a = scaled_numerator(shift, common)?;
-    let limit = magnitude_limit(n) as i128;
+/// The weights `shift − m(p,q)` as flat `i64` rows in units of
+/// `1/(2·den)` ns, for `shift = num/den` and `m` in half-nanosecond
+/// counts: each is `2·num − den·m(p,q)`. The diagonal is zero, which never
+/// shortens a path. `None` when a weight's magnitude passes the SHIFTS
+/// bound.
+fn shifted_weights(counts: &SquareMatrix<i64>, shift: Ratio) -> Option<Vec<i64>> {
+    let n = counts.n();
+    // An i64 factor keeps every product inside i128 without a check.
+    let factor = i128::from(i64::try_from(shift.denominator()).ok()?);
+    let a = shift.numerator().checked_mul(2)?;
+    let limit = i128::from(shifts_limit(n));
     let mut w = vec![0; n * n];
-    for (p, (row, out)) in scaled
+    for (p, (row, out)) in counts
         .as_slice()
         .chunks_exact(n)
         .zip(w.chunks_exact_mut(n))
@@ -276,14 +257,14 @@ fn shifted_weights(
             if p == q {
                 continue;
             }
-            let v = a.checked_sub(x as i128 * factor)?;
+            let v = a.checked_sub(i128::from(x) * factor)?;
             if !(-limit..=limit).contains(&v) {
                 return None;
             }
             *y = v as i64;
         }
     }
-    Some((w, common))
+    Some(w)
 }
 
 /// Bellman–Ford from `source` over the complete graph with row-major
@@ -331,7 +312,6 @@ fn dense_bellman_ford(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::MAX_SCALE;
 
     fn matrix(rows: &[&[(i128, i128)]]) -> SquareMatrix<Ext<Ratio>> {
         SquareMatrix::from_fn(rows.len(), |i, j| {
@@ -342,8 +322,9 @@ mod tests {
     #[test]
     fn a_hugely_negative_cycle_trips_the_floor() {
         // Every 2-cycle weighs −2·limit: distances plunge far past the
-        // floor, which must stop the pass before any sum overflows.
-        let limit = magnitude_limit(4) as i128;
+        // floor, which must stop the pass before any sum overflows. The
+        // limit is in nanoseconds, half the bound on counts.
+        let limit = i128::from(shifts_limit(4) / 2);
         let m = SquareMatrix::from_fn(4, |i, j| {
             Ext::Finite(Ratio::from_int(if i == j { 0 } else { limit / 2 }))
         });
@@ -355,13 +336,17 @@ mod tests {
 
     #[test]
     fn scaling_boundaries() {
-        // A common denominator of exactly MAX_SCALE scales; λ's
-        // denominator 3 takes it past.
-        let m = matrix(&[&[(0, 1), (1, MAX_SCALE)], &[(1, 1), (0, 1)]]);
-        assert!(try_scaled_shifted_distances(&m, Ratio::ONE, 0).is_some());
-        assert!(try_scaled_shifted_distances(&m, Ratio::new(1, 3), 0).is_none());
+        // Half nanoseconds have counts, whatever λ's denominator; a value
+        // off the half-ns grid has none.
+        let m = matrix(&[&[(0, 1), (1, 2)], &[(1, 1), (0, 1)]]);
+        for shift in [Ratio::ONE, Ratio::new(4, 3)] {
+            let fast = try_scaled_shifted_distances(&m, shift, 0).expect("on the grid");
+            assert_eq!(fast, rational_shifted_distances(&m, shift, 0));
+        }
+        let m = matrix(&[&[(0, 1), (1, 1 << 40)], &[(1, 1), (0, 1)]]);
+        assert!(try_scaled_shifted_distances(&m, Ratio::ONE, 0).is_none());
         // A shifted weight of exactly the limit scales; one past it bails.
-        let limit = magnitude_limit(2) as i128;
+        let limit = i128::from(shifts_limit(2) / 2);
         let m = matrix(&[&[(0, 1), (-limit, 1)], &[(limit, 1), (0, 1)]]);
         assert!(try_scaled_shifted_distances(&m, Ratio::ZERO, 0).is_some());
         assert!(try_scaled_shifted_distances(&m, Ratio::ONE, 0).is_none());
@@ -373,14 +358,14 @@ mod tests {
 
     #[test]
     fn scaled_matrices_hold_entries_within_the_limit() {
-        let limit = magnitude_limit(3);
+        let limit = shifts_limit(3);
         let with = |x: i64| SquareMatrix::from_fn(3, |i, j| if (i, j) == (2, 0) { x } else { 0 });
         for x in [-limit, limit] {
-            assert!(ScaledMatrix::new(Cow::Owned(with(x)), 2).is_some());
+            assert!(ScaledMatrix::new(Cow::Owned(with(x))).is_some());
         }
         for x in [-limit - 1, limit + 1, crate::UNREACHABLE] {
-            assert!(ScaledMatrix::new(Cow::Owned(with(x)), 2).is_none());
+            assert!(ScaledMatrix::new(Cow::Owned(with(x))).is_none());
         }
-        assert!(ScaledMatrix::new(Cow::Owned(SquareMatrix::filled(0, 0)), 1).is_none());
+        assert!(ScaledMatrix::new(Cow::Owned(SquareMatrix::filled(0, 0))).is_none());
     }
 }

@@ -3,10 +3,12 @@
 //!
 //! * [`blocked_floyd_warshall_i64`] must be **bit-identical** to
 //!   [`floyd_warshall_with_paths`] (distances *and* successors) on every
-//!   graph without a negative cycle, and must agree error-for-error on
+//!   graph without a negative cycle, and must name the same witness on
 //!   graphs with one.
-//! * [`fast_closure`]'s scaling front-end must preserve that identity
-//!   through rational weights of mixed denominators.
+//! * [`fast_closure`]'s half-nanosecond front end must preserve that
+//!   identity through rational weights of mixed denominators, taking the
+//!   integer route exactly when every entry is a whole or half
+//!   nanosecond.
 //! * [`Closure::relax_edge`] must leave the scaled cache equal (in
 //!   distance) to the reference closure after any sequence of edge
 //!   decreases, with a successor matrix that still reconstructs genuine
@@ -15,8 +17,8 @@
 //! Each suite runs 1000 random cases.
 
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, fast_closure, floyd_warshall_with_paths, reconstruct_path,
-    try_scaled_closure, Closure, SquareMatrix, Weight, UNREACHABLE,
+    blocked_floyd_warshall_i64, fast_closure, floyd_warshall_with_paths, reconstruct_path, Closure,
+    SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -53,8 +55,8 @@ fn sentinel_graph() -> impl Strategy<Value = SquareMatrix<i64>> {
     })
 }
 
-/// A random rational digraph with denominators in `{1, 2, 4}` — always
-/// scalable, so [`fast_closure`] takes the `i64` kernel.
+/// A random rational digraph with denominators in `{1, 2, 4}`: on the
+/// half-nanosecond grid unless a quarter appears, and always once doubled.
 fn rational_graph() -> impl Strategy<Value = SquareMatrix<W>> {
     (1usize..=10).prop_flat_map(|n| {
         proptest::collection::vec(
@@ -111,6 +113,14 @@ fn closure_with_updates() -> impl Strategy<Value = (SquareMatrix<W>, Vec<(usize,
     })
 }
 
+/// Whether every finite entry is a whole or half nanosecond — exactly the
+/// matrices the integer route takes.
+fn on_grid(m: &SquareMatrix<W>) -> bool {
+    m.as_slice()
+        .iter()
+        .all(|w| w.as_finite().is_none_or(|r| r.denominator() <= 2))
+}
+
 fn ext_of(m: &SquareMatrix<i64>) -> SquareMatrix<Ext<i64>> {
     SquareMatrix::from_fn(m.n(), |i, j| {
         let v = m[(i, j)];
@@ -161,7 +171,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
     /// The blocked `i64` kernel is bit-identical to the generic kernel:
-    /// same distances, same successor matrix, same error outcomes.
+    /// same distances, same successor matrix, same negative-cycle witness.
     #[test]
     fn blocked_kernel_matches_generic(m in sentinel_graph()) {
         let blocked = blocked_floyd_warshall_i64(&m);
@@ -178,24 +188,29 @@ proptest! {
                 }
                 prop_assert_eq!(bnext, gnext, "successor matrices differ");
             }
-            (Err(_), Err(_)) => {}
+            (Err(b), Err(g)) => prop_assert_eq!(b, g, "witnesses differ"),
             (b, g) => prop_assert!(false, "outcome mismatch: {:?} vs {:?}", b, g),
         }
     }
 
-    /// The scaling front-end preserves the identity through mixed
-    /// denominators: `fast_closure` equals the generic kernel exactly, and
-    /// these inputs really exercise the scaled path.
+    /// The half-ns front end preserves the identity through mixed
+    /// denominators: `fast_closure` equals the generic kernel exactly, the
+    /// integer route runs exactly on the grid, and doubling puts every
+    /// input on it, so the integer path really is exercised.
     #[test]
     fn fast_closure_matches_generic(m in rational_graph()) {
-        prop_assert!(try_scaled_closure(&m).is_some(), "input unexpectedly unscalable");
-        match (fast_closure(&m), floyd_warshall_with_paths(&m)) {
-            (Ok((fd, fnext)), Ok((gd, gnext))) => {
-                prop_assert_eq!(fd, gd, "distances differ");
-                prop_assert_eq!(fnext, gnext, "successors differ");
+        prop_assert_eq!(Closure::new(&m).is_ok(), on_grid(&m), "route");
+        let doubled = SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r * Ratio::from_int(2)));
+        prop_assert!(Closure::new(&doubled).is_ok(), "doubled input off the grid");
+        for m in [&m, &doubled] {
+            match (fast_closure(m), floyd_warshall_with_paths(m)) {
+                (Ok((fd, fnext)), Ok((gd, gnext))) => {
+                    prop_assert_eq!(fd, gd, "distances differ");
+                    prop_assert_eq!(fnext, gnext, "successors differ");
+                }
+                (Err(f), Err(g)) => prop_assert_eq!(f, g, "witnesses differ"),
+                (f, g) => prop_assert!(false, "outcome mismatch: {:?} vs {:?}", f, g),
             }
-            (Err(_), Err(_)) => {}
-            (f, g) => prop_assert!(false, "outcome mismatch: {:?} vs {:?}", f, g),
         }
     }
 

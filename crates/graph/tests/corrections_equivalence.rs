@@ -2,20 +2,21 @@
 //! rational Bellman–Ford — the correctness contract of the SHIFTS
 //! corrections pass (DESIGN.md §4c):
 //!
-//! * [`shifted_distances`] (Bellman–Ford over scaled `i64` rows) must
-//!   return exactly the distances of the rational [`bellman_ford`] under
-//!   `w(p,q) = λ − m(p,q)`, whether scaling applies or bails, and fail
-//!   exactly when it fails (a shift below some cycle's mean);
-//! * on a matrix that scales, [`ScaledMatrix`] — the integer SHIFTS —
-//!   must return exact Karp's [`CycleMean`](clocksync_graph::CycleMean)
-//!   from integer Howard and those distances under its mean, and entries
-//!   past the integer kernels' bound must take the rational route;
+//! * [`shifted_distances`] (Bellman–Ford over `i64` rows) must return
+//!   exactly the distances of the rational [`bellman_ford`] under
+//!   `w(p,q) = λ − m(p,q)`, whether the integer route applies or bails,
+//!   and fail exactly when it fails (a shift below some cycle's mean);
+//! * on a matrix of whole and half nanoseconds, [`ScaledMatrix`] — the
+//!   integer SHIFTS — must return exact Karp's
+//!   [`CycleMean`](clocksync_graph::CycleMean) from integer Howard and
+//!   those distances under its mean, and entries off that grid or past
+//!   the integer kernels' bound must take the rational route;
 //! * an infinite off-diagonal entry panics, as in the rational kernel.
 
 use clocksync_graph::{
     bellman_ford, fast_closure, fast_max_cycle_mean, karp_max_cycle_mean, shifted_distances,
-    try_scaled_howard, try_scaled_karp, try_scaled_shifted_distances, CycleMean, DiGraph,
-    NegativeCycleError, ScaledMatrix, SquareMatrix,
+    try_scaled_karp, try_scaled_shifted_distances, CycleMean, DiGraph, NegativeCycleError,
+    ScaledMatrix, SquareMatrix,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -39,15 +40,30 @@ fn outcome(r: Result<Vec<Ratio>, NegativeCycleError>) -> Result<Vec<Ratio>, ()> 
     r.map_err(|_| ())
 }
 
-/// The largest scaled weight magnitude an `n`-node matrix may hold.
+/// The largest weight magnitude, in nanoseconds, an `n`-node matrix may
+/// hold.
 fn limit(n: usize) -> i128 {
     ((i64::MAX / 4) / (n as i64 + 1)) as i128
 }
 
+/// Whether every entry is a whole or half nanosecond — exactly the
+/// matrices the integer route takes.
+fn on_grid(m: &SquareMatrix<W>) -> bool {
+    m.as_slice()
+        .iter()
+        .all(|w| w.as_finite().is_none_or(|r| r.denominator() <= 2))
+}
+
+/// `m` times 30: every denominator the generators use, 1 to 6, divides
+/// 60, so the result is on the half-nanosecond grid.
+fn onto_grid(m: &SquareMatrix<W>) -> SquareMatrix<W> {
+    SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r * Ratio::from_int(30)))
+}
+
 /// A closure-shaped matrix: all entries finite, zero diagonal, entries of
-/// mixed sign with denominators 1 to 6, so `λ*` and the common
-/// denominator rarely are 1. With `close`, nonnegative entries are
-/// first closed under shortest paths, as GLOBAL ESTIMATES does.
+/// mixed sign with denominators 1 to 6, so `λ*` rarely is an integer.
+/// With `close`, nonnegative entries are first closed under shortest
+/// paths, as GLOBAL ESTIMATES does.
 fn closure_shaped(
     sizes: std::ops::RangeInclusive<usize>,
 ) -> impl Strategy<Value = SquareMatrix<W>> {
@@ -84,7 +100,8 @@ fn integer_matrix(n: usize, cells: &[i128]) -> SquareMatrix<W> {
 }
 
 /// Checks both public entry points against the oracle on `m` and `source`,
-/// taking `λ*` from `karp`; `scalable` says whether scaling must apply.
+/// taking `λ*` from `karp`; `scalable` says whether the integer route must
+/// apply.
 fn check(
     m: &SquareMatrix<W>,
     source: usize,
@@ -100,7 +117,7 @@ fn check(
         outcome(shifted_distances(m, cm.mean, source)),
         reference.clone()
     );
-    // The integer SHIFTS, on one scaling of `m`: Howard's `A_max` and the
+    // The integer SHIFTS, on `m`'s counts: Howard's `A_max` and the
     // corrections under it.
     if let Some(scaled) = ScaledMatrix::from_ratio(m) {
         prop_assert_eq!(scaled.max_cycle_mean(None).cycle_mean, cm.clone());
@@ -123,7 +140,8 @@ proptest! {
         below in 1..=7i128,
     ) {
         let source = source % m.n();
-        check(&m, source, karp_max_cycle_mean, true)?;
+        check(&m, source, karp_max_cycle_mean, on_grid(&m))?;
+        check(&onto_grid(&m), source, karp_max_cycle_mean, true)?;
         // Shifts other than λ*: above it every distance still exists,
         // below it some cycle of two or more nodes may turn negative, and
         // both kernels must then fail alike.
@@ -142,8 +160,7 @@ proptest! {
         source in 0..1000usize,
         k in 1..=100i128,
     ) {
-        // An entry with denominator 2^40 + 1 takes the common denominator
-        // of the matrix past the cap.
+        // An entry with denominator 2^40 + 1 is off the half-ns grid.
         let mut m = m;
         m[(0, 1)] = Ext::Finite(Ratio::new(k, (1 << 40) + 1));
         check(&m, source % m.n(), karp_max_cycle_mean, false)?;
@@ -156,18 +173,21 @@ proptest! {
         source in 0..1000usize,
         k in 0..=100i128,
     ) {
-        // Integer entries but one with denominator 2^40: the matrix
-        // scales, and a shift with denominator 3 extends the common
-        // denominator past the cap. Every entry is below 62, so the
-        // shift 62 + 1/3 is above every cycle mean.
-        let mut m = integer_matrix(n, &cells);
-        m[(0, 1)] = Ext::Finite(Ratio::new(2 * k + 1, 1 << 40));
+        // Integer entries: the matrix has counts, and a shift's denominator
+        // only scales its weights. Every entry is below 62, so the shifts
+        // 62 + 1/3 and 62 + 1/(2^61 + 2k + 1) are above every cycle mean.
+        // The first takes the integer route; the second's weights pass
+        // the bound, and it falls back.
+        let m = integer_matrix(n, &cells);
         prop_assert!(try_scaled_karp(&m).is_some());
-        let (shift, source) = (Ratio::new(187, 3), source % n);
-        prop_assert!(try_scaled_shifted_distances(&m, shift, source).is_none());
-        let reference = rational(&m, shift, source);
-        prop_assert!(reference.is_ok());
-        prop_assert_eq!(outcome(shifted_distances(&m, shift, source)), reference);
+        let source = source % n;
+        let huge = (1 << 61) + 2 * k + 1;
+        for (shift, integer) in [(Ratio::new(187, 3), true), (Ratio::new(62 * huge + 1, huge), false)] {
+            prop_assert_eq!(try_scaled_shifted_distances(&m, shift, source).is_some(), integer);
+            let reference = rational(&m, shift, source);
+            prop_assert!(reference.is_ok());
+            prop_assert_eq!(outcome(shifted_distances(&m, shift, source)), reference);
+        }
     }
 
     #[test]
@@ -188,7 +208,7 @@ proptest! {
         for (x, integer) in [(limit(n), true), (limit(n) + 1, false)] {
             let mut m = m.clone();
             m[(1, 0)] = Ext::Finite(Ratio::from_int(x));
-            let howard = try_scaled_howard(&m, None);
+            let howard = ScaledMatrix::from_ratio(&m).map(|s| s.max_cycle_mean(None));
             prop_assert_eq!(howard.is_some(), integer);
             if let Some(sol) = howard {
                 prop_assert_eq!(Some(sol.cycle_mean), karp_max_cycle_mean(&m));
@@ -206,9 +226,10 @@ proptest! {
         m in closure_shaped(120..=140),
         source in 0..1000usize,
     ) {
-        // Exact Karp is too slow here; scaled Karp is bit-identical to it
-        // (cycle_mean_equivalence.rs).
-        check(&m, source % m.n(), fast_max_cycle_mean, true)?;
+        // Exact Karp is too slow here; integer Karp is bit-identical to it
+        // (cycle_mean_equivalence.rs). The route is exact on the grid.
+        prop_assert_eq!(ScaledMatrix::from_ratio(&m).is_some(), on_grid(&m), "route");
+        check(&onto_grid(&m), source % m.n(), fast_max_cycle_mean, true)?;
     }
 }
 
@@ -222,14 +243,14 @@ fn with_infinite(inf: W) -> SquareMatrix<W> {
 #[test]
 #[should_panic(expected = "need a finite matrix: value is +inf")]
 fn pos_inf_entry_panics_on_the_rational_path() {
-    // `+∞` makes scaling bail; the rational fallback rejects it.
+    // `+∞` has no count; the rational fallback rejects it.
     let _ = shifted_distances(&with_infinite(Ext::PosInf), Ratio::ONE, 0);
 }
 
 #[test]
 #[should_panic(expected = "need a finite matrix: value is -inf")]
 fn neg_inf_entry_panics_on_the_scaled_path() {
-    // `−∞` scales to Karp's no-edge sentinel, past the integer kernels'
-    // bound; the rational pass rejects it.
+    // `−∞` has no count in a SHIFTS matrix; the rational pass rejects
+    // it.
     let _ = shifted_distances(&with_infinite(Ext::NegInf), Ratio::ONE, 0);
 }

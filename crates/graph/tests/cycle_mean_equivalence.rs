@@ -2,25 +2,28 @@
 //! reference kernels — the correctness contract of the SHIFTS perf layer
 //! (DESIGN.md §4c):
 //!
-//! * [`fast_max_cycle_mean`] (Karp over scaled `i64` weights) must be
-//!   **bit-identical** to [`karp_max_cycle_mean`] — the same `λ*` *and*
-//!   the same witness cycle — whenever scaling applies, and must fall back
-//!   to it (hence stay identical trivially) when it does not.
+//! * [`fast_max_cycle_mean`] (Karp over `i64` half-nanosecond counts) must
+//!   be **bit-identical** to [`karp_max_cycle_mean`] — the same `λ*` *and*
+//!   the same witness cycle — whenever every entry is a whole or half
+//!   nanosecond, and must fall back to it (hence stay identical trivially)
+//!   otherwise. Doubling, or multiplying by six, puts every generated
+//!   matrix on that grid, so the integer path sees every shape.
 //! * [`howard_solve`] must find the same `λ*` and the same canonical
 //!   witness cycle, whose mean equals it exactly, from a cold start and
 //!   from any warm-start policy.
-//! * [`try_scaled_howard`] (Howard over scaled `i64` weights, the kernel
-//!   SHIFTS runs) must return exact Karp's whole `CycleMean` on complete
-//!   matrices, cold and from any warm-start policy, and converge to the
-//!   very policy [`howard_solve`] reaches from the same seed.
+//! * [`ScaledMatrix::max_cycle_mean`] (Howard over half-nanosecond
+//!   counts, the kernel SHIFTS runs) must return exact Karp's whole
+//!   `CycleMean` on complete matrices, cold and from any warm-start
+//!   policy, and converge to the very policy [`howard_solve`] reaches from
+//!   the same seed.
 //! * On small graphs, all of them must agree with the exhaustive
 //!   [`brute::max_cycle_mean_brute`] oracle over simple cycles.
 //!
 //! Each suite runs 1000 random cases.
 
 use clocksync_graph::{
-    brute, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_howard,
-    try_scaled_karp, SquareMatrix, Weight,
+    brute, fast_max_cycle_mean, howard_solve, karp_max_cycle_mean, try_scaled_karp, ScaledMatrix,
+    SquareMatrix, Weight,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -29,8 +32,9 @@ type W = Ext<Ratio>;
 
 /// A random rational digraph: `n ≤ 7`, each edge absent (`−∞` in the
 /// max-plus convention of the cycle-mean kernels) or a fraction with
-/// denominator in `{1, 2, 4}` — small enough for the brute oracle, always
-/// scalable, cycles not guaranteed (acyclic cases must agree too).
+/// denominator in `{1, 2, 4}` — small enough for the brute oracle, on the
+/// half-ns grid once doubled, cycles not guaranteed (acyclic cases must
+/// agree too).
 fn small_graph() -> impl Strategy<Value = SquareMatrix<W>> {
     (1usize..=7).prop_flat_map(|n| {
         proptest::collection::vec(
@@ -54,8 +58,7 @@ fn small_graph() -> impl Strategy<Value = SquareMatrix<W>> {
 }
 
 /// A closure-shaped matrix: all entries finite, zero diagonal — the shape
-/// SHIFTS feeds the kernels. Mixed denominators exercise the scaler's
-/// common-denominator search.
+/// SHIFTS feeds the kernels, with denominators in `{1, 2, 4}`.
 fn closure_shaped() -> impl Strategy<Value = SquareMatrix<W>> {
     (2usize..=7).prop_flat_map(|n| {
         proptest::collection::vec(
@@ -97,6 +100,19 @@ fn garbage_policy(max_n: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..max_n * 2 + 1, 0..=max_n)
 }
 
+/// Whether every finite entry is a whole or half nanosecond — exactly the
+/// matrices the integer kernels take.
+fn on_grid(m: &SquareMatrix<W>) -> bool {
+    m.as_slice()
+        .iter()
+        .all(|w| w.as_finite().is_none_or(|r| r.denominator() <= 2))
+}
+
+/// `m` times `k`: the same cycles, every mean times `k`.
+fn times(m: &SquareMatrix<W>, k: i128) -> SquareMatrix<W> {
+    SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r * Ratio::from_int(k)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
@@ -106,11 +122,15 @@ proptest! {
         let fast = fast_max_cycle_mean(&m);
         // Full equality: mean AND witness cycle, not just the number.
         prop_assert_eq!(&fast, &exact);
-        if let Some(inner) = try_scaled_karp(&m) {
-            // When scaling applied, the i64 path itself (no fallback
+        let inner = try_scaled_karp(&m);
+        prop_assert_eq!(inner.is_some(), on_grid(&m), "route");
+        if let Some(inner) = inner {
+            // When the encoding applied, the i64 path itself (no fallback
             // involved) already matched.
             prop_assert_eq!(&inner, &exact);
         }
+        let doubled = times(&m, 2);
+        prop_assert_eq!(try_scaled_karp(&doubled), Some(karp_max_cycle_mean(&doubled)));
     }
 
     #[test]
@@ -160,9 +180,13 @@ proptest! {
     #[test]
     fn closure_shaped_matrices_always_take_the_scaled_path(m in closure_shaped()) {
         // The SHIFTS input shape: finite, zero diagonal, denominators
-        // powers of two. Scaling must apply, and every kernel must agree
-        // bit-for-bit on λ* (the self-loop-free complete graph always has
-        // a cycle, so all of them return Some).
+        // powers of two. The integer path runs exactly on the half-ns
+        // grid; doubled, every such matrix is on it, the integer path must
+        // apply, and every kernel must agree bit-for-bit on λ* (the
+        // self-loop-free complete graph always has a cycle, so all of them
+        // return Some).
+        prop_assert_eq!(try_scaled_karp(&m).is_some(), on_grid(&m), "route");
+        let m = times(&m, 2);
         let inner = try_scaled_karp(&m);
         prop_assert!(inner.is_some(), "scaling unexpectedly fell back");
         let exact = karp_max_cycle_mean(&m).expect("complete graph has cycles");
@@ -177,9 +201,14 @@ proptest! {
         m in prop_oneof![closure_shaped(), complete_graph()],
         seed in garbage_policy(9),
     ) {
+        // The integer kernel runs exactly on the half-ns grid; six times
+        // any generated matrix is on it.
+        prop_assert_eq!(ScaledMatrix::from_ratio(&m).is_some(), on_grid(&m), "route");
+        let m = times(&m, 6);
+        let scaled = ScaledMatrix::from_ratio(&m).expect("on the grid");
         let exact = karp_max_cycle_mean(&m).expect("complete graph has cycles");
         for warm in [None, Some(seed.as_slice())] {
-            let fast = try_scaled_howard(&m, warm).expect("small fractions scale");
+            let fast = scaled.max_cycle_mean(warm);
             prop_assert_eq!(&fast.cycle_mean, &exact);
             // Trajectory parity: the same decisions reach the same policy.
             prop_assert_eq!(Some(fast), howard_solve(&m, warm));

@@ -1039,9 +1039,9 @@ impl Runner<'_> {
     /// driven by evidence shapes the proptest generators never produce.
     fn check_sparse_kernels(&self) -> Result<(), (String, String)> {
         let local = self.online.local_estimates();
-        let Ok((scaled, _)) = clocksync_graph::scaled_weights(local) else {
-            // Unscalable estimates run on the generic rational kernel;
-            // there is no i64 backend pair to compare.
+        let Ok(scaled) = clocksync_graph::scaled_weights(local) else {
+            // Estimates without half-nanosecond counts run on the generic
+            // rational kernel; there is no i64 backend pair to compare.
             return Ok(());
         };
         let dense = clocksync_graph::blocked_floyd_warshall_i64(&scaled);

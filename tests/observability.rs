@@ -154,7 +154,28 @@ fn scaling_bailout_is_reported_not_silent() {
     );
     assert_eq!(field("n"), Some(FieldValue::Int(3)));
 
-    // A scalable matrix must NOT emit the fallback event.
+    // An entry off the half-nanosecond grid falls back the same way, and
+    // says why.
+    let third = SquareMatrix::from_fn(3, |i, j| match (i, j) {
+        _ if i == j => <Ext<Ratio> as Weight>::zero(),
+        (0, 1) => Ext::Finite(Ratio::new(1, 3)),
+        _ => Ext::Finite(Ratio::from_int(5)),
+    });
+    let recorder = Recorder::enabled();
+    global_estimates_traced(&third, &recorder).unwrap();
+    let trace = recorder.snapshot();
+    assert_eq!(
+        trace.span_field("sync.global_estimates", "fallback_reason"),
+        Some(&FieldValue::Str("off-grid".into()))
+    );
+    let events: Vec<_> = trace.events_named("sync.closure_fallback").collect();
+    assert_eq!(events.len(), 1, "exactly one fallback event");
+    assert!(events[0]
+        .iter()
+        .any(|(k, v)| k == "reason" && *v == FieldValue::Str("off-grid".into())));
+
+    // A matrix of whole and half nanoseconds must NOT emit the fallback
+    // event.
     let ok = SquareMatrix::from_fn(3, |i, j| {
         if i == j {
             <Ext<Ratio> as Weight>::zero()
