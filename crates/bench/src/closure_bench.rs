@@ -16,10 +16,9 @@
 //!   `O(n²)` and converts the cache to rationals once. Both arms cover
 //!   exactly the GLOBAL ESTIMATES step — corrections derivation (Karp's
 //!   cycle mean) is identical on both strategies and excluded.
-//! * **sparse**: the large-`n` closure backends — the dense blocked
-//!   `O(n³)` kernel versus the density-dispatched sparse backend
-//!   ([`clocksync_graph::dispatch_closure_i64`]: Johnson's algorithm, or
-//!   the hierarchical per-component composition) on WAN-like
+//! * **sparse**: the large-`n` closure backend — the dense blocked
+//!   `O(n³)` kernel versus Johnson's algorithm, as
+//!   [`clocksync_graph::dispatch_closure_i64`] picks it, on WAN-like
 //!   ring-plus-chords and 3-dimensional toroid topologies at
 //!   `n = 1024…4096`, where edge density is far below 1%.
 //!

@@ -21,7 +21,9 @@ pub enum SyncError {
     /// impossible when the views come from an execution that actually
     /// satisfies the assumptions.
     InconsistentObservations {
-        /// A processor on the offending cycle.
+        /// A processor on, or reachable from, the offending cycle (the
+        /// closure kernel for large sparse or multi-component domains may
+        /// name one downstream of it).
         witness: ProcessorId,
     },
     /// The views themselves violate the execution model.

@@ -82,9 +82,9 @@ pub fn global_estimates_with_chains(
 
 /// Like [`global_estimates_with_chains`], recording a
 /// `sync.global_estimates` span whose `kernel` field names the closure
-/// kernel that actually ran (`scaled-i64`, `sparse-johnson`,
-/// `hier-components` or `rational-generic`) — so a BENCH regression on
-/// this stage is attributable to a kernel change rather than guessed at.
+/// kernel that actually ran (`scaled-i64`, `sparse-johnson` or
+/// `rational-generic`) — so a BENCH regression on this stage is
+/// attributable to a kernel change rather than guessed at.
 /// When an entry has no count and the stage falls off the fast path onto
 /// the `O(n³)` generic kernel, a `sync.closure_fallback` event records
 /// the [`clocksync_graph::ScaleBailout`] reason, making the perf cliff

@@ -21,14 +21,15 @@
 //! property the test below checks — and each additional observation can
 //! only tighten the certificate. That monotonicity is precisely what makes
 //! the incremental closure update exact: a tightened link is an edge-weight
-//! decrease, the one operation `relax_edge` absorbs without error. Should
-//! an estimate ever loosen (no built-in assumption does this, but the cache
-//! does not assume it), the cache re-closes the affected component. A
-//! whole- or half-nanosecond estimate always relaxes in place; one with no
-//! count (a magnitude near the sentinel, or a value off the half-ns grid,
-//! which no built-in estimator produces) drops the cache, and while `m̃ls`
-//! holds such an entry the synchronizer keeps no cache and every outcome
-//! runs [`clocksync_graph::fast_closure`]'s exact rational fallback.
+//! decrease, the one operation `relax_edge` absorbs without error. An
+//! estimate loosens only when [`OnlineSynchronizer::forget_link`] retracts
+//! evidence; that drops every cache, and the next outcome rebuilds them.
+//! A whole- or half-nanosecond estimate always relaxes in place. One with
+//! no count (a magnitude near the sentinel, or a value off the half-ns
+//! grid, which no built-in estimator produces) drops the cache. While
+//! `m̃ls` holds such an entry the synchronizer keeps no cache, and every
+//! outcome runs [`clocksync_graph::fast_closure`]'s exact rational
+//! fallback.
 //!
 //! The `A_max` stage is cached the same way: alongside the closure the
 //! synchronizer keeps each component's *warm state* — its certified
@@ -45,7 +46,7 @@
 //! outcome is bit-identical to a cold computation (the equivalence tests
 //! and the fuzzer's `warm-equals-cold` oracle check this), only faster.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 use clocksync_graph::{fast_closure, Closure, NegativeCycleError, RelaxOutcome, SquareMatrix};
 use clocksync_model::{LinkObservations, ModelError, MsgSample, ProcessorId, ViewSet};
@@ -104,21 +105,19 @@ pub struct OnlineSynchronizer {
     /// `estimated_local_shifts(&network, &observations)`.
     local: clocksync_graph::SquareMatrix<ExtRatio>,
     /// The closure of `local` as half-nanosecond counts, when valid.
-    /// Tightenings are folded in by `relax_edge`, loosenings by a
-    /// component-scoped patch. `None` after a bulk view merge, an
-    /// inconsistency or a tightening without a count, until the next
-    /// [`OnlineSynchronizer::outcome`] rebuilds it — and for as long as
-    /// some `local` entry has no count. Invariant: while present, every
-    /// finite `local` entry has a count within the cache's magnitude
-    /// limit.
+    /// Tightenings are folded in by `relax_edge`. `None` after a bulk view
+    /// merge, a loosening, an inconsistency or a tightening without a
+    /// count, until the next [`OnlineSynchronizer::outcome`] rebuilds it —
+    /// and for as long as some `local` entry has no count. Invariant:
+    /// while present, every finite `local` entry has a count within the
+    /// cache's magnitude limit.
     cached: Option<Closure>,
     /// Per-component warm states (`A_max`, critical cycle, Howard policy)
     /// from the last [`OnlineSynchronizer::outcome`], keyed by the
     /// component's sorted member list; components on the rational route
     /// have none. Invariant: an entry exists only if, since it was
     /// written, the closure entries among its members changed solely by
-    /// tightenings (loosenings evict exactly the keys that intersect the
-    /// affected component; see `invalidate_loosened`).
+    /// tightenings (a loosening clears the map; see `refresh_link`).
     shifts_states: HashMap<Vec<ProcessorId>, ShiftsState>,
 }
 
@@ -316,9 +315,10 @@ impl OnlineSynchronizer {
     /// operator action for a replaced or re-cabled link whose historical
     /// evidence no longer describes the hardware. Both directions'
     /// estimates loosen back to their assumption-only values; this is the
-    /// one place estimates loosen in practice, and it exercises the
-    /// component-scoped cache invalidation. Returns the number of samples
-    /// dropped.
+    /// one place estimates loosen in practice. A loosened estimate drops
+    /// the cached closure and every cached `A_max` state
+    /// ([`OnlineSynchronizer::invalidate_caches`]), so the next outcome
+    /// rebuilds them. Returns the number of samples dropped.
     ///
     /// # Panics
     ///
@@ -331,9 +331,15 @@ impl OnlineSynchronizer {
 
     /// Drops the cached closure and every cached `A_max` certificate, so
     /// the next [`OnlineSynchronizer::outcome`] recomputes everything from
-    /// the `m̃ls` matrix. Never changes any result — the caches are pure
-    /// accelerators — which is exactly what makes this the reference
-    /// implementation for differential tests of the scoped invalidation.
+    /// the `m̃ls` matrix, as it does after a loosened estimate.
+    ///
+    /// The closure, precision, corrections, components and critical cycles
+    /// never depend on the caches, which makes a clone that calls this the
+    /// reference for differential tests of the warm engine. Constraint
+    /// chains may: [`Closure::relax_edge`] breaks ties between equally
+    /// short paths by the order the tightenings arrived in, while a
+    /// rebuild takes its kernel's tie-break, so a chain can come back as
+    /// another path of the same weight.
     pub fn invalidate_caches(&mut self) {
         self.cached = None;
         self.shifts_states.clear();
@@ -380,10 +386,9 @@ impl OnlineSynchronizer {
     /// (a slow message raises `d̃max`, which tightens the *opposite*
     /// direction's upper-bound slack), so both directed entries are
     /// recomputed. Tightenings relax the cache in `O(n²)`; one without a
-    /// count drops the closure, and an inconsistency (negative cycle) drops
-    /// every cache,
-    /// leaving the rebuild — and the canonical error report — to
-    /// [`OnlineSynchronizer::outcome`].
+    /// count drops the closure, and a loosening or an inconsistency
+    /// (negative cycle) drops every cache, leaving the rebuild — and the
+    /// canonical error report — to [`OnlineSynchronizer::outcome`].
     fn refresh_link(&mut self, a: ProcessorId, b: ProcessorId) {
         for (p, q) in [(a, b), (b, a)] {
             let Some(assumption) = self.network.assumption(p, q) else {
@@ -399,10 +404,9 @@ impl OnlineSynchronizer {
             self.local[(u, v)] = w;
             if w > old {
                 // An estimate loosened (evidence was retracted via
-                // forget_link, or a custom assumption did it): only the
-                // component the edge lives in can be affected, so patch
-                // the caches there and keep the rest warm.
-                self.invalidate_loosened(u, v);
+                // forget_link, or a custom assumption did it), which
+                // relax_edge cannot absorb: drop the caches.
+                self.invalidate_caches();
                 continue;
             }
             let Some(cache) = self.cached.as_mut() else {
@@ -432,71 +436,6 @@ impl OnlineSynchronizer {
                 }
             }
         }
-    }
-
-    /// Repairs the caches after the local estimate of edge `(u, v)`
-    /// loosened, touching only the affected component.
-    ///
-    /// A loosened edge `(u, v)` can change a closure entry `(x, y)` only
-    /// if the old closure had finite `d(x, u)` and `d(v, y)`: both demand
-    /// a path of finite local edges, so `x`, `y` — and every alternative
-    /// path that could now become the shortest — lie inside the connected
-    /// component of `{u, v}` in the *undirected* finite-local-edge graph.
-    /// (Seeding the search with both endpoints reproduces the old
-    /// component even when the loosening to `+∞` just disconnected them,
-    /// and synchronizable components never straddle its boundary because
-    /// mutual finiteness implies undirected connectivity.) So: re-close
-    /// that component's sub-matrix, splice it into the cached closure, and
-    /// evict exactly the `A_max` states whose
-    /// members intersect it. Everything outside is untouched and stays
-    /// warm.
-    fn invalidate_loosened(&mut self, u: usize, v: usize) {
-        let members = self.undirected_component(u, v);
-        let mut affected = vec![false; self.network.n()];
-        for &m in &members {
-            affected[m] = true;
-        }
-        self.shifts_states
-            .retain(|key, _| key.iter().all(|p| !affected[p.index()]));
-        let Some(cache) = self.cached.as_mut() else {
-            return;
-        };
-        match cache.reclose_within(&self.local, &members) {
-            Ok(true) => {}
-            // A component weight has no count: the next outcome() takes
-            // the rational route.
-            Ok(false) => self.cached = None,
-            Err(_) => {
-                // A negative cycle cannot appear from a pure loosening,
-                // but stay safe if it somehow does: fall back to the full
-                // rebuild (and the canonical error report) in outcome().
-                self.invalidate_caches();
-            }
-        }
-    }
-
-    /// The sorted connected component of `{u, v}` in the undirected graph
-    /// whose edges are the pairs with a finite local estimate in either
-    /// direction.
-    fn undirected_component(&self, u: usize, v: usize) -> Vec<usize> {
-        let n = self.network.n();
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        for seed in [u, v] {
-            if !seen[seed] {
-                seen[seed] = true;
-                queue.push_back(seed);
-            }
-        }
-        while let Some(i) = queue.pop_front() {
-            for (j, seen_j) in seen.iter_mut().enumerate() {
-                if !*seen_j && (self.local[(i, j)].is_finite() || self.local[(j, i)].is_finite()) {
-                    *seen_j = true;
-                    queue.push_back(j);
-                }
-            }
-        }
-        (0..n).filter(|&i| seen[i]).collect()
     }
 
     /// Rebuilds the cached closure if an invalidation (or nothing yet)
@@ -550,13 +489,15 @@ impl OnlineSynchronizer {
     /// state runs integer Howard cold, as batch does, and caches its
     /// converged policy. The corrections pass, the cheap SHIFTS step, is
     /// always recomputed, on the same counts. The one conversion left is the
-    /// closure [`SyncOutcome`] stores. When an `m̃ls` entry has no count,
-    /// [`fast_closure`]'s rational fallback computes the closure and every
-    /// component takes the rational route (exact Karp, no warm state); so
-    /// does a component whose counts pass the integer kernels' bound. Whichever route ran, the components — precision,
-    /// corrections and the canonical critical cycle — are bit-identical to
-    /// the batch [`SyncOutcome::from_global_estimates`] on the same
-    /// closure.
+    /// closure [`SyncOutcome`] stores.
+    ///
+    /// When an `m̃ls` entry has no count, [`fast_closure`]'s rational
+    /// fallback computes the closure, and every component takes the
+    /// rational route (exact Karp, no warm state). So does a component
+    /// whose counts pass the integer kernels' bound. Whichever route ran,
+    /// the components — precision, corrections and the canonical critical
+    /// cycle — are bit-identical to the batch
+    /// [`SyncOutcome::from_global_estimates`] on the same closure.
     ///
     /// # Errors
     ///
@@ -985,8 +926,8 @@ mod tests {
     #[test]
     fn forget_link_loosens_and_scoped_invalidation_matches_full() {
         // Two independent pairs: P–Q and r–s. Forgetting P–Q must loosen
-        // that component back to unbounded while leaving r–s warm, and the
-        // scoped cache patch must agree with a full invalidation.
+        // that component back to unbounded while leaving r–s tight, and
+        // the engine must agree with a clone that drops its caches.
         let (r, s) = (ProcessorId(2), ProcessorId(3));
         let range = DelayRange::new(Nanos::ZERO, Nanos::new(1_000));
         let net = Network::builder(4)
@@ -1024,8 +965,8 @@ mod tests {
             .find(|c| c.members.contains(&r))
             .unwrap();
         assert_eq!(rs.precision, Ratio::from_int(250));
-        // Fresh evidence re-tightens through the patched cache exactly as
-        // through a rebuilt one.
+        // Fresh evidence re-tightens the engine exactly as it does the
+        // reference.
         online.observe_estimated_delay(P, Q, Nanos::new(100));
         reference.observe_estimated_delay(P, Q, Nanos::new(100));
         online.observe_estimated_delay(Q, P, Nanos::new(100));
@@ -1034,10 +975,47 @@ mod tests {
     }
 
     #[test]
+    fn forget_link_at_n_200_equals_the_cache_dropping_reference() {
+        // A 24-node ring with chords whose every estimate is 0 ns, so paths
+        // of different lengths tie, next to a 176-node ring. At n = 200 the
+        // closure runs Johnson. Forgetting a link of the small component
+        // must give the outcome of a clone that drops its caches,
+        // constraint chains included.
+        let (n, small) = (200, 24);
+        let range = DelayRange::new(Nanos::ZERO, Nanos::new(1_000));
+        let mut links = Vec::new();
+        for i in 0..small {
+            links.push((i, (i + 1) % small, 0));
+            links.push((i, (i + 5) % small, 0));
+        }
+        for i in small..n {
+            let j = if i + 1 == n { small } else { i + 1 };
+            links.push((i, j, 300 + 10 * (i % 7) as i64));
+        }
+        let mut net = Network::builder(n);
+        for &(p, q, _) in &links {
+            let bounds = LinkAssumption::symmetric_bounds(range);
+            net = net.link(ProcessorId(p), ProcessorId(q), bounds);
+        }
+        let mut online = OnlineSynchronizer::new(net.build());
+        let _ = online.outcome().unwrap();
+        for &(p, q, d) in &links {
+            let (p, q) = (ProcessorId(p), ProcessorId(q));
+            online.observe_estimated_delay(p, q, Nanos::new(d));
+            online.observe_estimated_delay(q, p, Nanos::new(d / 2));
+        }
+        assert_eq!(online.outcome().unwrap().components().len(), 2);
+        assert_eq!(online.forget_link(P, Q), 2);
+        let mut reference = online.clone();
+        reference.invalidate_caches();
+        assert_eq!(online.outcome().unwrap(), reference.outcome().unwrap());
+    }
+
+    #[test]
     fn forget_link_after_bulk_ingest_patches_without_cache() {
-        // Loosening with no cached closure (fresh synchronizer state after
-        // ingest_views dropped it) must still evict the right A_max states
-        // and produce the same outcome as the reference.
+        // Loosening with no cached closure (ingest_views dropped it) must
+        // still drop the A_max states and produce the same outcome as the
+        // reference.
         let exec = ExecutionBuilder::new(2)
             .start(Q, RealTime::from_nanos(123))
             .round_trips(
@@ -1158,6 +1136,32 @@ mod tests {
             crate::global_estimates(online.local_estimates()),
             Err(expected)
         );
+    }
+
+    #[test]
+    fn a_deep_negative_cycle_on_a_sparse_ring_is_reported() {
+        // A 192-node ring of [0, 1000] ns links, every message read at an
+        // estimated delay of −10^15 ns both ways: each m̃ls entry is
+        // −10^15 ns, inside the closure bound, and every 2-cycle is
+        // negative. The ring is sparse, so the closure runs Johnson, whose
+        // potential pass must stop at its floor instead of overflowing.
+        let n = 192;
+        let bounds =
+            LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::ZERO, Nanos::new(1_000)));
+        let mut net = Network::builder(n);
+        let mut batch = Vec::new();
+        for p in 0..n {
+            let (p, q) = (ProcessorId(p), ProcessorId((p + 1) % n));
+            net = net.link(p, q, bounds.clone());
+            batch.push(obs(p, q, 1_000_000_000_000_000, 0));
+            batch.push(obs(q, p, 1_000_000_000_000_000, 0));
+        }
+        let mut online = OnlineSynchronizer::new(net.build());
+        assert_eq!(online.ingest_batch(&batch), Ok(2 * n));
+        let err = online.outcome().unwrap_err();
+        assert!(matches!(err, SyncError::InconsistentObservations { .. }));
+        assert_eq!(online.global_estimates(), Err(err.clone()));
+        assert_eq!(crate::global_estimates(online.local_estimates()), Err(err));
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! * [`fast_closure`] — the drop-in replacement for
 //!   [`crate::floyd_warshall_with_paths`] over [`ExtRatio`] matrices. It
 //!   encodes the matrix as `i64` counts of half nanoseconds (exact for
-//!   every estimate; `half_ns.rs`) and dispatches on density: the parallel
-//!   [`crate::blocked_floyd_warshall_i64`] kernel for dense inputs, the
-//!   Johnson-style [`crate::sparse_closure_i64`] for large sparse ones and
-//!   the per-component [`crate::hierarchical_closure_i64`] when the domain
-//!   splits into several weak components (see [`plan_closure_kernel`]). It
-//!   falls back to the generic reference kernel when an entry has no count
-//!   — off the half-nanosecond grid, `−∞`, or past the magnitude bound —
-//!   reporting why via [`ScaleBailout`]. Distances are bit-identical to the
+//!   every estimate; `half_ns.rs`) and picks one of two kernels (see
+//!   [`plan_closure_kernel`]): the parallel
+//!   [`crate::blocked_floyd_warshall_i64`] for dense inputs, and Johnson's
+//!   [`crate::sparse_closure_i64`] for large inputs that are sparse or
+//!   split into several weak components. It falls back to the generic
+//!   reference kernel when an entry has no count — off the
+//!   half-nanosecond grid, `−∞`, or past the magnitude bound — reporting
+//!   why via [`ScaleBailout`]. Distances are bit-identical to the
 //!   reference on every input the fast path accepts; successor matrices
 //!   are bit-identical on the dense kernel and canonically tie-broken (but
-//!   still valid) on the sparse ones.
+//!   still valid) on Johnson's.
 //! * [`Closure`] — the online engine's cache: the closure as half-ns
 //!   counts (the [`scaled_weights`] encoding, [`UNREACHABLE`] for `+∞`)
 //!   next to its successor matrix, built by the same kernels
@@ -35,8 +35,8 @@ use clocksync_time::{Ext, ExtRatio, Ratio};
 
 use crate::half_ns::{self, closure_limit, ScaleBailout};
 use crate::{
-    blocked_floyd_warshall_i64, floyd_warshall_with_paths, hierarchical_closure_i64,
-    sparse_closure_i64, NegativeCycleError, SquareMatrix, UNREACHABLE,
+    blocked_floyd_warshall_i64, floyd_warshall_with_paths, sparse_closure_i64, NegativeCycleError,
+    SquareMatrix, UNREACHABLE,
 };
 
 /// The closure's image of an infinite weight: [`UNREACHABLE`] for `+∞`;
@@ -73,14 +73,15 @@ pub fn scaled_weights(m: &SquareMatrix<ExtRatio>) -> Result<SquareMatrix<i64>, S
 pub type ClosureResult = Result<(SquareMatrix<ExtRatio>, SquareMatrix<usize>), NegativeCycleError>;
 
 /// Below this dimension the integer fast path always uses the dense
-/// blocked kernel: a sub-millisecond `n³` leaves nothing for the sparse
-/// backends to win, and the dense kernel's successor matrix is
+/// blocked kernel: a sub-millisecond `n³` leaves nothing for Johnson's
+/// backend to win, and the dense kernel's successor matrix is
 /// bit-identical to the generic reference (which the small-n equivalence
 /// suites assert).
 pub const SPARSE_MIN_N: usize = 192;
 
-/// Finite off-diagonal density at or below which the Johnson backend is
-/// dispatched (for `n ≥ SPARSE_MIN_N`), expressed as a fraction. Tuned
+/// Finite off-diagonal density at or below which a one-component domain
+/// with `n ≥ SPARSE_MIN_N` goes to the Johnson backend (one with several
+/// weak components always does), expressed as a fraction. Tuned
 /// with `tables --bench-closure` on the WAN-ring and toroid arms: at 5%
 /// density and `n = 512` the sparse kernel already wins ~4x over the
 /// dense one, and the gap widens with `n`; above ~8% the dense kernel's
@@ -96,9 +97,6 @@ pub enum ClosureKernel {
     /// Johnson-style reweighted SSSP per source
     /// ([`crate::sparse_closure_i64`]).
     SparseJohnson,
-    /// Per-weak-component closures composed through boundary nodes
-    /// ([`crate::hierarchical_closure_i64`]).
-    Hierarchical,
 }
 
 impl ClosureKernel {
@@ -109,7 +107,6 @@ impl ClosureKernel {
         match self {
             ClosureKernel::DenseBlocked => "scaled-i64",
             ClosureKernel::SparseJohnson => "sparse-johnson",
-            ClosureKernel::Hierarchical => "hier-components",
         }
     }
 
@@ -120,7 +117,6 @@ impl ClosureKernel {
         match self {
             ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(scaled),
             ClosureKernel::SparseJohnson => sparse_closure_i64(scaled),
-            ClosureKernel::Hierarchical => hierarchical_closure_i64(scaled),
         }
     }
 }
@@ -131,15 +127,14 @@ impl fmt::Display for ClosureKernel {
     }
 }
 
-/// Chooses the integer kernel for a sentinel-encoded matrix — the density
+/// Chooses the integer kernel for a sentinel-encoded matrix — the
 /// dispatch heuristic behind [`fast_closure`]:
 ///
 /// * `n < SPARSE_MIN_N` → [`ClosureKernel::DenseBlocked`] (bit-identical
 ///   to the generic reference, and fastest at small `n` anyway);
-/// * more than one weak component → [`ClosureKernel::Hierarchical`]
-///   (each component pays only its own closure);
-/// * finite off-diagonal density `≤ SPARSE_MAX_DENSITY` →
-///   [`ClosureKernel::SparseJohnson`];
+/// * more than one weak component, or finite off-diagonal density
+///   `≤ SPARSE_MAX_DENSITY` → [`ClosureKernel::SparseJohnson`] (each
+///   Dijkstra run stays inside its source's component);
 /// * otherwise the dense blocked kernel.
 pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
     let n = scaled.n();
@@ -167,11 +162,8 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
         }
     }
     let roots = (0..n).filter(|&i| find(&mut parent, i) == i).count();
-    if roots > 1 {
-        return ClosureKernel::Hierarchical;
-    }
     let density = edges as f64 / (n as f64 * n as f64);
-    if density <= SPARSE_MAX_DENSITY {
+    if roots > 1 || density <= SPARSE_MAX_DENSITY {
         ClosureKernel::SparseJohnson
     } else {
         ClosureKernel::DenseBlocked
@@ -179,9 +171,9 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
 }
 
 /// Runs the [`plan_closure_kernel`]-selected kernel over a
-/// sentinel-encoded matrix. All three kernels agree exactly on distances;
-/// the sparse kernels' successor matrices are canonically tie-broken
-/// rather than Floyd–Warshall-identical.
+/// sentinel-encoded matrix. Both kernels agree exactly on distances;
+/// Johnson's successor matrix is canonically tie-broken rather than
+/// Floyd–Warshall-identical.
 ///
 /// # Errors
 ///
@@ -196,13 +188,12 @@ pub fn dispatch_closure_i64(
 /// contract as [`crate::floyd_warshall_with_paths`], computed via an
 /// integer kernel on half-nanosecond counts ([`Closure::new`]) whenever
 /// every entry has one (always, for estimate matrices), and via the
-/// generic exact kernel otherwise. The integer path density-dispatches
-/// between the dense
-/// blocked kernel and the sparse/hierarchical backends (see
-/// [`plan_closure_kernel`]). On every input all routes produce identical
-/// distance matrices; on dense-kernel inputs the successor matrix is
-/// identical to the generic reference too, while the sparse kernels
-/// produce canonically tie-broken (still valid) successors.
+/// generic exact kernel otherwise. The integer path dispatches between
+/// the dense blocked kernel and Johnson's (see [`plan_closure_kernel`]).
+/// On every input all routes produce identical distance matrices; on
+/// dense-kernel inputs the successor matrix is identical to the generic
+/// reference too, while Johnson's produces canonically tie-broken (still
+/// valid) successors.
 ///
 /// # Errors
 ///
@@ -250,9 +241,8 @@ pub enum RelaxOutcome {
     /// *increased* from a value the cached entries may depend on — in
     /// which case the cache is stale and too tight. Callers that cannot
     /// rule out a genuine loosening (e.g. after evidence retraction) MUST
-    /// discard the cache or patch the affected component before the next
-    /// query; callers that only ever tighten may safely ignore this
-    /// outcome.
+    /// discard the cache before the next query; callers that only ever
+    /// tighten may safely ignore this outcome.
     StaleLoosening,
     /// `w` has no half-nanosecond count within the cache's bound — it is
     /// `−∞`, off the half-nanosecond grid, or past the magnitude bound of
@@ -283,9 +273,8 @@ impl RelaxOutcome {
 /// `i → j` path; `usize::MAX` iff unreachable or `i == j`). Every finite
 /// entry is then a path of at most `n − 1` such edges, so no sum a
 /// relaxation forms can reach the sentinel. [`Closure::relax_edge`]
-/// preserves the invariant under edge insertions and decreases,
-/// [`Closure::reclose_within`] under the reweighting of one component; any
-/// other change requires a rebuild with [`Closure::new`].
+/// preserves the invariant under edge insertions and decreases; any other
+/// change requires a rebuild with [`Closure::new`].
 ///
 /// # Examples
 ///
@@ -493,63 +482,6 @@ impl Closure {
             None if changed => Ok(RelaxOutcome::Tightened),
             None => Ok(RelaxOutcome::Unchanged),
         }
-    }
-
-    /// Recomputes the closure among `members` from the weights `m` and
-    /// splices it in — the patch for a component whose edges *loosened*,
-    /// which [`Closure::relax_edge`] cannot absorb.
-    ///
-    /// Exact when `members` is closed under finite weights: every finite
-    /// `m` entry touching a member joins two members (a weak component of
-    /// `m`'s finite-edge graph qualifies), so no path leaves the set. The
-    /// sub-closure runs on [`dispatch_closure_i64`], under the bound of
-    /// the whole cache. Returns `Ok(false)` and leaves the cache unchanged
-    /// when some member-to-member weight has no count within it (see
-    /// [`RelaxOutcome::Unrepresentable`]); the caller must then discard
-    /// the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NegativeCycleError`] when the component has a negative
-    /// cycle; the cache is left unchanged but describes a different
-    /// graph, so it must be discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m`'s dimension differs from the cache's or a member is
-    /// out of range.
-    pub fn reclose_within(
-        &mut self,
-        m: &SquareMatrix<ExtRatio>,
-        members: &[usize],
-    ) -> Result<bool, NegativeCycleError> {
-        assert_eq!(
-            m.n(),
-            self.n(),
-            "weights and cache must have equal dimension"
-        );
-        let n = self.n();
-        let mut sub = Vec::with_capacity(members.len() * members.len());
-        for &i in members {
-            for &j in members {
-                match closure_weight(m[(i, j)], n) {
-                    Ok(x) => sub.push(x),
-                    Err(_) => return Ok(false),
-                }
-            }
-        }
-        let (sub_dist, sub_next) =
-            dispatch_closure_i64(&SquareMatrix::from_vec(members.len(), sub))?;
-        for (a, &i) in members.iter().enumerate() {
-            for (b, &j) in members.iter().enumerate() {
-                self.dist[(i, j)] = sub_dist[(a, b)];
-                self.next[(i, j)] = match sub_next[(a, b)] {
-                    usize::MAX => usize::MAX,
-                    s => members[s],
-                };
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -812,37 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn reclose_within_matches_recompute_after_a_loosening() {
-        // Loosen 0 → 1 inside the {0, 1, 2} component and patch only that
-        // component: distances equal the reference, successors equal a
-        // fresh build's, and the {3, 4} component keeps its entries.
-        let edges = [
-            (0, 1, 1, 1),
-            (1, 2, 4, 1),
-            (2, 0, 1, 1),
-            (0, 2, 9, 1),
-            (3, 4, 2, 1),
-            (4, 3, 5, 1),
-        ];
-        let mut m = ratio_matrix(5, &edges);
-        let mut c = closure(&m);
-        m[(0, 1)] = int(7);
-        assert!(c.reclose_within(&m, &[0, 1, 2]).unwrap());
-        assert_eq!(c, closure(&m));
-        assert_eq!(c.ratio_dist(), reference(&m));
-        // A half-ns component weight re-closes in place like any other.
-        m[(0, 1)] = Ext::Finite(Ratio::new(15, 2));
-        assert!(c.reclose_within(&m, &[0, 1, 2]).unwrap());
-        assert_eq!(c, closure(&m));
-        assert_eq!(c.ratio_dist(), reference(&m));
-        // A component weight off the half-ns grid is refused untouched.
-        let before = c.clone();
-        m[(0, 1)] = Ext::Finite(Ratio::new(15, 4));
-        assert!(!c.reclose_within(&m, &[0, 1, 2]).unwrap());
-        assert_eq!(c, before);
-    }
-
-    #[test]
     fn scaling_bailout_reasons_are_reported() {
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
         m[(1, 0)] = Ext::NegInf;
@@ -924,7 +825,7 @@ mod tests {
             dense[(i, i)] = 0;
         }
         assert_eq!(plan_closure_kernel(&dense), ClosureKernel::DenseBlocked);
-        // Two disjoint rings dispatch to the hierarchical backend.
+        // Two disjoint rings dispatch to Johnson.
         let half = SPARSE_MIN_N / 2;
         let mut split = SquareMatrix::filled(SPARSE_MIN_N, UNREACHABLE);
         for i in 0..SPARSE_MIN_N {
@@ -936,10 +837,33 @@ mod tests {
                 split[(base + i, base + (i + 1) % half)] = 1;
             }
         }
-        assert_eq!(plan_closure_kernel(&split), ClosureKernel::Hierarchical);
+        assert_eq!(plan_closure_kernel(&split), ClosureKernel::SparseJohnson);
+        // So do two dense components, far above the density threshold, and
+        // Johnson's distances equal the dense kernel's. The weights
+        // `c + φ(i) − φ(j)` with `c ≥ 0` are partly negative, with many
+        // equal-weight paths, and close no negative cycle.
+        let phi = |i: usize| (i * 37 % 101) as i64;
+        let two_dense = SquareMatrix::from_fn(SPARSE_MIN_N, |i, j| {
+            if i == j {
+                0
+            } else if i / half != j / half || (i + 2 * j) % 3 == 0 {
+                UNREACHABLE
+            } else {
+                ((i * j) % 4) as i64 + phi(i) - phi(j)
+            }
+        });
+        let edges = two_dense.as_slice().iter().filter(|&&w| w != UNREACHABLE);
+        assert!(edges.count() as f64 > SPARSE_MAX_DENSITY * (SPARSE_MIN_N * SPARSE_MIN_N) as f64);
+        assert_eq!(
+            plan_closure_kernel(&two_dense),
+            ClosureKernel::SparseJohnson
+        );
+        assert_eq!(
+            dispatch_closure_i64(&two_dense).unwrap().0,
+            blocked_floyd_warshall_i64(&two_dense).unwrap().0
+        );
         assert_eq!(ClosureKernel::DenseBlocked.name(), "scaled-i64");
         assert_eq!(ClosureKernel::SparseJohnson.name(), "sparse-johnson");
-        assert_eq!(ClosureKernel::Hierarchical.name(), "hier-components");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   it keeps is a path length below the sentinel. On a negative cycle,
 //!   both Floyd–Warshall kernels stop at the first level that leaves a
 //!   negative diagonal entry, so until then every entry is still a
-//!   simple-path length.
+//!   simple-path length, and Johnson's potential pass stops once a
+//!   potential falls below `−(n−1)` times the largest edge magnitude, so
+//!   its sums stay within `±(2n−1)` times it.
 //! * [`shifts_limit`]`(n) = 2·⌊(i64::MAX/4)/(n+1)⌋`, at most
 //!   `(i64::MAX/2)/(n+1)`. Karp's walks have at most `n` edges and its
 //!   witness adds one more, so every walk weight stays within

@@ -86,8 +86,5 @@ pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
 pub use shifted::{shifted_distances, try_scaled_shifted_distances, ScaledMatrix};
-pub use sparse::{
-    derive_successors_i64, hierarchical_closure_i64, hierarchical_closure_i64_with_partition,
-    sparse_closure_i64, weak_components_i64, CsrGraph,
-};
+pub use sparse::sparse_closure_i64;
 pub use weight::Weight;

@@ -303,8 +303,8 @@ impl SyncService {
     /// bounded view window, so the auditable history cannot resurrect the
     /// retracted evidence. Both directions' estimates loosen back to
     /// their assumption-only values (the one loosening operation of the
-    /// pipeline; it exercises the component-scoped cache invalidation).
-    /// Returns what was dropped.
+    /// pipeline; it drops the domain's cached closure and `A_max` states,
+    /// which the next outcome rebuilds). Returns what was dropped.
     ///
     /// # Errors
     ///

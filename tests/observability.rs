@@ -85,13 +85,7 @@ fn traced_pipeline_reports_stages_kernel_and_counters() {
     match trace.span_field("sync.global_estimates", "kernel") {
         Some(FieldValue::Str(kernel)) => {
             assert!(
-                [
-                    "scaled-i64",
-                    "sparse-johnson",
-                    "hier-components",
-                    "rational-generic"
-                ]
-                .contains(&kernel.as_str()),
+                ["scaled-i64", "sparse-johnson", "rational-generic"].contains(&kernel.as_str()),
                 "unexpected kernel {kernel}"
             );
         }

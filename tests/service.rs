@@ -1,7 +1,7 @@
 //! Cross-crate integration tests of the sharded ingestion service:
 //! bounded-memory retention never changes any synchronization result
-//! (the Lemma 6.2 estimators depend only on extremal observations), the
-//! scoped cache invalidation is indistinguishable from a full flush, the
+//! (the Lemma 6.2 estimators depend only on extremal observations), a
+//! loosened estimate is indistinguishable from a full cache flush, the
 //! scaled closure cache matches a rebuild and batch synchronization across
 //! scale changes and unscalable estimates, and adversarial clock readings
 //! surface as typed errors, never panics.
@@ -106,11 +106,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Scoped cache invalidation is observationally equivalent to the
-    /// full flush: interleaving evidence retraction (`forget_link`, the
-    /// loosening path that triggers component-scoped invalidation) with
-    /// batched ingestion gives the same outcomes as a reference that
-    /// drops every cache after every operation.
+    /// A loosened estimate leaves the engine observationally equivalent
+    /// to a full flush: interleaving evidence retraction (`forget_link`,
+    /// the loosening path, which drops the caches) with batched ingestion
+    /// gives the same outcomes as a reference that drops every cache after
+    /// every operation.
     #[test]
     fn scoped_invalidation_matches_full_flush(
         input in stream_input(),
