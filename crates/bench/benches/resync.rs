@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use clocksync::{estimated_local_shifts, DelayRange, LinkAssumption, Network, OnlineSynchronizer};
-use clocksync_graph::floyd_warshall_with_paths;
+use clocksync_graph::floyd_warshall;
 use clocksync_model::ProcessorId;
 use clocksync_time::Nanos;
 
@@ -66,7 +66,7 @@ fn bench_resync(c: &mut Criterion) {
                     Nanos::from_micros(500),
                 );
                 let local = estimated_local_shifts(&network, full.observations());
-                black_box(floyd_warshall_with_paths(&local).expect("consistent stream"))
+                black_box(floyd_warshall(&local).expect("consistent stream"))
             })
         });
     }

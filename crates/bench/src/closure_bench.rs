@@ -6,7 +6,7 @@
 //!
 //! * **closure**: one-shot GLOBAL ESTIMATES — the generic rational
 //!   Floyd–Warshall versus [`clocksync_graph::fast_closure`] (scaled
-//!   `i64`, parallel) on the same sparse estimate matrices.
+//!   `i64`) on the same sparse estimate matrices.
 //! * **resync**: online steady state — one new observation followed by a
 //!   fresh GLOBAL ESTIMATES matrix via
 //!   [`OnlineSynchronizer::global_estimates`]. The baseline re-derives the
@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use clocksync::{estimated_local_shifts, DelayRange, LinkAssumption, Network, OnlineSynchronizer};
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, dispatch_closure_i64, fast_closure, floyd_warshall_with_paths,
+    blocked_floyd_warshall_i64, dispatch_closure_i64, fast_closure, floyd_warshall,
     plan_closure_kernel, SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_model::ProcessorId;
@@ -243,7 +243,7 @@ pub struct ClosureRow {
     pub n: usize,
     /// Generic rational kernel, nanoseconds.
     pub generic_ns: u128,
-    /// Scaled parallel kernel via `fast_closure`, nanoseconds.
+    /// Scaled `i64` kernel via `fast_closure`, nanoseconds.
     pub fast_ns: u128,
 }
 
@@ -269,8 +269,7 @@ pub fn measure_closure(sizes: &[usize]) -> Vec<ClosureRow> {
             let reps = (512 / n).clamp(1, 5);
             let generic_ns = min_ns(
                 || {
-                    floyd_warshall_with_paths(std::hint::black_box(&m))
-                        .expect("no negative cycles");
+                    floyd_warshall(std::hint::black_box(&m)).expect("no negative cycles");
                 },
                 reps,
             );
@@ -327,7 +326,7 @@ pub fn measure_resync(n: usize, iters: usize) -> ResyncRow {
         );
         delay -= 1_000;
         let local = estimated_local_shifts(&network, baseline.observations());
-        let closure = floyd_warshall_with_paths(&local).expect("consistent stream");
+        let closure = floyd_warshall(&local).expect("consistent stream");
         std::hint::black_box(closure);
     }
     let full_ns = start.elapsed().as_nanos() / iters as u128;
@@ -488,8 +487,8 @@ mod tests {
     fn sparse_estimates_take_the_fast_path() {
         let m = sparse_estimates(32, 7);
         assert!(clocksync_graph::Closure::new(&m).is_ok());
-        let (fd, _) = fast_closure(&m).unwrap();
-        let (gd, _) = floyd_warshall_with_paths(&m).unwrap();
+        let fd = fast_closure(&m).unwrap();
+        let gd = floyd_warshall(&m).unwrap();
         assert_eq!(fd, gd);
     }
 
@@ -519,8 +518,8 @@ mod tests {
     #[test]
     fn sparse_topologies_agree_with_dense_kernel() {
         for m in [wan_weights_i64(64, 5), toroid_weights_i64(4, 4, 4, 5)] {
-            let (dd, _) = blocked_floyd_warshall_i64(&m).unwrap();
-            let (sd, _) = clocksync_graph::sparse_closure_i64(&m).unwrap();
+            let dd = blocked_floyd_warshall_i64(&m).unwrap();
+            let sd = clocksync_graph::sparse_closure_i64(&m).unwrap();
             assert_eq!(dd, sd);
         }
     }

@@ -1,6 +1,8 @@
 //! The `simulate`, `sync` and `explain` operations.
 
-use clocksync::{SyncOutcome, Synchronizer};
+use clocksync::{
+    estimated_local_shifts, reconstruct_path, shortest_path_successors, SyncOutcome, Synchronizer,
+};
 use clocksync_model::{Execution, ProcessorId};
 use clocksync_obs::Recorder;
 use clocksync_sim::{DelayDistribution, FaultPlan, LinkModel, Simulation, Topology};
@@ -232,10 +234,14 @@ pub fn render_sync(report: &SyncReport) -> Vec<String> {
     out
 }
 
-/// Renders the full diagnosis for `clocksync explain`.
+/// Renders the full diagnosis for `clocksync explain`. Each pair's
+/// constraint chain comes from one successor matrix, derived from the run
+/// file's `m̃ls` and the outcome's closure.
 pub fn render_explain(report: &SyncReport, run: &RunFile) -> Vec<String> {
     let mut out = render_sync(report);
     let outcome = &report.outcome;
+    let local = estimated_local_shifts(&run.network(), &run.views.link_observations());
+    let next = shortest_path_successors(&local, outcome.global_shift_estimates());
     for (k, comp) in outcome.components().iter().enumerate() {
         out.push(format!(
             "component {k}: members {:?}, precision {}, critical cycle {}",
@@ -250,11 +256,10 @@ pub fn render_explain(report: &SyncReport, run: &RunFile) -> Vec<String> {
     }
     for i in 0..run.processors {
         for j in (i + 1)..run.processors {
-            let chain = outcome
-                .constraint_chain(ProcessorId(i), ProcessorId(j))
+            let chain = reconstruct_path(&next, i, j)
                 .map(|c| {
                     c.iter()
-                        .map(|p| p.to_string())
+                        .map(|&p| ProcessorId(p).to_string())
                         .collect::<Vec<_>>()
                         .join(" -> ")
                 })

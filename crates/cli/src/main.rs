@@ -22,7 +22,9 @@
 //! clocksync vopr drift [--seed S] [--seeds N]
 //! ```
 
+use std::fmt::Display;
 use std::fs;
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 use clocksync_cli::{commands, Args, RunFile};
@@ -98,7 +100,32 @@ fn write_trace(args: &Args, recorder: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
+/// Standard output, where every command's results go. A reader may close
+/// the pipe early (`clocksync explain … | head -3`): that is not a
+/// failure, so the remaining lines are dropped quietly and the exit status
+/// stays the command's own. Any other write error fails the command.
+#[derive(Default)]
+struct Out {
+    closed: bool,
+}
+
+impl Out {
+    fn line(&mut self, line: impl Display) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        match writeln!(io::stdout(), "{line}") {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            result => result.map_err(|e| format!("writing stdout: {e}")),
+        }
+    }
+}
+
 fn run() -> Result<(), String> {
+    let mut out = Out::default();
     // `trace summarize` is a two-word subcommand; fold it into one token
     // before flag parsing.
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
@@ -129,7 +156,7 @@ fn run() -> Result<(), String> {
                         runfile.views.message_observations().len()
                     );
                 }
-                None => println!("{json}"),
+                None => out.line(json)?,
             }
             Ok(())
         }
@@ -179,7 +206,7 @@ fn run() -> Result<(), String> {
                             .map_or(Json::Null, |s| skew_json(&s)),
                     ),
                 ]);
-                println!("{}", clocksync_cli::json::to_string_pretty(&body));
+                out.line(clocksync_cli::json::to_string_pretty(&body))?;
             } else {
                 let lines = if args.command() == "sync" {
                     commands::render_sync(&report)
@@ -187,7 +214,7 @@ fn run() -> Result<(), String> {
                     commands::render_explain(&report, &runfile)
                 };
                 for line in lines {
-                    println!("{line}");
+                    out.line(line)?;
                 }
             }
             Ok(())
@@ -226,10 +253,10 @@ fn run() -> Result<(), String> {
             let stats =
                 clocksync_cli::listen::serve_listener(listener, config, &recorder, max_conns)?;
             write_trace(&args, &recorder)?;
-            println!(
+            out.line(format_args!(
                 "served {} connections, {} frames ({} errors)",
                 stats.connections, stats.frames, stats.errors
-            );
+            ))?;
             Ok(())
         }
         "serve" => {
@@ -245,7 +272,7 @@ fn run() -> Result<(), String> {
                 clocksync_cli::serve::run_serve_on_str(&content, shards, window, &recorder)?;
             write_trace(&args, &recorder)?;
             for line in lines {
-                println!("{line}");
+                out.line(line)?;
             }
             Ok(())
         }
@@ -280,7 +307,7 @@ fn run() -> Result<(), String> {
             let recorder = trace_recorder(&args);
             let report = run_soak_with_recorder(&config, recorder.clone());
             write_trace(&args, &recorder)?;
-            println!(
+            out.line(format_args!(
                 "soak: {} messages in {:.2}s across {} domains / {} shards ({} engine, {} threads)",
                 report.messages,
                 report.elapsed_ns as f64 / 1e9,
@@ -288,23 +315,29 @@ fn run() -> Result<(), String> {
                 config.shards,
                 report.engine,
                 report.threads
-            );
-            println!(
+            ))?;
+            out.line(format_args!(
                 "  throughput          {:.0} msgs/sec",
                 report.msgs_per_sec()
-            );
-            println!(
+            ))?;
+            out.line(format_args!(
                 "  retained messages   {} end / {} peak (cap {})",
                 report.retained_messages_end, report.peak_retained_messages, report.retained_cap
-            );
-            println!("  retained samples    {}", report.retained_samples_end);
-            println!("  approx window bytes {}", report.approx_retained_bytes_end);
+            ))?;
+            out.line(format_args!(
+                "  retained samples    {}",
+                report.retained_samples_end
+            ))?;
+            out.line(format_args!(
+                "  approx window bytes {}",
+                report.approx_retained_bytes_end
+            ))?;
             match report.rss_end_bytes {
-                Some(rss) => println!(
+                Some(rss) => out.line(format_args!(
                     "  resident set        {:.1} MiB",
                     rss as f64 / (1 << 20) as f64
-                ),
-                None => println!("  resident set        unavailable on this platform"),
+                ))?,
+                None => out.line("  resident set        unavailable on this platform")?,
             }
             if report.peak_retained_messages > report.retained_cap {
                 return Err(format!(
@@ -336,7 +369,7 @@ fn run() -> Result<(), String> {
             }
             let session = clocksync_cli::vopr::fuzz(seed, count, budget);
             for line in &session.lines {
-                println!("{line}");
+                out.line(line)?;
             }
             if let Some(path) = args.get("journal") {
                 fs::write(path, &session.journal_jsonl)
@@ -363,7 +396,7 @@ fn run() -> Result<(), String> {
                 .map_err(|e| format!("{path}: {e}"))?;
             let (lines, journal, failed) = clocksync_cli::vopr::replay(&scenario);
             for line in lines {
-                println!("{line}");
+                out.line(line)?;
             }
             if let Some(journal_path) = args.get("journal") {
                 fs::write(journal_path, &journal)
@@ -382,7 +415,7 @@ fn run() -> Result<(), String> {
             let seed = args.get_u64("seed", 10_000)?;
             let report = clocksync_cli::vopr::corpus(std::path::Path::new(dir), budget, seed)?;
             for line in &report.lines {
-                println!("{line}");
+                out.line(line)?;
             }
             if report.failures > 0 {
                 Err(format!(
@@ -401,7 +434,7 @@ fn run() -> Result<(), String> {
             }
             let (lines, failed) = clocksync_cli::vopr::marzullo(seed, seeds);
             for line in &lines {
-                println!("{line}");
+                out.line(line)?;
             }
             if failed {
                 Err("marzullo fusion oracle failure".to_string())
@@ -417,7 +450,7 @@ fn run() -> Result<(), String> {
             }
             let (lines, failed) = clocksync_cli::vopr::drift(seed, seeds);
             for line in &lines {
-                println!("{line}");
+                out.line(line)?;
             }
             if failed {
                 Err("drift soundness oracle failure".to_string())
@@ -430,12 +463,12 @@ fn run() -> Result<(), String> {
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let trace = Trace::from_jsonl(&content).map_err(|e| e.to_string())?;
             for line in trace.summarize() {
-                println!("{line}");
+                out.line(line)?;
             }
             Ok(())
         }
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            out.line(USAGE)?;
             Ok(())
         }
         other => Err(format!("unknown subcommand `{other}`\n{USAGE}")),

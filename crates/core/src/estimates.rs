@@ -1,4 +1,8 @@
 //! Local shift estimates and the GLOBAL ESTIMATES step (paper §5).
+//!
+//! The closure is distances only. The chain of links behind a global
+//! bound is worked out on demand from `m̃ls` and the closure by
+//! [`crate::shortest_path_successors`].
 
 use clocksync_graph::{Closure, SquareMatrix, Weight};
 use clocksync_model::{LinkObservations, ProcessorId};
@@ -47,6 +51,14 @@ pub fn estimated_local_shifts(
 /// computation. `m̃s(p,q)` is then the estimate of how far `q` can be
 /// shifted from `p` while *every* link stays admissible (Lemma 5.3).
 ///
+/// Computed via [`clocksync_graph::fast_closure`]: every estimate is a
+/// whole or half nanosecond, so the closure runs on an integer kernel over
+/// half-nanosecond counts; inputs without counts (off that grid, or past
+/// the magnitude bound) fall back to the generic rational-arithmetic
+/// kernel with identical results. [`crate::shortest_path_successors`]
+/// recovers *which* sequence of links produces each global bound from
+/// `local` and the closure.
+///
 /// # Errors
 ///
 /// Returns [`SyncError::InconsistentObservations`] if the estimates contain
@@ -57,30 +69,10 @@ pub fn estimated_local_shifts(
 pub fn global_estimates(
     local: &SquareMatrix<ExtRatio>,
 ) -> Result<SquareMatrix<ExtRatio>, SyncError> {
-    global_estimates_with_chains(local).map(|(closure, _)| closure)
-}
-
-/// Like [`global_estimates`], additionally returning the successor matrix
-/// of the shortest-path computation, from which
-/// [`crate::SyncOutcome::constraint_chain`] reconstructs *which* sequence
-/// of links produces each global bound.
-///
-/// Computed via [`clocksync_graph::fast_closure`]: every estimate is a
-/// whole or half nanosecond, so the closure runs on the parallel integer
-/// kernel over half-nanosecond counts; inputs without counts (off that
-/// grid, or past the magnitude bound) fall back to the generic
-/// rational-arithmetic kernel with identical results.
-///
-/// # Errors
-///
-/// Same conditions as [`global_estimates`].
-pub fn global_estimates_with_chains(
-    local: &SquareMatrix<ExtRatio>,
-) -> Result<(SquareMatrix<ExtRatio>, SquareMatrix<usize>), SyncError> {
     global_estimates_traced(local, &clocksync_obs::Recorder::disabled())
 }
 
-/// Like [`global_estimates_with_chains`], recording a
+/// Like [`global_estimates`], recording a
 /// `sync.global_estimates` span whose `kernel` field names the closure
 /// kernel that actually ran (`scaled-i64`, `sparse-johnson` or
 /// `rational-generic`) — so a BENCH regression on this stage is
@@ -96,8 +88,8 @@ pub fn global_estimates_with_chains(
 pub fn global_estimates_traced(
     local: &SquareMatrix<ExtRatio>,
     recorder: &clocksync_obs::Recorder,
-) -> Result<(SquareMatrix<ExtRatio>, SquareMatrix<usize>), SyncError> {
-    global_estimates_scaled(local, recorder).map(|(dist, next, _)| (dist, next))
+) -> Result<SquareMatrix<ExtRatio>, SyncError> {
+    global_estimates_scaled(local, recorder).map(|(dist, _)| dist)
 }
 
 /// [`global_estimates_traced`], also handing over the closure stage's own
@@ -106,7 +98,7 @@ pub fn global_estimates_traced(
 pub(crate) fn global_estimates_scaled(
     local: &SquareMatrix<ExtRatio>,
     recorder: &clocksync_obs::Recorder,
-) -> Result<GlobalEstimates, SyncError> {
+) -> Result<(SquareMatrix<ExtRatio>, Option<Closure>), SyncError> {
     let mut span = recorder.span("sync.global_estimates");
     span.field("n", local.n());
     // Mirrors `clocksync_graph::fast_closure`, split open so the kernel
@@ -114,11 +106,7 @@ pub(crate) fn global_estimates_scaled(
     let result = match Closure::new_explained(local) {
         Ok((kernel, result)) => {
             span.field("kernel", kernel.name());
-            result.map(|closure| {
-                let dist = closure.ratio_dist();
-                let (counts, next) = closure.into_parts();
-                (dist, next, Some(counts))
-            })
+            result.map(|closure| (closure.ratio_dist(), Some(closure)))
         }
         Err(reason) => {
             span.field("kernel", "rational-generic");
@@ -134,21 +122,13 @@ pub(crate) fn global_estimates_scaled(
                     ("n", clocksync_obs::FieldValue::from(local.n())),
                 ],
             );
-            clocksync_graph::floyd_warshall_with_paths(local).map(|(dist, next)| (dist, next, None))
+            clocksync_graph::floyd_warshall(local).map(|dist| (dist, None))
         }
     };
     result.map_err(|e| SyncError::InconsistentObservations {
         witness: ProcessorId(e.witness),
     })
 }
-
-/// The closure of `m̃ls` with its successor matrix, and its half-nanosecond
-/// counts when `m̃ls` has them.
-pub(crate) type GlobalEstimates = (
-    SquareMatrix<ExtRatio>,
-    SquareMatrix<usize>,
-    Option<SquareMatrix<i64>>,
-);
 
 #[cfg(test)]
 mod tests {

@@ -84,12 +84,14 @@ mod shifts;
 mod synchronizer;
 
 pub use assumption::{marzullo_fuse, DelayRange, LinkAssumption, MarzulloFusion};
+/// Constraint chains: the one rule that recovers the shortest paths behind
+/// a closure ([`shortest_path_successors`], fed `m̃ls` and `m̃s`) and their
+/// expansion into processor sequences ([`reconstruct_path`]).
+pub use clocksync_graph::{reconstruct_path, shortest_path_successors};
 pub use degradation::{classify_degradations, DegradationReason, LinkDegradation};
 pub use drift::DriftingOutcome;
 pub use error::SyncError;
-pub use estimates::{
-    estimated_local_shifts, global_estimates, global_estimates_traced, global_estimates_with_chains,
-};
+pub use estimates::{estimated_local_shifts, global_estimates, global_estimates_traced};
 pub use network::{Network, NetworkBuilder};
 pub use online::{BatchObservation, OnlineSynchronizer};
 pub use shifts::{shifts, synchronizable_components, ShiftsResult};

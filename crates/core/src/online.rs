@@ -44,7 +44,14 @@
 //! bound, or any component while `m̃ls` has no counts, takes the rational
 //! route (exact Karp) and keeps no warm state. Either way the
 //! outcome is bit-identical to a cold computation (the equivalence tests
-//! and the fuzzer's `warm-equals-cold` oracle check this), only faster.
+//! and the fuzzer's `warm-equals-cold` oracle compare whole outcomes),
+//! only faster.
+//!
+//! Neither the cache nor an outcome holds the shortest paths themselves.
+//! A caller that wants the constraint chain behind a bound derives it from
+//! [`OnlineSynchronizer::local_estimates`] and the outcome's closure with
+//! [`crate::shortest_path_successors`], whose one rule depends on nothing
+//! else, so the chain is the same on every route.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -333,13 +340,9 @@ impl OnlineSynchronizer {
     /// the next [`OnlineSynchronizer::outcome`] recomputes everything from
     /// the `m̃ls` matrix, as it does after a loosened estimate.
     ///
-    /// The closure, precision, corrections, components and critical cycles
-    /// never depend on the caches, which makes a clone that calls this the
-    /// reference for differential tests of the warm engine. Constraint
-    /// chains may: [`Closure::relax_edge`] breaks ties between equally
-    /// short paths by the order the tightenings arrived in, while a
-    /// rebuild takes its kernel's tie-break, so a chain can come back as
-    /// another path of the same weight.
+    /// No part of an outcome depends on the caches, which makes a clone
+    /// that calls this the reference for differential tests of the warm
+    /// engine: its outcome must equal the warm one as a whole.
     pub fn invalidate_caches(&mut self) {
         self.cached = None;
         self.shifts_states.clear();
@@ -468,9 +471,7 @@ impl OnlineSynchronizer {
         self.ensure_cache()?;
         match &self.cached {
             Some(cache) => Ok(cache.ratio_dist()),
-            None => fast_closure(&self.local)
-                .map(|(dist, _)| dist)
-                .map_err(inconsistent),
+            None => fast_closure(&self.local).map_err(inconsistent),
         }
     }
 
@@ -505,12 +506,9 @@ impl OnlineSynchronizer {
     /// observations contradict the declared assumptions.
     pub fn outcome(&mut self) -> Result<SyncOutcome, SyncError> {
         self.ensure_cache()?;
-        let (dist, next, counts) = match &self.cached {
-            Some(cache) => (cache.ratio_dist(), cache.next().clone(), Some(cache.dist())),
-            None => {
-                let (dist, next) = fast_closure(&self.local).map_err(inconsistent)?;
-                (dist, next, None)
-            }
+        let (dist, counts) = match &self.cached {
+            Some(cache) => (cache.ratio_dist(), Some(cache.dist())),
+            None => (fast_closure(&self.local).map_err(inconsistent)?, None),
         };
         let components = synchronizable_components(&dist);
         // Warm states are keyed by member list: a component that merged or
@@ -532,7 +530,6 @@ impl OnlineSynchronizer {
                 result
             });
         self.shifts_states = fresh;
-        outcome.set_constraint_chains(next);
         outcome.set_degradations(classify_degradations(
             &self.network,
             &self.observations,
@@ -979,8 +976,7 @@ mod tests {
         // A 24-node ring with chords whose every estimate is 0 ns, so paths
         // of different lengths tie, next to a 176-node ring. At n = 200 the
         // closure runs Johnson. Forgetting a link of the small component
-        // must give the outcome of a clone that drops its caches,
-        // constraint chains included.
+        // must give the outcome of a clone that drops its caches.
         let (n, small) = (200, 24);
         let range = DelayRange::new(Nanos::ZERO, Nanos::new(1_000));
         let mut links = Vec::new();
@@ -1009,6 +1005,92 @@ mod tests {
         let mut reference = online.clone();
         reference.invalidate_caches();
         assert_eq!(online.outcome().unwrap(), reference.outcome().unwrap());
+    }
+
+    /// Batch `synchronize`, a warm engine fed message by message and a
+    /// clone of it that drops its caches must yield the same constraint
+    /// chains on an `n`-node ring with chords whose every estimate is 0 ns,
+    /// where paths of different lengths tie. Each chain must take the
+    /// fewest hops, and its `m̃ls` entries must sum to the closure entry.
+    fn assert_chains_agree_across_routes(n: usize, kernel: clocksync_graph::ClosureKernel) {
+        let mut links = Vec::new();
+        for i in 0..n {
+            links.push((i, (i + 1) % n));
+            links.push((i, (i + 7) % n));
+        }
+        let range = DelayRange::new(Nanos::ZERO, Nanos::new(1_000));
+        let mut net = Network::builder(n);
+        let mut exec = ExecutionBuilder::new(n);
+        for (k, &(p, q)) in links.iter().enumerate() {
+            let (p, q) = (ProcessorId(p), ProcessorId(q));
+            net = net.link(p, q, LinkAssumption::symmetric_bounds(range));
+            // One zero-delay round trip between clocks that start together.
+            let at = RealTime::from_nanos(1_000 * k as i64);
+            exec = exec.round_trips(p, q, 1, at, Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
+        }
+        let (net, exec) = (net.build(), exec.build().unwrap());
+        let batch = Synchronizer::new(net.clone())
+            .synchronize(exec.views())
+            .unwrap();
+        let mut online = OnlineSynchronizer::new(net);
+        let _ = online.outcome().unwrap();
+        for (k, m) in exec.views().message_observations().into_iter().enumerate() {
+            online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock);
+            if k % n == 0 {
+                let _ = online.outcome().unwrap();
+            }
+        }
+        let warm = online.outcome().unwrap();
+        let mut cold = online.clone();
+        cold.invalidate_caches();
+        let cold = cold.outcome().unwrap();
+        assert_eq!(warm, cold);
+
+        let local = online.local_estimates();
+        let scaled = clocksync_graph::scaled_weights(local).unwrap();
+        assert_eq!(clocksync_graph::plan_closure_kernel(&scaled), kernel);
+        let zero = Ext::Finite(Ratio::ZERO);
+        for &(p, q) in &links {
+            assert_eq!((local[(p, q)], local[(q, p)]), (zero, zero));
+        }
+        let closure = batch.global_shift_estimates();
+        let next = crate::shortest_path_successors(local, closure);
+        for outcome in [&warm, &cold] {
+            assert_eq!(outcome.global_shift_estimates(), closure);
+            let chains = crate::shortest_path_successors(local, outcome.global_shift_estimates());
+            assert_eq!(chains, next);
+        }
+        for j in 0..n {
+            // Every link weighs 0, so every path ties and the fewest hops
+            // are a breadth-first search away.
+            let mut hops = vec![usize::MAX; n];
+            let mut queue = std::collections::VecDeque::from([j]);
+            hops[j] = 0;
+            while let Some(x) = queue.pop_front() {
+                for u in 0..n {
+                    if u != x && local[(u, x)] == zero && hops[u] == usize::MAX {
+                        hops[u] = hops[x] + 1;
+                        queue.push_back(u);
+                    }
+                }
+            }
+            for i in 0..n {
+                let chain = crate::reconstruct_path(&next, i, j).unwrap();
+                assert_eq!(chain.len() - 1, hops[i], "chain {chain:?}");
+                let total = chain.windows(2).fold(zero, |t, e| t + local[(e[0], e[1])]);
+                assert_eq!(total, closure[(i, j)], "chain {chain:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn constraint_chains_agree_across_routes_on_johnson() {
+        assert_chains_agree_across_routes(200, clocksync_graph::ClosureKernel::SparseJohnson);
+    }
+
+    #[test]
+    fn constraint_chains_agree_across_routes_on_the_dense_kernel() {
+        assert_chains_agree_across_routes(64, clocksync_graph::ClosureKernel::DenseBlocked);
     }
 
     #[test]

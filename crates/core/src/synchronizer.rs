@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use clocksync_graph::{scaled_weights, ScaledMatrix, SquareMatrix};
+use clocksync_graph::{scaled_weights, Closure, ScaledMatrix, SquareMatrix};
 use clocksync_model::{ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, Ext, ExtRatio, Ratio};
 use serde::{Deserialize, Serialize};
@@ -118,13 +118,12 @@ impl Synchronizer {
             self.record_fusions(&observations);
             (observations, local)
         };
-        let (closure, chains, scaled) = global_estimates_scaled(&local, &self.recorder)?;
+        let (closure, scaled) = global_estimates_scaled(&local, &self.recorder)?;
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let mut outcome = SyncOutcome::from_closure(closure, scaled.as_ref());
+            let outcome = SyncOutcome::from_closure(closure, scaled.as_ref().map(Closure::dist));
             span.field("components", outcome.components().len());
-            outcome.set_constraint_chains(chains);
             outcome
         };
         {
@@ -234,7 +233,6 @@ pub struct SyncOutcome {
     corrections: Vec<Ratio>,
     closure: SquareMatrix<ExtRatio>,
     components: Vec<ComponentReport>,
-    chains: Option<SquareMatrix<usize>>,
     degradations: Vec<LinkDegradation>,
     edges: Vec<(ProcessorId, ProcessorId)>,
 }
@@ -309,18 +307,9 @@ impl SyncOutcome {
             corrections,
             closure,
             components: reports,
-            chains: None,
             degradations: Vec::new(),
             edges: Vec::new(),
         }
-    }
-
-    /// Attaches the shortest-path successor matrix so
-    /// [`SyncOutcome::constraint_chain`] can explain pair bounds. The
-    /// matrix must come from the same local-shift computation as the
-    /// closure (see [`crate::global_estimates_with_chains`]).
-    pub fn set_constraint_chains(&mut self, chains: SquareMatrix<usize>) {
-        self.chains = Some(chains);
     }
 
     /// Attaches the structured degradation report (see
@@ -360,22 +349,6 @@ impl SyncOutcome {
             .iter()
             .position(|c| c.members.contains(&p))
             .expect("every processor belongs to exactly one component")
-    }
-
-    /// The chain of processors whose consecutive link constraints compose
-    /// into the bound `m̃s(p, q)` — the *explanation* of why `q` cannot be
-    /// shifted further from `p`. Returns `None` when the pair is
-    /// unbounded, `p == q` yields `[p]`, and outcomes built directly from
-    /// a closure (without the shortest-path bookkeeping, e.g. the
-    /// distributed leader's) report `None` for non-adjacent reconstructions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `q` is out of range.
-    pub fn constraint_chain(&self, p: ProcessorId, q: ProcessorId) -> Option<Vec<ProcessorId>> {
-        let chains = self.chains.as_ref()?;
-        clocksync_graph::reconstruct_path(chains, p.index(), q.index())
-            .map(|path| path.into_iter().map(ProcessorId).collect())
     }
 
     /// The optimal correction `offset_p` for each processor. Adding
@@ -440,7 +413,9 @@ impl SyncOutcome {
     }
 
     /// The matrix of estimated maximal global shifts `m̃s(p,q)` the outcome
-    /// was computed from.
+    /// was computed from. With the `m̃ls` matrix it closes, it is all
+    /// [`crate::shortest_path_successors`] needs to name the chain of
+    /// links behind each pair bound.
     pub fn global_shift_estimates(&self) -> &SquareMatrix<ExtRatio> {
         &self.closure
     }
@@ -893,16 +868,22 @@ mod tests {
             )
             .build()
             .unwrap();
+        let local = estimated_local_shifts(&net, &exec.views().link_observations());
         let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
-        assert_eq!(outcome.constraint_chain(P, R), Some(vec![P, Q, R]));
-        assert_eq!(outcome.constraint_chain(P, Q), Some(vec![P, Q]));
-        assert_eq!(outcome.constraint_chain(P, P), Some(vec![P]));
-        // The chain's link weights sum to the closure entry.
         let closure = outcome.global_shift_estimates();
-        let chain = outcome.constraint_chain(R, P).unwrap();
-        assert_eq!(chain, vec![R, Q, P]);
+        let next = crate::shortest_path_successors(&local, closure);
+        let chain = |p: ProcessorId, q: ProcessorId| {
+            crate::reconstruct_path(&next, p.index(), q.index())
+                .map(|path| path.into_iter().map(ProcessorId).collect::<Vec<_>>())
+        };
+        assert_eq!(chain(P, R), Some(vec![P, Q, R]));
+        assert_eq!(chain(P, Q), Some(vec![P, Q]));
+        assert_eq!(chain(P, P), Some(vec![P]));
+        // The chain's link weights sum to the closure entry.
+        assert_eq!(chain(R, P), Some(vec![R, Q, P]));
         let total = closure[(2, 1)] + closure[(1, 0)];
         assert_eq!(closure[(2, 0)], total);
+        assert_eq!(closure[(2, 0)], local[(2, 1)] + local[(1, 0)]);
     }
 
     #[test]

@@ -1,40 +1,24 @@
-//! A parallel, flat-`i64` Floyd–Warshall kernel for the GLOBAL ESTIMATES
-//! hot path.
+//! A flat-`i64` Floyd–Warshall kernel for the GLOBAL ESTIMATES hot path.
 //!
-//! The generic [`crate::floyd_warshall_with_paths`] kernel pays for exact
-//! arithmetic on every relaxation: an [`clocksync_time::Ratio`] addition
-//! costs a gcd plus several checked `i128` multiplications, and the
-//! `Ext<…>` wrapper adds a branch per operation. This module is the fast
-//! path behind [`crate::fast_closure`]: weights are pre-encoded as `i64`
-//! counts of half nanoseconds (always possible for estimate matrices
-//! derived from integer-nanosecond observations), "unreachable" is the
-//! sentinel [`UNREACHABLE`], and each `k`-round relaxes the `(i, j)` plane
-//! as independent row blocks in parallel via rayon.
+//! The generic [`crate::floyd_warshall`] kernel pays for exact arithmetic
+//! on every relaxation: an [`clocksync_time::Ratio`] addition costs a gcd
+//! plus several checked `i128` multiplications, and the `Ext<…>` wrapper
+//! adds a branch per operation. This module is the dense route behind
+//! [`crate::fast_closure`]: weights are pre-encoded as `i64` counts of
+//! half nanoseconds (always possible for estimate matrices derived from
+//! integer-nanosecond observations), "unreachable" is the sentinel
+//! [`UNREACHABLE`], and the classic three loops run in place over the
+//! matrix's flat rows.
 //!
-//! # Scheduling and exact equivalence
+//! The kernel is serial. The vendored rayon spawns OS threads on every
+//! call, so fanning each `k`-level out over row blocks made a 70%-dense
+//! matrix slower on two threads than on one at every size measured
+//! (n = 192, 512 and 768).
 //!
-//! The schedule is deliberately **level-synchronous**: `k` advances one
-//! level at a time, with row `k` snapshotted before the row blocks run.
-//! Classic three-phase tiled Floyd–Warshall also blocks the `k` dimension,
-//! which changes *when* (at which `k`-level) a given improvement is first
-//! seen; distances come out the same, but the successor matrix can then
-//! differ from the reference kernel's on equal-weight ties. Keeping `k`
-//! level-synchronous makes every relaxation here fire at exactly the same
-//! `(k, i, j)` as in [`crate::floyd_warshall_with_paths`], so on inputs
-//! without a negative cycle the kernel is **bit-identical** to the generic
-//! reference in both the distance and the successor matrix (the property
-//! suite in `tests/closure_equivalence.rs` checks this on thousands of
-//! random graphs). Both kernels stop at the first level that leaves a
-//! negative diagonal entry. Until then row `k` does not change during
-//! level `k`, so the snapshot and the in-place reference agree there too,
-//! and both report the same witness vertex.
-//!
-//! Within a level, rows are independent: relaxing row `i` reads only row
-//! `i` itself and the row-`k` snapshot (`d[i][k]` lives in row `i`), so
-//! the row blocks can run on separate threads without locks or `unsafe`
-//! (this crate is `#![forbid(unsafe_code)]`).
-
-use rayon::prelude::*;
+//! Its distances equal the generic kernel's, and both stop at the first
+//! level that leaves a negative diagonal entry, naming the same witness
+//! (the property suite in `tests/closure_equivalence.rs` checks both on
+//! thousands of random graphs).
 
 use crate::{NegativeCycleError, SquareMatrix};
 
@@ -45,51 +29,10 @@ use crate::{NegativeCycleError, SquareMatrix};
 /// near it.
 pub const UNREACHABLE: i64 = i64::MAX / 4;
 
-/// Below this dimension the kernels stay on the calling thread: an
-/// `n³` of ~2M relaxations runs in about a millisecond, which per-level
-/// fork/join overhead would only dilute. Shared with the sparse backends,
-/// whose per-source fan-out has the same overhead profile.
-pub(crate) const PAR_THRESHOLD: usize = 192;
-
-/// One working row: distances and successors, both contiguous.
-struct Row {
-    dist: Vec<i64>,
-    next: Vec<usize>,
-}
-
-/// Applies one `k`-level of relaxations to a single row.
-///
-/// `row_k` is the snapshot of distance row `k` taken at the start of the
-/// level. Mirrors the generic kernel exactly: skip when `d[i][k]` is
-/// unreachable, skip unreachable `d[k][j]`, strict `<` improvement,
-/// successor inherited from `next[i][k]`.
-fn relax_row(row: &mut Row, k: usize, row_k: &[i64]) {
-    let n = row_k.len();
-    let dist = &mut row.dist[..n];
-    let next = &mut row.next[..n];
-    let dik = dist[k];
-    if dik == UNREACHABLE {
-        return;
-    }
-    let nik = next[k];
-    for j in 0..n {
-        let dkj = row_k[j];
-        if dkj == UNREACHABLE {
-            continue;
-        }
-        let via = dik + dkj;
-        if via < dist[j] {
-            dist[j] = via;
-            next[j] = nik;
-        }
-    }
-}
-
-/// All-pairs shortest paths over sentinel-encoded `i64` weights, with the
-/// same conventions as [`crate::floyd_warshall_with_paths`]: the output is
-/// `(dist, next)` where `next[(i, j)]` is the node after `i` on a shortest
-/// `i → j` path and `usize::MAX` means unreachable (or `i == j`). The
-/// diagonal is normalized to `min(0, input)` before the main loop.
+/// All-pairs shortest-path distances over sentinel-encoded `i64` weights,
+/// with the same conventions as [`crate::floyd_warshall`]: [`UNREACHABLE`]
+/// means no path, and the diagonal is normalized to `min(0, input)` before
+/// the main loop.
 ///
 /// Callers must keep finite weight magnitudes far below [`UNREACHABLE`]
 /// (specifically `|w| · n` must not approach it); [`crate::fast_closure`]
@@ -112,83 +55,57 @@ fn relax_row(row: &mut Row, k: usize, row_k: &[i64]) {
 /// for i in 0..3 { w[(i, i)] = 0; }
 /// w[(0, 1)] = 4;
 /// w[(1, 2)] = -1;
-/// let (dist, next) = blocked_floyd_warshall_i64(&w)?;
+/// let dist = blocked_floyd_warshall_i64(&w)?;
 /// assert_eq!(dist[(0, 2)], 3);
-/// assert_eq!(next[(0, 2)], 1);
 /// assert_eq!(dist[(2, 0)], UNREACHABLE);
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
 pub fn blocked_floyd_warshall_i64(
     weights: &SquareMatrix<i64>,
-) -> Result<(SquareMatrix<i64>, SquareMatrix<usize>), NegativeCycleError> {
+) -> Result<SquareMatrix<i64>, NegativeCycleError> {
     let n = weights.n();
-    let mut rows: Vec<Row> = (0..n)
-        .map(|i| {
-            let dist = weights.row(i).to_vec();
-            let next = (0..n)
-                .map(|j| {
-                    if i != j && dist[j] != UNREACHABLE {
-                        j
-                    } else {
-                        usize::MAX
-                    }
-                })
-                .collect();
-            Row { dist, next }
-        })
-        .collect();
+    let mut d = weights.clone();
     // A zero-length path always exists.
-    for (i, row) in rows.iter_mut().enumerate() {
-        if row.dist[i] > 0 {
-            row.dist[i] = 0;
+    for i in 0..n {
+        if d[(i, i)] > 0 {
+            d[(i, i)] = 0;
         }
     }
-
-    let threads = rayon::current_num_threads();
-    let parallel = n >= PAR_THRESHOLD && threads > 1;
-    let block = if parallel { n.div_ceil(threads) } else { n };
-    let negative = |rows: &[Row]| (0..n).find(|&i| rows[i].dist[i] < 0);
+    let negative = |d: &SquareMatrix<i64>| (0..n).find(|&i| d[(i, i)] < 0);
+    // Row k cannot change during level k while d[k][k] = 0, so a copy of
+    // it reads the same values the generic kernel does.
     let mut row_k = vec![0i64; n];
     for k in 0..n {
-        if let Some(witness) = negative(&rows) {
+        if let Some(witness) = negative(&d) {
             return Err(NegativeCycleError { witness });
         }
-        row_k.copy_from_slice(&rows[k].dist);
-        if parallel {
-            let snapshot = &row_k;
-            rows.par_chunks_mut(block)
-                .for_each(|rows_block: &mut [Row]| {
-                    for row in rows_block {
-                        relax_row(row, k, snapshot);
-                    }
-                });
-        } else {
-            for row in rows.iter_mut() {
-                relax_row(row, k, &row_k);
+        row_k.copy_from_slice(d.row(k));
+        for row in d.as_mut_slice().chunks_exact_mut(n) {
+            let dik = row[k];
+            if dik == UNREACHABLE {
+                continue;
+            }
+            for (dij, &dkj) in row.iter_mut().zip(&row_k) {
+                if dkj == UNREACHABLE {
+                    continue;
+                }
+                let via = dik + dkj;
+                if via < *dij {
+                    *dij = via;
+                }
             }
         }
     }
-
-    if let Some(witness) = negative(&rows) {
-        return Err(NegativeCycleError { witness });
+    match negative(&d) {
+        Some(witness) => Err(NegativeCycleError { witness }),
+        None => Ok(d),
     }
-
-    let mut dist = Vec::with_capacity(n * n);
-    let mut next = Vec::with_capacity(n * n);
-    for row in rows {
-        dist.extend_from_slice(&row.dist);
-        next.extend_from_slice(&row.next);
-    }
-    Ok((
-        SquareMatrix::from_vec(n, dist),
-        SquareMatrix::from_vec(n, next),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{floyd_warshall_with_paths, reconstruct_path};
+    use crate::{floyd_warshall, reconstruct_path, shortest_path_successors};
     use clocksync_time::Ext;
 
     fn sentinel_matrix(n: usize, edges: &[(usize, usize, i64)]) -> SquareMatrix<i64> {
@@ -215,20 +132,10 @@ mod tests {
 
     fn assert_matches_generic(m: &SquareMatrix<i64>) {
         let blocked = blocked_floyd_warshall_i64(m);
-        let generic = floyd_warshall_with_paths(&ext_matrix(m));
+        let generic = floyd_warshall(&ext_matrix(m));
         match (blocked, generic) {
-            (Ok((d, next)), Ok((gd, gnext))) => {
-                for (i, j, &v) in d.iter() {
-                    let expected = match gd[(i, j)] {
-                        Ext::Finite(x) => x,
-                        Ext::PosInf => UNREACHABLE,
-                        Ext::NegInf => panic!("generic produced -inf"),
-                    };
-                    assert_eq!(v, expected, "dist mismatch at ({i},{j})");
-                }
-                assert_eq!(next, gnext, "successor mismatch");
-            }
-            (Err(_), Err(_)) => {}
+            (Ok(d), Ok(gd)) => assert_eq!(ext_matrix(&d), gd, "distances differ"),
+            (Err(b), Err(g)) => assert_eq!(b, g, "witnesses differ"),
             (b, g) => panic!("outcome mismatch: blocked {b:?} vs generic {g:?}"),
         }
     }
@@ -257,7 +164,7 @@ mod tests {
         let m = SquareMatrix::from_fn(64, |i, j| if i == j { 0 } else { -1i64 });
         let err = blocked_floyd_warshall_i64(&m).unwrap_err();
         assert_eq!(err.witness, 1);
-        assert_eq!(floyd_warshall_with_paths(&ext_matrix(&m)), Err(err));
+        assert_eq!(floyd_warshall(&ext_matrix(&m)), Err(err));
     }
 
     #[test]
@@ -273,7 +180,8 @@ mod tests {
                 (1, 4, 20),
             ],
         );
-        let (d, next) = blocked_floyd_warshall_i64(&m).unwrap();
+        let d = blocked_floyd_warshall_i64(&m).unwrap();
+        let next = shortest_path_successors(&ext_matrix(&m), &ext_matrix(&d));
         for i in 0..5 {
             for j in 0..5 {
                 if let Some(path) = reconstruct_path(&next, i, j) {
@@ -291,8 +199,10 @@ mod tests {
 
     #[test]
     fn parallel_path_agrees_with_sequential() {
-        // Big enough to cross PAR_THRESHOLD; ring plus deterministic chords.
-        let n = PAR_THRESHOLD + 8;
+        // A 200-node ring with deterministic chords: past the size at which
+        // the closure dispatch considers Johnson, the kernel still equals
+        // the generic reference.
+        let n = 200;
         let mut edges = Vec::new();
         for i in 0..n {
             edges.push((i, (i + 1) % n, 1 + (i as i64 % 7)));
@@ -308,7 +218,7 @@ mod tests {
     fn positive_diagonal_is_normalized() {
         let mut m = sentinel_matrix(2, &[(0, 1, 5)]);
         m[(1, 1)] = 17;
-        let (d, _) = blocked_floyd_warshall_i64(&m).unwrap();
+        let d = blocked_floyd_warshall_i64(&m).unwrap();
         assert_eq!(d[(1, 1)], 0);
     }
 }

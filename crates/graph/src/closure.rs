@@ -4,30 +4,32 @@
 //! Two complementary optimizations of the GLOBAL ESTIMATES step live here:
 //!
 //! * [`fast_closure`] — the drop-in replacement for
-//!   [`crate::floyd_warshall_with_paths`] over [`ExtRatio`] matrices. It
-//!   encodes the matrix as `i64` counts of half nanoseconds (exact for
-//!   every estimate; `half_ns.rs`) and picks one of two kernels (see
-//!   [`plan_closure_kernel`]): the parallel
-//!   [`crate::blocked_floyd_warshall_i64`] for dense inputs, and Johnson's
+//!   [`crate::floyd_warshall`] over [`ExtRatio`] matrices. It encodes the
+//!   matrix as `i64` counts of half nanoseconds (exact for every estimate;
+//!   `half_ns.rs`) and picks one of two kernels (see
+//!   [`plan_closure_kernel`]): the dense
+//!   [`crate::blocked_floyd_warshall_i64`], and Johnson's
 //!   [`crate::sparse_closure_i64`] for large inputs that are sparse or
 //!   split into several weak components. It falls back to the generic
 //!   reference kernel when an entry has no count — off the
 //!   half-nanosecond grid, `−∞`, or past the magnitude bound — reporting
 //!   why via [`ScaleBailout`]. Distances are bit-identical to the
-//!   reference on every input the fast path accepts; successor matrices
-//!   are bit-identical on the dense kernel and canonically tie-broken (but
-//!   still valid) on Johnson's.
+//!   reference on every input the fast path accepts.
 //! * [`Closure`] — the online engine's cache: the closure as half-ns
-//!   counts (the [`scaled_weights`] encoding, [`UNREACHABLE`] for `+∞`)
-//!   next to its successor matrix, built by the same kernels
-//!   [`fast_closure`] runs. [`Closure::relax_edge`] applies a single-edge
-//!   weight *decrease* in `O(n²)` integer operations instead of
-//!   recomputing the full `O(n³)` closure. Online synchronizers observe one
+//!   counts (the [`scaled_weights`] encoding, [`UNREACHABLE`] for `+∞`),
+//!   built by the same kernels [`fast_closure`] runs.
+//!   [`Closure::relax_edge`] applies a single-edge weight *decrease* in
+//!   `O(n²)` integer operations instead of recomputing the full `O(n³)`
+//!   closure. Online synchronizers observe one
 //!   message at a time, and each observation can only tighten the estimate
 //!   of the link it travelled on, so steady-state resynchronization becomes
 //!   a sequence of `relax_edge` calls. Rationals appear only at the edges:
 //!   weights arrive as [`ExtRatio`], and [`Closure::ratio_dist`] converts
 //!   the distances back once per query.
+//!
+//! Every route returns distances only. The paths behind them — the
+//! constraint chains — come from [`crate::shortest_path_successors`], on
+//! demand, by one rule that does not depend on the route.
 
 use std::fmt;
 
@@ -35,7 +37,7 @@ use clocksync_time::{Ext, ExtRatio, Ratio};
 
 use crate::half_ns::{self, closure_limit, ScaleBailout};
 use crate::{
-    blocked_floyd_warshall_i64, floyd_warshall_with_paths, sparse_closure_i64, NegativeCycleError,
+    blocked_floyd_warshall_i64, floyd_warshall, sparse_closure_i64, NegativeCycleError,
     SquareMatrix, UNREACHABLE,
 };
 
@@ -68,15 +70,9 @@ pub fn scaled_weights(m: &SquareMatrix<ExtRatio>) -> Result<SquareMatrix<i64>, S
     half_ns::encode_matrix(m, closure_limit(m.n()), closure_infinity)
 }
 
-/// The result type of the closure functions: `(dist, next)` on success,
-/// the negative-cycle witness otherwise.
-pub type ClosureResult = Result<(SquareMatrix<ExtRatio>, SquareMatrix<usize>), NegativeCycleError>;
-
 /// Below this dimension the integer fast path always uses the dense
-/// blocked kernel: a sub-millisecond `n³` leaves nothing for Johnson's
-/// backend to win, and the dense kernel's successor matrix is
-/// bit-identical to the generic reference (which the small-n equivalence
-/// suites assert).
+/// kernel: a sub-millisecond `n³` leaves nothing for Johnson's backend to
+/// win.
 pub const SPARSE_MIN_N: usize = 192;
 
 /// Finite off-diagonal density at or below which a one-component domain
@@ -92,7 +88,7 @@ pub const SPARSE_MAX_DENSITY: f64 = 0.05;
 /// `sync.global_estimates` obs span (via [`Closure::new_explained`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClosureKernel {
-    /// The parallel blocked Floyd–Warshall ([`blocked_floyd_warshall_i64`]).
+    /// The dense Floyd–Warshall ([`blocked_floyd_warshall_i64`]).
     DenseBlocked,
     /// Johnson-style reweighted SSSP per source
     /// ([`crate::sparse_closure_i64`]).
@@ -110,10 +106,7 @@ impl ClosureKernel {
         }
     }
 
-    fn run(
-        self,
-        scaled: &SquareMatrix<i64>,
-    ) -> Result<(SquareMatrix<i64>, SquareMatrix<usize>), NegativeCycleError> {
+    fn run(self, scaled: &SquareMatrix<i64>) -> Result<SquareMatrix<i64>, NegativeCycleError> {
         match self {
             ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(scaled),
             ClosureKernel::SparseJohnson => sparse_closure_i64(scaled),
@@ -130,8 +123,8 @@ impl fmt::Display for ClosureKernel {
 /// Chooses the integer kernel for a sentinel-encoded matrix — the
 /// dispatch heuristic behind [`fast_closure`]:
 ///
-/// * `n < SPARSE_MIN_N` → [`ClosureKernel::DenseBlocked`] (bit-identical
-///   to the generic reference, and fastest at small `n` anyway);
+/// * `n < SPARSE_MIN_N` → [`ClosureKernel::DenseBlocked`] (fastest at
+///   small `n`);
 /// * more than one weak component, or finite off-diagonal density
 ///   `≤ SPARSE_MAX_DENSITY` → [`ClosureKernel::SparseJohnson`] (each
 ///   Dijkstra run stays inside its source's component);
@@ -171,29 +164,24 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
 }
 
 /// Runs the [`plan_closure_kernel`]-selected kernel over a
-/// sentinel-encoded matrix. Both kernels agree exactly on distances;
-/// Johnson's successor matrix is canonically tie-broken rather than
-/// Floyd–Warshall-identical.
+/// sentinel-encoded matrix. Both kernels agree exactly on distances.
 ///
 /// # Errors
 ///
 /// Returns [`NegativeCycleError`] when the graph has a negative cycle.
 pub fn dispatch_closure_i64(
     scaled: &SquareMatrix<i64>,
-) -> Result<(SquareMatrix<i64>, SquareMatrix<usize>), NegativeCycleError> {
+) -> Result<SquareMatrix<i64>, NegativeCycleError> {
     plan_closure_kernel(scaled).run(scaled)
 }
 
-/// The all-pairs shortest-path closure with path successors — same
-/// contract as [`crate::floyd_warshall_with_paths`], computed via an
-/// integer kernel on half-nanosecond counts ([`Closure::new`]) whenever
-/// every entry has one (always, for estimate matrices), and via the
-/// generic exact kernel otherwise. The integer path dispatches between
-/// the dense blocked kernel and Johnson's (see [`plan_closure_kernel`]).
-/// On every input all routes produce identical distance matrices; on
-/// dense-kernel inputs the successor matrix is identical to the generic
-/// reference too, while Johnson's produces canonically tie-broken (still
-/// valid) successors.
+/// The all-pairs shortest-path closure — same contract as
+/// [`crate::floyd_warshall`], computed via an integer kernel on
+/// half-nanosecond counts ([`Closure::new`]) whenever every entry has one
+/// (always, for estimate matrices), and via the generic exact kernel
+/// otherwise. The integer path dispatches between the dense kernel and
+/// Johnson's (see [`plan_closure_kernel`]). On every input all routes
+/// produce identical distance matrices.
 ///
 /// # Errors
 ///
@@ -211,14 +199,16 @@ pub fn dispatch_closure_i64(
 /// });
 /// m[(0, 1)] = Ext::Finite(Ratio::new(1, 2));
 /// m[(1, 2)] = Ext::Finite(Ratio::from_int(2));
-/// let (dist, _next) = fast_closure(&m)?;
+/// let dist = fast_closure(&m)?;
 /// assert_eq!(dist[(0, 2)], Ext::Finite(Ratio::new(5, 2)));
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
-pub fn fast_closure(m: &SquareMatrix<ExtRatio>) -> ClosureResult {
+pub fn fast_closure(
+    m: &SquareMatrix<ExtRatio>,
+) -> Result<SquareMatrix<ExtRatio>, NegativeCycleError> {
     match Closure::new(m) {
-        Ok(closure) => closure.map(|c| (c.ratio_dist(), c.next)),
-        Err(_) => floyd_warshall_with_paths(m),
+        Ok(closure) => closure.map(|c| c.ratio_dist()),
+        Err(_) => floyd_warshall(m),
     }
 }
 
@@ -268,11 +258,8 @@ impl RelaxOutcome {
 /// The invariant: `dist` holds, in the [`scaled_weights`] encoding, the
 /// exact all-pairs shortest-path closure of some weighted digraph whose
 /// every finite edge weight is a count within the closure bound of
-/// DESIGN.md §4b; `next` is a
-/// valid successor matrix for it (`next[(i, j)]` begins a shortest
-/// `i → j` path; `usize::MAX` iff unreachable or `i == j`). Every finite
-/// entry is then a path of at most `n − 1` such edges, so no sum a
-/// relaxation forms can reach the sentinel. [`Closure::relax_edge`]
+/// DESIGN.md §4b. Every finite entry is then a path of at most `n − 1`
+/// such edges, so no sum a relaxation forms can reach the sentinel. [`Closure::relax_edge`]
 /// preserves the invariant under edge insertions and decreases; any other
 /// change requires a rebuild with [`Closure::new`].
 ///
@@ -297,14 +284,13 @@ impl RelaxOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Closure {
     dist: SquareMatrix<i64>,
-    next: SquareMatrix<usize>,
 }
 
 impl Closure {
     /// Builds the closure of a weight matrix on half-nanosecond counts:
     /// [`scaled_weights`], then [`dispatch_closure_i64`] — the kernels
-    /// [`fast_closure`] runs, so `dist` and `next` are exactly the encoded
-    /// images of its output.
+    /// [`fast_closure`] runs, so the distances are exactly the encoded
+    /// image of its output.
     ///
     /// # Errors
     ///
@@ -329,16 +315,8 @@ impl Closure {
     ) -> Result<(ClosureKernel, Result<Closure, NegativeCycleError>), ScaleBailout> {
         let scaled = scaled_weights(m)?;
         let kernel = plan_closure_kernel(&scaled);
-        let closure = kernel
-            .run(&scaled)
-            .map(|(dist, next)| Closure { dist, next });
+        let closure = kernel.run(&scaled).map(|dist| Closure { dist });
         Ok((kernel, closure))
-    }
-
-    /// The distances ([`Closure::dist`]) and the successor matrix, by
-    /// value.
-    pub fn into_parts(self) -> (SquareMatrix<i64>, SquareMatrix<usize>) {
-        (self.dist, self.next)
     }
 
     /// The dimension.
@@ -368,11 +346,6 @@ impl Closure {
             })
             .collect();
         SquareMatrix::from_vec(self.n(), data)
-    }
-
-    /// The successor matrix (see [`crate::reconstruct_path`]).
-    pub fn next(&self) -> &SquareMatrix<usize> {
-        &self.next
     }
 
     /// Incorporates a new edge `u → v` of weight `w` (equivalently: lowers
@@ -442,12 +415,11 @@ impl Closure {
         // improves by detouring through u → v → … → u), so reading the old
         // values below is exact; a closed negative cycle instead surfaces
         // as a negative diagonal entry, reported as the error. Each source
-        // carries dist[(i, u)] + w and the first hop of its new paths.
-        let sources: Vec<(usize, i64, usize)> = (0..n)
+        // carries dist[(i, u)] + w.
+        let sources: Vec<(usize, i64)> = (0..n)
             .filter_map(|i| {
                 let diu = self.dist[(i, u)];
-                let first_hop = if i == u { v } else { self.next[(i, u)] };
-                (diu != UNREACHABLE).then_some((i, diu + w, first_hop))
+                (diu != UNREACHABLE).then_some((i, diu + w))
             })
             .collect();
         let targets: Vec<(usize, i64)> = self
@@ -461,15 +433,12 @@ impl Closure {
         let mut changed = false;
         let mut negative = None;
         let dist = self.dist.as_mut_slice();
-        let next = self.next.as_mut_slice();
-        for &(i, base, first_hop) in &sources {
+        for &(i, base) in &sources {
             let dist_i = &mut dist[i * n..(i + 1) * n];
-            let next_i = &mut next[i * n..(i + 1) * n];
             for &(j, dvj) in &targets {
                 let cand = base + dvj;
                 if cand < dist_i[j] {
                     dist_i[j] = cand;
-                    next_i[j] = first_hop;
                     changed = true;
                     if i == j && negative.is_none() {
                         negative = Some(i);
@@ -488,7 +457,7 @@ impl Closure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reconstruct_path, Weight};
+    use crate::{reconstruct_path, shortest_path_successors, Weight};
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<ExtRatio> {
         let mut m = SquareMatrix::from_fn(n, |i, j| {
@@ -512,7 +481,7 @@ mod tests {
 
     /// The generic rational reference closure's distances.
     fn reference(m: &SquareMatrix<ExtRatio>) -> SquareMatrix<ExtRatio> {
-        floyd_warshall_with_paths(m).expect("no negative cycle").0
+        floyd_warshall(m).expect("no negative cycle")
     }
 
     fn int(v: i128) -> ExtRatio {
@@ -532,10 +501,13 @@ mod tests {
             ],
         );
         assert!(Closure::new(&m).is_ok(), "should take the fast path");
-        let (fd, fnext) = fast_closure(&m).unwrap();
-        let (gd, gnext) = floyd_warshall_with_paths(&m).unwrap();
+        let fd = fast_closure(&m).unwrap();
+        let gd = floyd_warshall(&m).unwrap();
         assert_eq!(fd, gd);
-        assert_eq!(fnext, gnext);
+        assert_eq!(
+            shortest_path_successors(&m, &fd),
+            shortest_path_successors(&m, &gd)
+        );
     }
 
     #[test]
@@ -552,7 +524,7 @@ mod tests {
     fn fast_closure_falls_back_when_unscalable() {
         let mut m = ratio_matrix(2, &[(0, 1, 3, 1)]);
         m[(1, 0)] = Ext::Finite(Ratio::new(1, (1 << 41) + 1));
-        let (d, _) = fast_closure(&m).unwrap();
+        let d = fast_closure(&m).unwrap();
         assert_eq!(d[(0, 1)], int(3));
     }
 
@@ -644,13 +616,15 @@ mod tests {
         let mut m = ratio_matrix(5, &edges);
         let mut c = closure(&m);
         let before = c.clone();
+        let next_before = shortest_path_successors(&m, &before.ratio_dist());
         m[(0, 1)] = int(1);
         assert_eq!(c.relax_edge(0, 1, int(1)).unwrap(), RelaxOutcome::Tightened);
         assert_eq!(c.ratio_dist(), reference(&m));
+        let next = shortest_path_successors(&m, &c.ratio_dist());
         for i in 3..5 {
             for j in 0..5 {
                 assert_eq!(c.dist()[(i, j)], before.dist()[(i, j)]);
-                assert_eq!(c.next()[(i, j)], before.next()[(i, j)]);
+                assert_eq!(next[(i, j)], next_before[(i, j)]);
             }
         }
         // dist(0, 1) = 1 now; an edge 1 → 0 of weight −9 closes a −8 cycle.
@@ -676,17 +650,25 @@ mod tests {
 
     #[test]
     fn relax_edge_keeps_successors_valid() {
-        let m = ratio_matrix(4, &[(0, 1, 4, 1), (1, 2, 4, 1), (2, 3, 4, 1)]);
+        let mut m = ratio_matrix(4, &[(0, 1, 4, 1), (1, 2, 4, 1), (2, 3, 4, 1)]);
         let mut c = closure(&m);
-        c.relax_edge(0, 2, int(3)).unwrap();
-        c.relax_edge(1, 3, int(5)).unwrap();
+        for (u, v, w) in [(0, 2, int(3)), (1, 3, int(5))] {
+            m[(u, v)] = w;
+            c.relax_edge(u, v, w).unwrap();
+        }
+        let dist = c.ratio_dist();
+        let next = shortest_path_successors(&m, &dist);
         for i in 0..4 {
             for j in 0..4 {
-                match reconstruct_path(c.next(), i, j) {
+                match reconstruct_path(&next, i, j) {
                     Some(path) => {
                         assert_eq!(path.first(), Some(&i));
                         assert_eq!(path.last(), Some(&j));
                         assert_ne!(c.dist()[(i, j)], UNREACHABLE);
+                        let total = path
+                            .windows(2)
+                            .fold(<ExtRatio as Weight>::zero(), |t, e| t + m[(e[0], e[1])]);
+                        assert_eq!(total, dist[(i, j)], "path {path:?}");
                     }
                     None => assert_eq!(c.dist()[(i, j)], UNREACHABLE),
                 }
@@ -772,7 +754,7 @@ mod tests {
         assert_eq!(c.ratio_dist(), reference(&m));
         m[(1, 0)] = Ext::Finite(Ratio::new(1, 4));
         assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::OffGrid);
-        assert_eq!(fast_closure(&m).unwrap().0, reference(&m));
+        assert_eq!(fast_closure(&m).unwrap(), reference(&m));
     }
 
     #[test]
@@ -792,7 +774,7 @@ mod tests {
             Closure::new_explained(&m).unwrap_err(),
             ScaleBailout::MagnitudeOverflow
         );
-        let (d, _) = fast_closure(&m).unwrap();
+        let d = fast_closure(&m).unwrap();
         assert_eq!(d[(0, 1)], int(limit + 1));
     }
 
@@ -808,8 +790,7 @@ mod tests {
             m
         };
         // Below SPARSE_MIN_N the dense kernel is chosen however sparse the
-        // input (keeping small-n successor matrices bit-identical to the
-        // generic reference).
+        // input.
         assert_eq!(
             plan_closure_kernel(&ring(SPARSE_MIN_N - 1)),
             ClosureKernel::DenseBlocked
@@ -859,8 +840,8 @@ mod tests {
             ClosureKernel::SparseJohnson
         );
         assert_eq!(
-            dispatch_closure_i64(&two_dense).unwrap().0,
-            blocked_floyd_warshall_i64(&two_dense).unwrap().0
+            dispatch_closure_i64(&two_dense).unwrap(),
+            blocked_floyd_warshall_i64(&two_dense).unwrap()
         );
         assert_eq!(ClosureKernel::DenseBlocked.name(), "scaled-i64");
         assert_eq!(ClosureKernel::SparseJohnson.name(), "sparse-johnson");
@@ -869,13 +850,16 @@ mod tests {
     #[test]
     fn ratio_dist_round_trips_fast_closure() {
         // The cache is the encoded image of fast_closure's output: converting
-        // it back gives the same distances and it holds the same successors.
+        // it back gives the same distances, hence the same successors.
         let m = ratio_matrix(3, &[(0, 1, 1, 2), (1, 2, 1, 1), (2, 0, -1, 2)]);
         let c = closure(&m);
         assert_eq!(c.n(), 3);
         assert_eq!(c.dist()[(1, 2)], 2);
-        let (d, next) = fast_closure(&m).unwrap();
+        let d = fast_closure(&m).unwrap();
         assert_eq!(c.ratio_dist(), d);
-        assert_eq!(c.next(), &next);
+        assert_eq!(
+            shortest_path_successors(&m, &c.ratio_dist()),
+            shortest_path_successors(&m, &d)
+        );
     }
 }

@@ -14,10 +14,17 @@ use crate::{NegativeCycleError, SquareMatrix, Weight};
 /// estimates, and the closure satisfies the triangle inequality by
 /// construction.
 ///
+/// [`crate::shortest_path_successors`] recovers the paths themselves — the
+/// chains of link constraints that limit how far each pair's clocks can
+/// drift apart.
+///
 /// # Errors
 ///
 /// Returns [`NegativeCycleError`] if the graph contains a negative-weight
-/// cycle (detected as a negative diagonal entry).
+/// cycle. The kernel stops at the first `k`-level that leaves a negative
+/// diagonal entry and names the smallest such node: up to that level every
+/// entry is a simple-path length, so no sum can overflow however negative
+/// the cycle.
 ///
 /// # Examples
 ///
@@ -36,37 +43,8 @@ use crate::{NegativeCycleError, SquareMatrix, Weight};
 pub fn floyd_warshall<W: Weight>(
     m: &SquareMatrix<W>,
 ) -> Result<SquareMatrix<W>, NegativeCycleError> {
-    floyd_warshall_with_paths(m).map(|(d, _)| d)
-}
-
-/// Like [`floyd_warshall`], additionally returning a successor matrix for
-/// path reconstruction: `next[(i, j)]` is the node after `i` on a shortest
-/// `i → j` path (`usize::MAX` when unreachable or `i == j`). Use
-/// [`reconstruct_path`] to expand it.
-///
-/// The synchronizer uses this to *explain* a pair's bound: the
-/// reconstructed path is the chain of link constraints whose composition
-/// limits how far the pair's clocks can drift apart.
-///
-/// # Errors
-///
-/// Returns [`NegativeCycleError`] if the graph contains a negative-weight
-/// cycle. The kernel stops at the first `k`-level that leaves a negative
-/// diagonal entry and names the smallest such node: up to that level every
-/// entry is a simple-path length, so no sum can overflow however negative
-/// the cycle.
-pub fn floyd_warshall_with_paths<W: Weight>(
-    m: &SquareMatrix<W>,
-) -> Result<(SquareMatrix<W>, SquareMatrix<usize>), NegativeCycleError> {
     let n = m.n();
     let mut d = m.clone();
-    let mut next = SquareMatrix::from_fn(n, |i, j| {
-        if i != j && m[(i, j)].is_reachable() {
-            j
-        } else {
-            usize::MAX
-        }
-    });
     // Normalize the diagonal: a path of length zero always exists.
     for i in 0..n {
         if W::zero() < d[(i, i)] {
@@ -89,44 +67,20 @@ pub fn floyd_warshall_with_paths<W: Weight>(
                 let via = d[(i, k)] + d[(k, j)];
                 if via < d[(i, j)] {
                     d[(i, j)] = via;
-                    next[(i, j)] = next[(i, k)];
                 }
             }
         }
     }
     match negative(&d) {
         Some(witness) => Err(NegativeCycleError { witness }),
-        None => Ok((d, next)),
+        None => Ok(d),
     }
-}
-
-/// Expands a successor matrix into the node sequence of a shortest
-/// `from → to` path (inclusive of both endpoints). Returns `None` when
-/// `to` is unreachable from `from`; `Some(vec![from])` when `from == to`.
-pub fn reconstruct_path(next: &SquareMatrix<usize>, from: usize, to: usize) -> Option<Vec<usize>> {
-    if from == to {
-        return Some(vec![from]);
-    }
-    if next[(from, to)] == usize::MAX {
-        return None;
-    }
-    let mut path = vec![from];
-    let mut cur = from;
-    while cur != to {
-        cur = next[(cur, to)];
-        path.push(cur);
-        assert!(
-            path.len() <= next.n(),
-            "successor matrix contains a routing loop"
-        );
-    }
-    Some(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiGraph;
+    use crate::{reconstruct_path, shortest_path_successors, DiGraph};
     use clocksync_time::Ext;
 
     fn w(x: i64) -> Ext<i64> {
@@ -202,16 +156,16 @@ mod tests {
 
     #[test]
     fn path_reconstruction_follows_shortest_routes() {
-        let (d, next) =
-            floyd_warshall_with_paths(&graph(4, &[(0, 1, 2), (1, 2, 2), (0, 2, 10), (2, 3, 1)]))
-                .unwrap();
+        let m = graph(4, &[(0, 1, 2), (1, 2, 2), (0, 2, 10), (2, 3, 1)]);
+        let d = floyd_warshall(&m).unwrap();
+        let next = shortest_path_successors(&m, &d);
         assert_eq!(d[(0, 3)], w(5));
         assert_eq!(reconstruct_path(&next, 0, 3), Some(vec![0, 1, 2, 3]));
         assert_eq!(reconstruct_path(&next, 0, 0), Some(vec![0]));
         assert_eq!(reconstruct_path(&next, 3, 0), None);
         // Direct edge wins when it is cheapest.
-        let (_, next2) =
-            floyd_warshall_with_paths(&graph(3, &[(0, 1, 1), (1, 2, 5), (0, 2, 2)])).unwrap();
+        let m2 = graph(3, &[(0, 1, 1), (1, 2, 5), (0, 2, 2)]);
+        let next2 = shortest_path_successors(&m2, &floyd_warshall(&m2).unwrap());
         assert_eq!(reconstruct_path(&next2, 0, 2), Some(vec![0, 2]));
     }
 
@@ -228,7 +182,8 @@ mod tests {
                 (1, 4, 20),
             ],
         );
-        let (d, next) = floyd_warshall_with_paths(&m).unwrap();
+        let d = floyd_warshall(&m).unwrap();
+        let next = shortest_path_successors(&m, &d);
         for i in 0..5 {
             for j in 0..5 {
                 if let Some(path) = reconstruct_path(&next, i, j) {

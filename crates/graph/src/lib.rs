@@ -22,8 +22,9 @@
 //! the integer kernels hold it as an `i64` count of half nanoseconds; one
 //! module (`half_ns.rs`) owns that encoding and its magnitude bounds.
 //! [`fast_closure`] encodes rational matrices that way and runs the
-//! parallel [`blocked_floyd_warshall_i64`] kernel (falling back to the
-//! generic one for entries off the half-ns grid or past the bound), and
+//! dense [`blocked_floyd_warshall_i64`] kernel or, for large sparse
+//! domains, Johnson's [`sparse_closure_i64`] (falling back to the generic
+//! one for entries off the half-ns grid or past the bound), and
 //! [`Closure`] caches a computed closure as counts, so single-edge
 //! tightenings are absorbed in `O(n²)` integer operations via
 //! [`Closure::relax_edge`] instead of a full `O(n³)` recompute, and
@@ -39,6 +40,11 @@
 //! [`bellman_ford`] — are the fallback for inputs without counts and the
 //! oracles the integer ones are tested against; [`fast_max_cycle_mean`]
 //! is integer Karp on rational input.
+//!
+//! Every closure route returns distances only. The shortest paths behind
+//! them — the constraint chains that explain a pair bound — are worked out
+//! on demand by one rule, [`shortest_path_successors`], and expanded with
+//! [`reconstruct_path`].
 //!
 //! # Examples
 //!
@@ -66,6 +72,7 @@ mod half_ns;
 mod howard;
 mod karp;
 mod matrix;
+mod paths;
 mod scaled_howard;
 mod scaled_karp;
 mod shifted;
@@ -76,14 +83,15 @@ pub use bellman_ford::{bellman_ford, NegativeCycleError};
 pub use blocked::{blocked_floyd_warshall_i64, UNREACHABLE};
 pub use closure::{
     dispatch_closure_i64, fast_closure, plan_closure_kernel, scaled_weights, Closure,
-    ClosureKernel, ClosureResult, RelaxOutcome, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
+    ClosureKernel, RelaxOutcome, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
 };
 pub use digraph::{DiGraph, Edge};
-pub use floyd_warshall::{floyd_warshall, floyd_warshall_with_paths, reconstruct_path};
+pub use floyd_warshall::floyd_warshall;
 pub use half_ns::ScaleBailout;
 pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
+pub use paths::{reconstruct_path, shortest_path_successors};
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
 pub use shifted::{shifted_distances, try_scaled_shifted_distances, ScaledMatrix};
 pub use sparse::sparse_closure_i64;

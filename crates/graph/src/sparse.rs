@@ -1,10 +1,10 @@
 //! Johnson's closure backend, for large sparse or multi-component domains.
 //!
-//! The dense blocked kernel ([`crate::blocked_floyd_warshall_i64`]) pays
-//! `O(n³)` regardless of how many links actually exist. WAN- and
-//! toroid-like topologies have `m = O(n)` directed links, and a domain of
-//! several weak components has no path between them, so for both this
-//! module provides [`sparse_closure_i64`]: Johnson's algorithm over a
+//! The dense kernel ([`crate::blocked_floyd_warshall_i64`]) pays `O(n³)`
+//! regardless of how many links actually exist. WAN- and toroid-like
+//! topologies have `m = O(n)` directed links, and a domain of several weak
+//! components has no path between them, so for both this module provides
+//! [`sparse_closure_i64`]: Johnson's algorithm over a
 //! compressed-sparse-row copy of the same sentinel-encoded `i64` weights.
 //! One Bellman–Ford pass from a virtual source computes potentials that
 //! reweight every edge non-negative, then a binary-heap Dijkstra per
@@ -13,23 +13,22 @@
 //!
 //! Distances and reachability agree **exactly** with the dense kernels
 //! (the property suite in `tests/sparse_equivalence.rs` checks this on
-//! thousands of random graphs). The successor matrix is derived post-hoc
-//! by a canonical minimum-hop rule, which is deterministic and
-//! heap-order-independent but may break equal-weight ties differently
-//! than Floyd–Warshall does.
+//! thousands of random graphs).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 
-use crate::blocked::PAR_THRESHOLD;
 use crate::{NegativeCycleError, SquareMatrix, UNREACHABLE};
 
+/// Below this dimension the per-source Dijkstra runs stay on the calling
+/// thread: the vendored rayon spawns OS threads on every call, which a
+/// small closure does not repay.
+const PAR_THRESHOLD: usize = 192;
+
 /// A compressed-sparse-row digraph over sentinel-encoded `i64` weights:
-/// the adjacency representation behind the Johnson closure. Within each
-/// row the out-edges are sorted by target index, which is what makes the
-/// canonical successor derivation deterministic.
+/// the adjacency representation behind the Johnson closure.
 struct CsrGraph {
     n: usize,
     row_ptr: Vec<usize>,
@@ -66,43 +65,13 @@ impl CsrGraph {
         }
     }
 
-    /// The out-edges of `u` as `(target, weight)` pairs, sorted by target.
+    /// The out-edges of `u` as `(target, weight)` pairs.
     fn out_edges(&self, u: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
         let range = self.row_ptr[u]..self.row_ptr[u + 1];
         self.col[range.clone()]
             .iter()
             .copied()
             .zip(self.weight[range].iter().copied())
-    }
-
-    /// The reversed graph (every edge `u → v` becomes `v → u`).
-    fn transpose(&self) -> CsrGraph {
-        let mut degree = vec![0usize; self.n];
-        for &v in &self.col {
-            degree[v] += 1;
-        }
-        let mut row_ptr = Vec::with_capacity(self.n + 1);
-        row_ptr.push(0);
-        for d in &degree {
-            row_ptr.push(row_ptr.last().expect("nonempty") + d);
-        }
-        let mut cursor = row_ptr[..self.n].to_vec();
-        let mut col = vec![0usize; self.col.len()];
-        let mut weight = vec![0i64; self.col.len()];
-        for u in 0..self.n {
-            for (v, w) in self.out_edges(u) {
-                col[cursor[v]] = u;
-                weight[cursor[v]] = w;
-                cursor[v] += 1;
-            }
-        }
-        // Rows come out sorted automatically: u ascends in the outer loop.
-        CsrGraph {
-            n: self.n,
-            row_ptr,
-            col,
-            weight,
-        }
     }
 }
 
@@ -171,13 +140,40 @@ fn dijkstra_reweighted(g: &CsrGraph, h: &[i64], s: usize) -> Vec<i64> {
     dist
 }
 
-/// All-pairs distances of a CSR graph via Johnson's algorithm. Errors on
-/// negative cycles (detected by the Bellman–Ford potential pass).
-fn sparse_distances(g: &CsrGraph) -> Result<SquareMatrix<i64>, NegativeCycleError> {
+/// All-pairs shortest-path distances over sentinel-encoded `i64` weights
+/// via Johnson's algorithm — the sparse counterpart of
+/// [`crate::blocked_floyd_warshall_i64`], with identical conventions
+/// ([`UNREACHABLE`] sentinel, diagonal normalized to `min(0, input)`) and
+/// bit-identical distances.
+///
+/// # Errors
+///
+/// Returns [`NegativeCycleError`] when the graph contains a negative
+/// cycle (including a negative diagonal entry), detected by the
+/// Bellman–Ford potential pass.
+///
+/// # Examples
+///
+/// ```
+/// use clocksync_graph::{sparse_closure_i64, SquareMatrix, UNREACHABLE};
+///
+/// let mut w = SquareMatrix::filled(3, UNREACHABLE);
+/// for i in 0..3 { w[(i, i)] = 0; }
+/// w[(0, 1)] = 4;
+/// w[(1, 2)] = -1;
+/// let dist = sparse_closure_i64(&w)?;
+/// assert_eq!(dist[(0, 2)], 3);
+/// assert_eq!(dist[(2, 0)], UNREACHABLE);
+/// # Ok::<(), clocksync_graph::NegativeCycleError>(())
+/// ```
+pub fn sparse_closure_i64(
+    weights: &SquareMatrix<i64>,
+) -> Result<SquareMatrix<i64>, NegativeCycleError> {
+    let g = CsrGraph::from_matrix(weights);
     let n = g.n;
-    let h = potentials(g)?;
+    let h = potentials(&g)?;
     let row = |s: usize| -> Vec<i64> {
-        let mut d = dijkstra_reweighted(g, &h, s);
+        let mut d = dijkstra_reweighted(&g, &h, s);
         for (t, entry) in d.iter_mut().enumerate() {
             *entry = if *entry == i64::MAX {
                 UNREACHABLE
@@ -198,108 +194,6 @@ fn sparse_distances(g: &CsrGraph) -> Result<SquareMatrix<i64>, NegativeCycleErro
         flat.extend_from_slice(&r);
     }
     Ok(SquareMatrix::from_vec(n, flat))
-}
-
-/// Derives a canonical successor matrix from a graph and its exact
-/// all-pairs distance closure, matching the conventions of
-/// [`crate::floyd_warshall_with_paths`]: `next[(i, j)]` is the node after
-/// `i` on a shortest `i → j` path, `usize::MAX` iff unreachable or
-/// `i == j`.
-///
-/// The rule is the **minimum-hop tie-break**: among the out-edges of `i`
-/// that lie on some shortest `i → j` path ("tight" edges, `w(i, v) +
-/// dist(v, j) = dist(i, j)`), pick the smallest-indexed `v` whose tight
-/// hop count to `j` is exactly one less than `i`'s. Hop counts come from a
-/// BFS over reversed tight edges per target, so following `next` strictly
-/// decreases the hop count — the successor matrix can never loop, even
-/// through zero-weight cycles, and the result is independent of any heap
-/// or thread ordering.
-fn derive_successors_i64(g: &CsrGraph, dist: &SquareMatrix<i64>) -> SquareMatrix<usize> {
-    let n = g.n;
-    let rev = g.transpose();
-    // Column j of `dist`, contiguous: dist_t.row(j)[u] = dist[(u, j)].
-    let dist_t = SquareMatrix::from_fn(n, |a, b| dist[(b, a)]);
-    let column = |j: usize| -> Vec<usize> {
-        let dcol = dist_t.row(j);
-        let mut hops = vec![usize::MAX; n];
-        let mut queue = VecDeque::new();
-        hops[j] = 0;
-        queue.push_back(j);
-        while let Some(x) = queue.pop_front() {
-            let hx = hops[x];
-            let dxj = dcol[x];
-            for (u, w) in rev.out_edges(x) {
-                if hops[u] != usize::MAX || dcol[u] == UNREACHABLE {
-                    continue;
-                }
-                if w + dxj == dcol[u] {
-                    hops[u] = hx + 1;
-                    queue.push_back(u);
-                }
-            }
-        }
-        let mut col = vec![usize::MAX; n];
-        for u in 0..n {
-            if u == j || dcol[u] == UNREACHABLE {
-                continue;
-            }
-            let hu = hops[u];
-            debug_assert_ne!(hu, usize::MAX, "finite-distance node missed by tight BFS");
-            for (v, w) in g.out_edges(u) {
-                let dvj = dcol[v];
-                if dvj != UNREACHABLE && w + dvj == dcol[u] && hops[v] == hu - 1 {
-                    col[u] = v;
-                    break;
-                }
-            }
-            debug_assert_ne!(col[u], usize::MAX, "no tight successor found");
-        }
-        col
-    };
-    let columns: Vec<Vec<usize>> = if n >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        (0..n).into_par_iter().map(column).collect()
-    } else {
-        (0..n).map(column).collect()
-    };
-    SquareMatrix::from_fn(n, |i, j| columns[j][i])
-}
-
-/// All-pairs shortest paths over sentinel-encoded `i64` weights via
-/// Johnson's algorithm — the sparse counterpart of
-/// [`crate::blocked_floyd_warshall_i64`], with identical conventions
-/// ([`UNREACHABLE`] sentinel, diagonal normalized to `min(0, input)`,
-/// `usize::MAX` successors) and bit-identical distances. Successors are
-/// canonical minimum-hop ones, valid but not necessarily the
-/// Floyd–Warshall tie-break: among the tight out-edges, the
-/// smallest-indexed one that is one hop closer to the target.
-///
-/// # Errors
-///
-/// Returns [`NegativeCycleError`] when the graph contains a negative
-/// cycle (including a negative diagonal entry).
-///
-/// # Examples
-///
-/// ```
-/// use clocksync_graph::{sparse_closure_i64, SquareMatrix, UNREACHABLE};
-///
-/// let mut w = SquareMatrix::filled(3, UNREACHABLE);
-/// for i in 0..3 { w[(i, i)] = 0; }
-/// w[(0, 1)] = 4;
-/// w[(1, 2)] = -1;
-/// let (dist, next) = sparse_closure_i64(&w)?;
-/// assert_eq!(dist[(0, 2)], 3);
-/// assert_eq!(next[(0, 2)], 1);
-/// assert_eq!(dist[(2, 0)], UNREACHABLE);
-/// # Ok::<(), clocksync_graph::NegativeCycleError>(())
-/// ```
-pub fn sparse_closure_i64(
-    weights: &SquareMatrix<i64>,
-) -> Result<(SquareMatrix<i64>, SquareMatrix<usize>), NegativeCycleError> {
-    let g = CsrGraph::from_matrix(weights);
-    let dist = sparse_distances(&g)?;
-    let next = derive_successors_i64(&g, &dist);
-    Ok((dist, next))
 }
 
 #[cfg(test)]

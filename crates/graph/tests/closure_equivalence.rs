@@ -2,23 +2,24 @@
 //! reference kernel — the correctness contract of the perf layer:
 //!
 //! * [`blocked_floyd_warshall_i64`] must be **bit-identical** to
-//!   [`floyd_warshall_with_paths`] (distances *and* successors) on every
-//!   graph without a negative cycle, and must name the same witness on
-//!   graphs with one.
+//!   [`floyd_warshall`] on every graph without a negative cycle, and must
+//!   name the same witness on graphs with one; the one successor rule
+//!   ([`shortest_path_successors`]) fed either kernel's distances then
+//!   yields the same chains, each a genuine shortest path.
 //! * [`fast_closure`]'s half-nanosecond front end must preserve that
 //!   identity through rational weights of mixed denominators, taking the
 //!   integer route exactly when every entry is a whole or half
 //!   nanosecond.
 //! * [`Closure::relax_edge`] must leave the scaled cache equal (in
 //!   distance) to the reference closure after any sequence of edge
-//!   decreases, with a successor matrix that still reconstructs genuine
-//!   shortest paths.
+//!   decreases, so the successor rule fed its distances still
+//!   reconstructs genuine shortest paths.
 //!
 //! Each suite runs 1000 random cases.
 
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, fast_closure, floyd_warshall_with_paths, reconstruct_path, Closure,
-    SquareMatrix, Weight, UNREACHABLE,
+    blocked_floyd_warshall_i64, fast_closure, floyd_warshall, reconstruct_path,
+    shortest_path_successors, Closure, SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -135,9 +136,9 @@ fn ext_of(m: &SquareMatrix<i64>) -> SquareMatrix<Ext<i64>> {
 /// Asserts that `next` reconstructs, for every pair, a real path in `m`
 /// whose total weight is exactly `dist[(i, j)]` — or that the pair is
 /// genuinely unreachable.
-fn assert_successors_valid(
-    m: &SquareMatrix<W>,
-    dist: &SquareMatrix<W>,
+fn assert_successors_valid<V: Weight>(
+    m: &SquareMatrix<V>,
+    dist: &SquareMatrix<V>,
     next: &SquareMatrix<usize>,
 ) -> Result<(), TestCaseError> {
     let n = m.n();
@@ -147,7 +148,7 @@ fn assert_successors_valid(
                 Some(path) => {
                     prop_assert_eq!(path[0], i);
                     prop_assert_eq!(*path.last().unwrap(), j);
-                    let mut total = <W as Weight>::zero();
+                    let mut total = V::zero();
                     for pair in path.windows(2) {
                         let w = m[(pair[0], pair[1])];
                         prop_assert!(w.is_reachable(), "path uses absent edge");
@@ -170,14 +171,15 @@ fn assert_successors_valid(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
-    /// The blocked `i64` kernel is bit-identical to the generic kernel:
-    /// same distances, same successor matrix, same negative-cycle witness.
+    /// The `i64` kernel is bit-identical to the generic kernel: same
+    /// distances, hence the same valid successor matrix, and the same
+    /// negative-cycle witness.
     #[test]
     fn blocked_kernel_matches_generic(m in sentinel_graph()) {
         let blocked = blocked_floyd_warshall_i64(&m);
-        let generic = floyd_warshall_with_paths(&ext_of(&m));
+        let generic = floyd_warshall(&ext_of(&m));
         match (blocked, generic) {
-            (Ok((bd, bnext)), Ok((gd, gnext))) => {
+            (Ok(bd), Ok(gd)) => {
                 for (i, j, &v) in bd.iter() {
                     let g = match gd[(i, j)] {
                         Ext::Finite(x) => x,
@@ -186,6 +188,10 @@ proptest! {
                     };
                     prop_assert_eq!(v, g, "dist mismatch at ({},{})", i, j);
                 }
+                let edges = ext_of(&m);
+                let bnext = shortest_path_successors(&edges, &ext_of(&bd));
+                let gnext = shortest_path_successors(&edges, &gd);
+                assert_successors_valid(&edges, &gd, &bnext)?;
                 prop_assert_eq!(bnext, gnext, "successor matrices differ");
             }
             (Err(b), Err(g)) => prop_assert_eq!(b, g, "witnesses differ"),
@@ -203,8 +209,10 @@ proptest! {
         let doubled = SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r * Ratio::from_int(2)));
         prop_assert!(Closure::new(&doubled).is_ok(), "doubled input off the grid");
         for m in [&m, &doubled] {
-            match (fast_closure(m), floyd_warshall_with_paths(m)) {
-                (Ok((fd, fnext)), Ok((gd, gnext))) => {
+            match (fast_closure(m), floyd_warshall(m)) {
+                (Ok(fd), Ok(gd)) => {
+                    let fnext = shortest_path_successors(m, &fd);
+                    let gnext = shortest_path_successors(m, &gd);
                     prop_assert_eq!(fd, gd, "distances differ");
                     prop_assert_eq!(fnext, gnext, "successors differ");
                 }
@@ -231,18 +239,18 @@ proptest! {
             match cache.relax_edge(u, v, w) {
                 Ok(_) => {
                     m[(u, v)] = merged;
-                    let (fresh, _) = floyd_warshall_with_paths(&m)
+                    let fresh = floyd_warshall(&m)
                         .expect("relax_edge accepted, so no negative cycle exists");
                     let dist = cache.ratio_dist();
                     prop_assert_eq!(&dist, &fresh, "dist diverged at ({},{})", u, v);
-                    assert_successors_valid(&m, &dist, cache.next())?;
+                    assert_successors_valid(&m, &dist, &shortest_path_successors(&m, &dist))?;
                 }
                 Err(_) => {
                     m[(u, v)] = merged;
                     // The cache is poisoned; the full kernel must confirm
                     // the negative cycle, and the protocol is to rebuild.
                     prop_assert!(
-                        floyd_warshall_with_paths(&m).is_err(),
+                        floyd_warshall(&m).is_err(),
                         "relax_edge reported a cycle the full kernel does not see"
                     );
                     return Ok(());

@@ -79,7 +79,7 @@ fn closure_shaped(
                 })
             });
             if close {
-                fast_closure(&m).expect("nonnegative weights").0
+                fast_closure(&m).expect("nonnegative weights")
             } else {
                 m
             }

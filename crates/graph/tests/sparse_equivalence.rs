@@ -6,15 +6,17 @@
 //!   a negative cycle — including disconnected components, sink rows (no
 //!   out-edges), and sentinel `+∞` — and must agree error-for-error on
 //!   graphs with one.
-//! * Successor matrices (canonical minimum-hop rule, which may break
-//!   equal-weight ties differently than Floyd–Warshall) must still
-//!   reconstruct genuine shortest paths of exactly the closure weight.
+//! * The successor rule ([`shortest_path_successors`], minimum hops then
+//!   smallest index) fed Johnson's distances must reconstruct genuine
+//!   shortest paths of exactly the closure weight.
 //!
 //! The suite runs 1000 random cases.
 
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, reconstruct_path, sparse_closure_i64, SquareMatrix, UNREACHABLE,
+    blocked_floyd_warshall_i64, reconstruct_path, shortest_path_successors, sparse_closure_i64,
+    SquareMatrix, UNREACHABLE,
 };
+use clocksync_time::Ext;
 use proptest::prelude::*;
 
 /// A random *sparse* sentinel-`i64` digraph: `n ≤ 16` with an edge list of
@@ -50,8 +52,7 @@ fn sparse_sentinel_graph() -> impl Strategy<Value = SquareMatrix<i64>> {
 
 /// Asserts that `next` reconstructs, for every pair, a real path in `m`
 /// whose total weight is exactly `dist[(i, j)]` — or that the pair is
-/// genuinely unreachable. (The sparse backends' minimum-hop successors
-/// need not *equal* the Floyd–Warshall ones, only be valid.)
+/// genuinely unreachable.
 fn assert_successors_valid(
     m: &SquareMatrix<i64>,
     dist: &SquareMatrix<i64>,
@@ -84,6 +85,17 @@ fn assert_successors_valid(
     Ok(())
 }
 
+fn ext_of(m: &SquareMatrix<i64>) -> SquareMatrix<Ext<i64>> {
+    SquareMatrix::from_fn(m.n(), |i, j| {
+        let v = m[(i, j)];
+        if v == UNREACHABLE {
+            Ext::PosInf
+        } else {
+            Ext::Finite(v)
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
@@ -93,17 +105,13 @@ proptest! {
     #[test]
     fn sparse_johnson_matches_dense(m in sparse_sentinel_graph()) {
         match (sparse_closure_i64(&m), blocked_floyd_warshall_i64(&m)) {
-            (Ok((sd, snext)), Ok((dd, _))) => {
+            (Ok(sd), Ok(dd)) => {
                 prop_assert_eq!(&sd, &dd, "sparse distances differ from dense");
+                let snext = shortest_path_successors(&ext_of(&m), &ext_of(&sd));
                 assert_successors_valid(&m, &sd, &snext)?;
             }
             (Err(_), Err(_)) => {}
-            (s, d) => prop_assert!(
-                false,
-                "sparse outcome mismatch: {:?} vs dense {:?}",
-                s.map(|(dist, _)| dist),
-                d.map(|(dist, _)| dist)
-            ),
+            (s, d) => prop_assert!(false, "sparse outcome mismatch: {:?} vs dense {:?}", s, d),
         }
     }
 }
