@@ -1034,7 +1034,7 @@ mod tests {
             .unwrap();
         let mut online = OnlineSynchronizer::new(net);
         let _ = online.outcome().unwrap();
-        for (k, m) in exec.views().message_observations().into_iter().enumerate() {
+        for (k, m) in exec.views().message_observations().iter().enumerate() {
             online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock);
             if k % n == 0 {
                 let _ = online.outcome().unwrap();

@@ -109,7 +109,7 @@ impl Execution {
     pub fn messages(&self) -> Vec<MessageRecord> {
         self.views
             .message_observations()
-            .into_iter()
+            .iter()
             .map(|m| {
                 let sent_at = self.start(m.src) + m.send_clock.offset();
                 let received_at = self.start(m.dst) + m.recv_clock.offset();

@@ -8,7 +8,8 @@
 //!   synchronization algorithm receives.
 //! * [`ViewSet`] — one view per processor with a validated one-to-one
 //!   message correspondence (the execution axioms: no loss, no duplication,
-//!   no spontaneous messages).
+//!   no spontaneous messages), and the id-ordered message table that
+//!   validation joins from the views.
 //! * [`Execution`] — a `ViewSet` plus the hidden real start time `S_p` of
 //!   each processor. Real times of steps, true message delays, the
 //!   [`Execution::shift`] operation (§4.1, after Lundelius–Lynch), and

@@ -1,7 +1,5 @@
 //! Views and validated view sets.
 
-use std::collections::HashMap;
-
 use clocksync_time::ClockTime;
 use serde::{Deserialize, Serialize};
 
@@ -121,23 +119,36 @@ pub struct MessageObservation {
 }
 
 /// A complete, validated set of views — the input to the synchronization
-/// algorithm.
+/// algorithm — with the message table its validation builds.
 ///
 /// Construction checks every per-view axiom plus the cross-view message
 /// correspondence: each id is sent exactly once and received exactly once,
-/// with matching endpoints.
+/// with matching endpoints. Checking the correspondence joins every send to
+/// its receive; the view set keeps that join, one [`MessageObservation`]
+/// per message in id order, and [`ViewSet::message_observations`] returns
+/// it as is.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViewSet {
     views: Vec<View>,
+    messages: Vec<MessageObservation>,
 }
 
 impl ViewSet {
     /// Validates and assembles a view set. `views[i]` must belong to
     /// processor `i`.
     ///
+    /// This is the one place sends are matched to receives: every send and
+    /// receive event is collected, the list is sorted by message id, and a
+    /// valid set then holds each id exactly twice, its send followed by
+    /// its receive.
+    ///
     /// # Errors
     ///
-    /// Returns the first violated execution axiom.
+    /// The per-view axioms are checked view by view, then the peer each
+    /// send or receive names, in view order. Of the correspondence
+    /// violations (a duplicated id, a lost message, an orphan receive, an
+    /// endpoint mismatch) the one with the smallest message id is
+    /// reported, so the error is the same on every run.
     pub fn new(views: Vec<View>) -> Result<ViewSet, ModelError> {
         let n = views.len();
         for (i, v) in views.iter().enumerate() {
@@ -149,56 +160,51 @@ impl ViewSet {
             v.validate()?;
         }
 
-        // Message correspondence.
-        let mut sends: HashMap<MessageId, (ProcessorId, ProcessorId, ClockTime)> = HashMap::new();
-        let mut recvs: HashMap<MessageId, (ProcessorId, ProcessorId, ClockTime)> = HashMap::new();
+        // Each endpoint event as (id, is receive, src, dst, clock).
+        let mut ends = Vec::new();
         for v in &views {
             for e in v.events() {
-                match *e {
+                let (end, peer) = match *e {
                     ViewEvent::Send { to, id, clock } => {
-                        if to.index() >= n {
-                            return Err(ModelError::UnknownProcessor { processor: to });
-                        }
-                        if sends.insert(id, (v.processor(), to, clock)).is_some() {
-                            return Err(ModelError::DuplicateMessage { id });
-                        }
+                        ((id, false, v.processor(), to, clock), to)
                     }
                     ViewEvent::Recv { from, id, clock } => {
-                        if from.index() >= n {
-                            return Err(ModelError::UnknownProcessor { processor: from });
-                        }
-                        if recvs.insert(id, (from, v.processor(), clock)).is_some() {
-                            return Err(ModelError::DuplicateMessage { id });
-                        }
+                        ((id, true, from, v.processor(), clock), from)
                     }
-                    _ => {}
+                    _ => continue,
+                };
+                if peer.index() >= n {
+                    return Err(ModelError::UnknownProcessor { processor: peer });
                 }
+                ends.push(end);
             }
         }
-        for (id, (src, dst, _)) in &sends {
-            match recvs.get(id) {
-                None => {
-                    return Err(ModelError::LostMessage {
-                        id: *id,
-                        sender: *src,
-                    })
+        ends.sort_unstable_by_key(|&(id, is_recv, ..)| (id, is_recv));
+        let mut messages = Vec::with_capacity(ends.len() / 2);
+        for same_id in ends.chunk_by(|a, b| a.0 == b.0) {
+            let id = same_id[0].0;
+            messages.push(match *same_id {
+                [(_, false, src, dst, send_clock), (_, true, from, to, recv_clock)] => {
+                    if (src, dst) != (from, to) {
+                        return Err(ModelError::EndpointMismatch { id });
+                    }
+                    MessageObservation {
+                        src,
+                        dst,
+                        id,
+                        send_clock,
+                        recv_clock,
+                    }
                 }
-                Some((rsrc, rdst, _)) if rsrc != src || rdst != dst => {
-                    return Err(ModelError::EndpointMismatch { id: *id })
+                [(_, false, sender, ..)] => return Err(ModelError::LostMessage { id, sender }),
+                [(_, true, _, receiver, _)] => {
+                    return Err(ModelError::OrphanReceive { id, receiver })
                 }
-                Some(_) => {}
-            }
-        }
-        for (id, (_, dst, _)) in &recvs {
-            if !sends.contains_key(id) {
-                return Err(ModelError::OrphanReceive {
-                    id: *id,
-                    receiver: *dst,
-                });
-            }
+                _ => return Err(ModelError::DuplicateMessage { id }),
+            });
         }
 
-        Ok(ViewSet { views })
+        Ok(ViewSet { views, messages })
     }
 
     /// The number of processors.
@@ -225,39 +231,16 @@ impl ViewSet {
         self.views.iter()
     }
 
-    /// Collects every message with both endpoint clock readings.
-    pub fn message_observations(&self) -> Vec<MessageObservation> {
-        let mut sends: HashMap<MessageId, (ProcessorId, ProcessorId, ClockTime)> = HashMap::new();
-        for v in &self.views {
-            for e in v.events() {
-                if let ViewEvent::Send { to, id, clock } = *e {
-                    sends.insert(id, (v.processor(), to, clock));
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for v in &self.views {
-            for e in v.events() {
-                if let ViewEvent::Recv { from: _, id, clock } = *e {
-                    let (src, dst, send_clock) = sends[&id]; // correspondence validated at construction
-                    out.push(MessageObservation {
-                        src,
-                        dst,
-                        id,
-                        send_clock,
-                        recv_clock: clock,
-                    });
-                }
-            }
-        }
-        out.sort_by_key(|m| m.id);
-        out
+    /// Every message with both endpoint clock readings, in id order: the
+    /// table [`ViewSet::new`] built while validating.
+    pub fn message_observations(&self) -> &[MessageObservation] {
+        &self.messages
     }
 
     /// Extracts the per-directed-link estimated-delay statistics
     /// (`d̃min`, `d̃max`, message count) used by the §6 estimators.
     pub fn link_observations(&self) -> LinkObservations {
-        LinkObservations::from_messages(self.len(), &self.message_observations())
+        LinkObservations::from_messages(self.len(), &self.messages)
     }
 
     /// Returns a view set with only the messages satisfying `keep`,
@@ -428,6 +411,42 @@ mod tests {
             ViewSet::new(vec![v0, v1, v2]),
             Err(ModelError::EndpointMismatch { id: MessageId(1) })
         );
+    }
+
+    /// p0 sends messages 1..=8 to p1; `recv_at(id)` is the view that
+    /// records the receive of `id`, or `None` for no receive.
+    fn eight_messages(recv_at: impl Fn(u64) -> Option<usize>) -> Vec<View> {
+        let mut views: Vec<View> = (0..3).map(|p| View::new(ProcessorId(p))).collect();
+        for id in 1..=8u64 {
+            let clock = 10 * id as i64;
+            views[0].record_send(ProcessorId(1), MessageId(id), ct(clock));
+            if let Some(r) = recv_at(id) {
+                views[r].record_recv(ProcessorId(0), MessageId(id), ct(clock + 5));
+            }
+        }
+        views
+    }
+
+    #[test]
+    fn several_violations_report_the_smallest_id_every_time() {
+        // Messages 7, 3, 5 and 4 are either never received or received by
+        // p2 instead of p1. Repeated validation must name m3 every time.
+        let bad = |id| [7, 3, 5, 4].contains(&id);
+        let lost = eight_messages(|id| (!bad(id)).then_some(1));
+        let mismatched = eight_messages(|id| Some(if bad(id) { 2 } else { 1 }));
+        for _ in 0..64 {
+            assert_eq!(
+                ViewSet::new(lost.clone()),
+                Err(ModelError::LostMessage {
+                    id: MessageId(3),
+                    sender: ProcessorId(0)
+                })
+            );
+            assert_eq!(
+                ViewSet::new(mismatched.clone()),
+                Err(ModelError::EndpointMismatch { id: MessageId(3) })
+            );
+        }
     }
 
     #[test]

@@ -553,8 +553,7 @@ mod tests {
         w.push(msg(3, Q, P, 50, 120)).unwrap();
         let views = w.to_view_set().unwrap();
         assert_eq!(views.len(), 3);
-        let mut obs = views.message_observations();
-        obs.sort_by_key(|m| m.id);
+        let obs = views.message_observations();
         assert_eq!(obs.len(), 3);
         assert_eq!(obs[0].send_clock, ClockTime::from_nanos(100));
         // Events inside each view are clock-ordered even though pushes

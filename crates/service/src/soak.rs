@@ -212,7 +212,7 @@ fn build_domains(config: &SoakConfig) -> (Vec<SimDomain>, usize) {
             .execution
             .views()
             .message_observations()
-            .into_iter()
+            .iter()
             .map(|m| BatchObservation {
                 src: m.src,
                 dst: m.dst,

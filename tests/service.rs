@@ -292,7 +292,7 @@ fn windowed_service_matches_full_history_across_window_sizes() {
         .execution
         .views()
         .message_observations()
-        .into_iter()
+        .iter()
         .map(|m| BatchObservation {
             src: m.src,
             dst: m.dst,
