@@ -9,7 +9,8 @@
 //!   file or a failure reproducer);
 //! * `vopr corpus [--dir D] [--budget N]` — replay every committed
 //!   corpus scenario, run every seed in `seeds.txt`, then `N` freshly
-//!   generated seeds — the CI smoke entry point.
+//!   generated seeds and `N` of the far-clock family — the CI smoke entry
+//!   point.
 //!
 //! The functions here are the testable core; `main.rs` only parses flags
 //! and writes files.
@@ -17,7 +18,9 @@
 use std::fs;
 use std::path::Path;
 
-use clocksync_vopr::{generate, run_scenario, shrink, with_quiet_panics, RunReport, Scenario};
+use clocksync_vopr::{
+    generate, run_scenario, shrink, with_quiet_panics, RunReport, Scenario, FAR_SEEDS,
+};
 
 /// What one fuzz session (`vopr run`) produced.
 #[derive(Debug)]
@@ -105,7 +108,9 @@ pub struct CorpusReport {
 
 /// Replays every `*.json` scenario in `dir` (sorted by file name), runs
 /// every seed listed in `dir/seeds.txt` (one per line, `#` comments),
-/// then `budget` freshly generated seeds starting at `base_seed`.
+/// then `budget` freshly generated seeds starting at `base_seed` and
+/// `budget` more from the far-clock family, starting at
+/// [`FAR_SEEDS`]` + base_seed`.
 ///
 /// # Errors
 ///
@@ -164,8 +169,8 @@ pub fn corpus(dir: &Path, budget: usize, base_seed: u64) -> Result<CorpusReport,
                 lines.push(format!("seed {seed}: {}", describe(&report)));
             }
         }
-        for i in 0..budget as u64 {
-            let seed = base_seed.wrapping_add(i);
+        let fresh = |base: u64| (0..budget as u64).map(move |i| base.wrapping_add(i));
+        for seed in fresh(base_seed).chain(fresh(FAR_SEEDS.wrapping_add(base_seed))) {
             let report = run_scenario(&generate(seed));
             ran += 1;
             if !report.passed() {
@@ -174,9 +179,10 @@ pub fn corpus(dir: &Path, budget: usize, base_seed: u64) -> Result<CorpusReport,
             }
         }
         lines.push(format!(
-            "corpus: {} scenario files, {} pinned seeds, {} fresh seeds — {} failures",
+            "corpus: {} scenario files, {} pinned seeds, {} fresh seeds, {} far-clock seeds — {} failures",
             files.len(),
             seeds.len(),
+            budget,
             budget,
             failures
         ));
@@ -278,7 +284,8 @@ mod tests {
         fs::write(dir.join("a.json"), generate(3).to_json_pretty()).unwrap();
         fs::write(dir.join("seeds.txt"), "# pinned\n11\n").unwrap();
         let report = corpus(&dir, 2, 900).unwrap();
-        assert_eq!(report.ran, 4, "{:?}", report.lines);
+        // One file, one pinned seed, two fresh seeds and two far-clock ones.
+        assert_eq!(report.ran, 6, "{:?}", report.lines);
         assert_eq!(report.failures, 0, "{:?}", report.lines);
         fs::write(dir.join("broken.json"), "{").unwrap();
         assert!(corpus(&dir, 0, 0).is_err());

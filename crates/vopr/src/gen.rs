@@ -12,7 +12,13 @@
 //! * the retention window is occasionally **zero or one** — the historic
 //!   off-by-one territory of windowed GC (see the `bug-window0` feature);
 //! * margins are often zero (the pure drift-free model), so most runs
-//!   check the exact-identity oracles with no perturbation noise at all.
+//!   check the exact-identity oracles with no perturbation noise at all;
+//! * seeds from [`FAR_SEEDS`] up form the **far-clock family**: the same
+//!   scenarios with base offsets up to 10^18 ns apart, the distance
+//!   between clocks that count from different epochs (boot time against
+//!   Unix time). Every estimate then carries a start-time difference far
+//!   past the integer kernels' per-entry bound, so only a gauge that
+//!   removes it keeps the domain on the integer kernels.
 
 use crate::rng::VoprRng;
 use crate::scenario::{Event, Scenario};
@@ -20,6 +26,14 @@ use crate::scenario::{Event, Scenario};
 /// Domain separation for the generator's stream (the runner's fault
 /// streams use different salts, so generation never aliases execution).
 const GEN_SALT: u64 = 0x47454E5F53414C54;
+
+/// The first seed of the far-clock family: seeds at or above it draw base
+/// offsets from `[0, 10^18]` ns instead of `±50 µs`. Every seed below it
+/// generates what it always has.
+pub const FAR_SEEDS: u64 = 1 << 63;
+
+/// The largest base offset of the far-clock family, in nanoseconds.
+const FAR_OFFSET: i64 = 1_000_000_000_000_000_000;
 
 /// Generates the scenario for `seed`.
 ///
@@ -39,7 +53,11 @@ pub fn generate(seed: u64) -> Scenario {
 
     let mut offsets = vec![0i64; n];
     for o in offsets.iter_mut().skip(1) {
-        *o = rng.range_i64(-50_000, 50_000);
+        *o = if seed >= FAR_SEEDS {
+            rng.range_i64(0, FAR_OFFSET)
+        } else {
+            rng.range_i64(-50_000, 50_000)
+        };
     }
 
     let mut events = Vec::new();
@@ -191,6 +209,23 @@ mod tests {
             // Probes dominate the stream on average; don't require many
             // per scenario, just that the stream isn't degenerate.
             assert!(probes + 20 >= 1, "unreachable, probes = {probes}");
+        }
+    }
+
+    #[test]
+    fn far_seeds_put_clocks_up_to_an_epoch_apart() {
+        for seed in FAR_SEEDS..FAR_SEEDS + 50 {
+            let s = generate(seed);
+            assert!(s.offsets.iter().all(|o| (0..=FAR_OFFSET).contains(o)));
+            let spread = s.offsets.iter().max().unwrap() - s.offsets.iter().min().unwrap();
+            assert!(
+                spread > 1_000_000_000_000_000,
+                "seed {seed}: spread {spread}"
+            );
+        }
+        // Below the family every offset stays within ±50 µs.
+        for seed in [0, 11, 1_000, FAR_SEEDS - 1] {
+            assert!(generate(seed).offsets.iter().all(|o| o.abs() <= 50_000));
         }
     }
 

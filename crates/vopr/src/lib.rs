@@ -29,6 +29,9 @@
 //!   subset yields another valid scenario with unchanged remaining
 //!   behaviour.
 //!
+//! Seeds from [`FAR_SEEDS`] (`2^63`) up form the far-clock family, whose
+//! clocks start up to 10^18 ns apart.
+//!
 //! Drive it from the CLI: `clocksync vopr run --seed 7`,
 //! `clocksync vopr replay --file tests/corpus/window0-panic.json`,
 //! `clocksync vopr corpus --budget 25`.
@@ -46,7 +49,7 @@ mod shrink;
 mod world;
 
 pub use drift::{fuzz_drift, DriftFailure};
-pub use gen::generate;
+pub use gen::{generate, FAR_SEEDS};
 pub use marzullo::{fuzz_marzullo, MarzulloFailure};
 pub use rng::VoprRng;
 pub use runner::{run_scenario, with_quiet_panics, Failure, RunReport, DOMAIN};

@@ -73,12 +73,14 @@ pub const DOMAIN: &str = "vopr";
 
 /// Caps the runner clamps scenario values into, so arithmetic stays in
 /// range and a hostile (or badly shrunk) scenario cannot overflow the
-/// harness itself. Scenarios from [`crate::generate`] are always within.
+/// harness itself. Scenarios from [`crate::generate`] are always within:
+/// the far-clock family's offsets reach 10^18 ns, under `2^61`, so every
+/// reading stays below `2^62` and every difference of two inside `i64`.
 const MAX_N: usize = 16;
 const MAX_SHARDS: usize = 16;
 const MAX_WINDOW: usize = 4096;
 const MAX_MARGIN: i64 = 1 << 20;
-const MAX_ABS_OFFSET: i64 = 1 << 40;
+const MAX_ABS_OFFSET: i64 = 1 << 61;
 const MAX_TIME: i64 = 1 << 50;
 const MAX_DELAY: i64 = 1 << 40;
 
