@@ -5,8 +5,9 @@
 //! Three comparisons, matching the three optimizations:
 //!
 //! * **closure**: one-shot GLOBAL ESTIMATES — the generic rational
-//!   Floyd–Warshall versus [`clocksync_graph::fast_closure`] (scaled
-//!   `i64`) on the same sparse estimate matrices.
+//!   Floyd–Warshall versus [`clocksync_graph::Closure::new`] (gauged
+//!   `i64` counts) plus [`clocksync_graph::Closure::ratio_dist`], on the
+//!   same sparse estimate matrices.
 //! * **resync**: online steady state — one new observation followed by a
 //!   fresh GLOBAL ESTIMATES matrix via
 //!   [`OnlineSynchronizer::global_estimates`]. The baseline re-derives the
@@ -31,8 +32,8 @@ use std::time::Instant;
 
 use clocksync::{estimated_local_shifts, DelayRange, LinkAssumption, Network, OnlineSynchronizer};
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, dispatch_closure_i64, fast_closure, floyd_warshall,
-    plan_closure_kernel, SquareMatrix, Weight, UNREACHABLE,
+    blocked_floyd_warshall_i64, dispatch_closure_i64, floyd_warshall, plan_closure_kernel, Closure,
+    SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, Nanos, Ratio};
@@ -243,7 +244,7 @@ pub struct ClosureRow {
     pub n: usize,
     /// Generic rational kernel, nanoseconds.
     pub generic_ns: u128,
-    /// Scaled `i64` kernel via `fast_closure`, nanoseconds.
+    /// Integer kernel via `Closure::new` plus `ratio_dist`, nanoseconds.
     pub fast_ns: u128,
 }
 
@@ -256,6 +257,13 @@ pub struct ResyncRow {
     /// Incremental `relax_edge` on the scaled cache plus the conversion
     /// `global_estimates()` returns, nanoseconds.
     pub incremental_ns: u128,
+}
+
+/// The closure on the integer kernels, decoded: what a batch sync pays
+/// for GLOBAL ESTIMATES.
+pub fn integer_closure(m: &SquareMatrix<Ext<Ratio>>) -> SquareMatrix<Ext<Ratio>> {
+    let closure = Closure::new(m).expect("estimates have gauged counts");
+    closure.expect("no negative cycles").ratio_dist()
 }
 
 /// Times the one-shot closure at each dimension.
@@ -275,7 +283,7 @@ pub fn measure_closure(sizes: &[usize]) -> Vec<ClosureRow> {
             );
             let fast_ns = min_ns(
                 || {
-                    fast_closure(std::hint::black_box(&m)).expect("no negative cycles");
+                    integer_closure(std::hint::black_box(&m));
                 },
                 5,
             );
@@ -486,8 +494,7 @@ mod tests {
     #[test]
     fn sparse_estimates_take_the_fast_path() {
         let m = sparse_estimates(32, 7);
-        assert!(clocksync_graph::Closure::new(&m).is_ok());
-        let fd = fast_closure(&m).unwrap();
+        let fd = integer_closure(&m);
         let gd = floyd_warshall(&m).unwrap();
         assert_eq!(fd, gd);
     }

@@ -4,10 +4,11 @@
 //! bound is worked out on demand from `m̃ls` and the closure by
 //! [`crate::shortest_path_successors`].
 
-use clocksync_graph::{Closure, SquareMatrix, Weight};
-use clocksync_model::{LinkObservations, ProcessorId};
+use clocksync_graph::{SquareMatrix, Weight};
+use clocksync_model::LinkObservations;
 use clocksync_time::ExtRatio;
 
+use crate::route::close;
 use crate::{Network, SyncError};
 
 /// Computes the matrix of estimated maximal *local* shifts `m̃ls(p, q)` for
@@ -51,13 +52,15 @@ pub fn estimated_local_shifts(
 /// computation. `m̃s(p,q)` is then the estimate of how far `q` can be
 /// shifted from `p` while *every* link stays admissible (Lemma 5.3).
 ///
-/// Computed via [`clocksync_graph::fast_closure`]: every estimate is a
-/// whole or half nanosecond, so the closure runs on an integer kernel over
-/// half-nanosecond counts; inputs without counts (off that grid, or past
-/// the magnitude bound) fall back to the generic rational-arithmetic
-/// kernel with identical results. [`crate::shortest_path_successors`]
-/// recovers *which* sequence of links produces each global bound from
-/// `local` and the closure.
+/// Computed on the integer kernels over gauged half-nanosecond counts
+/// ([`clocksync_graph::Closure`]): every estimate is a whole or half
+/// nanosecond, and the gauge takes the clocks' start-time differences out
+/// of every entry, so clocks that count from different epochs stay there
+/// too. Inputs without gauged counts (off that grid, `−∞`, or past the
+/// magnitude bound in every gauge) take the residual route, the generic
+/// rational-arithmetic kernel, with identical results.
+/// [`crate::shortest_path_successors`] recovers *which* sequence of links
+/// produces each global bound from `local` and the closure.
 ///
 /// # Errors
 ///
@@ -77,9 +80,9 @@ pub fn global_estimates(
 /// kernel that actually ran (`scaled-i64`, `sparse-johnson` or
 /// `rational-generic`) — so a BENCH regression on this stage is
 /// attributable to a kernel change rather than guessed at.
-/// When an entry has no count and the stage falls off the fast path onto
-/// the `O(n³)` generic kernel, a `sync.closure_fallback` event records
-/// the [`clocksync_graph::ScaleBailout`] reason, making the perf cliff
+/// When the domain takes the residual route onto the `O(n³)` generic
+/// kernel, a `sync.closure_fallback` event records the
+/// [`clocksync_graph::ScaleBailout`] reason, making the perf cliff
 /// visible instead of silent.
 ///
 /// # Errors
@@ -89,51 +92,14 @@ pub fn global_estimates_traced(
     local: &SquareMatrix<ExtRatio>,
     recorder: &clocksync_obs::Recorder,
 ) -> Result<SquareMatrix<ExtRatio>, SyncError> {
-    global_estimates_scaled(local, recorder).map(|(dist, _)| dist)
-}
-
-/// [`global_estimates_traced`], also handing over the closure stage's own
-/// half-nanosecond counts when `local` has them — what the batch
-/// synchronizer's SHIFTS reads.
-pub(crate) fn global_estimates_scaled(
-    local: &SquareMatrix<ExtRatio>,
-    recorder: &clocksync_obs::Recorder,
-) -> Result<(SquareMatrix<ExtRatio>, Option<Closure>), SyncError> {
-    let mut span = recorder.span("sync.global_estimates");
-    span.field("n", local.n());
-    // Mirrors `clocksync_graph::fast_closure`, split open so the kernel
-    // choice (and any scaling bailout) is observable.
-    let result = match Closure::new_explained(local) {
-        Ok((kernel, result)) => {
-            span.field("kernel", kernel.name());
-            result.map(|closure| (closure.ratio_dist(), Some(closure)))
-        }
-        Err(reason) => {
-            span.field("kernel", "rational-generic");
-            span.field("fallback_reason", reason.name());
-            recorder.event(
-                "sync.closure_fallback",
-                [
-                    (
-                        "kernel",
-                        clocksync_obs::FieldValue::from("rational-generic"),
-                    ),
-                    ("reason", clocksync_obs::FieldValue::from(reason.name())),
-                    ("n", clocksync_obs::FieldValue::from(local.n())),
-                ],
-            );
-            clocksync_graph::floyd_warshall(local).map(|dist| (dist, None))
-        }
-    };
-    result.map_err(|e| SyncError::InconsistentObservations {
-        witness: ProcessorId(e.witness),
-    })
+    close(local, recorder).map(|(dist, _)| dist)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DelayRange, LinkAssumption};
+    use clocksync_model::ProcessorId;
     use clocksync_time::{Ext, Nanos, Ratio};
 
     const P: ProcessorId = ProcessorId(0);

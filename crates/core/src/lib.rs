@@ -30,10 +30,10 @@
 //! 1. extract per-link estimated-delay extrema from the views (Lemma 6.1);
 //! 2. evaluate each link's local shift estimator
 //!    ([`LinkAssumption::estimated_mls`], §6);
-//! 3. [`global_estimates`] — all-pairs shortest paths (§5.3);
+//! 3. [`global_estimates`] — all-pairs shortest paths (§5.3) over
+//!    half-nanosecond counts, gauged so that clock offsets drop out;
 //! 4. SHIFTS (§4.4) — the maximum cycle mean gives the optimal
-//!    precision `A_max` (Howard's policy iteration over the closure's
-//!    half-nanosecond counts; Karp's recurrence as fallback and oracle),
+//!    precision `A_max` (Howard's policy iteration over the same counts),
 //!    and shortest-path distances under `A_max − m̃s` give the
 //!    corrections.
 //!
@@ -80,6 +80,7 @@ mod error;
 mod estimates;
 mod network;
 mod online;
+mod route;
 mod shifts;
 mod synchronizer;
 

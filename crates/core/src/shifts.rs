@@ -2,31 +2,29 @@
 //! estimates.
 //!
 //! The stage splits into two steps: `A_max` (a maximum cycle mean) and a
-//! single-source shortest-path pass. Both run on the closure's
-//! half-nanosecond counts whenever it has them: the batch synchronizer and
-//! the online engine hand each component over as the closure stage
-//! computed it ([`ScaledMatrix`]), and [`shifts`] and
+//! single-source shortest-path pass. Both run on the closure's gauged
+//! half-nanosecond counts: the batch synchronizer and the online engine
+//! hand each component over as the closure stage computed it
+//! ([`ScaledMatrix`], from [`Closure::component`]), and [`shifts`] and
 //! [`SyncOutcome::from_global_estimates`](crate::SyncOutcome::from_global_estimates)
-//! encode their rational input once. There `A_max` is Howard's policy
-//! iteration over `i64` weights: cold without a warm state, restarted from
-//! the cached policy on a warm miss, and not run at all when an online
-//! component's cached critical cycle still certifies. The corrections pass
-//! is an early-exit Bellman–Ford over `i64` rows. A component whose
-//! closure has no counts, or whose entries pass the integer kernels'
-//! magnitude bound, takes the one rational route, with or without a warm
-//! state: exact Karp, then [`shifted_distances`] on the rational entries
-//! (the rational Bellman–Ford unless they have counts on their own). Every
-//! route
-//! computes the same exact `A_max`, hence the same corrections, and reports
-//! the same canonical critical cycle, so the route never shows in the
-//! output. DESIGN.md §4c gives the kernel rule, the bounds, the iteration
-//! cap and the warm-start invariant.
+//! hold their rational input as a [`Closure`] once. Cycle means do not
+//! see the gauge, and the corrections pass removes it from its outputs.
+//! `A_max` is Howard's policy iteration over `i64` weights: cold without a
+//! warm state, restarted from the cached policy on a warm miss, and not run
+//! at all when an online component's cached critical cycle still
+//! certifies. The corrections pass is an early-exit Bellman–Ford over `i64`
+//! rows. A domain that no gauge holds takes the residual route of
+//! `route.rs` as a whole. Every route computes the same exact `A_max`,
+//! hence the same corrections, and reports the same canonical critical
+//! cycle, so the route never shows in the output. DESIGN.md §4c gives the
+//! kernel rule, the bounds, the iteration cap and the warm-start
+//! invariant.
 
-use std::borrow::Cow;
-
-use clocksync_graph::{karp_max_cycle_mean, shifted_distances, ScaledMatrix, SquareMatrix};
+use clocksync_graph::{Closure, ScaledMatrix, SquareMatrix};
 use clocksync_model::ProcessorId;
 use clocksync_time::{ExtRatio, Ratio};
+
+use crate::route::residual_shifts;
 
 /// The output of [`shifts`] on one synchronizable component.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,23 +43,14 @@ pub struct ShiftsResult {
 
 /// Warm state of one online component, in component-local indices: the
 /// certified `A_max` with its canonical critical cycle, and the Howard
-/// policy to restart from once that cycle stops certifying.
+/// policy to restart from once that cycle stops certifying. None of it
+/// depends on the closure's gauge, so it survives a rebuild under a fresh
+/// one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ShiftsState {
     pub(crate) a_max: Ratio,
     pub(crate) cycle: Vec<usize>,
     pub(crate) policy: Vec<usize>,
-}
-
-/// One component's closure as SHIFTS receives it.
-#[derive(Debug)]
-pub(crate) enum ComponentClosure<'a> {
-    /// The closure's half-nanosecond counts, within the integer kernels'
-    /// bound.
-    Scaled(ScaledMatrix<'a>),
-    /// The rational entries: the closure has no counts, or this
-    /// component's entries pass the bound.
-    Rational(Cow<'a, SquareMatrix<ExtRatio>>),
 }
 
 /// Runs the SHIFTS function on a *finite* closure of global shift
@@ -73,10 +62,10 @@ pub(crate) enum ComponentClosure<'a> {
 /// 2. corrections are shortest-path distances from `root` under
 ///    `w(p,q) = A_max − m̃s(p,q)` (no negative cycles by construction).
 ///
-/// Both steps run on one copy of the closure as half-nanosecond counts
-/// ([`ScaledMatrix::from_ratio`]): integer Howard, then the integer
-/// corrections pass. When the closure has no counts they run on exact
-/// Karp and the rational Bellman–Ford instead.
+/// Both steps run on one copy of the closure as gauged half-nanosecond
+/// counts ([`Closure::from_closed`]): integer Howard, then the integer
+/// corrections pass. A closure no gauge holds takes the residual route:
+/// exact Karp and the rational Bellman–Ford.
 ///
 /// The caller (the synchronizer) is responsible for splitting the system
 /// into components with finite mutual estimates first.
@@ -87,54 +76,39 @@ pub(crate) enum ComponentClosure<'a> {
 /// if the closure admits a negative cycle under the derived weights
 /// (impossible for a closure that passed [`crate::global_estimates`]).
 pub fn shifts(closure: &SquareMatrix<ExtRatio>, root: usize) -> ShiftsResult {
-    let input = match ScaledMatrix::from_ratio(closure) {
-        Some(m) => ComponentClosure::Scaled(m),
-        None => ComponentClosure::Rational(Cow::Borrowed(closure)),
-    };
-    shifts_warm(input, root, None).0
+    match Closure::from_closed(closure) {
+        Ok(counts) => {
+            let members: Vec<usize> = (0..closure.n()).collect();
+            shifts_warm(counts.component(&members), root, None).0
+        }
+        Err(_) => residual_shifts(closure, root),
+    }
 }
 
 /// SHIFTS with incremental `A_max`, for the online synchronizer: returns
-/// the result plus, on the scaled route, the [`ShiftsState`] for the next
-/// call.
+/// the result plus the [`ShiftsState`] for the next call.
 ///
 /// When `warm` is given, the caller asserts that since that state was
 /// computed the closure evolved **only by entrywise tightenings under the
 /// same component partition** (the online synchronizer's `relax_edge`
-/// regime). Then every cycle mean is ≤ its cached value, so if the cached
-/// critical cycle's mean is unchanged it is still the maximum — `A_max`,
-/// cycle, and policy are reused without running any cycle-mean kernel at
-/// all (`O(n)` revalidation). Otherwise integer Howard restarts from the
-/// cached policy, which is a valid seed whatever changed and usually a few
+/// regime, or a rebuild after tightenings only, in any gauge). Then every
+/// cycle mean is ≤ its cached value, so if the cached critical cycle's
+/// mean is unchanged it is still the maximum — `A_max`, cycle, and policy
+/// are reused without running any cycle-mean kernel at all (`O(n)`
+/// revalidation). Otherwise integer Howard restarts from the cached
+/// policy, which is a valid seed whatever changed and usually a few
 /// improvement steps from optimal. Without a usable state — none, or one
 /// sized for another component — Howard starts cold, and its converged
-/// policy becomes the next state. The rational route ignores `warm` and
-/// returns no state.
+/// policy becomes the next state.
 ///
 /// # Panics
 ///
 /// As [`shifts`].
 pub(crate) fn shifts_warm(
-    closure: ComponentClosure<'_>,
+    m: ScaledMatrix<'_>,
     root: usize,
     warm: Option<&ShiftsState>,
-) -> (ShiftsResult, Option<ShiftsState>) {
-    let m = match closure {
-        ComponentClosure::Scaled(m) => m,
-        ComponentClosure::Rational(closure) => {
-            // All entries are finite and the diagonal is 0, so a cycle
-            // always exists and A_max ≥ 0.
-            let cm = karp_max_cycle_mean(&closure).expect("closure always contains cycles");
-            let corrections = shifted_distances(&closure, cm.mean, root)
-                .expect("A_max-shifted closure has no negative cycles by Theorem 4.4");
-            let result = ShiftsResult {
-                corrections,
-                precision: cm.mean,
-                critical_cycle: cm.cycle,
-            };
-            return (result, None);
-        }
-    };
+) -> (ShiftsResult, ShiftsState) {
     let n = m.n();
     let usable = warm
         .filter(|s| s.policy.len() == n && !s.cycle.is_empty() && s.cycle.iter().all(|&v| v < n));
@@ -158,7 +132,7 @@ pub(crate) fn shifts_warm(
         precision: state.a_max,
         critical_cycle: state.cycle.clone(),
     };
-    (result, Some(state))
+    (result, state)
 }
 
 /// Groups processors into *synchronizable components*: `p` and `q` belong
@@ -193,23 +167,28 @@ pub fn synchronizable_components(closure: &SquareMatrix<ExtRatio>) -> Vec<Vec<Pr
 mod tests {
     use super::*;
     use clocksync_graph::brute::cycle_mean;
-    use clocksync_graph::{bellman_ford, howard_solve, DiGraph, Weight};
+    use clocksync_graph::{bellman_ford, howard_solve, karp_max_cycle_mean, DiGraph, Weight};
     use clocksync_time::Ext;
 
-    /// The scaled route from `warm`, as an online component runs it.
+    /// The integer route from `warm`, as an online component runs it.
     fn shifts_howard_warm(
         closure: &SquareMatrix<ExtRatio>,
         root: usize,
         warm: Option<&ShiftsState>,
     ) -> (ShiftsResult, ShiftsState) {
-        let m = ScaledMatrix::from_ratio(closure).expect("test closures have counts");
-        let (result, state) = shifts_warm(ComponentClosure::Scaled(m), root, warm);
-        (result, state.expect("the scaled route keeps a warm state"))
+        let counts = Closure::from_closed(closure).expect("test closures have counts");
+        let members: Vec<usize> = (0..closure.n()).collect();
+        shifts_warm(counts.component(&members), root, warm)
     }
 
     /// Step 2 of SHIFTS: distances from `root` under `w(p,q) = A_max − m̃s(p,q)`.
     fn corrections_under(c: &SquareMatrix<ExtRatio>, root: usize, a_max: Ratio) -> Vec<Ratio> {
-        shifted_distances(c, a_max, root).expect("no negative cycle under A_max")
+        let mut g = DiGraph::new(c.n());
+        for (i, j, &w) in c.iter_off_diagonal() {
+            g.add_edge(i, j, Ext::Finite(a_max - w.finite().unwrap()));
+        }
+        let dist = bellman_ford(&g, root).expect("no negative cycle under A_max");
+        dist.into_iter().map(|d| d.finite().unwrap()).collect()
     }
 
     fn fin(x: i128) -> ExtRatio {
@@ -235,16 +214,6 @@ mod tests {
         assert_eq!(r.critical_cycle.len(), 2);
     }
 
-    /// The rational reference for step 2: Bellman–Ford over a `DiGraph`.
-    fn rational_corrections(c: &SquareMatrix<ExtRatio>, a_max: Ratio) -> Vec<Ratio> {
-        let mut g = DiGraph::new(c.n());
-        for (i, j, &w) in c.iter_off_diagonal() {
-            g.add_edge(i, j, Ext::Finite(a_max - w.finite().unwrap()));
-        }
-        let dist = bellman_ford(&g, 0).expect("no negative cycle under A_max");
-        dist.into_iter().map(|d| d.finite().unwrap()).collect()
-    }
-
     #[test]
     fn all_kernels_agree_on_precision_and_corrections() {
         let mut tri = SquareMatrix::filled(3, <ExtRatio as Weight>::zero());
@@ -259,7 +228,7 @@ mod tests {
             // The reference: the paper's exact Karp, then the rational
             // Bellman–Ford.
             let karp = karp_max_cycle_mean(c).unwrap();
-            let reference = rational_corrections(c, karp.mean);
+            let reference = corrections_under(c, 0, karp.mean);
             let r = shifts(c, 0);
             assert_eq!(r.precision, karp.mean, "{c:?}");
             assert_eq!(r.corrections, reference, "{c:?}");

@@ -1,8 +1,6 @@
 //! The end-to-end synchronizer: views in, optimal corrections out.
 
-use std::borrow::Cow;
-
-use clocksync_graph::{scaled_weights, Closure, ScaledMatrix, SquareMatrix};
+use clocksync_graph::{Closure, ScaledMatrix, SquareMatrix};
 use clocksync_model::{ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, Ext, ExtRatio, Ratio};
 use serde::{Deserialize, Serialize};
@@ -11,8 +9,8 @@ use clocksync_obs::Recorder;
 
 use crate::analysis::{rho_bar, worst_pair};
 use crate::degradation::{classify_degradations, LinkDegradation};
-use crate::estimates::global_estimates_scaled;
-use crate::shifts::{shifts_warm, synchronizable_components, ComponentClosure, ShiftsResult};
+use crate::route::{close, residual_shifts};
+use crate::shifts::{shifts_warm, synchronizable_components, ShiftsResult};
 use crate::{estimated_local_shifts, Network, SyncError};
 
 /// The optimal clock synchronization algorithm of the paper, specialized
@@ -118,11 +116,13 @@ impl Synchronizer {
             self.record_fusions(&observations);
             (observations, local)
         };
-        let (closure, scaled) = global_estimates_scaled(&local, &self.recorder)?;
+        let (closure, counts) = close(&local, &self.recorder)?;
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let outcome = SyncOutcome::from_closure(closure, scaled.as_ref().map(Closure::dist));
+            let outcome = SyncOutcome::from_components_with(closure, counts.as_ref(), |_, m| {
+                shifts_warm(m, 0, None).0
+            });
             span.field("components", outcome.components().len());
             outcome
         };
@@ -200,20 +200,6 @@ pub struct ComponentReport {
     pub critical_cycle: Vec<ProcessorId>,
 }
 
-/// `m` restricted to the ascending `members`: borrowed when they are every
-/// node, copied otherwise.
-fn restrict<'a, T: Copy>(
-    m: &'a SquareMatrix<T>,
-    members: &[ProcessorId],
-) -> Cow<'a, SquareMatrix<T>> {
-    if members.len() == m.n() {
-        return Cow::Borrowed(m);
-    }
-    Cow::Owned(SquareMatrix::from_fn(members.len(), |a, b| {
-        m[(members[a].index(), members[b].index())]
-    }))
-}
-
 /// One declared edge's local skew: the tight worst-case corrected-clock
 /// difference between its two (adjacent) endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,53 +229,38 @@ impl SyncOutcome {
     /// the entry point for callers that obtained the estimates by some
     /// other route than complete views — e.g. the distributed protocol's
     /// leader, which receives per-link estimates in messages. The closure
-    /// is encoded as half-nanosecond counts once, here, and SHIFTS runs on
-    /// that.
+    /// is held as gauged half-nanosecond counts once, here
+    /// ([`Closure::from_closed`]), and SHIFTS runs on that; a closure no
+    /// gauge holds takes the residual route.
     pub fn from_global_estimates(closure: SquareMatrix<ExtRatio>) -> SyncOutcome {
-        let counts = scaled_weights(&closure).ok();
-        SyncOutcome::from_closure(closure, counts.as_ref())
-    }
-
-    /// SHIFTS without warm states on every component of `closure`, read
-    /// from `counts` (the same closure as half-nanosecond counts) when
-    /// given.
-    fn from_closure(
-        closure: SquareMatrix<ExtRatio>,
-        counts: Option<&SquareMatrix<i64>>,
-    ) -> SyncOutcome {
-        let components = synchronizable_components(&closure);
-        SyncOutcome::from_components_with(closure, counts, components, |_, c| {
-            shifts_warm(c, 0, None).0
+        let counts = Closure::from_closed(&closure).ok();
+        SyncOutcome::from_components_with(closure, counts.as_ref(), |_, m| {
+            shifts_warm(m, 0, None).0
         })
     }
 
     /// The component loop shared by the cold batch paths and the online
-    /// synchronizer's incremental one: `run_shifts` is called once per
-    /// component (in order, with the component index and its closure) so
-    /// the caller can substitute a warm-started SHIFTS.
-    ///
-    /// `counts` is `closure` as half-nanosecond counts, when it has them.
-    /// A component spanning the whole domain then reads it as is; a
-    /// smaller one copies its `i64` entries. A component takes the
-    /// rational route when `counts` is `None` or its entries pass the
-    /// integer kernels' bound. Components must list their members in
-    /// ascending order.
+    /// synchronizer's incremental one, over the synchronizable components
+    /// of `closure`. The domain's route is `counts`: on the integer route,
+    /// the same closure as gauged counts, and `run_shifts` is called once
+    /// per component (in order, with its ascending members and its counts,
+    /// [`Closure::component`]) so the caller can substitute a warm-started
+    /// SHIFTS. Without counts every component takes the residual route.
     pub(crate) fn from_components_with(
         closure: SquareMatrix<ExtRatio>,
-        counts: Option<&SquareMatrix<i64>>,
-        components: Vec<Vec<ProcessorId>>,
-        mut run_shifts: impl FnMut(usize, ComponentClosure<'_>) -> ShiftsResult,
+        counts: Option<&Closure>,
+        mut run_shifts: impl FnMut(&[ProcessorId], ScaledMatrix<'_>) -> ShiftsResult,
     ) -> SyncOutcome {
         let n = closure.n();
+        let components = synchronizable_components(&closure);
         let mut corrections = vec![Ratio::ZERO; n];
         let mut reports = Vec::with_capacity(components.len());
-        for (idx, members) in components.into_iter().enumerate() {
-            let scaled = counts.and_then(|m| ScaledMatrix::new(restrict(m, &members)));
-            let input = match scaled {
-                Some(m) => ComponentClosure::Scaled(m),
-                None => ComponentClosure::Rational(restrict(&closure, &members)),
+        for members in components {
+            let indices: Vec<usize> = members.iter().map(|p| p.index()).collect();
+            let result = match counts {
+                Some(counts) => run_shifts(&members, counts.component(&indices)),
+                None => residual_shifts(&closure.restrict(&indices), 0),
             };
-            let result = run_shifts(idx, input);
             for (local_idx, p) in members.iter().enumerate() {
                 corrections[p.index()] = result.corrections[local_idx];
             }

@@ -4,8 +4,8 @@
 //! on every relaxation: an [`clocksync_time::Ratio`] addition costs a gcd
 //! plus several checked `i128` multiplications, and the `Ext<…>` wrapper
 //! adds a branch per operation. This module is the dense route behind
-//! [`crate::fast_closure`]: weights are pre-encoded as `i64` counts of
-//! half nanoseconds (always possible for estimate matrices derived from
+//! [`crate::Closure::new`]: weights are pre-encoded as gauged `i64` counts
+//! of half nanoseconds (always possible for estimate matrices derived from
 //! integer-nanosecond observations), "unreachable" is the sentinel
 //! [`UNREACHABLE`], and the classic three loops run in place over the
 //! matrix's flat rows.
@@ -25,7 +25,7 @@ use crate::{NegativeCycleError, SquareMatrix};
 /// The sentinel distance meaning "no path". Chosen so that
 /// `UNREACHABLE + |any admissible finite value|` cannot overflow and any
 /// partially-poisoned sum still compares above every finite distance;
-/// [`crate::fast_closure`] rejects inputs whose counts could get anywhere
+/// [`crate::Closure::new`] rejects inputs whose counts could get anywhere
 /// near it.
 pub const UNREACHABLE: i64 = i64::MAX / 4;
 
@@ -35,7 +35,7 @@ pub const UNREACHABLE: i64 = i64::MAX / 4;
 /// the main loop.
 ///
 /// Callers must keep finite weight magnitudes far below [`UNREACHABLE`]
-/// (specifically `|w| · n` must not approach it); [`crate::fast_closure`]
+/// (specifically `|w| · n` must not approach it); [`crate::Closure::new`]
 /// enforces this when it encodes rational matrices for this kernel.
 ///
 /// # Errors

@@ -1,73 +1,65 @@
-//! The closure subsystem: an integer fast path for one-shot closures and
-//! the integer [`Closure`] cache behind online resynchronization.
+//! The closure subsystem: the integer [`Closure`] of a domain's
+//! estimates, one-shot and as the cache behind online resynchronization.
 //!
-//! Two complementary optimizations of the GLOBAL ESTIMATES step live here:
+//! [`Closure::new`] is the GLOBAL ESTIMATES step over integers. It
+//! encodes the weight matrix as gauged half-nanosecond counts
+//! ([`scaled_weights`]; the gauge is `half_ns.rs`'s) and picks one of two
+//! kernels (see [`plan_closure_kernel`]): the dense
+//! [`crate::blocked_floyd_warshall_i64`], and Johnson's
+//! [`crate::sparse_closure_i64`] for large inputs that are sparse or split
+//! into several weak components. The gauge takes the clocks' start-time
+//! differences out of every entry, so clocks that count from different
+//! epochs stay on these kernels. A matrix with an entry without a gauged
+//! count — off the half-nanosecond grid, `−∞`, or past the magnitude
+//! bound — is refused with the [`ScaleBailout`] reason, and its domain
+//! takes the caller's residual rational route.
 //!
-//! * [`fast_closure`] — the drop-in replacement for
-//!   [`crate::floyd_warshall`] over [`ExtRatio`] matrices. It encodes the
-//!   matrix as `i64` counts of half nanoseconds (exact for every estimate;
-//!   `half_ns.rs`) and picks one of two kernels (see
-//!   [`plan_closure_kernel`]): the dense
-//!   [`crate::blocked_floyd_warshall_i64`], and Johnson's
-//!   [`crate::sparse_closure_i64`] for large inputs that are sparse or
-//!   split into several weak components. It falls back to the generic
-//!   reference kernel when an entry has no count — off the
-//!   half-nanosecond grid, `−∞`, or past the magnitude bound — reporting
-//!   why via [`ScaleBailout`]. Distances are bit-identical to the
-//!   reference on every input the fast path accepts.
-//! * [`Closure`] — the online engine's cache: the closure as half-ns
-//!   counts (the [`scaled_weights`] encoding, [`UNREACHABLE`] for `+∞`),
-//!   built by the same kernels [`fast_closure`] runs.
-//!   [`Closure::relax_edge`] applies a single-edge weight *decrease* in
-//!   `O(n²)` integer operations instead of recomputing the full `O(n³)`
-//!   closure. Online synchronizers observe one
-//!   message at a time, and each observation can only tighten the estimate
-//!   of the link it travelled on, so steady-state resynchronization becomes
-//!   a sequence of `relax_edge` calls. Rationals appear only at the edges:
-//!   weights arrive as [`ExtRatio`], and [`Closure::ratio_dist`] converts
-//!   the distances back once per query.
+//! The [`Closure`] is also the online engine's cache.
+//! [`Closure::relax_edge`] applies a single-edge weight *decrease* in
+//! `O(n²)` integer operations instead of recomputing the full `O(n³)`
+//! closure. Online synchronizers observe one message at a time, and each
+//! observation can only tighten the estimate of the link it travelled on,
+//! so steady-state resynchronization becomes a sequence of `relax_edge`
+//! calls. SHIFTS reads each component's counts with
+//! [`Closure::component`]. Rationals appear only at the edges: weights
+//! arrive as [`ExtRatio`], and [`Closure::ratio_dist`] removes the gauge
+//! and converts the distances back once per query.
 //!
 //! Every route returns distances only. The paths behind them — the
 //! constraint chains — come from [`crate::shortest_path_successors`], on
 //! demand, by one rule that does not depend on the route.
 
-use std::fmt;
+use std::borrow::Cow;
 
 use clocksync_time::{Ext, ExtRatio, Ratio};
 
-use crate::half_ns::{self, closure_limit, ScaleBailout};
+use crate::half_ns::{closure_limit, gauged, matrix_limit, Gauge, ScaleBailout};
 use crate::{
-    blocked_floyd_warshall_i64, floyd_warshall, sparse_closure_i64, NegativeCycleError,
-    SquareMatrix, UNREACHABLE,
+    blocked_floyd_warshall_i64, sparse_closure_i64, NegativeCycleError, ScaledMatrix, SquareMatrix,
+    UNREACHABLE,
 };
 
-/// The closure's image of an infinite weight: [`UNREACHABLE`] for `+∞`;
-/// `−∞` has none.
-fn closure_infinity(w: ExtRatio) -> Result<i64, ScaleBailout> {
-    match w {
-        Ext::PosInf => Ok(UNREACHABLE),
-        _ => Err(ScaleBailout::NegInfWeight),
-    }
+/// `m` as gauged counts within [`closure_limit`], with its gauge.
+fn gauged_weights(m: &SquareMatrix<ExtRatio>) -> Result<(SquareMatrix<i64>, Gauge), ScaleBailout> {
+    let gauge = Gauge::of(m)?;
+    let counts = gauge.encode_matrix(m, closure_limit(m.n()), (Some(UNREACHABLE), None))?;
+    Ok((counts, gauge))
 }
 
-/// A weight as a closure input over `n` nodes: its half-nanosecond count
-/// within [`closure_limit`], or [`UNREACHABLE`] for `+∞`.
-fn closure_weight(w: ExtRatio, n: usize) -> Result<i64, ScaleBailout> {
-    half_ns::encode_ext(w, closure_limit(n), closure_infinity)
-}
-
-/// Encodes an extended-rational matrix as half-nanosecond counts in the
-/// sentinel encoding ([`UNREACHABLE`] for `+∞`), the input of every
+/// Encodes an extended-rational matrix as gauged half-nanosecond counts in
+/// the sentinel encoding ([`UNREACHABLE`] for `+∞`), the input of every
 /// integer closure kernel, or names the [`ScaleBailout`] reason of the
 /// first entry without a count: `−∞`, a value off the half-nanosecond
-/// grid, or a magnitude big enough that the kernels' sums could approach
-/// the sentinel (DESIGN.md §4b).
+/// grid, or a gauged magnitude big enough that the kernels' sums could
+/// approach the sentinel (DESIGN.md §4b). The kernels' distances are the
+/// gauged image of the matrix's closure; [`Closure::new`] keeps the gauge
+/// to remove it again.
 ///
 /// # Errors
 ///
 /// Returns the [`ScaleBailout`] reason when an entry has no count.
 pub fn scaled_weights(m: &SquareMatrix<ExtRatio>) -> Result<SquareMatrix<i64>, ScaleBailout> {
-    half_ns::encode_matrix(m, closure_limit(m.n()), closure_infinity)
+    gauged_weights(m).map(|(counts, _)| counts)
 }
 
 /// Below this dimension the integer fast path always uses the dense
@@ -84,7 +76,7 @@ pub const SPARSE_MIN_N: usize = 192;
 /// streaming row relaxations win back.
 pub const SPARSE_MAX_DENSITY: f64 = 0.05;
 
-/// Which integer kernel [`fast_closure`] dispatched to, reported on the
+/// Which integer kernel [`Closure::new`] dispatched to, reported on the
 /// `sync.global_estimates` obs span (via [`Closure::new_explained`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClosureKernel {
@@ -114,14 +106,8 @@ impl ClosureKernel {
     }
 }
 
-impl fmt::Display for ClosureKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Chooses the integer kernel for a sentinel-encoded matrix — the
-/// dispatch heuristic behind [`fast_closure`]:
+/// dispatch heuristic behind [`Closure::new`]:
 ///
 /// * `n < SPARSE_MIN_N` → [`ClosureKernel::DenseBlocked`] (fastest at
 ///   small `n`);
@@ -175,43 +161,6 @@ pub fn dispatch_closure_i64(
     plan_closure_kernel(scaled).run(scaled)
 }
 
-/// The all-pairs shortest-path closure — same contract as
-/// [`crate::floyd_warshall`], computed via an integer kernel on
-/// half-nanosecond counts ([`Closure::new`]) whenever every entry has one
-/// (always, for estimate matrices), and via the generic exact kernel
-/// otherwise. The integer path dispatches between the dense kernel and
-/// Johnson's (see [`plan_closure_kernel`]). On every input all routes
-/// produce identical distance matrices.
-///
-/// # Errors
-///
-/// Returns [`NegativeCycleError`] when the graph contains a negative
-/// cycle.
-///
-/// # Examples
-///
-/// ```
-/// use clocksync_graph::{fast_closure, SquareMatrix, Weight};
-/// use clocksync_time::{Ext, ExtRatio, Ratio};
-///
-/// let mut m = SquareMatrix::from_fn(3, |i, j| {
-///     if i == j { <ExtRatio as Weight>::zero() } else { Ext::PosInf }
-/// });
-/// m[(0, 1)] = Ext::Finite(Ratio::new(1, 2));
-/// m[(1, 2)] = Ext::Finite(Ratio::from_int(2));
-/// let dist = fast_closure(&m)?;
-/// assert_eq!(dist[(0, 2)], Ext::Finite(Ratio::new(5, 2)));
-/// # Ok::<(), clocksync_graph::NegativeCycleError>(())
-/// ```
-pub fn fast_closure(
-    m: &SquareMatrix<ExtRatio>,
-) -> Result<SquareMatrix<ExtRatio>, NegativeCycleError> {
-    match Closure::new(m) {
-        Ok(closure) => closure.map(|c| c.ratio_dist()),
-        Err(_) => floyd_warshall(m),
-    }
-}
-
 /// What a [`Closure::relax_edge`] call did — and, crucially, whether the
 /// cache may now be stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,70 +183,67 @@ pub enum RelaxOutcome {
     /// discard the cache before the next query; callers that only ever
     /// tighten may safely ignore this outcome.
     StaleLoosening,
-    /// `w` has no half-nanosecond count within the cache's bound — it is
-    /// `−∞`, off the half-nanosecond grid, or past the magnitude bound of
-    /// DESIGN.md §4b — so the relaxation **was not applied** and the cache
-    /// is unchanged. The cache is still exact for the graph without the
-    /// edge, but cannot represent the graph with it: a caller that keeps
-    /// `w` MUST discard the cache, and [`Closure::new`] refuses that graph
-    /// too, so its closure takes the rational route.
+    /// `w` has no gauged half-nanosecond count within the cache's bound —
+    /// it is `−∞`, off the half-nanosecond grid, or past the magnitude
+    /// bound of DESIGN.md §4b in the cache's gauge, as a link first joining
+    /// two clocks an epoch apart is — or the relaxation could carry an
+    /// entry past the bound. The relaxation **was not applied** and the
+    /// cache is unchanged. The cache is still exact for the graph without
+    /// the edge, but cannot represent the graph with it: a caller that
+    /// keeps `w` MUST discard the cache and rebuild it with
+    /// [`Closure::new`], which chooses a fresh gauge and refuses the graph
+    /// only when no gauge holds it.
     Unrepresentable,
 }
 
-impl RelaxOutcome {
-    /// Whether the relaxation changed any cached entry.
-    pub fn changed(self) -> bool {
-        matches!(self, RelaxOutcome::Tightened)
-    }
-}
-
-/// A cached metric closure on half-nanosecond counts that can absorb
-/// single-edge weight decreases in `O(n²)` — the incremental engine behind
-/// online resynchronization.
+/// A metric closure on gauged half-nanosecond counts that can absorb
+/// single-edge weight decreases in `O(n²)` — the integer GLOBAL ESTIMATES
+/// result and the incremental engine behind online resynchronization.
 ///
-/// The invariant: `dist` holds, in the [`scaled_weights`] encoding, the
-/// exact all-pairs shortest-path closure of some weighted digraph whose
-/// every finite edge weight is a count within the closure bound of
-/// DESIGN.md §4b. Every finite entry is then a path of at most `n − 1`
-/// such edges, so no sum a relaxation forms can reach the sentinel. [`Closure::relax_edge`]
-/// preserves the invariant under edge insertions and decreases; any other
-/// change requires a rebuild with [`Closure::new`].
+/// The invariant: `dist` holds, in the [`scaled_weights`] encoding under
+/// the closure's own gauge, the exact all-pairs shortest-path closure of
+/// some weighted digraph, and every finite entry lies within the SHIFTS
+/// matrix bound of DESIGN.md §4b, so any component is a SHIFTS input as
+/// is ([`Closure::component`]). [`Closure::relax_edge`] preserves the
+/// invariant under edge insertions and decreases; any other change
+/// requires a rebuild with [`Closure::new`].
 ///
 /// # Examples
 ///
 /// ```
-/// use clocksync_graph::{Closure, SquareMatrix, Weight};
+/// use clocksync_graph::{Closure, RelaxOutcome, SquareMatrix, Weight};
 /// use clocksync_time::{Ext, ExtRatio, Ratio};
 ///
 /// let mut m = SquareMatrix::filled(3, Ext::PosInf);
 /// for i in 0..3 { m[(i, i)] = <ExtRatio as Weight>::zero(); }
-/// m[(0, 1)] = Ext::Finite(Ratio::new(3, 2));
-/// m[(1, 2)] = Ext::Finite(Ratio::from_int(3));
+/// // Clock 1 counts from an epoch 10^18 ns before clock 0's.
+/// m[(0, 1)] = Ext::Finite(Ratio::from_int(-1_000_000_000_000_000_000) + Ratio::new(3, 2));
+/// m[(1, 2)] = Ext::Finite(Ratio::from_int(1_000_000_000_000_000_000) + Ratio::from_int(3));
 /// let mut c = Closure::new(&m).expect("whole and half nanoseconds")?;
-/// // Half nanoseconds: 3/2 + 3 = 9/2 ns.
-/// assert_eq!(c.dist()[(0, 2)], 9);
+/// // 3/2 + 3 = 9/2 ns: the epochs cancel along the path.
+/// assert_eq!(c.ratio_dist()[(0, 2)], Ext::Finite(Ratio::new(9, 2)));
 /// // A tighter 0 → 1 estimate arrives: every pair through it improves.
-/// assert!(c.relax_edge(0, 1, Ext::Finite(Ratio::new(1, 2)))?.changed());
+/// let tighter = Ext::Finite(Ratio::from_int(-1_000_000_000_000_000_000) + Ratio::new(1, 2));
+/// assert_eq!(c.relax_edge(0, 1, tighter)?, RelaxOutcome::Tightened);
 /// assert_eq!(c.ratio_dist()[(0, 2)], Ext::Finite(Ratio::new(7, 2)));
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Closure {
     dist: SquareMatrix<i64>,
+    gauge: Gauge,
 }
 
 impl Closure {
-    /// Builds the closure of a weight matrix on half-nanosecond counts:
-    /// [`scaled_weights`], then [`dispatch_closure_i64`] — the kernels
-    /// [`fast_closure`] runs, so the distances are exactly the encoded
-    /// image of its output.
+    /// Builds the closure of a weight matrix on gauged half-nanosecond
+    /// counts: [`scaled_weights`], then [`dispatch_closure_i64`].
     ///
     /// # Errors
     ///
     /// The outer error is the [`ScaleBailout`] reason when an entry of `m`
-    /// has no count (the caller should use [`fast_closure`], whose rational
-    /// fallback answers); the inner one is [`NegativeCycleError`] when the
-    /// graph has a negative cycle.
+    /// has no gauged count, or a closure entry passes the SHIFTS matrix
+    /// bound (the caller's residual route answers); the inner one is
+    /// [`NegativeCycleError`] when the graph has a negative cycle.
     pub fn new(
         m: &SquareMatrix<ExtRatio>,
     ) -> Result<Result<Closure, NegativeCycleError>, ScaleBailout> {
@@ -313,10 +259,37 @@ impl Closure {
     pub fn new_explained(
         m: &SquareMatrix<ExtRatio>,
     ) -> Result<(ClosureKernel, Result<Closure, NegativeCycleError>), ScaleBailout> {
-        let scaled = scaled_weights(m)?;
+        let (scaled, gauge) = gauged_weights(m)?;
         let kernel = plan_closure_kernel(&scaled);
-        let closure = kernel.run(&scaled).map(|dist| Closure { dist });
+        let closure = match kernel.run(&scaled) {
+            Ok(dist) => Ok(Closure::bounded(dist, gauge)?),
+            Err(e) => Err(e),
+        };
         Ok((kernel, closure))
+    }
+
+    /// Holds a matrix that already is a closure — such as the estimates a
+    /// distributed leader receives — as gauged counts, without running a
+    /// kernel. The caller vouches that `m` is closed.
+    ///
+    /// # Errors
+    ///
+    /// As the outer error of [`Closure::new`].
+    pub fn from_closed(m: &SquareMatrix<ExtRatio>) -> Result<Closure, ScaleBailout> {
+        let (dist, gauge) = gauged_weights(m)?;
+        Closure::bounded(dist, gauge)
+    }
+
+    /// The closure, when every finite entry lies within the SHIFTS matrix
+    /// bound.
+    fn bounded(dist: SquareMatrix<i64>, gauge: Gauge) -> Result<Closure, ScaleBailout> {
+        let limit = matrix_limit(dist.n());
+        let within = |&x: &i64| x == UNREACHABLE || (-limit..=limit).contains(&x);
+        if dist.as_slice().iter().all(within) {
+            Ok(Closure { dist, gauge })
+        } else {
+            Err(ScaleBailout::MagnitudeOverflow)
+        }
     }
 
     /// The dimension.
@@ -324,28 +297,28 @@ impl Closure {
         self.dist.n()
     }
 
-    /// The closure distances as half-nanosecond counts, with
-    /// [`UNREACHABLE`] for `+∞`.
-    pub fn dist(&self) -> &SquareMatrix<i64> {
-        &self.dist
+    /// The closure distances as extended rationals, the gauge removed —
+    /// the one conversion a query pays.
+    pub fn ratio_dist(&self) -> SquareMatrix<ExtRatio> {
+        self.gauge.decode_matrix(&self.dist)
     }
 
-    /// The closure distances as extended rationals — the one conversion a
-    /// query pays.
-    pub fn ratio_dist(&self) -> SquareMatrix<ExtRatio> {
-        let data = self
-            .dist
-            .as_slice()
-            .iter()
-            .map(|&v| {
-                if v == UNREACHABLE {
-                    Ext::PosInf
-                } else {
-                    Ext::Finite(half_ns::decode(v))
-                }
-            })
-            .collect();
-        SquareMatrix::from_vec(self.n(), data)
+    /// The SHIFTS input of one synchronizable component: the counts among
+    /// the ascending `members`, in the closure's gauge — borrowed when the
+    /// component is the whole domain, copied otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is out of range or two members have no finite
+    /// distance between them.
+    pub fn component(&self, members: &[usize]) -> ScaledMatrix<'_> {
+        let (dist, gauge) = if members.len() == self.n() {
+            (Cow::Borrowed(&self.dist), Cow::Borrowed(&self.gauge))
+        } else {
+            let gauge = Gauge(members.iter().map(|&v| self.gauge.0[v]).collect());
+            (Cow::Owned(self.dist.restrict(members)), Cow::Owned(gauge))
+        };
+        ScaledMatrix::new(dist, gauge).expect("members of one synchronizable component")
     }
 
     /// Incorporates a new edge `u → v` of weight `w` (equivalently: lowers
@@ -360,6 +333,7 @@ impl Closure {
     /// pairs with a finite prefix and a finite suffix can improve, so the
     /// loop runs over the finite entries of column `u` times those of row
     /// `v`: on a multi-component domain that is the edge's own component.
+    /// The sum telescopes in any gauge, so `w` enters in the cache's.
     ///
     /// The [`RelaxOutcome`] makes the staleness contract explicit:
     /// [`RelaxOutcome::Tightened`] when entries changed,
@@ -368,9 +342,11 @@ impl Closure {
     /// already-unreachable pair — cases that can never hide a stale
     /// cache), [`RelaxOutcome::StaleLoosening`] when `w` is *strictly
     /// looser* than the cached entry, and [`RelaxOutcome::Unrepresentable`]
-    /// when `w` has no count within the bound. The last two are **not
-    /// applied**; see their documentation for the caller's obligation.
-    /// Every verdict but a real tightening is reached in `O(1)`.
+    /// when `w` has no gauged count within the bound or a candidate sum
+    /// could leave the cache's bound. The last two are **not applied**;
+    /// see their documentation for the caller's obligation. Every verdict
+    /// but a real tightening is reached in `O(1)` or one pass over a row
+    /// and a column.
     ///
     /// # Errors
     ///
@@ -400,8 +376,12 @@ impl Closure {
                 Ok(RelaxOutcome::Unchanged)
             };
         }
-        let Ok(w) = closure_weight(w, n) else {
-            return Ok(RelaxOutcome::Unrepresentable);
+        let w = match w {
+            Ext::PosInf => UNREACHABLE,
+            w => match gauged(w, self.gauge.0[u] - self.gauge.0[v], closure_limit(n)) {
+                Ok(count) => count,
+                Err(_) => return Ok(RelaxOutcome::Unrepresentable),
+            },
         };
         let cached = self.dist[(u, v)];
         if w == cached {
@@ -430,6 +410,15 @@ impl Closure {
             .filter(|&(_, &dvj)| dvj != UNREACHABLE)
             .map(|(j, &dvj)| (j, dvj))
             .collect();
+        // Every candidate lies between the sums of the extreme source and
+        // target terms (u and v are among them); keeping those within the
+        // bound keeps the invariant.
+        let lo = |xs: &[(usize, i64)]| xs.iter().map(|&(_, x)| x).min().unwrap_or(0);
+        let hi = |xs: &[(usize, i64)]| xs.iter().map(|&(_, x)| x).max().unwrap_or(0);
+        let limit = matrix_limit(n);
+        if lo(&sources) + lo(&targets) < -limit || hi(&sources) + hi(&targets) > limit {
+            return Ok(RelaxOutcome::Unrepresentable);
+        }
         let mut changed = false;
         let mut negative = None;
         let dist = self.dist.as_mut_slice();
@@ -457,7 +446,8 @@ impl Closure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reconstruct_path, shortest_path_successors, Weight};
+    use crate::half_ns::matrix_limit;
+    use crate::{floyd_warshall, reconstruct_path, shortest_path_successors, Weight};
 
     fn ratio_matrix(n: usize, edges: &[(usize, usize, i128, i128)]) -> SquareMatrix<ExtRatio> {
         let mut m = SquareMatrix::from_fn(n, |i, j| {
@@ -500,8 +490,7 @@ mod tests {
                 (3, 0, 5, 1),
             ],
         );
-        assert!(Closure::new(&m).is_ok(), "should take the fast path");
-        let fd = fast_closure(&m).unwrap();
+        let fd = closure(&m).ratio_dist();
         let gd = floyd_warshall(&m).unwrap();
         assert_eq!(fd, gd);
         assert_eq!(
@@ -522,16 +511,19 @@ mod tests {
 
     #[test]
     fn fast_closure_falls_back_when_unscalable() {
+        // No integer closure holds an entry off the grid: the caller's
+        // residual route, the generic kernel, answers instead.
         let mut m = ratio_matrix(2, &[(0, 1, 3, 1)]);
         m[(1, 0)] = Ext::Finite(Ratio::new(1, (1 << 41) + 1));
-        let d = fast_closure(&m).unwrap();
-        assert_eq!(d[(0, 1)], int(3));
+        assert_eq!(Closure::new(&m), Err(ScaleBailout::OffGrid));
+        assert_eq!(reference(&m)[(0, 1)], int(3));
     }
 
     #[test]
     fn fast_closure_reports_negative_cycles() {
         let m = ratio_matrix(2, &[(0, 1, 1, 1), (1, 0, -2, 1)]);
-        assert!(fast_closure(&m).is_err());
+        let err = Closure::new(&m).expect("on the grid").unwrap_err();
+        assert_eq!(Err(err), floyd_warshall(&m));
     }
 
     #[test]
@@ -541,7 +533,7 @@ mod tests {
         // Tighten 1 → 2, then add a brand-new chord 0 → 2.
         for (u, v, w) in [(1usize, 2usize, int(1)), (0, 2, int(2))] {
             m[(u, v)] = w;
-            assert!(c.relax_edge(u, v, w).unwrap().changed());
+            assert_eq!(c.relax_edge(u, v, w).unwrap(), RelaxOutcome::Tightened);
             assert_eq!(c.ratio_dist(), reference(&m));
         }
     }
@@ -623,7 +615,7 @@ mod tests {
         let next = shortest_path_successors(&m, &c.ratio_dist());
         for i in 3..5 {
             for j in 0..5 {
-                assert_eq!(c.dist()[(i, j)], before.dist()[(i, j)]);
+                assert_eq!(c.dist[(i, j)], before.dist[(i, j)]);
                 assert_eq!(next[(i, j)], next_before[(i, j)]);
             }
         }
@@ -664,13 +656,13 @@ mod tests {
                     Some(path) => {
                         assert_eq!(path.first(), Some(&i));
                         assert_eq!(path.last(), Some(&j));
-                        assert_ne!(c.dist()[(i, j)], UNREACHABLE);
+                        assert_ne!(c.dist[(i, j)], UNREACHABLE);
                         let total = path
                             .windows(2)
                             .fold(<ExtRatio as Weight>::zero(), |t, e| t + m[(e[0], e[1])]);
                         assert_eq!(total, dist[(i, j)], "path {path:?}");
                     }
-                    None => assert_eq!(c.dist()[(i, j)], UNREACHABLE),
+                    None => assert_eq!(c.dist[(i, j)], UNREACHABLE),
                 }
             }
         }
@@ -684,11 +676,11 @@ mod tests {
         let mut c = closure(&m);
         let half = Ext::Finite(Ratio::new(3, 2));
         m[(0, 1)] = half;
-        assert!(c.relax_edge(0, 1, half).unwrap().changed());
-        assert_eq!(c, closure(&m));
+        assert_eq!(c.relax_edge(0, 1, half).unwrap(), RelaxOutcome::Tightened);
+        assert_eq!(c.ratio_dist(), closure(&m).ratio_dist());
         assert_eq!(c.ratio_dist(), reference(&m));
         m[(1, 2)] = int(1);
-        assert!(c.relax_edge(1, 2, int(1)).unwrap().changed());
+        assert_eq!(c.relax_edge(1, 2, int(1)).unwrap(), RelaxOutcome::Tightened);
         assert_eq!(c.ratio_dist(), reference(&m));
         // −∞ and values off the half-ns grid have no count: refused, and
         // the cache is untouched.
@@ -704,25 +696,47 @@ mod tests {
 
     #[test]
     fn relax_edge_refuses_weights_past_the_magnitude_limit() {
-        // The per-entry bound is UNREACHABLE / (4n) ns, as in
-        // scaled_weights: at the limit the weight relaxes, one past it is
-        // refused.
+        // The cache's entries stay within the SHIFTS matrix bound: a
+        // tightening whose candidates stay within it relaxes, one past it
+        // is refused and leaves the cache as it was.
         let n = 3;
-        let limit = i128::from(UNREACHABLE / (4 * n as i64));
+        let limit = i128::from(matrix_limit(n));
         let m = ratio_matrix(n, &[(1, 2, 0, 1)]);
         let mut c = closure(&m);
         let before = c.clone();
         for w in [limit + 1, -(limit + 1)] {
+            let w = Ext::Finite(Ratio::new(w, 2));
             assert_eq!(
-                c.relax_edge(0, 1, int(w)).unwrap(),
+                c.relax_edge(0, 1, w).unwrap(),
                 RelaxOutcome::Unrepresentable
             );
             assert_eq!(c, before);
         }
         let mut m = m;
-        m[(0, 1)] = int(limit);
-        assert!(c.relax_edge(0, 1, int(limit)).unwrap().changed());
+        m[(0, 1)] = Ext::Finite(Ratio::new(-limit, 2));
+        assert_eq!(
+            c.relax_edge(0, 1, m[(0, 1)]).unwrap(),
+            RelaxOutcome::Tightened
+        );
         assert_eq!(c.ratio_dist(), reference(&m));
+        // Clocks an epoch apart tighten in place in the cache's gauge, but
+        // a first link between two of them is past the bound until a
+        // rebuild picks a gauge with that link in its forest.
+        let epoch = 1_000_000_000_000_000_000i128;
+        let mut m = ratio_matrix(3, &[(0, 1, epoch + 5, 1), (1, 0, 3 - epoch, 1)]);
+        let mut c = closure(&m);
+        m[(0, 1)] = int(epoch + 4);
+        assert_eq!(
+            c.relax_edge(0, 1, m[(0, 1)]).unwrap(),
+            RelaxOutcome::Tightened
+        );
+        assert_eq!(c.ratio_dist(), reference(&m));
+        m[(2, 1)] = int(2 * epoch);
+        assert_eq!(
+            c.relax_edge(2, 1, m[(2, 1)]).unwrap(),
+            RelaxOutcome::Unrepresentable
+        );
+        assert_eq!(closure(&m).ratio_dist(), reference(&m));
     }
 
     #[test]
@@ -746,36 +760,39 @@ mod tests {
     #[test]
     fn scaling_boundary_at_the_half_ns_grid() {
         // Half nanoseconds are the finest values the encoding holds; a
-        // quarter bails with OffGrid, and fast_closure still answers.
+        // quarter bails with OffGrid.
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
         m[(1, 0)] = Ext::Finite(Ratio::new(1, 2));
         let c = closure(&m);
-        assert_eq!(c.dist()[(1, 0)], 1);
+        // In the gauge, 1 → 0 carries the 2-cycle: 3/2 ns, 3 counts.
+        assert_eq!(c.dist[(1, 0)], 3);
         assert_eq!(c.ratio_dist(), reference(&m));
         m[(1, 0)] = Ext::Finite(Ratio::new(1, 4));
         assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::OffGrid);
-        assert_eq!(fast_closure(&m).unwrap(), reference(&m));
     }
 
     #[test]
     fn scaling_boundary_at_magnitude_limit() {
-        // The per-entry magnitude bound is UNREACHABLE / (4n): exactly at
-        // the limit scales fine, one past it bails with MagnitudeOverflow
-        // (and fast_closure still answers, via the generic kernel).
-        let limit = (UNREACHABLE / (4 * 2)) as i128;
-        let mut m = ratio_matrix(2, &[]);
-        m[(0, 1)] = int(limit);
+        // The gauge takes an epoch out of 0 → 1, so only the 2-cycle's
+        // weight counts: exactly at the closure's entry bound it scales,
+        // one half nanosecond past it bails with MagnitudeOverflow.
+        let limit = i128::from(matrix_limit(2));
+        let epoch = 1_000_000_000_000_000_000i128;
+        let mut m = ratio_matrix(2, &[(0, 1, epoch, 1), (1, 0, limit - 2 * epoch, 2)]);
         let c = Closure::new(&m)
             .expect("limit itself is admissible")
             .unwrap();
-        assert_eq!(c.ratio_dist()[(0, 1)], int(limit));
-        m[(0, 1)] = int(limit + 1);
+        assert_eq!(c.dist[(1, 0)], limit as i64);
+        assert_eq!(c.ratio_dist(), reference(&m));
+        m[(1, 0)] = Ext::Finite(Ratio::new(limit + 1 - 2 * epoch, 2));
         assert_eq!(
             Closure::new_explained(&m).unwrap_err(),
             ScaleBailout::MagnitudeOverflow
         );
-        let d = fast_closure(&m).unwrap();
-        assert_eq!(d[(0, 1)], int(limit + 1));
+        assert_eq!(
+            Closure::from_closed(&m),
+            Err(ScaleBailout::MagnitudeOverflow)
+        );
     }
 
     #[test]
@@ -849,17 +866,24 @@ mod tests {
 
     #[test]
     fn ratio_dist_round_trips_fast_closure() {
-        // The cache is the encoded image of fast_closure's output: converting
-        // it back gives the same distances, hence the same successors.
+        // The cache holds the reference closure in its gauge, where the
+        // forest's edges weigh 0 — 0 → 1, and 2 → 0, which the forest takes
+        // in reverse: converting it back gives the reference distances,
+        // hence the same successors.
         let m = ratio_matrix(3, &[(0, 1, 1, 2), (1, 2, 1, 1), (2, 0, -1, 2)]);
         let c = closure(&m);
         assert_eq!(c.n(), 3);
-        assert_eq!(c.dist()[(1, 2)], 2);
-        let d = fast_closure(&m).unwrap();
+        assert_eq!((c.dist[(0, 1)], c.dist[(2, 0)]), (0, 0));
+        let d = reference(&m);
         assert_eq!(c.ratio_dist(), d);
         assert_eq!(
             shortest_path_successors(&m, &c.ratio_dist()),
             shortest_path_successors(&m, &d)
         );
+        // A closure that arrives closed is held as is.
+        let held = Closure::from_closed(&d).unwrap();
+        assert_eq!(held.ratio_dist(), d);
+        let members: Vec<usize> = (0..3).collect();
+        assert_eq!(held.component(&members).n(), 3);
     }
 }

@@ -4,42 +4,42 @@
 //! computationally, three graph problems:
 //!
 //! 1. **GLOBAL ESTIMATES** (paper §5.3): all-pairs shortest paths over the
-//!    per-link local-shift estimates — [`floyd_warshall`].
+//!    per-link local-shift estimates — the generic [`floyd_warshall`].
 //! 2. **`A_max`** (paper §4.3–4.4): the maximum cycle mean of the resulting
 //!    metric closure — [`karp_max_cycle_mean`] (Karp 1978, `O(n·m)`).
 //! 3. **SHIFTS** (paper §4.4): single-source shortest paths under weights
 //!    `w(p,q) = A_max − m̃s(p,q)`, which may be negative but contain no
-//!    negative cycle — [`shifted_distances`], an early-exit Bellman–Ford
-//!    over `i64` rows with the generic [`bellman_ford`] as its fallback.
+//!    negative cycle — the generic [`bellman_ford`].
 //!
 //! Weights are generic over the [`Weight`] trait; the workspace instantiates
 //! it with [`clocksync_time::ExtRatio`] so every computation is exact.
-//! Brute-force oracles used by the test suites and benches live in
-//! [`brute`].
+//! These rational kernels are the oracles every integer kernel is tested
+//! against, and the residual route a domain takes when its estimates have
+//! no integer encoding. Brute-force oracles used by the test suites and
+//! benches live in [`brute`].
 //!
-//! For the GLOBAL ESTIMATES hot path there is a performance layer on top of
-//! the generic kernels. Every estimate is a whole or half nanosecond, so
-//! the integer kernels hold it as an `i64` count of half nanoseconds; one
-//! module (`half_ns.rs`) owns that encoding and its magnitude bounds.
-//! [`fast_closure`] encodes rational matrices that way and runs the
-//! dense [`blocked_floyd_warshall_i64`] kernel or, for large sparse
-//! domains, Johnson's [`sparse_closure_i64`] (falling back to the generic
-//! one for entries off the half-ns grid or past the bound), and
-//! [`Closure`] caches a computed closure as counts, so single-edge
-//! tightenings are absorbed in `O(n²)` integer operations via
+//! The pipeline runs on an integer layer. Every estimate is a whole or
+//! half nanosecond, so the integer kernels hold it as an `i64` count of
+//! half nanoseconds; one module (`half_ns.rs`) owns that encoding, its
+//! magnitude bounds and the gauge — one count per node that takes the
+//! clocks' start-time differences out of every entry, so clocks that
+//! count from different epochs keep small counts. [`Closure::new`] encodes
+//! a rational matrix that way and runs the dense
+//! [`blocked_floyd_warshall_i64`] kernel or, for large sparse domains,
+//! Johnson's [`sparse_closure_i64`]; it refuses, with a [`ScaleBailout`]
+//! reason, a matrix with an entry off the half-ns grid, `−∞`, or past the
+//! bound in its gauge. The [`Closure`] caches the result as counts, so
+//! single-edge tightenings are absorbed in `O(n²)` integer operations via
 //! [`Closure::relax_edge`] instead of a full `O(n³)` recompute, and
 //! rationals reappear only when [`Closure::ratio_dist`] hands the
-//! distances back. SHIFTS reads that same integer closure: a
-//! [`ScaledMatrix`] holds one component of it, checked against the integer
-//! kernels' magnitude bound, and runs both SHIFTS steps on it — `A_max` by
+//! distances back with the gauge removed. SHIFTS reads that same integer
+//! closure: [`Closure::component`] gives a [`ScaledMatrix`] of one
+//! component's counts, and runs both SHIFTS steps on it — `A_max` by
 //! Howard's policy iteration over `i64` weights, warm-startable from any
 //! policy and capped with an integer Karp fallback
 //! ([`ScaledMatrix::max_cycle_mean`]), and the corrections pass
-//! ([`ScaledMatrix::shifted_distances`]). The rational kernels —
-//! [`karp_max_cycle_mean`], [`howard_solve`], the generic
-//! [`bellman_ford`] — are the fallback for inputs without counts and the
-//! oracles the integer ones are tested against; [`fast_max_cycle_mean`]
-//! is integer Karp on rational input.
+//! ([`ScaledMatrix::shifted_distances`]). [`fast_max_cycle_mean`] is
+//! integer Karp on rational input, for the kernel benchmarks.
 //!
 //! Every closure route returns distances only. The shortest paths behind
 //! them — the constraint chains that explain a pair bound — are worked out
@@ -82,8 +82,8 @@ mod weight;
 pub use bellman_ford::{bellman_ford, NegativeCycleError};
 pub use blocked::{blocked_floyd_warshall_i64, UNREACHABLE};
 pub use closure::{
-    dispatch_closure_i64, fast_closure, plan_closure_kernel, scaled_weights, Closure,
-    ClosureKernel, RelaxOutcome, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
+    dispatch_closure_i64, plan_closure_kernel, scaled_weights, Closure, ClosureKernel,
+    RelaxOutcome, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
 };
 pub use digraph::{DiGraph, Edge};
 pub use floyd_warshall::floyd_warshall;
@@ -93,6 +93,6 @@ pub use karp::{karp_max_cycle_mean, CycleMean};
 pub use matrix::SquareMatrix;
 pub use paths::{reconstruct_path, shortest_path_successors};
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
-pub use shifted::{shifted_distances, try_scaled_shifted_distances, ScaledMatrix};
+pub use shifted::ScaledMatrix;
 pub use sparse::sparse_closure_i64;
 pub use weight::Weight;

@@ -35,6 +35,11 @@ impl<T: Clone> SquareMatrix<T> {
             data: vec![fill; n * n],
         }
     }
+
+    /// The sub-matrix over the rows and columns `members`, in their order.
+    pub fn restrict(&self, members: &[usize]) -> Self {
+        SquareMatrix::from_fn(members.len(), |a, b| self[(members[a], members[b])].clone())
+    }
 }
 
 impl<T> SquareMatrix<T> {

@@ -79,16 +79,17 @@ impl PartialOrd for Value {
 }
 
 /// The maximum cycle mean of the complete matrix `m` (half-nanosecond
-/// counts, every entry an edge within the SHIFTS bound) by policy
-/// iteration from `warm`, with the canonical witness and the last policy.
-/// Past `cap` policy evaluations it returns integer Karp's answer, which is
-/// the same, with the policy it had reached.
+/// counts in `gauge`, every entry an edge within the SHIFTS bound) by
+/// policy iteration from `warm`, with the canonical witness and the last
+/// policy. Past `cap` policy evaluations it returns integer Karp's answer,
+/// which is the same, with the policy it had reached.
 ///
 /// # Panics
 ///
 /// Panics if `m` is empty.
 pub(crate) fn scaled_howard(
     m: &SquareMatrix<i64>,
+    gauge: &[i128],
     warm: Option<&[usize]>,
     cap: usize,
 ) -> HowardSolution {
@@ -96,33 +97,40 @@ pub(crate) fn scaled_howard(
     assert!(n > 0, "a cycle mean needs a node");
     let w = m.as_slice();
     // The warm-start successor when it is a node, otherwise the heaviest
-    // successor, the first on ties.
+    // successor, the first on ties. Every weight and bias below is taken
+    // without the gauge — a row's weights `w(v,u) − g(v) + g(u)` differ
+    // from the counts by `g(u)` up to a term shared along the row — so the
+    // kernel makes the rational one's decisions whatever the gauge.
+    let heaviest = |row: &[i64]| {
+        let weight = |u: usize| i128::from(row[u]) + gauge[u];
+        (0..n).fold(0, |best, u| if weight(u) > weight(best) { u } else { best })
+    };
     let mut policy: Vec<usize> = w
         .chunks_exact(n)
         .enumerate()
         .map(|(v, row)| match warm.and_then(|seed| seed.get(v)) {
             Some(&u) if u < n => u,
-            _ => (0..n).fold(0, |best, u| if row[u] > row[best] { u } else { best }),
+            _ => heaviest(row),
         })
         .collect();
     let mut value = vec![Value { p: 0, q: 1 }; n];
     let mut bias = vec![0i128; n];
     for _ in 0..cap {
-        evaluate(w, &policy, &mut value, &mut bias);
+        evaluate(w, gauge, &policy, &mut value, &mut bias);
         if improve_value(&mut policy, &value) {
             continue;
         }
         // Phase 1 left no node below the best value, so every node has
         // value λ* and every edge joins two of them.
         let Value { p, q } = value[0];
-        if improve_bias(w, &mut policy, q, &bias) {
+        if improve_bias(w, gauge, &mut policy, q, &bias) {
             continue;
         }
         // The converged bias is a potential: q·h(u) ≥ q·w(u,v) − p + q·h(v)
         // on every edge, with equality exactly on tight edges.
         let (p, q) = (i128::from(p), i128::from(q));
         let cycle = canonical_cycle(n, |u, v| {
-            bias[u] - bias[v] + p == q * i128::from(w[u * n + v])
+            bias[u] - bias[v] + p == q * (i128::from(w[u * n + v]) - gauge[u] + gauge[v])
         });
         let cycle_mean = CycleMean {
             mean: half_ns::decode_mean(p, q),
@@ -137,15 +145,17 @@ pub(crate) fn scaled_howard(
 /// Policy evaluation: each node's policy path ends in one cycle of the
 /// functional graph. Set the node's value to that cycle's mean and its
 /// bias to `q·h(v) = q·w(v,π(v)) − p + q·h(π(v))`, with `h = 0` at the
-/// node where the walk first entered the cycle.
-fn evaluate(w: &[i64], policy: &[usize], value: &mut [Value], bias: &mut [i128]) {
+/// node where the walk first entered the cycle and `w` the weight without
+/// the gauge. A cycle's sum is the same in any gauge.
+fn evaluate(w: &[i64], gauge: &[i128], policy: &[usize], value: &mut [Value], bias: &mut [i128]) {
     let n = policy.len();
     // 0 = unvisited, 1 = on the current path, 2 = done.
     let mut state = vec![0u8; n];
     let mut path = Vec::with_capacity(n);
     let settle = |v: usize, value: &[Value], bias: &mut [i128], state: &mut [u8]| {
         let (s, Value { p, q }) = (policy[v], value[v]);
-        bias[v] = i128::from(q) * i128::from(w[v * n + s]) - i128::from(p) + bias[s];
+        let weight = i128::from(w[v * n + s]) - gauge[v] + gauge[s];
+        bias[v] = i128::from(q) * weight - i128::from(p) + bias[s];
         state[v] = 2;
     };
     for start in 0..n {
@@ -201,13 +211,15 @@ fn improve_value(policy: &mut [usize], value: &[Value]) -> bool {
 }
 
 /// Phase 2, with every node at one value of denominator `q`: each node
-/// moves to the first successor of strictly larger `q·w(v,u) + q·h(u)`.
-/// Returns whether the policy changed.
-fn improve_bias(w: &[i64], policy: &mut [usize], q: i64, bias: &[i128]) -> bool {
+/// moves to the first successor of strictly larger `q·w(v,u) + q·h(u)`,
+/// `w` without the gauge: up to a term shared along the row, the count
+/// plus `g(u)`. Returns whether the policy changed.
+fn improve_bias(w: &[i64], gauge: &[i128], policy: &mut [usize], q: i64, bias: &[i128]) -> bool {
     let q = i128::from(q);
+    let lifted: Vec<i128> = bias.iter().zip(gauge).map(|(&b, &g)| b + q * g).collect();
     let mut improved = false;
     for (row, succ) in w.chunks_exact(policy.len()).zip(policy.iter_mut()) {
-        let gain = |u: usize| q * i128::from(row[u]) + bias[u];
+        let gain = |u: usize| q * i128::from(row[u]) + lifted[u];
         let mut arg = *succ;
         let mut best = gain(arg);
         for u in 0..row.len() {
@@ -240,7 +252,7 @@ mod tests {
 
     /// The values the counts of `m` encode, as rationals.
     fn rational(m: &SquareMatrix<i64>) -> SquareMatrix<Ext<Ratio>> {
-        SquareMatrix::from_fn(m.n(), |i, j| Ext::Finite(half_ns::decode(m[(i, j)])))
+        half_ns::Gauge(vec![0; m.n()]).decode_matrix(m)
     }
 
     #[test]
@@ -248,12 +260,28 @@ mod tests {
         // Heaviest successors first: 0 → 1 → 0 at mean 5 and 2 → 3 → 2 at
         // mean 6, so the first evaluation cannot be the last.
         let m = matrix(&[&[0, 9, 1, 1], &[1, 0, 1, 1], &[1, 1, 0, 7], &[1, 1, 5, 0]]);
-        let capped = scaled_howard(&m, None, 1);
-        let converged = scaled_howard(&m, None, iteration_cap(4));
+        let capped = scaled_howard(&m, &[0; 4], None, 1);
+        let converged = scaled_howard(&m, &[0; 4], None, iteration_cap(4));
         assert_ne!(capped.policy, converged.policy, "the cap must cut the run");
         assert_eq!(capped.cycle_mean, converged.cycle_mean);
         let exact = karp_max_cycle_mean(&rational(&m));
         assert_eq!(Some(capped.cycle_mean), exact);
+    }
+
+    #[test]
+    fn a_gauge_changes_no_decision() {
+        // The same values in a gauge an epoch deep: every policy Howard
+        // passes through, and so the answer and the final policy, match.
+        let m = matrix(&[&[0, 9, 1, 4], &[1, 0, 6, 1], &[3, 1, 0, 7], &[1, 8, 5, 0]]);
+        let g = [0, 2_000_000_000_000_000_000, -7, 1_000_000_000_000_000_003];
+        let gauged = SquareMatrix::from_fn(4, |v, u| (i128::from(m[(v, u)]) + g[v] - g[u]) as i64);
+        for cap in 1..=iteration_cap(4) {
+            assert_eq!(
+                scaled_howard(&gauged, &g, None, cap),
+                scaled_howard(&m, &[0; 4], None, cap),
+                "cap {cap}"
+            );
+        }
     }
 
     #[test]
@@ -267,7 +295,7 @@ mod tests {
             1 => -limit,
             _ => limit - 1,
         });
-        let fast = scaled_howard(&m, None, iteration_cap(5));
+        let fast = scaled_howard(&m, &[0; 5], None, iteration_cap(5));
         assert_eq!(Some(fast.cycle_mean), karp_max_cycle_mean(&rational(&m)));
     }
 }

@@ -17,7 +17,7 @@
 
 use clocksync_time::{Ext, Ratio};
 
-use crate::half_ns::{self, shifts_limit, ScaleBailout};
+use crate::half_ns::{self, shifts_limit, Gauge};
 use crate::karp::canonical_cycle;
 use crate::{karp_max_cycle_mean, CycleMean, SquareMatrix};
 
@@ -153,11 +153,10 @@ fn karp_max_cycle_mean_i64(m: &SquareMatrix<i64>) -> Option<CycleMeanI64> {
 /// the equivalence test suite can tell "fast path taken" apart from
 /// "silently fell back".
 pub fn try_scaled_karp(m: &SquareMatrix<Ext<Ratio>>) -> Option<Option<CycleMean>> {
-    let no_edge = |w| match w {
-        Ext::NegInf => Ok(NO_EDGE),
-        _ => Err(ScaleBailout::MagnitudeOverflow),
-    };
-    let counts = half_ns::encode_matrix(m, shifts_limit(m.n()), no_edge).ok()?;
+    let gauge = Gauge(vec![0; m.n()]);
+    let counts = gauge
+        .encode_matrix(m, shifts_limit(m.n()), (None, Some(NO_EDGE)))
+        .ok()?;
     Some(scaled_karp(&counts))
 }
 

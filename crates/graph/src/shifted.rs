@@ -8,46 +8,43 @@
 //! negative and the distances from a root are the optimal corrections.
 //!
 //! [`ScaledMatrix`] holds a component as the closure stage computed it:
-//! `i64` counts of half nanoseconds (`half_ns.rs`), every entry within the
-//! SHIFTS bound. Its `A_max` is integer Howard's (`scaled_howard.rs`),
-//! warm-startable from any policy and capped with an integer Karp
-//! fallback; its corrections pass is an early-exit Bellman–Ford over flat
-//! `i64` rows, building a [`Ratio`] only for each output. For
-//! `λ = num/den` the pass measures in `1/(2·den)` ns, where each weight is
-//! the integer `2·num − den·m(p,q)`; when one passes the SHIFTS bound, it
-//! runs the rational [`bellman_ford`] instead, with the same answers.
-//! [`shifted_distances`] is the corrections pass of rational input: it
-//! encodes `m` once at that boundary, and runs the rational
-//! [`bellman_ford`] when an entry has no count.
+//! `i64` counts of half nanoseconds in the closure's gauge (`half_ns.rs`),
+//! every entry within the SHIFTS matrix bound. Cycle weights do not see
+//! the gauge, so its `A_max` is integer Howard's (`scaled_howard.rs`) on
+//! the counts as they are, warm-startable from any policy and capped with
+//! an integer Karp fallback. Its corrections pass is an early-exit
+//! Bellman–Ford over flat `i64` rows, building a [`Ratio`] only for each
+//! output. For `λ = num/den` the pass measures in `1/(2·den)` ns, where
+//! each weight is the integer `2·num − den·m(p,q)`; the matrix bound keeps
+//! every such weight within the SHIFTS bound for every cycle mean of the
+//! matrix, so the pass always runs. A gauged distance `x′(q)` from the
+//! root `s` is the distance `x(q)` moved by `h(q) − h(s)`, and each output
+//! removes that.
 
 use std::borrow::Cow;
 
 use clocksync_time::{Ext, Ratio};
 
-use crate::half_ns::{self, shifts_limit, ScaleBailout};
+use crate::half_ns::{self, matrix_limit, shifts_limit, Gauge};
 use crate::scaled_howard::{iteration_cap, scaled_howard};
-use crate::{bellman_ford, DiGraph, HowardSolution, NegativeCycleError, SquareMatrix};
+use crate::{HowardSolution, NegativeCycleError, SquareMatrix};
 
-/// The panic message for an infinite off-diagonal entry.
-const NOT_FINITE: &str = "shifted distances need a finite matrix";
-
-/// A complete matrix of half-nanosecond counts — a SHIFTS component as the
-/// closure stage holds it — whose every entry, the diagonal included, lies
-/// within `±2·⌊(i64::MAX/4)/(n+1)⌋`: the bound under which the integer
-/// `A_max` kernels cannot overflow (DESIGN.md §4c).
+/// A complete matrix of half-nanosecond counts in a gauge — a SHIFTS
+/// component as the closure stage holds it — whose every entry, the
+/// diagonal included, lies within `±⌊shifts_limit(n)/(4n)⌋`: the bound
+/// under which the integer `A_max` kernels cannot overflow and the
+/// corrections pass can form every weight (DESIGN.md §4c).
 ///
 /// # Examples
 ///
 /// ```
-/// use std::borrow::Cow;
 /// use clocksync_graph::{ScaledMatrix, SquareMatrix};
-/// use clocksync_time::Ratio;
+/// use clocksync_time::{Ext, Ratio};
 ///
-/// // Half nanoseconds: m(0,1) = 3 and m(1,0) = 1/2.
-/// let mut m = SquareMatrix::filled(2, 0i64);
-/// m[(0, 1)] = 6;
-/// m[(1, 0)] = 1;
-/// let m = ScaledMatrix::new(Cow::Owned(m)).expect("within the bound");
+/// let mut m = SquareMatrix::filled(2, Ext::Finite(Ratio::ZERO));
+/// m[(0, 1)] = Ext::Finite(Ratio::from_int(3));
+/// m[(1, 0)] = Ext::Finite(Ratio::new(1, 2));
+/// let m = ScaledMatrix::from_ratio(&m).expect("half nanoseconds within the bound");
 /// let a_max = m.max_cycle_mean(None).cycle_mean.mean;
 /// assert_eq!(a_max, Ratio::new(7, 4));
 /// assert_eq!(m.shifted_distances(a_max, 0)?, [Ratio::ZERO, Ratio::new(-5, 4)]);
@@ -56,25 +53,31 @@ const NOT_FINITE: &str = "shifted distances need a finite matrix";
 #[derive(Debug, Clone)]
 pub struct ScaledMatrix<'a> {
     m: Cow<'a, SquareMatrix<i64>>,
+    gauge: Cow<'a, Gauge>,
 }
 
 impl<'a> ScaledMatrix<'a> {
-    /// The matrix of values the counts `m` encode, or `None` when `m` is
-    /// empty or an entry lies outside the bound — which also rejects the
-    /// closure's [`UNREACHABLE`](crate::UNREACHABLE) sentinel.
-    pub fn new(m: Cow<'a, SquareMatrix<i64>>) -> Option<ScaledMatrix<'a>> {
-        let limit = shifts_limit(m.n());
+    /// The matrix of values the counts `m` encode in `gauge`, or `None`
+    /// when `m` is empty or an entry lies outside the bound — which also
+    /// rejects the closure's [`UNREACHABLE`](crate::UNREACHABLE) sentinel.
+    pub(crate) fn new(
+        m: Cow<'a, SquareMatrix<i64>>,
+        gauge: Cow<'a, Gauge>,
+    ) -> Option<ScaledMatrix<'a>> {
+        let limit = matrix_limit(m.n());
         let within = m.as_slice().iter().all(|x| (-limit..=limit).contains(x));
-        (m.n() > 0 && within).then_some(ScaledMatrix { m })
+        (m.n() > 0 && within).then_some(ScaledMatrix { m, gauge })
     }
 
-    /// Encodes a rational matrix as half-nanosecond counts: `None` when it
-    /// is empty or an entry is infinite, off the half-ns grid or past the
-    /// bound.
+    /// Encodes a rational matrix as half-nanosecond counts in no gauge:
+    /// `None` when it is empty or an entry is infinite, off the half-ns
+    /// grid or past the bound.
     pub fn from_ratio(m: &SquareMatrix<Ext<Ratio>>) -> Option<ScaledMatrix<'static>> {
-        let no_count = |_| Err(ScaleBailout::MagnitudeOverflow);
-        let counts = half_ns::encode_matrix(m, shifts_limit(m.n()), no_count).ok()?;
-        ScaledMatrix::new(Cow::Owned(counts))
+        let gauge = Gauge(vec![0; m.n()]);
+        let counts = gauge
+            .encode_matrix(m, matrix_limit(m.n()), (None, None))
+            .ok()?;
+        ScaledMatrix::new(Cow::Owned(counts), Cow::Owned(gauge))
     }
 
     /// The dimension.
@@ -104,11 +107,11 @@ impl<'a> ScaledMatrix<'a> {
     /// for the next call. Past `10n + 10` policy evaluations it answers
     /// with integer Karp instead and returns the policy it reached.
     pub fn max_cycle_mean(&self, warm: Option<&[usize]>) -> HowardSolution {
-        scaled_howard(&self.m, warm, iteration_cap(self.n()))
+        scaled_howard(&self.m, &self.gauge.0, warm, iteration_cap(self.n()))
     }
 
     /// Shortest-path distances from `source` under
-    /// `w(p,q) = shift − m(p,q)` over every off-diagonal pair.
+    /// `w(p,q) = shift − m(p,q)` over every off-diagonal pair, in no gauge.
     ///
     /// # Errors
     ///
@@ -118,128 +121,35 @@ impl<'a> ScaledMatrix<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `source` is out of range.
+    /// Panics if `source` is out of range, or if `shift` lies outside the
+    /// range of the matrix's cycle means: a denominator above `2n`, or a
+    /// magnitude past half the entry bound.
     pub fn shifted_distances(
         &self,
         shift: Ratio,
         source: usize,
     ) -> Result<Vec<Ratio>, NegativeCycleError> {
-        self.try_shifted_distances(shift, source)
-            .unwrap_or_else(|| {
-                let m = SquareMatrix::from_fn(self.n(), |i, j| {
-                    Ext::Finite(half_ns::decode(self.m[(i, j)]))
-                });
-                rational_shifted_distances(&m, shift, source)
-            })
-    }
-
-    /// The integer corrections pass: `None` when a shifted weight has no
-    /// integer image within the bound.
-    fn try_shifted_distances(
-        &self,
-        shift: Ratio,
-        source: usize,
-    ) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
         assert!(source < self.n(), "source out of range");
         let n = self.n();
-        let w = shifted_weights(&self.m, shift)?;
-        let dist = dense_bellman_ford(&w, n, source, shifts_limit(n));
-        // A distance of x units of 1/(2·den) ns is x/den counts of ½ ns.
+        let w = shifted_weights(&self.m, shift).expect("shift within the range of cycle means");
+        let dist = dense_bellman_ford(&w, n, source, shifts_limit(n))?;
+        // A distance of x units of 1/(2·den) ns is x/den counts of ½ ns,
+        // and removing the gauge adds h(s) − h(q) counts.
         let den = shift.denominator();
-        Some(dist.map(|d| {
-            d.into_iter()
-                .map(|x| half_ns::decode_mean(x.into(), den))
-                .collect()
-        }))
+        let h = &self.gauge.0;
+        Ok(dist
+            .into_iter()
+            .zip(h)
+            .map(|(x, &hq)| half_ns::decode_mean(i128::from(x) + den * (h[source] - hq), den))
+            .collect())
     }
-}
-
-/// Shortest-path distances from `source` under `w(p,q) = shift − m(p,q)`
-/// over every off-diagonal pair of `m`.
-///
-/// Runs [`ScaledMatrix::shifted_distances`] when `m` has counts
-/// ([`ScaledMatrix::from_ratio`]) and the rational [`bellman_ford`]
-/// otherwise; both return the same distances.
-///
-/// # Errors
-///
-/// Returns [`NegativeCycleError`] if some cycle is negative under the
-/// shifted weights, i.e. `shift` is below the mean of some cycle of at
-/// least two nodes.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range or an off-diagonal entry is
-/// infinite.
-///
-/// # Examples
-///
-/// ```
-/// use clocksync_graph::{shifted_distances, SquareMatrix};
-/// use clocksync_time::{Ext, Ratio};
-///
-/// let mut m = SquareMatrix::filled(2, Ext::Finite(Ratio::ZERO));
-/// m[(0, 1)] = Ext::Finite(Ratio::from_int(6));
-/// m[(1, 0)] = Ext::Finite(Ratio::from_int(2));
-/// // λ* = 4: the node 1 is corrected by 4 − 6.
-/// let d = shifted_distances(&m, Ratio::from_int(4), 0)?;
-/// assert_eq!(d, [Ratio::ZERO, Ratio::from_int(-2)]);
-/// # Ok::<(), clocksync_graph::NegativeCycleError>(())
-/// ```
-pub fn shifted_distances(
-    m: &SquareMatrix<Ext<Ratio>>,
-    shift: Ratio,
-    source: usize,
-) -> Result<Vec<Ratio>, NegativeCycleError> {
-    assert!(source < m.n(), "source out of range");
-    match ScaledMatrix::from_ratio(m) {
-        Some(scaled) => scaled.shifted_distances(shift, source),
-        None => rational_shifted_distances(m, shift, source),
-    }
-}
-
-/// Runs the integer kernel of [`shifted_distances`] if `m` has counts and
-/// every shifted weight an integer image within the bound; `None` when
-/// not (the caller should use the rational kernel). Exposed so the
-/// equivalence test suite can tell "fast path taken" apart from "silently
-/// fell back".
-///
-/// # Panics
-///
-/// As [`shifted_distances`], except that an infinite entry makes the
-/// encoding bail instead.
-pub fn try_scaled_shifted_distances(
-    m: &SquareMatrix<Ext<Ratio>>,
-    shift: Ratio,
-    source: usize,
-) -> Option<Result<Vec<Ratio>, NegativeCycleError>> {
-    assert!(source < m.n(), "source out of range");
-    ScaledMatrix::from_ratio(m)?.try_shifted_distances(shift, source)
-}
-
-/// The rational corrections pass: the generic [`bellman_ford`] over a
-/// [`DiGraph`] of the off-diagonal shifted weights.
-fn rational_shifted_distances(
-    m: &SquareMatrix<Ext<Ratio>>,
-    shift: Ratio,
-    source: usize,
-) -> Result<Vec<Ratio>, NegativeCycleError> {
-    let mut g = DiGraph::new(m.n());
-    for (i, j, &w) in m.iter_off_diagonal() {
-        g.add_edge(i, j, Ext::Finite(shift - w.expect_finite(NOT_FINITE)));
-    }
-    let dist = bellman_ford(&g, source)?;
-    Ok(dist
-        .into_iter()
-        .map(|d| d.expect_finite("complete graph distances are finite"))
-        .collect())
 }
 
 /// The weights `shift − m(p,q)` as flat `i64` rows in units of
 /// `1/(2·den)` ns, for `shift = num/den` and `m` in half-nanosecond
 /// counts: each is `2·num − den·m(p,q)`. The diagonal is zero, which never
 /// shortens a path. `None` when a weight's magnitude passes the SHIFTS
-/// bound.
+/// bound, which no cycle mean of a [`ScaledMatrix`] makes happen.
 fn shifted_weights(counts: &SquareMatrix<i64>, shift: Ratio) -> Option<Vec<i64>> {
     let n = counts.n();
     // An i64 factor keeps every product inside i128 without a check.
@@ -312,60 +222,102 @@ fn dense_bellman_ford(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{bellman_ford, DiGraph};
 
-    fn matrix(rows: &[&[(i128, i128)]]) -> SquareMatrix<Ext<Ratio>> {
-        SquareMatrix::from_fn(rows.len(), |i, j| {
-            Ext::Finite(Ratio::new(rows[i][j].0, rows[i][j].1))
-        })
+    /// The counts `m` in no gauge.
+    fn plain(m: SquareMatrix<i64>) -> Option<ScaledMatrix<'static>> {
+        let gauge = Gauge(vec![0; m.n()]);
+        ScaledMatrix::new(Cow::Owned(m), Cow::Owned(gauge))
+    }
+
+    /// The rational reference: the generic Bellman–Ford over the shifted
+    /// weights of the values `m` encodes in `gauge`.
+    fn rational(
+        m: &SquareMatrix<i64>,
+        gauge: &Gauge,
+        shift: Ratio,
+        source: usize,
+    ) -> Result<Vec<Ratio>, NegativeCycleError> {
+        let mut g = DiGraph::new(m.n());
+        for (i, j, &w) in gauge.decode_matrix(m).iter_off_diagonal() {
+            g.add_edge(i, j, Ext::Finite(shift - w.finite().unwrap()));
+        }
+        let dist = bellman_ford(&g, source)?;
+        Ok(dist.into_iter().map(|d| d.finite().unwrap()).collect())
     }
 
     #[test]
     fn a_hugely_negative_cycle_trips_the_floor() {
-        // Every 2-cycle weighs −2·limit: distances plunge far past the
-        // floor, which must stop the pass before any sum overflows. The
-        // limit is in nanoseconds, half the bound on counts.
-        let limit = i128::from(shifts_limit(4) / 2);
-        let m = SquareMatrix::from_fn(4, |i, j| {
-            Ext::Finite(Ratio::from_int(if i == j { 0 } else { limit / 2 }))
-        });
-        let shift = Ratio::from_int(-limit / 2);
-        let err = try_scaled_shifted_distances(&m, shift, 0).expect("scalable");
-        assert!(err.is_err());
-        assert!(rational_shifted_distances(&m, shift, 0).is_err());
+        // Every entry is the bound and the shift just above its negative
+        // half, over 2n: every weight is about −shifts_limit(n), and in-place
+        // rounds plunge distances far past the floor, which must stop the
+        // pass before any sum overflows.
+        let n = 8;
+        let limit = matrix_limit(n);
+        let m = SquareMatrix::from_fn(n, |i, j| if i == j { 0 } else { limit });
+        let scaled = plain(m.clone()).expect("at the bound");
+        let k = n as i128;
+        let shift = Ratio::new(1 - k * i128::from(limit), 2 * k);
+        assert!(scaled.shifted_distances(shift, 0).is_err());
+        assert!(rational(&m, &Gauge(vec![0; n]), shift, 0).is_err());
     }
 
     #[test]
     fn scaling_boundaries() {
-        // Half nanoseconds have counts, whatever λ's denominator; a value
-        // off the half-ns grid has none.
-        let m = matrix(&[&[(0, 1), (1, 2)], &[(1, 1), (0, 1)]]);
-        for shift in [Ratio::ONE, Ratio::new(4, 3)] {
-            let fast = try_scaled_shifted_distances(&m, shift, 0).expect("on the grid");
-            assert_eq!(fast, rational_shifted_distances(&m, shift, 0));
+        // Half nanoseconds under any cycle mean's denominator, in a gauge
+        // 10^18 ns deep: the integer pass equals the rational reference.
+        let m = SquareMatrix::from_vec(3, vec![0, 3, 8, 1, 0, 5, -2, 7, 0]);
+        let far = Gauge::of(&SquareMatrix::from_fn(3, |i, j| {
+            Ext::Finite(Ratio::from_int(
+                1_000_000_000_000_000_000 * (i as i128 - j as i128),
+            ))
+        }))
+        .unwrap();
+        let scaled = ScaledMatrix::new(Cow::Borrowed(&m), Cow::Borrowed(&far)).unwrap();
+        let a_max = scaled.max_cycle_mean(None).cycle_mean.mean;
+        for shift in [a_max, a_max + Ratio::new(4, 3)] {
+            for source in 0..3 {
+                let reference = rational(&m, &far, shift, source);
+                assert_eq!(scaled.shifted_distances(shift, source), reference);
+            }
         }
-        let m = matrix(&[&[(0, 1), (1, 1 << 40)], &[(1, 1), (0, 1)]]);
-        assert!(try_scaled_shifted_distances(&m, Ratio::ONE, 0).is_none());
-        // A shifted weight of exactly the limit scales; one past it bails.
-        let limit = i128::from(shifts_limit(2) / 2);
-        let m = matrix(&[&[(0, 1), (-limit, 1)], &[(limit, 1), (0, 1)]]);
-        assert!(try_scaled_shifted_distances(&m, Ratio::ZERO, 0).is_some());
-        assert!(try_scaled_shifted_distances(&m, Ratio::ONE, 0).is_none());
-        assert_eq!(
-            shifted_distances(&m, Ratio::ONE, 0),
-            Ok(vec![Ratio::ZERO, Ratio::from_int(limit + 1)])
-        );
+        // Below A_max both fail, whatever witness each names.
+        let below = a_max - Ratio::new(1, 3);
+        assert!(scaled.shifted_distances(below, 0).is_err());
+        assert!(rational(&m, &far, below, 0).is_err());
+        // A value off the half-ns grid has no count.
+        let off = SquareMatrix::from_fn(2, |i, j| {
+            Ext::Finite(if i == j {
+                Ratio::ZERO
+            } else {
+                Ratio::new(1, 3)
+            })
+        });
+        assert!(ScaledMatrix::from_ratio(&off).is_none());
     }
 
     #[test]
     fn scaled_matrices_hold_entries_within_the_limit() {
-        let limit = shifts_limit(3);
+        let limit = matrix_limit(3);
         let with = |x: i64| SquareMatrix::from_fn(3, |i, j| if (i, j) == (2, 0) { x } else { 0 });
         for x in [-limit, limit] {
-            assert!(ScaledMatrix::new(Cow::Owned(with(x))).is_some());
+            assert!(plain(with(x)).is_some());
         }
         for x in [-limit - 1, limit + 1, crate::UNREACHABLE] {
-            assert!(ScaledMatrix::new(Cow::Owned(with(x))).is_none());
+            assert!(plain(with(x)).is_none());
         }
-        assert!(ScaledMatrix::new(Cow::Owned(SquareMatrix::filled(0, 0))).is_none());
+        assert!(plain(SquareMatrix::filled(0, 0)).is_none());
+        // At the bound, every cycle mean's corrections weights still form.
+        let m = SquareMatrix::from_fn(3, |i, j| match (i, j) {
+            _ if i == j => 0,
+            (0, 1) | (1, 2) => limit,
+            _ => -limit,
+        });
+        let scaled = plain(m.clone()).unwrap();
+        let a_max = scaled.max_cycle_mean(None).cycle_mean.mean;
+        assert_eq!(
+            scaled.shifted_distances(a_max, 1),
+            rational(&m, &Gauge(vec![0; 3]), a_max, 1)
+        );
     }
 }

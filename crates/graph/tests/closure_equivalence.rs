@@ -6,10 +6,11 @@
 //!   name the same witness on graphs with one; the one successor rule
 //!   ([`shortest_path_successors`]) fed either kernel's distances then
 //!   yields the same chains, each a genuine shortest path.
-//! * [`fast_closure`]'s half-nanosecond front end must preserve that
-//!   identity through rational weights of mixed denominators, taking the
-//!   integer route exactly when every entry is a whole or half
-//!   nanosecond.
+//! * [`Closure::new`]'s gauged half-nanosecond front end must preserve
+//!   that identity through rational weights of mixed denominators, taking
+//!   the integer route exactly when every entry is a whole or half
+//!   nanosecond, and through start-time differences of `10^17` ns per
+//!   node, which the gauge removes.
 //! * [`Closure::relax_edge`] must leave the scaled cache equal (in
 //!   distance) to the reference closure after any sequence of edge
 //!   decreases, so the successor rule fed its distances still
@@ -18,8 +19,8 @@
 //! Each suite runs 1000 random cases.
 
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, fast_closure, floyd_warshall, reconstruct_path,
-    shortest_path_successors, Closure, SquareMatrix, Weight, UNREACHABLE,
+    blocked_floyd_warshall_i64, floyd_warshall, reconstruct_path, shortest_path_successors,
+    Closure, SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -199,17 +200,22 @@ proptest! {
         }
     }
 
-    /// The half-ns front end preserves the identity through mixed
-    /// denominators: `fast_closure` equals the generic kernel exactly, the
-    /// integer route runs exactly on the grid, and doubling puts every
-    /// input on it, so the integer path really is exercised.
+    /// The gauged half-ns front end preserves the identity through mixed
+    /// denominators: the integer closure equals the generic kernel
+    /// exactly, the integer route runs exactly on the grid, and doubling
+    /// puts every input on it, so the integer path really is exercised.
+    /// Starting node `p`'s clock `10^17·p` ns late moves every entry by
+    /// up to `10^18` ns; the gauge removes that, and the closure still
+    /// equals the generic kernel's, negative-cycle witness included.
     #[test]
     fn fast_closure_matches_generic(m in rational_graph()) {
         prop_assert_eq!(Closure::new(&m).is_ok(), on_grid(&m), "route");
         let doubled = SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r * Ratio::from_int(2)));
-        prop_assert!(Closure::new(&doubled).is_ok(), "doubled input off the grid");
-        for m in [&m, &doubled] {
-            match (fast_closure(m), floyd_warshall(m)) {
+        let start = |p: usize| Ratio::from_int(100_000_000_000_000_000 * p as i128);
+        let far = SquareMatrix::from_fn(m.n(), |i, j| doubled[(i, j)].map(|r| r + start(i) - start(j)));
+        for m in [&doubled, &far] {
+            let integer = Closure::new(m).expect("on the grid, in its gauge");
+            match (integer.map(|c| c.ratio_dist()), floyd_warshall(m)) {
                 (Ok(fd), Ok(gd)) => {
                     let fnext = shortest_path_successors(m, &fd);
                     let gnext = shortest_path_successors(m, &gd);

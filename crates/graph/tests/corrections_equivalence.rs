@@ -2,21 +2,21 @@
 //! rational Bellman–Ford — the correctness contract of the SHIFTS
 //! corrections pass (DESIGN.md §4c):
 //!
-//! * [`shifted_distances`] (Bellman–Ford over `i64` rows) must return
-//!   exactly the distances of the rational [`bellman_ford`] under
-//!   `w(p,q) = λ − m(p,q)`, whether the integer route applies or bails,
-//!   and fail exactly when it fails (a shift below some cycle's mean);
+//! * [`ScaledMatrix::shifted_distances`] (Bellman–Ford over `i64` rows)
+//!   must return exactly the distances of the rational [`bellman_ford`]
+//!   under `w(p,q) = λ − m(p,q)`, and fail exactly when it fails (a shift
+//!   below some cycle's mean);
 //! * on a matrix of whole and half nanoseconds, [`ScaledMatrix`] — the
 //!   integer SHIFTS — must return exact Karp's
 //!   [`CycleMean`](clocksync_graph::CycleMean) from integer Howard and
-//!   those distances under its mean, and entries off that grid or past
-//!   the integer kernels' bound must take the rational route;
-//! * an infinite off-diagonal entry panics, as in the rational kernel.
+//!   those distances under its mean, in no gauge and in the gauge a
+//!   [`Closure`] of the matrix keeps, up to the entry bound; entries off
+//!   that grid or past the bound have no integer encoding, and their
+//!   domain takes the residual rational route.
 
 use clocksync_graph::{
-    bellman_ford, fast_closure, fast_max_cycle_mean, karp_max_cycle_mean, shifted_distances,
-    try_scaled_karp, try_scaled_shifted_distances, CycleMean, DiGraph, NegativeCycleError,
-    ScaledMatrix, SquareMatrix,
+    bellman_ford, fast_max_cycle_mean, floyd_warshall, karp_max_cycle_mean, try_scaled_karp,
+    Closure, CycleMean, DiGraph, NegativeCycleError, ScaledMatrix, SquareMatrix,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -40,10 +40,10 @@ fn outcome(r: Result<Vec<Ratio>, NegativeCycleError>) -> Result<Vec<Ratio>, ()> 
     r.map_err(|_| ())
 }
 
-/// The largest weight magnitude, in nanoseconds, an `n`-node matrix may
-/// hold.
+/// The largest count an `n`-node SHIFTS matrix may hold in magnitude.
 fn limit(n: usize) -> i128 {
-    ((i64::MAX / 4) / (n as i64 + 1)) as i128
+    let shifts = 2 * ((i64::MAX / 4) / (n as i64 + 1));
+    i128::from(shifts / (4 * n as i64))
 }
 
 /// Whether every entry is a whole or half nanosecond — exactly the
@@ -79,7 +79,7 @@ fn closure_shaped(
                 })
             });
             if close {
-                fast_closure(&m).expect("nonnegative weights")
+                floyd_warshall(&m).expect("nonnegative weights")
             } else {
                 m
             }
@@ -99,9 +99,11 @@ fn integer_matrix(n: usize, cells: &[i128]) -> SquareMatrix<W> {
     })
 }
 
-/// Checks both public entry points against the oracle on `m` and `source`,
+/// Checks the integer SHIFTS against the oracle on `m` and `source`,
 /// taking `λ*` from `karp`; `scalable` says whether the integer route must
-/// apply.
+/// apply. It runs on `m`'s counts as they are and, when they have one, in
+/// the gauge of a [`Closure`] holding `m` with node `p`'s clock started
+/// `10^17·p` ns late.
 fn check(
     m: &SquareMatrix<W>,
     source: usize,
@@ -111,15 +113,31 @@ fn check(
     let cm = karp(m).expect("a zero diagonal is a cycle");
     let reference = rational(m, cm.mean, source);
     prop_assert!(reference.is_ok(), "no cycle is negative under λ*");
-    let scaled = try_scaled_shifted_distances(m, cm.mean, source);
-    prop_assert_eq!(scaled.is_some(), scalable, "scaling took the wrong route");
+    let start = |p: usize| Ratio::from_int(100_000_000_000_000_000 * p as i128);
+    let far = SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r + start(i) - start(j)));
+    let held = Closure::from_closed(&far);
+    // The gauge is a star from node 0, so a gauged entry weighs at most
+    // three entries: well within the bound it always has a count, and off
+    // the grid it never has one.
+    let largest = m
+        .as_slice()
+        .iter()
+        .map(|w| (w.finite().unwrap() * Ratio::from_int(2)).abs());
+    if largest.max().unwrap() * Ratio::from_int(3) <= Ratio::from_int(limit(m.n())) {
+        prop_assert_eq!(held.is_ok(), on_grid(m), "the gauge took the wrong route");
+    }
     prop_assert_eq!(
-        outcome(shifted_distances(m, cm.mean, source)),
-        reference.clone()
+        ScaledMatrix::from_ratio(m).is_some(),
+        scalable,
+        "wrong route"
     );
-    // The integer SHIFTS, on `m`'s counts: Howard's `A_max` and the
-    // corrections under it.
-    if let Some(scaled) = ScaledMatrix::from_ratio(m) {
+    let members: Vec<usize> = (0..m.n()).collect();
+    let gauged = held.as_ref().map(|c| c.component(&members));
+    let routes = ScaledMatrix::from_ratio(m).map(|s| (s, reference));
+    let far_routes = gauged.map(|s| (s, rational(&far, cm.mean, source)));
+    for (scaled, reference) in routes.into_iter().chain(far_routes) {
+        // The integer SHIFTS: Howard's `A_max`, which shifting every clock
+        // leaves alone, and the corrections under it.
         prop_assert_eq!(scaled.max_cycle_mean(None).cycle_mean, cm.clone());
         prop_assert_eq!(
             outcome(scaled.shifted_distances(cm.mean, source)),
@@ -141,14 +159,16 @@ proptest! {
     ) {
         let source = source % m.n();
         check(&m, source, karp_max_cycle_mean, on_grid(&m))?;
-        check(&onto_grid(&m), source, karp_max_cycle_mean, true)?;
+        let m = onto_grid(&m);
+        check(&m, source, karp_max_cycle_mean, true)?;
         // Shifts other than λ*: above it every distance still exists,
         // below it some cycle of two or more nodes may turn negative, and
         // both kernels must then fail alike.
+        let scaled = ScaledMatrix::from_ratio(&m).expect("on the grid");
         let lambda = karp_max_cycle_mean(&m).unwrap().mean;
         for shift in [lambda + Ratio::new(above.0, above.1), lambda - Ratio::new(1, below)] {
             prop_assert_eq!(
-                outcome(shifted_distances(&m, shift, source)),
+                outcome(scaled.shifted_distances(shift, source)),
                 rational(&m, shift, source)
             );
         }
@@ -160,34 +180,11 @@ proptest! {
         source in 0..1000usize,
         k in 1..=100i128,
     ) {
-        // An entry with denominator 2^40 + 1 is off the half-ns grid.
+        // An entry with denominator 2^40 + 1 is off the half-ns grid: no
+        // integer encoding holds it, in any gauge.
         let mut m = m;
         m[(0, 1)] = Ext::Finite(Ratio::new(k, (1 << 40) + 1));
         check(&m, source % m.n(), karp_max_cycle_mean, false)?;
-    }
-
-    #[test]
-    fn shift_denominators_past_2_40_fall_back_exactly(
-        n in 2..=8usize,
-        cells in proptest::collection::vec(0..=60i128, 64),
-        source in 0..1000usize,
-        k in 0..=100i128,
-    ) {
-        // Integer entries: the matrix has counts, and a shift's denominator
-        // only scales its weights. Every entry is below 62, so the shifts
-        // 62 + 1/3 and 62 + 1/(2^61 + 2k + 1) are above every cycle mean.
-        // The first takes the integer route; the second's weights pass
-        // the bound, and it falls back.
-        let m = integer_matrix(n, &cells);
-        prop_assert!(try_scaled_karp(&m).is_some());
-        let source = source % n;
-        let huge = (1 << 61) + 2 * k + 1;
-        for (shift, integer) in [(Ratio::new(187, 3), true), (Ratio::new(62 * huge + 1, huge), false)] {
-            prop_assert_eq!(try_scaled_shifted_distances(&m, shift, source).is_some(), integer);
-            let reference = rational(&m, shift, source);
-            prop_assert!(reference.is_ok());
-            prop_assert_eq!(outcome(shifted_distances(&m, shift, source)), reference);
-        }
     }
 
     #[test]
@@ -196,24 +193,24 @@ proptest! {
         cells in proptest::collection::vec(0..=60i128, 64),
         source in 0..1000usize,
     ) {
-        // Integer entries, one of them −limit: the matrix scales, but that
-        // entry's shifted weight λ* + limit does not, since the positive
-        // cycle 1 → 2 → 1 makes λ* > 0.
+        // Integer entries, one of them at minus the bound: its corrections
+        // weight λ* + limit is the largest any cycle mean forms, since the
+        // positive cycle 1 → 2 → 1 makes λ* > 0, and the integer pass must
+        // still form it. An entry of exactly the bound takes integer
+        // Howard; one half nanosecond past it has no integer encoding.
         let mut m = integer_matrix(n, &cells);
-        m[(0, 1)] = Ext::Finite(Ratio::from_int(-limit(n)));
+        m[(0, 1)] = Ext::Finite(Ratio::new(-limit(n), 2));
         prop_assert!(try_scaled_karp(&m).is_some());
-        check(&m, source % n, karp_max_cycle_mean, false)?;
-        // An entry of exactly the limit still takes integer Howard; one past
-        // it takes the rational route. Both answer as exact Karp.
+        check(&m, source % n, karp_max_cycle_mean, true)?;
         for (x, integer) in [(limit(n), true), (limit(n) + 1, false)] {
             let mut m = m.clone();
-            m[(1, 0)] = Ext::Finite(Ratio::from_int(x));
+            m[(1, 0)] = Ext::Finite(Ratio::new(x, 2));
             let howard = ScaledMatrix::from_ratio(&m).map(|s| s.max_cycle_mean(None));
             prop_assert_eq!(howard.is_some(), integer);
             if let Some(sol) = howard {
                 prop_assert_eq!(Some(sol.cycle_mean), karp_max_cycle_mean(&m));
             }
-            check(&m, source % n, karp_max_cycle_mean, false)?;
+            check(&m, source % n, karp_max_cycle_mean, integer)?;
         }
     }
 }
@@ -231,26 +228,4 @@ proptest! {
         prop_assert_eq!(ScaledMatrix::from_ratio(&m).is_some(), on_grid(&m), "route");
         check(&onto_grid(&m), source % m.n(), fast_max_cycle_mean, true)?;
     }
-}
-
-/// A 3-node zero matrix with one infinite off-diagonal entry.
-fn with_infinite(inf: W) -> SquareMatrix<W> {
-    let mut m = SquareMatrix::filled(3, Ext::Finite(Ratio::ZERO));
-    m[(2, 0)] = inf;
-    m
-}
-
-#[test]
-#[should_panic(expected = "need a finite matrix: value is +inf")]
-fn pos_inf_entry_panics_on_the_rational_path() {
-    // `+∞` has no count; the rational fallback rejects it.
-    let _ = shifted_distances(&with_infinite(Ext::PosInf), Ratio::ONE, 0);
-}
-
-#[test]
-#[should_panic(expected = "need a finite matrix: value is -inf")]
-fn neg_inf_entry_panics_on_the_scaled_path() {
-    // `−∞` has no count in a SHIFTS matrix; the rational pass rejects
-    // it.
-    let _ = shifted_distances(&with_infinite(Ext::NegInf), Ratio::ONE, 0);
 }

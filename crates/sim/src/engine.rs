@@ -87,6 +87,10 @@ enum EventKind<P> {
     Timer(ProcessorId),
 }
 
+/// The default runaway-protocol safety cap: a run that processes more
+/// events panics (see [`Engine::set_max_events`]).
+pub const MAX_EVENTS: usize = 1_000_000;
+
 /// The discrete-event engine.
 ///
 /// # Examples
@@ -125,7 +129,7 @@ impl Engine {
             starts,
             links,
             neighbors,
-            max_events: 1_000_000,
+            max_events: MAX_EVENTS,
             recorder: Recorder::disabled(),
         }
     }

@@ -175,7 +175,8 @@ impl MixedInput {
 
 /// Each processor's clock runs a hidden offset ahead of real time. One
 /// link endpoint sits about 10^18 ns ahead in a quarter of the streams, so
-/// its estimates pass the scaling magnitude limit. Delays mostly stay in
+/// its estimates carry a start-time difference far past the integer
+/// kernels' per-entry bound, which the gauge removes. Delays mostly stay in
 /// `[lo, lo + width]`, which every link kind admits; one message in 32
 /// takes an arbitrary delay and may make the stream inconsistent.
 fn mixed_input() -> impl Strategy<Value = MixedInput> {
@@ -235,18 +236,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The scaled closure cache never changes an answer. Half-ns
-    /// round-trip-bias estimates reach a cache built at scale 1 and force
-    /// a rebuild at scale 2; a clock ~10^18 ns ahead makes `m̃ls`
-    /// unscalable, leaving the engine uncached on the rational fallback.
-    /// After every batch the warm engine's outcome (or typed error) is
-    /// bit-identical to a reference that drops every cache and to batch
-    /// synchronization over the same messages.
+    /// round-trip-bias estimates relax a cache of whole nanoseconds in
+    /// place; a clock ~10^18 ns ahead joins the gauge's forest on its first
+    /// estimate, which rebuilds the cache under a fresh gauge, and keeps
+    /// the domain on the integer route: the traced batch synchronizer never
+    /// records a `sync.closure_fallback`. After every batch the warm
+    /// engine's outcome (or typed error) is bit-identical to a reference
+    /// that drops every cache and to batch synchronization over the same
+    /// messages.
     #[test]
     fn scaled_cache_matches_rebuild_and_batch(input in mixed_input()) {
         prop_assume!(!input.links.is_empty());
         let mut online = OnlineSynchronizer::new(input.network());
         let mut reference = OnlineSynchronizer::new(input.network());
-        let batch = Synchronizer::new(input.network());
+        let recorder = clocksync_obs::Recorder::enabled();
+        let batch = Synchronizer::new(input.network()).with_recorder(recorder.clone());
         let mut window = ViewWindow::new(input.n);
         for chunk in &input.batches {
             prop_assert_eq!(online.ingest_batch(chunk), Ok(chunk.len()));
@@ -269,6 +273,8 @@ proptest! {
             prop_assert_eq!(&warm, &reference.outcome());
             prop_assert_eq!(&warm, &batch.synchronize(&views));
         }
+        let fallbacks = recorder.snapshot().events_named("sync.closure_fallback").count();
+        prop_assert_eq!(fallbacks, 0, "a domain left the integer route");
     }
 }
 
