@@ -3,6 +3,10 @@
 use clocksync_time::{Ext, ExtNanos, Nanos};
 use rand::Rng;
 
+/// The longest tail a heavy-tailed delay draws above its floor; the cap
+/// keeps clock arithmetic comfortably inside `i64`.
+pub const HEAVY_TAIL_CAP: Nanos = Nanos::new(1_000_000_000_000_000);
+
 /// A distribution of one-way message delays.
 ///
 /// Distributions know their support so scenarios can declare *truthful*
@@ -86,8 +90,7 @@ impl DelayDistribution {
             } => {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 let tail = scale.as_nanos() as f64 * (u.powf(-1.0 / alpha) - 1.0);
-                // Cap the tail to keep arithmetic comfortably inside i64.
-                let tail = tail.min(1e15);
+                let tail = tail.min(HEAVY_TAIL_CAP.as_nanos() as f64);
                 floor + Nanos::new(tail as i64)
             }
         }
