@@ -300,7 +300,7 @@ pub fn render_explain(report: &SyncReport, run: &RunFile) -> Vec<String> {
     let mut out = render_sync(report);
     let outcome = &report.outcome;
     let local = estimated_local_shifts(&run.network(), &run.views.link_observations());
-    let next = shortest_path_successors(&local, outcome.global_shift_estimates());
+    let next = shortest_path_successors(&local, &outcome.global_shift_estimates());
     for (k, comp) in outcome.components().iter().enumerate() {
         out.push(format!(
             "component {k}: members {:?}, precision {}, critical cycle {}",

@@ -32,12 +32,17 @@ pub fn rho_bar(closure: &SquareMatrix<ExtRatio>, corrections: &[Ratio]) -> ExtRa
         closure.n(),
         "correction vector has wrong length"
     );
-    let mut worst: ExtRatio = Ext::Finite(Ratio::ZERO);
-    for (i, j, &ms) in closure.iter_off_diagonal() {
-        let bound = ms + Ext::Finite(corrections[j] - corrections[i]);
-        worst = worst.max(bound);
-    }
-    worst
+    rho_bar_by(|p, q| closure[(p, q)], corrections)
+}
+
+/// [`rho_bar`] over a closure read one entry at a time, `m̃s(p, q) =
+/// entry(p, q)`, with one correction per processor.
+pub(crate) fn rho_bar_by(
+    entry: impl Fn(usize, usize) -> ExtRatio,
+    corrections: &[Ratio],
+) -> ExtRatio {
+    let zero = Ext::Finite(Ratio::ZERO);
+    worst_bound(entry, corrections).map_or(zero, |(bound, _)| bound.max(zero))
 }
 
 /// The ordered pair attaining `ρ̄(x̄)`, or `None` for systems with fewer
@@ -55,15 +60,28 @@ pub fn worst_pair(
         closure.n(),
         "correction vector has wrong length"
     );
+    worst_bound(|p, q| closure[(p, q)], corrections).map(|(_, pair)| pair)
+}
+
+/// The largest pair bound `m̃s(p, q) − x_p + x_q` over ordered pairs
+/// `p ≠ q`, with the first pair in row-major order that attains it; `None`
+/// for fewer than two processors. `m̃s(p, q) = entry(p, q)`.
+pub(crate) fn worst_bound(
+    entry: impl Fn(usize, usize) -> ExtRatio,
+    corrections: &[Ratio],
+) -> Option<(ExtRatio, (ProcessorId, ProcessorId))> {
+    let n = corrections.len();
     let mut best: Option<(ExtRatio, (usize, usize))> = None;
-    for (i, j, &ms) in closure.iter_off_diagonal() {
-        let bound = ms + Ext::Finite(corrections[j] - corrections[i]);
-        match best {
-            Some((b, _)) if b >= bound => {}
-            _ => best = Some((bound, (i, j))),
+    for i in 0..n {
+        for j in (0..n).filter(|&j| j != i) {
+            let bound = entry(i, j) + Ext::Finite(corrections[j] - corrections[i]);
+            match best {
+                Some((b, _)) if b >= bound => {}
+                _ => best = Some((bound, (i, j))),
+            }
         }
     }
-    best.map(|(_, (i, j))| (ProcessorId(i), ProcessorId(j)))
+    best.map(|(bound, (i, j))| (bound, (ProcessorId(i), ProcessorId(j))))
 }
 
 #[cfg(test)]

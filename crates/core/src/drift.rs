@@ -132,7 +132,7 @@ impl DriftingOutcome {
     /// Panics if `p` or `q` is out of range.
     pub fn global_estimate_at(&self, p: ProcessorId, q: ProcessorId, t: RealTime) -> ExtRatio {
         DriftingEstimate::new(
-            self.outcome.global_shift_estimates()[(p.index(), q.index())],
+            self.outcome.global_shift_estimate(p, q),
             self.valid_at,
             self.pair_rate(p, q),
         )
@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(d.precision_at(much_later), base.precision());
         assert_eq!(
             d.global_estimate_at(P, Q, much_later),
-            base.global_shift_estimates()[(0, 1)]
+            base.global_shift_estimate(P, Q)
         );
         assert_eq!(d.local_skews_at(much_later), base.local_skews());
     }

@@ -92,7 +92,7 @@ pub fn global_estimates_traced(
     local: &SquareMatrix<ExtRatio>,
     recorder: &clocksync_obs::Recorder,
 ) -> Result<SquareMatrix<ExtRatio>, SyncError> {
-    close(local, recorder).map(|(dist, _)| dist)
+    close(local, recorder).map(|closure| closure.ratio_dist())
 }
 
 #[cfg(test)]

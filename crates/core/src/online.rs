@@ -12,9 +12,12 @@
 //! cache with [`clocksync_graph::Closure::relax_edge`] — `O(n²)` integer
 //! operations over the finite entries of one column and one row — so
 //! steady-state resynchronization never pays the `O(n³)` full recompute.
-//! SHIFTS reads the cache's integers directly; rationals appear only at
-//! the edges: each [`OnlineSynchronizer::outcome`] converts the cached
-//! distances to [`ExtRatio`] once, for the closure the outcome stores.
+//! SHIFTS reads the cache's integers directly, and each
+//! [`OnlineSynchronizer::outcome`] hands the outcome a plain copy of the
+//! cache (`8n²` bytes, 0.3 MB at `n = 192`): the outcome keeps the counts
+//! and decodes an entry when an accessor reads it. Only
+//! [`OnlineSynchronizer::global_estimates`] converts the whole cache to
+//! [`ExtRatio`], `n²` rationals of 48 bytes each.
 //!
 //! Because the estimators depend on the views only through per-link
 //! evidence (Lemmas 6.2/6.5), feeding observations incrementally is
@@ -64,7 +67,7 @@ use clocksync_obs::Recorder;
 use clocksync_time::{ClockTime, ExtRatio, Nanos};
 
 use crate::degradation::classify_degradations;
-use crate::route::close;
+use crate::route::{close, RoutedClosure};
 use crate::shifts::{shifts_warm, ShiftsState};
 use crate::{estimated_local_shifts, Network, SyncError, SyncOutcome};
 
@@ -449,29 +452,42 @@ impl OnlineSynchronizer {
     }
 
     /// The current GLOBAL ESTIMATES matrix `m̃s` — each entry bounds how
-    /// far its column processor can lag its row processor — converted from
-    /// the incrementally-maintained cache. The cache is rebuilt under a
-    /// fresh gauge if an invalidation (or nothing yet) left it empty; while
-    /// no gauge holds `m̃ls`, the residual route's closure answers and no
-    /// cache is kept.
+    /// far its column processor can lag its row processor — decoded whole
+    /// from the incrementally-maintained cache. The cache is rebuilt under
+    /// a fresh gauge if an invalidation (or nothing yet) left it empty;
+    /// while no gauge holds `m̃ls`, the residual route's closure answers
+    /// and no cache is kept.
     ///
     /// In steady state this costs the `O(n²)` relaxation already paid by
-    /// the last `observe_*` call plus one `O(n²)` conversion to
-    /// [`ExtRatio`]; no corrections are derived, so prefer it over
-    /// [`OnlineSynchronizer::outcome`] when only pair bounds are needed
-    /// between resynchronizations.
+    /// the last `observe_*` call plus the `n × n` conversion to
+    /// [`ExtRatio`]. [`OnlineSynchronizer::outcome`] converts nothing, so
+    /// this is no longer a cheaper part of it: at `n = 192` the conversion
+    /// alone costs about half a warm outcome. Call it when the whole matrix
+    /// is needed without corrections; a caller that holds an outcome reads
+    /// single entries from it ([`SyncOutcome::global_shift_estimate`],
+    /// [`SyncOutcome::pair_bound`]) without converting the rest.
     ///
     /// # Errors
     ///
     /// Returns [`SyncError::InconsistentObservations`] if the accumulated
     /// observations contradict the declared assumptions.
     pub fn global_estimates(&mut self) -> Result<SquareMatrix<ExtRatio>, SyncError> {
-        if let Some(cache) = &self.cached {
-            return Ok(cache.ratio_dist());
+        match &self.cached {
+            Some(cache) => Ok(cache.ratio_dist()),
+            None => self.closure().map(|closure| closure.ratio_dist()),
         }
-        let (dist, cache) = close(&self.local, &Recorder::disabled())?;
-        self.cached = cache;
-        Ok(dist)
+    }
+
+    /// The closure of `m̃ls` on its route: a copy of the cache, which is
+    /// first rebuilt under a fresh gauge if empty, or, while no gauge
+    /// holds `m̃ls`, the residual route's closure.
+    fn closure(&mut self) -> Result<RoutedClosure, SyncError> {
+        if let Some(cache) = &self.cached {
+            return Ok(RoutedClosure::Integer(cache.clone()));
+        }
+        let closure = close(&self.local, &Recorder::disabled())?;
+        self.cached = closure.counts().cloned();
+        Ok(closure)
     }
 
     /// Computes the optimal corrections for everything observed so far.
@@ -488,8 +504,8 @@ impl OnlineSynchronizer {
     /// warm-started from the cached policy. A component with no cached
     /// state runs integer Howard cold, as batch does, and caches its
     /// converged policy. The corrections pass, the cheap SHIFTS step, is
-    /// always recomputed, on the same counts. The one conversion left is the
-    /// closure [`SyncOutcome`] stores.
+    /// always recomputed, on the same counts. The outcome keeps a copy of
+    /// the cache's counts, so nothing is converted to rationals here.
     ///
     /// While no gauge holds `m̃ls`, the domain takes the residual route
     /// whole: the generic closure, then exact Karp on every component,
@@ -503,7 +519,7 @@ impl OnlineSynchronizer {
     /// Returns [`SyncError::InconsistentObservations`] if the accumulated
     /// observations contradict the declared assumptions.
     pub fn outcome(&mut self) -> Result<SyncOutcome, SyncError> {
-        let dist = self.global_estimates()?;
+        let closure = self.closure()?;
         // Warm states are keyed by member list: a component that merged or
         // split since its state was written gets a different key (its
         // sub-matrix indices remapped wholesale) and misses to a cold
@@ -513,12 +529,11 @@ impl OnlineSynchronizer {
         // the current partition's keys, so stale keys never accumulate.
         let prev = std::mem::take(&mut self.shifts_states);
         let mut fresh = HashMap::new();
-        let mut outcome =
-            SyncOutcome::from_components_with(dist, self.cached.as_ref(), |members, closure| {
-                let (result, state) = shifts_warm(closure, 0, prev.get(members));
-                fresh.insert(members.to_vec(), state);
-                result
-            });
+        let mut outcome = SyncOutcome::from_components_with(closure, |members, m| {
+            let (result, state) = shifts_warm(m, 0, prev.get(members));
+            fresh.insert(members.to_vec(), state);
+            result
+        });
         self.shifts_states = fresh;
         outcome.set_degradations(classify_degradations(
             &self.network,
@@ -607,7 +622,7 @@ mod tests {
         );
         // The lightweight accessor serves the same matrix.
         assert_eq!(
-            &online.global_estimates().unwrap(),
+            online.global_estimates().unwrap(),
             batch.global_shift_estimates()
         );
     }
@@ -727,8 +742,7 @@ mod tests {
         for (src, dst, d) in stream {
             online.observe_estimated_delay(src, dst, Nanos::new(d));
             let incremental = online.outcome().unwrap();
-            let cold =
-                SyncOutcome::from_global_estimates(incremental.global_shift_estimates().clone());
+            let cold = SyncOutcome::from_global_estimates(incremental.global_shift_estimates());
             assert_eq!(incremental.precision(), cold.precision());
             assert_eq!(incremental.corrections(), cold.corrections());
             for (a, b) in incremental.components().iter().zip(cold.components()) {
@@ -767,7 +781,7 @@ mod tests {
         online.observe_estimated_delay(Q, r, Nanos::new(700));
         let merged = online.outcome().unwrap();
         assert_eq!(merged.components().len(), 1);
-        let cold = SyncOutcome::from_global_estimates(merged.global_shift_estimates().clone());
+        let cold = SyncOutcome::from_global_estimates(merged.global_shift_estimates());
         assert_eq!(merged.precision(), cold.precision());
         assert_eq!(merged.corrections(), cold.corrections());
     }
@@ -1035,10 +1049,10 @@ mod tests {
             assert_eq!((local[(p, q)], local[(q, p)]), (zero, zero));
         }
         let closure = batch.global_shift_estimates();
-        let next = crate::shortest_path_successors(local, closure);
+        let next = crate::shortest_path_successors(local, &closure);
         for outcome in [&warm, &cold] {
             assert_eq!(outcome.global_shift_estimates(), closure);
-            let chains = crate::shortest_path_successors(local, outcome.global_shift_estimates());
+            let chains = crate::shortest_path_successors(local, &outcome.global_shift_estimates());
             assert_eq!(chains, next);
         }
         for j in 0..n {

@@ -143,7 +143,15 @@ pub(crate) fn shifts_warm(
 /// Components are returned sorted by smallest member, members sorted
 /// ascending.
 pub fn synchronizable_components(closure: &SquareMatrix<ExtRatio>) -> Vec<Vec<ProcessorId>> {
-    let n = closure.n();
+    components_by(closure.n(), |p, q| closure[(p, q)].is_finite())
+}
+
+/// [`synchronizable_components`] of an `n`-node closure whose entry
+/// `(p, q)` is finite exactly when `finite(p, q)`.
+pub(crate) fn components_by(
+    n: usize,
+    finite: impl Fn(usize, usize) -> bool,
+) -> Vec<Vec<ProcessorId>> {
     let mut assigned = vec![false; n];
     let mut components = Vec::new();
     for i in 0..n {
@@ -152,10 +160,10 @@ pub fn synchronizable_components(closure: &SquareMatrix<ExtRatio>) -> Vec<Vec<Pr
         }
         let mut members = vec![ProcessorId(i)];
         assigned[i] = true;
-        for j in (i + 1)..n {
-            if !assigned[j] && closure[(i, j)].is_finite() && closure[(j, i)].is_finite() {
+        for (j, done) in assigned.iter_mut().enumerate().skip(i + 1) {
+            if !*done && finite(i, j) && finite(j, i) {
                 members.push(ProcessorId(j));
-                assigned[j] = true;
+                *done = true;
             }
         }
         components.push(members);

@@ -1,16 +1,23 @@
 //! The end-to-end synchronizer: views in, optimal corrections out.
+//!
+//! The [`SyncOutcome`] keeps the closure `m̃s` as the route of `route.rs`
+//! computed it — on the integer route, the gauged half-nanosecond counts
+//! the closure kernel or the online cache built — and decodes an entry
+//! when an accessor reads it. Building an outcome converts nothing to
+//! rationals; [`SyncOutcome::global_shift_estimates`] is the one call that
+//! decodes the whole matrix.
 
-use clocksync_graph::{Closure, ScaledMatrix, SquareMatrix};
+use clocksync_graph::{ScaledMatrix, SquareMatrix};
 use clocksync_model::{ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, Ext, ExtRatio, Ratio};
 use serde::{Deserialize, Serialize};
 
 use clocksync_obs::Recorder;
 
-use crate::analysis::{rho_bar, worst_pair};
+use crate::analysis::{rho_bar_by, worst_bound};
 use crate::degradation::{classify_degradations, LinkDegradation};
-use crate::route::{close, residual_shifts};
-use crate::shifts::{shifts_warm, synchronizable_components, ShiftsResult};
+use crate::route::{close, RoutedClosure};
+use crate::shifts::{shifts_warm, ShiftsResult};
 use crate::{estimated_local_shifts, Network, SyncError};
 
 /// The optimal clock synchronization algorithm of the paper, specialized
@@ -116,13 +123,12 @@ impl Synchronizer {
             self.record_fusions(&observations);
             (observations, local)
         };
-        let (closure, counts) = close(&local, &self.recorder)?;
+        let closure = close(&local, &self.recorder)?;
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let outcome = SyncOutcome::from_components_with(closure, counts.as_ref(), |_, m| {
-                shifts_warm(m, 0, None).0
-            });
+            let outcome =
+                SyncOutcome::from_components_with(closure, |_, m| shifts_warm(m, 0, None).0);
             span.field("components", outcome.components().len());
             outcome
         };
@@ -214,10 +220,16 @@ pub struct LocalSkew {
 
 /// The result of a synchronization: corrections, guaranteed precision, and
 /// the analysis data needed to audit optimality.
+///
+/// The outcome keeps the closure `m̃s` as its route computed it — gauged
+/// half-nanosecond counts on the integer route — and decodes an entry
+/// when an accessor reads it, so building an outcome converts nothing.
+/// Two outcomes are equal when they hold the same values, whatever the
+/// gauge or route behind them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncOutcome {
     corrections: Vec<Ratio>,
-    closure: SquareMatrix<ExtRatio>,
+    closure: RoutedClosure,
     components: Vec<ComponentReport>,
     degradations: Vec<LinkDegradation>,
     edges: Vec<(ProcessorId, ProcessorId)>,
@@ -230,37 +242,32 @@ impl SyncOutcome {
     /// other route than complete views — e.g. the distributed protocol's
     /// leader, which receives per-link estimates in messages. The closure
     /// is held as gauged half-nanosecond counts once, here
-    /// ([`Closure::from_closed`]), and SHIFTS runs on that; a closure no
-    /// gauge holds takes the residual route.
+    /// ([`clocksync_graph::Closure::from_closed`]), and the outcome keeps
+    /// those counts; a closure no gauge holds takes the residual route.
     pub fn from_global_estimates(closure: SquareMatrix<ExtRatio>) -> SyncOutcome {
-        let counts = Closure::from_closed(&closure).ok();
-        SyncOutcome::from_components_with(closure, counts.as_ref(), |_, m| {
+        SyncOutcome::from_components_with(RoutedClosure::from_closed(closure), |_, m| {
             shifts_warm(m, 0, None).0
         })
     }
 
     /// The component loop shared by the cold batch paths and the online
     /// synchronizer's incremental one, over the synchronizable components
-    /// of `closure`. The domain's route is `counts`: on the integer route,
-    /// the same closure as gauged counts, and `run_shifts` is called once
-    /// per component (in order, with its ascending members and its counts,
-    /// [`Closure::component`]) so the caller can substitute a warm-started
-    /// SHIFTS. Without counts every component takes the residual route.
+    /// of `closure`, which the outcome then keeps. On the integer route
+    /// `run_shifts` is called once per component (in order, with its
+    /// ascending members and its counts,
+    /// [`clocksync_graph::Closure::component`]) so the caller can
+    /// substitute a warm-started SHIFTS; on the residual route every
+    /// component takes exact Karp instead.
     pub(crate) fn from_components_with(
-        closure: SquareMatrix<ExtRatio>,
-        counts: Option<&Closure>,
+        closure: RoutedClosure,
         mut run_shifts: impl FnMut(&[ProcessorId], ScaledMatrix<'_>) -> ShiftsResult,
     ) -> SyncOutcome {
         let n = closure.n();
-        let components = synchronizable_components(&closure);
+        let components = closure.components();
         let mut corrections = vec![Ratio::ZERO; n];
         let mut reports = Vec::with_capacity(components.len());
         for members in components {
-            let indices: Vec<usize> = members.iter().map(|p| p.index()).collect();
-            let result = match counts {
-                Some(counts) => run_shifts(&members, counts.component(&indices)),
-                None => residual_shifts(&closure.restrict(&indices), 0),
-            };
+            let result = closure.shifts(&members, |m| run_shifts(&members, m));
             for (local_idx, p) in members.iter().enumerate() {
                 corrections[p.index()] = result.corrections[local_idx];
             }
@@ -384,11 +391,23 @@ impl SyncOutcome {
     }
 
     /// The matrix of estimated maximal global shifts `m̃s(p,q)` the outcome
-    /// was computed from. With the `m̃ls` matrix it closes, it is all
+    /// was computed from, decoded whole: `n²` rationals, built on each
+    /// call. With the `m̃ls` matrix it closes, it is all
     /// [`crate::shortest_path_successors`] needs to name the chain of
-    /// links behind each pair bound.
-    pub fn global_shift_estimates(&self) -> &SquareMatrix<ExtRatio> {
-        &self.closure
+    /// links behind each pair bound. Point reads take
+    /// [`SyncOutcome::global_shift_estimate`], which decodes one entry.
+    pub fn global_shift_estimates(&self) -> SquareMatrix<ExtRatio> {
+        self.closure.ratio_dist()
+    }
+
+    /// One estimated maximal global shift `m̃s(p, q)`: how far `q` can lag
+    /// `p`, `global_shift_estimates()[(p, q)]` without the whole matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `q` is out of range.
+    pub fn global_shift_estimate(&self, p: ProcessorId, q: ProcessorId) -> ExtRatio {
+        self.closure.at(p.index(), q.index())
     }
 
     /// The tight worst-case bound on the corrected clock difference of the
@@ -400,9 +419,9 @@ impl SyncOutcome {
     ///
     /// Panics if `p` or `q` is out of range.
     pub fn pair_bound(&self, p: ProcessorId, q: ProcessorId) -> ExtRatio {
-        let one = self.closure[(p.index(), q.index())]
+        let one = self.global_shift_estimate(p, q)
             + Ext::Finite(self.corrections[q.index()] - self.corrections[p.index()]);
-        let other = self.closure[(q.index(), p.index())]
+        let other = self.global_shift_estimate(q, p)
             + Ext::Finite(self.corrections[p.index()] - self.corrections[q.index()]);
         one.max(other)
     }
@@ -473,14 +492,19 @@ impl SyncOutcome {
     ///
     /// Panics if `x.len()` differs from the processor count.
     pub fn rho_bar(&self, x: &[Ratio]) -> ExtRatio {
-        rho_bar(&self.closure, x)
+        assert_eq!(
+            x.len(),
+            self.corrections.len(),
+            "correction vector has wrong length"
+        );
+        rho_bar_by(|p, q| self.closure.at(p, q), x)
     }
 
     /// The ordered pair whose bound is tightest against the precision
     /// under our corrections (the synchronization bottleneck), or `None`
     /// for single-processor systems.
     pub fn bottleneck_pair(&self) -> Option<(ProcessorId, ProcessorId)> {
-        worst_pair(&self.closure, &self.corrections)
+        worst_bound(|p, q| self.closure.at(p, q), &self.corrections).map(|(_, pair)| pair)
     }
 }
 
@@ -842,7 +866,7 @@ mod tests {
         let local = estimated_local_shifts(&net, &exec.views().link_observations());
         let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
         let closure = outcome.global_shift_estimates();
-        let next = crate::shortest_path_successors(&local, closure);
+        let next = crate::shortest_path_successors(&local, &closure);
         let chain = |p: ProcessorId, q: ProcessorId| {
             crate::reconstruct_path(&next, p.index(), q.index())
                 .map(|path| path.into_iter().map(ProcessorId).collect::<Vec<_>>())

@@ -176,7 +176,7 @@ proptest! {
         let net = build_network(&inst);
         let exec = build_execution(&inst);
         let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
-        let closure = outcome.global_shift_estimates().clone();
+        let closure = outcome.global_shift_estimates();
         for i in 0..inst.n {
             for j in (i + 1)..inst.n {
                 let (p, q) = (ProcessorId(i), ProcessorId(j));

@@ -22,8 +22,9 @@
 //! so steady-state resynchronization becomes a sequence of `relax_edge`
 //! calls. SHIFTS reads each component's counts with
 //! [`Closure::component`]. Rationals appear only at the edges: weights
-//! arrive as [`ExtRatio`], and [`Closure::ratio_dist`] removes the gauge
-//! and converts the distances back once per query.
+//! arrive as [`ExtRatio`], and a distance leaves as one, the gauge
+//! removed, when a caller reads it — one entry with [`Closure::ratio_at`],
+//! or the whole matrix with [`Closure::ratio_dist`].
 //!
 //! Every route returns distances only. The paths behind them — the
 //! constraint chains — come from [`crate::shortest_path_successors`], on
@@ -297,10 +298,20 @@ impl Closure {
         self.dist.n()
     }
 
-    /// The closure distances as extended rationals, the gauge removed —
-    /// the one conversion a query pays.
+    /// The closure distances as extended rationals, the gauge removed: the
+    /// whole-matrix decode, `O(n²)` rationals, for callers that want every
+    /// entry at once. Point reads take [`Closure::ratio_at`].
     pub fn ratio_dist(&self) -> SquareMatrix<ExtRatio> {
         self.gauge.decode_matrix(&self.dist)
+    }
+
+    /// One closure distance, `ratio_dist()[(p, q)]`, decoded on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `q` is out of range.
+    pub fn ratio_at(&self, p: usize, q: usize) -> ExtRatio {
+        self.gauge.decode(p, q, self.dist[(p, q)])
     }
 
     /// The SHIFTS input of one synchronizable component: the counts among
@@ -876,6 +887,9 @@ mod tests {
         assert_eq!((c.dist[(0, 1)], c.dist[(2, 0)]), (0, 0));
         let d = reference(&m);
         assert_eq!(c.ratio_dist(), d);
+        for (p, q, &v) in d.iter() {
+            assert_eq!(c.ratio_at(p, q), v, "entry ({p}, {q})");
+        }
         assert_eq!(
             shortest_path_successors(&m, &c.ratio_dist()),
             shortest_path_successors(&m, &d)

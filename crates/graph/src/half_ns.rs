@@ -5,7 +5,10 @@
 //! at most once, so every `m̃ls` entry is a whole or half nanosecond, and so
 //! is every closure entry, a sum of them. The integer kernels hold such a
 //! value `r` as a count derived from `2r`: [`gauged`] is the one map from
-//! a [`Ratio`] to a count and [`Gauge::decode_matrix`] the one map back. Infinities have no count. Each kernel front end maps them to its own sentinel: the
+//! a [`Ratio`] to a count and [`Gauge::decode`] the one map back, entry by
+//! entry ([`Gauge::decode_matrix`] applies it to a whole matrix).
+//! Infinities have no count. Each kernel front end maps them to its own
+//! sentinel: the
 //! closure's [`UNREACHABLE`](crate::UNREACHABLE) for `+∞`, Karp's
 //! `NO_EDGE` for a missing edge.
 //!
@@ -227,20 +230,35 @@ impl Gauge {
         Ok(SquareMatrix::from_vec(n, data))
     }
 
-    /// The values of a matrix of gauged counts, `+∞` for
-    /// [`UNREACHABLE`]: entry `(p, q)` holds `(count − h(p) + h(q))/2`.
+    /// The value of the gauged count `v` at `(p, q)`: `(v − h(p) + h(q))/2`,
+    /// `+∞` for [`UNREACHABLE`].
+    pub(crate) fn decode(&self, p: usize, q: usize, v: i64) -> Ext<Ratio> {
+        decode_count(v, self.0[p], self.0[q])
+    }
+
+    /// The values of a matrix of gauged counts, entry by entry as
+    /// [`Gauge::decode`].
     pub(crate) fn decode_matrix(&self, m: &SquareMatrix<i64>) -> SquareMatrix<Ext<Ratio>> {
         let mut data = Vec::with_capacity(m.as_slice().len());
         for (row, &hp) in m.as_slice().chunks_exact(m.n().max(1)).zip(&self.0) {
-            data.extend(row.iter().zip(&self.0).map(|(&v, &hq)| {
-                if v == UNREACHABLE {
-                    Ext::PosInf
-                } else {
-                    Ext::Finite(Ratio::new(i128::from(v) - hp + hq, 2))
-                }
-            }));
+            data.extend(
+                row.iter()
+                    .zip(&self.0)
+                    .map(|(&v, &hq)| decode_count(v, hp, hq)),
+            );
         }
         SquareMatrix::from_vec(m.n(), data)
+    }
+}
+
+/// The one map back from a count: `(v − hp + hq)/2` for the gauge values
+/// `hp`, `hq` of its row and column, `+∞` for [`UNREACHABLE`].
+#[inline]
+fn decode_count(v: i64, hp: i128, hq: i128) -> Ext<Ratio> {
+    if v == UNREACHABLE {
+        Ext::PosInf
+    } else {
+        Ext::Finite(Ratio::new(i128::from(v) - hp + hq, 2))
     }
 }
 

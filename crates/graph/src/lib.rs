@@ -31,8 +31,9 @@
 //! bound in its gauge. The [`Closure`] caches the result as counts, so
 //! single-edge tightenings are absorbed in `O(n²)` integer operations via
 //! [`Closure::relax_edge`] instead of a full `O(n³)` recompute, and
-//! rationals reappear only when [`Closure::ratio_dist`] hands the
-//! distances back with the gauge removed. SHIFTS reads that same integer
+//! rationals reappear only when a distance is read, the gauge removed:
+//! one entry by [`Closure::ratio_at`], the matrix by
+//! [`Closure::ratio_dist`]. SHIFTS reads that same integer
 //! closure: [`Closure::component`] gives a [`ScaledMatrix`] of one
 //! component's counts, and runs both SHIFTS steps on it — `A_max` by
 //! Howard's policy iteration over `i64` weights, warm-startable from any

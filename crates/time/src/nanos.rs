@@ -50,13 +50,27 @@ impl Nanos {
         Nanos(nanos)
     }
 
+    /// `count` units of `unit` nanoseconds, or `None` past `i64`
+    /// nanoseconds. The checked multiply behind every unit constructor:
+    /// each panics on `None` with a message naming itself, in release
+    /// builds too.
+    const fn scaled(count: i64, unit: i64) -> Option<Nanos> {
+        match count.checked_mul(unit) {
+            Some(nanos) => Some(Nanos(nanos)),
+            None => None,
+        }
+    }
+
     /// Creates a duration of `micros` microseconds.
     ///
     /// # Panics
     ///
     /// Panics if the result overflows `i64` nanoseconds.
     pub const fn from_micros(micros: i64) -> Self {
-        Nanos(micros * 1_000)
+        match Nanos::scaled(micros, 1_000) {
+            Some(d) => d,
+            None => panic!("Nanos::from_micros overflow"),
+        }
     }
 
     /// Creates a duration of `millis` milliseconds.
@@ -65,7 +79,10 @@ impl Nanos {
     ///
     /// Panics if the result overflows `i64` nanoseconds.
     pub const fn from_millis(millis: i64) -> Self {
-        Nanos(millis * 1_000_000)
+        match Nanos::scaled(millis, 1_000_000) {
+            Some(d) => d,
+            None => panic!("Nanos::from_millis overflow"),
+        }
     }
 
     /// Creates a duration of `secs` seconds.
@@ -74,7 +91,10 @@ impl Nanos {
     ///
     /// Panics if the result overflows `i64` nanoseconds.
     pub const fn from_secs(secs: i64) -> Self {
-        Nanos(secs * 1_000_000_000)
+        match Nanos::scaled(secs, 1_000_000_000) {
+            Some(d) => d,
+            None => panic!("Nanos::from_secs overflow"),
+        }
     }
 
     /// Returns the raw nanosecond count.
@@ -286,18 +306,39 @@ macro_rules! time_point {
             }
 
             /// Creates a time point `micros` microseconds after the origin.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the offset overflows `i64` nanoseconds.
             pub const fn from_micros(micros: i64) -> Self {
-                $ty(Nanos::from_micros(micros))
+                match Nanos::scaled(micros, 1_000) {
+                    Some(d) => $ty(d),
+                    None => panic!(concat!(stringify!($ty), "::from_micros overflow")),
+                }
             }
 
             /// Creates a time point `millis` milliseconds after the origin.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the offset overflows `i64` nanoseconds.
             pub const fn from_millis(millis: i64) -> Self {
-                $ty(Nanos::from_millis(millis))
+                match Nanos::scaled(millis, 1_000_000) {
+                    Some(d) => $ty(d),
+                    None => panic!(concat!(stringify!($ty), "::from_millis overflow")),
+                }
             }
 
             /// Creates a time point `secs` seconds after the origin.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the offset overflows `i64` nanoseconds.
             pub const fn from_secs(secs: i64) -> Self {
-                $ty(Nanos::from_secs(secs))
+                match Nanos::scaled(secs, 1_000_000_000) {
+                    Some(d) => $ty(d),
+                    None => panic!(concat!(stringify!($ty), "::from_secs overflow")),
+                }
             }
 
             /// Returns the offset of this point from the axis origin.
@@ -385,6 +426,73 @@ mod tests {
         assert_eq!(Nanos::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(Nanos::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(Nanos::from_secs(-2).as_nanos(), -2_000_000_000);
+        // The largest counts that fit, in either direction.
+        assert_eq!(
+            Nanos::from_micros(i64::MAX / 1_000).as_nanos(),
+            i64::MAX / 1_000 * 1_000
+        );
+        assert_eq!(
+            RealTime::from_secs(i64::MIN / 1_000_000_000).as_nanos(),
+            -9_223_372_036_000_000_000
+        );
+        assert_eq!(ClockTime::from_millis(-3).as_nanos(), -3_000_000);
+    }
+
+    // Each unit constructor names itself when the count passes i64
+    // nanoseconds, in release builds as in debug ones.
+
+    #[test]
+    #[should_panic(expected = "Nanos::from_micros overflow")]
+    fn nanos_from_micros_overflow_panics() {
+        let _ = Nanos::from_micros(i64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Nanos::from_millis overflow")]
+    fn nanos_from_millis_overflow_panics() {
+        let _ = Nanos::from_millis(i64::MIN / 1_000_000 - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Nanos::from_secs overflow")]
+    fn nanos_from_secs_overflow_panics() {
+        let _ = Nanos::from_secs(i64::MAX / 1_000_000_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "RealTime::from_micros overflow")]
+    fn real_time_from_micros_overflow_panics() {
+        let _ = RealTime::from_micros(i64::MIN / 1_000 - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "RealTime::from_millis overflow")]
+    fn real_time_from_millis_overflow_panics() {
+        let _ = RealTime::from_millis(i64::MAX / 1_000_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "RealTime::from_secs overflow")]
+    fn real_time_from_secs_overflow_panics() {
+        let _ = RealTime::from_secs(i64::MIN / 1_000_000_000 - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ClockTime::from_micros overflow")]
+    fn clock_time_from_micros_overflow_panics() {
+        let _ = ClockTime::from_micros(i64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ClockTime::from_millis overflow")]
+    fn clock_time_from_millis_overflow_panics() {
+        let _ = ClockTime::from_millis(i64::MIN / 1_000_000 - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ClockTime::from_secs overflow")]
+    fn clock_time_from_secs_overflow_panics() {
+        let _ = ClockTime::from_secs(i64::MAX / 1_000_000_000 + 1);
     }
 
     #[test]

@@ -997,7 +997,7 @@ impl Runner<'_> {
             Ok(())
         };
         check(self.online.local_estimates(), "local estimate")?;
-        check(outcome.global_shift_estimates(), "closed estimate")
+        check(&outcome.global_shift_estimates(), "closed estimate")
     }
 
     fn check_agreement(&self, outcome: &SyncOutcome) -> Result<(), (String, String)> {
@@ -1179,7 +1179,7 @@ impl Runner<'_> {
                 }
             }
         }
-        self.prev_closure = Some(cur.clone());
+        self.prev_closure = Some(cur);
         Ok(())
     }
 }

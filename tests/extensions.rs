@@ -83,7 +83,8 @@ fn online_synchronizer_tracks_a_live_stream() {
     // (closure entries are monotone; the corrections may re-balance, so
     // the realized pair bound legitimately can shift).
     for (i, j) in [(0usize, 1usize), (1, 0)] {
-        assert!(full.global_shift_estimates()[(i, j)] <= mid.global_shift_estimates()[(i, j)]);
+        let (p, q) = (ProcessorId(i), ProcessorId(j));
+        assert!(full.global_shift_estimate(p, q) <= mid.global_shift_estimate(p, q));
     }
 }
 

@@ -91,7 +91,7 @@ fn far_offset_domains_equal_the_rational_reference() {
             let trace = recorder.snapshot();
             assert_eq!(trace.events_named("sync.closure_fallback").count(), 0);
             let (closure, components) = reference(&run);
-            assert_eq!(outcome.global_shift_estimates(), &closure, "{topology:?}");
+            assert_eq!(outcome.global_shift_estimates(), closure, "{topology:?}");
             assert_eq!(outcome.components().len(), components.len());
             for (report, (a_max, cycle, corrections)) in
                 outcome.components().iter().zip(&components)

@@ -129,8 +129,8 @@ proptest! {
         for i in 0..n {
             for j in 0..n {
                 prop_assert!(
-                    with_dups.global_shift_estimates()[(i, j)]
-                        <= stripped.global_shift_estimates()[(i, j)],
+                    with_dups.global_shift_estimate(ProcessorId(i), ProcessorId(j))
+                        <= stripped.global_shift_estimate(ProcessorId(i), ProcessorId(j)),
                     "duplication loosened m\u{303}s({i}, {j})"
                 );
             }

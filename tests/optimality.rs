@@ -1,10 +1,17 @@
 //! Mechanical verification of the paper's optimality theorems (E10):
-//! explicit equivalent executions realize the `A_max` lower bound, and no
-//! correction vector beats SHIFTS.
+//! explicit equivalent executions realize the `A_max` lower bound, no
+//! correction vector beats SHIFTS, and no instance does worse than the
+//! Lundelius–Lynch optimum on complete graphs.
 
-use clocksync::{DelayRange, LinkAssumption, Network, Synchronizer};
+use clocksync::{
+    estimated_local_shifts, global_estimates, DelayRange, LinkAssumption, Network,
+    OnlineSynchronizer, SyncOutcome, Synchronizer,
+};
 use clocksync_model::{Execution, ExecutionBuilder, ProcessorId};
 use clocksync_time::{Ext, Nanos, Ratio, RealTime};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const P: ProcessorId = ProcessorId(0);
 const Q: ProcessorId = ProcessorId(1);
@@ -79,13 +86,14 @@ fn critical_cycle_certifies_the_precision() {
     let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
     let comp = &outcome.components()[0];
     // The critical cycle's mean estimated shift equals the precision.
-    let closure = outcome.global_shift_estimates();
     let cycle = &comp.critical_cycle;
     let mut total = Ratio::ZERO;
     for i in 0..cycle.len() {
-        let from = cycle[i].index();
-        let to = cycle[(i + 1) % cycle.len()].index();
-        total += closure[(from, to)].finite().expect("finite closure");
+        let (from, to) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+        total += outcome
+            .global_shift_estimate(from, to)
+            .finite()
+            .expect("finite closure");
     }
     let mean = total * Ratio::new(1, cycle.len() as i128);
     assert_eq!(mean, comp.precision);
@@ -102,7 +110,7 @@ fn every_kernel_realizes_the_same_lower_bound() {
     let (net, exec) = two_node();
     let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
     let closure = outcome.global_shift_estimates();
-    let karp = karp_max_cycle_mean(closure).unwrap();
+    let karp = karp_max_cycle_mean(&closure).unwrap();
     let mut g = DiGraph::new(closure.n());
     for (a, b, &w) in closure.iter_off_diagonal() {
         g.add_edge(a, b, Ext::Finite(karp.mean - w.finite().unwrap()));
@@ -116,11 +124,11 @@ fn every_kernel_realizes_the_same_lower_bound() {
     assert_eq!(Ext::Finite(karp.mean), outcome.precision());
     assert_eq!(reference, outcome.corrections());
 
-    let r = shifts(closure, 0);
+    let r = shifts(&closure, 0);
     assert_eq!(r.precision, karp.mean);
     assert_eq!(r.corrections, reference);
     assert_eq!(r.critical_cycle, karp.cycle);
-    assert_eq!(howard_solve(closure, None).unwrap().cycle_mean, karp);
+    assert_eq!(howard_solve(&closure, None).unwrap().cycle_mean, karp);
 }
 
 /// A path instance where the global (closure) cycle dominates any single
@@ -333,10 +341,133 @@ fn decomposition_is_exactly_the_min_of_parts() {
     let o_bias = under(bias.clone());
     let o_both = under(LinkAssumption::all(vec![bounds, bias]));
     for (i, j) in [(0usize, 1usize), (1, 0)] {
-        let expected =
-            o_bounds.global_shift_estimates()[(i, j)].min(o_bias.global_shift_estimates()[(i, j)]);
-        assert_eq!(o_both.global_shift_estimates()[(i, j)], expected);
+        let (p, q) = (ProcessorId(i), ProcessorId(j));
+        let expected = o_bounds
+            .global_shift_estimate(p, q)
+            .min(o_bias.global_shift_estimate(p, q));
+        assert_eq!(o_both.global_shift_estimate(p, q), expected);
     }
     assert!(o_both.precision() <= o_bounds.precision());
     assert!(o_both.precision() <= o_bias.precision());
+}
+
+/// A complete graph on `n` clocks started up to a second apart (drawn
+/// from `seed`), every link declared `symmetric_bounds([lo, lo + u])`,
+/// and `probes` messages each way on every pair; `delay(src, dst)` gives
+/// each message's delay.
+fn complete_instance(
+    n: usize,
+    probes: usize,
+    (lo, u): (i64, i64),
+    seed: u64,
+    mut delay: impl FnMut(usize, usize) -> i64,
+) -> (Network, Execution) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bounds =
+        LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::new(lo), Nanos::new(lo + u)));
+    let spread = 1_000_000_000;
+    let mut net = Network::builder(n);
+    let mut exec = ExecutionBuilder::new(n);
+    for p in 0..n {
+        exec = exec.start(
+            ProcessorId(p),
+            RealTime::from_nanos(rng.gen_range(0..=spread)),
+        );
+    }
+    let mut at = spread + 1_000;
+    for p in 0..n {
+        for q in p + 1..n {
+            net = net.link(ProcessorId(p), ProcessorId(q), bounds.clone());
+            for _ in 0..probes {
+                for (src, dst) in [(p, q), (q, p)] {
+                    let d = Nanos::new(delay(src, dst));
+                    let sent = RealTime::from_nanos(at);
+                    exec = exec.message(ProcessorId(src), ProcessorId(dst), sent, d);
+                    at += 10_000;
+                }
+            }
+        }
+    }
+    (net.build(), exec.build().expect("delays within the bounds"))
+}
+
+/// `A_max` of the instance on each of the three ways an outcome is built:
+/// batch `synchronize`, the online engine fed message by message from a
+/// warm cache, and `SyncOutcome::from_global_estimates` on the closed
+/// estimates, as the distributed leader builds it.
+fn a_max_three_ways(net: &Network, exec: &Execution) -> [(&'static str, Ext<Ratio>); 3] {
+    let batch = Synchronizer::new(net.clone())
+        .synchronize(exec.views())
+        .unwrap();
+    let mut online = OnlineSynchronizer::new(net.clone());
+    online.outcome().unwrap();
+    for m in exec.views().message_observations() {
+        online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock);
+    }
+    let streamed = online.outcome().unwrap();
+    let local = estimated_local_shifts(net, &exec.views().link_observations());
+    let leader = SyncOutcome::from_global_estimates(global_estimates(&local).unwrap());
+    for outcome in [&batch, &streamed, &leader] {
+        assert!(outcome.is_fully_synchronized(), "a complete graph split");
+    }
+    [
+        ("batch", batch.precision()),
+        ("online", streamed.precision()),
+        ("leader", leader.precision()),
+    ]
+}
+
+/// The Lundelius–Lynch optimum `u(1 − 1/n)`, exactly.
+fn lundelius_lynch(n: usize, u: i64) -> Ext<Ratio> {
+    Ext::Finite(Ratio::from_int(i128::from(u)) * Ratio::new(n as i128 - 1, n as i128))
+}
+
+/// Lundelius and Lynch's worst case: every message up the index order
+/// takes `lo + u` and every message down takes `lo`. Then `m̃s(p, q)` is
+/// `u` for `p < q` and `0` for `p > q`, and the cycle `0 → 1 → … → n−1 →
+/// 0` averages exactly `u(1 − 1/n)`.
+#[test]
+fn the_lundelius_lynch_execution_attains_the_bound() {
+    let (lo, u) = (1_000, 3_001);
+    for n in 2..=7 {
+        for probes in 1..=2 {
+            let up_slow = |src: usize, dst: usize| if src < dst { lo + u } else { lo };
+            let (net, exec) = complete_instance(n, probes, (lo, u), n as u64, up_slow);
+            for (name, a_max) in a_max_three_ways(&net, &exec) {
+                assert_eq!(a_max, lundelius_lynch(n, u), "{name}, n = {n}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lundelius and Lynch show that `n` clocks linked pairwise by delays
+    /// in `[lo, lo + u]` can always be synchronized to within
+    /// `u(1 − 1/n)`, and no better in the worst case. The per-instance
+    /// optimum `A_max` can therefore never exceed it: an analytic bound
+    /// that trusts nothing in the pipeline. Checked exactly, in `Ratio`,
+    /// on all three ways an outcome is built. Half the delays sit at an
+    /// end of the range, where the bound is reached.
+    #[test]
+    fn complete_graphs_meet_the_lundelius_lynch_bound(
+        n in 2usize..=7,
+        probes in 1usize..=3,
+        lo in 0i64..=5_000,
+        u in 0i64..=5_000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+        let delay = |_: usize, _: usize| match rng.gen_range(0..4) {
+            0 => lo,
+            1 => lo + u,
+            _ => lo + rng.gen_range(0..=u),
+        };
+        let (net, exec) = complete_instance(n, probes, (lo, u), seed, delay);
+        let bound = lundelius_lynch(n, u);
+        for (name, a_max) in a_max_three_ways(&net, &exec) {
+            prop_assert!(a_max <= bound, "{name}: A_max {a_max} above u(1 - 1/n) = {bound}");
+        }
+    }
 }

@@ -253,7 +253,7 @@ fn shifts_kernels_are_interchangeable_end_to_end() {
                 "{topo:?} seed {seed}: warm components diverged from batch"
             );
             let closure = outcome.global_shift_estimates();
-            for members in synchronizable_components(closure) {
+            for members in synchronizable_components(&closure) {
                 let k = members.len();
                 let sub = SquareMatrix::from_fn(k, |a, b| {
                     closure[(members[a].index(), members[b].index())]
