@@ -18,8 +18,6 @@
 //!                       [--journal FILE] [--repro FILE]
 //! clocksync vopr replay --file FILE [--journal FILE]
 //! clocksync vopr corpus [--dir DIR] [--budget N] [--seed S]
-//! clocksync vopr marzullo [--seed S] [--seeds N]
-//! clocksync vopr drift [--seed S] [--seeds N]
 //! ```
 
 use std::fmt::Display;
@@ -47,8 +45,6 @@ const USAGE: &str = "usage:
                         [--journal FILE] [--repro FILE]
   clocksync vopr replay --file FILE [--journal FILE]
   clocksync vopr corpus [--dir DIR] [--budget N] [--seed S]
-  clocksync vopr marzullo [--seed S] [--seeds N]
-  clocksync vopr drift [--seed S] [--seeds N]
 
 topologies: path ring star complete grid random
 models:     uniform (--lo-us --hi-us)
@@ -68,16 +64,15 @@ above the ceiling).
 --trace FILE writes a JSONL trace (spans, counters, histograms, gauges,
 events); `trace summarize` renders one as a human-readable report.
 
-vopr is the deterministic scenario fuzzer: `run` executes --count seeded
-scenarios against the full-history, windowed and concurrent engines with
-invariant oracles after every step, shrinks the first failure to a minimal
-reproducer (written to --repro) and prints its replay command; `replay`
-re-runs a saved scenario file; `corpus` replays tests/corpus/ plus fresh
-seeds and exits nonzero on any failure; `marzullo` deep-sweeps the quorum
-fusion estimator's honest-subset oracle over --seeds seeded instances;
-`drift` deep-sweeps the bounded-drift workloads (no panics, bit-exact
-zero-drift degeneracy, decayed-certificate soundness under continuous
-resync with churn) over --seeds seeded instances. --journal FILE writes the
+vopr is the deterministic fuzzer. Its families map a seed to one checked
+instance: plain and far-clock scenarios (run against the full-history,
+windowed and concurrent engines with invariant oracles after every step),
+Marzullo-fused link instances and bounded-drift workloads. `run` checks
+--count seeds from --seed of every family, stops at the first failure,
+shrinks a failing scenario to a minimal reproducer (written to --repro)
+and prints its replay command; `replay` re-runs a saved scenario file;
+`corpus` replays tests/corpus/, then checks --budget seeds of every family
+and exits nonzero on any failure. --journal FILE writes the
 byte-deterministic run journal (same seed => identical bytes).";
 
 /// A recorder wired to `--trace`: enabled only when the flag is present,
@@ -132,9 +127,7 @@ fn run() -> Result<(), String> {
     if raw.len() >= 2 && raw[0] == "trace" && raw[1] == "summarize" {
         raw.splice(0..2, ["trace-summarize".to_string()]);
     }
-    if raw.len() >= 2
-        && raw[0] == "vopr"
-        && ["run", "replay", "corpus", "marzullo", "drift"].contains(&raw[1].as_str())
+    if raw.len() >= 2 && raw[0] == "vopr" && ["run", "replay", "corpus"].contains(&raw[1].as_str())
     {
         let folded = format!("vopr-{}", raw[1]);
         raw.splice(0..2, [folded]);
@@ -376,9 +369,9 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("writing {path}: {e}"))?;
                 eprintln!("journal written to {path}");
             }
-            match session.reproducer {
-                None => Ok(()),
-                Some(scenario) => {
+            match (session.failure, session.reproducer) {
+                (None, _) => Ok(()),
+                (Some(_), Some(scenario)) => {
                     let path = args.get("repro").unwrap_or("vopr-repro.json");
                     fs::write(path, scenario.to_json_pretty())
                         .map_err(|e| format!("writing {path}: {e}"))?;
@@ -387,6 +380,10 @@ fn run() -> Result<(), String> {
                         clocksync_vopr::Scenario::replay_command(path)
                     ))
                 }
+                (Some(f), None) => Err(format!(
+                    "oracle failure; reproduce with:\n  clocksync vopr run --seed {} --count 1",
+                    f.seed
+                )),
             }
         }
         "vopr-replay" => {
@@ -422,38 +419,6 @@ fn run() -> Result<(), String> {
                     "{} of {} corpus runs failed their oracles",
                     report.failures, report.ran
                 ))
-            } else {
-                Ok(())
-            }
-        }
-        "vopr-marzullo" => {
-            let seed = args.get_u64("seed", 0)?;
-            let seeds = args.get_usize("seeds", 2_000)?;
-            if seeds == 0 {
-                return Err("flag --seeds: must be at least 1".to_string());
-            }
-            let (lines, failed) = clocksync_cli::vopr::marzullo(seed, seeds);
-            for line in &lines {
-                out.line(line)?;
-            }
-            if failed {
-                Err("marzullo fusion oracle failure".to_string())
-            } else {
-                Ok(())
-            }
-        }
-        "vopr-drift" => {
-            let seed = args.get_u64("seed", 0)?;
-            let seeds = args.get_usize("seeds", 2_000)?;
-            if seeds == 0 {
-                return Err("flag --seeds: must be at least 1".to_string());
-            }
-            let (lines, failed) = clocksync_cli::vopr::drift(seed, seeds);
-            for line in &lines {
-                out.line(line)?;
-            }
-            if failed {
-                Err("drift soundness oracle failure".to_string())
             } else {
                 Ok(())
             }

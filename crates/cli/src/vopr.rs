@@ -1,16 +1,16 @@
-//! `clocksync vopr …` — drive the deterministic scenario fuzzer.
+//! `clocksync vopr …` — drive the deterministic fuzzer.
 //!
 //! Three subcommands, all deterministic given their flags:
 //!
-//! * `vopr run --seed S [--count K]` — generate-and-run `K` consecutive
-//!   seeds; on the first oracle failure, shrink to a minimal reproducer
-//!   and hand it back for the caller to write next to a replay command;
+//! * `vopr run --seed S [--count K]` — check seeds `S..S+K` of every
+//!   family ([`clocksync_vopr::sweep`]); on the first oracle failure,
+//!   shrink it to a minimal reproducer when it is a scenario's and hand
+//!   that back for the caller to write next to a replay command;
 //! * `vopr replay --file F` — re-run a saved scenario JSON (a corpus
 //!   file or a failure reproducer);
-//! * `vopr corpus [--dir D] [--budget N]` — replay every committed
-//!   corpus scenario, run every seed in `seeds.txt`, then `N` freshly
-//!   generated seeds and `N` of the far-clock family — the CI smoke entry
-//!   point.
+//! * `vopr corpus [--dir D] [--budget N] [--seed S]` — replay every
+//!   committed corpus scenario, run every seed in `seeds.txt`, then seeds
+//!   `S..S+N` of every family — the CI entry point.
 //!
 //! The functions here are the testable core; `main.rs` only parses flags
 //! and writes files.
@@ -19,7 +19,8 @@ use std::fs;
 use std::path::Path;
 
 use clocksync_vopr::{
-    generate, run_scenario, shrink, with_quiet_panics, RunReport, Scenario, FAR_SEEDS,
+    generate, run_scenario, shrink, sweep, with_quiet_panics, Checked, Failure, Family, RunReport,
+    Scenario,
 };
 
 /// What one fuzz session (`vopr run`) produced.
@@ -27,9 +28,11 @@ use clocksync_vopr::{
 pub struct FuzzSession {
     /// Human-readable report lines.
     pub lines: Vec<String>,
-    /// Concatenated deterministic journals of every executed run.
+    /// Concatenated deterministic journals of every executed scenario.
     pub journal_jsonl: String,
-    /// The shrunk minimal reproducer, when a seed failed.
+    /// The first failure, when a seed failed.
+    pub failure: Option<Failure>,
+    /// The shrunk minimal reproducer, when that failure is a scenario's.
     pub reproducer: Option<Scenario>,
 }
 
@@ -39,45 +42,67 @@ fn describe(report: &RunReport) -> String {
             "pass ({} steps, {} probes applied, {} dropped, {} skipped)",
             report.steps, report.probes_applied, report.probes_dropped, report.probes_skipped
         ),
-        Some(f) => format!(
-            "FAIL at step {}: oracle `{}` — {}",
-            f.step, f.oracle, f.detail
-        ),
+        Some(f) => f.to_string(),
     }
 }
 
-/// Runs `count` generated scenarios from `base_seed` (consecutive seeds).
-/// Stops at the first failure and shrinks it with `shrink_budget` extra
-/// runs. Panics inside scenario targets are contained and silenced.
+fn describe_checked(checked: &Checked) -> String {
+    match (&checked.failure, &checked.run) {
+        (Some(f), _) => f.to_string(),
+        (None, Some((_, report))) => format!(
+            "{} seed {}: {}",
+            checked.family.name(),
+            checked.seed,
+            describe(report)
+        ),
+        (None, None) => format!("{} seed {}: pass", checked.family.name(), checked.seed),
+    }
+}
+
+/// One line per family: the seeds a whole sweep checked of it and how many
+/// of `failed` are its.
+fn tallies(seeds: usize, failed: &[Failure]) -> Vec<String> {
+    Family::ALL
+        .iter()
+        .map(|&family| {
+            let n = failed.iter().filter(|f| f.family == family).count();
+            format!("{}: {seeds} seeds, {n} failures", family.name())
+        })
+        .collect()
+}
+
+/// Checks seeds `base_seed..base_seed + count` of every family. Stops at
+/// the first failure and, when it is a scenario's, shrinks it with
+/// `shrink_budget` extra runs. Panics inside targets are contained and
+/// silenced.
 pub fn fuzz(base_seed: u64, count: usize, shrink_budget: usize) -> FuzzSession {
     with_quiet_panics(|| {
-        let mut lines = Vec::new();
-        let mut journal_jsonl = String::new();
-        for i in 0..count as u64 {
-            let seed = base_seed.wrapping_add(i);
-            let scenario = generate(seed);
-            let report = run_scenario(&scenario);
-            journal_jsonl.push_str(&report.journal.to_jsonl());
-            lines.push(format!("seed {seed}: {}", describe(&report)));
-            if !report.passed() {
-                let (shrunk, stats) = shrink(scenario, shrink_budget);
-                lines.push(format!(
-                    "shrunk {} -> {} events in {} runs",
-                    stats.from_events, stats.to_events, stats.runs
-                ));
-                return FuzzSession {
-                    lines,
-                    journal_jsonl,
-                    reproducer: Some(shrunk),
-                };
+        let mut session = FuzzSession {
+            lines: Vec::new(),
+            journal_jsonl: String::new(),
+            failure: None,
+            reproducer: None,
+        };
+        for checked in sweep(base_seed, count) {
+            session.lines.push(describe_checked(&checked));
+            if let Some((_, report)) = &checked.run {
+                session.journal_jsonl.push_str(&report.journal.to_jsonl());
+            }
+            if checked.failure.is_some() {
+                if let Some((scenario, _)) = checked.run {
+                    let (shrunk, stats) = shrink(scenario, shrink_budget);
+                    session.lines.push(format!(
+                        "shrunk {} -> {} events in {} runs",
+                        stats.from_events, stats.to_events, stats.runs
+                    ));
+                    session.reproducer = Some(shrunk);
+                }
+                session.failure = checked.failure;
+                return session;
             }
         }
-        lines.push(format!("{count} scenarios, all oracles green"));
-        FuzzSession {
-            lines,
-            journal_jsonl,
-            reproducer: None,
-        }
+        session.lines.extend(tallies(count, &[]));
+        session
     })
 }
 
@@ -100,17 +125,16 @@ pub fn replay(scenario: &Scenario) -> (Vec<String>, String, bool) {
 pub struct CorpusReport {
     /// Human-readable report lines.
     pub lines: Vec<String>,
-    /// Scenarios and seeds executed.
+    /// Scenario files, pinned seeds and family seeds checked.
     pub ran: usize,
     /// How many failed an oracle.
     pub failures: usize,
 }
 
 /// Replays every `*.json` scenario in `dir` (sorted by file name), runs
-/// every seed listed in `dir/seeds.txt` (one per line, `#` comments),
-/// then `budget` freshly generated seeds starting at `base_seed` and
-/// `budget` more from the far-clock family, starting at
-/// [`FAR_SEEDS`]` + base_seed`.
+/// every seed listed in `dir/seeds.txt` (one generator seed per line, `#`
+/// comments), then checks seeds `base_seed..base_seed + budget` of every
+/// family ([`clocksync_vopr::sweep`]).
 ///
 /// # Errors
 ///
@@ -147,7 +171,6 @@ pub fn corpus(dir: &Path, budget: usize, base_seed: u64) -> Result<CorpusReport,
 
     with_quiet_panics(|| {
         let mut lines = Vec::new();
-        let mut ran = 0usize;
         let mut failures = 0usize;
         for file in &files {
             let text =
@@ -155,89 +178,32 @@ pub fn corpus(dir: &Path, budget: usize, base_seed: u64) -> Result<CorpusReport,
             let scenario =
                 Scenario::from_json_str(&text).map_err(|e| format!("{}: {e}", file.display()))?;
             let report = run_scenario(&scenario);
-            ran += 1;
-            if !report.passed() {
-                failures += 1;
-            }
+            failures += usize::from(!report.passed());
             lines.push(format!("{}: {}", file.display(), describe(&report)));
         }
         for &seed in &seeds {
-            let report = run_scenario(&generate(seed));
-            ran += 1;
-            if !report.passed() {
+            if let Some(failure) = run_scenario(&generate(seed)).failure {
                 failures += 1;
-                lines.push(format!("seed {seed}: {}", describe(&report)));
+                lines.push(failure.to_string());
             }
         }
-        let fresh = |base: u64| (0..budget as u64).map(move |i| base.wrapping_add(i));
-        for seed in fresh(base_seed).chain(fresh(FAR_SEEDS.wrapping_add(base_seed))) {
-            let report = run_scenario(&generate(seed));
-            ran += 1;
-            if !report.passed() {
-                failures += 1;
-                lines.push(format!("seed {seed}: {}", describe(&report)));
-            }
-        }
+        let failed: Vec<Failure> = sweep(base_seed, budget).filter_map(|c| c.failure).collect();
+        lines.extend(failed.iter().map(|f| f.to_string()));
+        lines.extend(tallies(budget, &failed));
+        failures += failed.len();
         lines.push(format!(
-            "corpus: {} scenario files, {} pinned seeds, {} fresh seeds, {} far-clock seeds — {} failures",
+            "corpus: {} scenario files, {} pinned seeds, {budget} seeds from {base_seed} of \
+             each of {} families — {failures} failures",
             files.len(),
             seeds.len(),
-            budget,
-            budget,
-            failures
+            Family::ALL.len(),
         ));
         Ok(CorpusReport {
             lines,
-            ran,
+            ran: files.len() + seeds.len() + budget * Family::ALL.len(),
             failures,
         })
     })
-}
-
-/// Runs the estimator-level Marzullo fusion fuzzer over `seeds`
-/// consecutive seeds from `base_seed` (see
-/// [`clocksync_vopr::fuzz_marzullo`]). Returns report lines and whether
-/// any seed failed — the deep-sweep companion to the scenario runner's
-/// integrated `marzullo-honest-subset` oracle.
-pub fn marzullo(base_seed: u64, seeds: usize) -> (Vec<String>, bool) {
-    match clocksync_vopr::fuzz_marzullo(base_seed, seeds) {
-        None => (
-            vec![format!(
-                "marzullo: {seeds} seeds from {base_seed}, honest-subset oracle green"
-            )],
-            false,
-        ),
-        Some(failure) => (
-            vec![format!(
-                "marzullo: FAIL at seed {} — {}",
-                failure.seed, failure.detail
-            )],
-            true,
-        ),
-    }
-}
-
-/// Runs the bounded-drift workload fuzzer over `seeds` consecutive seeds
-/// from `base_seed` (see [`clocksync_vopr::fuzz_drift`]): no panics,
-/// bit-exact zero-drift degeneracy, and decayed-certificate soundness
-/// for one-shot and continuous-resync runs. Returns report lines and
-/// whether any seed failed.
-pub fn drift(base_seed: u64, seeds: usize) -> (Vec<String>, bool) {
-    match clocksync_vopr::fuzz_drift(base_seed, seeds) {
-        None => (
-            vec![format!(
-                "drift: {seeds} seeds from {base_seed}, soundness and degeneracy oracles green"
-            )],
-            false,
-        ),
-        Some(failure) => (
-            vec![format!(
-                "drift: FAIL at seed {} — {}",
-                failure.seed, failure.detail
-            )],
-            true,
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -245,26 +211,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drift_sweep_is_green_and_deterministic() {
-        let (lines, failed) = drift(0, 200);
-        assert!(!failed, "{lines:?}");
-        assert_eq!(drift(0, 200), (lines, failed));
-    }
-
-    #[test]
-    fn marzullo_sweep_is_green_and_deterministic() {
-        let (lines, failed) = marzullo(0, 200);
-        assert!(!failed, "{lines:?}");
-        assert_eq!(marzullo(0, 200), (lines, failed));
-    }
-
-    #[test]
     fn fuzz_is_deterministic_and_green_on_the_fixed_build() {
         let a = fuzz(500, 3, 50);
         let b = fuzz(500, 3, 50);
         assert_eq!(a.journal_jsonl, b.journal_jsonl);
         assert_eq!(a.lines, b.lines);
-        assert!(a.reproducer.is_none(), "lines: {:?}", a.lines);
+        assert!(a.failure.is_none(), "lines: {:?}", a.lines);
+        assert!(a.reproducer.is_none());
     }
 
     #[test]
@@ -284,8 +237,8 @@ mod tests {
         fs::write(dir.join("a.json"), generate(3).to_json_pretty()).unwrap();
         fs::write(dir.join("seeds.txt"), "# pinned\n11\n").unwrap();
         let report = corpus(&dir, 2, 900).unwrap();
-        // One file, one pinned seed, two fresh seeds and two far-clock ones.
-        assert_eq!(report.ran, 6, "{:?}", report.lines);
+        // One file, one pinned seed, and two seeds of each of four families.
+        assert_eq!(report.ran, 10, "{:?}", report.lines);
         assert_eq!(report.failures, 0, "{:?}", report.lines);
         fs::write(dir.join("broken.json"), "{").unwrap();
         assert!(corpus(&dir, 0, 0).is_err());

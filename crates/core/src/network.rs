@@ -65,6 +65,13 @@ impl Network {
             .map(|(&(a, b), asm)| (ProcessorId(a), ProcessorId(b), asm))
     }
 
+    /// Whether the link `{p, q}` was declared: a map lookup, without the
+    /// clone [`Network::assumption`] makes.
+    pub fn has_link(&self, p: ProcessorId, q: ProcessorId) -> bool {
+        let key = (p.index().min(q.index()), p.index().max(q.index()));
+        self.links.contains_key(&key)
+    }
+
     /// The assumption on the link `{p, q}` oriented `p → q`, if the link
     /// was declared.
     pub fn assumption(&self, p: ProcessorId, q: ProcessorId) -> Option<LinkAssumption> {

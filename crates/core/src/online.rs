@@ -180,7 +180,25 @@ impl OnlineSynchronizer {
         self.observations.retained_samples()
     }
 
+    /// Whether `{src, dst}` is a declared link. Only declared links'
+    /// evidence reaches an estimator, so only their samples are recorded:
+    /// a message between two processors without a declared link, or from
+    /// a processor to itself, is accepted and dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is out of range.
+    fn declared(&self, src: ProcessorId, dst: ProcessorId) -> bool {
+        let n = self.network.n();
+        assert!(
+            src.index() < n && dst.index() < n,
+            "processor out of range for {n} processors"
+        );
+        self.network.has_link(src, dst)
+    }
+
     /// Records one delivered message by its two endpoint clock readings.
+    /// A message off the declared links is dropped.
     ///
     /// # Panics
     ///
@@ -192,20 +210,23 @@ impl OnlineSynchronizer {
         send_clock: ClockTime,
         recv_clock: ClockTime,
     ) {
-        self.observations.record_sample(
-            src,
-            dst,
-            MsgSample {
-                send_clock,
-                recv_clock,
-            },
-        );
-        self.refresh_link(src, dst);
+        if self.declared(src, dst) {
+            self.observations.record_sample(
+                src,
+                dst,
+                MsgSample {
+                    send_clock,
+                    recv_clock,
+                },
+            );
+            self.refresh_link(src, dst);
+        }
     }
 
     /// Records one delivered message by its estimated delay only (clock
     /// readings synthesized; sufficient for every assumption except the
-    /// windowed bias model, which needs real clock readings).
+    /// windowed bias model, which needs real clock readings). A message off
+    /// the declared links is dropped.
     ///
     /// # Panics
     ///
@@ -216,8 +237,10 @@ impl OnlineSynchronizer {
         dst: ProcessorId,
         estimated_delay: Nanos,
     ) {
-        self.observations.record(src, dst, estimated_delay);
-        self.refresh_link(src, dst);
+        if self.declared(src, dst) {
+            self.observations.record(src, dst, estimated_delay);
+            self.refresh_link(src, dst);
+        }
     }
 
     /// Records one delivered message from *untrusted* clock readings.
@@ -256,7 +279,8 @@ impl OnlineSynchronizer {
     /// touched link is re-estimated and folded into the cached closure
     /// *once* rather than once per message — the batch discount the
     /// sharded ingestion service is built on. Returns the number of
-    /// observations applied.
+    /// observations applied, counting those off the declared links, which
+    /// are validated and then dropped.
     ///
     /// The batch is applied atomically: every observation is validated
     /// up front, and on error none of them is recorded.
@@ -284,6 +308,9 @@ impl OnlineSynchronizer {
         }
         let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
         for obs in batch {
+            if !self.network.has_link(obs.src, obs.dst) {
+                continue;
+            }
             self.observations.record_sample(
                 obs.src,
                 obs.dst,
@@ -357,7 +384,8 @@ impl OnlineSynchronizer {
         self.shifts_states.clear();
     }
 
-    /// Merges every message of a complete view set into the stream.
+    /// Merges every message of a complete view set on a declared link into
+    /// the stream.
     ///
     /// A bulk merge touches many links at once, so instead of folding each
     /// message into the cached closure it re-derives every link estimate
@@ -375,6 +403,9 @@ impl OnlineSynchronizer {
             });
         }
         for m in views.message_observations() {
+            if !self.network.has_link(m.src, m.dst) {
+                continue;
+            }
             self.observations.record_sample(
                 m.src,
                 m.dst,
@@ -823,6 +854,40 @@ mod tests {
         assert_eq!(batched.ingest_batch(&stream).unwrap(), 4);
         assert_eq!(per_message.outcome().unwrap(), batched.outcome().unwrap());
         assert_eq!(batched.retained_samples(), 4);
+    }
+
+    #[test]
+    fn evidence_off_the_declared_links_is_not_kept() {
+        // Only P–Q is declared: messages P → r and r → r inform no
+        // estimator, so no entry point may keep them.
+        let r = ProcessorId(2);
+        let net = Network::builder(3)
+            .link(
+                P,
+                Q,
+                LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::ZERO, Nanos::new(1_000))),
+            )
+            .build();
+        let declared = [obs(P, Q, 1_000, 1_600), obs(Q, P, 1_700, 2_200)];
+        let mut reference = OnlineSynchronizer::new(net.clone());
+        reference.ingest_batch(&declared).unwrap();
+
+        let mut online = OnlineSynchronizer::new(net);
+        online.observe_message(P, r, ClockTime::from_nanos(0), ClockTime::from_nanos(50));
+        online.observe_estimated_delay(r, r, Nanos::new(10));
+        assert_eq!(
+            online.ingest_batch(&[obs(P, r, 0, 70), obs(r, r, 5, 9)]),
+            Ok(2)
+        );
+        let exec = ExecutionBuilder::new(3)
+            .message(P, r, RealTime::from_nanos(100), Nanos::new(30))
+            .build()
+            .unwrap();
+        online.ingest_views(exec.views()).unwrap();
+        assert_eq!(online.retained_samples(), 0);
+        online.ingest_batch(&declared).unwrap();
+        assert_eq!(online.retained_samples(), 2);
+        assert_eq!(online.outcome().unwrap(), reference.outcome().unwrap());
     }
 
     #[test]

@@ -127,8 +127,7 @@ impl Synchronizer {
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let outcome =
-                SyncOutcome::from_components_with(closure, |_, m| shifts_warm(m, 0, None).0);
+            let outcome = SyncOutcome::from_closure(closure);
             span.field("components", outcome.components().len());
             outcome
         };
@@ -245,9 +244,27 @@ impl SyncOutcome {
     /// ([`clocksync_graph::Closure::from_closed`]), and the outcome keeps
     /// those counts; a closure no gauge holds takes the residual route.
     pub fn from_global_estimates(closure: SquareMatrix<ExtRatio>) -> SyncOutcome {
-        SyncOutcome::from_components_with(RoutedClosure::from_closed(closure), |_, m| {
-            shifts_warm(m, 0, None).0
-        })
+        SyncOutcome::from_closure(RoutedClosure::from_closed(closure))
+    }
+
+    /// Builds an outcome from a matrix of estimated maximal *local* shifts
+    /// `m̃ls` — such as the per-link estimates a distributed leader
+    /// receives in messages. It closes `local` on its route, as
+    /// [`crate::global_estimates`] does, and keeps the closure as that
+    /// route computed it: on the integer route, the kernel's gauged counts,
+    /// with no `n × n` decode and re-encode on the way.
+    ///
+    /// # Errors
+    ///
+    /// [`SyncError::InconsistentObservations`] when `local` has a negative
+    /// cycle.
+    pub fn from_local_estimates(local: &SquareMatrix<ExtRatio>) -> Result<SyncOutcome, SyncError> {
+        close(local, &Recorder::disabled()).map(SyncOutcome::from_closure)
+    }
+
+    /// The cold component loop: SHIFTS from scratch on every component.
+    pub(crate) fn from_closure(closure: RoutedClosure) -> SyncOutcome {
+        SyncOutcome::from_components_with(closure, |_, m| shifts_warm(m, 0, None).0)
     }
 
     /// The component loop shared by the cold batch paths and the online

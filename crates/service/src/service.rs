@@ -682,6 +682,46 @@ mod tests {
     }
 
     #[test]
+    fn retention_stays_bounded_with_traffic_off_the_declared_links() {
+        // Three processors and one declared link 0–1: the wire accepts
+        // 0 → 2 and 2 → 2, whose samples no estimator reads, so keeping
+        // them would grow memory without bound.
+        let r = ProcessorId(2);
+        let window = 8;
+        let net = Network::builder(3)
+            .link(
+                P,
+                Q,
+                LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::ZERO, Nanos::new(1_000))),
+            )
+            .build();
+        let mut svc = SyncService::new(1, window);
+        svc.register_domain("a", net).unwrap();
+        for round in 0..1_000i64 {
+            let observations = (0..64i64)
+                .flat_map(|i| {
+                    let t = 100_000 * round + 1_000 * i;
+                    [
+                        obs(P, Q, t, t + 400),
+                        obs(P, r, t, t + 300),
+                        obs(r, r, t, t + 7),
+                    ]
+                })
+                .collect();
+            let receipt = svc
+                .ingest(&ObservationBatch::new("a", observations))
+                .unwrap();
+            assert_eq!(receipt.applied, 192);
+            let stats = svc.domain_stats("a").unwrap();
+            assert!(
+                stats.retained_samples <= 2 * (window + 2),
+                "round {round}: {} samples retained",
+                stats.retained_samples
+            );
+        }
+    }
+
+    #[test]
     fn precompaction_matches_the_full_push_and_gc() {
         use clocksync_model::ViewWindow;
         let window = 3;

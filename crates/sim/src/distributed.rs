@@ -24,7 +24,7 @@
 //!    up a spanning tree to the leader (processor 0).
 //! 3. **Compute & distribute** — the leader assembles the estimate
 //!    matrix, runs GLOBAL ESTIMATES + SHIFTS
-//!    ([`SyncOutcome::from_global_estimates`]) and routes each correction
+//!    ([`SyncOutcome::from_local_estimates`]) and routes each correction
 //!    back down the tree.
 //!
 //! As §7 notes, the result is optimal with respect to the *probe-phase*
@@ -229,9 +229,8 @@ impl Node {
         // of Theorem 5.2); fault injection only *removes* reports (drops,
         // link-down, crashes), leaving +∞ entries, which cannot create
         // inconsistency either.
-        let closure =
-            clocksync::global_estimates(&m).expect("honest reports cannot be inconsistent");
-        let mut outcome = SyncOutcome::from_global_estimates(closure);
+        let mut outcome =
+            SyncOutcome::from_local_estimates(&m).expect("honest reports cannot be inconsistent");
         // Links that never reported stayed +∞ in the matrix; record why.
         let degradations: Vec<LinkDegradation> = self
             .all_links
@@ -790,20 +789,36 @@ mod tests {
                 && (d.a == ProcessorId(3) || d.b == ProcessorId(3))));
         // The leader's answer is exactly the batch pipeline over the
         // surviving reports.
-        let mut m = clocksync_graph::SquareMatrix::from_fn(5, |i, j| {
+        let expected = composed_outcome(&run);
+        for p in run.survivors() {
+            assert_eq!(run.corrections[p.index()], Some(expected.correction(p)));
+        }
+    }
+
+    /// The batch pipeline over a run's reports, composed of two calls: the
+    /// closure decoded to rationals, then an outcome built from it.
+    fn composed_outcome(run: &FaultyDistRun) -> SyncOutcome {
+        let mut m = SquareMatrix::from_fn(5, |i, j| {
             if i == j {
-                <ExtRatio as clocksync_graph::Weight>::zero()
+                ExtRatio::zero()
             } else {
-                <ExtRatio as clocksync_graph::Weight>::infinity()
+                ExtRatio::infinity()
             }
         });
         for &(a, b, ab, ba) in &run.reports {
             m[(a.index(), b.index())] = ab;
             m[(b.index(), a.index())] = ba;
         }
-        let expected = SyncOutcome::from_global_estimates(clocksync::global_estimates(&m).unwrap());
-        for p in run.survivors() {
-            assert_eq!(run.corrections[p.index()], Some(expected.correction(p)));
+        SyncOutcome::from_global_estimates(clocksync::global_estimates(&m).unwrap())
+    }
+
+    #[test]
+    fn the_leader_outcome_equals_the_two_call_composition() {
+        let dist = DistributedSync::new(ring_sim(2));
+        for seed in 0..4 {
+            let run = dist.run_faulty(seed);
+            let outcome = run.outcome.as_ref().expect("leader computed");
+            assert_eq!(*outcome, composed_outcome(&run), "seed {seed}");
         }
     }
 

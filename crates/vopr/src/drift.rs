@@ -1,19 +1,20 @@
-//! A seeded fuzzer for the bounded-drift workloads: no panics, exact
-//! zero-drift degeneracy, and decayed-certificate soundness.
+//! The drift family: seeded bounded-drift workloads checked for no
+//! panics, exact zero-drift degeneracy, and decayed-certificate soundness.
 //!
 //! Each seed deterministically builds one small truthful scenario
 //! (path/ring/complete, uniform delays, 1–3 probe rounds) and a drift
-//! magnitude from a fixed menu (including zero), then checks:
+//! magnitude from a fixed menu (including zero), then checks the three
+//! parts of the `drift-soundness` oracle:
 //!
-//! * **no-panic** — [`run_with_drift`] and [`run_continuous_resync`]
+//! * **no panics** — [`run_with_drift`] and [`run_continuous_resync`]
 //!   return `Ok`/typed errors on every input; the historical
 //!   `.expect("widened declarations absorb the drift")` and
 //!   `.expect("drift preserves view validity")` escapes are demoted to
 //!   oracle failures;
-//! * **zero-drift-degeneracy** — with `max_ppm = 0` the drifted run's
+//! * **zero-drift degeneracy** — with `max_ppm = 0` the drifted run's
 //!   margin is exactly zero and its views, network and outcome are
 //!   bit-identical to the plain pipeline's on the same seed;
-//! * **drift-soundness** — at the sync point and at sampled later times
+//! * **soundness** — at the sync point and at sampled later times
 //!   (+1 ms, +1 s, +37 s) every pair's true corrected-clock disagreement
 //!   stays within the decayed certificate
 //!   ([`DriftingOutcome::pair_bound_at`]) plus the reading-error margin,
@@ -23,55 +24,20 @@
 use clocksync::{DriftingOutcome, Synchronizer};
 use clocksync_model::ProcessorId;
 use clocksync_sim::{
-    run_continuous_resync, run_with_drift, ContinuousDriftRun, DriftRun, ResyncConfig, Simulation,
-    Topology,
+    run_continuous_resync, run_with_drift, DriftRun, ResyncConfig, Simulation, Topology,
 };
-use clocksync_time::{Ext, Nanos, Ratio};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use clocksync_time::{Ext, Nanos, Ratio, RealTime};
 
 use crate::rng::VoprRng;
-use crate::runner::{panic_message, with_quiet_panics};
+use crate::runner::guard;
 
-/// Salt separating this fuzzer's RNG stream from the scenario
-/// generator's, the runner's and the Marzullo fuzzer's.
+/// Salt separating this family's RNG stream from the scenario
+/// generator's, the runner's and the Marzullo family's.
 const DRIFT_SALT: u64 = 0x44524946_54505052;
 
-/// One seed's oracle violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriftFailure {
-    /// The failing seed (reproduce with `clocksync vopr drift --seed S
-    /// --seeds 1`).
-    pub seed: u64,
-    /// Which oracle tripped, with the instance's parameters.
-    pub detail: String,
-}
-
-/// Runs `count` consecutive seeds from `base_seed`; returns the first
-/// failure, or `None` when every seed's oracles held.
-pub fn fuzz_drift(base_seed: u64, count: usize) -> Option<DriftFailure> {
-    (0..count as u64).find_map(|i| {
-        let seed = base_seed.wrapping_add(i);
-        check_seed(seed)
-            .err()
-            .map(|detail| DriftFailure { seed, detail })
-    })
-}
-
-/// The decay sampling offsets shared by both soundness oracles.
-fn sample_offsets() -> [Nanos; 4] {
-    [
-        Nanos::ZERO,
-        Nanos::from_millis(1),
-        Nanos::from_secs(1),
-        Nanos::from_secs(37),
-    ]
-}
-
-fn quiet<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    with_quiet_panics(|| catch_unwind(AssertUnwindSafe(f)).map_err(panic_message))
-}
-
-fn check_seed(seed: u64) -> Result<(), String> {
+/// Builds and checks the instance of `seed`; the error is the failed
+/// check with the instance's parameters.
+pub(crate) fn check_seed(seed: u64) -> Result<(), String> {
     let mut rng = VoprRng::keyed(seed, &[DRIFT_SALT]);
     let n = rng.range_i64(3, 5) as usize;
     let topology = match rng.below(3) {
@@ -90,14 +56,13 @@ fn check_seed(seed: u64) -> Result<(), String> {
         .probes(probes)
         .spacing(spacing)
         .build();
-    let ctx =
-        format!("seed {seed}: n={n}, probes={probes}, max_ppm={max_ppm}, delays=[{lo}, {hi}]");
+    let ctx = format!("n={n}, probes={probes}, max_ppm={max_ppm}, delays=[{lo}, {hi}]");
 
     // Oracle: no-panic. The scenario is truthful by construction, so a
     // typed error is as much an oracle failure as a panic would be — but
     // it is a *reported* failure, not a process abort.
-    let run = quiet(|| run_with_drift(&sim, max_ppm, seed))
-        .map_err(|p| format!("{ctx}: run_with_drift panicked: {p}"))?
+    let run = guard("run_with_drift", || run_with_drift(&sim, max_ppm, seed))
+        .map_err(|(_, panicked)| format!("{ctx}: {panicked}"))?
         .map_err(|e| format!("{ctx}: run_with_drift failed: {e}"))?;
 
     // Oracle: zero-drift degeneracy, bit-exact.
@@ -106,7 +71,15 @@ fn check_seed(seed: u64) -> Result<(), String> {
     }
 
     // Oracle: drift-soundness for the one-shot certificate.
-    check_one_shot_soundness(&ctx, &run)?;
+    let cert = run.certificate();
+    check_pairs(
+        &format!("{ctx}: "),
+        n,
+        run.sync_time(),
+        run.margin,
+        |p, q, t| (run.logical_clock_at(p, t) - run.logical_clock_at(q, t)).abs(),
+        |p, q, t| cert.pair_bound_at(p, q, t),
+    )?;
 
     // Oracle: drift-soundness for every round of a continuous resync.
     let cfg = ResyncConfig {
@@ -116,10 +89,23 @@ fn check_seed(seed: u64) -> Result<(), String> {
         max_ppm,
         churn: rng.chance_ppm(500_000),
     };
-    let cont = quiet(|| run_continuous_resync(&sim, &cfg, seed))
-        .map_err(|p| format!("{ctx}: run_continuous_resync panicked: {p}"))?
-        .map_err(|e| format!("{ctx}: run_continuous_resync failed: {e}"))?;
-    check_continuous_soundness(&ctx, n, &cont)
+    let cont = guard("run_continuous_resync", || {
+        run_continuous_resync(&sim, &cfg, seed)
+    })
+    .map_err(|(_, panicked)| format!("{ctx}: {panicked}"))?
+    .map_err(|e| format!("{ctx}: run_continuous_resync failed: {e}"))?;
+    for (round, snap) in cont.snapshots.iter().enumerate() {
+        check_snapshot(&ctx, round, snap)?;
+        check_pairs(
+            &format!("{ctx}: round {round}, "),
+            n,
+            snap.valid_at(),
+            cont.margin,
+            |p, q, t| cont.true_skew_at(round, p, q, t),
+            |p, q, t| snap.pair_bound_at(p, q, t),
+        )?;
+    }
+    Ok(())
 }
 
 fn check_zero_drift_degeneracy(
@@ -149,52 +135,34 @@ fn check_zero_drift_degeneracy(
     Ok(())
 }
 
-fn check_one_shot_soundness(ctx: &str, run: &DriftRun) -> Result<(), String> {
-    let cert = run.certificate();
-    let allowance = Ext::Finite(Ratio::from(run.margin));
-    let n = run.execution.n();
-    for dt in sample_offsets() {
-        let t = run.sync_time() + dt;
+/// Every pair's true corrected-clock skew against its decayed bound plus
+/// the reading-error `margin`, at the sync point `t0` and at sampled later
+/// times; `at` prefixes the error.
+fn check_pairs(
+    at: &str,
+    n: usize,
+    t0: RealTime,
+    margin: Nanos,
+    truth: impl Fn(ProcessorId, ProcessorId, RealTime) -> Ratio,
+    bound: impl Fn(ProcessorId, ProcessorId, RealTime) -> Ext<Ratio>,
+) -> Result<(), String> {
+    let allowance = Ext::Finite(Ratio::from(margin));
+    for dt in [
+        Nanos::ZERO,
+        Nanos::from_millis(1),
+        Nanos::from_secs(1),
+        Nanos::from_secs(37),
+    ] {
+        let t = t0 + dt;
         for p in 0..n {
             for q in (p + 1)..n {
                 let (p, q) = (ProcessorId(p), ProcessorId(q));
-                let truth = abs(run.logical_clock_at(p, t) - run.logical_clock_at(q, t));
-                let bound = cert.pair_bound_at(p, q, t) + allowance;
+                let (truth, bound) = (truth(p, q, t), bound(p, q, t) + allowance);
                 if Ext::Finite(truth) > bound {
                     return Err(format!(
-                        "{ctx}: pair {p:?}-{q:?} at sync+{dt}: true skew {truth} \
-                         exceeds decayed bound {}",
-                        fmt_ext(bound)
+                        "{at}pair {p:?}-{q:?} at +{dt}: true skew {truth} exceeds decayed \
+                         bound {bound}"
                     ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_continuous_soundness(
-    ctx: &str,
-    n: usize,
-    cont: &ContinuousDriftRun,
-) -> Result<(), String> {
-    let allowance = Ext::Finite(Ratio::from(cont.margin));
-    for (round, snap) in cont.snapshots.iter().enumerate() {
-        check_snapshot(ctx, round, snap)?;
-        for dt in sample_offsets() {
-            let t = snap.valid_at() + dt;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let (p, q) = (ProcessorId(p), ProcessorId(q));
-                    let truth = cont.true_skew_at(round, p, q, t);
-                    let bound = snap.pair_bound_at(p, q, t) + allowance;
-                    if Ext::Finite(truth) > bound {
-                        return Err(format!(
-                            "{ctx}: round {round}, pair {p:?}-{q:?} at +{dt}: true \
-                             skew {truth} exceeds decayed bound {}",
-                            fmt_ext(bound)
-                        ));
-                    }
                 }
             }
         }
@@ -228,22 +196,6 @@ fn check_snapshot(ctx: &str, round: usize, snap: &DriftingOutcome) -> Result<(),
     Ok(())
 }
 
-fn abs(r: Ratio) -> Ratio {
-    if r < Ratio::ZERO {
-        Ratio::ZERO - r
-    } else {
-        r
-    }
-}
-
-fn fmt_ext(v: Ext<Ratio>) -> String {
-    match v {
-        Ext::NegInf => "-inf".into(),
-        Ext::PosInf => "+inf".into(),
-        Ext::Finite(r) => format!("{r}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +205,9 @@ mod tests {
         // The acceptance sweep: ≥ 1000 consecutive seeds covering zero
         // and nonzero drift, one-shot and continuous resync, churn on
         // and off — every oracle green.
-        assert_eq!(fuzz_drift(0, 1_000), None);
+        for seed in 0..1_000 {
+            assert_eq!(check_seed(seed), Ok(()), "seed {seed}");
+        }
     }
 
     #[test]

@@ -21,16 +21,20 @@
 //!   (`ρ̄ = A_max`, estimate soundness, corrected agreement) plus the
 //!   repo's engineering invariants (windowed ≡ full history,
 //!   concurrent ≡ sequential, monotone tightening, compaction never
-//!   loosens, no panics). See [`runner`] for the catalogue and
-//!   `DESIGN.md` §9 for the paper-lemma mapping.
+//!   loosens, no panics). [`Oracle`] is the catalogue; see [`runner`] for
+//!   the scenario oracles and `DESIGN.md` §9 for the paper-lemma mapping.
 //! * **Shrinkability by construction** — the runner *skips* inapplicable
 //!   events instead of erroring, and keys fault decisions by probe
 //!   content rather than RNG stream position, so deleting any event
 //!   subset yields another valid scenario with unchanged remaining
 //!   behaviour.
 //!
-//! Seeds from [`FAR_SEEDS`] (`2^63`) up form the far-clock family, whose
-//! clocks start up to 10^18 ns apart.
+//! Four [`Family`]s map a seed to one checked instance: plain scenarios,
+//! far-clock scenarios (seeds from [`FAR_SEEDS`], `2^63`, up, whose clocks
+//! start up to 10^18 ns apart), Marzullo-fused link instances and
+//! bounded-drift workloads. [`sweep`] checks a block of seeds of every
+//! family, and every violation is one [`Failure`] naming family, seed and
+//! oracle.
 //!
 //! Drive it from the CLI: `clocksync vopr run --seed 7`,
 //! `clocksync vopr replay --file tests/corpus/window0-panic.json`,
@@ -46,32 +50,16 @@ mod rng;
 pub mod runner;
 mod scenario;
 mod shrink;
+mod sweep;
 mod world;
 
-pub use drift::{fuzz_drift, DriftFailure};
 pub use gen::{generate, FAR_SEEDS};
-pub use marzullo::{fuzz_marzullo, MarzulloFailure};
 pub use rng::VoprRng;
-pub use runner::{run_scenario, with_quiet_panics, Failure, RunReport, DOMAIN};
+pub use runner::{run_scenario, with_quiet_panics, RunReport, DOMAIN};
 pub use scenario::{Event, Scenario, SCENARIO_VERSION};
 pub use shrink::{shrink, shrink_with, ShrinkStats};
+pub use sweep::{sweep, Checked, Failure, Family, Oracle};
 pub use world::WorldClocks;
-
-/// Runs `count` generated scenarios starting at `base_seed` and returns
-/// the first failing one (pre-shrink), or `None` when every run passed.
-///
-/// Seeds are consumed consecutively (`base_seed`, `base_seed + 1`, …), so
-/// a failing seed printed by one session reproduces in any other.
-pub fn find_failure(base_seed: u64, count: usize) -> Option<(Scenario, RunReport)> {
-    for i in 0..count as u64 {
-        let scenario = generate(base_seed.wrapping_add(i));
-        let report = run_scenario(&scenario);
-        if !report.passed() {
-            return Some((scenario, report));
-        }
-    }
-    None
-}
 
 #[cfg(test)]
 mod tests {
@@ -83,15 +71,10 @@ mod tests {
         ignore = "bug-window0 plants a real bug; tests/bug_window0.rs asserts the fuzzer finds it"
     )]
     fn a_sweep_of_generated_scenarios_passes_all_oracles() {
-        // The tier-1 smoke: a block of consecutive seeds, every oracle
-        // green. (The CI corpus step covers a larger budget.)
-        if let Some((scenario, report)) = find_failure(1_000, 8) {
-            panic!(
-                "seed {} failed oracle {:?}\nscenario: {}",
-                scenario.seed,
-                report.failure,
-                scenario.to_json_pretty(),
-            );
+        // The tier-1 smoke: a block of consecutive seeds of every family,
+        // every oracle green. (The CI corpus step covers a larger budget.)
+        if let Some(failure) = with_quiet_panics(|| sweep(1_000, 8).find_map(|c| c.failure)) {
+            panic!("{failure}");
         }
     }
 }

@@ -1,9 +1,9 @@
-//! A focused, estimator-level fuzzer for Marzullo quorum fusion.
+//! The Marzullo family: estimator-level instances of quorum fusion.
 //!
 //! The scenario runner's `marzullo-honest-subset` oracle exercises fusion
 //! against whatever evidence a full scenario happens to accumulate; this
-//! module attacks the estimator directly, so thousands of seeds run in
-//! milliseconds and the CI smoke can afford a deep sweep. Each seed
+//! family attacks the estimator directly, so thousands of seeds run in
+//! milliseconds and a sweep can afford many of them. Each seed
 //! deterministically builds one link instance:
 //!
 //! * a hidden true offset `Δ` and a declared delay range (occasionally
@@ -15,7 +15,8 @@
 //!   independently corrupted with seed-chosen probability to an arbitrary
 //!   estimate, modelling faulty sources that lie freely.
 //!
-//! The oracle then asserts, with `max_faulty` set to the number of
+//! The oracle, `marzullo-honest-subset`, then asserts, with `max_faulty`
+//! set to the number of
 //! corruptions that actually occurred: the quorum is reached, the fused
 //! interval contains `Δ`, the fused `m̃ls` pair never excludes `Δ`, at
 //! most the faulty sources are discarded, the fused interval equals the
@@ -31,30 +32,9 @@ use clocksync_time::{ClockTime, Ext, Nanos};
 use crate::rng::VoprRng;
 use crate::runner::honest_subset_hull;
 
-/// Salt separating this fuzzer's RNG stream from the scenario
+/// Salt separating this family's RNG stream from the scenario
 /// generator's and the runner's.
 const MARZULLO_SALT: u64 = 0x4D41525A554C4C4F;
-
-/// One seed's oracle violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MarzulloFailure {
-    /// The failing seed (reproduce with `clocksync vopr marzullo
-    /// --seed S --seeds 1`).
-    pub seed: u64,
-    /// Which assertion tripped, with the instance's parameters.
-    pub detail: String,
-}
-
-/// Runs `count` consecutive seeds from `base_seed`; returns the first
-/// failure, or `None` when every seed's oracle held.
-pub fn fuzz_marzullo(base_seed: u64, count: usize) -> Option<MarzulloFailure> {
-    (0..count as u64).find_map(|i| {
-        let seed = base_seed.wrapping_add(i);
-        check_seed(seed)
-            .err()
-            .map(|detail| MarzulloFailure { seed, detail })
-    })
-}
 
 fn sample(send: i64, est: i64) -> MsgSample {
     MsgSample {
@@ -63,7 +43,9 @@ fn sample(send: i64, est: i64) -> MsgSample {
     }
 }
 
-fn check_seed(seed: u64) -> Result<(), String> {
+/// Builds and checks the instance of `seed`; the error is the failed
+/// assertion with the instance's parameters.
+pub(crate) fn check_seed(seed: u64) -> Result<(), String> {
     let mut rng = VoprRng::keyed(seed, &[MARZULLO_SALT]);
     let delta = rng.range_i64(-1_000_000, 1_000_000);
     let lo = rng.range_i64(0, 10_000);
@@ -106,7 +88,7 @@ fn check_seed(seed: u64) -> Result<(), String> {
     let k = fwd.len() + bwd.len();
     let ev = LinkEvidence::from_samples(&fwd, &bwd);
     let ctx = format!(
-        "seed {seed}: Δ={delta}, range=[{lo}, {:?}], k={k}, faults={faults}",
+        "Δ={delta}, range=[{lo}, {:?}], k={k}, faults={faults}",
         range.upper()
     );
 
@@ -138,11 +120,7 @@ fn check_seed(seed: u64) -> Result<(), String> {
     let mls_qp = fused.reversed().estimated_mls(&ev.reversed());
     let as_ratio = |x: i128| Ext::Finite(clocksync_time::Ratio::from_int(x));
     if as_ratio(i128::from(delta)) > mls_pq || as_ratio(i128::from(-delta)) > mls_qp {
-        return Err(format!(
-            "{ctx}: m̃ls pair ({}, {}) excludes Δ",
-            fmt_ext(mls_pq),
-            fmt_ext(mls_qp)
-        ));
+        return Err(format!("{ctx}: m̃ls pair ({mls_pq}, {mls_qp}) excludes Δ"));
     }
     let hull = honest_subset_hull(range, &fwd, &bwd, k - faults);
     if hull != Some((stats.fused_lo, stats.fused_hi)) {
@@ -159,24 +137,12 @@ fn check_seed(seed: u64) -> Result<(), String> {
         );
         if mls_pq != bp || mls_qp != bq {
             return Err(format!(
-                "{ctx}: fault-free fusion ({}, {}) diverged from the bounds \
-                 estimator ({}, {})",
-                fmt_ext(mls_pq),
-                fmt_ext(mls_qp),
-                fmt_ext(bp),
-                fmt_ext(bq)
+                "{ctx}: fault-free fusion ({mls_pq}, {mls_qp}) diverged from the bounds \
+                 estimator ({bp}, {bq})"
             ));
         }
     }
     Ok(())
-}
-
-fn fmt_ext(v: Ext<clocksync_time::Ratio>) -> String {
-    match v {
-        Ext::NegInf => "-inf".into(),
-        Ext::PosInf => "+inf".into(),
-        Ext::Finite(r) => format!("{r}"),
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +153,9 @@ mod tests {
     fn a_thousand_fuzz_seeds_pass_the_honest_subset_oracle() {
         // The acceptance sweep: ≥ 1000 consecutive seeds with ppm fault
         // overlays, every assertion green.
-        assert_eq!(fuzz_marzullo(0, 1_000), None);
+        for seed in 0..1_000 {
+            assert_eq!(check_seed(seed), Ok(()), "seed {seed}");
+        }
     }
 
     #[test]

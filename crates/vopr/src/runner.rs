@@ -6,7 +6,8 @@
 //! 2. the **windowed sequential** [`SyncService`] — bounded retention;
 //! 3. the **windowed concurrent** [`ConcurrentService`] — worker-per-shard.
 //!
-//! After *every* event the oracle catalogue runs (see `DESIGN.md` §9):
+//! After *every* event the scenario oracles run (see [`Oracle`] and
+//! `DESIGN.md` §9):
 //!
 //! * **no-panic** — every target call is wrapped in `catch_unwind`;
 //! * **windowed-equals-full** — the windowed outcome must be bit-identical
@@ -64,6 +65,7 @@ use clocksync_time::{ClockTime, Ext, Nanos, Ratio, RealTime};
 
 use crate::rng::VoprRng;
 use crate::scenario::{Event, Scenario};
+use crate::sweep::{Failure, Family, Oracle};
 use crate::world::WorldClocks;
 
 type ExtRatio = Ext<Ratio>;
@@ -88,22 +90,12 @@ const MAX_DELAY: i64 = 1 << 40;
 /// generator's stream.
 const FAULT_SALT: u64 = 0x50524F42455F5254;
 
-/// An oracle violation: which oracle, at which step, with a
-/// deterministic human-readable detail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Failure {
-    /// Index of the event that tripped the oracle.
-    pub step: usize,
-    /// The oracle's name (see the module docs for the catalogue).
-    pub oracle: String,
-    /// What was expected vs observed.
-    pub detail: String,
-}
-
 /// The result of one scenario run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// The first oracle violation, if any (the run stops there).
+    /// The first oracle violation, if any (the run stops there). It names
+    /// the scenario family and family seed that generate the scenario's
+    /// seed: seeds from [`crate::FAR_SEEDS`] up are far-clock seeds.
     pub failure: Option<Failure>,
     /// Events executed (= index of the failing event + 1 on failure).
     pub steps: usize,
@@ -141,30 +133,19 @@ pub fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-fn ratio_str(r: Ratio) -> String {
-    if r.is_integer() {
-        format!("{}", r.numerator())
-    } else {
-        format!("{}/{}", r.numerator(), r.denominator())
-    }
-}
-
-fn ext_str(v: ExtRatio) -> String {
-    match v {
-        Ext::NegInf => "-inf".to_string(),
-        Ext::PosInf => "+inf".to_string(),
-        Ext::Finite(r) => ratio_str(r),
-    }
+/// Calls `f`, turning a panic into a `no-panic` failure whose detail is
+/// `{call} panicked: {message}`.
+pub(crate) fn guard<T>(call: &str, f: impl FnOnce() -> T) -> Result<T, (Oracle, String)> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        (Oracle::NoPanic, format!("{call} panicked: {message}"))
+    })
 }
 
 /// The normalized undirected link table of a scenario: canonical key to
@@ -229,6 +210,20 @@ pub(crate) fn honest_subset_hull(
     }
     hull
 }
+
+/// A sweep-time check of an outcome the three targets agree on: the
+/// detail of its violation, if any.
+type Check = fn(&mut Runner<'_>, &SyncOutcome) -> Result<(), String>;
+
+/// The sweep-time checks, in the order they run, each under its oracle.
+const SWEEP_CHECKS: [(Oracle, Check); 6] = [
+    (Oracle::RhoEqualsAmax, |r, o| r.check_identity(o)),
+    (Oracle::EstimateSoundness, |r, o| r.check_soundness(o)),
+    (Oracle::CorrectedAgreement, |r, o| r.check_agreement(o)),
+    (Oracle::MonotoneTightening, |r, o| r.check_monotone(o)),
+    (Oracle::SparseEqualsDense, |r, _| r.check_sparse_kernels()),
+    (Oracle::MarzulloHonestSubset, |r, _| r.check_marzullo()),
+];
 
 struct Runner<'a> {
     scenario: &'a Scenario,
@@ -342,39 +337,15 @@ impl Runner<'_> {
             steps = step + 1;
             let result = self.step(step, event);
             let result = result.and_then(|()| self.sweep(step, matches!(event, Event::Checkpoint)));
-            if let Err((oracle, detail)) = result {
-                self.journal.record(Json::object([
-                    ("type", Json::Str("failure".into())),
-                    ("step", Json::Int(step as i128)),
-                    ("oracle", Json::Str(oracle.clone())),
-                    ("detail", Json::Str(detail.clone())),
-                ]));
-                failure = Some(Failure {
-                    step,
-                    oracle,
-                    detail,
-                });
+            if let Err(violation) = result {
+                failure = Some(self.fail(step, violation));
                 break;
             }
         }
         if failure.is_none() {
             if let Some(conc) = self.conc.take() {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(move || {
-                    conc.shutdown();
-                })) {
-                    let detail = format!("shutdown panicked: {}", panic_message(payload));
-                    let step = steps.saturating_sub(1);
-                    self.journal.record(Json::object([
-                        ("type", Json::Str("failure".into())),
-                        ("step", Json::Int(step as i128)),
-                        ("oracle", Json::Str("no-panic".into())),
-                        ("detail", Json::Str(detail.clone())),
-                    ]));
-                    failure = Some(Failure {
-                        step,
-                        oracle: "no-panic".into(),
-                        detail,
-                    });
+                if let Err(violation) = guard("shutdown", move || conc.shutdown()) {
+                    failure = Some(self.fail(steps.saturating_sub(1), violation));
                 }
             }
         }
@@ -402,6 +373,24 @@ impl Runner<'_> {
         }
     }
 
+    /// Journals the violation at `step` and reports it as a [`Failure`].
+    fn fail(&mut self, step: usize, (oracle, detail): (Oracle, String)) -> Failure {
+        self.journal.record(Json::object([
+            ("type", Json::Str("failure".into())),
+            ("step", Json::Int(step as i128)),
+            ("oracle", Json::Str(oracle.name().into())),
+            ("detail", Json::Str(detail.clone())),
+        ]));
+        let (family, seed) = Family::of_scenario(self.scenario.seed);
+        Failure {
+            family,
+            seed,
+            oracle,
+            step: Some(step),
+            detail,
+        }
+    }
+
     fn note(&mut self, step: usize, kind: &str, action: &str, reason: &str) {
         let mut fields = vec![
             ("type", Json::Str("event".into())),
@@ -415,7 +404,7 @@ impl Runner<'_> {
         self.journal.record(Json::object(fields));
     }
 
-    fn step(&mut self, step: usize, event: &Event) -> Result<(), (String, String)> {
+    fn step(&mut self, step: usize, event: &Event) -> Result<(), (Oracle, String)> {
         let kind = event.kind();
         match *event {
             Event::AddLink { a, b, .. } => {
@@ -519,7 +508,7 @@ impl Runner<'_> {
         kind: &str,
         a: usize,
         b: usize,
-    ) -> Result<(), (String, String)> {
+    ) -> Result<(), (Oracle, String)> {
         let valid = a != b && a < self.scenario.n && b < self.scenario.n;
         let key = (a.min(b), a.max(b));
         if !valid || !self.active.remove(&key) {
@@ -527,20 +516,11 @@ impl Runner<'_> {
             return Ok(());
         }
         let (p, q) = (ProcessorId(key.0), ProcessorId(key.1));
-        let dropped = catch_unwind(AssertUnwindSafe(|| {
+        let (online_dropped, seq_receipt) = guard("forget_link", || {
             let online_dropped = self.online.forget_link(p, q);
             let seq_receipt = self.seq.forget_link(DOMAIN, p, q);
             (online_dropped, seq_receipt)
-        }));
-        let (online_dropped, seq_receipt) = match dropped {
-            Ok(v) => v,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("forget_link panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
+        })?;
         let conc_receipt = self
             .conc
             .as_ref()
@@ -548,7 +528,7 @@ impl Runner<'_> {
             .forget_link(DOMAIN, p, q);
         if seq_receipt != conc_receipt {
             return Err((
-                "concurrent-equals-sequential".into(),
+                Oracle::ConcurrentEqualsSequential,
                 format!(
                     "forget_link receipts diverged: sequential {seq_receipt:?}, concurrent {conc_receipt:?}"
                 ),
@@ -580,7 +560,7 @@ impl Runner<'_> {
         dst: usize,
         at: i64,
         delay: i64,
-    ) -> Result<(), (String, String)> {
+    ) -> Result<(), (Oracle, String)> {
         let n = self.scenario.n;
         if src == dst || src >= n || dst >= n {
             self.probes_skipped += 1;
@@ -678,36 +658,18 @@ impl Runner<'_> {
         }
 
         let batch = ObservationBatch::new(DOMAIN, observations.clone());
-        let online_result =
-            catch_unwind(AssertUnwindSafe(|| self.online.ingest_batch(&observations)));
-        let online_result = match online_result {
-            Ok(r) => r,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("reference ingest panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
-        let seq_result = catch_unwind(AssertUnwindSafe(|| self.seq.ingest(&batch)));
-        let seq_result = match seq_result {
-            Ok(r) => r,
-            Err(payload) => {
-                // The sequential engine panicked where the reference did
-                // not (or the batch never reached the reference's
-                // validation): either way the harness must survive, and
-                // the concurrent engine must NOT see this batch — its
-                // worker would die on the same panic and poison every
-                // later comparison.
-                return Err((
-                    "no-panic".into(),
-                    format!("service ingest panicked: {}", panic_message(payload)),
-                ));
-            }
-        };
+        let online_result = guard("reference ingest", || {
+            self.online.ingest_batch(&observations)
+        })?;
+        // A sequential engine that panics where the reference did not (or
+        // on a batch that never reached the reference's validation) ends
+        // the run here: the concurrent engine must NOT see this batch, as
+        // its worker would die on the same panic and poison every later
+        // comparison.
+        let seq_result = guard("service ingest", || self.seq.ingest(&batch))?;
         if online_result.is_err() != seq_result.is_err() {
             return Err((
-                "windowed-equals-full".into(),
+                Oracle::WindowedEqualsFull,
                 format!(
                     "ingest acceptance diverged: reference {:?}, sequential {:?}",
                     online_result
@@ -731,7 +693,7 @@ impl Runner<'_> {
             .and_then(|pending| pending.wait());
         if conc_result != seq_result {
             return Err((
-                "concurrent-equals-sequential".into(),
+                Oracle::ConcurrentEqualsSequential,
                 format!(
                     "ingest receipts diverged: sequential {seq_result:?}, concurrent {conc_result:?}"
                 ),
@@ -750,28 +712,10 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn compact(&mut self, step: usize, kind: &str) -> Result<(), (String, String)> {
+    fn compact(&mut self, step: usize, kind: &str) -> Result<(), (Oracle, String)> {
         let window = self.window;
-        let before = match catch_unwind(AssertUnwindSafe(|| self.online.global_estimates())) {
-            Ok(Ok(m)) => Some(m),
-            Ok(Err(_)) => None,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("closure computation panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
-        let dropped = match catch_unwind(AssertUnwindSafe(|| self.online.compact_evidence(window)))
-        {
-            Ok(d) => d,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("compact_evidence panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
+        let before = guard("closure computation", || self.online.global_estimates())?.ok();
+        let dropped = guard("compact_evidence", || self.online.compact_evidence(window))?;
         if let Some(before) = before {
             let after = self.online.global_estimates();
             match after {
@@ -781,18 +725,14 @@ impl Runner<'_> {
                         .iter()
                         .find(|&(i, j, b)| *after.get(i, j) != *b)
                         .map(|(i, j, b)| {
-                            format!(
-                                "m[{i},{j}] changed from {} to {}",
-                                ext_str(*b),
-                                ext_str(*after.get(i, j))
-                            )
+                            format!("m[{i},{j}] changed from {} to {}", *b, *after.get(i, j))
                         })
                         .unwrap_or_else(|| "matrices differ".to_string());
-                    return Err(("compaction-never-loosens".into(), diff));
+                    return Err((Oracle::CompactionNeverLoosens, diff));
                 }
                 Err(e) => {
                     return Err((
-                        "compaction-never-loosens".into(),
+                        Oracle::CompactionNeverLoosens,
                         format!("closure became uncomputable after compaction: {e}"),
                     ))
                 }
@@ -810,26 +750,10 @@ impl Runner<'_> {
 
     /// The full oracle catalogue; `checkpoint` additionally journals the
     /// outcome summary.
-    fn sweep(&mut self, step: usize, checkpoint: bool) -> Result<(), (String, String)> {
-        let online_out = match catch_unwind(AssertUnwindSafe(|| self.online.outcome())) {
-            Ok(r) => r,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("reference outcome panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
+    fn sweep(&mut self, step: usize, checkpoint: bool) -> Result<(), (Oracle, String)> {
+        let online_out = guard("reference outcome", || self.online.outcome())?;
         self.check_warm_equals_cold(&online_out)?;
-        let seq_out = match catch_unwind(AssertUnwindSafe(|| self.seq.outcome(DOMAIN))) {
-            Ok(r) => r,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("service outcome panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
+        let seq_out = guard("service outcome", || self.seq.outcome(DOMAIN))?;
         let conc_out = self
             .conc
             .as_ref()
@@ -840,11 +764,11 @@ impl Runner<'_> {
             (Ok(on), Ok(sq)) => {
                 if on != sq {
                     return Err((
-                        "windowed-equals-full".into(),
+                        Oracle::WindowedEqualsFull,
                         format!(
                             "outcomes diverged: reference precision {}, windowed precision {}",
-                            ext_str(on.precision()),
-                            ext_str(sq.precision()),
+                            on.precision(),
+                            sq.precision(),
                         ),
                     ));
                 }
@@ -856,7 +780,7 @@ impl Runner<'_> {
                 // to check this sweep.
                 if on.to_string() != sq.to_string() {
                     return Err((
-                        "windowed-equals-full".into(),
+                        Oracle::WindowedEqualsFull,
                         format!("errors diverged: reference `{on}`, windowed `{sq}`"),
                     ));
                 }
@@ -867,11 +791,13 @@ impl Runner<'_> {
                 ]));
                 // Contradictory evidence is exactly where the kernels'
                 // negative-cycle detection must also stay in lockstep.
-                return self.check_sparse_kernels();
+                return self
+                    .check_sparse_kernels()
+                    .map_err(|detail| (Oracle::SparseEqualsDense, detail));
             }
             (on, sq) => {
                 return Err((
-                    "windowed-equals-full".into(),
+                    Oracle::WindowedEqualsFull,
                     format!(
                         "one target errored: reference ok={}, windowed ok={}",
                         on.is_ok(),
@@ -884,34 +810,31 @@ impl Runner<'_> {
             Ok(c) if *c == outcome => {}
             Ok(c) => {
                 return Err((
-                    "concurrent-equals-sequential".into(),
+                    Oracle::ConcurrentEqualsSequential,
                     format!(
                         "outcomes diverged: sequential precision {}, concurrent precision {}",
-                        ext_str(outcome.precision()),
-                        ext_str(c.precision()),
+                        outcome.precision(),
+                        c.precision(),
                     ),
                 ));
             }
             Err(e) => {
                 return Err((
-                    "concurrent-equals-sequential".into(),
+                    Oracle::ConcurrentEqualsSequential,
                     format!("concurrent outcome errored: {e}"),
                 ));
             }
         }
 
-        self.check_identity(&outcome)?;
-        self.check_soundness(&outcome)?;
-        self.check_agreement(&outcome)?;
-        self.check_monotone(&outcome)?;
-        self.check_sparse_kernels()?;
-        self.check_marzullo()?;
+        for (oracle, check) in SWEEP_CHECKS {
+            check(self, &outcome).map_err(|detail| (oracle, detail))?;
+        }
 
         if checkpoint {
             self.journal.record(Json::object([
                 ("type", Json::Str("outcome".into())),
                 ("step", Json::Int(step as i128)),
-                ("precision", Json::Str(ext_str(outcome.precision()))),
+                ("precision", Json::Str(outcome.precision().to_string())),
                 ("components", Json::Int(outcome.components().len() as i128)),
                 (
                     "retained_samples",
@@ -929,25 +852,17 @@ impl Runner<'_> {
     fn check_warm_equals_cold(
         &self,
         warm: &Result<SyncOutcome, SyncError>,
-    ) -> Result<(), (String, String)> {
+    ) -> Result<(), (Oracle, String)> {
         let mut cold = self.online.clone();
         cold.invalidate_caches();
-        let cold_out = match catch_unwind(AssertUnwindSafe(|| cold.outcome())) {
-            Ok(r) => r,
-            Err(payload) => {
-                return Err((
-                    "no-panic".into(),
-                    format!("cache-free outcome panicked: {}", panic_message(payload)),
-                ))
-            }
-        };
+        let cold_out = guard("cache-free outcome", || cold.outcome())?;
         let detail = match (warm, &cold_out) {
             (Ok(w), Ok(c)) if w == c => return Ok(()),
             (Err(w), Err(c)) if w == c => return Ok(()),
             (Ok(w), Ok(c)) => format!(
                 "outcomes diverged: warm precision {}, cold precision {}",
-                ext_str(w.precision()),
-                ext_str(c.precision()),
+                w.precision(),
+                c.precision(),
             ),
             (Err(w), Err(c)) => format!("errors diverged: warm `{w}`, cold `{c}`"),
             (w, c) => format!(
@@ -956,41 +871,32 @@ impl Runner<'_> {
                 c.is_ok()
             ),
         };
-        Err(("warm-equals-cold".into(), detail))
+        Err((Oracle::WarmEqualsCold, detail))
     }
 
-    fn check_identity(&self, outcome: &SyncOutcome) -> Result<(), (String, String)> {
+    fn check_identity(&self, outcome: &SyncOutcome) -> Result<(), String> {
         let rho = outcome.rho_bar(outcome.corrections());
         if rho != outcome.precision() {
-            return Err((
-                "rho-equals-amax".into(),
-                format!(
-                    "rho_bar(corrections) = {} but precision (A_max) = {}",
-                    ext_str(rho),
-                    ext_str(outcome.precision()),
-                ),
+            return Err(format!(
+                "rho_bar(corrections) = {} but precision (A_max) = {}",
+                rho,
+                outcome.precision(),
             ));
         }
         Ok(())
     }
 
-    fn check_soundness(&mut self, outcome: &SyncOutcome) -> Result<(), (String, String)> {
-        let offsets: Vec<i64> = self.world.offsets().to_vec();
+    fn check_soundness(&self, outcome: &SyncOutcome) -> Result<(), String> {
+        let offsets = self.world.offsets();
         let check = |matrix: &SquareMatrix<ExtRatio>, what: &str| {
             for (p, q, &bound) in matrix.iter_off_diagonal() {
                 let true_shift = Ext::Finite(Ratio::from_int(
                     i128::from(offsets[q]) - i128::from(offsets[p]),
                 ));
                 if true_shift > bound {
-                    return Err((
-                        "estimate-soundness".to_string(),
-                        format!(
-                            "{what} m[{p},{q}] = {} excludes the true shift {} (offsets {} and {})",
-                            ext_str(bound),
-                            ext_str(true_shift),
-                            offsets[p],
-                            offsets[q],
-                        ),
+                    return Err(format!(
+                        "{what} m[{p},{q}] = {} excludes the true shift {} (offsets {} and {})",
+                        bound, true_shift, offsets[p], offsets[q],
                     ));
                 }
             }
@@ -1000,7 +906,7 @@ impl Runner<'_> {
         check(&outcome.global_shift_estimates(), "closed estimate")
     }
 
-    fn check_agreement(&self, outcome: &SyncOutcome) -> Result<(), (String, String)> {
+    fn check_agreement(&self, outcome: &SyncOutcome) -> Result<(), String> {
         let x = outcome.corrections();
         for component in outcome.components() {
             for (i, &p) in component.members.iter().enumerate() {
@@ -1011,13 +917,10 @@ impl Runner<'_> {
                         Ratio::from_int(i128::from(self.world.offset(q.index()))) + x[q.index()];
                     let gap = (corrected_p - corrected_q).abs();
                     if gap > component.precision {
-                        return Err((
-                            "corrected-agreement".into(),
-                            format!(
-                                "corrected clocks of {p} and {q} disagree by {} > component precision {}",
-                                ratio_str(gap),
-                                ratio_str(component.precision),
-                            ),
+                        return Err(format!(
+                            "corrected clocks of {p} and {q} disagree by {} > component precision {}",
+                            gap,
+                            component.precision,
                         ));
                     }
                 }
@@ -1030,7 +933,7 @@ impl Runner<'_> {
     /// on the scaled local-estimate matrix of this very sweep — the fuzzed
     /// form of `tests/sparse_equivalence.rs`, driven by evidence shapes the
     /// proptest generators never produce.
-    fn check_sparse_kernels(&self) -> Result<(), (String, String)> {
+    fn check_sparse_kernels(&self) -> Result<(), String> {
         let local = self.online.local_estimates();
         let Ok(scaled) = clocksync_graph::scaled_weights(local) else {
             // Estimates without half-nanosecond counts run on the generic
@@ -1042,24 +945,18 @@ impl Runner<'_> {
         match (&dense, &sparse) {
             (Ok(dd), Ok(sd)) => {
                 if let Some((i, j, &got)) = sd.iter().find(|&(i, j, &v)| v != *dd.get(i, j)) {
-                    return Err((
-                        "sparse-equals-dense".into(),
-                        format!(
-                            "sparse kernel disagrees at [{i},{j}]: dense {}, sparse {got}",
-                            *dd.get(i, j),
-                        ),
+                    return Err(format!(
+                        "sparse kernel disagrees at [{i},{j}]: dense {}, sparse {got}",
+                        *dd.get(i, j),
                     ));
                 }
             }
             (Err(_), Err(_)) => {}
             _ => {
-                return Err((
-                    "sparse-equals-dense".into(),
-                    format!(
-                        "negative-cycle detection diverged: dense ok={}, sparse ok={}",
-                        dense.is_ok(),
-                        sparse.is_ok(),
-                    ),
+                return Err(format!(
+                    "negative-cycle detection diverged: dense ok={}, sparse ok={}",
+                    dense.is_ok(),
+                    sparse.is_ok(),
                 ));
             }
         }
@@ -1080,8 +977,7 @@ impl Runner<'_> {
     ///   than — the hull of the intersections of all quorum-sized sample
     ///   subsets, each of which is an honest subset here (checked by
     ///   exhaustive enumeration when the link holds ≤ 10 samples).
-    fn check_marzullo(&self) -> Result<(), (String, String)> {
-        const ORACLE: &str = "marzullo-honest-subset";
+    fn check_marzullo(&self) -> Result<(), String> {
         let margin = self.scenario.margin.clamp(0, MAX_MARGIN);
         for (&(a, b), &(lo, hi)) in &self.links {
             let (p, q) = (ProcessorId(a), ProcessorId(b));
@@ -1098,26 +994,20 @@ impl Runner<'_> {
             for f in 0..=2usize.min(k - 1) {
                 let fused = LinkAssumption::marzullo_quorum(widened, widened, f);
                 let Some(stats) = fused.fusion_stats(&evidence) else {
-                    return Err((ORACLE.into(), format!("link {a}-{b}: no fusion stats")));
+                    return Err(format!("link {a}-{b}: no fusion stats"));
                 };
                 if !stats.quorum_reached {
-                    return Err((
-                        ORACLE.into(),
-                        format!(
-                            "link {a}-{b}, f={f}: all {k} samples honest but the \
-                             quorum of {} was not reached",
-                            stats.quorum
-                        ),
+                    return Err(format!(
+                        "link {a}-{b}, f={f}: all {k} samples honest but the \
+                         quorum of {} was not reached",
+                        stats.quorum
                     ));
                 }
                 if stats.fused_lo > Ext::Finite(delta) || Ext::Finite(delta) > stats.fused_hi {
-                    return Err((
-                        ORACLE.into(),
-                        format!(
-                            "link {a}-{b}, f={f}: fused interval [{:?}, {:?}] excludes \
-                             the true offset difference {delta}",
-                            stats.fused_lo, stats.fused_hi
-                        ),
+                    return Err(format!(
+                        "link {a}-{b}, f={f}: fused interval [{:?}, {:?}] excludes \
+                         the true offset difference {delta}",
+                        stats.fused_lo, stats.fused_hi
                     ));
                 }
                 if f == 0 {
@@ -1131,29 +1021,20 @@ impl Runner<'_> {
                         bounds.reversed().estimated_mls(&rev),
                     );
                     if fm != bm || fr != br {
-                        return Err((
-                            ORACLE.into(),
-                            format!(
-                                "link {a}-{b}: f=0 fusion diverged from the bounds \
-                                 estimator: {} vs {} forward, {} vs {} reverse",
-                                ext_str(fm),
-                                ext_str(bm),
-                                ext_str(fr),
-                                ext_str(br),
-                            ),
+                        return Err(format!(
+                            "link {a}-{b}: f=0 fusion diverged from the bounds \
+                             estimator: {} vs {} forward, {} vs {} reverse",
+                            fm, bm, fr, br,
                         ));
                     }
                 }
                 if f > 0 && k <= 10 {
                     let hull = honest_subset_hull(widened, fwd, bwd, k - f);
                     if hull != Some((stats.fused_lo, stats.fused_hi)) {
-                        return Err((
-                            ORACLE.into(),
-                            format!(
-                                "link {a}-{b}, f={f}: fused interval [{:?}, {:?}] differs \
-                                 from the honest-subset hull {hull:?}",
-                                stats.fused_lo, stats.fused_hi
-                            ),
+                        return Err(format!(
+                            "link {a}-{b}, f={f}: fused interval [{:?}, {:?}] differs \
+                             from the honest-subset hull {hull:?}",
+                            stats.fused_lo, stats.fused_hi
                         ));
                     }
                 }
@@ -1162,19 +1043,15 @@ impl Runner<'_> {
         Ok(())
     }
 
-    fn check_monotone(&mut self, outcome: &SyncOutcome) -> Result<(), (String, String)> {
+    fn check_monotone(&mut self, outcome: &SyncOutcome) -> Result<(), String> {
         let cur = outcome.global_shift_estimates();
         if let Some(prev) = &self.prev_closure {
             for (i, j, &c) in cur.iter() {
                 let p = *prev.get(i, j);
                 if c > p {
-                    return Err((
-                        "monotone-tightening".into(),
-                        format!(
-                            "m[{i},{j}] loosened from {} to {} without a retraction",
-                            ext_str(p),
-                            ext_str(c),
-                        ),
+                    return Err(format!(
+                        "m[{i},{j}] loosened from {} to {} without a retraction",
+                        p, c,
                     ));
                 }
             }
@@ -1243,7 +1120,7 @@ mod tests {
         {
             let report = run_scenario(&two_node(0));
             let failure = report.failure.expect("bug-window0 must trip the fuzzer");
-            assert_eq!(failure.oracle, "no-panic");
+            assert_eq!(failure.oracle, Oracle::NoPanic);
         }
     }
 

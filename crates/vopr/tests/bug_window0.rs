@@ -4,20 +4,34 @@
 //! retention window is zero (`entries[entries.len() - 0]`). The
 //! `bug-window0` cargo feature re-introduces exactly that indexing, and
 //! this test — compiled only under the feature — asserts the whole
-//! pipeline works end to end: generation finds the panic from seeds
+//! pipeline works end to end: the seeded sweep finds the panic from seeds
 //! alone, the no-panic oracle attributes it, and the shrinker reduces the
 //! scenario to a handful of events whose replay command a human can run.
 #![cfg(feature = "bug-window0")]
 
-use clocksync_vopr::{find_failure, run_scenario, shrink, with_quiet_panics, Event, Scenario};
+use clocksync_vopr::{
+    run_scenario, shrink, sweep, with_quiet_panics, Event, Family, Oracle, Scenario,
+};
 
 #[test]
 fn fuzzer_finds_and_shrinks_the_window_zero_panic() {
-    let (scenario, report) = with_quiet_panics(|| {
-        find_failure(0, 64).expect("64 seeds must surface a window=0 scenario that panics")
+    let checked = with_quiet_panics(|| {
+        sweep(0, 64)
+            .find(|c| c.failure.is_some())
+            .expect("64 seeds must surface a window=0 scenario that panics")
     });
-    let failure = report.failure.expect("find_failure returned a failing run");
-    assert_eq!(failure.oracle, "no-panic", "unexpected oracle: {failure:?}");
+    let failure = checked.failure.expect("the sweep stopped at a failure");
+    assert_eq!(
+        failure.family,
+        Family::Plain,
+        "unexpected family: {failure:?}"
+    );
+    assert_eq!(
+        failure.oracle,
+        Oracle::NoPanic,
+        "unexpected oracle: {failure:?}"
+    );
+    let (scenario, _) = checked.run.expect("a scenario family keeps its scenario");
     assert!(
         failure.detail.contains("index out of bounds") || failure.detail.contains("panicked"),
         "detail should carry the panic message, got: {}",
@@ -83,5 +97,5 @@ fn committed_reproducer_still_fails_under_the_bug() {
         .any(|e| matches!(e, Event::Probe { .. })));
     let report = with_quiet_panics(|| run_scenario(&scenario));
     let failure = report.failure.expect("reproducer must fail under the bug");
-    assert_eq!(failure.oracle, "no-panic");
+    assert_eq!(failure.oracle, Oracle::NoPanic);
 }
