@@ -1,8 +1,14 @@
 //! A minimal `--flag value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command-line arguments: one subcommand plus `--key value` flags.
+///
+/// The getters remember which flags they were asked for, so a subcommand
+/// that has read every flag its run uses can reject the rest with
+/// [`Args::reject_unread`]: a misspelt flag, or one the chosen mode does
+/// not read, is an error rather than silently ignored.
 ///
 /// # Examples
 ///
@@ -15,11 +21,13 @@ use std::collections::HashMap;
 /// assert_eq!(args.get_usize("n", 4).unwrap(), 6);
 /// assert_eq!(args.get_u64("seed", 0).unwrap(), 7);
 /// assert_eq!(args.get_usize("probes", 2).unwrap(), 2); // default
+/// assert!(args.reject_unread().is_ok());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Args {
     command: String,
     flags: HashMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -49,7 +57,11 @@ impl Args {
                 return Err(format!("flag --{name} given twice"));
             }
         }
-        Ok(Args { command, flags })
+        Ok(Args {
+            command,
+            flags,
+            read: RefCell::default(),
+        })
     }
 
     /// The subcommand.
@@ -57,9 +69,31 @@ impl Args {
         &self.command
     }
 
-    /// A raw string flag, if present.
+    /// A raw string flag, if present. Every other getter reads through
+    /// this one, which records `name` as read.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(name.to_string());
         self.flags.get(name).map(String::as_str)
+    }
+
+    /// Rejects a flag that was given but never read. Call it once the
+    /// subcommand has read every flag its run uses, before the run writes
+    /// a file, binds a socket or simulates anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the (alphabetically first) unread flag
+    /// and the subcommand.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.flags.keys().filter(|f| !read.contains(*f)).min() {
+            None => Ok(()),
+            // Two-word subcommands arrive folded (`vopr-run`).
+            Some(flag) => Err(format!(
+                "flag --{flag} is not read by `{}` with these flags",
+                self.command.replacen('-', " ", 1)
+            )),
+        }
     }
 
     /// A string flag with a default.
@@ -138,9 +172,20 @@ impl Args {
         Ok(v)
     }
 
-    /// Whether a boolean flag (`--json true`/`--json 1`) is set truthy.
-    pub fn get_bool(&self, name: &str) -> bool {
-        matches!(self.get(name), Some("true") | Some("1") | Some("yes"))
+    /// A boolean flag, `false` when absent: `true`/`1`/`yes` or
+    /// `false`/`0`/`no`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for any other value.
+    pub fn get_bool(&self, name: &str) -> Result<bool, String> {
+        match self.get(name) {
+            None | Some("false" | "0" | "no") => Ok(false),
+            Some("true" | "1" | "yes") => Ok(true),
+            Some(v) => Err(format!(
+                "flag --{name}: `{v}` is not one of true/false/1/0/yes/no"
+            )),
+        }
     }
 
     fn parse_flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -166,8 +211,51 @@ mod tests {
         let a = parse(&["sync", "--in", "run.json", "--json", "true"]).unwrap();
         assert_eq!(a.command(), "sync");
         assert_eq!(a.get("in"), Some("run.json"));
-        assert!(a.get_bool("json"));
-        assert!(!a.get_bool("quiet"));
+        assert!(a.get_bool("json").unwrap());
+        assert!(!a.get_bool("quiet").unwrap());
+        assert!(a.reject_unread().is_ok());
+    }
+
+    #[test]
+    fn booleans_take_six_spellings_and_reject_the_rest() {
+        for (v, want) in [
+            ("true", true),
+            ("1", true),
+            ("yes", true),
+            ("false", false),
+            ("0", false),
+            ("no", false),
+        ] {
+            assert_eq!(
+                parse(&["sync", "--json", v]).unwrap().get_bool("json"),
+                Ok(want)
+            );
+        }
+        for bad in ["True", "on", ""] {
+            let err = parse(&["sync", "--json", bad]).unwrap().get_bool("json");
+            assert!(
+                err.unwrap_err().contains("--json"),
+                "accepted --json {bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flag_no_getter_read_is_named_with_its_subcommand() {
+        let a = parse(&["vopr-run", "--seed", "0", "--seeds", "3", "--count", "x"]).unwrap();
+        assert!(a.get_u64("seed", 1).is_ok());
+        // A getter that fails to parse still counts its flag as read.
+        assert!(a.get_usize("count", 50).is_err());
+        let err = a.reject_unread().unwrap_err();
+        assert!(
+            err.contains("--seeds") && err.contains("`vopr run`"),
+            "{err}"
+        );
+        // Asking for an absent flag reads nothing that was given.
+        assert!(a.get("journal").is_none());
+        assert!(a.reject_unread().is_err());
+        a.get("seeds");
+        assert!(a.reject_unread().is_ok());
     }
 
     #[test]

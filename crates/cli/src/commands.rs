@@ -129,91 +129,116 @@ pub fn simulate(args: &Args) -> Result<RunFile, String> {
 ///
 /// Returns a message for invalid flags or impossible scenarios.
 pub fn simulate_traced(args: &Args, recorder: &Recorder) -> Result<RunFile, String> {
-    let topo = topology(args)?;
-    let (model, longest_delay) = link_model(args)?;
-    let seed = args.get_u64("seed", 0)?;
-    let probes = args.get_usize("probes", 3)?;
-    if probes == 0 {
-        return Err("flag --probes: must be at least 1".to_string());
-    }
-    let spacing = micros(args, "spacing-us", 10_000, 1)?;
-    let spread = micros(args, "spread-us", 5_000, 0)?;
-    // Loss is parts-per-million of messages dropped, applied uniformly to
-    // every link; the domain check catches NaN/negative/overfull values
-    // at the flag boundary.
-    let loss_ppm = args.get_f64_in("loss-ppm", 0.0, 0.0, 1_000_000.0)?;
+    Ok(SimulatePlan::from_args(args, recorder)?.run())
+}
 
-    let edges: Vec<(usize, usize)> = {
-        use rand::SeedableRng;
-        let mut topo_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7090);
-        topo.edges(&mut topo_rng)
-    };
-    // A run processes n starts, one timer per probe round at every node
-    // that initiates a link, and a probe and its echo per link and round.
-    // The engine panics past its event cap, and its clock arithmetic past
-    // i64 nanoseconds, so both are checked before simulating.
-    let initiators: std::collections::BTreeSet<_> = edges.iter().map(|&(a, b)| a.min(b)).collect();
-    let events = probes
-        .saturating_mul(initiators.len() + 2 * edges.len())
-        .saturating_add(topo.n());
-    if events > clocksync_sim::MAX_EVENTS {
-        return Err(format!(
-            "flag --probes: {probes} rounds over {} links make {events} events, past the simulator's cap of {}",
-            edges.len(),
-            clocksync_sim::MAX_EVENTS
-        ));
-    }
-    // Every node starts within the spread and fires its last round at most
-    // spread + 100 µs + (probes − 1)·spacing later; a probe and its echo
-    // each take at most the longest delay.
-    let ns = |x: Nanos| i128::from(x.as_nanos());
-    let last = 2 * ns(spread) + 100_000 + probes as i128 * ns(spacing) + 2 * ns(longest_delay);
-    if last > i128::from(i64::MAX) {
-        return Err(
-            "flags --spread-us, --spacing-us and --probes: the probe schedule runs past i64 nanoseconds"
-                .to_string(),
-        );
-    }
-    let mut builder = Simulation::builder(topo.n());
-    for &(a, b) in &edges {
-        builder = builder.truthful_link(a, b, model.clone());
-    }
-    if loss_ppm > 0.0 {
-        let mut plan = FaultPlan::new();
-        for &(a, b) in &edges {
-            plan = plan.drop_messages(ProcessorId(a), ProcessorId(b), loss_ppm / 1_000_000.0);
+/// A `clocksync simulate` scenario whose flags are all read and checked,
+/// not yet run.
+pub struct SimulatePlan {
+    sim: Simulation,
+    seed: u64,
+}
+
+impl SimulatePlan {
+    /// Reads and checks every flag the scenario uses and builds the
+    /// simulation, reporting to `recorder`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for invalid flags or impossible scenarios.
+    pub fn from_args(args: &Args, recorder: &Recorder) -> Result<SimulatePlan, String> {
+        let topo = topology(args)?;
+        let (model, longest_delay) = link_model(args)?;
+        let seed = args.get_u64("seed", 0)?;
+        let probes = args.get_usize("probes", 3)?;
+        if probes == 0 {
+            return Err("flag --probes: must be at least 1".to_string());
         }
-        builder = builder.faults(plan);
-    }
-    let sim = builder
-        .probes(probes)
-        .spacing(spacing)
-        .start_spread(spread)
-        .recorder(recorder.clone())
-        .build();
-    let run = sim.run(seed);
+        let spacing = micros(args, "spacing-us", 10_000, 1)?;
+        let spread = micros(args, "spread-us", 5_000, 0)?;
+        // Loss is parts-per-million of messages dropped, applied uniformly to
+        // every link; the domain check catches NaN/negative/overfull values
+        // at the flag boundary.
+        let loss_ppm = args.get_f64_in("loss-ppm", 0.0, 0.0, 1_000_000.0)?;
 
-    let links = sim
-        .links()
-        .iter()
-        .map(|l| LinkEntry {
-            a: l.a,
-            b: l.b,
-            assumption: l.assumption.clone(),
-        })
-        .collect();
-    Ok(RunFile {
-        processors: sim.n(),
-        links,
-        views: run.execution.views().clone(),
-        true_starts_ns: Some(
-            run.execution
-                .starts()
-                .iter()
-                .map(|&s| (s - RealTime::ZERO).as_nanos())
-                .collect(),
-        ),
-    })
+        let edges: Vec<(usize, usize)> = {
+            use rand::SeedableRng;
+            let mut topo_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7090);
+            topo.edges(&mut topo_rng)
+        };
+        // A run processes n starts, one timer per probe round at every node
+        // that initiates a link, and a probe and its echo per link and round.
+        // The engine panics past its event cap, and its clock arithmetic past
+        // i64 nanoseconds, so both are checked before simulating.
+        let initiators: std::collections::BTreeSet<_> =
+            edges.iter().map(|&(a, b)| a.min(b)).collect();
+        let events = probes
+            .saturating_mul(initiators.len() + 2 * edges.len())
+            .saturating_add(topo.n());
+        if events > clocksync_sim::MAX_EVENTS {
+            return Err(format!(
+                "flag --probes: {probes} rounds over {} links make {events} events, past the simulator's cap of {}",
+                edges.len(),
+                clocksync_sim::MAX_EVENTS
+            ));
+        }
+        // Every node starts within the spread and fires its last round at most
+        // spread + 100 µs + (probes − 1)·spacing later; a probe and its echo
+        // each take at most the longest delay.
+        let ns = |x: Nanos| i128::from(x.as_nanos());
+        let last = 2 * ns(spread) + 100_000 + probes as i128 * ns(spacing) + 2 * ns(longest_delay);
+        if last > i128::from(i64::MAX) {
+            return Err(
+                "flags --spread-us, --spacing-us and --probes: the probe schedule runs past i64 nanoseconds"
+                    .to_string(),
+            );
+        }
+        let mut builder = Simulation::builder(topo.n());
+        for &(a, b) in &edges {
+            builder = builder.truthful_link(a, b, model.clone());
+        }
+        if loss_ppm > 0.0 {
+            let mut plan = FaultPlan::new();
+            for &(a, b) in &edges {
+                plan = plan.drop_messages(ProcessorId(a), ProcessorId(b), loss_ppm / 1_000_000.0);
+            }
+            builder = builder.faults(plan);
+        }
+        let sim = builder
+            .probes(probes)
+            .spacing(spacing)
+            .start_spread(spread)
+            .recorder(recorder.clone())
+            .build();
+        Ok(SimulatePlan { sim, seed })
+    }
+
+    /// Runs the simulation and returns the run file content.
+    pub fn run(&self) -> RunFile {
+        let run = self.sim.run(self.seed);
+        let links = self
+            .sim
+            .links()
+            .iter()
+            .map(|l| LinkEntry {
+                a: l.a,
+                b: l.b,
+                assumption: l.assumption.clone(),
+            })
+            .collect();
+        RunFile {
+            processors: self.sim.n(),
+            links,
+            views: run.execution.views().clone(),
+            true_starts_ns: Some(
+                run.execution
+                    .starts()
+                    .iter()
+                    .map(|&s| (s - RealTime::ZERO).as_nanos())
+                    .collect(),
+            ),
+        }
+    }
 }
 
 /// The text report of a synchronization, shared by `sync` and `explain`.

@@ -2,11 +2,13 @@
 //!
 //! ```text
 //! clocksync simulate [--topology ring|path|star|complete|grid|random]
-//!                    [--n N] [--model uniform|heavy-tail|bias] [--lo-us L]
-//!                    [--hi-us H] [--bias-us B] [--probes K] [--seed S]
+//!                    [--n N] [--rows R] [--cols C] [--extra-per-mille E]
+//!                    [--model uniform|heavy-tail|bias] [--lo-us L]
+//!                    [--hi-us H] [--scale-us S] [--alpha A] [--bias-us B]
+//!                    [--probes K] [--seed S] [--spacing-us U] [--spread-us U]
 //!                    [--loss-ppm P] [--out FILE] [--trace FILE]
 //! clocksync sync     --in FILE [--json true] [--trace FILE]
-//! clocksync explain  --in FILE
+//! clocksync explain  --in FILE [--trace FILE]
 //! clocksync serve    --in FILE [--shards K] [--window W] [--trace FILE]
 //! clocksync serve    --listen ADDR [--shards K] [--window W] [--queue-depth Q]
 //!                    [--max-conns N] [--trace FILE]
@@ -31,9 +33,10 @@ use clocksync_service::{run_soak_with_recorder, SoakConfig};
 
 const USAGE: &str = "usage:
   clocksync simulate [--topology T] [--n N] [--model M] [--probes K] [--seed S]
-                     [--loss-ppm P] [--out FILE] [--trace FILE]
+                     [--spacing-us U] [--spread-us U] [--loss-ppm P]
+                     [--out FILE] [--trace FILE]
   clocksync sync     --in FILE [--json true] [--trace FILE]
-  clocksync explain  --in FILE
+  clocksync explain  --in FILE [--trace FILE]
   clocksync serve    --in FILE [--shards K] [--window W] [--trace FILE]
   clocksync serve    --listen ADDR [--shards K] [--window W] [--queue-depth Q]
                      [--max-conns N] [--trace FILE]
@@ -46,7 +49,9 @@ const USAGE: &str = "usage:
   clocksync vopr replay --file FILE [--journal FILE]
   clocksync vopr corpus [--dir DIR] [--budget N] [--seed S]
 
-topologies: path ring star complete grid random
+topologies: path ring star complete (--n)
+            grid (--rows --cols)
+            random (--n --extra-per-mille)
 models:     uniform (--lo-us --hi-us)
             heavy-tail (--lo-us --scale-us --alpha)
             bias (--lo-us --hi-us --bias-us)
@@ -60,6 +65,10 @@ forever). soak drives sustained simulated ingestion — --threads K runs the
 worker engine, one thread per shard — and reports throughput plus
 steady-state retention (--max-rss-mb fails the run if resident memory ends
 above the ceiling).
+
+A flag the subcommand does not read (with the topology, model or mode the
+other flags choose) is an error; so is a --json other than
+true/false/1/0/yes/no.
 
 --trace FILE writes a JSONL trace (spans, counters, histograms, gauges,
 events); `trace summarize` renders one as a human-readable report.
@@ -121,9 +130,12 @@ impl Out {
 
 fn run() -> Result<(), String> {
     let mut out = Out::default();
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    if raw.first().is_some_and(|a| a == "--help" || a == "-h") {
+        raw[0] = "help".to_string();
+    }
     // `trace summarize` is a two-word subcommand; fold it into one token
     // before flag parsing.
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.len() >= 2 && raw[0] == "trace" && raw[1] == "summarize" {
         raw.splice(0..2, ["trace-summarize".to_string()]);
     }
@@ -133,13 +145,18 @@ fn run() -> Result<(), String> {
         raw.splice(0..2, [folded]);
     }
     let args = Args::parse(raw).map_err(|e| format!("{e}\n{USAGE}"))?;
+    // Every arm reads all the flags its run uses, then rejects any other
+    // before it reads an input, writes a file, binds a socket or runs.
     match args.command() {
         "simulate" => {
+            let out_path = args.get("out");
             let recorder = trace_recorder(&args);
-            let runfile = commands::simulate_traced(&args, &recorder)?;
+            let plan = commands::SimulatePlan::from_args(&args, &recorder)?;
+            args.reject_unread()?;
+            let runfile = plan.run();
             write_trace(&args, &recorder)?;
             let json = runfile.to_json().map_err(|e| e.to_string())?;
-            match args.get("out") {
+            match out_path {
                 Some(path) => {
                     fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
                     eprintln!(
@@ -155,12 +172,14 @@ fn run() -> Result<(), String> {
         }
         "sync" | "explain" => {
             let path = args.require("in")?;
+            let json = args.command() == "sync" && args.get_bool("json")?;
+            let recorder = trace_recorder(&args);
+            args.reject_unread()?;
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let runfile = RunFile::from_json(&content).map_err(|e| e.to_string())?;
-            let recorder = trace_recorder(&args);
             let report = commands::sync_traced(&runfile, &recorder)?;
             write_trace(&args, &recorder)?;
-            if args.command() == "sync" && args.get_bool("json") {
+            if json {
                 use clocksync_cli::json::Json;
                 let corrections = report
                     .outcome
@@ -230,13 +249,14 @@ fn run() -> Result<(), String> {
                         .map_err(|_| format!("flag --max-conns: cannot parse `{raw}`"))?,
                 ),
             };
+            let recorder = trace_recorder(&args);
+            args.reject_unread()?;
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
             let local = listener
                 .local_addr()
                 .map_err(|e| format!("binding {addr}: {e}"))?;
             eprintln!("listening on {local} ({shards} shards, window {window})");
-            let recorder = trace_recorder(&args);
             let config = clocksync_service::ServiceConfig {
                 shards,
                 window,
@@ -254,13 +274,14 @@ fn run() -> Result<(), String> {
         }
         "serve" => {
             let path = args.require("in")?;
-            let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let shards = args.get_usize("shards", 4)?;
             let window = args.get_usize("window", 64)?;
             if shards == 0 {
                 return Err("flag --shards: must be at least 1".to_string());
             }
             let recorder = trace_recorder(&args);
+            args.reject_unread()?;
+            let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let lines =
                 clocksync_cli::serve::run_serve_on_str(&content, shards, window, &recorder)?;
             write_trace(&args, &recorder)?;
@@ -297,7 +318,15 @@ fn run() -> Result<(), String> {
             if config.queue_depth == 0 {
                 return Err("flag --queue-depth: must be at least 1".to_string());
             }
+            let max_rss_mb = match args.get("max-rss-mb") {
+                None => None,
+                Some(raw) => Some(
+                    raw.parse::<u64>()
+                        .map_err(|_| format!("flag --max-rss-mb: cannot parse `{raw}`"))?,
+                ),
+            };
             let recorder = trace_recorder(&args);
+            args.reject_unread()?;
             let report = run_soak_with_recorder(&config, recorder.clone());
             write_trace(&args, &recorder)?;
             out.line(format_args!(
@@ -338,10 +367,7 @@ fn run() -> Result<(), String> {
                     report.peak_retained_messages, report.retained_cap
                 ));
             }
-            if let Some(max_mb) = args.get("max-rss-mb") {
-                let max_mb: u64 = max_mb
-                    .parse()
-                    .map_err(|_| format!("flag --max-rss-mb: cannot parse `{max_mb}`"))?;
+            if let Some(max_mb) = max_rss_mb {
                 if let Some(rss) = report.rss_end_bytes {
                     if rss > max_mb * 1024 * 1024 {
                         return Err(format!(
@@ -360,11 +386,14 @@ fn run() -> Result<(), String> {
             if count == 0 {
                 return Err("flag --count: must be at least 1".to_string());
             }
+            let journal = args.get("journal");
+            let repro = args.get("repro").unwrap_or("vopr-repro.json");
+            args.reject_unread()?;
             let session = clocksync_cli::vopr::fuzz(seed, count, budget);
             for line in &session.lines {
                 out.line(line)?;
             }
-            if let Some(path) = args.get("journal") {
+            if let Some(path) = journal {
                 fs::write(path, &session.journal_jsonl)
                     .map_err(|e| format!("writing {path}: {e}"))?;
                 eprintln!("journal written to {path}");
@@ -372,12 +401,11 @@ fn run() -> Result<(), String> {
             match (session.failure, session.reproducer) {
                 (None, _) => Ok(()),
                 (Some(_), Some(scenario)) => {
-                    let path = args.get("repro").unwrap_or("vopr-repro.json");
-                    fs::write(path, scenario.to_json_pretty())
-                        .map_err(|e| format!("writing {path}: {e}"))?;
+                    fs::write(repro, scenario.to_json_pretty())
+                        .map_err(|e| format!("writing {repro}: {e}"))?;
                     Err(format!(
-                        "oracle failure; minimal reproducer written to {path}\nreplay with:\n  {}",
-                        clocksync_vopr::Scenario::replay_command(path)
+                        "oracle failure; minimal reproducer written to {repro}\nreplay with:\n  {}",
+                        clocksync_vopr::Scenario::replay_command(repro)
                     ))
                 }
                 (Some(f), None) => Err(format!(
@@ -388,6 +416,8 @@ fn run() -> Result<(), String> {
         }
         "vopr-replay" => {
             let path = args.require("file")?;
+            let journal_path = args.get("journal");
+            args.reject_unread()?;
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let scenario = clocksync_vopr::Scenario::from_json_str(&content)
                 .map_err(|e| format!("{path}: {e}"))?;
@@ -395,7 +425,7 @@ fn run() -> Result<(), String> {
             for line in lines {
                 out.line(line)?;
             }
-            if let Some(journal_path) = args.get("journal") {
+            if let Some(journal_path) = journal_path {
                 fs::write(journal_path, &journal)
                     .map_err(|e| format!("writing {journal_path}: {e}"))?;
                 eprintln!("journal written to {journal_path}");
@@ -410,6 +440,7 @@ fn run() -> Result<(), String> {
             let dir = args.get("dir").unwrap_or("tests/corpus");
             let budget = args.get_usize("budget", 25)?;
             let seed = args.get_u64("seed", 10_000)?;
+            args.reject_unread()?;
             let report = clocksync_cli::vopr::corpus(std::path::Path::new(dir), budget, seed)?;
             for line in &report.lines {
                 out.line(line)?;
@@ -425,6 +456,7 @@ fn run() -> Result<(), String> {
         }
         "trace-summarize" => {
             let path = args.require("in")?;
+            args.reject_unread()?;
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let trace = Trace::from_jsonl(&content).map_err(|e| e.to_string())?;
             for line in trace.summarize() {
@@ -432,7 +464,8 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        "help" | "--help" | "-h" => {
+        "help" => {
+            args.reject_unread()?;
             out.line(USAGE)?;
             Ok(())
         }

@@ -214,7 +214,7 @@ impl ViewWindow {
     /// Drops every retained message of the undirected link `{p, q}` (both
     /// directions), returning how many were dropped. The window-side
     /// counterpart of evidence retraction: after a link is forgotten, its
-    /// messages must leave the auditable history too, or
+    /// messages must leave the window too, or
     /// [`ViewWindow::to_view_set`] would resurrect the retracted evidence.
     /// Amortized `O(dropped)` like [`ViewWindow::drop_message`].
     pub fn drop_link(&mut self, p: ProcessorId, q: ProcessorId) -> usize {
@@ -310,7 +310,8 @@ impl ViewWindow {
 
     /// Materializes the retained messages as a validated [`ViewSet`]
     /// (send/receive events per processor, clock-ordered, start events
-    /// prepended) — the domain's auditable bounded view history.
+    /// prepended), so the window's evidence can be checked against a
+    /// full history.
     ///
     /// # Errors
     ///

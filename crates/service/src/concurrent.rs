@@ -1,5 +1,5 @@
 //! The concurrent ingestion engine: one dedicated worker thread per
-//! shard, fed by bounded MPSC queues with explicit backpressure.
+//! shard, fed by a bounded FIFO queue.
 //!
 //! [`SyncService`] applies batches on the caller's thread; this module
 //! moves each shard onto its own worker so ingestion scales with cores.
@@ -9,12 +9,16 @@
 //!   (a single-shard [`SyncService`]); nothing is shared, nothing is
 //!   locked on the apply path. The front-end routes by the placement the
 //!   [`ShardMap`](crate::ShardMap) cached at registration time.
-//! * **Backpressure** — each shard's queue is a bounded
-//!   [`std::sync::mpsc::sync_channel`]. [`ConcurrentService::ingest`]
-//!   blocks when the queue is full; [`ConcurrentService::try_ingest`]
-//!   returns [`ServiceError::Backpressure`] instead, so callers that must
-//!   not stall (a wire acceptor shedding load, a latency-sensitive
-//!   producer) get a typed signal rather than an invisible wait.
+//! * **One request path** — a shard's queue carries two kinds of job: a
+//!   batch to ingest, and a call that runs on the worker.
+//!   Registration, outcomes, retractions and statistics are calls; each
+//!   waits for its answer, and a worker that is gone answers
+//!   [`ServiceError::Stopped`].
+//! * **Bounded queues** — each shard's queue is a bounded
+//!   [`std::sync::mpsc::sync_channel`], and [`ConcurrentService::ingest`]
+//!   blocks while it is full, so backpressure propagates to the producer.
+//!   The `svc.queue_depth` gauge and the `svc.ingest_wait` histogram
+//!   show it.
 //! * **Group commit** — a worker drains every batch already queued (up to
 //!   [`ServiceConfig::max_coalesce`]) and applies the batches of each
 //!   domain as **one** merged pass: one closure/`A_max` maintenance pass
@@ -27,34 +31,34 @@
 //!   thread parallelism on many.
 //! * **Receipts** — `ingest` returns a [`PendingReceipt`] immediately
 //!   (the pipeline stays full); the receipt arrives on a reply channel
-//!   when the worker applies the batch. [`ConcurrentService::ingest_all`]
-//!   aggregates many receipts over one shared reply channel. Within a
-//!   coalesced group the GC accounting (`gc_dropped`,
-//!   `samples_compacted`) is attributed to the group's last batch per
-//!   domain; `applied` is always exact per batch.
+//!   when the worker applies the batch. Within a coalesced group the GC
+//!   accounting (`gc_dropped`, `samples_compacted`) is attributed to the
+//!   group's last batch per domain; `applied` is always exact per batch.
 //! * **Ordering** — each domain's batches apply in enqueue order (one
-//!   FIFO queue per shard, one shard per domain). Queries
-//!   ([`ConcurrentService::outcome`], [`ConcurrentService::domain_stats`])
-//!   ride the same queue, so an outcome observes every batch enqueued
+//!   FIFO queue per shard, one shard per domain). Calls ride the same
+//!   queue, and a call found while a group is forming runs once that
+//!   group is applied, so an outcome observes every batch enqueued
 //!   before it — no stale reads.
 //! * **Drain & shutdown** — dropping the senders ends the stream;
 //!   workers drain everything still queued before exiting, so no receipt
 //!   is lost and no batch is dropped. [`ConcurrentService::shutdown`]
 //!   joins the workers and returns their final [`PoolStats`];
-//!   [`ConcurrentService::stats`] is the non-destructive barrier version.
+//!   [`ConcurrentService::stats`] snapshots them without stopping them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use clocksync::{Network, SyncOutcome};
+use clocksync_model::ProcessorId;
 use clocksync_obs::Recorder;
 
 use crate::{
-    DomainId, DomainStats, IngestReceipt, ObservationBatch, ServiceError, ShardMap, SyncService,
+    DomainId, DomainStats, ForgetReceipt, IngestReceipt, ObservationBatch, ServiceError, ShardMap,
+    SyncService,
 };
 
 /// Parameters of a [`ConcurrentService`].
@@ -65,8 +69,7 @@ pub struct ServiceConfig {
     /// Per-directed-link retention window (messages and samples).
     pub window: usize,
     /// Bounded depth of each shard's ingestion queue, in batches. When a
-    /// queue is full, `ingest` blocks and `try_ingest` reports
-    /// [`ServiceError::Backpressure`].
+    /// queue is full, `ingest` blocks.
     pub queue_depth: usize,
     /// Most batches a worker merges into one apply pass (group commit).
     /// Larger groups amortize the per-batch closure/GC maintenance
@@ -86,8 +89,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What one worker did, snapshotted at a barrier or at shutdown.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What one worker did, snapshotted by [`ConcurrentService::stats`] or at
+/// shutdown.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The worker's shard.
     pub shard: usize,
@@ -160,48 +164,28 @@ impl PoolStats {
     }
 }
 
-/// One queued ingest: the batch, its reply slot, and enough bookkeeping
-/// to aggregate receipts and measure queue latency.
+/// One queued batch: its reply slot, and its enqueue time for the
+/// `svc.batch_latency` histogram.
 struct IngestJob {
     batch: ObservationBatch,
-    index: usize,
     enqueued: Instant,
-    reply: mpsc::Sender<(usize, Result<IngestReceipt, ServiceError>)>,
+    reply: mpsc::Sender<Result<IngestReceipt, ServiceError>>,
 }
 
+/// What a shard's queue carries: a batch, which the worker may commit in
+/// a group with the batches queued behind it, or a call, which runs on
+/// the worker in queue order.
 enum Job {
     Ingest(IngestJob),
-    Register {
-        domain: DomainId,
-        network: Network,
-        reply: mpsc::Sender<Result<(), ServiceError>>,
-    },
-    Outcome {
-        domain: DomainId,
-        reply: mpsc::Sender<Result<SyncOutcome, ServiceError>>,
-    },
-    Forget {
-        domain: DomainId,
-        p: clocksync_model::ProcessorId,
-        q: clocksync_model::ProcessorId,
-        reply: mpsc::Sender<Result<crate::ForgetReceipt, ServiceError>>,
-    },
-    DomainStats {
-        domain: DomainId,
-        reply: mpsc::Sender<Option<DomainStats>>,
-    },
-    Stats {
-        reply: mpsc::Sender<WorkerStats>,
-    },
+    Call(Box<dyn FnOnce(&mut Worker) + Send>),
 }
 
 /// A receipt that has been enqueued but not yet applied. Obtained from
-/// [`ConcurrentService::ingest`] / [`ConcurrentService::try_ingest`];
-/// redeem it with [`PendingReceipt::wait`].
+/// [`ConcurrentService::ingest`]; redeem it with [`PendingReceipt::wait`].
 #[derive(Debug)]
 pub struct PendingReceipt {
     shard: usize,
-    rx: mpsc::Receiver<(usize, Result<IngestReceipt, ServiceError>)>,
+    rx: mpsc::Receiver<Result<IngestReceipt, ServiceError>>,
 }
 
 impl PendingReceipt {
@@ -212,10 +196,9 @@ impl PendingReceipt {
     /// The batch's own typed error, or [`ServiceError::Stopped`] if the
     /// worker died before replying.
     pub fn wait(self) -> Result<IngestReceipt, ServiceError> {
-        match self.rx.recv() {
-            Ok((_, result)) => result,
-            Err(_) => Err(ServiceError::Stopped { shard: self.shard }),
-        }
+        self.rx
+            .recv()
+            .unwrap_or(Err(ServiceError::Stopped { shard: self.shard }))
     }
 }
 
@@ -264,9 +247,8 @@ pub struct ConcurrentService {
     map: RwLock<ShardMap>,
     senders: Vec<SyncSender<Job>>,
     depths: Vec<Arc<AtomicUsize>>,
-    handles: Mutex<Vec<JoinHandle<WorkerStats>>>,
+    handles: Vec<JoinHandle<WorkerStats>>,
     recorder: Recorder,
-    config: ServiceConfig,
 }
 
 impl ConcurrentService {
@@ -305,16 +287,7 @@ impl ConcurrentService {
                 max_coalesce: config.max_coalesce,
                 stats: WorkerStats {
                     shard,
-                    domains: 0,
-                    batches: 0,
-                    messages: 0,
-                    errors: 0,
-                    groups: 0,
-                    max_group: 0,
-                    retained_messages: 0,
-                    retained_samples: 0,
-                    approx_retained_bytes: 0,
-                    peak_retained_messages: 0,
+                    ..WorkerStats::default()
                 },
             };
             handles.push(
@@ -330,25 +303,9 @@ impl ConcurrentService {
             map: RwLock::new(ShardMap::new(config.shards)),
             senders,
             depths,
-            handles: Mutex::new(handles),
+            handles,
             recorder,
-            config,
         }
-    }
-
-    /// The number of shards (= worker threads).
-    pub fn shards(&self) -> usize {
-        self.config.shards
-    }
-
-    /// The per-directed-link retention window.
-    pub fn window(&self) -> usize {
-        self.config.window
-    }
-
-    /// The bounded per-shard queue depth, in batches.
-    pub fn queue_depth(&self) -> usize {
-        self.config.queue_depth
     }
 
     /// The shard a domain is (or would be) pinned to.
@@ -363,7 +320,7 @@ impl ConcurrentService {
     /// # Errors
     ///
     /// [`ServiceError::DuplicateDomain`] if the name is taken,
-    /// [`ServiceError::Stopped`] if the service is shut down.
+    /// [`ServiceError::Stopped`] if the worker is gone.
     pub fn register_domain(
         &self,
         domain: impl Into<DomainId>,
@@ -375,15 +332,13 @@ impl ConcurrentService {
             .write()
             .expect("shard map poisoned")
             .assign(domain.as_str());
-        let (tx, rx) = mpsc::channel();
-        self.senders[shard]
-            .send(Job::Register {
-                domain,
-                network,
-                reply: tx,
-            })
-            .map_err(|_| ServiceError::Stopped { shard })?;
-        rx.recv().map_err(|_| ServiceError::Stopped { shard })?
+        self.call(shard, move |worker| {
+            let registered = worker.service.register_domain(domain, network);
+            if registered.is_ok() {
+                worker.stats.domains += 1;
+            }
+            registered
+        })?
     }
 
     /// Enqueues a batch on its domain's shard, **blocking while the
@@ -398,56 +353,30 @@ impl ConcurrentService {
     /// the receipt, in enqueue order, exactly as sequential ingestion
     /// would report them.
     pub fn ingest(&self, batch: ObservationBatch) -> Result<PendingReceipt, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        let pending = self.enqueue(batch, 0, tx, true)?;
-        Ok(PendingReceipt { shard: pending, rx })
-    }
-
-    /// Non-blocking [`ConcurrentService::ingest`]: if the shard's queue
-    /// is full the batch is **not** enqueued and
-    /// [`ServiceError::Backpressure`] names the shard and its depth.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Backpressure`] on a full queue,
-    /// [`ServiceError::Stopped`] if the shard's worker is gone.
-    pub fn try_ingest(&self, batch: ObservationBatch) -> Result<PendingReceipt, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        let pending = self.enqueue(batch, 0, tx, false)?;
-        Ok(PendingReceipt { shard: pending, rx })
-    }
-
-    /// Enqueues many batches (blocking on full queues) and waits for all
-    /// receipts, returned in input order. Batches are independent: one
-    /// failing validation does not stop the others.
-    pub fn ingest_all(
-        &self,
-        batches: Vec<ObservationBatch>,
-    ) -> Vec<Result<IngestReceipt, ServiceError>> {
-        let total = batches.len();
-        let (tx, rx) = mpsc::channel();
-        let mut results: Vec<Option<Result<IngestReceipt, ServiceError>>> =
-            (0..total).map(|_| None).collect();
-        let mut expected = 0usize;
-        for (index, batch) in batches.into_iter().enumerate() {
-            match self.enqueue(batch, index, tx.clone(), true) {
-                Ok(_) => expected += 1,
-                Err(e) => results[index] = Some(Err(e)),
-            }
+        let shard = self.shard_of(batch.domain.as_str());
+        let (reply, rx) = mpsc::channel();
+        let job = Job::Ingest(IngestJob {
+            batch,
+            enqueued: Instant::now(),
+            reply,
+        });
+        let depth = self.depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
+        let started = self.recorder.is_enabled().then(|| {
+            self.recorder.gauge("svc.queue_depth", depth as f64);
+            Instant::now()
+        });
+        let sent = self.senders[shard].send(job);
+        if let Some(started) = started {
+            self.recorder.observe_ns(
+                "svc.ingest_wait",
+                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
         }
-        drop(tx);
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok((index, result)) => results[index] = Some(result),
-                // A worker died mid-stream; the remaining slots stay
-                // `None` and are reported as `Stopped` below.
-                Err(_) => break,
-            }
+        if sent.is_err() {
+            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
+            return Err(ServiceError::Stopped { shard });
         }
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(ServiceError::Stopped { shard: usize::MAX })))
-            .collect()
+        Ok(PendingReceipt { shard, rx })
     }
 
     /// The current optimal outcome for one domain. The query rides the
@@ -459,15 +388,10 @@ impl ConcurrentService {
     /// domain's evidence contradicts its declared assumptions, or
     /// [`ServiceError::Stopped`] if the worker is gone.
     pub fn outcome(&self, domain: &str) -> Result<SyncOutcome, ServiceError> {
-        let shard = self.shard_of(domain);
-        let (tx, rx) = mpsc::channel();
-        self.senders[shard]
-            .send(Job::Outcome {
-                domain: DomainId::from(domain),
-                reply: tx,
-            })
-            .map_err(|_| ServiceError::Stopped { shard })?;
-        rx.recv().map_err(|_| ServiceError::Stopped { shard })?
+        let domain = DomainId::from(domain);
+        self.call(self.shard_of(domain.as_str()), move |worker| {
+            worker.service.outcome(domain.as_str())
+        })?
     }
 
     /// Retracts every observation of the undirected link `{p, q}` in one
@@ -484,52 +408,36 @@ impl ConcurrentService {
     pub fn forget_link(
         &self,
         domain: &str,
-        p: clocksync_model::ProcessorId,
-        q: clocksync_model::ProcessorId,
-    ) -> Result<crate::ForgetReceipt, ServiceError> {
-        let shard = self.shard_of(domain);
-        let (tx, rx) = mpsc::channel();
-        self.senders[shard]
-            .send(Job::Forget {
-                domain: DomainId::from(domain),
-                p,
-                q,
-                reply: tx,
-            })
-            .map_err(|_| ServiceError::Stopped { shard })?;
-        rx.recv().map_err(|_| ServiceError::Stopped { shard })?
+        p: ProcessorId,
+        q: ProcessorId,
+    ) -> Result<ForgetReceipt, ServiceError> {
+        let domain = DomainId::from(domain);
+        self.call(self.shard_of(domain.as_str()), move |worker| {
+            worker.service.forget_link(domain.as_str(), p, q)
+        })?
     }
 
     /// Retention statistics for one domain (`None` if unregistered or the
-    /// service is stopped), observing every batch enqueued before the
-    /// call.
+    /// worker is gone), observing every batch enqueued before the call.
     pub fn domain_stats(&self, domain: &str) -> Option<DomainStats> {
-        let shard = self.shard_of(domain);
-        let (tx, rx) = mpsc::channel();
-        self.senders[shard]
-            .send(Job::DomainStats {
-                domain: DomainId::from(domain),
-                reply: tx,
+        let domain = DomainId::from(domain);
+        self.call(self.shard_of(domain.as_str()), move |worker| {
+            let stats = worker.service.domain_stats(domain.as_str())?;
+            Some(DomainStats {
+                shard: worker.shard,
+                ..stats
             })
-            .ok()?;
-        rx.recv().ok().flatten()
+        })
+        .ok()?
     }
 
-    /// A barrier + statistics snapshot: waits until every worker has
-    /// applied everything enqueued before this call, then returns the
-    /// aggregated per-worker statistics. The service keeps running.
+    /// A statistics snapshot of every worker, each taken after the worker
+    /// applied everything enqueued on its shard before this call. The
+    /// service keeps running; a worker that is gone is left out.
     pub fn stats(&self) -> PoolStats {
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            if sender.send(Job::Stats { reply: tx }).is_ok() {
-                pending.push((shard, rx));
-            }
-        }
         PoolStats {
-            workers: pending
-                .into_iter()
-                .filter_map(|(_, rx)| rx.recv().ok())
+            workers: (0..self.senders.len())
+                .filter_map(|shard| self.call(shard, Worker::snapshot).ok())
                 .collect(),
         }
     }
@@ -542,67 +450,34 @@ impl ConcurrentService {
             senders, handles, ..
         } = self;
         drop(senders); // closes the queues; workers drain and exit
-        let handles = handles
-            .into_inner()
-            .expect("worker handles poisoned")
-            .into_iter();
         PoolStats {
             workers: handles
+                .into_iter()
                 .map(|h| h.join().expect("a shard worker panicked"))
                 .collect(),
         }
     }
 
-    /// Routes and enqueues one ingest job; returns the shard it went to.
-    fn enqueue(
+    /// Runs `f` on `shard`'s worker after every job enqueued there before
+    /// it, and waits for its answer.
+    fn call<T: Send + 'static>(
         &self,
-        batch: ObservationBatch,
-        index: usize,
-        reply: mpsc::Sender<(usize, Result<IngestReceipt, ServiceError>)>,
-        blocking: bool,
-    ) -> Result<usize, ServiceError> {
-        let shard = self.shard_of(batch.domain.as_str());
-        let job = Job::Ingest(IngestJob {
-            batch,
-            index,
-            enqueued: Instant::now(),
-            reply,
-        });
-        let depth = self.depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
-        let traced = self.recorder.is_enabled();
-        if traced {
-            self.recorder.gauge("svc.queue_depth", depth as f64);
-        }
-        let sent = if blocking {
-            let started = traced.then(Instant::now);
-            let sent = self.senders[shard]
-                .send(job)
-                .map_err(|_| ServiceError::Stopped { shard });
-            if let Some(started) = started {
-                self.recorder.observe_ns(
-                    "svc.ingest_wait",
-                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-            sent
-        } else {
-            self.senders[shard].try_send(job).map_err(|e| match e {
-                TrySendError::Full(_) => ServiceError::Backpressure {
-                    shard,
-                    depth: self.config.queue_depth,
-                },
-                TrySendError::Disconnected(_) => ServiceError::Stopped { shard },
-            })
-        };
-        if sent.is_err() {
-            self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-        }
-        sent.map(|()| shard)
+        shard: usize,
+        f: impl FnOnce(&mut Worker) -> T + Send + 'static,
+    ) -> Result<T, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        let job = Job::Call(Box::new(move |worker| {
+            let _ = tx.send(f(worker));
+        }));
+        self.senders[shard]
+            .send(job)
+            .map_err(|_| ServiceError::Stopped { shard })?;
+        rx.recv().map_err(|_| ServiceError::Stopped { shard })
     }
 }
 
 /// A shard worker: owns its domains' state, applies queued batches in
-/// coalesced groups, answers queries in queue order.
+/// coalesced groups, runs calls in queue order.
 struct Worker {
     shard: usize,
     service: SyncService,
@@ -614,71 +489,37 @@ struct Worker {
 
 impl Worker {
     fn run(mut self, rx: Receiver<Job>) -> WorkerStats {
-        // A non-ingest job pulled out mid-group; processed after the
-        // group flushes so queue order is preserved.
-        let mut stashed: Option<Job> = None;
-        loop {
-            let job = match stashed.take() {
-                Some(job) => job,
-                None => match rx.recv() {
-                    Ok(job) => job,
-                    // All senders dropped and the queue is drained:
-                    // everything enqueued before shutdown was applied.
-                    Err(_) => break,
-                },
-            };
+        // A call found while a group was forming; it runs once the group
+        // is applied, so queue order holds.
+        let mut held: Option<Job> = None;
+        // The loop ends when every sender is dropped and the queue is
+        // drained: everything enqueued before shutdown was applied.
+        while let Some(job) = held.take().or_else(|| rx.recv().ok()) {
             match job {
                 Job::Ingest(first) => {
                     let mut group = vec![first];
                     while group.len() < self.max_coalesce {
                         match rx.try_recv() {
                             Ok(Job::Ingest(job)) => group.push(job),
-                            Ok(other) => {
-                                stashed = Some(other);
+                            Ok(call) => {
+                                held = Some(call);
                                 break;
                             }
-                            Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
+                            Err(_) => break,
                         }
                     }
                     self.flush(group);
                 }
-                Job::Register {
-                    domain,
-                    network,
-                    reply,
-                } => {
-                    let result = self.service.register_domain(domain, network);
-                    if result.is_ok() {
-                        self.stats.domains += 1;
-                    }
-                    let _ = reply.send(result);
-                }
-                Job::Outcome { domain, reply } => {
-                    let _ = reply.send(self.service.outcome(domain.as_str()));
-                }
-                Job::Forget {
-                    domain,
-                    p,
-                    q,
-                    reply,
-                } => {
-                    let _ = reply.send(self.service.forget_link(domain.as_str(), p, q));
-                }
-                Job::DomainStats { domain, reply } => {
-                    let stats = self.service.domain_stats(domain.as_str()).map(|mut s| {
-                        s.shard = self.shard;
-                        s
-                    });
-                    let _ = reply.send(stats);
-                }
-                Job::Stats { reply } => {
-                    self.refresh_retention();
-                    let _ = reply.send(self.stats.clone());
-                }
+                Job::Call(f) => f(&mut self),
             }
         }
+        self.snapshot()
+    }
+
+    /// The worker's statistics, with its retention read now.
+    fn snapshot(&mut self) -> WorkerStats {
         self.refresh_retention();
-        self.stats
+        self.stats.clone()
     }
 
     /// Applies one coalesced group: the batches of each domain merge into
@@ -720,7 +561,7 @@ impl Worker {
                         u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     );
                 }
-                let _ = job.reply.send((job.index, result));
+                let _ = job.reply.send(result);
             }
         }
         self.refresh_retention();
@@ -913,8 +754,11 @@ mod tests {
             ObservationBatch::new("a", vec![obs(P, Q, -10, 50)]),
             ObservationBatch::new("a", vec![obs(P, Q, 1_000, 1_399)]),
         ];
-        let results = svc.ingest_all(batches.clone());
-        assert_eq!(results.len(), 5);
+        let pending: Vec<PendingReceipt> = batches
+            .iter()
+            .map(|batch| svc.ingest(batch.clone()).unwrap())
+            .collect();
+        let results: Vec<_> = pending.into_iter().map(PendingReceipt::wait).collect();
         assert!(results[0].is_ok() && results[2].is_ok() && results[4].is_ok());
         assert!(matches!(
             results[1],
@@ -962,47 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn try_ingest_reports_backpressure_and_blocking_ingest_drains() {
-        let svc = ConcurrentService::start(ServiceConfig {
-            shards: 1,
-            window: 8,
-            queue_depth: 2,
-            max_coalesce: 4,
-        });
-        svc.register_domain("a", net()).unwrap();
-        // Fill the queue faster than the worker can drain it; eventually
-        // a try_ingest must observe a full queue. (The worker may drain
-        // between attempts, so loop until backpressure is seen.)
-        let mut pending = Vec::new();
-        let mut saw_backpressure = false;
-        for round in 0..5_000i64 {
-            let t = 1_000 * round;
-            let batch = ObservationBatch::new("a", vec![obs(P, Q, t, t + 400)]);
-            match svc.try_ingest(batch.clone()) {
-                Ok(p) => pending.push(p),
-                Err(ServiceError::Backpressure { shard, depth }) => {
-                    assert_eq!(shard, 0);
-                    assert_eq!(depth, 2);
-                    saw_backpressure = true;
-                    // The blocking path must still get the batch in.
-                    pending.push(svc.ingest(batch).unwrap());
-                }
-                Err(other) => panic!("unexpected error {other:?}"),
-            }
-            if saw_backpressure && round > 16 {
-                break;
-            }
-        }
-        assert!(saw_backpressure, "queue of depth 2 never filled");
-        let sent = pending.len() as u64;
-        for p in pending {
-            p.wait().unwrap();
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.batches(), sent);
-    }
-
-    #[test]
     fn stats_is_a_barrier() {
         let svc = ConcurrentService::start(config(2));
         svc.register_domain("a", net()).unwrap();
@@ -1045,14 +848,16 @@ mod tests {
         }
         let routes: HashMap<&str, usize> = domains.iter().map(|&d| (d, svc.shard_of(d))).collect();
         assert!(routes.values().any(|&shard| shard != 0), "{routes:?}");
-        let batches = (0..24i64)
+        let pending: Vec<PendingReceipt> = (0..24i64)
             .map(|i| {
                 let t = 1_000 * i;
-                ObservationBatch::new(domains[i as usize % 6], vec![obs(P, Q, t, t + 400)])
+                let batch =
+                    ObservationBatch::new(domains[i as usize % 6], vec![obs(P, Q, t, t + 400)]);
+                svc.ingest(batch).unwrap()
             })
             .collect();
-        for receipt in svc.ingest_all(batches) {
-            receipt.unwrap();
+        for receipt in pending {
+            receipt.wait().unwrap();
         }
         svc.shutdown();
         let trace = recorder.snapshot();

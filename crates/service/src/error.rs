@@ -24,21 +24,11 @@ pub enum ServiceError {
     /// The synchronization pipeline rejected the batch (overflowing clock
     /// readings, unknown processors, contradictory evidence).
     Sync(SyncError),
-    /// The view layer rejected the batch (clock readings before the start
-    /// event, invalid materialized views).
+    /// The view layer rejected the batch or retraction (clock readings
+    /// before the start event, an endpoint outside the domain's network).
     Model(ModelError),
-    /// A non-blocking enqueue found the shard's ingestion queue full
-    /// ([`crate::ConcurrentService::try_ingest`]). The batch was **not**
-    /// enqueued; the caller decides whether to retry, shed, or fall back
-    /// to the blocking path.
-    Backpressure {
-        /// The shard whose queue was full.
-        shard: usize,
-        /// The queue's bounded depth (batches).
-        depth: usize,
-    },
     /// The shard's worker is gone (the service was shut down, or the
-    /// worker died), so the batch cannot be applied and no receipt will
+    /// worker died), so the batch or call cannot run and no answer will
     /// ever arrive.
     Stopped {
         /// The shard whose worker is gone.
@@ -57,10 +47,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Sync(e) => write!(f, "batch rejected: {e}"),
             ServiceError::Model(e) => write!(f, "batch rejected: {e}"),
-            ServiceError::Backpressure { shard, depth } => write!(
-                f,
-                "backpressure: shard {shard}'s ingestion queue is full ({depth} batches)"
-            ),
             ServiceError::Stopped { shard } => {
                 write!(f, "shard {shard}'s worker is stopped")
             }

@@ -13,7 +13,12 @@
 //!   [`clocksync_model::ViewWindow`] and GCs messages whose evidence is
 //!   dominated — the extremal d̃min/d̃max witnesses of every directed link
 //!   are always retained, so compaction never loosens any estimate (the
-//!   paper's Lemma 6.2 estimators depend only on extremal observations).
+//!   paper's Lemma 6.2 estimators depend only on extremal observations);
+//! * [`ConcurrentService`] runs each shard on its own worker thread
+//!   behind a bounded queue. The queue carries batches, which the worker
+//!   commits in groups, and calls (registration, outcome, retraction,
+//!   statistics), which run on the worker in queue order, so a domain
+//!   observes its batches and calls in the order they were enqueued.
 //!
 //! [`run_soak`] drives sustained batched ingestion from simulated
 //! executions and reports throughput plus steady-state retention against

@@ -4,7 +4,10 @@
 //! one shard by the consistent-hash [`ShardMap`], and every batch for a
 //! domain is applied by that shard alone — batches for different shards
 //! apply in parallel ([`SyncService::ingest_many`]) with no locking,
-//! because shards share nothing.
+//! because shards share nothing. It applies batches on the caller's
+//! thread; each worker of the [`crate::ConcurrentService`] owns a
+//! one-shard `SyncService`, and the multi-shard one is the sequential
+//! reference the worker engine is tested against.
 //!
 //! Per batch the shard (1) validates and applies the observations to the
 //! domain's [`OnlineSynchronizer`] in one closure/`A_max` maintenance pass,
@@ -22,7 +25,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use clocksync::{Network, OnlineSynchronizer, SyncError, SyncOutcome};
-use clocksync_model::{MessageId, MessageObservation, ModelError, ViewSet, ViewWindow};
+use clocksync_model::{MessageId, MessageObservation, ModelError, ViewWindow};
 use clocksync_obs::Recorder;
 use clocksync_time::{ClockTime, Nanos};
 use rayon::prelude::*;
@@ -155,11 +158,6 @@ impl SyncService {
     /// The number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The per-directed-link retention window.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// The number of registered domains.
@@ -300,7 +298,7 @@ impl SyncService {
     /// Retracts every observation of the undirected link `{p, q}` in one
     /// domain — the operator action for a replaced or re-cabled link —
     /// from both the synchronizer's evidence store *and* the domain's
-    /// bounded view window, so the auditable history cannot resurrect the
+    /// bounded view window, so no retained message still carries the
     /// retracted evidence. Both directions' estimates loosen back to
     /// their assumption-only values (the one loosening operation of the
     /// pipeline; it drops the domain's cached closure and `A_max` states,
@@ -348,19 +346,6 @@ impl SyncService {
             .map_err(ServiceError::Sync)
     }
 
-    /// Materializes one domain's retained messages as a validated view
-    /// set — the auditable bounded history behind its outcome.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownDomain`] for an unregistered domain.
-    pub fn domain_views(&self, domain: &str) -> Result<ViewSet, ServiceError> {
-        self.domain_ref(domain)?
-            .window
-            .to_view_set()
-            .map_err(ServiceError::Model)
-    }
-
     /// Retention statistics for one domain, `None` if unregistered.
     pub fn domain_stats(&self, domain: &str) -> Option<DomainStats> {
         let shard = self.map.route(domain);
@@ -395,16 +380,6 @@ impl SyncService {
             .flat_map(|s| s.domains.values())
             .map(f)
             .sum()
-    }
-
-    fn domain_ref(&self, domain: &str) -> Result<&DomainState, ServiceError> {
-        let shard = self.map.route(domain);
-        self.shards[shard]
-            .domains
-            .get(&DomainId::from(domain))
-            .ok_or_else(|| ServiceError::UnknownDomain {
-                domain: DomainId::from(domain),
-            })
     }
 
     fn domain_mut(&mut self, domain: &str) -> Result<&mut DomainState, ServiceError> {
@@ -668,17 +643,6 @@ mod tests {
         assert!(stats.retained_samples <= 2 * (4 + 2));
         // Exact: the windowed outcome equals the full-history outcome.
         assert_eq!(svc.outcome("a").unwrap(), reference.outcome().unwrap());
-        // And the materialized views carry the extremal evidence.
-        let views = svc.domain_views("a").unwrap();
-        let link_obs = views.link_observations();
-        assert_eq!(
-            link_obs.estimated_min(P, Q),
-            reference.observations().estimated_min(P, Q)
-        );
-        assert_eq!(
-            link_obs.estimated_max(Q, P),
-            reference.observations().estimated_max(Q, P)
-        );
     }
 
     #[test]
@@ -817,12 +781,8 @@ mod tests {
         assert_eq!(receipt.samples_dropped, 2);
         assert_eq!(receipt.messages_dropped, 2);
         // Estimates loosened back to assumption-only knowledge, and the
-        // auditable history no longer carries the retracted messages.
+        // window no longer holds the retracted messages.
         assert!(!svc.outcome("a").unwrap().precision().is_finite());
-        assert_eq!(
-            svc.domain_views("a").unwrap().message_observations().len(),
-            0
-        );
         let stats = svc.domain_stats("a").unwrap();
         assert_eq!(stats.retained_messages, 0);
         assert_eq!(stats.retained_samples, 0);

@@ -76,8 +76,9 @@ pub const DOMAIN: &str = "vopr";
 /// Caps the runner clamps scenario values into, so arithmetic stays in
 /// range and a hostile (or badly shrunk) scenario cannot overflow the
 /// harness itself. Scenarios from [`crate::generate`] are always within:
-/// the far-clock family's offsets reach 10^18 ns, under `2^61`, so every
-/// reading stays below `2^62` and every difference of two inside `i64`.
+/// the far-clock family's offsets reach 10^18 ns, under `2^61`. After the
+/// runner's common shift every offset lies in `[0, 2^62]`, so every
+/// reading and every difference of two stay inside `i64`.
 const MAX_N: usize = 16;
 const MAX_SHARDS: usize = 16;
 const MAX_WINDOW: usize = 4096;
@@ -291,10 +292,18 @@ pub fn run_scenario(s: &Scenario) -> RunReport {
     }
     let network = builder.build();
 
-    let mut offsets = s.offsets.clone();
-    for o in &mut offsets {
-        *o = (*o).clamp(-MAX_ABS_OFFSET, MAX_ABS_OFFSET);
-    }
+    // Probes start near real time 0, so a clock with a negative offset
+    // would read before its epoch and every probe it sends or receives
+    // early would be skipped. One common shift lifts the smallest offset
+    // to 0: it changes no offset difference and no estimated delay, so
+    // every oracle checks the same execution. The clamp keeps the
+    // shifted offsets within `2^62`, and readings inside `i64`.
+    let clamped = s
+        .offsets
+        .iter()
+        .map(|&o| o.clamp(-MAX_ABS_OFFSET, MAX_ABS_OFFSET));
+    let shift = clamped.clone().min().map_or(0, |min| min.min(0));
+    let offsets: Vec<i64> = clamped.map(|o| o - shift).collect();
 
     let mut seq = SyncService::new(s.shards, window);
     seq.register_domain(DOMAIN, network.clone())
@@ -1170,6 +1179,18 @@ mod tests {
         };
         let report = run_scenario(&s);
         assert!(report.passed(), "failure: {:?}", report.failure);
+    }
+
+    #[test]
+    fn negative_offsets_still_apply_their_probes() {
+        // Processor 1's clock is 40 µs behind processor 0's, so unshifted
+        // it would read below zero at every probe of this scenario.
+        let mut s = two_node(8);
+        s.offsets = vec![0, -40_000];
+        let report = run_scenario(&s);
+        assert!(report.passed(), "failure: {:?}", report.failure);
+        assert_eq!(report.probes_applied, 2);
+        assert_eq!(report.probes_skipped, 0);
     }
 
     #[test]

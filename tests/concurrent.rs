@@ -1,12 +1,15 @@
 //! Cross-crate integration tests of the concurrent worker-per-shard
 //! ingestion engine: under arbitrary interleavings, queue depths and
 //! group-commit sizes, every domain observes exactly the receipts,
-//! errors and outcomes that sequential ingestion of its own batch stream
-//! would produce — concurrency changes throughput, never answers. Plus
+//! errors, retractions and outcomes that sequential processing of its
+//! own request stream would produce — concurrency changes throughput,
+//! never answers. Plus
 //! the drain-on-shutdown contract: no enqueued batch is dropped and no
 //! receipt is lost, even when shutdown races the producers.
 
-use clocksync::{BatchObservation, DelayRange, LinkAssumption, Network, Network as Net};
+use clocksync::{
+    BatchObservation, DelayRange, LinkAssumption, Network, Network as Net, SyncOutcome,
+};
 use clocksync_model::ProcessorId;
 use clocksync_service::{
     ConcurrentService, ObservationBatch, PendingReceipt, ServiceConfig, SyncService,
@@ -85,43 +88,153 @@ fn stream_input() -> impl Strategy<Value = StreamInput> {
     })
 }
 
-/// The sequential reference: one domain's batch stream through a
-/// synchronous single-owner service, as `(applied | error-string)` per
-/// batch.
-fn sequential_receipts(
+/// One request of a producer's stream: a batch, or a call that rides the
+/// same queue (a retraction or a query).
+#[derive(Debug, Clone)]
+enum Request {
+    Ingest(Vec<BatchObservation>),
+    Forget(ProcessorId, ProcessorId),
+    Outcome,
+    Stats,
+}
+
+/// What a request got back. A retraction's drop counts are left out:
+/// group commit runs one GC per coalesced run, so how much a link still
+/// retains may differ from the per-batch reference (see the retention
+/// caps below), while what it leaves behind — every later outcome — may
+/// not.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Ingest(Result<usize, String>),
+    Forget(Result<(), String>),
+    Outcome(Result<SyncOutcome, String>),
+    Stats(Option<(usize, u64)>),
+}
+
+/// The domain's batches in order, each followed by the calls drawn for
+/// it: `(after batch, kind, p, q)`, where kind 0 retracts `{p, q}` (an
+/// endpoint may be out of range), 1 asks for the outcome and 2 for the
+/// domain's statistics.
+fn requests(input: &StreamInput, calls: &[(usize, u8, usize, usize)]) -> Vec<Request> {
+    let mut out = Vec::new();
+    for (i, batch) in input.batches.iter().enumerate() {
+        out.push(Request::Ingest(batch.clone()));
+        for &(at, kind, p, q) in calls {
+            if at % input.batches.len() == i {
+                out.push(match kind {
+                    0 => Request::Forget(
+                        ProcessorId(p % (input.n + 1)),
+                        ProcessorId(q % (input.n + 1)),
+                    ),
+                    1 => Request::Outcome,
+                    _ => Request::Stats,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The sequential reference: one domain's request stream through a
+/// synchronous single-owner service.
+fn sequential_answers(
     input: &StreamInput,
+    requests: &[Request],
     shards: usize,
     window: usize,
     name: &str,
-) -> (Vec<Result<usize, String>>, SyncService) {
+) -> (Vec<Answer>, SyncService) {
     let mut svc = SyncService::new(shards, window);
     svc.register_domain(name, input.network()).unwrap();
-    let receipts = input
-        .batches
+    let answers = requests
         .iter()
-        .map(|batch| {
-            svc.ingest(&ObservationBatch::new(name, batch.clone()))
-                .map(|r| r.applied)
-                .map_err(|e| e.to_string())
+        .map(|request| match request {
+            Request::Ingest(batch) => Answer::Ingest(
+                svc.ingest(&ObservationBatch::new(name, batch.clone()))
+                    .map(|r| r.applied)
+                    .map_err(|e| e.to_string()),
+            ),
+            Request::Forget(p, q) => Answer::Forget(
+                svc.forget_link(name, *p, *q)
+                    .map(|_| ())
+                    .map_err(|e| e.to_string()),
+            ),
+            Request::Outcome => Answer::Outcome(svc.outcome(name).map_err(|e| e.to_string())),
+            Request::Stats => Answer::Stats(svc.domain_stats(name).map(|s| (s.shard, s.ingested))),
         })
         .collect();
-    (receipts, svc)
+    (answers, svc)
+}
+
+/// The same stream through the worker engine. Batches are enqueued
+/// without waiting and their receipts redeemed at the end, so batches
+/// pile up and coalesce; each call waits for its answer, after every
+/// batch enqueued before it and possibly while a group is forming.
+fn concurrent_answers(svc: &ConcurrentService, requests: &[Request], name: &str) -> Vec<Answer> {
+    enum Slot {
+        Pending(PendingReceipt),
+        Done(Answer),
+    }
+    let slots: Vec<Slot> = requests
+        .iter()
+        .map(|request| match request {
+            Request::Ingest(batch) => Slot::Pending(
+                svc.ingest(ObservationBatch::new(name, batch.clone()))
+                    .expect("enqueue failed"),
+            ),
+            Request::Forget(p, q) => Slot::Done(Answer::Forget(
+                svc.forget_link(name, *p, *q)
+                    .map(|_| ())
+                    .map_err(|e| e.to_string()),
+            )),
+            Request::Outcome => Slot::Done(Answer::Outcome(
+                svc.outcome(name).map_err(|e| e.to_string()),
+            )),
+            Request::Stats => Slot::Done(Answer::Stats(
+                svc.domain_stats(name).map(|s| (s.shard, s.ingested)),
+            )),
+        })
+        .collect();
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Pending(p) => {
+                Answer::Ingest(p.wait().map(|r| r.applied).map_err(|e| e.to_string()))
+            }
+            Slot::Done(answer) => answer,
+        })
+        .collect()
+}
+
+/// The batch receipts alone, as `(applied | error-string)` per batch.
+fn receipts(answers: &[Answer]) -> Vec<Result<usize, String>> {
+    answers
+        .iter()
+        .filter_map(|a| match a {
+            Answer::Ingest(r) => Some(r.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
     /// The tentpole invariant of the concurrent engine: for every domain,
-    /// the receipt sequence (applied counts *and* typed errors, in enqueue
-    /// order), the final outcome, and the retention statistics are
-    /// bit-identical to sequential ingestion of that domain's stream —
-    /// across shard counts, queue depths (including depth 1, where every
-    /// enqueue backpressures), and group-commit sizes (including 1, which
-    /// disables merging, and sizes that force the merged-apply fallback
-    /// when a poisoned batch lands mid-group).
+    /// the answer to each request — batch receipts (applied counts *and*
+    /// typed errors, in enqueue order), retractions, and outcome and
+    /// statistics queries issued between batches not yet waited on —
+    /// plus the final outcome and the ingested totals are bit-identical
+    /// to sequential processing of that domain's stream. Across shard
+    /// counts, queue depths (including depth 1, where every enqueue
+    /// blocks), and group-commit sizes (including 1, which disables
+    /// merging, and sizes that force the merged-apply fallback when a
+    /// poisoned batch lands mid-group or hold back a call found while a
+    /// group is forming).
     #[test]
     fn concurrent_ingestion_is_observationally_sequential(
         input in stream_input(),
+        calls in proptest::collection::vec((0usize..40, 0u8..3, 0usize..6, 0usize..6), 0..6),
         shards in 1usize..4,
         window in 0usize..5,
         domains in 1usize..4,
@@ -131,6 +244,7 @@ proptest! {
         prop_assume!(!input.links.is_empty());
         prop_assume!(!input.batches.is_empty());
         let names: Vec<String> = (0..domains).map(|d| format!("d{d}")).collect();
+        let requests = requests(&input, &calls);
 
         let svc = ConcurrentService::start(ServiceConfig {
             shards,
@@ -141,32 +255,14 @@ proptest! {
         for name in &names {
             svc.register_domain(name.as_str(), input.network()).unwrap();
         }
-        // One producer thread per domain, enqueueing that domain's
-        // stream in order; receipts are redeemed after the producer is
-        // done so batches genuinely pile up in the queues and coalesce.
-        let got: Vec<Vec<Result<usize, String>>> = std::thread::scope(|scope| {
+        // One producer thread per domain, sending that domain's stream in
+        // order.
+        let got: Vec<Vec<Answer>> = std::thread::scope(|scope| {
             let handles: Vec<_> = names
                 .iter()
                 .map(|name| {
-                    let input = &input;
-                    let svc = &svc;
-                    scope.spawn(move || {
-                        let pending: Vec<PendingReceipt> = input
-                            .batches
-                            .iter()
-                            .map(|batch| {
-                                svc.ingest(ObservationBatch::new(
-                                    name.as_str(),
-                                    batch.clone(),
-                                ))
-                                .expect("enqueue failed")
-                            })
-                            .collect();
-                        pending
-                            .into_iter()
-                            .map(|p| p.wait().map(|r| r.applied).map_err(|e| e.to_string()))
-                            .collect::<Vec<_>>()
-                    })
+                    let (svc, requests) = (&svc, &requests);
+                    scope.spawn(move || concurrent_answers(svc, requests, name))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -174,8 +270,8 @@ proptest! {
 
         for (name, got) in names.iter().zip(&got) {
             let (expected, mut reference) =
-                sequential_receipts(&input, shards, window, name);
-            prop_assert_eq!(got, &expected, "receipts diverged for {}", name);
+                sequential_answers(&input, &requests, shards, window, name);
+            prop_assert_eq!(got, &expected, "answers diverged for {}", name);
             let concurrent_outcome = svc.outcome(name).map_err(|e| e.to_string());
             let sequential_outcome = reference.outcome(name).map_err(|e| e.to_string());
             prop_assert_eq!(concurrent_outcome, sequential_outcome,
@@ -187,11 +283,11 @@ proptest! {
             // per batch, so the exact retained counts may differ from the
             // per-batch reference in either direction (the GC's
             // keep-the-recency-tail rule is not confluent). What is
-            // invariant is the analytic retention cap: window + 2
-            // witnesses per observed directed pair for the message
-            // window, with sample compaction additionally limited to
-            // declared links (evidence on undeclared pairs is retained in
-            // full), for both engines.
+            // invariant is the analytic retention cap, which retractions
+            // only lower: window + 2 witnesses per observed directed pair
+            // for the message window, and for samples the same on
+            // declared links and none elsewhere (the synchronizer keeps
+            // no evidence off its declared links), for both engines.
             let declared: std::collections::HashSet<(usize, usize)> = input
                 .links
                 .iter()
@@ -199,7 +295,7 @@ proptest! {
                 .collect();
             let mut applied_per_pair: std::collections::HashMap<(usize, usize), usize> =
                 std::collections::HashMap::new();
-            for (batch, r) in input.batches.iter().zip(&expected) {
+            for (batch, r) in input.batches.iter().zip(receipts(&expected)) {
                 if r.is_ok() {
                     for o in batch {
                         *applied_per_pair
@@ -214,13 +310,8 @@ proptest! {
                 .sum();
             let sample_cap: usize = applied_per_pair
                 .iter()
-                .map(|(pair, &c)| {
-                    if declared.contains(pair) {
-                        c.min(window + 2)
-                    } else {
-                        c
-                    }
-                })
+                .filter(|(pair, _)| declared.contains(pair))
+                .map(|(_, &c)| c.min(window + 2))
                 .sum();
             for (engine, s) in [("concurrent", &stats), ("sequential", &ref_stats)] {
                 prop_assert!(s.retained_messages <= msg_cap,
@@ -264,7 +355,8 @@ proptest! {
         // the workers drain the queues before exiting.
         let stats = svc.shutdown();
 
-        let (expected, _) = sequential_receipts(&input, shards, 4, "d");
+        let (expected, _) = sequential_answers(&input, &requests(&input, &[]), shards, 4, "d");
+        let expected = receipts(&expected);
         let got: Vec<Result<usize, String>> = pending
             .into_iter()
             .map(|p| p.wait().map(|r| r.applied).map_err(|e| e.to_string()))
