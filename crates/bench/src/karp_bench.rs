@@ -84,12 +84,6 @@ pub struct KernelRow {
 }
 
 impl KernelRow {
-    /// Exact Karp over the *fastest* of scaled Karp and rational Howard —
-    /// the figure the first acceptance gate (≥ 10× at n = 256) reads.
-    pub fn best_speedup(&self) -> f64 {
-        speedup(self.karp_exact_ns, self.karp_scaled_ns.min(self.howard_ns))
-    }
-
     /// Exact Karp over integer Howard — the figure the second acceptance
     /// gate (≥ 10× at n = 256) reads.
     pub fn howard_scaled_speedup(&self) -> f64 {
@@ -397,7 +391,6 @@ mod tests {
         assert!(rows[0].karp_scaled_ns > 0);
         assert!(rows[0].howard_ns > 0);
         assert!(rows[0].howard_scaled_ns > 0);
-        assert!(rows[0].best_speedup() > 0.0);
         assert!(rows[0].howard_scaled_speedup() > 0.0);
     }
 

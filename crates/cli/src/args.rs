@@ -33,20 +33,28 @@ pub struct Args {
 impl Args {
     /// Parses an iterator of arguments (without the program name).
     ///
+    /// `--help` or `-h` where a subcommand or a flag name is expected
+    /// parses as the `help` subcommand, whatever else was given.
+    ///
     /// # Errors
     ///
     /// Returns a message when no subcommand is given, a flag is missing
     /// its value, a positional argument appears after the subcommand, or a
     /// flag is repeated.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let help = || Args::parse(["help".to_string()]);
         let mut it = args.into_iter();
         let command = match it.next() {
+            Some(c) if c == "--help" || c == "-h" => return help(),
             Some(c) if !c.starts_with("--") => c,
             Some(c) => return Err(format!("expected a subcommand, got flag `{c}`")),
             None => return Err("expected a subcommand".to_string()),
         };
         let mut flags = HashMap::new();
         while let Some(key) = it.next() {
+            if key == "--help" || key == "-h" {
+                return help();
+            }
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{key}`"));
             };
@@ -265,6 +273,23 @@ mod tests {
         assert_eq!(a.get_usize("probes", 2).unwrap(), 2);
         assert_eq!(a.get_f64("alpha", 1.0).unwrap(), 1.5);
         assert_eq!(a.get_i64("lo-us", 50).unwrap(), 50);
+    }
+
+    #[test]
+    fn help_in_subcommand_or_flag_position_is_the_help_subcommand() {
+        for parts in [
+            &["--help"][..],
+            &["-h", "--n", "4"],
+            &["sync", "--in", "run.json", "--help"],
+            &["vopr-run", "-h", "stray"],
+        ] {
+            let a = parse(parts).unwrap();
+            assert_eq!(a.command(), "help", "{parts:?}");
+            assert!(a.reject_unread().is_ok(), "{parts:?}");
+        }
+        // A flag's value is never read as help.
+        let a = parse(&["simulate", "--out", "--help"]).unwrap();
+        assert_eq!(a.get("out"), Some("--help"));
     }
 
     #[test]

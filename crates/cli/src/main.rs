@@ -24,7 +24,7 @@
 
 use std::fmt::Display;
 use std::fs;
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, ErrorKind, Stderr, Write};
 use std::process::ExitCode;
 
 use clocksync_cli::{commands, Args, RunFile};
@@ -95,45 +95,52 @@ fn trace_recorder(args: &Args) -> Recorder {
 }
 
 /// Writes the recorder's snapshot to the `--trace` path, if any.
-fn write_trace(args: &Args, recorder: &Recorder) -> Result<(), String> {
+fn write_trace(args: &Args, recorder: &Recorder, err: &mut Out<Stderr>) -> Result<(), String> {
     if let Some(path) = args.get("trace") {
         let jsonl = recorder.snapshot().to_jsonl();
         fs::write(path, jsonl).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("trace written to {path}");
+        err.line(format_args!("trace written to {path}"))?;
     }
     Ok(())
 }
 
-/// Standard output, where every command's results go. A reader may close
-/// the pipe early (`clocksync explain … | head -3`): that is not a
-/// failure, so the remaining lines are dropped quietly and the exit status
-/// stays the command's own. Any other write error fails the command.
-#[derive(Default)]
-struct Out {
+/// One output stream: stdout for every command's results, stderr for
+/// notes and the final `error: …` line. A reader may close the pipe early
+/// (`clocksync explain … | head -3`): that is not a failure, so the
+/// remaining lines are dropped quietly and the exit status stays the
+/// command's own. Any other write error fails the command.
+struct Out<W> {
+    stream: W,
+    name: &'static str,
     closed: bool,
 }
 
-impl Out {
+impl<W: Write> Out<W> {
+    fn new(stream: W, name: &'static str) -> Out<W> {
+        Out {
+            stream,
+            name,
+            closed: false,
+        }
+    }
+
     fn line(&mut self, line: impl Display) -> Result<(), String> {
         if self.closed {
             return Ok(());
         }
-        match writeln!(io::stdout(), "{line}") {
+        match writeln!(self.stream, "{line}") {
             Err(e) if e.kind() == ErrorKind::BrokenPipe => {
                 self.closed = true;
                 Ok(())
             }
-            result => result.map_err(|e| format!("writing stdout: {e}")),
+            result => result.map_err(|e| format!("writing {}: {e}", self.name)),
         }
     }
 }
 
-fn run() -> Result<(), String> {
-    let mut out = Out::default();
+fn run(err: &mut Out<Stderr>) -> Result<(), String> {
+    let mut out = Out::new(io::stdout(), "stdout");
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().is_some_and(|a| a == "--help" || a == "-h") {
-        raw[0] = "help".to_string();
-    }
     // `trace summarize` is a two-word subcommand; fold it into one token
     // before flag parsing.
     if raw.len() >= 2 && raw[0] == "trace" && raw[1] == "summarize" {
@@ -154,17 +161,17 @@ fn run() -> Result<(), String> {
             let plan = commands::SimulatePlan::from_args(&args, &recorder)?;
             args.reject_unread()?;
             let runfile = plan.run();
-            write_trace(&args, &recorder)?;
+            write_trace(&args, &recorder, err)?;
             let json = runfile.to_json().map_err(|e| e.to_string())?;
             match out_path {
                 Some(path) => {
                     fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-                    eprintln!(
+                    err.line(format_args!(
                         "wrote {path}: {} processors, {} links, {} messages",
                         runfile.processors,
                         runfile.links.len(),
                         runfile.views.message_observations().len()
-                    );
+                    ))?;
                 }
                 None => out.line(json)?,
             }
@@ -178,7 +185,7 @@ fn run() -> Result<(), String> {
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let runfile = RunFile::from_json(&content).map_err(|e| e.to_string())?;
             let report = commands::sync_traced(&runfile, &recorder)?;
-            write_trace(&args, &recorder)?;
+            write_trace(&args, &recorder, err)?;
             if json {
                 use clocksync_cli::json::Json;
                 let corrections = report
@@ -256,7 +263,9 @@ fn run() -> Result<(), String> {
             let local = listener
                 .local_addr()
                 .map_err(|e| format!("binding {addr}: {e}"))?;
-            eprintln!("listening on {local} ({shards} shards, window {window})");
+            err.line(format_args!(
+                "listening on {local} ({shards} shards, window {window})"
+            ))?;
             let config = clocksync_service::ServiceConfig {
                 shards,
                 window,
@@ -265,7 +274,7 @@ fn run() -> Result<(), String> {
             };
             let stats =
                 clocksync_cli::listen::serve_listener(listener, config, &recorder, max_conns)?;
-            write_trace(&args, &recorder)?;
+            write_trace(&args, &recorder, err)?;
             out.line(format_args!(
                 "served {} connections, {} frames ({} errors)",
                 stats.connections, stats.frames, stats.errors
@@ -284,7 +293,7 @@ fn run() -> Result<(), String> {
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let lines =
                 clocksync_cli::serve::run_serve_on_str(&content, shards, window, &recorder)?;
-            write_trace(&args, &recorder)?;
+            write_trace(&args, &recorder, err)?;
             for line in lines {
                 out.line(line)?;
             }
@@ -328,7 +337,7 @@ fn run() -> Result<(), String> {
             let recorder = trace_recorder(&args);
             args.reject_unread()?;
             let report = run_soak_with_recorder(&config, recorder.clone());
-            write_trace(&args, &recorder)?;
+            write_trace(&args, &recorder, err)?;
             out.line(format_args!(
                 "soak: {} messages in {:.2}s across {} domains / {} shards ({} engine, {} threads)",
                 report.messages,
@@ -396,7 +405,7 @@ fn run() -> Result<(), String> {
             if let Some(path) = journal {
                 fs::write(path, &session.journal_jsonl)
                     .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("journal written to {path}");
+                err.line(format_args!("journal written to {path}"))?;
             }
             match (session.failure, session.reproducer) {
                 (None, _) => Ok(()),
@@ -428,7 +437,7 @@ fn run() -> Result<(), String> {
             if let Some(journal_path) = journal_path {
                 fs::write(journal_path, &journal)
                     .map_err(|e| format!("writing {journal_path}: {e}"))?;
-                eprintln!("journal written to {journal_path}");
+                err.line(format_args!("journal written to {journal_path}"))?;
             }
             if failed {
                 Err(format!("scenario {path} fails its oracles"))
@@ -474,10 +483,12 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut err = Out::new(io::stderr(), "stderr");
+    match run(&mut err) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}");
+            // A failed write of the error itself has nowhere left to go.
+            let _ = err.line(format_args!("error: {msg}"));
             ExitCode::FAILURE
         }
     }

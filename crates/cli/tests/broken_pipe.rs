@@ -1,7 +1,8 @@
 //! A reader that closes the pipe early is not an error. `clocksync
 //! explain` on a 192-node ring prints far more than a pipe buffer holds;
 //! closing its stdout after the first line must end the run with exit 0
-//! and no panic.
+//! and no panic. A command that fails while its stderr reader is gone
+//! still exits with its own status, 1.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -46,4 +47,19 @@ fn explain_into_a_pipe_closed_after_one_line_exits_quietly() {
     assert!(output.status.success(), "{}: {stderr}", output.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_file(&run).expect("run file removed");
+}
+
+#[test]
+fn an_error_into_a_closed_stderr_pipe_exits_1_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    // Closed before the run starts, so its `error: …` line meets a pipe
+    // with no reader.
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_clocksync"))
+        .args(["sync", "--in", "missing.json"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("sync runs");
+    assert_eq!(status.code(), Some(1), "{status}");
 }

@@ -1,7 +1,8 @@
 //! Every flag given to `clocksync` must be one the subcommand reads with
 //! the other flags given. A misspelt or inapplicable flag exits 1 with an
 //! error naming it, before the command writes a file, binds a socket or
-//! runs anything; `--help` prints the usage and exits 0.
+//! runs anything; `--help` or `-h`, before or after a subcommand, prints
+//! the usage and exits 0.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -94,11 +95,26 @@ fn serve_rejects_in_with_listen_before_it_binds() {
 
 #[test]
 fn help_flags_print_the_usage_and_succeed() {
-    for flag in ["--help", "-h"] {
-        let out = clocksync(&[flag]);
+    // Before any subcommand, and in flag position after one of each
+    // family: whatever else is given, nothing runs, binds or soaks.
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["simulate", "--topology", "ring", "-h"],
+        &["sync", "--help"],
+        &["explain", "--in", "missing.json", "-h"],
+        &["serve", "--listen", "127.0.0.1:0", "--help"],
+        &["soak", "--messages", "1000000000", "--help"],
+        &["trace", "summarize", "-h"],
+        &["vopr", "run", "--count", "1000000", "--help"],
+        &["vopr", "replay", "-h"],
+        &["vopr", "corpus", "--help"],
+    ] {
+        let out = clocksync(args);
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "{flag}: {out:?}");
-        assert!(stdout.starts_with("usage:"), "{flag}: {stdout}");
-        assert!(stdout.contains("--extra-per-mille"), "{flag}: {stdout}");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(stdout.contains("--extra-per-mille"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}: {out:?}");
     }
 }

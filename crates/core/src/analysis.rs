@@ -45,24 +45,6 @@ pub(crate) fn rho_bar_by(
     worst_bound(entry, corrections).map_or(zero, |(bound, _)| bound.max(zero))
 }
 
-/// The ordered pair attaining `ρ̄(x̄)`, or `None` for systems with fewer
-/// than two processors.
-///
-/// # Panics
-///
-/// Panics if `corrections.len() != closure.n()`.
-pub fn worst_pair(
-    closure: &SquareMatrix<ExtRatio>,
-    corrections: &[Ratio],
-) -> Option<(ProcessorId, ProcessorId)> {
-    assert_eq!(
-        corrections.len(),
-        closure.n(),
-        "correction vector has wrong length"
-    );
-    worst_bound(|p, q| closure[(p, q)], corrections).map(|(_, pair)| pair)
-}
-
 /// The largest pair bound `m̃s(p, q) − x_p + x_q` over ordered pairs
 /// `p ≠ q`, with the first pair in row-major order that attains it; `None`
 /// for fewer than two processors. `m̃s(p, q) = entry(p, q)`.
@@ -135,19 +117,19 @@ mod tests {
     fn single_node_has_zero_rho_bar() {
         let c = SquareMatrix::filled(1, <ExtRatio as Weight>::zero());
         assert_eq!(rho_bar(&c, &[Ratio::ZERO]), fin(0));
-        assert_eq!(worst_pair(&c, &[Ratio::ZERO]), None);
+        assert_eq!(worst_bound(|p, q| c[(p, q)], &[Ratio::ZERO]), None);
     }
 
     #[test]
     fn worst_pair_identifies_bottleneck() {
         let c = two_node(6, 2);
-        assert_eq!(
-            worst_pair(&c, &[Ratio::ZERO, Ratio::ZERO]),
-            Some((ProcessorId(0), ProcessorId(1)))
-        );
-        assert_eq!(
-            worst_pair(&c, &[Ratio::ZERO, Ratio::from_int(-6)]),
-            Some((ProcessorId(1), ProcessorId(0)))
-        );
+        let worst_pair = |x: [i128; 2]| {
+            worst_bound(|p, q| c[(p, q)], &x.map(Ratio::from_int)).map(|(_, pair)| pair)
+        };
+        let (p0, p1) = (ProcessorId(0), ProcessorId(1));
+        assert_eq!(worst_pair([0, 0]), Some((p0, p1)));
+        assert_eq!(worst_pair([0, -6]), Some((p1, p0)));
+        // Both orders bound 4 here: the first pair in row-major order wins.
+        assert_eq!(worst_pair([0, -2]), Some((p0, p1)));
     }
 }

@@ -123,22 +123,6 @@ impl DriftingOutcome {
         self.pair_bound_at(p, q, t)
     }
 
-    /// The `m̃s(p, q)` global shift estimate as a decaying estimate: the
-    /// closure entry, valid at sync time, decaying at the pair's
-    /// combined rate (widening Lemma 6.2/6.5 through the §5.3 closure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `q` is out of range.
-    pub fn global_estimate_at(&self, p: ProcessorId, q: ProcessorId, t: RealTime) -> ExtRatio {
-        DriftingEstimate::new(
-            self.outcome.global_shift_estimate(p, q),
-            self.valid_at,
-            self.pair_rate(p, q),
-        )
-        .value_at(t)
-    }
-
     /// The global precision at real time `t`: the sync-time precision
     /// widened by the worst pair's accumulated drift (twice the largest
     /// per-processor bound).
@@ -202,10 +186,6 @@ mod tests {
         let much_later = RealTime::from_nanos(2_040) + Nanos::from_secs(3_600);
         assert_eq!(d.pair_bound_at(P, Q, much_later), base.pair_bound(P, Q));
         assert_eq!(d.precision_at(much_later), base.precision());
-        assert_eq!(
-            d.global_estimate_at(P, Q, much_later),
-            base.global_shift_estimate(P, Q)
-        );
         assert_eq!(d.local_skews_at(much_later), base.local_skews());
     }
 

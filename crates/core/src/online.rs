@@ -58,6 +58,15 @@
 //! [`OnlineSynchronizer::local_estimates`] and the outcome's closure with
 //! [`crate::shortest_path_successors`], whose one rule depends on nothing
 //! else, so the chain is the same on every route.
+//!
+//! Messages enter through one check and one record step.
+//! [`OnlineSynchronizer::observe_message`] and
+//! [`OnlineSynchronizer::ingest_batch`] check endpoints in range, then a
+//! representable delay (the first panics where the second reports), and
+//! every entry point keeps only declared links' samples.
+//! [`OnlineSynchronizer::ingest_views`] stays a bulk path: a view set
+//! touches most links at once, so it re-estimates every link and leaves
+//! the closure for the next outcome to rebuild once.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -180,29 +189,14 @@ impl OnlineSynchronizer {
         self.observations.retained_samples()
     }
 
-    /// Whether `{src, dst}` is a declared link. Only declared links'
-    /// evidence reaches an estimator, so only their samples are recorded:
-    /// a message between two processors without a declared link, or from
-    /// a processor to itself, is accepted and dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range.
-    fn declared(&self, src: ProcessorId, dst: ProcessorId) -> bool {
-        let n = self.network.n();
-        assert!(
-            src.index() < n && dst.index() < n,
-            "processor out of range for {n} processors"
-        );
-        self.network.has_link(src, dst)
-    }
-
     /// Records one delivered message by its two endpoint clock readings.
     /// A message off the declared links is dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range.
+    /// Panics if `src` or `dst` is out of range, or if the estimated delay
+    /// `recv_clock − send_clock` overflows — the errors
+    /// [`OnlineSynchronizer::ingest_batch`] reports.
     pub fn observe_message(
         &mut self,
         src: ProcessorId,
@@ -210,23 +204,22 @@ impl OnlineSynchronizer {
         send_clock: ClockTime,
         recv_clock: ClockTime,
     ) {
-        if self.declared(src, dst) {
-            self.observations.record_sample(
-                src,
-                dst,
-                MsgSample {
-                    send_clock,
-                    recv_clock,
-                },
-            );
+        let obs = BatchObservation {
+            src,
+            dst,
+            send_clock,
+            recv_clock,
+        };
+        self.check(&obs).unwrap_or_else(|e| panic!("{e}"));
+        if self.record(src, dst, send_clock, recv_clock) {
             self.refresh_link(src, dst);
         }
     }
 
-    /// Records one delivered message by its estimated delay only (clock
-    /// readings synthesized; sufficient for every assumption except the
-    /// windowed bias model, which needs real clock readings). A message off
-    /// the declared links is dropped.
+    /// Records one delivered message by its estimated delay only: the
+    /// [`OnlineSynchronizer::observe_message`] of readings `0` and `0 + d̃`.
+    /// That suffices for every assumption except the windowed bias model,
+    /// which needs real clock readings.
     ///
     /// # Panics
     ///
@@ -237,53 +230,19 @@ impl OnlineSynchronizer {
         dst: ProcessorId,
         estimated_delay: Nanos,
     ) {
-        if self.declared(src, dst) {
-            self.observations.record(src, dst, estimated_delay);
-            self.refresh_link(src, dst);
-        }
+        self.observe_message(src, dst, ClockTime::ZERO, ClockTime::ZERO + estimated_delay);
     }
 
-    /// Records one delivered message from *untrusted* clock readings.
-    ///
-    /// Unlike [`OnlineSynchronizer::observe_message`] this never panics:
-    /// out-of-range endpoints and clock readings whose difference is not
-    /// representable are reported as errors, and on error nothing is
-    /// recorded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SyncError::Model`] ([`ModelError::UnknownProcessor`]) for
-    /// an out-of-range endpoint and [`SyncError::Overflow`] when the
-    /// estimated delay `recv_clock − send_clock` overflows.
-    pub fn try_observe_message(
-        &mut self,
-        src: ProcessorId,
-        dst: ProcessorId,
-        send_clock: ClockTime,
-        recv_clock: ClockTime,
-    ) -> Result<(), SyncError> {
-        self.ingest_batch(&[BatchObservation {
-            src,
-            dst,
-            send_clock,
-            recv_clock,
-        }])
-        .map(|_| ())
-    }
-
-    /// Ingests a batch of message observations in one relaxation pass.
-    ///
-    /// Equivalent to [`OnlineSynchronizer::try_observe_message`] for each
-    /// element (the estimators depend on the evidence only through
-    /// per-link aggregates, so the outcome is bit-identical), but each
-    /// touched link is re-estimated and folded into the cached closure
-    /// *once* rather than once per message — the batch discount the
-    /// sharded ingestion service is built on. Returns the number of
+    /// Ingests a batch of message observations in one relaxation pass:
+    /// [`OnlineSynchronizer::observe_message`] for each element, with the
+    /// same outcome bit for bit (the estimators read the evidence only
+    /// through per-link aggregates), except that each touched link is
+    /// re-estimated and folded into the cached closure *once* — the batch
+    /// discount the sharded ingestion service is built on — and bad input
+    /// is an error, not a panic. The batch is atomic: every observation is
+    /// checked first, and on error none is recorded. Returns the number of
     /// observations applied, counting those off the declared links, which
-    /// are validated and then dropped.
-    ///
-    /// The batch is applied atomically: every observation is validated
-    /// up front, and on error none of them is recorded.
+    /// are checked and then dropped.
     ///
     /// # Errors
     ///
@@ -292,40 +251,57 @@ impl OnlineSynchronizer {
     /// estimated delay `recv_clock − send_clock` overflows.
     pub fn ingest_batch(&mut self, batch: &[BatchObservation]) -> Result<usize, SyncError> {
         for obs in batch {
-            for endpoint in [obs.src, obs.dst] {
-                if endpoint.index() >= self.network.n() {
-                    return Err(SyncError::Model(ModelError::UnknownProcessor {
-                        processor: endpoint,
-                    }));
-                }
-            }
-            if obs.recv_clock.checked_sub(obs.send_clock).is_none() {
-                return Err(SyncError::Overflow {
-                    src: obs.src,
-                    dst: obs.dst,
-                });
-            }
+            self.check(obs)?;
         }
         let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
         for obs in batch {
-            if !self.network.has_link(obs.src, obs.dst) {
-                continue;
+            if self.record(obs.src, obs.dst, obs.send_clock, obs.recv_clock) {
+                let (a, b) = (obs.src.index(), obs.dst.index());
+                touched.insert((a.min(b), a.max(b)));
             }
-            self.observations.record_sample(
-                obs.src,
-                obs.dst,
-                MsgSample {
-                    send_clock: obs.send_clock,
-                    recv_clock: obs.recv_clock,
-                },
-            );
-            let (a, b) = (obs.src.index(), obs.dst.index());
-            touched.insert((a.min(b), a.max(b)));
         }
         for (a, b) in touched {
             self.refresh_link(ProcessorId(a), ProcessorId(b));
         }
         Ok(batch.len())
+    }
+
+    /// The one check an observation passes before anything is recorded:
+    /// both endpoints in range, then a representable estimated delay.
+    fn check(&self, obs: &BatchObservation) -> Result<(), SyncError> {
+        let (src, dst, n) = (obs.src, obs.dst, self.network.n());
+        if let Some(processor) = [src, dst].into_iter().find(|p| p.index() >= n) {
+            return Err(SyncError::Model(ModelError::UnknownProcessor { processor }));
+        }
+        match obs.recv_clock.checked_sub(obs.send_clock) {
+            Some(_) => Ok(()),
+            None => Err(SyncError::Overflow { src, dst }),
+        }
+    }
+
+    /// The one record step: keeps a message's sample if it travelled a
+    /// declared link, and says whether it did. Only declared links'
+    /// evidence reaches an estimator, so a message between two processors
+    /// without a declared link, or from a processor to itself, is dropped.
+    fn record(
+        &mut self,
+        src: ProcessorId,
+        dst: ProcessorId,
+        send_clock: ClockTime,
+        recv_clock: ClockTime,
+    ) -> bool {
+        let declared = self.network.has_link(src, dst);
+        if declared {
+            self.observations.record_sample(
+                src,
+                dst,
+                MsgSample {
+                    send_clock,
+                    recv_clock,
+                },
+            );
+        }
+        declared
     }
 
     /// Drops dominated evidence: on every link whose assumption is
@@ -403,17 +379,7 @@ impl OnlineSynchronizer {
             });
         }
         for m in views.message_observations() {
-            if !self.network.has_link(m.src, m.dst) {
-                continue;
-            }
-            self.observations.record_sample(
-                m.src,
-                m.dst,
-                MsgSample {
-                    send_clock: m.send_clock,
-                    recv_clock: m.recv_clock,
-                },
-            );
+            self.record(m.src, m.dst, m.send_clock, m.recv_clock);
         }
         self.local = estimated_local_shifts(&self.network, &self.observations);
         self.cached = None;
@@ -489,14 +455,14 @@ impl OnlineSynchronizer {
     /// while no gauge holds `m̃ls`, the residual route's closure answers
     /// and no cache is kept.
     ///
-    /// In steady state this costs the `O(n²)` relaxation already paid by
-    /// the last `observe_*` call plus the `n × n` conversion to
-    /// [`ExtRatio`]. [`OnlineSynchronizer::outcome`] converts nothing, so
-    /// this is no longer a cheaper part of it: at `n = 192` the conversion
-    /// alone costs about half a warm outcome. Call it when the whole matrix
-    /// is needed without corrections; a caller that holds an outcome reads
-    /// single entries from it ([`SyncOutcome::global_shift_estimate`],
-    /// [`SyncOutcome::pair_bound`]) without converting the rest.
+    /// In steady state this costs the `O(n²)` relaxation the last
+    /// observation already paid plus the `n × n` conversion to
+    /// [`ExtRatio`]: at `n = 192`, about half a warm
+    /// [`OnlineSynchronizer::outcome`], which converts nothing. Call it when
+    /// the whole matrix is needed without corrections; a caller that holds
+    /// an outcome reads single entries from it
+    /// ([`SyncOutcome::global_shift_estimate`], [`SyncOutcome::pair_bound`])
+    /// without converting the rest.
     ///
     /// # Errors
     ///
@@ -909,15 +875,18 @@ mod tests {
         // Nothing from the failed batches was recorded.
         assert_eq!(online.retained_samples(), 0);
         assert_eq!(online.outcome().unwrap().precision(), Ext::PosInf);
-        // try_observe_message reports the same errors without panicking.
-        assert!(online
-            .try_observe_message(
-                P,
-                Q,
-                ClockTime::from_nanos(i64::MAX),
-                ClockTime::from_nanos(i64::MIN)
-            )
-            .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the representable delay range")]
+    fn observe_message_panics_on_what_ingest_batch_reports() {
+        // Off the declared links too: the check precedes the record step.
+        OnlineSynchronizer::new(net()).observe_message(
+            Q,
+            Q,
+            ClockTime::from_nanos(i64::MAX),
+            ClockTime::from_nanos(i64::MIN),
+        );
     }
 
     #[test]

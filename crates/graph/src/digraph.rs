@@ -113,40 +113,6 @@ impl<W: Weight> DiGraph<W> {
         }
         g
     }
-
-    /// Returns `true` if every node can reach every other node following
-    /// edges with reachable (non-infinite) weights.
-    pub fn is_strongly_connected(&self) -> bool {
-        if self.n == 0 {
-            return true;
-        }
-        let forward = self.reachable_from(0, false);
-        let backward = self.reachable_from(0, true);
-        forward.iter().all(|&r| r) && backward.iter().all(|&r| r)
-    }
-
-    fn reachable_from(&self, start: usize, reversed: bool) -> Vec<bool> {
-        let mut seen = vec![false; self.n];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(v) = stack.pop() {
-            for e in &self.edges {
-                if !e.weight.is_reachable() {
-                    continue;
-                }
-                let (src, dst) = if reversed {
-                    (e.to, e.from)
-                } else {
-                    (e.from, e.to)
-                };
-                if src == v && !seen[dst] {
-                    seen[dst] = true;
-                    stack.push(dst);
-                }
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -188,29 +154,5 @@ mod tests {
         assert_eq!(m[(0, 0)], w(0));
         let g2 = DiGraph::from_matrix(&m);
         assert_eq!(g2.edge_count(), 1);
-    }
-
-    #[test]
-    fn strong_connectivity() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1, w(1));
-        g.add_edge(1, 2, w(1));
-        assert!(!g.is_strongly_connected());
-        g.add_edge(2, 0, w(1));
-        assert!(g.is_strongly_connected());
-    }
-
-    #[test]
-    fn infinite_edges_do_not_connect() {
-        let mut g = DiGraph::new(2);
-        g.add_edge(0, 1, w(1));
-        g.add_edge(1, 0, Ext::PosInf);
-        assert!(!g.is_strongly_connected());
-    }
-
-    #[test]
-    fn empty_graph_is_trivially_connected() {
-        let g: DiGraph<Ext<i64>> = DiGraph::new(0);
-        assert!(g.is_strongly_connected());
     }
 }

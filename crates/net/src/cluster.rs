@@ -915,11 +915,6 @@ impl NetRun {
     pub fn synchronize(&self) -> Result<SyncOutcome, SyncError> {
         Synchronizer::new(self.network.clone()).synchronize(self.execution.views())
     }
-
-    /// `true` when every link came through with its bounds intact.
-    pub fn all_links_healthy(&self) -> bool {
-        self.health.iter().all(|h| h.state == LinkState::Healthy)
-    }
 }
 
 #[cfg(test)]
@@ -938,7 +933,8 @@ mod tests {
             .probes(2)
             .run(1);
         assert!(run.network.admits(&run.execution));
-        assert!(run.all_links_healthy());
+        // Every link came through with its bounds intact.
+        assert!(run.health.iter().all(|h| h.state == LinkState::Healthy));
         assert!(!run.timed_out);
         let outcome = run.synchronize().unwrap();
         assert!(outcome.precision().is_finite());

@@ -41,11 +41,11 @@ use clocksync::{DegradationReason, LinkAssumption, LinkDegradation, Network, Syn
 use clocksync_graph::{SquareMatrix, Weight};
 use clocksync_model::{Execution, LinkEvidence, MsgSample, ProcessorId};
 use clocksync_obs::{FieldValue, Recorder};
-use clocksync_time::{ClockTime, ExtRatio, Nanos, Ratio, RealTime};
+use clocksync_time::{ClockTime, ExtRatio, Nanos, Ratio};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::engine::{Engine, Process, ProcessCtx};
+use crate::engine::{Process, ProcessCtx};
 use crate::faults::{FaultLog, FaultPlan};
 use crate::scenario::Simulation;
 
@@ -415,7 +415,7 @@ pub struct DistRun {
 #[derive(Debug, Clone)]
 pub struct DistributedSync {
     sim: Simulation,
-    faults: Option<FaultPlan>,
+    faults: FaultPlan,
     report_timeout: Nanos,
     recorder: Recorder,
 }
@@ -426,7 +426,7 @@ impl DistributedSync {
     pub fn new(sim: Simulation) -> DistributedSync {
         DistributedSync {
             sim,
-            faults: None,
+            faults: FaultPlan::new(),
             report_timeout: Nanos::from_millis(50),
             recorder: Recorder::disabled(),
         }
@@ -444,11 +444,11 @@ impl DistributedSync {
         self
     }
 
-    /// Attaches a fault plan for [`DistributedSync::run_faulty`]. Arms the
-    /// leader's report deadline: reports still missing when it expires are
-    /// presumed lost and the leader answers for the survivors.
+    /// Attaches a fault plan for [`DistributedSync::run_faulty`], whose
+    /// leader arms a report deadline: reports still missing when it
+    /// expires are presumed lost and the leader answers for the survivors.
     pub fn with_faults(mut self, plan: FaultPlan) -> DistributedSync {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
     }
 
@@ -472,16 +472,16 @@ impl DistributedSync {
     ///
     /// Panics if the declared links do not connect all processors to the
     /// leader (processor 0), if a processor never received its correction
-    /// (a protocol bug), or if a fault plan was attached — a faulty run can
-    /// leave processors without corrections by design, so it must go
-    /// through [`DistributedSync::run_faulty`], whose result type can say
-    /// so.
+    /// (a protocol bug), or if a non-empty fault plan was attached — a
+    /// faulty run can leave processors without corrections by design, so
+    /// it must go through [`DistributedSync::run_faulty`], whose result
+    /// type can say so.
     pub fn run(&self, seed: u64) -> DistRun {
         assert!(
-            self.faults.is_none(),
+            self.faults.is_empty(),
             "a fault plan is attached: use run_faulty"
         );
-        let (execution, _log, shared, network) = self.run_inner(seed, None);
+        let (execution, _log, shared, network) = self.run_inner(seed, false);
         let corrections: Vec<Ratio> = shared
             .corrections
             .into_iter()
@@ -506,8 +506,7 @@ impl DistributedSync {
     /// leader (crash faults may *partition* the run, but the declared
     /// topology must be connected).
     pub fn run_faulty(&self, seed: u64) -> FaultyDistRun {
-        let plan = self.faults.clone().unwrap_or_default();
-        let (execution, log, shared, network) = self.run_inner(seed, Some(&plan));
+        let (execution, log, shared, network) = self.run_inner(seed, true);
         FaultyDistRun {
             execution,
             network,
@@ -518,30 +517,16 @@ impl DistributedSync {
         }
     }
 
-    /// Shared protocol body; `plan` switches the engine's fault path and
+    /// Shared protocol body under the attached fault plan; `deadline`
     /// arms the leader's report deadline.
     fn run_inner(
         &self,
         seed: u64,
-        plan: Option<&FaultPlan>,
+        deadline: bool,
     ) -> (Execution, FaultLog, SharedOutcome, Network) {
         let n = self.sim.n();
         let mut rng = StdRng::seed_from_u64(seed);
-        let starts: Vec<RealTime> = (0..n)
-            .map(|_| {
-                let spread = self.sim.start_spread();
-                let s = if spread == Nanos::ZERO {
-                    0
-                } else {
-                    rng.gen_range(0..=spread.as_nanos())
-                };
-                RealTime::from_nanos(s)
-            })
-            .collect();
-        let mut links = HashMap::new();
-        for l in self.sim.links() {
-            links.insert((l.a, l.b), l.model.resolve(&mut rng));
-        }
+        let engine = self.sim.engine(&mut rng, &self.recorder);
 
         // Spanning tree rooted at the leader, with per-node down-routing.
         let mut adjacency = vec![Vec::new(); n];
@@ -597,10 +582,10 @@ impl DistributedSync {
             .iter()
             .map(|l| (ProcessorId(l.a), ProcessorId(l.b)))
             .collect();
-        // Under a fault plan the leader arms a report deadline: the last
-        // probe round is scheduled at initial_delay + (probes−1)·spacing,
-        // and the timeout budgets for its round trip plus report routing.
-        let leader_deadline = plan.map(|_| {
+        // A faulty run arms the leader's report deadline: the last probe
+        // round is scheduled at initial_delay + (probes−1)·spacing, and the
+        // timeout budgets for its round trip plus report routing.
+        let leader_deadline = deadline.then(|| {
             ClockTime::ZERO
                 + initial_delay
                 + Nanos::new(
@@ -646,15 +631,7 @@ impl DistributedSync {
             })
             .collect();
 
-        let mut engine = Engine::new(starts, links);
-        engine.set_recorder(self.recorder.clone());
-        let (execution, log) = match plan {
-            None => (
-                engine.run_with_payload(processes, &mut rng),
-                FaultLog::default(),
-            ),
-            Some(pl) => engine.run_with_payload_faulty(processes, &mut rng, pl),
-        };
+        let (execution, log) = engine.run(processes, &mut rng, &self.faults);
 
         let shared = Arc::try_unwrap(sink)
             .expect("engine dropped all process handles")
@@ -706,7 +683,7 @@ impl FaultyDistRun {
 mod tests {
     use super::*;
     use crate::Topology;
-    use clocksync_time::Ext;
+    use clocksync_time::{Ext, RealTime};
 
     fn ring_sim(probes: usize) -> Simulation {
         Simulation::builder(5)

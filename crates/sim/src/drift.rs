@@ -38,7 +38,6 @@ use clocksync_time::{ClockTime, DriftBound, Ext, Nanos, Ratio, RealTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::delay::ResolvedLink;
 use crate::scenario::Simulation;
 
 const PPM: i128 = 1_000_000;
@@ -110,6 +109,35 @@ fn check_rate(max_ppm: i64) -> Result<(), DriftError> {
     }
 }
 
+/// Draws each of `n` processors' secret rate uniformly in
+/// `[−max_ppm, +max_ppm]`; zero drift draws nothing.
+fn draw_rates(rng: &mut StdRng, n: usize, max_ppm: i64) -> Vec<i64> {
+    (0..n)
+        .map(|_| {
+            if max_ppm == 0 {
+                0
+            } else {
+                rng.gen_range(-max_ppm..=max_ppm)
+            }
+        })
+        .collect()
+}
+
+/// The margin that keeps declarations truthful when every clock reading
+/// covers at most `horizon` of elapsed time at a rate within `max_ppm`:
+/// each reading is off by at most `horizon·max_ppm/10⁶` (rounded up), and
+/// an estimated delay mixes two clocks, so twice that plus 1 ns. Zero
+/// drift needs no slack at all — keeping the margin exactly zero keeps
+/// the zero-drift run bit-identical to the plain pipeline.
+fn widening_margin(horizon: Nanos, max_ppm: i64) -> Nanos {
+    if max_ppm == 0 {
+        return Nanos::ZERO;
+    }
+    let worst_err =
+        Ratio::new(i128::from(horizon.as_nanos()) * i128::from(max_ppm), PPM).ceil_nanos();
+    worst_err * 2 + Nanos::new(1)
+}
+
 /// Scales the time elapsed since `start` by `1 + ppm/10⁶`, rounding to
 /// whole ns. Drift distorts *elapsed* time only: a clock read at its own
 /// start shows the start reading no matter how fast it runs. (Scaling the
@@ -168,22 +196,21 @@ fn drift_view(view: &View, ppm: i64) -> View {
 /// already degraded to "no constraint" (`+∞`), and widening the ranges
 /// can re-form a quorum and restore a finite — still sound — estimate.
 pub fn widen_assumption(a: &LinkAssumption, margin: Nanos) -> LinkAssumption {
+    let widen = |r: &DelayRange| {
+        // The lower bound may go negative: a drifted estimated delay can
+        // dip `margin` below the true minimum, and clamping at zero would
+        // keep a constraint the evidence no longer supports (the fuzzer's
+        // continuous-resync oracle caught exactly that as a spurious
+        // InconsistentObservations once the horizon's margin exceeded the
+        // link's lower bound).
+        let lower = r.lower() - margin;
+        match r.upper() {
+            Ext::Finite(ub) => DelayRange::new(lower, ub + margin),
+            _ => DelayRange::at_least(lower),
+        }
+    };
     match a {
         LinkAssumption::Bounds { forward, backward } => {
-            let widen = |r: &DelayRange| {
-                // The lower bound may go negative: a drifted estimated
-                // delay can dip `margin` below the true minimum, and
-                // clamping at zero would keep a constraint the evidence
-                // no longer supports (the fuzzer's continuous-resync
-                // oracle caught exactly that as a spurious
-                // InconsistentObservations once the horizon's margin
-                // exceeded the link's lower bound).
-                let lower = r.lower() - margin;
-                match r.upper() {
-                    Ext::Finite(ub) => DelayRange::new(lower, ub + margin),
-                    _ => DelayRange::at_least(lower),
-                }
-            };
             LinkAssumption::bounds(widen(forward), widen(backward))
         }
         LinkAssumption::RttBias { bound } => LinkAssumption::rtt_bias(*bound + margin * 2),
@@ -207,23 +234,7 @@ pub fn widen_assumption(a: &LinkAssumption, margin: Nanos) -> LinkAssumption {
             forward,
             backward,
             max_faulty,
-        } => {
-            let widen = |r: &DelayRange| {
-                // The lower bound may go negative: a drifted estimated
-                // delay can dip `margin` below the true minimum, and
-                // clamping at zero would keep a constraint the evidence
-                // no longer supports (the fuzzer's continuous-resync
-                // oracle caught exactly that as a spurious
-                // InconsistentObservations once the horizon's margin
-                // exceeded the link's lower bound).
-                let lower = r.lower() - margin;
-                match r.upper() {
-                    Ext::Finite(ub) => DelayRange::new(lower, ub + margin),
-                    _ => DelayRange::at_least(lower),
-                }
-            };
-            LinkAssumption::marzullo_quorum(widen(forward), widen(backward), *max_faulty)
-        }
+        } => LinkAssumption::marzullo_quorum(widen(forward), widen(backward), *max_faulty),
         LinkAssumption::All(parts) => {
             LinkAssumption::all(parts.iter().map(|p| widen_assumption(p, margin)).collect())
         }
@@ -331,17 +342,7 @@ impl DriftRun {
 pub fn run_with_drift(sim: &Simulation, max_ppm: i64, seed: u64) -> Result<DriftRun, DriftError> {
     check_rate(max_ppm)?;
     let base = sim.run(seed);
-    let n = sim.n();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD21F7);
-    let drift_ppm: Vec<i64> = (0..n)
-        .map(|_| {
-            if max_ppm == 0 {
-                0
-            } else {
-                rng.gen_range(-max_ppm..=max_ppm)
-            }
-        })
-        .collect();
+    let drift_ppm = draw_rates(&mut StdRng::seed_from_u64(seed ^ 0xD21F7), sim.n(), max_ppm);
 
     // Drifted views.
     let drifted_views = ViewSet::new(
@@ -352,8 +353,8 @@ pub fn run_with_drift(sim: &Simulation, max_ppm: i64, seed: u64) -> Result<Drift
             .collect(),
     )?;
 
-    // Worst-case reading error over the run horizon, conservatively from
-    // the largest clock reading any processor recorded.
+    // The run horizon, conservatively the largest clock reading any
+    // processor recorded.
     let horizon = base
         .execution
         .views()
@@ -361,15 +362,7 @@ pub fn run_with_drift(sim: &Simulation, max_ppm: i64, seed: u64) -> Result<Drift
         .flat_map(|v| v.events().iter().map(|e| e.clock().as_nanos()))
         .max()
         .unwrap_or(0);
-    let worst_err = Ratio::new(horizon as i128 * max_ppm as i128, PPM).ceil_nanos();
-    // An estimated delay mixes two clocks: up to 2× the reading error.
-    // Zero drift needs no slack at all — keeping the margin exactly zero
-    // keeps the zero-drift run bit-identical to the plain pipeline.
-    let margin = if max_ppm == 0 {
-        Nanos::ZERO
-    } else {
-        worst_err * 2 + Nanos::new(1)
-    };
+    let margin = widening_margin(Nanos::new(horizon), max_ppm);
 
     let network = widened_network(sim, margin);
     let outcome = Synchronizer::new(network.clone()).synchronize(&drifted_views)?;
@@ -476,33 +469,9 @@ pub fn run_continuous_resync(
     seed: u64,
 ) -> Result<ContinuousDriftRun, DriftError> {
     check_rate(cfg.max_ppm)?;
-    let n = sim.n();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2E5C11D);
-    let drift_ppm: Vec<i64> = (0..n)
-        .map(|_| {
-            if cfg.max_ppm == 0 {
-                0
-            } else {
-                rng.gen_range(-cfg.max_ppm..=cfg.max_ppm)
-            }
-        })
-        .collect();
-    let starts: Vec<RealTime> = (0..n)
-        .map(|_| {
-            let spread = sim.start_spread().as_nanos();
-            let s = if spread == 0 {
-                0
-            } else {
-                rng.gen_range(0..=spread)
-            };
-            RealTime::ZERO + Nanos::new(s)
-        })
-        .collect();
-    let resolved: Vec<ResolvedLink> = sim
-        .links()
-        .iter()
-        .map(|l| l.model.resolve(&mut rng))
-        .collect();
+    let drift_ppm = draw_rates(&mut rng, sim.n(), cfg.max_ppm);
+    let (starts, resolved) = sim.draw(&mut rng);
 
     // The reading of p's drifting clock at real time t (t ≥ start_p).
     let reading = |p: usize, t: RealTime| -> ClockTime {
@@ -542,16 +511,7 @@ pub fn run_continuous_resync(
         }
         rounds.push((batch, last_delivery));
     }
-    let worst_err = Ratio::new(
-        i128::from(horizon.as_nanos()) * i128::from(cfg.max_ppm),
-        PPM,
-    )
-    .ceil_nanos();
-    let margin = if cfg.max_ppm == 0 {
-        Nanos::ZERO
-    } else {
-        worst_err * 2 + Nanos::new(1)
-    };
+    let margin = widening_margin(horizon, cfg.max_ppm);
 
     let mut online = OnlineSynchronizer::new(widened_network(sim, margin));
     let rate_bound = DriftBound::from_ppm(cfg.max_ppm);

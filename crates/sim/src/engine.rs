@@ -148,91 +148,42 @@ impl Engine {
         self.recorder = recorder;
     }
 
-    /// Runs the processes until no events remain and returns the recorded
-    /// execution.
+    /// Runs the processes until no events remain, injecting the faults
+    /// scheduled in `plan`, and returns the recorded execution with the
+    /// [`FaultLog`] of what actually fired. The payload type `P` is free,
+    /// so protocols can carry structured data (timestamps, shift reports,
+    /// corrections — see [`crate::DistributedSync`]).
+    ///
+    /// The execution satisfies every model axiom: sends of lost messages
+    /// are erased from the views at harvest (the processors cannot tell
+    /// "lost" from "never sent"), duplicates are fresh messages with their
+    /// own ids, and crash-stopped processors simply have short views. A
+    /// fault draws from `rng` only where its probability is positive, so
+    /// an empty plan consumes no extra draws and its log is clean.
     ///
     /// # Panics
     ///
     /// Panics if `processes.len()` differs from the processor count, if a
-    /// process sends to a non-neighbor, or if the event cap is exceeded
-    /// (a non-terminating protocol).
-    pub fn run<R: Rng + ?Sized>(&self, processes: Vec<Box<dyn Process>>, rng: &mut R) -> Execution {
-        self.run_with_payload(processes, rng)
-    }
-
-    /// Like [`Engine::run`], but injects the faults scheduled in `plan` and
-    /// additionally returns the [`FaultLog`] of what actually fired.
-    ///
-    /// The produced execution still satisfies every model axiom: sends of
-    /// lost messages are erased from the views at harvest (the processors
-    /// cannot tell "lost" from "never sent"), duplicates are fresh messages
-    /// with their own ids, and crash-stopped processors simply have short
-    /// views. With an empty plan this is exactly [`Engine::run`], random
-    /// stream included.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Engine::run`], plus a plan referencing an
-    /// out-of-range processor.
-    pub fn run_faulty<R: Rng + ?Sized>(
-        &self,
-        processes: Vec<Box<dyn Process>>,
-        rng: &mut R,
-        plan: &FaultPlan,
-    ) -> (Execution, FaultLog) {
-        self.run_with_payload_faulty(processes, rng, plan)
-    }
-
-    /// Like [`Engine::run`] but with an arbitrary message payload type,
-    /// enabling protocols that carry structured data (timestamps, shift
-    /// reports, corrections — see [`crate::DistributedSync`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_with_payload<P: Clone, R: Rng + ?Sized>(
-        &self,
-        processes: Vec<Box<dyn Process<P>>>,
-        rng: &mut R,
-    ) -> Execution {
-        self.run_inner(processes, rng, None).0
-    }
-
-    /// [`Engine::run_with_payload`] with fault injection — the payload-typed
-    /// version of [`Engine::run_faulty`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Engine::run_faulty`].
-    pub fn run_with_payload_faulty<P: Clone, R: Rng + ?Sized>(
-        &self,
-        processes: Vec<Box<dyn Process<P>>>,
-        rng: &mut R,
-        plan: &FaultPlan,
-    ) -> (Execution, FaultLog) {
-        self.run_inner(processes, rng, Some(plan))
-    }
-
-    /// The single event loop behind all `run_*` entry points. When `plan`
-    /// is `None`, no fault bookkeeping touches the random stream, so
-    /// fault-free runs are bit-identical to the pre-fault engine.
-    fn run_inner<P: Clone, R: Rng + ?Sized>(
+    /// process sends to a non-neighbor, if the event cap is exceeded (a
+    /// non-terminating protocol), or if `plan` references an out-of-range
+    /// processor.
+    pub fn run<P: Clone, R: Rng + ?Sized>(
         &self,
         mut processes: Vec<Box<dyn Process<P>>>,
         rng: &mut R,
-        plan: Option<&FaultPlan>,
+        plan: &FaultPlan,
     ) -> (Execution, FaultLog) {
         let n = self.starts.len();
         assert_eq!(processes.len(), n, "one process per processor required");
         let mut run_span = self.recorder.span("sim.run");
         run_span.field("n", n);
-        let mut log = FaultLog::default();
-        if let Some(plan) = plan {
-            if let Some(max) = plan.max_processor_index() {
-                assert!(max < n, "fault plan references processor {max}, n = {n}");
-            }
-            log.crashed = plan.crashes();
+        if let Some(max) = plan.max_processor_index() {
+            assert!(max < n, "fault plan references processor {max}, n = {n}");
         }
+        let mut log = FaultLog {
+            crashed: plan.crashes(),
+            ..FaultLog::default()
+        };
 
         // Min-heap on (time, sequence) for deterministic tie-breaking.
         let mut queue: BinaryHeap<Reverse<(RealTime, u64)>> = BinaryHeap::new();
@@ -274,10 +225,7 @@ impl Engine {
                 EventKind::Deliver { to, .. } => *to,
             };
             let clock = ClockTime::ZERO + (now - self.starts[p.index()]);
-            let crashed = plan
-                .and_then(|pl| pl.crash_time(p))
-                .is_some_and(|t| now >= t);
-            if crashed {
+            if plan.crash_time(p).is_some_and(|t| now >= t) {
                 match kind {
                     // The processor booted, then died: keep the mandatory
                     // start event so its (empty) view stays well-formed.
@@ -332,10 +280,9 @@ impl Engine {
                 next_msg_id += 1;
                 self.recorder.incr("sim.messages_sent", 1);
                 events[p.index()].push(ViewEvent::Send { to, id, clock });
-                let faults = plan.and_then(|pl| pl.link_faults(key));
                 let mut deliver = true;
                 let mut duplicate = false;
-                if let Some(lf) = faults {
+                if let Some(lf) = plan.link_faults(key) {
                     if lf.is_down_at(now) || (lf.drop_prob > 0.0 && rng.gen_bool(lf.drop_prob)) {
                         deliver = false;
                         self.recorder.incr("sim.messages_dropped", 1);
@@ -404,25 +351,16 @@ impl Engine {
             }
         }
 
-        if plan.is_some() {
-            // Erase the sends of messages that were never delivered (drop,
-            // down window, receiver crash): to the survivors, a lost
-            // message is indistinguishable from one never sent, and the
-            // view-set axioms require matched send/recv pairs.
-            let delivered: HashSet<MessageId> = events
-                .iter()
-                .flat_map(|evts| {
-                    evts.iter().filter_map(|e| match e {
-                        ViewEvent::Recv { id, .. } => Some(*id),
-                        _ => None,
-                    })
-                })
-                .collect();
+        // Erase the sends of messages that were never delivered (drop,
+        // down window, receiver crash): to the survivors, a lost message is
+        // indistinguishable from one never sent, and the view-set axioms
+        // require matched send/recv pairs. Every send is either delivered
+        // or logged as dropped, so a run that dropped nothing erases
+        // nothing.
+        if !log.dropped.is_empty() {
+            let lost: HashSet<MessageId> = log.dropped.iter().copied().collect();
             for evts in &mut events {
-                evts.retain(|e| match e {
-                    ViewEvent::Send { id, .. } => delivered.contains(id),
-                    _ => true,
-                });
+                evts.retain(|e| !matches!(e, ViewEvent::Send { id, .. } if lost.contains(id)));
             }
         }
         let views: Vec<View> = events
@@ -494,9 +432,10 @@ mod tests {
         // The initiator starts last so its ping cannot arrive before the
         // responder's start (the model has no pre-start queueing).
         let engine = Engine::new(vec![RealTime::from_nanos(1_000), RealTime::ZERO], links);
-        let exec = engine.run(
+        let (exec, _) = engine.run(
             vec![Box::new(Ping), Box::new(Ping)],
             &mut StdRng::seed_from_u64(1),
+            &FaultPlan::new(),
         );
         let msgs = exec.messages();
         assert_eq!(msgs.len(), 2);
@@ -510,9 +449,10 @@ mod tests {
     #[test]
     fn idle_processes_produce_start_only_views() {
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], HashMap::new());
-        let exec = engine.run(
+        let (exec, _) = engine.run::<u64, _>(
             vec![Box::new(IdleProcess), Box::new(IdleProcess)],
             &mut StdRng::seed_from_u64(1),
+            &FaultPlan::new(),
         );
         assert!(exec.messages().is_empty());
         assert_eq!(exec.views().view(ProcessorId(0)).events().len(), 1);
@@ -539,9 +479,10 @@ mod tests {
         let mut links = HashMap::new();
         links.insert((0usize, 1usize), link(100));
         let engine = Engine::new(vec![RealTime::from_nanos(10_000), RealTime::ZERO], links);
-        let exec = engine.run(
+        let (exec, _) = engine.run(
             vec![Box::new(TimedSender), Box::new(TimedSender)],
             &mut StdRng::seed_from_u64(1),
+            &FaultPlan::new(),
         );
         let msgs = exec.messages();
         assert_eq!(msgs.len(), 1);
@@ -559,19 +500,29 @@ mod tests {
     #[test]
     fn empty_fault_plan_matches_fault_free_run() {
         let mut links = HashMap::new();
-        links.insert((0usize, 1usize), link(250));
+        links.insert(
+            (0usize, 1usize),
+            LinkModel::symmetric(DelayDistribution::uniform(Nanos::new(100), Nanos::new(500)))
+                .resolve(&mut StdRng::seed_from_u64(0)),
+        );
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
-        let clean = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(5),
-        );
-        let (faulty, log) = engine.run_faulty(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(5),
-            &FaultPlan::new(),
-        );
-        assert_eq!(clean, faulty);
+        let ping_pong = |plan: &FaultPlan| {
+            engine.run(
+                vec![Box::new(Ping), Box::new(Ping)],
+                &mut StdRng::seed_from_u64(5),
+                plan,
+            )
+        };
+        let (clean, log) = ping_pong(&FaultPlan::new());
         assert!(log.is_clean());
+        assert_eq!(clean.messages().len(), 2);
+        // Faults declared at probability zero draw nothing from the
+        // random stream: the run is the fault-free one.
+        let benign = FaultPlan::new()
+            .drop_messages(ProcessorId(0), ProcessorId(1), 0.0)
+            .duplicate_messages(ProcessorId(0), ProcessorId(1), 0.0)
+            .reorder_messages(ProcessorId(0), ProcessorId(1), 0.0);
+        assert_eq!(ping_pong(&benign), (clean, log));
     }
 
     #[test]
@@ -580,7 +531,7 @@ mod tests {
         links.insert((0usize, 1usize), link(250));
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         let plan = FaultPlan::new().drop_messages(ProcessorId(0), ProcessorId(1), 1.0);
-        let (exec, log) = engine.run_faulty(
+        let (exec, log) = engine.run(
             vec![Box::new(Ping), Box::new(Ping)],
             &mut StdRng::seed_from_u64(2),
             &plan,
@@ -599,7 +550,7 @@ mod tests {
         links.insert((0usize, 1usize), link(250));
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         let plan = FaultPlan::new().duplicate_messages(ProcessorId(0), ProcessorId(1), 1.0);
-        let (exec, log) = engine.run_faulty(
+        let (exec, log) = engine.run(
             vec![Box::new(Ping), Box::new(Ping)],
             &mut StdRng::seed_from_u64(3),
             &plan,
@@ -619,7 +570,7 @@ mod tests {
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         // p1 crashes before the ping can arrive.
         let plan = FaultPlan::new().crash(ProcessorId(1), RealTime::from_nanos(100));
-        let (exec, log) = engine.run_faulty(
+        let (exec, log) = engine.run(
             vec![Box::new(Ping), Box::new(Ping)],
             &mut StdRng::seed_from_u64(4),
             &plan,
@@ -647,7 +598,7 @@ mod tests {
             RealTime::ZERO,
             RealTime::from_nanos(10),
         );
-        let (exec, log) = engine.run_faulty(
+        let (exec, log) = engine.run(
             vec![Box::new(Ping), Box::new(Ping)],
             &mut StdRng::seed_from_u64(5),
             &plan,
@@ -666,7 +617,7 @@ mod tests {
         );
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         let plan = FaultPlan::new().reorder_messages(ProcessorId(0), ProcessorId(1), 1.0);
-        let (exec, log) = engine.run_faulty(
+        let (exec, log) = engine.run(
             vec![Box::new(Ping), Box::new(Ping)],
             &mut StdRng::seed_from_u64(6),
             &plan,
@@ -684,7 +635,7 @@ mod tests {
     fn out_of_range_fault_plan_panics() {
         let engine = Engine::new(vec![RealTime::ZERO], HashMap::new());
         let plan = FaultPlan::new().crash(ProcessorId(5), RealTime::ZERO);
-        let _ = engine.run_faulty(
+        let _ = engine.run::<u64, _>(
             vec![Box::new(IdleProcess)],
             &mut StdRng::seed_from_u64(0),
             &plan,
@@ -707,6 +658,7 @@ mod tests {
         let _ = engine.run(
             vec![Box::new(Rogue), Box::new(IdleProcess)],
             &mut StdRng::seed_from_u64(1),
+            &FaultPlan::new(),
         );
     }
 
@@ -731,6 +683,7 @@ mod tests {
         let _ = engine.run(
             vec![Box::new(Chatter), Box::new(Chatter)],
             &mut StdRng::seed_from_u64(1),
+            &FaultPlan::new(),
         );
     }
 }

@@ -3,10 +3,11 @@
 //! A [`FaultPlan`] describes *what goes wrong* in a simulated execution —
 //! per-link message drops, duplication, reordering, timed link-down
 //! windows, and crash-stop processors — while the seed still controls
-//! *when*. The engine keeps the fault-free code path byte-identical (no
-//! random draws are consumed unless a plan is active), so every existing
-//! seeded experiment reproduces exactly, and a faulty run is itself fully
-//! reproducible from `(seed, plan)`.
+//! *when*. Every run goes through the engine's one event loop under its
+//! plan, and a fault draws from the random stream only where its
+//! probability is positive, so an empty plan leaves every seeded run as
+//! it was, and a faulty run is itself fully reproducible from
+//! `(seed, plan)`.
 //!
 //! Faults never leave the paper's model: a dropped message simply does not
 //! appear in anyone's view (its send is erased at harvest — the processors
@@ -58,9 +59,8 @@ impl LinkFaults {
 
 /// A complete fault schedule for one simulated execution.
 ///
-/// Built with consuming chain calls and passed to
-/// [`crate::Engine::run_faulty`] (or
-/// [`Simulation::faults`](crate::SimulationBuilder::faults)):
+/// Built with consuming chain calls and passed to [`crate::Engine::run`]
+/// (or [`Simulation::faults`](crate::SimulationBuilder::faults)):
 ///
 /// ```
 /// use clocksync_sim::FaultPlan;
@@ -167,16 +167,6 @@ impl FaultPlan {
     /// any was declared.
     pub fn link_faults(&self, key: (usize, usize)) -> Option<&LinkFaults> {
         self.links.get(&key)
-    }
-
-    /// Every declared link's fault behaviour, ascending by canonical key
-    /// `(low, high)` — a deterministic iteration order for schedulers and
-    /// serializers that must not depend on `HashMap` ordering (the
-    /// scenario fuzzer's journal is byte-reproducible because of this).
-    pub fn link_fault_entries(&self) -> Vec<((usize, usize), &LinkFaults)> {
-        let mut out: Vec<_> = self.links.iter().map(|(&k, v)| (k, v)).collect();
-        out.sort_by_key(|&(k, _)| k);
-        out
     }
 
     /// Overlays `other` onto this plan: per link, `other`'s probabilities
@@ -328,20 +318,6 @@ mod tests {
             .drop_messages(P, Q, 0.5)
             .merge(FaultPlan::new().crash(Q, RealTime::ZERO));
         assert_eq!(untouched.link_faults((0, 1)).unwrap().drop_prob, 0.5);
-    }
-
-    #[test]
-    fn link_fault_entries_are_sorted() {
-        let plan = FaultPlan::new()
-            .drop_messages(ProcessorId(3), ProcessorId(2), 0.1)
-            .drop_messages(Q, P, 0.2)
-            .drop_messages(ProcessorId(1), ProcessorId(2), 0.3);
-        let keys: Vec<(usize, usize)> = plan
-            .link_fault_entries()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]

@@ -58,7 +58,5 @@ pub use drift::{
 pub use engine::{Engine, IdleProcess, Process, ProcessCtx, MAX_EVENTS};
 pub use faults::{FaultLog, FaultPlan, LinkFaults};
 pub use protocol::ProbeProcess;
-pub use scenario::{
-    truthful_assumption, FaultySimRun, LinkSpec, SimRun, Simulation, SimulationBuilder,
-};
+pub use scenario::{truthful_assumption, LinkSpec, SimRun, Simulation, SimulationBuilder};
 pub use topology::Topology;

@@ -134,7 +134,10 @@ mod tests {
                 Nanos::from_micros(5),
             )) as Box<dyn crate::engine::Process>
         };
-        engine.run(vec![proc(), proc()], &mut StdRng::seed_from_u64(42))
+        let plan = crate::FaultPlan::new();
+        engine
+            .run(vec![proc(), proc()], &mut StdRng::seed_from_u64(42), &plan)
+            .0
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! High-level simulation scenarios: topology + delay models + assumptions
 //! → executions, ready for synchronization and evaluation.
 
-use std::collections::HashMap;
-
 use clocksync::{LinkAssumption, Network, SyncError, SyncOutcome, Synchronizer};
 use clocksync_model::{Execution, ProcessorId};
 use clocksync_obs::Recorder;
@@ -10,7 +8,7 @@ use clocksync_time::{Ext, Nanos, Ratio, RealTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::delay::{DelayDistribution, LinkModel};
+use crate::delay::{DelayDistribution, LinkModel, ResolvedLink};
 use crate::engine::{Engine, Process};
 use crate::faults::{FaultLog, FaultPlan};
 use crate::protocol::ProbeProcess;
@@ -124,11 +122,6 @@ impl Simulation {
         self.start_spread
     }
 
-    /// The fault plan (empty by default).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Builds the [`Network`] the synchronizer will be given.
     pub fn network(&self) -> Network {
         let mut b = Network::builder(self.n);
@@ -139,35 +132,12 @@ impl Simulation {
     }
 
     /// Runs the scenario with a seed: samples start offsets and delays,
-    /// executes the probe protocol (under the fault plan, if one was
-    /// declared), and returns the recorded run. Use
-    /// [`Simulation::run_with_faults`] to also get the fault log.
+    /// executes the probe protocol under the fault plan, and returns the
+    /// recorded run with the [`FaultLog`] of what the plan did to this
+    /// seed's execution. With an empty plan the log is clean.
     pub fn run(&self, seed: u64) -> SimRun {
-        self.run_with_faults(seed).run
-    }
-
-    /// Like [`Simulation::run`], but additionally returns the
-    /// [`FaultLog`] of what the fault plan actually did to this seed's
-    /// execution. With an empty plan the log is empty and the run is
-    /// bit-identical to the plan-free scenario under the same seed.
-    pub fn run_with_faults(&self, seed: u64) -> FaultySimRun {
         let mut rng = StdRng::seed_from_u64(seed);
-        let starts: Vec<RealTime> = (0..self.n)
-            .map(|_| {
-                let s = if self.start_spread == Nanos::ZERO {
-                    0
-                } else {
-                    rng.gen_range(0..=self.start_spread.as_nanos())
-                };
-                RealTime::from_nanos(s)
-            })
-            .collect();
-        let mut links = HashMap::new();
-        for l in &self.links {
-            links.insert((l.a, l.b), l.model.resolve(&mut rng));
-        }
-        let mut engine = Engine::new(starts, links);
-        engine.set_recorder(self.recorder.clone());
+        let engine = self.engine(&mut rng, &self.recorder);
         // Probes start only after every processor has started.
         let initial_delay = self.start_spread + Nanos::from_micros(100);
         let processes: Vec<Box<dyn Process>> = (0..self.n)
@@ -178,18 +148,41 @@ impl Simulation {
                 ) as Box<dyn Process>
             })
             .collect();
-        let (execution, log) = if self.faults.is_empty() {
-            (engine.run(processes, &mut rng), FaultLog::default())
-        } else {
-            engine.run_faulty(processes, &mut rng, &self.faults)
-        };
-        FaultySimRun {
-            run: SimRun {
-                network: self.network(),
-                execution,
-            },
-            log,
+        let (execution, faults) = engine.run(processes, &mut rng, &self.faults);
+        SimRun {
+            network: self.network(),
+            execution,
+            faults,
         }
+    }
+
+    /// Draws a run's hidden randomness from `rng` in the order every runner
+    /// over this scenario shares: each processor's start time in
+    /// `[0, start_spread]`, then each declared link's resolved delay model,
+    /// in declaration order.
+    pub(crate) fn draw(&self, rng: &mut StdRng) -> (Vec<RealTime>, Vec<ResolvedLink>) {
+        let starts = (0..self.n)
+            .map(|_| {
+                let s = if self.start_spread == Nanos::ZERO {
+                    0
+                } else {
+                    rng.gen_range(0..=self.start_spread.as_nanos())
+                };
+                RealTime::from_nanos(s)
+            })
+            .collect();
+        let links = self.links.iter().map(|l| l.model.resolve(rng)).collect();
+        (starts, links)
+    }
+
+    /// An engine over one [`Simulation::draw`] from `rng`, reporting to
+    /// `recorder`.
+    pub(crate) fn engine(&self, rng: &mut StdRng, recorder: &Recorder) -> Engine {
+        let (starts, resolved) = self.draw(rng);
+        let links = self.links.iter().map(|l| (l.a, l.b)).zip(resolved);
+        let mut engine = Engine::new(starts, links.collect());
+        engine.set_recorder(recorder.clone());
+        engine
     }
 
     /// Runs the scenario under every seed in parallel (rayon), returning
@@ -311,12 +304,21 @@ impl SimulationBuilder {
 
 /// One executed simulation: the hidden ground truth plus everything the
 /// synchronizer may see.
+///
+/// Injected faults keep the execution admissible for truthful
+/// assumptions (drops erase evidence, duplicates and reorderings sample
+/// from the genuine delay distribution), so [`SimRun::synchronize`]
+/// applies to every run: it just sees less, or redundant, evidence and
+/// degrades per the contract in `DESIGN.md` §5.
 #[derive(Debug, Clone)]
 pub struct SimRun {
     /// The declared assumption network.
     pub network: Network,
     /// The recorded execution (views + hidden starts).
     pub execution: Execution,
+    /// What the scenario's fault plan did, message by message (clean
+    /// when the plan is empty).
+    pub faults: FaultLog,
 }
 
 impl SimRun {
@@ -353,34 +355,6 @@ impl SimRun {
     /// (always true for truthful scenarios; useful as a self-check).
     pub fn is_admissible(&self) -> bool {
         self.network.admits(&self.execution)
-    }
-}
-
-/// A [`SimRun`] together with the record of which faults actually fired.
-///
-/// Injected faults keep the execution admissible for truthful
-/// assumptions (drops erase evidence, duplicates and reorderings sample
-/// from the genuine delay distribution), so [`SimRun::synchronize`] still
-/// applies — it just sees less, or redundant, evidence and degrades per
-/// the contract in `DESIGN.md` §5.
-#[derive(Debug, Clone)]
-pub struct FaultySimRun {
-    /// The run itself (network, execution, ground truth).
-    pub run: SimRun,
-    /// What went wrong, message by message.
-    pub log: FaultLog,
-}
-
-impl FaultySimRun {
-    /// Shorthand for [`SimRun::synchronize`] on the inner run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SyncError`] exactly as [`SimRun::synchronize`] does
-    /// (still impossible for truthfully-declared scenarios: faults never
-    /// fabricate out-of-support delays).
-    pub fn synchronize(&self) -> Result<SyncOutcome, SyncError> {
-        self.run.synchronize()
     }
 }
 
@@ -493,37 +467,45 @@ mod tests {
             .build();
         let mut any_fault = false;
         for seed in 0..6 {
-            let faulty = sim.run_with_faults(seed);
-            any_fault |= !faulty.log.is_clean();
+            let faulty = sim.run(seed);
+            any_fault |= !faulty.faults.is_clean();
             // Faults thin or pad the evidence but never break the model or
             // the declared assumptions.
-            assert!(faulty.run.is_admissible(), "seed {seed}");
+            assert!(faulty.is_admissible(), "seed {seed}");
             let outcome = faulty.synchronize().unwrap();
-            let err = faulty.run.true_discrepancy(outcome.corrections());
+            let err = faulty.true_discrepancy(outcome.corrections());
             assert!(Ext::Finite(err) <= outcome.precision(), "seed {seed}");
             // Same seed, same faults.
-            let again = sim.run_with_faults(seed);
-            assert_eq!(faulty.run.execution, again.run.execution);
-            assert_eq!(faulty.log, again.log);
+            let again = sim.run(seed);
+            assert_eq!(faulty.execution, again.execution);
+            assert_eq!(faulty.faults, again.faults);
         }
         assert!(any_fault, "plan never fired across six seeds");
     }
 
     #[test]
     fn empty_fault_plan_changes_nothing() {
-        let sim = Simulation::builder(3)
-            .uniform_links(
-                Topology::Path(3),
-                Nanos::from_micros(10),
-                Nanos::from_micros(90),
-                1,
-            )
-            .build();
-        let with_empty_plan = sim.clone();
-        let a = sim.run(7);
-        let b = with_empty_plan.run_with_faults(7);
-        assert_eq!(a.execution, b.run.execution);
-        assert!(b.log.is_clean());
+        let sim = |plan: FaultPlan| {
+            Simulation::builder(3)
+                .uniform_links(
+                    Topology::Path(3),
+                    Nanos::from_micros(10),
+                    Nanos::from_micros(90),
+                    1,
+                )
+                .faults(plan)
+                .build()
+        };
+        let a = sim(FaultPlan::new()).run(7);
+        // Faults declared at probability zero draw nothing from the
+        // random stream.
+        let benign = FaultPlan::new()
+            .drop_messages(ProcessorId(0), ProcessorId(1), 0.0)
+            .duplicate_messages(ProcessorId(1), ProcessorId(2), 0.0)
+            .reorder_messages(ProcessorId(0), ProcessorId(1), 0.0);
+        let b = sim(benign).run(7);
+        assert_eq!(a.execution, b.execution);
+        assert!(a.faults.is_clean() && b.faults.is_clean());
     }
 
     #[test]

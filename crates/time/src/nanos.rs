@@ -107,11 +107,6 @@ impl Nanos {
         self.0 as f64 / 1_000.0
     }
 
-    /// Returns the value in milliseconds as a float (for reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Returns the value in seconds as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0

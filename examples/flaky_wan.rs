@@ -56,21 +56,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .recorder(recorder.clone())
         .build();
 
-    let faulty = sim.run_with_faults(7);
+    let run = sim.run(7);
     section("what actually went wrong (engine ground truth)");
-    row("messages dropped", faulty.log.dropped.len().to_string());
+    row("messages dropped", run.faults.dropped.len().to_string());
     row(
         "messages duplicated",
-        faulty.log.duplicated.len().to_string(),
+        run.faults.duplicated.len().to_string(),
     );
-    for &(p, at) in &faulty.log.crashed {
+    for &(p, at) in &run.faults.crashed {
         row("crash-stop", format!("{p} at {at}"));
     }
 
     // The faulty execution is still a perfectly valid execution of the
     // model — the processors just saw less.
-    assert!(faulty.run.is_admissible(), "faults never forge evidence");
-    let outcome = faulty.run.synchronize_traced(&recorder)?;
+    assert!(run.is_admissible(), "faults never forge evidence");
+    let outcome = run.synchronize_traced(&recorder)?;
 
     section("degradation report");
     if outcome.degradations().is_empty() {

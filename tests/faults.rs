@@ -69,16 +69,16 @@ proptest! {
         // The plan was drawn over indices < 6; keep only what fits n.
         prop_assume!(plan.max_processor_index().is_none_or(|m| m < n));
         let sim = ring_sim(n, probes, seed, plan);
-        let faulty = sim.run_with_faults(seed);
-        prop_assert!(faulty.run.network.admits(&faulty.run.execution));
+        let faulty = sim.run(seed);
+        prop_assert!(faulty.network.admits(&faulty.execution));
 
         let outcome = faulty.synchronize().unwrap();
-        let err = faulty.run.true_discrepancy(outcome.corrections());
+        let err = faulty.true_discrepancy(outcome.corrections());
         prop_assert!(Ext::Finite(err) <= outcome.precision());
 
         for d in outcome.degradations() {
             prop_assert!(
-                faulty.run.network.assumption(d.a, d.b).is_some(),
+                faulty.network.assumption(d.a, d.b).is_some(),
                 "degradation names a non-link: {d}"
             );
         }
@@ -108,16 +108,15 @@ proptest! {
             plan = plan.duplicate_messages(ProcessorId(a), ProcessorId((a + 1) % n), dup);
         }
         let sim = ring_sim(n, 2, seed, plan);
-        let faulty = sim.run_with_faults(seed);
+        let faulty = sim.run(seed);
         let with_dups = faulty.synchronize().unwrap();
 
-        let copies: HashSet<_> = faulty.log.duplicate_copy_ids().collect();
+        let copies: HashSet<_> = faulty.faults.duplicate_copy_ids().collect();
         let stripped_views = faulty
-            .run
             .execution
             .views()
             .retain_messages(|id| !copies.contains(&id));
-        let stripped = Synchronizer::new(faulty.run.network.clone())
+        let stripped = Synchronizer::new(faulty.network.clone())
             .synchronize(&stripped_views)
             .unwrap();
 

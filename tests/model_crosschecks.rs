@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use clocksync::{DelayRange, LinkAssumption, Network, Synchronizer};
 use clocksync_model::{ExecutionBuilder, ProcessorId, ViewEvent};
 use clocksync_sim::{
-    DelayDistribution, Engine, LinkModel, ProbeProcess, Process, Simulation, Topology,
+    DelayDistribution, Engine, FaultPlan, LinkModel, ProbeProcess, Process, Simulation, Topology,
 };
 use clocksync_time::{Ext, Nanos, RealTime};
 use rand::rngs::StdRng;
@@ -34,7 +34,11 @@ fn engine_matches_analytic_builder_on_constant_delays() {
             Nanos::from_micros(10),
         )) as Box<dyn Process>
     };
-    let from_engine = engine.run(vec![mk(), mk()], &mut StdRng::seed_from_u64(1));
+    let (from_engine, _) = engine.run(
+        vec![mk(), mk()],
+        &mut StdRng::seed_from_u64(1),
+        &FaultPlan::new(),
+    );
 
     // Analytic reconstruction: p0 starts at 500, probes at clock 10us and
     // 60us; echoes return after 300ns each way.

@@ -203,11 +203,11 @@ fn faulty_run_counters_reflect_the_fault_log() {
         .faults(plan)
         .recorder(recorder.clone())
         .build();
-    let faulty = sim.run_with_faults(3);
+    let faulty = sim.run(3);
     let trace = recorder.snapshot();
     // The engine's dropped counter is exactly the fault log's count.
     assert_eq!(
         trace.counter("sim.messages_dropped").unwrap_or(0),
-        faulty.log.dropped.len() as u64
+        faulty.faults.dropped.len() as u64
     );
 }
