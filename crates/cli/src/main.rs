@@ -76,7 +76,8 @@ events); `trace summarize` renders one as a human-readable report.
 vopr is the deterministic fuzzer. Its families map a seed to one checked
 instance: plain and far-clock scenarios (run against the full-history,
 windowed and concurrent engines with invariant oracles after every step),
-Marzullo-fused link instances and bounded-drift workloads. `run` checks
+Marzullo-fused link instances, bounded-drift workloads and runs of the
+retrying probe protocol under fault plans. `run` checks
 --count seeds from --seed of every family, stops at the first failure,
 shrinks a failing scenario to a minimal reproducer (written to --repro)
 and prints its replay command; `replay` re-runs a saved scenario file;

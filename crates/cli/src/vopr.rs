@@ -237,8 +237,8 @@ mod tests {
         fs::write(dir.join("a.json"), generate(3).to_json_pretty()).unwrap();
         fs::write(dir.join("seeds.txt"), "# pinned\n11\n").unwrap();
         let report = corpus(&dir, 2, 900).unwrap();
-        // One file, one pinned seed, and two seeds of each of four families.
-        assert_eq!(report.ran, 10, "{:?}", report.lines);
+        // One file, one pinned seed, and two seeds of each of five families.
+        assert_eq!(report.ran, 12, "{:?}", report.lines);
         assert_eq!(report.failures, 0, "{:?}", report.lines);
         fs::write(dir.join("broken.json"), "{").unwrap();
         assert!(corpus(&dir, 0, 0).is_err());

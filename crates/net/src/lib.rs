@@ -1,52 +1,28 @@
-//! A threaded, channel-based runtime for the clock synchronizer.
+//! Length-prefixed wire framing for clocksync's TCP front-end.
 //!
-//! Where `clocksync-sim` generates executions in virtual time, this crate
-//! runs them **for real**: every processor is an OS thread with its own
-//! monotonic clock (started at a secret offset), probes travel through
-//! crossbeam channels with injected delays, and each thread records its
-//! view exactly as the paper's model prescribes — clock times only. The
-//! harvested views feed the same [`clocksync::Synchronizer`]; the harness
-//! keeps the measured true start offsets so tests and experiments can
-//! compare the guarantee against reality.
+//! `clocksync serve --listen`, the `loadgen` load generator and the
+//! benchmark's wire arm exchange JSON commands and replies as frames: a
+//! 4-byte big-endian length, then the payload. [`wire`] reads and writes
+//! them and rejects a frame over [`MAX_FRAME_LEN`] before allocating it.
 //!
-//! Because real schedulers add jitter, declared upper bounds carry a
-//! configurable safety [`margin`](ClusterConfig::margin); delays below the
-//! configured lower bound are impossible by construction (receivers hold a
-//! message until its injected delay has elapsed), so declared assumptions
-//! are always truthful.
-//!
-//! The runtime degrades instead of wedging: probe rounds carry deadlines
-//! with bounded retry and exponential backoff
-//! ([`probe_deadline`](ClusterConfig::probe_deadline) /
-//! [`retries`](ClusterConfig::retries)), links can inject message
-//! [`loss`](LinkConfig::loss), and a link that keeps missing its deadlines
-//! is downgraded to the paper's no-bounds assumption (Corollary 6.4) or
-//! dropped from the network entirely. [`NetRun::health`] reports what
-//! happened to each link as a [`LinkHealth`]/[`LinkState`].
+//! The probe protocol's executors — the discrete-event engine and the
+//! threaded one — live in `clocksync-sim`.
 //!
 //! # Examples
 //!
 //! ```
-//! use clocksync_net::{ClusterConfig, LinkConfig};
-//! use clocksync_time::{Ext, Nanos};
+//! use clocksync_net::{read_frame, write_frame};
 //!
-//! let run = ClusterConfig::new(3)
-//!     .link(0, 1, LinkConfig::uniform(Nanos::from_millis(1), Nanos::from_millis(3)))
-//!     .link(1, 2, LinkConfig::uniform(Nanos::from_millis(1), Nanos::from_millis(3)))
-//!     .probes(2)
-//!     .run(7);
-//! let outcome = run.synchronize()?;
-//! assert!(outcome.precision().is_finite());
-//! let err = run.execution.discrepancy(outcome.corrections());
-//! assert!(Ext::Finite(err) <= outcome.precision());
-//! # Ok::<(), clocksync::SyncError>(())
+//! let mut buf = Vec::new();
+//! write_frame(&mut buf, br#"{"t":"outcome"}"#)?;
+//! let mut stream = std::io::Cursor::new(buf);
+//! assert_eq!(read_frame(&mut stream)?.as_deref(), Some(&br#"{"t":"outcome"}"#[..]));
+//! # Ok::<(), clocksync_net::WireError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cluster;
 pub mod wire;
 
-pub use cluster::{ClusterConfig, LinkConfig, LinkHealth, LinkState, NetRun};
 pub use wire::{read_frame, write_frame, WireError, MAX_FRAME_LEN};

@@ -247,6 +247,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "0 <= lo <= hi")]
+    fn negative_floor_is_rejected() {
+        let _ = DelayDistribution::uniform(Nanos::new(-1), Nanos::from_millis(1));
+    }
+
+    #[test]
     fn correlated_link_certifies_its_bias() {
         let model = LinkModel::Correlated {
             base: DelayDistribution::uniform(Nanos::new(1_000), Nanos::new(100_000)),

@@ -35,7 +35,6 @@
 //! the report traffic) is at least as precise.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 
 use clocksync::{DegradationReason, LinkAssumption, LinkDegradation, Network, SyncOutcome};
 use clocksync_graph::{SquareMatrix, Weight};
@@ -91,15 +90,6 @@ pub enum DistMsg {
     },
 }
 
-/// What the protocol run produced, as recorded by the participants.
-#[derive(Debug, Default)]
-struct SharedOutcome {
-    corrections: Vec<Option<Ratio>>,
-    precision: Option<ExtRatio>,
-    outcome: Option<SyncOutcome>,
-    reports: Vec<(ProcessorId, ProcessorId, ExtRatio, ExtRatio)>,
-}
-
 /// One protocol participant.
 struct Node {
     probes: usize,
@@ -137,7 +127,10 @@ struct Node {
     /// Immutable copy of the armed report deadline (never cleared), so the
     /// leader can report its deadline margin when it computes.
     deadline_clock: Option<ClockTime>,
-    sink: Arc<Mutex<SharedOutcome>>,
+    /// This processor's correction, once it arrived.
+    correction: Option<Ratio>,
+    /// The leader's outcome, once it computed.
+    outcome: Option<SyncOutcome>,
     recorder: Recorder,
 }
 
@@ -246,13 +239,8 @@ impl Node {
             })
             .collect();
         outcome.set_degradations(degradations);
-        {
-            let mut sink = self.sink.lock().expect("sink lock");
-            sink.precision = Some(outcome.precision());
-            sink.corrections[ctx.id().index()] = Some(outcome.correction(ctx.id()));
-            sink.reports = self.reports.clone();
-            sink.outcome = Some(outcome.clone());
-        }
+        self.correction = Some(outcome.correction(ctx.id()));
+        self.outcome = Some(outcome.clone());
         for i in 0..self.n {
             let target = ProcessorId(i);
             if target == ctx.id() {
@@ -371,7 +359,7 @@ impl Process<DistMsg> for Node {
             }
             DistMsg::Correction { target, value } => {
                 if target == ctx.id() {
-                    self.sink.lock().expect("sink lock").corrections[target.index()] = Some(value);
+                    self.correction = Some(value);
                 } else {
                     let hop = self.route_down[&target];
                     ctx.send(hop, DistMsg::Correction { target, value });
@@ -481,18 +469,21 @@ impl DistributedSync {
             self.faults.is_empty(),
             "a fault plan is attached: use run_faulty"
         );
-        let (execution, _log, shared, network) = self.run_inner(seed, false);
-        let corrections: Vec<Ratio> = shared
-            .corrections
-            .into_iter()
+        let (execution, _log, nodes, network) = self.run_inner(seed, false);
+        let corrections: Vec<Ratio> = nodes
+            .iter()
             .enumerate()
-            .map(|(i, c)| c.unwrap_or_else(|| panic!("p{i} never received its correction")))
+            .map(|(i, node)| {
+                node.correction
+                    .unwrap_or_else(|| panic!("p{i} never received its correction"))
+            })
             .collect();
+        let leader = nodes[0].outcome.as_ref().expect("leader computed");
         DistRun {
             execution,
             network,
             corrections,
-            precision: shared.precision.expect("leader computed"),
+            precision: leader.precision(),
         }
     }
 
@@ -506,24 +497,27 @@ impl DistributedSync {
     /// leader (crash faults may *partition* the run, but the declared
     /// topology must be connected).
     pub fn run_faulty(&self, seed: u64) -> FaultyDistRun {
-        let (execution, log, shared, network) = self.run_inner(seed, true);
+        let (execution, log, mut nodes, network) = self.run_inner(seed, true);
+        let leader = &mut nodes[0];
+        // A leader that never computed answers with no reports.
+        let reports = match leader.outcome {
+            Some(_) => std::mem::take(&mut leader.reports),
+            None => Vec::new(),
+        };
         FaultyDistRun {
             execution,
             network,
-            corrections: shared.corrections,
-            outcome: shared.outcome,
-            reports: shared.reports,
+            outcome: leader.outcome.take(),
+            reports,
+            corrections: nodes.iter().map(|node| node.correction).collect(),
             log,
         }
     }
 
     /// Shared protocol body under the attached fault plan; `deadline`
-    /// arms the leader's report deadline.
-    fn run_inner(
-        &self,
-        seed: u64,
-        deadline: bool,
-    ) -> (Execution, FaultLog, SharedOutcome, Network) {
+    /// arms the leader's report deadline. Returns the participants, whose
+    /// corrections and leader outcome the callers read.
+    fn run_inner(&self, seed: u64, deadline: bool) -> (Execution, FaultLog, Vec<Node>, Network) {
         let n = self.sim.n();
         let mut rng = StdRng::seed_from_u64(seed);
         let engine = self.sim.engine(&mut rng, &self.recorder);
@@ -569,12 +563,6 @@ impl DistributedSync {
             }
         }
 
-        let sink = Arc::new(Mutex::new(SharedOutcome {
-            corrections: vec![None; n],
-            precision: None,
-            outcome: None,
-            reports: Vec::new(),
-        }));
         let initial_delay = self.sim.start_spread() + Nanos::from_micros(100);
         let all_links: Vec<(ProcessorId, ProcessorId)> = self
             .sim
@@ -593,7 +581,7 @@ impl DistributedSync {
                 )
                 + self.report_timeout
         });
-        let processes: Vec<Box<dyn Process<DistMsg>>> = (0..n)
+        let mut processes: Vec<Node> = (0..n)
             .map(|i| {
                 let mut initiate = HashMap::new();
                 for l in self.sim.links() {
@@ -601,7 +589,7 @@ impl DistributedSync {
                         initiate.insert(ProcessorId(l.b), l.assumption.clone());
                     }
                 }
-                Box::new(Node {
+                Node {
                     probes: self.sim.probes(),
                     spacing: self.sim.spacing(),
                     initial_delay,
@@ -621,23 +609,19 @@ impl DistributedSync {
                     deadline_at: if i == 0 { leader_deadline } else { None },
                     computed: false,
                     deadline_clock: if i == 0 { leader_deadline } else { None },
-                    sink: Arc::clone(&sink),
+                    correction: None,
+                    outcome: None,
                     recorder: if i == 0 {
                         self.recorder.clone()
                     } else {
                         Recorder::disabled()
                     },
-                }) as Box<dyn Process<DistMsg>>
+                }
             })
             .collect();
 
-        let (execution, log) = engine.run(processes, &mut rng, &self.faults);
-
-        let shared = Arc::try_unwrap(sink)
-            .expect("engine dropped all process handles")
-            .into_inner()
-            .expect("sink lock");
-        (execution, log, shared, self.sim.network())
+        let (execution, log) = engine.run(&mut processes, &mut rng, &self.faults);
+        (execution, log, processes, self.sim.network())
     }
 }
 

@@ -196,24 +196,32 @@ fn drift_view(view: &View, ppm: i64) -> View {
 /// already degraded to "no constraint" (`+∞`), and widening the ranges
 /// can re-form a quorum and restore a finite — still sound — estimate.
 pub fn widen_assumption(a: &LinkAssumption, margin: Nanos) -> LinkAssumption {
-    let widen = |r: &DelayRange| {
+    widen(a, margin, margin)
+}
+
+/// Widens `a` for delays that may read up to `below` shorter or `above`
+/// longer than it allows: ranges grow by `below` at the bottom and by
+/// `above` at the top, bias bounds by both, and a bias window shrinks by
+/// the larger.
+pub(crate) fn widen(a: &LinkAssumption, below: Nanos, above: Nanos) -> LinkAssumption {
+    let widen_range = |r: &DelayRange| {
         // The lower bound may go negative: a drifted estimated delay can
-        // dip `margin` below the true minimum, and clamping at zero would
+        // dip `below` under the true minimum, and clamping at zero would
         // keep a constraint the evidence no longer supports (the fuzzer's
         // continuous-resync oracle caught exactly that as a spurious
         // InconsistentObservations once the horizon's margin exceeded the
         // link's lower bound).
-        let lower = r.lower() - margin;
+        let lower = r.lower() - below;
         match r.upper() {
-            Ext::Finite(ub) => DelayRange::new(lower, ub + margin),
+            Ext::Finite(ub) => DelayRange::new(lower, ub + above),
             _ => DelayRange::at_least(lower),
         }
     };
     match a {
         LinkAssumption::Bounds { forward, backward } => {
-            LinkAssumption::bounds(widen(forward), widen(backward))
+            LinkAssumption::bounds(widen_range(forward), widen_range(backward))
         }
-        LinkAssumption::RttBias { bound } => LinkAssumption::rtt_bias(*bound + margin * 2),
+        LinkAssumption::RttBias { bound } => LinkAssumption::rtt_bias(*bound + below + above),
         LinkAssumption::PairedRttBias { bound, window } => {
             // The window must SHRINK, not grow: the bias promise covers
             // only pairs truly within `window`, and drifted readings at a
@@ -224,8 +232,9 @@ pub fn widen_assumption(a: &LinkAssumption, margin: Nanos) -> LinkAssumption {
             // and a tightened estimate — the drift-widening soundness bug
             // the widening property test caught.) When no positive
             // window survives, the honest widening is no constraint.
+            let margin = below.max(above);
             if *window > margin {
-                LinkAssumption::paired_rtt_bias(*bound + margin * 2, *window - margin)
+                LinkAssumption::paired_rtt_bias(*bound + below + above, *window - margin)
             } else {
                 LinkAssumption::no_bounds()
             }
@@ -234,9 +243,13 @@ pub fn widen_assumption(a: &LinkAssumption, margin: Nanos) -> LinkAssumption {
             forward,
             backward,
             max_faulty,
-        } => LinkAssumption::marzullo_quorum(widen(forward), widen(backward), *max_faulty),
+        } => LinkAssumption::marzullo_quorum(
+            widen_range(forward),
+            widen_range(backward),
+            *max_faulty,
+        ),
         LinkAssumption::All(parts) => {
-            LinkAssumption::all(parts.iter().map(|p| widen_assumption(p, margin)).collect())
+            LinkAssumption::all(parts.iter().map(|p| widen(p, below, above)).collect())
         }
     }
 }

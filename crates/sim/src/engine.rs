@@ -7,7 +7,7 @@
 //! synchronizer, hidden start times and true delays for evaluation.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use clocksync_model::{Execution, MessageId, ProcessorId, View, ViewEvent, ViewSet};
 use clocksync_obs::Recorder;
@@ -17,7 +17,7 @@ use clocksync_time::{ClockTime, RealTime};
 use rand::Rng;
 
 use crate::delay::ResolvedLink;
-use crate::faults::{FaultLog, FaultPlan};
+use crate::faults::{transit, FaultLog, FaultPlan};
 
 /// A reactive processor behaviour.
 ///
@@ -39,8 +39,8 @@ pub struct ProcessCtx<P = u64> {
     id: ProcessorId,
     clock: ClockTime,
     neighbors: Vec<ProcessorId>,
-    sends: Vec<(ProcessorId, P)>,
-    timers: Vec<ClockTime>,
+    pub(crate) sends: Vec<(ProcessorId, P)>,
+    pub(crate) timers: Vec<ClockTime>,
 }
 
 impl<P> ProcessCtx<P> {
@@ -75,16 +75,17 @@ impl<P> ProcessCtx<P> {
     }
 }
 
+/// What a processor reacts to in one step: its start, a timer, or a
+/// message.
 #[derive(Debug, Clone)]
-enum EventKind<P> {
-    Start(ProcessorId),
-    Deliver {
-        to: ProcessorId,
+pub(crate) enum Stimulus<P> {
+    Start,
+    Timer,
+    Message {
         from: ProcessorId,
         id: MessageId,
         payload: P,
     },
-    Timer(ProcessorId),
 }
 
 /// The default runaway-protocol safety cap: a run that processes more
@@ -99,11 +100,11 @@ pub const MAX_EVENTS: usize = 1_000_000;
 /// probe protocol into the engine.
 #[derive(Debug)]
 pub struct Engine {
-    starts: Vec<RealTime>,
-    links: HashMap<(usize, usize), ResolvedLink>,
+    pub(crate) starts: Vec<RealTime>,
+    pub(crate) links: HashMap<(usize, usize), ResolvedLink>,
     neighbors: Vec<Vec<ProcessorId>>,
     max_events: usize,
-    recorder: Recorder,
+    pub(crate) recorder: Recorder,
 }
 
 impl Engine {
@@ -152,7 +153,8 @@ impl Engine {
     /// scheduled in `plan`, and returns the recorded execution with the
     /// [`FaultLog`] of what actually fired. The payload type `P` is free,
     /// so protocols can carry structured data (timestamps, shift reports,
-    /// corrections — see [`crate::DistributedSync`]).
+    /// corrections — see [`crate::DistributedSync`]). The processes are
+    /// borrowed, so a caller can read what they tallied after the run.
     ///
     /// The execution satisfies every model axiom: sends of lost messages
     /// are erased from the views at harvest (the processors cannot tell
@@ -167,9 +169,9 @@ impl Engine {
     /// process sends to a non-neighbor, if the event cap is exceeded (a
     /// non-terminating protocol), or if `plan` references an out-of-range
     /// processor.
-    pub fn run<P: Clone, R: Rng + ?Sized>(
+    pub fn run<P: Clone, Q: Process<P>, R: Rng + ?Sized>(
         &self,
-        mut processes: Vec<Box<dyn Process<P>>>,
+        processes: &mut [Q],
         rng: &mut R,
         plan: &FaultPlan,
     ) -> (Execution, FaultLog) {
@@ -187,13 +189,13 @@ impl Engine {
 
         // Min-heap on (time, sequence) for deterministic tie-breaking.
         let mut queue: BinaryHeap<Reverse<(RealTime, u64)>> = BinaryHeap::new();
-        let mut payloads: HashMap<u64, EventKind<P>> = HashMap::new();
+        let mut payloads: HashMap<u64, (ProcessorId, Stimulus<P>)> = HashMap::new();
         let mut seq = 0u64;
         let push = |queue: &mut BinaryHeap<_>,
-                    payloads: &mut HashMap<u64, EventKind<P>>,
+                    payloads: &mut HashMap<u64, (ProcessorId, Stimulus<P>)>,
                     seq: &mut u64,
                     at: RealTime,
-                    kind: EventKind<P>| {
+                    kind: (ProcessorId, Stimulus<P>)| {
             queue.push(Reverse((at, *seq)));
             payloads.insert(*seq, kind);
             *seq += 1;
@@ -205,7 +207,7 @@ impl Engine {
                 &mut payloads,
                 &mut seq,
                 s,
-                EventKind::Start(ProcessorId(i)),
+                (ProcessorId(i), Stimulus::Start),
             );
         }
 
@@ -219,53 +221,30 @@ impl Engine {
                 processed <= self.max_events,
                 "event cap exceeded: protocol does not terminate"
             );
-            let kind = payloads.remove(&s).expect("event payload present");
-            let p = match &kind {
-                EventKind::Start(p) | EventKind::Timer(p) => *p,
-                EventKind::Deliver { to, .. } => *to,
-            };
+            let (p, stimulus) = payloads.remove(&s).expect("event payload present");
             let clock = ClockTime::ZERO + (now - self.starts[p.index()]);
             if plan.crash_time(p).is_some_and(|t| now >= t) {
-                match kind {
+                match stimulus {
                     // The processor booted, then died: keep the mandatory
                     // start event so its (empty) view stays well-formed.
-                    EventKind::Start(_) => events[p.index()].push(ViewEvent::Start { clock }),
+                    Stimulus::Start => events[p.index()].push(ViewEvent::Start { clock }),
                     // A message into the void; the sender's send event is
                     // erased at harvest.
-                    EventKind::Deliver { id, .. } => {
+                    Stimulus::Message { id, .. } => {
                         self.recorder.incr("sim.messages_dropped", 1);
                         log.dropped.push(id);
                     }
-                    EventKind::Timer(_) => {}
+                    Stimulus::Timer => {}
                 }
                 continue;
             }
-            let mut ctx = ProcessCtx {
-                id: p,
-                clock,
-                neighbors: self.neighbors[p.index()].clone(),
-                sends: Vec::new(),
-                timers: Vec::new(),
-            };
-
-            match kind {
-                EventKind::Start(_) => {
-                    events[p.index()].push(ViewEvent::Start { clock });
-                    processes[p.index()].on_start(&mut ctx);
-                }
-                EventKind::Timer(_) => {
-                    self.recorder.incr("sim.timers_fired", 1);
-                    events[p.index()].push(ViewEvent::Timer { clock });
-                    processes[p.index()].on_timer(&mut ctx);
-                }
-                EventKind::Deliver {
-                    from, id, payload, ..
-                } => {
-                    self.recorder.incr("sim.messages_delivered", 1);
-                    events[p.index()].push(ViewEvent::Recv { from, id, clock });
-                    processes[p.index()].on_message(from, payload, &mut ctx);
-                }
+            match stimulus {
+                Stimulus::Start => {}
+                Stimulus::Timer => self.recorder.incr("sim.timers_fired", 1),
+                Stimulus::Message { .. } => self.recorder.incr("sim.messages_delivered", 1),
             }
+            let process = &mut processes[p.index()];
+            let ctx = self.react(p, clock, process, stimulus, &mut events[p.index()]);
 
             // Apply the actions the process requested.
             for (to, payload) in ctx.sends {
@@ -274,34 +253,26 @@ impl Engine {
                     .links
                     .get(&key)
                     .unwrap_or_else(|| panic!("{p} sent to non-neighbor {to}"));
-                let forward = p.index() < to.index();
-                let mut delay = link.sample(forward, rng);
+                let transit = transit(
+                    link,
+                    p.index() < to.index(),
+                    plan.link_faults(key),
+                    now,
+                    rng,
+                );
                 let id = MessageId(next_msg_id);
                 next_msg_id += 1;
                 self.recorder.incr("sim.messages_sent", 1);
                 events[p.index()].push(ViewEvent::Send { to, id, clock });
-                let mut deliver = true;
-                let mut duplicate = false;
-                if let Some(lf) = plan.link_faults(key) {
-                    if lf.is_down_at(now) || (lf.drop_prob > 0.0 && rng.gen_bool(lf.drop_prob)) {
-                        deliver = false;
-                        self.recorder.incr("sim.messages_dropped", 1);
-                        log.dropped.push(id);
-                    } else {
-                        if lf.reorder_prob > 0.0 && rng.gen_bool(lf.reorder_prob) {
-                            // "Overtaken" by later traffic: resample as the
-                            // max of two draws — still inside the link's
-                            // support, so truthful assumptions stay valid.
-                            delay = delay.max(link.sample(forward, rng));
-                            log.reordered.push(id);
-                        }
-                        duplicate = lf.dup_prob > 0.0 && rng.gen_bool(lf.dup_prob);
-                    }
-                }
-                if !deliver {
+                let Some(transit) = transit else {
+                    self.recorder.incr("sim.messages_dropped", 1);
+                    log.dropped.push(id);
                     continue;
+                };
+                if transit.reordered {
+                    log.reordered.push(id);
                 }
-                if duplicate {
+                if let Some(copy_delay) = transit.copy {
                     // The copy is a genuine extra message: fresh id, its
                     // own send event (same clock) and its own delay draw.
                     let copy = MessageId(next_msg_id);
@@ -311,7 +282,6 @@ impl Engine {
                         id: copy,
                         clock,
                     });
-                    let copy_delay = link.sample(forward, rng);
                     self.recorder.incr("sim.messages_duplicated", 1);
                     log.duplicated.push((id, copy));
                     push(
@@ -319,25 +289,29 @@ impl Engine {
                         &mut payloads,
                         &mut seq,
                         now + copy_delay,
-                        EventKind::Deliver {
+                        (
                             to,
-                            from: p,
-                            id: copy,
-                            payload: payload.clone(),
-                        },
+                            Stimulus::Message {
+                                from: p,
+                                id: copy,
+                                payload: payload.clone(),
+                            },
+                        ),
                     );
                 }
                 push(
                     &mut queue,
                     &mut payloads,
                     &mut seq,
-                    now + delay,
-                    EventKind::Deliver {
+                    now + transit.delay,
+                    (
                         to,
-                        from: p,
-                        id,
-                        payload,
-                    },
+                        Stimulus::Message {
+                            from: p,
+                            id,
+                            payload,
+                        },
+                    ),
                 );
             }
             for at in ctx.timers {
@@ -346,40 +320,93 @@ impl Engine {
                     &mut payloads,
                     &mut seq,
                     self.starts[p.index()] + (at - ClockTime::ZERO),
-                    EventKind::Timer(p),
+                    (p, Stimulus::Timer),
                 );
             }
         }
 
-        // Erase the sends of messages that were never delivered (drop,
-        // down window, receiver crash): to the survivors, a lost message is
-        // indistinguishable from one never sent, and the view-set axioms
-        // require matched send/recv pairs. Every send is either delivered
-        // or logged as dropped, so a run that dropped nothing erases
-        // nothing.
-        if !log.dropped.is_empty() {
-            let lost: HashSet<MessageId> = log.dropped.iter().copied().collect();
-            for evts in &mut events {
-                evts.retain(|e| !matches!(e, ViewEvent::Send { id, .. } if lost.contains(id)));
-            }
-        }
-        let views: Vec<View> = events
-            .into_iter()
-            .enumerate()
-            .map(|(i, evts)| View::from_events(ProcessorId(i), evts))
-            .collect();
-        let views = ViewSet::new(views).expect("engine produces valid views");
-        let execution =
-            Execution::new(self.starts.clone(), views).expect("engine start/view counts match");
+        let (execution, per_link) = harvest(self.starts.clone(), events);
+        log.dropped_per_link = per_link;
         run_span.field("events", processed);
         run_span.finish();
         (execution, log)
     }
 
-    /// Convenience: per-processor start times.
-    pub fn starts(&self) -> &[RealTime] {
-        &self.starts
+    /// One step, the same on both executors: records `stimulus` in
+    /// processor `p`'s `view` at local time `clock`, lets `process` react,
+    /// and returns the sends and timers it asks for.
+    pub(crate) fn react<P, Q: Process<P>>(
+        &self,
+        p: ProcessorId,
+        clock: ClockTime,
+        process: &mut Q,
+        stimulus: Stimulus<P>,
+        view: &mut Vec<ViewEvent>,
+    ) -> ProcessCtx<P> {
+        let neighbors = self.neighbors[p.index()].clone();
+        let (sends, timers) = (Vec::new(), Vec::new());
+        let mut ctx = ProcessCtx {
+            id: p,
+            clock,
+            neighbors,
+            sends,
+            timers,
+        };
+        match stimulus {
+            Stimulus::Start => {
+                view.push(ViewEvent::Start { clock });
+                process.on_start(&mut ctx);
+            }
+            Stimulus::Timer => {
+                view.push(ViewEvent::Timer { clock });
+                process.on_timer(&mut ctx);
+            }
+            Stimulus::Message { from, id, payload } => {
+                view.push(ViewEvent::Recv { from, id, clock });
+                process.on_message(from, payload, &mut ctx);
+            }
+        }
+        ctx
     }
+}
+
+/// The harvest both executors share: builds the execution from each
+/// processor's events, erasing every send without a receive (to the
+/// survivors a lost message is indistinguishable from one never sent, and
+/// the model requires matched pairs), and counts each link's lost sends.
+/// Panics on invalid views, which only an executor bug can produce.
+pub(crate) fn harvest(
+    starts: Vec<RealTime>,
+    mut events: Vec<Vec<ViewEvent>>,
+) -> (Execution, BTreeMap<(usize, usize), usize>) {
+    let received: HashSet<MessageId> = events
+        .iter()
+        .flatten()
+        .filter_map(|e| match *e {
+            ViewEvent::Recv { id, .. } => Some(id),
+            _ => None,
+        })
+        .collect();
+    let mut lost = BTreeMap::new();
+    for (p, evts) in events.iter_mut().enumerate() {
+        evts.retain(|e| match *e {
+            ViewEvent::Send { to, id, .. } if !received.contains(&id) => {
+                *lost
+                    .entry((p.min(to.index()), p.max(to.index())))
+                    .or_default() += 1;
+                false
+            }
+            _ => true,
+        });
+    }
+    let views: Vec<View> = events
+        .into_iter()
+        .enumerate()
+        .map(|(i, evts)| View::from_events(ProcessorId(i), evts))
+        .collect();
+    let views = ViewSet::new(views).expect("executors produce valid views");
+    let execution = Execution::new(starts, views).expect("one start per view");
+    (execution, lost)
 }
 
 /// Silence-is-golden process: never sends anything. Useful for tests and
@@ -433,7 +460,7 @@ mod tests {
         // responder's start (the model has no pre-start queueing).
         let engine = Engine::new(vec![RealTime::from_nanos(1_000), RealTime::ZERO], links);
         let (exec, _) = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
+            &mut [Ping, Ping],
             &mut StdRng::seed_from_u64(1),
             &FaultPlan::new(),
         );
@@ -449,8 +476,8 @@ mod tests {
     #[test]
     fn idle_processes_produce_start_only_views() {
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], HashMap::new());
-        let (exec, _) = engine.run::<u64, _>(
-            vec![Box::new(IdleProcess), Box::new(IdleProcess)],
+        let (exec, _) = engine.run::<u64, _, _>(
+            &mut [IdleProcess, IdleProcess],
             &mut StdRng::seed_from_u64(1),
             &FaultPlan::new(),
         );
@@ -480,7 +507,7 @@ mod tests {
         links.insert((0usize, 1usize), link(100));
         let engine = Engine::new(vec![RealTime::from_nanos(10_000), RealTime::ZERO], links);
         let (exec, _) = engine.run(
-            vec![Box::new(TimedSender), Box::new(TimedSender)],
+            &mut [TimedSender, TimedSender],
             &mut StdRng::seed_from_u64(1),
             &FaultPlan::new(),
         );
@@ -506,13 +533,8 @@ mod tests {
                 .resolve(&mut StdRng::seed_from_u64(0)),
         );
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
-        let ping_pong = |plan: &FaultPlan| {
-            engine.run(
-                vec![Box::new(Ping), Box::new(Ping)],
-                &mut StdRng::seed_from_u64(5),
-                plan,
-            )
-        };
+        let ping_pong =
+            |plan: &FaultPlan| engine.run(&mut [Ping, Ping], &mut StdRng::seed_from_u64(5), plan);
         let (clean, log) = ping_pong(&FaultPlan::new());
         assert!(log.is_clean());
         assert_eq!(clean.messages().len(), 2);
@@ -531,11 +553,7 @@ mod tests {
         links.insert((0usize, 1usize), link(250));
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         let plan = FaultPlan::new().drop_messages(ProcessorId(0), ProcessorId(1), 1.0);
-        let (exec, log) = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(2),
-            &plan,
-        );
+        let (exec, log) = engine.run(&mut [Ping, Ping], &mut StdRng::seed_from_u64(2), &plan);
         // The ping was lost; no echo ever happened, and the sender's view
         // shows no send (it cannot know the loss occurred — but the model
         // requires matched pairs, so the send is erased).
@@ -550,11 +568,7 @@ mod tests {
         links.insert((0usize, 1usize), link(250));
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         let plan = FaultPlan::new().duplicate_messages(ProcessorId(0), ProcessorId(1), 1.0);
-        let (exec, log) = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(3),
-            &plan,
-        );
+        let (exec, log) = engine.run(&mut [Ping, Ping], &mut StdRng::seed_from_u64(3), &plan);
         // Ping duplicated → two pings delivered → two echoes, each also
         // duplicated → 6 messages, all with distinct ids (ViewSet::new
         // would have rejected reuse).
@@ -570,11 +584,7 @@ mod tests {
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         // p1 crashes before the ping can arrive.
         let plan = FaultPlan::new().crash(ProcessorId(1), RealTime::from_nanos(100));
-        let (exec, log) = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(4),
-            &plan,
-        );
+        let (exec, log) = engine.run(&mut [Ping, Ping], &mut StdRng::seed_from_u64(4), &plan);
         assert!(exec.messages().is_empty());
         assert_eq!(log.dropped.len(), 1);
         assert_eq!(
@@ -598,11 +608,7 @@ mod tests {
             RealTime::ZERO,
             RealTime::from_nanos(10),
         );
-        let (exec, log) = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(5),
-            &plan,
-        );
+        let (exec, log) = engine.run(&mut [Ping, Ping], &mut StdRng::seed_from_u64(5), &plan);
         assert!(exec.messages().is_empty());
         assert_eq!(log.dropped.len(), 1);
     }
@@ -617,11 +623,7 @@ mod tests {
         );
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         let plan = FaultPlan::new().reorder_messages(ProcessorId(0), ProcessorId(1), 1.0);
-        let (exec, log) = engine.run(
-            vec![Box::new(Ping), Box::new(Ping)],
-            &mut StdRng::seed_from_u64(6),
-            &plan,
-        );
+        let (exec, log) = engine.run(&mut [Ping, Ping], &mut StdRng::seed_from_u64(6), &plan);
         assert_eq!(exec.messages().len(), 2);
         assert_eq!(log.reordered.len(), 2);
         assert!(exec
@@ -635,11 +637,7 @@ mod tests {
     fn out_of_range_fault_plan_panics() {
         let engine = Engine::new(vec![RealTime::ZERO], HashMap::new());
         let plan = FaultPlan::new().crash(ProcessorId(5), RealTime::ZERO);
-        let _ = engine.run::<u64, _>(
-            vec![Box::new(IdleProcess)],
-            &mut StdRng::seed_from_u64(0),
-            &plan,
-        );
+        let _ = engine.run::<u64, _, _>(&mut [IdleProcess], &mut StdRng::seed_from_u64(0), &plan);
     }
 
     #[test]
@@ -656,7 +654,7 @@ mod tests {
         }
         let engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], HashMap::new());
         let _ = engine.run(
-            vec![Box::new(Rogue), Box::new(IdleProcess)],
+            &mut [Rogue, Rogue],
             &mut StdRng::seed_from_u64(1),
             &FaultPlan::new(),
         );
@@ -681,7 +679,7 @@ mod tests {
         let mut engine = Engine::new(vec![RealTime::ZERO, RealTime::ZERO], links);
         engine.set_max_events(1_000);
         let _ = engine.run(
-            vec![Box::new(Chatter), Box::new(Chatter)],
+            &mut [Chatter, Chatter],
             &mut StdRng::seed_from_u64(1),
             &FaultPlan::new(),
         );

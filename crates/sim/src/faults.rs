@@ -18,10 +18,13 @@
 //! therefore still satisfy every axiom of `clocksync_model` and remain
 //! admissible for truthful assumptions.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use clocksync_model::{MessageId, ProcessorId};
-use clocksync_time::RealTime;
+use clocksync_time::{Nanos, RealTime};
+use rand::Rng;
+
+use crate::delay::ResolvedLink;
 
 /// The failure behaviour of one undirected link.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,6 +58,46 @@ impl LinkFaults {
             && self.reorder_prob == 0.0
             && self.down.is_empty()
     }
+}
+
+/// One delivered send's passage: its delay, whether reordering resampled
+/// it, and a duplicate's own delay if the link made one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Transit {
+    pub(crate) delay: Nanos,
+    pub(crate) reordered: bool,
+    pub(crate) copy: Option<Nanos>,
+}
+
+/// The per-send fault decision both executors share: samples the delay
+/// of a send at real time `at` in one direction of `link`, then applies
+/// the link's `faults`. `None` means lost (a down window or a drop); a
+/// reordering resamples the delay as the maximum of two draws, still in
+/// the link's support. A fault draws from `rng` only where its
+/// probability is positive, in the order delay, drop, reorder, duplicate.
+pub(crate) fn transit<R: Rng + ?Sized>(
+    link: &ResolvedLink,
+    forward: bool,
+    faults: Option<&LinkFaults>,
+    at: RealTime,
+    rng: &mut R,
+) -> Option<Transit> {
+    let mut delay = link.sample(forward, rng);
+    let benign = LinkFaults::default();
+    let lf = faults.unwrap_or(&benign);
+    if lf.is_down_at(at) || (lf.drop_prob > 0.0 && rng.gen_bool(lf.drop_prob)) {
+        return None;
+    }
+    let reordered = lf.reorder_prob > 0.0 && rng.gen_bool(lf.reorder_prob);
+    if reordered {
+        delay = delay.max(link.sample(forward, rng));
+    }
+    let copy = (lf.dup_prob > 0.0 && rng.gen_bool(lf.dup_prob)).then(|| link.sample(forward, rng));
+    Some(Transit {
+        delay,
+        reordered,
+        copy,
+    })
 }
 
 /// A complete fault schedule for one simulated execution.
@@ -229,6 +272,9 @@ pub struct FaultLog {
     /// window, or receiver crash). Their send events are erased from the
     /// harvested views, so these ids do not appear in the execution.
     pub dropped: Vec<MessageId>,
+    /// How many of `dropped` each canonical link `(low, high)` carried,
+    /// both directions together; links that lost nothing are absent.
+    pub dropped_per_link: BTreeMap<(usize, usize), usize>,
     /// `(original, copy)` pairs for duplicated deliveries. The copy is a
     /// real message of the execution with its own id — unless its receiver
     /// crashed first, in which case it also appears in `dropped`.

@@ -1,12 +1,12 @@
-//! A discrete-event network simulator for clock-synchronization
-//! experiments.
+//! A network simulator for clock-synchronization experiments, with a
+//! discrete-event executor and a threaded one.
 //!
 //! The PODC'93 paper evaluates nothing empirically — it is pure theory over
 //! mathematical executions. This crate is the reproduction's substitute
-//! for those executions: it *generates* them, at nanosecond granularity,
-//! with full ground truth retained so experiments can compare the
-//! synchronizer's guaranteed precision against the true (observer-side)
-//! error.
+//! for those executions: it *generates* them, at nanosecond granularity
+//! in virtual time or on real threads, with full ground truth retained so
+//! experiments can compare the synchronizer's guaranteed precision against
+//! the true (observer-side) error.
 //!
 //! * [`Topology`] — path/ring/star/complete/grid/random-connected link
 //!   sets;
@@ -17,9 +17,12 @@
 //!   runs reactive processes and records paper-accurate
 //!   [`clocksync_model::Execution`]s;
 //! * [`ProbeProcess`] — the round-trip probe protocol used by all
-//!   experiments;
+//!   experiments, with an optional retry rule, and the per-link
+//!   [`LinkHealth`] its rounds earn;
 //! * [`Simulation`] — the one-stop scenario API: topology + delay models +
-//!   (optionally truthful) assumptions, seeded and reproducible.
+//!   (optionally truthful) assumptions + fault plan, seeded and
+//!   reproducible, run on the engine ([`Simulation::run`]) or on OS
+//!   threads ([`Simulation::run_threaded`]).
 //!
 //! # Examples
 //!
@@ -40,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cluster;
 mod delay;
 mod distributed;
 mod drift;
@@ -49,6 +53,7 @@ mod protocol;
 mod scenario;
 mod topology;
 
+pub use cluster::{ThreadedRun, Threads};
 pub use delay::{DelayDistribution, LinkModel, ResolvedLink, HEAVY_TAIL_CAP};
 pub use distributed::{DistMsg, DistRun, DistributedSync, FaultyDistRun};
 pub use drift::{
@@ -57,6 +62,6 @@ pub use drift::{
 };
 pub use engine::{Engine, IdleProcess, Process, ProcessCtx, MAX_EVENTS};
 pub use faults::{FaultLog, FaultPlan, LinkFaults};
-pub use protocol::ProbeProcess;
+pub use protocol::{LinkHealth, LinkState, ProbeProcess};
 pub use scenario::{truthful_assumption, LinkSpec, SimRun, Simulation, SimulationBuilder};
 pub use topology::Topology;

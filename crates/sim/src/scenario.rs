@@ -9,9 +9,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::delay::{DelayDistribution, LinkModel, ResolvedLink};
-use crate::engine::{Engine, Process};
+use crate::engine::Engine;
 use crate::faults::{FaultLog, FaultPlan};
-use crate::protocol::ProbeProcess;
+use crate::protocol::{check_retry, link_health, LinkHealth, ProbeProcess};
 use crate::topology::Topology;
 
 /// Derives the tightest delay assumption that the sampled delays of
@@ -49,7 +49,11 @@ pub struct LinkSpec {
     pub assumption: LinkAssumption,
 }
 
-/// A repeatable simulation scenario.
+/// A repeatable simulation scenario: processors, links with their delay
+/// models and declared assumptions, the probe protocol's settings and a
+/// fault plan. [`Simulation::run`] executes it on the discrete-event
+/// engine; [`Simulation::run_threaded`] executes the same scenario on OS
+/// threads with real sleeps.
 ///
 /// # Examples
 ///
@@ -77,8 +81,9 @@ pub struct Simulation {
     probes: usize,
     spacing: Nanos,
     start_spread: Nanos,
-    faults: FaultPlan,
-    recorder: Recorder,
+    retry: Option<(Nanos, u32)>,
+    pub(crate) faults: FaultPlan,
+    pub(crate) recorder: Recorder,
 }
 
 impl Simulation {
@@ -91,6 +96,7 @@ impl Simulation {
                 probes: 2,
                 spacing: Nanos::from_millis(10),
                 start_spread: Nanos::from_millis(5),
+                retry: None,
                 faults: FaultPlan::new(),
                 recorder: Recorder::disabled(),
             },
@@ -134,26 +140,35 @@ impl Simulation {
     /// Runs the scenario with a seed: samples start offsets and delays,
     /// executes the probe protocol under the fault plan, and returns the
     /// recorded run with the [`FaultLog`] of what the plan did to this
-    /// seed's execution. With an empty plan the log is clean.
+    /// seed's execution and each link's [`LinkHealth`]. With an empty plan
+    /// the log is clean.
     pub fn run(&self, seed: u64) -> SimRun {
         let mut rng = StdRng::seed_from_u64(seed);
         let engine = self.engine(&mut rng, &self.recorder);
-        // Probes start only after every processor has started.
-        let initial_delay = self.start_spread + Nanos::from_micros(100);
-        let processes: Vec<Box<dyn Process>> = (0..self.n)
-            .map(|_| {
-                Box::new(
-                    ProbeProcess::new(self.probes, self.spacing, initial_delay)
-                        .with_recorder(self.recorder.clone()),
-                ) as Box<dyn Process>
-            })
-            .collect();
-        let (execution, faults) = engine.run(processes, &mut rng, &self.faults);
+        let mut processes = self.processes();
+        let (execution, faults) = engine.run(&mut processes, &mut rng, &self.faults);
         SimRun {
             network: self.network(),
+            health: link_health(&self.links, &processes, &faults.dropped_per_link),
             execution,
             faults,
         }
+    }
+
+    /// One [`ProbeProcess`] per processor, under the scenario's settings.
+    pub(crate) fn processes(&self) -> Vec<ProbeProcess> {
+        // Probes start only after every processor has started.
+        let initial_delay = self.start_spread + Nanos::from_micros(100);
+        (0..self.n)
+            .map(|_| {
+                let mut process = ProbeProcess::new(self.probes, self.spacing, initial_delay)
+                    .with_recorder(self.recorder.clone());
+                if let Some((deadline, retries)) = self.retry {
+                    process = process.with_retry(deadline, retries);
+                }
+                process
+            })
+            .collect()
     }
 
     /// Draws a run's hidden randomness from `rng` in the order every runner
@@ -207,7 +222,9 @@ impl SimulationBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the endpoints are out of range or equal.
+    /// Panics if the endpoints are out of range or equal, or if the
+    /// scenario already has a link between them (in either orientation):
+    /// a run samples one delay model per link.
     pub fn link(
         mut self,
         a: usize,
@@ -217,6 +234,14 @@ impl SimulationBuilder {
     ) -> Self {
         assert!(a != b, "link endpoints must differ");
         assert!(a < self.sim.n && b < self.sim.n, "endpoint out of range");
+        assert!(
+            !self
+                .sim
+                .links
+                .iter()
+                .any(|l| (l.a, l.b) == (a.min(b), a.max(b))),
+            "link {a}–{b} declared twice"
+        );
         let (a, b, model, assumption) = if a < b {
             (a, b, model, assumption)
         } else {
@@ -279,6 +304,19 @@ impl SimulationBuilder {
         self
     }
 
+    /// Gives the probe protocol a retry rule, off by default (see
+    /// [`ProbeProcess::with_retry`]); failed rounds degrade the link's
+    /// [`LinkHealth`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `deadline` is positive, or if `retries > 16`.
+    pub fn retry(mut self, deadline: Nanos, retries: u32) -> Self {
+        check_retry(deadline, retries);
+        self.sim.retry = Some((deadline, retries));
+        self
+    }
+
     /// Attaches a fault plan: every run of the built scenario injects
     /// these faults (reproducibly, per seed). See [`FaultPlan`].
     pub fn faults(mut self, plan: FaultPlan) -> Self {
@@ -319,6 +357,10 @@ pub struct SimRun {
     /// What the scenario's fault plan did, message by message (clean
     /// when the plan is empty).
     pub faults: FaultLog,
+    /// Per-link probe statistics and the degradation decision each
+    /// earns, in declaration order. `network` stays the declared network;
+    /// [`Simulation::degraded_network`] gives the degraded one.
+    pub health: Vec<LinkHealth>,
 }
 
 impl SimRun {
@@ -506,6 +548,33 @@ mod tests {
         let b = sim(benign).run(7);
         assert_eq!(a.execution, b.execution);
         assert!(a.faults.is_clean() && b.faults.is_clean());
+    }
+
+    /// A 2-node scenario declaring 0–1 as 10–20 µs and again as 50–60 µs:
+    /// a run samples one delay model per link, so it could not run the
+    /// network the two declarations conjoin.
+    fn declare_twice(a: usize, b: usize) -> SimulationBuilder {
+        let uniform = |lo, hi| {
+            LinkModel::symmetric(DelayDistribution::uniform(
+                Nanos::from_micros(lo),
+                Nanos::from_micros(hi),
+            ))
+        };
+        Simulation::builder(2)
+            .truthful_link(0, 1, uniform(10, 20))
+            .truthful_link(a, b, uniform(50, 60))
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0–1 declared twice")]
+    fn duplicate_link_panics() {
+        let _ = declare_twice(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1–0 declared twice")]
+    fn reversed_duplicate_link_panics() {
+        let _ = declare_twice(1, 0);
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!   subset yields another valid scenario with unchanged remaining
 //!   behaviour.
 //!
-//! Four [`Family`]s map a seed to one checked instance: plain scenarios,
+//! Five [`Family`]s map a seed to one checked instance: plain scenarios,
 //! far-clock scenarios (seeds from [`FAR_SEEDS`], `2^63`, up, whose clocks
-//! start up to 10^18 ns apart), Marzullo-fused link instances and
-//! bounded-drift workloads. [`sweep`] checks a block of seeds of every
+//! start up to 10^18 ns apart), Marzullo-fused link instances,
+//! bounded-drift workloads and runs of the retrying probe protocol under
+//! fault plans. [`sweep`] checks a block of seeds of every
 //! family, and every violation is one [`Failure`] naming family, seed and
 //! oracle.
 //!
@@ -46,6 +47,7 @@
 mod drift;
 mod gen;
 mod marzullo;
+mod probe;
 mod rng;
 pub mod runner;
 mod scenario;

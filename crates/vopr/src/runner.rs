@@ -212,6 +212,30 @@ pub(crate) fn honest_subset_hull(
     hull
 }
 
+/// The `corrected-agreement` check: within each component, corrected
+/// clocks `offset(p) + x_p`, for the true clock offsets, agree to within
+/// the component's precision.
+pub(crate) fn check_agreement(
+    outcome: &SyncOutcome,
+    offset: impl Fn(ProcessorId) -> Ratio,
+) -> Result<(), String> {
+    let x = outcome.corrections();
+    for component in outcome.components() {
+        for (i, &p) in component.members.iter().enumerate() {
+            for &q in &component.members[i + 1..] {
+                let gap = (offset(p) + x[p.index()] - (offset(q) + x[q.index()])).abs();
+                if gap > component.precision {
+                    return Err(format!(
+                        "corrected clocks of {p} and {q} disagree by {gap} > component precision {}",
+                        component.precision,
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A sweep-time check of an outcome the three targets agree on: the
 /// detail of its violation, if any.
 type Check = fn(&mut Runner<'_>, &SyncOutcome) -> Result<(), String>;
@@ -220,7 +244,11 @@ type Check = fn(&mut Runner<'_>, &SyncOutcome) -> Result<(), String>;
 const SWEEP_CHECKS: [(Oracle, Check); 6] = [
     (Oracle::RhoEqualsAmax, |r, o| r.check_identity(o)),
     (Oracle::EstimateSoundness, |r, o| r.check_soundness(o)),
-    (Oracle::CorrectedAgreement, |r, o| r.check_agreement(o)),
+    (Oracle::CorrectedAgreement, |r, o| {
+        check_agreement(o, |p| {
+            Ratio::from_int(i128::from(r.world.offset(p.index())))
+        })
+    }),
     (Oracle::MonotoneTightening, |r, o| r.check_monotone(o)),
     (Oracle::SparseEqualsDense, |r, _| r.check_sparse_kernels()),
     (Oracle::MarzulloHonestSubset, |r, _| r.check_marzullo()),
@@ -913,29 +941,6 @@ impl Runner<'_> {
         };
         check(self.online.local_estimates(), "local estimate")?;
         check(&outcome.global_shift_estimates(), "closed estimate")
-    }
-
-    fn check_agreement(&self, outcome: &SyncOutcome) -> Result<(), String> {
-        let x = outcome.corrections();
-        for component in outcome.components() {
-            for (i, &p) in component.members.iter().enumerate() {
-                for &q in &component.members[i + 1..] {
-                    let corrected_p =
-                        Ratio::from_int(i128::from(self.world.offset(p.index()))) + x[p.index()];
-                    let corrected_q =
-                        Ratio::from_int(i128::from(self.world.offset(q.index()))) + x[q.index()];
-                    let gap = (corrected_p - corrected_q).abs();
-                    if gap > component.precision {
-                        return Err(format!(
-                            "corrected clocks of {p} and {q} disagree by {} > component precision {}",
-                            gap,
-                            component.precision,
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The sparse Johnson closure kernel against the dense blocked kernel,

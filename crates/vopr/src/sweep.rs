@@ -1,6 +1,6 @@
 //! The registry of what vopr checks, and the one seeded loop over it.
 //!
-//! Four [`Family`]s each map a seed to one checked instance:
+//! Five [`Family`]s each map a seed to one checked instance:
 //!
 //! * **plain** — the scenario [`generate`]`(seed)`, run against the three
 //!   engines with the scenario oracles after every event (`runner.rs`);
@@ -9,7 +9,10 @@
 //! * **marzullo** — one fused link instance under a fault overlay,
 //!   checked by `marzullo-honest-subset` (`marzullo.rs`);
 //! * **drift** — one bounded-drift workload, checked by `drift-soundness`
-//!   (`drift.rs`).
+//!   (`drift.rs`);
+//! * **probe** — one run of the retrying probe protocol under a generated
+//!   fault plan, checked by `no-panic`, `degraded-admits` and
+//!   `corrected-agreement` (`probe.rs`).
 //!
 //! [`sweep`] checks seeds `base..base + count` of every family, family by
 //! family in [`Family::ALL`] order. Every violation is one [`Failure`]
@@ -21,7 +24,7 @@ use std::fmt;
 use crate::gen::{generate, FAR_SEEDS};
 use crate::runner::{run_scenario, RunReport};
 use crate::scenario::Scenario;
-use crate::{drift, marzullo};
+use crate::{drift, marzullo, probe};
 
 /// The oracle catalogue (`DESIGN.md` §9.3). [`Oracle::name`] is the name
 /// journals and failure reports carry.
@@ -51,6 +54,9 @@ pub enum Oracle {
     MarzulloHonestSubset,
     /// Decayed drift certificates stay sound and degenerate at zero drift.
     DriftSoundness,
+    /// A probe run's link tallies add up, and the network its link health
+    /// degrades to admits the execution.
+    DegradedAdmits,
 }
 
 impl Oracle {
@@ -69,6 +75,7 @@ impl Oracle {
             Oracle::SparseEqualsDense => "sparse-equals-dense",
             Oracle::MarzulloHonestSubset => "marzullo-honest-subset",
             Oracle::DriftSoundness => "drift-soundness",
+            Oracle::DegradedAdmits => "degraded-admits",
         }
     }
 }
@@ -85,15 +92,18 @@ pub enum Family {
     Marzullo,
     /// Bounded-drift one-shot and continuous-resync workloads.
     Drift,
+    /// The retrying probe protocol on the engine under fault plans.
+    Probe,
 }
 
 impl Family {
     /// Every family, in the order a [`sweep`] checks them.
-    pub const ALL: [Family; 4] = [
+    pub const ALL: [Family; 5] = [
         Family::Plain,
         Family::FarClock,
         Family::Marzullo,
         Family::Drift,
+        Family::Probe,
     ];
 
     /// The family's name in reports.
@@ -103,6 +113,7 @@ impl Family {
             Family::FarClock => "far-clock",
             Family::Marzullo => "marzullo",
             Family::Drift => "drift",
+            Family::Probe => "probe",
         }
     }
 
@@ -120,19 +131,22 @@ impl Family {
     /// targets or in a drift run becomes a failure; it still reaches the
     /// panic hook, which callers silence with [`crate::with_quiet_panics`].
     pub fn check(self, seed: u64) -> Checked {
-        let (oracle, result) = match self {
+        let result = match self {
             Family::Plain => return Checked::scenario(self, seed, generate(seed)),
             Family::FarClock => {
                 return Checked::scenario(self, seed, generate(FAR_SEEDS.wrapping_add(seed)))
             }
-            Family::Marzullo => (Oracle::MarzulloHonestSubset, marzullo::check_seed(seed)),
-            Family::Drift => (Oracle::DriftSoundness, drift::check_seed(seed)),
+            Family::Marzullo => {
+                marzullo::check_seed(seed).map_err(|d| (Oracle::MarzulloHonestSubset, d))
+            }
+            Family::Drift => drift::check_seed(seed).map_err(|d| (Oracle::DriftSoundness, d)),
+            Family::Probe => probe::check_seed(seed),
         };
         Checked {
             family: self,
             seed,
             run: None,
-            failure: result.err().map(|detail| Failure {
+            failure: result.err().map(|(oracle, detail)| Failure {
                 family: self,
                 seed,
                 oracle,

@@ -26,9 +26,8 @@
 
 use clocksync_apps::{fmt_ext_us, row, section, trace_flag};
 use clocksync_model::ProcessorId;
-use clocksync_net::{ClusterConfig, LinkConfig};
 use clocksync_obs::Recorder;
-use clocksync_sim::{FaultPlan, Simulation, Topology};
+use clocksync_sim::{DelayDistribution, FaultPlan, LinkModel, Simulation, Threads, Topology};
 use clocksync_time::{Nanos, RealTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -114,22 +113,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // per-link retry counters, RTT/backoff histograms and link-health
     // events to the trace.
     section("live threaded cluster with a lossy link");
-    let net = ClusterConfig::new(3)
-        .link(
-            0,
-            1,
-            LinkConfig::uniform(Nanos::from_micros(200), Nanos::from_millis(1)),
-        )
-        .link(
-            1,
-            2,
-            LinkConfig::uniform(Nanos::from_micros(200), Nanos::from_millis(1)).loss(400_000),
-        )
+    let link = LinkModel::symmetric(DelayDistribution::uniform(
+        Nanos::from_micros(200),
+        Nanos::from_millis(1),
+    ));
+    let net = Simulation::builder(3)
+        .truthful_link(0, 1, link.clone())
+        .truthful_link(1, 2, link)
         .probes(2)
-        .probe_deadline(Nanos::from_millis(8))
-        .retries(5)
-        .with_recorder(recorder.clone())
-        .run(7);
+        .spacing(Nanos::from_millis(2))
+        .start_spread(Nanos::from_millis(2))
+        .retry(Nanos::from_millis(8), 5)
+        .faults(FaultPlan::new().drop_messages(ProcessorId(1), ProcessorId(2), 0.4))
+        .recorder(recorder.clone())
+        .build()
+        .run_threaded(7, Threads::default());
     for h in &net.health {
         row(&format!("link {}–{}", h.a, h.b), h.state.to_string());
     }

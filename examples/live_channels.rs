@@ -2,26 +2,30 @@
 //!
 //! Run with: `cargo run --example live_channels`
 //!
-//! Three processor threads start at secret offsets, probe each other over
-//! crossbeam channels whose messages are held for a sampled delay, and
-//! record only what the model allows them to see. The harvested views go
-//! through the same optimal synchronizer as the simulator-driven examples;
-//! the harness compares against the measured true start offsets.
+//! Three processor threads start at secret offsets, run the simulator's
+//! probe protocol over channels whose messages are held for a sampled
+//! delay, and record only what the model allows them to see. The
+//! harvested views go through the same optimal synchronizer as the
+//! simulator-driven examples; the harness compares against the measured
+//! true start offsets.
 
 use clocksync_apps::{fmt_ext_us, fmt_us, row, section};
 use clocksync_model::ProcessorId;
-use clocksync_net::{ClusterConfig, LinkConfig};
+use clocksync_sim::{DelayDistribution, LinkModel, Simulation, Threads};
 use clocksync_time::{Ext, Nanos, RealTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ms = Nanos::from_millis;
-    let run = ClusterConfig::new(3)
-        .link(0, 1, LinkConfig::uniform(ms(1), ms(3)))
-        .link(1, 2, LinkConfig::uniform(ms(2), ms(5)))
-        .link(0, 2, LinkConfig::uniform(ms(1), ms(6)))
+    let uniform = |lo, hi| LinkModel::symmetric(DelayDistribution::uniform(ms(lo), ms(hi)));
+    let run = Simulation::builder(3)
+        .truthful_link(0, 1, uniform(1, 3))
+        .truthful_link(1, 2, uniform(2, 5))
+        .truthful_link(0, 2, uniform(1, 6))
         .probes(3)
+        .spacing(ms(2))
         .start_spread(ms(4))
-        .run(2026);
+        .build()
+        .run_threaded(2026, Threads::default());
 
     assert!(run.network.admits(&run.execution));
     let outcome = run.synchronize()?;

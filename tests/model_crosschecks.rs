@@ -1,12 +1,13 @@
-//! Cross-checks between the three execution sources (analytic builder,
-//! discrete-event engine, threaded runtime) and the formal model.
+//! Cross-checks between the execution sources (analytic builder and
+//! discrete-event engine) and the formal model. The engine and the
+//! threaded executor are cross-checked in `clocksync-sim`'s cluster tests.
 
 use std::collections::HashMap;
 
 use clocksync::{DelayRange, LinkAssumption, Network, Synchronizer};
 use clocksync_model::{ExecutionBuilder, ProcessorId, ViewEvent};
 use clocksync_sim::{
-    DelayDistribution, Engine, FaultPlan, LinkModel, ProbeProcess, Process, Simulation, Topology,
+    DelayDistribution, Engine, FaultPlan, LinkModel, ProbeProcess, Simulation, Topology,
 };
 use clocksync_time::{Ext, Nanos, RealTime};
 use rand::rngs::StdRng;
@@ -27,15 +28,9 @@ fn engine_matches_analytic_builder_on_constant_delays() {
     );
     let starts = vec![RealTime::from_nanos(500), RealTime::ZERO];
     let engine = Engine::new(starts.clone(), links);
-    let mk = || {
-        Box::new(ProbeProcess::new(
-            2,
-            Nanos::from_micros(50),
-            Nanos::from_micros(10),
-        )) as Box<dyn Process>
-    };
+    let mk = || ProbeProcess::new(2, Nanos::from_micros(50), Nanos::from_micros(10));
     let (from_engine, _) = engine.run(
-        vec![mk(), mk()],
+        &mut [mk(), mk()],
         &mut StdRng::seed_from_u64(1),
         &FaultPlan::new(),
     );
