@@ -46,12 +46,15 @@ impl Baseline for NtpMinFilter {
                 actual: views.len(),
             });
         }
-        let obs = views.link_observations();
+        let obs = network.link_observations(views);
         let tree = spanning_tree(network)?;
         let mut x = vec![Ratio::ZERO; network.n()];
         for (parent, child) in tree {
-            let fwd = obs.estimated_min(parent, child);
-            let bwd = obs.estimated_min(child, parent);
+            let d_min = |p, q| {
+                let slot = network.slot(p, q).expect("tree edges are declared links");
+                obs.stats(slot).est_min
+            };
+            let (fwd, bwd) = (d_min(parent, child), d_min(child, parent));
             let (Ext::Finite(fwd), Ext::Finite(bwd)) = (fwd, bwd) else {
                 let (a, b) = if parent < child {
                     (parent, child)

@@ -47,12 +47,12 @@ impl Baseline for TreeMidpoint {
                 actual: views.len(),
             });
         }
-        let local = estimated_local_shifts(network, &views.link_observations());
+        let local = estimated_local_shifts(network, &network.link_observations(views));
         let tree = spanning_tree(network)?;
         let mut x = vec![Ratio::ZERO; network.n()];
         for (parent, child) in tree {
-            let fwd = local[(parent.index(), child.index())];
-            let bwd = local[(child.index(), parent.index())];
+            let fwd = local.get(parent.index(), child.index());
+            let bwd = local.get(child.index(), parent.index());
             let (Ext::Finite(fwd), Ext::Finite(bwd)) = (fwd, bwd) else {
                 let (a, b) = if parent < child {
                     (parent, child)

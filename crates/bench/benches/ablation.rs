@@ -22,8 +22,10 @@ fn bench_ablation(c: &mut Criterion) {
             .probes(1)
             .build();
         let run = sim.run(7);
-        let local =
-            estimated_local_shifts(&run.network, &run.execution.views().link_observations());
+        let local = estimated_local_shifts(
+            &run.network,
+            &run.network.link_observations(run.execution.views()),
+        );
 
         group.bench_with_input(BenchmarkId::new("exact", n), &local, |b, local| {
             b.iter(|| {
@@ -31,8 +33,9 @@ fn bench_ablation(c: &mut Criterion) {
                 shifts(&closure, 0)
             })
         });
-        group.bench_with_input(BenchmarkId::new("f64", n), &local, |b, local| {
-            b.iter(|| pipeline_f64(black_box(local)))
+        let dense = local.to_matrix();
+        group.bench_with_input(BenchmarkId::new("f64", n), &dense, |b, dense| {
+            b.iter(|| pipeline_f64(black_box(dense)))
         });
     }
     group.finish();

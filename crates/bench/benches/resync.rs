@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use clocksync::{estimated_local_shifts, DelayRange, LinkAssumption, Network, OnlineSynchronizer};
+use clocksync::{DelayRange, LinkAssumption, Network, OnlineSynchronizer};
 use clocksync_graph::floyd_warshall;
 use clocksync_model::ProcessorId;
 use clocksync_time::Nanos;
@@ -65,7 +65,7 @@ fn bench_resync(c: &mut Criterion) {
                     ProcessorId(1),
                     Nanos::from_micros(500),
                 );
-                let local = estimated_local_shifts(&network, full.observations());
+                let local = full.local_estimates().to_matrix();
                 black_box(floyd_warshall(&local).expect("consistent stream"))
             })
         });

@@ -10,7 +10,7 @@
 //!   same sparse estimate matrices.
 //! * **resync**: online steady state — one new observation followed by a
 //!   fresh GLOBAL ESTIMATES matrix via
-//!   [`OnlineSynchronizer::global_estimates`]. The baseline re-derives the
+//!   [`OnlineSynchronizer::global_estimates`]. The baseline expands the
 //!   local estimates and recomputes the full closure per resync (the
 //!   behavior before the incremental cache); the incremental path folds
 //!   the tightened link into the scaled-`i64` cache with `relax_edge` in
@@ -30,10 +30,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use clocksync::{estimated_local_shifts, DelayRange, LinkAssumption, Network, OnlineSynchronizer};
+use clocksync::{DelayRange, LinkAssumption, Network, OnlineSynchronizer};
 use clocksync_graph::{
-    blocked_floyd_warshall_i64, dispatch_closure_i64, floyd_warshall, plan_closure_kernel, Closure,
-    SquareMatrix, Weight, UNREACHABLE,
+    blocked_floyd_warshall_i64, dispatch_closure_i64, floyd_warshall, link_counts,
+    plan_closure_kernel, Closure, SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_model::ProcessorId;
 use clocksync_time::{Ext, Nanos, Ratio};
@@ -195,7 +195,8 @@ fn measure_sparse_one(topology: String, m: SquareMatrix<i64>) -> SparseRow {
         .iter()
         .filter(|&(i, j, &w)| i != j && w != UNREACHABLE)
         .count();
-    let kernel = plan_closure_kernel(&m);
+    let (table, counts) = link_counts(&m);
+    let kernel = plan_closure_kernel(&table, &counts);
     // The dense kernel is O(n³) — a minute of single-threaded work at
     // n = 4096 — so repetitions taper off with size.
     let dense_reps = (2048 / n).clamp(1, 3);
@@ -318,8 +319,8 @@ pub fn measure_resync(n: usize, iters: usize) -> ResyncRow {
     }
     let incremental_ns = start.elapsed().as_nanos() / iters as u128;
 
-    // Baseline: identical stream, but every resync re-derives the local
-    // estimates and recomputes the closure with the generic kernel — what
+    // Baseline: identical stream, but every resync recomputes the closure
+    // of the local estimates' dense view with the generic kernel — what
     // the synchronizer did before the cache existed.
     let mut baseline = OnlineSynchronizer::new(network.clone());
     warm_up(&mut baseline, n);
@@ -333,7 +334,7 @@ pub fn measure_resync(n: usize, iters: usize) -> ResyncRow {
             Nanos::new(delay),
         );
         delay -= 1_000;
-        let local = estimated_local_shifts(&network, baseline.observations());
+        let local = baseline.local_estimates().to_matrix();
         let closure = floyd_warshall(&local).expect("consistent stream");
         std::hint::black_box(closure);
     }

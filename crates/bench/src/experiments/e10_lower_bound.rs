@@ -9,7 +9,7 @@
 //! `s_i = ms(0,i)` and `s_i = −ms(i,0)`.
 
 use clocksync::{global_estimates, DelayRange, LinkAssumption, Network, Synchronizer};
-use clocksync_graph::{SquareMatrix, Weight};
+use clocksync_graph::{LinkWeights, SquareMatrix, Weight};
 use clocksync_model::{Execution, ExecutionBuilder, LinkEvidence, MsgSample, ProcessorId};
 use clocksync_time::{ExtRatio, Nanos, Ratio, RealTime};
 
@@ -136,7 +136,7 @@ fn true_shift_closure(net: &Network, exec: &Execution) -> SquareMatrix<ExtRatio>
         m[(a.index(), b.index())] = assumption.estimated_mls(&ev);
         m[(b.index(), a.index())] = assumption.reversed().estimated_mls(&ev.reversed());
     }
-    global_estimates(&m).expect("true shifts have no negative cycles")
+    global_estimates(&LinkWeights::from_matrix(&m)).expect("true shifts have no negative cycles")
 }
 
 /// Runs the experiment.

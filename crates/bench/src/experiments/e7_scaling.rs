@@ -37,7 +37,7 @@ pub fn run() -> Table {
             .build();
         let run = sim.run(42);
         let views = run.execution.views();
-        let obs = views.link_observations();
+        let obs = run.network.link_observations(views);
 
         let t0 = Instant::now();
         let local = estimated_local_shifts(&run.network, &obs);

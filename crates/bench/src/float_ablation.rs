@@ -156,12 +156,14 @@ mod tests {
             .probes(2)
             .build();
         let run = sim.run(5);
-        let local =
-            estimated_local_shifts(&run.network, &run.execution.views().link_observations());
+        let local = estimated_local_shifts(
+            &run.network,
+            &run.network.link_observations(run.execution.views()),
+        );
         let closure = global_estimates(&local).unwrap();
         let exact = shifts(&closure, 0);
 
-        let (a_max_f, corrections_f) = pipeline_f64(&local);
+        let (a_max_f, corrections_f) = pipeline_f64(&local.to_matrix());
         let rel = (a_max_f - exact.precision.to_f64()).abs() / exact.precision.to_f64().max(1.0);
         assert!(rel < 1e-9, "float A_max drifted by {rel}");
         for (x, xf) in exact.corrections.iter().zip(&corrections_f) {

@@ -320,11 +320,12 @@ pub fn render_sync(report: &SyncReport) -> Vec<String> {
 
 /// Renders the full diagnosis for `clocksync explain`. Each pair's
 /// constraint chain comes from one successor matrix, derived from the run
-/// file's `m̃ls` and the outcome's closure.
+/// file's per-link `m̃ls` and the outcome's closure.
 pub fn render_explain(report: &SyncReport, run: &RunFile) -> Vec<String> {
     let mut out = render_sync(report);
     let outcome = &report.outcome;
-    let local = estimated_local_shifts(&run.network(), &run.views.link_observations());
+    let network = run.network();
+    let local = estimated_local_shifts(&network, &network.link_observations(&run.views));
     let next = shortest_path_successors(&local, &outcome.global_shift_estimates());
     for (k, comp) in outcome.components().iter().enumerate() {
         out.push(format!(

@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use clocksync_graph::SquareMatrix;
+use clocksync_graph::LinkWeights;
 use clocksync_model::{LinkObservations, ProcessorId};
 use clocksync_time::ExtRatio;
 use serde::{Deserialize, Serialize};
@@ -79,7 +79,8 @@ impl fmt::Display for LinkDegradation {
 
 /// Classifies every declared link of `network` against the local-shift
 /// estimates actually obtained from `observations` (`local` must be
-/// [`crate::estimated_local_shifts`] of the same inputs).
+/// [`crate::estimated_local_shifts`] of the same inputs), reading each
+/// link's two slots.
 ///
 /// Healthy links — both directed estimates finite — are omitted; the
 /// result lists only degradations, in the network's canonical link order.
@@ -90,16 +91,16 @@ impl fmt::Display for LinkDegradation {
 pub fn classify_degradations(
     network: &Network,
     observations: &LinkObservations,
-    local: &SquareMatrix<ExtRatio>,
+    local: &LinkWeights<ExtRatio>,
 ) -> Vec<LinkDegradation> {
     let mut out = Vec::new();
-    for (p, q, _) in network.links() {
-        let fwd = local[(p.index(), q.index())];
-        let bwd = local[(q.index(), p.index())];
+    for (p, q, _, s) in network.slotted_links() {
+        let r = network.link_table().reverse(s);
+        let (fwd, bwd) = (local[s], local[r]);
         if fwd.is_finite() && bwd.is_finite() {
             continue;
         }
-        let traffic = observations.stats(p, q).count + observations.stats(q, p).count;
+        let traffic = observations.stats(s).count + observations.stats(r).count;
         if traffic == 0 {
             out.push(LinkDegradation {
                 a: p,
@@ -129,6 +130,7 @@ pub fn classify_degradations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimates::tests::estimated_delays;
     use crate::{estimated_local_shifts, DelayRange, LinkAssumption};
     use clocksync_time::Nanos;
 
@@ -149,7 +151,7 @@ mod tests {
 
     #[test]
     fn silent_links_are_reported_as_silent() {
-        let obs = LinkObservations::empty(3);
+        let obs = LinkObservations::empty(net().link_table().len());
         let local = estimated_local_shifts(&net(), &obs);
         let degs = classify_degradations(&net(), &obs, &local);
         assert_eq!(degs.len(), 2);
@@ -161,12 +163,9 @@ mod tests {
 
     #[test]
     fn one_way_traffic_on_a_no_bounds_link_is_half_unbounded() {
-        let mut obs = LinkObservations::empty(3);
-        // P–Q gets a full round trip: healthy (finite both ways).
-        obs.record(P, Q, Nanos::new(40));
-        obs.record(Q, P, Nanos::new(60));
-        // Q–R carries traffic only Q → R: under no-bounds, m̃ls(R, Q) = +∞.
-        obs.record(Q, R, Nanos::new(30));
+        // P–Q gets a full round trip: healthy (finite both ways). Q–R
+        // carries traffic only Q → R: under no-bounds, m̃ls(R, Q) = +∞.
+        let obs = estimated_delays(&net(), &[(P, Q, 40), (Q, P, 60), (Q, R, 30)]);
         let local = estimated_local_shifts(&net(), &obs);
         let degs = classify_degradations(&net(), &obs, &local);
         assert_eq!(
@@ -182,11 +181,7 @@ mod tests {
 
     #[test]
     fn healthy_network_reports_nothing() {
-        let mut obs = LinkObservations::empty(3);
-        obs.record(P, Q, Nanos::new(40));
-        obs.record(Q, P, Nanos::new(60));
-        obs.record(Q, R, Nanos::new(30));
-        obs.record(R, Q, Nanos::new(35));
+        let obs = estimated_delays(&net(), &[(P, Q, 40), (Q, P, 60), (Q, R, 30), (R, Q, 35)]);
         let local = estimated_local_shifts(&net(), &obs);
         assert!(classify_degradations(&net(), &obs, &local).is_empty());
     }

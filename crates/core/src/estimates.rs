@@ -4,53 +4,52 @@
 //! bound is worked out on demand from `m̃ls` and the closure by
 //! [`crate::shortest_path_successors`].
 
-use clocksync_graph::{SquareMatrix, Weight};
+use clocksync_graph::{LinkWeights, SquareMatrix};
 use clocksync_model::LinkObservations;
-use clocksync_time::ExtRatio;
+use clocksync_time::{Ext, ExtRatio};
 
 use crate::route::close;
 use crate::{Network, SyncError};
 
-/// Computes the matrix of estimated maximal *local* shifts `m̃ls(p, q)` for
-/// every ordered pair, from the declared link assumptions and the observed
-/// estimated-delay extrema (paper §6).
+/// Computes the estimated maximal *local* shifts `m̃ls(p, q)` of every
+/// declared link direction, from the declared link assumptions and the
+/// observed evidence (paper §6), one per slot of the network's link table.
 ///
-/// Pairs without a declared link are locally unconstrained (`+∞`); the
-/// diagonal is `0`. Note that `m̃ls` values, unlike true `mls` values, may
-/// be negative: they absorb the unknown start-time difference
-/// `S_p − S_q`.
+/// Each entry reads one link's evidence (Lemmas 6.2 and 6.5). Pairs
+/// without a declared link are locally unconstrained (`+∞`) and the
+/// diagonal is `0`; [`LinkWeights::get`] answers them, and
+/// [`LinkWeights::to_matrix`] expands the `n × n` view. Note that `m̃ls`
+/// values, unlike true `mls` values, may be negative: they absorb the
+/// unknown start-time difference `S_p − S_q`.
 ///
 /// # Panics
 ///
-/// Panics if `network.n() != observations.n()`.
+/// Panics if `observations` is not over `network`'s link table.
 pub fn estimated_local_shifts(
     network: &Network,
     observations: &LinkObservations,
-) -> SquareMatrix<ExtRatio> {
+) -> LinkWeights<ExtRatio> {
+    let table = network.link_table();
     assert_eq!(
-        network.n(),
-        observations.n(),
-        "network and observations disagree on processor count"
+        table.len(),
+        observations.slots(),
+        "network and observations disagree on the link table"
     );
-    let mut m = SquareMatrix::from_fn(network.n(), |i, j| {
-        if i == j {
-            <ExtRatio as Weight>::zero()
-        } else {
-            <ExtRatio as Weight>::infinity()
-        }
-    });
-    for (p, q, assumption) in network.links() {
-        let evidence = observations.evidence(p, q);
-        m[(p.index(), q.index())] = assumption.estimated_mls(&evidence);
-        m[(q.index(), p.index())] = assumption.reversed().estimated_mls(&evidence.reversed());
+    let mut local = LinkWeights::filled(table.clone(), Ext::PosInf);
+    for (_, _, assumption, s) in network.slotted_links() {
+        let r = table.reverse(s);
+        let evidence = observations.evidence(s, r);
+        local[s] = assumption.estimated_mls(&evidence);
+        local[r] = assumption.reversed().estimated_mls(&evidence.reversed());
     }
-    m
+    local
 }
 
 /// The GLOBAL ESTIMATES function (paper §5.3, Theorem 5.5): turns local
 /// shift estimates into global ones by an all-pairs shortest-path
 /// computation. `m̃s(p,q)` is then the estimate of how far `q` can be
 /// shifted from `p` while *every* link stays admissible (Lemma 5.3).
+/// A dense `m̃ls` matrix takes [`LinkWeights::from_matrix`] first.
 ///
 /// Computed on the integer kernels over gauged half-nanosecond counts
 /// ([`clocksync_graph::Closure`]): every estimate is a whole or half
@@ -70,7 +69,7 @@ pub fn estimated_local_shifts(
 /// `m̃ls` equal cycle weights of `mls ≥ 0`, the start terms telescoping
 /// away); it indicates delays outside the promised bounds.
 pub fn global_estimates(
-    local: &SquareMatrix<ExtRatio>,
+    local: &LinkWeights<ExtRatio>,
 ) -> Result<SquareMatrix<ExtRatio>, SyncError> {
     global_estimates_traced(local, &clocksync_obs::Recorder::disabled())
 }
@@ -89,18 +88,19 @@ pub fn global_estimates(
 ///
 /// Same conditions as [`global_estimates`].
 pub fn global_estimates_traced(
-    local: &SquareMatrix<ExtRatio>,
+    local: &LinkWeights<ExtRatio>,
     recorder: &clocksync_obs::Recorder,
 ) -> Result<SquareMatrix<ExtRatio>, SyncError> {
     close(local, recorder).map(|closure| closure.ratio_dist())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{DelayRange, LinkAssumption};
+    use clocksync_model::MsgSample;
     use clocksync_model::ProcessorId;
-    use clocksync_time::{Ext, Nanos, Ratio};
+    use clocksync_time::{ClockTime, Nanos, Ratio};
 
     const P: ProcessorId = ProcessorId(0);
     const Q: ProcessorId = ProcessorId(1);
@@ -108,6 +108,23 @@ mod tests {
 
     fn fin(x: i128) -> ExtRatio {
         Ext::Finite(Ratio::from_int(x))
+    }
+
+    /// Evidence of one message per `(src, dst, d̃)`, read at clocks `0` and
+    /// `d̃`.
+    pub(crate) fn estimated_delays(
+        net: &Network,
+        delays: &[(ProcessorId, ProcessorId, i64)],
+    ) -> LinkObservations {
+        let mut obs = LinkObservations::empty(net.link_table().len());
+        for &(src, dst, d) in delays {
+            let sample = MsgSample {
+                send_clock: ClockTime::ZERO,
+                recv_clock: ClockTime::ZERO + Nanos::new(d),
+            };
+            obs.record_sample(net.slot(src, dst).expect("a declared link"), sample);
+        }
+        obs
     }
 
     fn chain_network() -> Network {
@@ -126,17 +143,15 @@ mod tests {
     }
 
     fn observations() -> LinkObservations {
-        let mut obs = LinkObservations::empty(3);
-        obs.record(P, Q, Nanos::new(4));
-        obs.record(Q, P, Nanos::new(6));
-        obs.record(Q, R, Nanos::new(2));
-        obs.record(R, Q, Nanos::new(8));
-        obs
+        estimated_delays(
+            &chain_network(),
+            &[(P, Q, 4), (Q, P, 6), (Q, R, 2), (R, Q, 8)],
+        )
     }
 
     #[test]
     fn local_estimates_follow_lemma_6_2() {
-        let m = estimated_local_shifts(&chain_network(), &observations());
+        let m = estimated_local_shifts(&chain_network(), &observations()).to_matrix();
         // m̃ls(P,Q) = min(ub − d̃max(Q,P), d̃min(P,Q) − lb) = min(10−6, 4−0) = 4.
         assert_eq!(m[(0, 1)], fin(4));
         // m̃ls(Q,P) = min(10−4, 6−0) = 6.
@@ -171,10 +186,8 @@ mod tests {
                 LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::new(100), Nanos::new(200))),
             )
             .build();
-        let mut obs = LinkObservations::empty(2);
         // d̃(P→Q) + d̃(Q→P) = RTT = 50 < 2·lb = 200: impossible.
-        obs.record(P, Q, Nanos::new(30));
-        obs.record(Q, P, Nanos::new(20));
+        let obs = estimated_delays(&net, &[(P, Q, 30), (Q, P, 20)]);
         let local = estimated_local_shifts(&net, &obs);
         let err = global_estimates(&local).unwrap_err();
         assert!(matches!(err, SyncError::InconsistentObservations { .. }));

@@ -27,9 +27,13 @@
 //!
 //! [`Synchronizer::synchronize`] composes the paper's four stages:
 //!
-//! 1. extract per-link estimated-delay extrema from the views (Lemma 6.1);
+//! 1. extract each declared link's estimated-delay evidence from the views
+//!    (Lemma 6.1), in one pass over their message table, into the slots
+//!    of the network's [`LinkTable`] ([`Network::link_observations`]);
 //! 2. evaluate each link's local shift estimator
-//!    ([`LinkAssumption::estimated_mls`], §6);
+//!    ([`LinkAssumption::estimated_mls`], §6), one `m̃ls` per slot
+//!    ([`estimated_local_shifts`]) — nothing before the closure is
+//!    `n × n`;
 //! 3. [`global_estimates`] — all-pairs shortest paths (§5.3) over
 //!    half-nanosecond counts, gauged so that clock offsets drop out;
 //! 4. SHIFTS (§4.4) — the maximum cycle mean gives the optimal
@@ -89,6 +93,9 @@ pub use assumption::{marzullo_fuse, DelayRange, LinkAssumption, MarzulloFusion};
 /// a closure ([`shortest_path_successors`], fed `m̃ls` and `m̃s`) and their
 /// expansion into processor sequences ([`reconstruct_path`]).
 pub use clocksync_graph::{reconstruct_path, shortest_path_successors};
+/// The link table and per-slot weights: the form of `m̃ls`
+/// ([`estimated_local_shifts`]) and of the evidence behind it.
+pub use clocksync_graph::{LinkTable, LinkWeights};
 pub use degradation::{classify_degradations, DegradationReason, LinkDegradation};
 pub use drift::DriftingOutcome;
 pub use error::SyncError;

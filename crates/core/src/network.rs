@@ -1,8 +1,10 @@
 //! The network specification: which links exist and what each assumes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use clocksync_model::{Execution, ProcessorId};
+use clocksync_graph::LinkTable;
+use clocksync_model::{Execution, LinkObservations, ProcessorId, ViewSet};
 use serde::{Deserialize, Serialize};
 
 use crate::LinkAssumption;
@@ -14,6 +16,13 @@ use crate::LinkAssumption;
 /// lower-indexed endpoint. Declaring the same link twice *conjoins* the
 /// assumptions (Theorem 5.6), which is exactly how the paper composes
 /// multiple delay restrictions on one link.
+///
+/// Building a network also builds its [`LinkTable`]: both directions of
+/// every declared link as one slot each, row by row in ascending
+/// neighbour order. Evidence ([`Network::link_observations`]) and local
+/// estimates ([`crate::estimated_local_shifts`]) are stored per slot, so
+/// nothing before the closure is `n × n`. The table is derived from the
+/// links and shared by every clone; it is never serialized.
 ///
 /// # Examples
 ///
@@ -34,16 +43,16 @@ use crate::LinkAssumption;
 pub struct Network {
     n: usize,
     links: BTreeMap<(usize, usize), LinkAssumption>,
+    #[serde(skip)]
+    table: Arc<LinkTable>,
 }
 
 impl Network {
     /// Starts building a network over `n` processors.
     pub fn builder(n: usize) -> NetworkBuilder {
         NetworkBuilder {
-            net: Network {
-                n,
-                links: BTreeMap::new(),
-            },
+            n,
+            links: BTreeMap::new(),
         }
     }
 
@@ -65,11 +74,41 @@ impl Network {
             .map(|(&(a, b), asm)| (ProcessorId(a), ProcessorId(b), asm))
     }
 
-    /// Whether the link `{p, q}` was declared: a map lookup, without the
-    /// clone [`Network::assumption`] makes.
-    pub fn has_link(&self, p: ProcessorId, q: ProcessorId) -> bool {
-        let key = (p.index().min(q.index()), p.index().max(q.index()));
-        self.links.contains_key(&key)
+    /// The link table: one slot per direction of every declared link.
+    pub fn link_table(&self) -> &Arc<LinkTable> {
+        &self.table
+    }
+
+    /// The slot of the direction `p → q` in the [link
+    /// table](Network::link_table), if `{p, q}` was declared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn slot(&self, p: ProcessorId, q: ProcessorId) -> Option<usize> {
+        self.table.slot(p.index(), q.index())
+    }
+
+    /// Declared links as `(low, high, assumption, slot)`, in the order of
+    /// [`Network::links`], with the slot of `low → high`; the slot of the
+    /// other direction is `link_table().reverse(slot)`.
+    pub(crate) fn slotted_links(
+        &self,
+    ) -> impl Iterator<Item = (ProcessorId, ProcessorId, &LinkAssumption, usize)> {
+        // Both run in ascending (low, high) order.
+        self.links()
+            .zip(self.table.links())
+            .map(|((p, q, asm), (a, b, s))| {
+                debug_assert_eq!((p.index(), q.index()), (a, b));
+                (p, q, asm, s)
+            })
+    }
+
+    /// The evidence `views` holds on the declared links, per slot of the
+    /// link table: one pass over the views' message table, which drops
+    /// every message between processors without a declared link.
+    pub fn link_observations(&self, views: &ViewSet) -> LinkObservations {
+        views.link_observations(self.table.len(), |p, q| self.slot(p, q))
     }
 
     /// The assumption on the link `{p, q}` oriented `p → q`, if the link
@@ -102,7 +141,8 @@ impl Network {
 /// Builder for [`Network`].
 #[derive(Debug, Clone)]
 pub struct NetworkBuilder {
-    net: Network,
+    n: usize,
+    links: BTreeMap<(usize, usize), LinkAssumption>,
 }
 
 impl NetworkBuilder {
@@ -116,7 +156,7 @@ impl NetworkBuilder {
     pub fn link(mut self, p: ProcessorId, q: ProcessorId, assumption: LinkAssumption) -> Self {
         assert!(p != q, "a link needs two distinct endpoints");
         assert!(
-            p.index() < self.net.n && q.index() < self.net.n,
+            p.index() < self.n && q.index() < self.n,
             "link endpoint out of range"
         );
         let key = (p.index().min(q.index()), p.index().max(q.index()));
@@ -125,8 +165,7 @@ impl NetworkBuilder {
         } else {
             assumption.reversed()
         };
-        self.net
-            .links
+        self.links
             .entry(key)
             .and_modify(|existing| {
                 let prev = existing.clone();
@@ -142,9 +181,14 @@ impl NetworkBuilder {
         self
     }
 
-    /// Finishes building.
+    /// Finishes building, and builds the link table.
     pub fn build(self) -> Network {
-        self.net
+        let table = LinkTable::new(self.n, self.links.keys().copied());
+        Network {
+            n: self.n,
+            links: self.links,
+            table: Arc::new(table),
+        }
     }
 }
 

@@ -3,8 +3,10 @@
 //! Practical deployments (the Kopetz–Ochsenreiter style periodic
 //! resynchronization the paper cites) do not hand over complete views in
 //! one batch: timestamped messages trickle in and the corrections are
-//! recomputed on demand. [`OnlineSynchronizer`] maintains the per-link
-//! evidence incrementally and keeps the GLOBAL ESTIMATES closure *cached*
+//! recomputed on demand. [`OnlineSynchronizer`] maintains the evidence and
+//! the `m̃ls` of each declared link incrementally, one entry per slot of
+//! the network's link table — the store batch synchronization builds, in
+//! `O(n + m)` — and keeps the GLOBAL ESTIMATES closure *cached*
 //! as a [`clocksync_graph::Closure`]: `i64` counts of half nanoseconds,
 //! the grid every estimate lies on, in a gauge that takes the clocks'
 //! start-time differences out. Each new observation re-estimates only the
@@ -70,8 +72,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use clocksync_graph::{Closure, RelaxOutcome, SquareMatrix};
-use clocksync_model::{LinkObservations, ModelError, MsgSample, ProcessorId, ViewSet};
+use clocksync_graph::{Closure, LinkWeights, RelaxOutcome, SquareMatrix};
+use clocksync_model::{
+    LinkEvidence, LinkObservations, ModelError, MsgSample, ProcessorId, ViewSet,
+};
 use clocksync_obs::Recorder;
 use clocksync_time::{ClockTime, ExtRatio, Nanos};
 
@@ -123,11 +127,13 @@ pub struct BatchObservation {
 #[derive(Debug, Clone)]
 pub struct OnlineSynchronizer {
     network: Network,
+    /// The evidence of every declared link direction, per slot of the
+    /// network's link table.
     observations: LinkObservations,
-    /// The current `m̃ls` matrix, maintained per-link as observations
+    /// The current `m̃ls` per slot, maintained per link as observations
     /// arrive; always equal to
     /// `estimated_local_shifts(&network, &observations)`.
-    local: clocksync_graph::SquareMatrix<ExtRatio>,
+    local: LinkWeights<ExtRatio>,
     /// The closure of `local` as gauged half-nanosecond counts, when
     /// valid. Tightenings are folded in by `relax_edge`. `None` after a
     /// bulk view merge, a loosening, an inconsistency or a tightening
@@ -149,8 +155,7 @@ pub struct OnlineSynchronizer {
 impl OnlineSynchronizer {
     /// Creates an online synchronizer with no observations yet.
     pub fn new(network: Network) -> OnlineSynchronizer {
-        let n = network.n();
-        let observations = LinkObservations::empty(n);
+        let observations = LinkObservations::empty(network.link_table().len());
         let local = estimated_local_shifts(&network, &observations);
         OnlineSynchronizer {
             network,
@@ -166,20 +171,29 @@ impl OnlineSynchronizer {
         &self.network
     }
 
-    /// The accumulated observations.
-    pub fn observations(&self) -> &LinkObservations {
-        &self.observations
+    /// The accumulated evidence of the declared link `{p, q}`, oriented
+    /// `p → q`; `None` when the link was not declared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn evidence(&self, p: ProcessorId, q: ProcessorId) -> Option<LinkEvidence<'_>> {
+        let s = self.network.slot(p, q)?;
+        Some(
+            self.observations
+                .evidence(s, self.network.link_table().reverse(s)),
+        )
     }
 
-    /// The current `m̃ls` matrix of estimated maximal *local* shifts —
-    /// entry `(p, q)` is the Lemma 6.2/6.5 single-link bound on how far
-    /// `q` can lag `p`, before the GLOBAL ESTIMATES closure composes
-    /// bounds along paths. Maintained incrementally as observations
-    /// arrive; invariantly equal to
+    /// The current estimated maximal *local* shifts `m̃ls`, one per
+    /// declared link direction — the slot of `(p, q)` holds the Lemma
+    /// 6.2/6.5 single-link bound on how far `q` can lag `p`, before the
+    /// GLOBAL ESTIMATES closure composes bounds along paths. Maintained
+    /// incrementally as observations arrive; invariantly equal to
     /// `estimated_local_shifts(network, observations)`. Exposed so
     /// invariant oracles (the scenario fuzzer's estimate-soundness check)
     /// can audit the pre-closure estimates directly.
-    pub fn local_estimates(&self) -> &clocksync_graph::SquareMatrix<ExtRatio> {
+    pub fn local_estimates(&self) -> &LinkWeights<ExtRatio> {
         &self.local
     }
 
@@ -211,8 +225,8 @@ impl OnlineSynchronizer {
             recv_clock,
         };
         self.check(&obs).unwrap_or_else(|e| panic!("{e}"));
-        if self.record(src, dst, send_clock, recv_clock) {
-            self.refresh_link(src, dst);
+        if let Some(s) = self.record(src, dst, send_clock, recv_clock) {
+            self.refresh_link(s);
         }
     }
 
@@ -253,15 +267,20 @@ impl OnlineSynchronizer {
         for obs in batch {
             self.check(obs)?;
         }
-        let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
+        // Each touched link once, by the slot of its lower endpoint's
+        // direction: ascending (low, high) order.
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
         for obs in batch {
-            if self.record(obs.src, obs.dst, obs.send_clock, obs.recv_clock) {
-                let (a, b) = (obs.src.index(), obs.dst.index());
-                touched.insert((a.min(b), a.max(b)));
+            if let Some(s) = self.record(obs.src, obs.dst, obs.send_clock, obs.recv_clock) {
+                touched.insert(if obs.src < obs.dst {
+                    s
+                } else {
+                    self.network.link_table().reverse(s)
+                });
             }
         }
-        for (a, b) in touched {
-            self.refresh_link(ProcessorId(a), ProcessorId(b));
+        for s in touched {
+            self.refresh_link(s);
         }
         Ok(batch.len())
     }
@@ -280,7 +299,7 @@ impl OnlineSynchronizer {
     }
 
     /// The one record step: keeps a message's sample if it travelled a
-    /// declared link, and says whether it did. Only declared links'
+    /// declared link, and returns the slot it went to. Only declared links'
     /// evidence reaches an estimator, so a message between two processors
     /// without a declared link, or from a processor to itself, is dropped.
     fn record(
@@ -289,19 +308,16 @@ impl OnlineSynchronizer {
         dst: ProcessorId,
         send_clock: ClockTime,
         recv_clock: ClockTime,
-    ) -> bool {
-        let declared = self.network.has_link(src, dst);
-        if declared {
-            self.observations.record_sample(
-                src,
-                dst,
-                MsgSample {
-                    send_clock,
-                    recv_clock,
-                },
-            );
-        }
-        declared
+    ) -> Option<usize> {
+        let s = self.network.slot(src, dst)?;
+        self.observations.record_sample(
+            s,
+            MsgSample {
+                send_clock,
+                recv_clock,
+            },
+        );
+        Some(s)
     }
 
     /// Drops dominated evidence: on every link whose assumption is
@@ -320,12 +336,13 @@ impl OnlineSynchronizer {
     /// the uncompacted run. `tests/service.rs` proptests exactly that.
     pub fn compact_evidence(&mut self, window: usize) -> usize {
         let mut dropped = 0;
-        for (p, q, assumption) in self.network.links() {
+        for (_, _, assumption, s) in self.network.slotted_links() {
             if !assumption.extrema_only() {
                 continue;
             }
-            dropped += self.observations.compact_samples(p, q, window);
-            dropped += self.observations.compact_samples(q, p, window);
+            let r = self.network.link_table().reverse(s);
+            dropped += self.observations.compact_samples(s, window);
+            dropped += self.observations.compact_samples(r, window);
         }
         dropped
     }
@@ -343,8 +360,15 @@ impl OnlineSynchronizer {
     ///
     /// Panics if `p` or `q` is out of range.
     pub fn forget_link(&mut self, p: ProcessorId, q: ProcessorId) -> usize {
-        let dropped = self.observations.clear_link(p, q);
-        self.refresh_link(p, q);
+        let n = self.network.n();
+        assert!(p.index() < n && q.index() < n, "processor out of range");
+        let Some(s) = self.network.slot(p, q) else {
+            // Nothing is kept off the declared links.
+            return 0;
+        };
+        let r = self.network.link_table().reverse(s);
+        let dropped = self.observations.clear(s) + self.observations.clear(r);
+        self.refresh_link(s);
         dropped
     }
 
@@ -388,29 +412,32 @@ impl OnlineSynchronizer {
         Ok(())
     }
 
-    /// Re-estimates the one link a fresh observation travelled on and
-    /// folds any change into the cached closure.
+    /// Re-estimates the one link a fresh observation travelled on — the
+    /// link of slot `s` — and folds any change into the cached closure.
     ///
     /// A round-trip sample on link `{a, b}` moves the evidence both ways
     /// (a slow message raises `d̃max`, which tightens the *opposite*
     /// direction's upper-bound slack), so both directed entries are
-    /// recomputed. Tightenings relax the cache in `O(n²)`; one without a
-    /// count drops the closure, and a loosening or an inconsistency
-    /// (negative cycle) drops every cache, leaving the rebuild — and the
-    /// canonical error report — to [`OnlineSynchronizer::outcome`].
-    fn refresh_link(&mut self, a: ProcessorId, b: ProcessorId) {
-        for (p, q) in [(a, b), (b, a)] {
-            let Some(assumption) = self.network.assumption(p, q) else {
-                continue;
-            };
-            let evidence = self.observations.evidence(p, q);
+    /// recomputed, `s`'s first. Tightenings relax the cache in `O(n²)`; one
+    /// without a count drops the closure, and a loosening or an
+    /// inconsistency (negative cycle) drops every cache, leaving the
+    /// rebuild — and the canonical error report — to
+    /// [`OnlineSynchronizer::outcome`].
+    fn refresh_link(&mut self, s: usize) {
+        let table = self.network.link_table().clone();
+        for (slot, back) in [(s, table.reverse(s)), (table.reverse(s), s)] {
+            let (u, v) = (table.source(slot), table.target(slot));
+            let assumption = self
+                .network
+                .assumption(ProcessorId(u), ProcessorId(v))
+                .expect("a slot is a declared link");
+            let evidence = self.observations.evidence(slot, back);
             let w = assumption.estimated_mls(&evidence);
-            let (u, v) = (p.index(), q.index());
-            let old = self.local[(u, v)];
+            let old = self.local[slot];
             if w == old {
                 continue;
             }
-            self.local[(u, v)] = w;
+            self.local[slot] = w;
             if w > old {
                 // An estimate loosened (evidence was retracted via
                 // forget_link, or a custom assumption did it), which
@@ -1076,11 +1103,10 @@ mod tests {
         assert_eq!(warm, cold);
 
         let local = online.local_estimates();
-        let scaled = clocksync_graph::scaled_weights(local).unwrap();
-        assert_eq!(clocksync_graph::plan_closure_kernel(&scaled), kernel);
+        assert_eq!(Closure::of_links(local).unwrap().0, kernel);
         let zero = Ext::Finite(Ratio::ZERO);
         for &(p, q) in &links {
-            assert_eq!((local[(p, q)], local[(q, p)]), (zero, zero));
+            assert_eq!((local.get(p, q), local.get(q, p)), (zero, zero));
         }
         let closure = batch.global_shift_estimates();
         let next = crate::shortest_path_successors(local, &closure);
@@ -1097,7 +1123,7 @@ mod tests {
             hops[j] = 0;
             while let Some(x) = queue.pop_front() {
                 for u in 0..n {
-                    if u != x && local[(u, x)] == zero && hops[u] == usize::MAX {
+                    if u != x && local.get(u, x) == zero && hops[u] == usize::MAX {
                         hops[u] = hops[x] + 1;
                         queue.push_back(u);
                     }
@@ -1106,7 +1132,9 @@ mod tests {
             for i in 0..n {
                 let chain = crate::reconstruct_path(&next, i, j).unwrap();
                 assert_eq!(chain.len() - 1, hops[i], "chain {chain:?}");
-                let total = chain.windows(2).fold(zero, |t, e| t + local[(e[0], e[1])]);
+                let total = chain
+                    .windows(2)
+                    .fold(zero, |t, e| t + local.get(e[0], e[1]));
                 assert_eq!(total, closure[(i, j)], "chain {chain:?}");
             }
         }
@@ -1198,7 +1226,7 @@ mod tests {
         );
         exec = exec.message(src, dst, RealTime::from_nanos(at), Nanos::new(delay));
         assert_eq!(
-            online.local_estimates()[(0, 1)],
+            online.local_estimates().get(0, 1),
             Ext::Finite(Ratio::new(7, 2))
         );
         assert!(

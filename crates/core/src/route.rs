@@ -14,8 +14,8 @@
 //! pays the `n × n` decode ([`RoutedClosure::ratio_dist`]).
 
 use clocksync_graph::{
-    bellman_ford, floyd_warshall, karp_max_cycle_mean, Closure, DiGraph, NegativeCycleError,
-    ScaledMatrix, SquareMatrix,
+    bellman_ford, floyd_warshall, karp_max_cycle_mean, Closure, DiGraph, LinkWeights,
+    NegativeCycleError, ScaledMatrix, SquareMatrix,
 };
 use clocksync_model::ProcessorId;
 use clocksync_obs::{FieldValue, Recorder};
@@ -114,8 +114,9 @@ impl PartialEq for RoutedClosure {
 
 impl Eq for RoutedClosure {}
 
-/// Closes `local` on its route: on the integer kernels when a [`Closure`]
-/// holds it, and with the generic Floyd–Warshall otherwise. Records a
+/// Closes the per-link `local` on its route: on the integer kernels, read
+/// off the link table, when a [`Closure`] holds it, and with the generic
+/// Floyd–Warshall over its dense view otherwise. Records a
 /// `sync.global_estimates` span naming the kernel, and for a residual
 /// domain the `fallback_reason` field and a `sync.closure_fallback`
 /// event.
@@ -125,12 +126,12 @@ impl Eq for RoutedClosure {}
 /// [`SyncError::InconsistentObservations`] when `local` has a negative
 /// cycle.
 pub(crate) fn close(
-    local: &SquareMatrix<ExtRatio>,
+    local: &LinkWeights<ExtRatio>,
     recorder: &Recorder,
 ) -> Result<RoutedClosure, SyncError> {
     let mut span = recorder.span("sync.global_estimates");
     span.field("n", local.n());
-    match Closure::new_explained(local) {
+    match Closure::of_links(local) {
         Ok((kernel, closure)) => {
             span.field("kernel", kernel.name());
             closure.map(RoutedClosure::Integer).map_err(inconsistent)
@@ -146,7 +147,7 @@ pub(crate) fn close(
                     ("n", FieldValue::from(local.n())),
                 ],
             );
-            floyd_warshall(local)
+            floyd_warshall(&local.to_matrix())
                 .map(RoutedClosure::Residual)
                 .map_err(inconsistent)
         }

@@ -7,7 +7,7 @@
 //! rationals; [`SyncOutcome::global_shift_estimates`] is the one call that
 //! decodes the whole matrix.
 
-use clocksync_graph::{ScaledMatrix, SquareMatrix};
+use clocksync_graph::{LinkWeights, ScaledMatrix, SquareMatrix};
 use clocksync_model::{ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, Ext, ExtRatio, Ratio};
 use serde::{Deserialize, Serialize};
@@ -118,7 +118,7 @@ impl Synchronizer {
         let (observations, local) = {
             let mut span = self.recorder.span("sync.local_estimates");
             span.field("n", views.len());
-            let observations = views.link_observations();
+            let observations = self.network.link_observations(views);
             let local = estimated_local_shifts(&self.network, &observations);
             self.record_fusions(&observations);
             (observations, local)
@@ -173,8 +173,8 @@ impl Synchronizer {
         if !self.recorder.is_enabled() {
             return;
         }
-        for (p, q, assumption) in self.network.links() {
-            let evidence = observations.evidence(p, q);
+        for (p, q, assumption, s) in self.network.slotted_links() {
+            let evidence = observations.evidence(s, self.network.link_table().reverse(s));
             if let Some(stats) = assumption.fusion_stats(&evidence) {
                 self.recorder.event(
                     "sync.marzullo_fusion",
@@ -249,17 +249,20 @@ impl SyncOutcome {
 
     /// Builds an outcome from a matrix of estimated maximal *local* shifts
     /// `m̃ls` — such as the per-link estimates a distributed leader
-    /// receives in messages. It closes `local` on its route, as
+    /// receives in messages. It closes the matrix's link form
+    /// ([`LinkWeights::from_matrix`]) on its route, as
     /// [`crate::global_estimates`] does, and keeps the closure as that
     /// route computed it: on the integer route, the kernel's gauged counts,
-    /// with no `n × n` decode and re-encode on the way.
+    /// with no `n × n` decode and re-encode on the way. The diagonal plays
+    /// no part.
     ///
     /// # Errors
     ///
     /// [`SyncError::InconsistentObservations`] when `local` has a negative
     /// cycle.
     pub fn from_local_estimates(local: &SquareMatrix<ExtRatio>) -> Result<SyncOutcome, SyncError> {
-        close(local, &Recorder::disabled()).map(SyncOutcome::from_closure)
+        close(&LinkWeights::from_matrix(local), &Recorder::disabled())
+            .map(SyncOutcome::from_closure)
     }
 
     /// The cold component loop: SHIFTS from scratch on every component.
@@ -880,7 +883,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let local = estimated_local_shifts(&net, &exec.views().link_observations());
+        let local = estimated_local_shifts(&net, &net.link_observations(exec.views()));
         let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();
         let closure = outcome.global_shift_estimates();
         let next = crate::shortest_path_successors(&local, &closure);
@@ -895,7 +898,7 @@ mod tests {
         assert_eq!(chain(R, P), Some(vec![R, Q, P]));
         let total = closure[(2, 1)] + closure[(1, 0)];
         assert_eq!(closure[(2, 0)], total);
-        assert_eq!(closure[(2, 0)], local[(2, 1)] + local[(1, 0)]);
+        assert_eq!(closure[(2, 0)], local.get(2, 1) + local.get(1, 0));
     }
 
     #[test]

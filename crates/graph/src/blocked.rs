@@ -4,7 +4,7 @@
 //! on every relaxation: an [`clocksync_time::Ratio`] addition costs a gcd
 //! plus several checked `i128` multiplications, and the `Ext<…>` wrapper
 //! adds a branch per operation. This module is the dense route behind
-//! [`crate::Closure::new`]: weights are pre-encoded as gauged `i64` counts
+//! [`crate::Closure::of_links`]: weights are pre-encoded as gauged `i64` counts
 //! of half nanoseconds (always possible for estimate matrices derived from
 //! integer-nanosecond observations), "unreachable" is the sentinel
 //! [`UNREACHABLE`], and the classic three loops run in place over the
@@ -25,7 +25,7 @@ use crate::{NegativeCycleError, SquareMatrix};
 /// The sentinel distance meaning "no path". Chosen so that
 /// `UNREACHABLE + |any admissible finite value|` cannot overflow and any
 /// partially-poisoned sum still compares above every finite distance;
-/// [`crate::Closure::new`] rejects inputs whose counts could get anywhere
+/// [`crate::Closure::of_links`] rejects inputs whose counts could get anywhere
 /// near it.
 pub const UNREACHABLE: i64 = i64::MAX / 4;
 
@@ -35,7 +35,7 @@ pub const UNREACHABLE: i64 = i64::MAX / 4;
 /// the main loop.
 ///
 /// Callers must keep finite weight magnitudes far below [`UNREACHABLE`]
-/// (specifically `|w| · n` must not approach it); [`crate::Closure::new`]
+/// (specifically `|w| · n` must not approach it); [`crate::Closure::of_links`]
 /// enforces this when it encodes rational matrices for this kernel.
 ///
 /// # Errors
@@ -63,8 +63,19 @@ pub const UNREACHABLE: i64 = i64::MAX / 4;
 pub fn blocked_floyd_warshall_i64(
     weights: &SquareMatrix<i64>,
 ) -> Result<SquareMatrix<i64>, NegativeCycleError> {
-    let n = weights.n();
     let mut d = weights.clone();
+    close_in_place(&mut d)?;
+    Ok(d)
+}
+
+/// [`blocked_floyd_warshall_i64`] in place: `d` holds the weights on entry
+/// and, on success, the distances.
+///
+/// # Errors
+///
+/// As [`blocked_floyd_warshall_i64`]; `d` is then partly closed.
+pub(crate) fn close_in_place(d: &mut SquareMatrix<i64>) -> Result<(), NegativeCycleError> {
+    let n = d.n();
     // A zero-length path always exists.
     for i in 0..n {
         if d[(i, i)] > 0 {
@@ -76,7 +87,7 @@ pub fn blocked_floyd_warshall_i64(
     // it reads the same values the generic kernel does.
     let mut row_k = vec![0i64; n];
     for k in 0..n {
-        if let Some(witness) = negative(&d) {
+        if let Some(witness) = negative(d) {
             return Err(NegativeCycleError { witness });
         }
         row_k.copy_from_slice(d.row(k));
@@ -96,16 +107,16 @@ pub fn blocked_floyd_warshall_i64(
             }
         }
     }
-    match negative(&d) {
+    match negative(d) {
         Some(witness) => Err(NegativeCycleError { witness }),
-        None => Ok(d),
+        None => Ok(()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{floyd_warshall, reconstruct_path, shortest_path_successors};
+    use crate::{floyd_warshall, reconstruct_path, shortest_path_successors, LinkWeights};
     use clocksync_time::Ext;
 
     fn sentinel_matrix(n: usize, edges: &[(usize, usize, i64)]) -> SquareMatrix<i64> {
@@ -181,7 +192,8 @@ mod tests {
             ],
         );
         let d = blocked_floyd_warshall_i64(&m).unwrap();
-        let next = shortest_path_successors(&ext_matrix(&m), &ext_matrix(&d));
+        let next =
+            shortest_path_successors(&LinkWeights::from_matrix(&ext_matrix(&m)), &ext_matrix(&d));
         for i in 0..5 {
             for j in 0..5 {
                 if let Some(path) = reconstruct_path(&next, i, j) {

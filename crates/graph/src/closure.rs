@@ -1,18 +1,20 @@
 //! The closure subsystem: the integer [`Closure`] of a domain's
 //! estimates, one-shot and as the cache behind online resynchronization.
 //!
-//! [`Closure::new`] is the GLOBAL ESTIMATES step over integers. It
-//! encodes the weight matrix as gauged half-nanosecond counts
-//! ([`scaled_weights`]; the gauge is `half_ns.rs`'s) and picks one of two
-//! kernels (see [`plan_closure_kernel`]): the dense
-//! [`crate::blocked_floyd_warshall_i64`], and Johnson's
-//! [`crate::sparse_closure_i64`] for large inputs that are sparse or split
-//! into several weak components. The gauge takes the clocks' start-time
-//! differences out of every entry, so clocks that count from different
-//! epochs stay on these kernels. A matrix with an entry without a gauged
-//! count — off the half-nanosecond grid, `−∞`, or past the magnitude
-//! bound — is refused with the [`ScaleBailout`] reason, and its domain
-//! takes the caller's residual rational route.
+//! [`Closure::of_links`] is the GLOBAL ESTIMATES step over integers. It
+//! reads the per-link estimates off the link table: the gauge's forest
+//! (`half_ns.rs`), the encoding of each slot as a gauged half-nanosecond
+//! count and the kernel plan ([`plan_closure_kernel`]) all run in
+//! `O(n + m)`. Then it runs one of two kernels: the dense
+//! [`crate::blocked_floyd_warshall_i64`] over the counts' expansion, or,
+//! for large inputs that are sparse or split into several weak
+//! components, Johnson over the table itself. The gauge takes the clocks'
+//! start-time differences out of every entry, so clocks that count from
+//! different epochs stay on these kernels. Estimates with a slot without a
+//! gauged count — off the half-nanosecond grid, `−∞`, or past the
+//! magnitude bound — are refused with the [`ScaleBailout`] reason, and
+//! their domain takes the caller's residual rational route.
+//! [`Closure::new`] takes a dense matrix by way of its link form.
 //!
 //! The [`Closure`] is also the online engine's cache.
 //! [`Closure::relax_edge`] applies a single-edge weight *decrease* in
@@ -34,33 +36,64 @@ use std::borrow::Cow;
 
 use clocksync_time::{Ext, ExtRatio, Ratio};
 
+use crate::blocked::close_in_place;
 use crate::half_ns::{closure_limit, gauged, matrix_limit, Gauge, ScaleBailout};
+use crate::sparse::johnson;
 use crate::{
-    blocked_floyd_warshall_i64, sparse_closure_i64, NegativeCycleError, ScaledMatrix, SquareMatrix,
-    UNREACHABLE,
+    blocked_floyd_warshall_i64, LinkTable, LinkWeights, NegativeCycleError, ScaledMatrix,
+    SquareMatrix, Weight, UNREACHABLE,
 };
 
-/// `m` as gauged counts within [`closure_limit`], with its gauge.
-fn gauged_weights(m: &SquareMatrix<ExtRatio>) -> Result<(SquareMatrix<i64>, Gauge), ScaleBailout> {
-    let gauge = Gauge::of(m)?;
-    let counts = gauge.encode_matrix(m, closure_limit(m.n()), (Some(UNREACHABLE), None))?;
+/// `local`'s slots as gauged counts within [`closure_limit`], with the
+/// gauge.
+fn gauged_links(local: &LinkWeights<ExtRatio>) -> Result<(Vec<i64>, Gauge), ScaleBailout> {
+    let gauge = Gauge::of(local)?;
+    let counts = gauge.encode_links(local, closure_limit(local.n()))?;
     Ok((counts, gauge))
 }
 
-/// Encodes an extended-rational matrix as gauged half-nanosecond counts in
-/// the sentinel encoding ([`UNREACHABLE`] for `+∞`), the input of every
-/// integer closure kernel, or names the [`ScaleBailout`] reason of the
-/// first entry without a count: `−∞`, a value off the half-nanosecond
-/// grid, or a gauged magnitude big enough that the kernels' sums could
-/// approach the sentinel (DESIGN.md §4b). The kernels' distances are the
-/// gauged image of the matrix's closure; [`Closure::new`] keeps the gauge
-/// to remove it again.
+/// The dense sentinel-encoded matrix of per-slot counts: `0` on the
+/// diagonal, [`UNREACHABLE`] off the links.
+fn expand(table: &LinkTable, counts: &[i64]) -> SquareMatrix<i64> {
+    let n = table.n();
+    let mut m = SquareMatrix::filled(n, UNREACHABLE);
+    for p in 0..n {
+        m[(p, p)] = 0;
+    }
+    for (p, q, s) in table.slots() {
+        m[(p, q)] = counts[s];
+    }
+    m
+}
+
+/// The link form of a sentinel-encoded matrix: a link wherever either
+/// direction of an off-diagonal pair is finite, and each slot's count. The
+/// diagonal plays no part.
+pub fn link_counts(m: &SquareMatrix<i64>) -> (LinkTable, Vec<i64>) {
+    let n = m.n();
+    let links = (0..n).flat_map(|p| (p + 1..n).map(move |q| (p, q)));
+    let table = LinkTable::new(
+        n,
+        links.filter(|&(p, q)| m[(p, q)] != UNREACHABLE || m[(q, p)] != UNREACHABLE),
+    );
+    let counts = table.slots().map(|(p, q, _)| m[(p, q)]).collect();
+    (table, counts)
+}
+
+/// Encodes the per-link estimates as gauged half-nanosecond counts in the
+/// sentinel encoding ([`UNREACHABLE`] for `+∞`), the input of every
+/// integer closure kernel, expanded to the dense matrix the blocked kernel
+/// reads — or names the [`ScaleBailout`] reason of the first slot without
+/// a count: `−∞`, a value off the half-nanosecond grid, or a gauged
+/// magnitude big enough that the kernels' sums could approach the sentinel
+/// (DESIGN.md §4b). The kernels' distances are the gauged image of the
+/// closure; [`Closure::of_links`] keeps the gauge to remove it again.
 ///
 /// # Errors
 ///
-/// Returns the [`ScaleBailout`] reason when an entry has no count.
-pub fn scaled_weights(m: &SquareMatrix<ExtRatio>) -> Result<SquareMatrix<i64>, ScaleBailout> {
-    gauged_weights(m).map(|(counts, _)| counts)
+/// Returns the [`ScaleBailout`] reason when a slot has no count.
+pub fn scaled_weights(local: &LinkWeights<ExtRatio>) -> Result<SquareMatrix<i64>, ScaleBailout> {
+    gauged_links(local).map(|(counts, _)| expand(local.table(), &counts))
 }
 
 /// Below this dimension the integer fast path always uses the dense
@@ -77,8 +110,8 @@ pub const SPARSE_MIN_N: usize = 192;
 /// streaming row relaxations win back.
 pub const SPARSE_MAX_DENSITY: f64 = 0.05;
 
-/// Which integer kernel [`Closure::new`] dispatched to, reported on the
-/// `sync.global_estimates` obs span (via [`Closure::new_explained`]).
+/// Which integer kernel [`Closure::of_links`] dispatched to, reported on
+/// the `sync.global_estimates` obs span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClosureKernel {
     /// The dense Floyd–Warshall ([`blocked_floyd_warshall_i64`]).
@@ -99,16 +132,26 @@ impl ClosureKernel {
         }
     }
 
-    fn run(self, scaled: &SquareMatrix<i64>) -> Result<SquareMatrix<i64>, NegativeCycleError> {
+    /// Runs the kernel over per-slot counts: the dense one on their
+    /// expansion, in place, Johnson on the table itself.
+    fn run(
+        self,
+        table: &LinkTable,
+        counts: &[i64],
+    ) -> Result<SquareMatrix<i64>, NegativeCycleError> {
         match self {
-            ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(scaled),
-            ClosureKernel::SparseJohnson => sparse_closure_i64(scaled),
+            ClosureKernel::DenseBlocked => {
+                let mut d = expand(table, counts);
+                close_in_place(&mut d)?;
+                Ok(d)
+            }
+            ClosureKernel::SparseJohnson => johnson(table, counts),
         }
     }
 }
 
-/// Chooses the integer kernel for a sentinel-encoded matrix — the
-/// dispatch heuristic behind [`Closure::new`]:
+/// Chooses the integer kernel for per-slot counts in the sentinel
+/// encoding — the dispatch heuristic behind [`Closure::of_links`]:
 ///
 /// * `n < SPARSE_MIN_N` → [`ClosureKernel::DenseBlocked`] (fastest at
 ///   small `n`);
@@ -116,12 +159,17 @@ impl ClosureKernel {
 ///   `≤ SPARSE_MAX_DENSITY` → [`ClosureKernel::SparseJohnson`] (each
 ///   Dijkstra run stays inside its source's component);
 /// * otherwise the dense blocked kernel.
-pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
-    let n = scaled.n();
+///
+/// # Panics
+///
+/// Panics if `counts` does not hold one count per slot of `table`.
+pub fn plan_closure_kernel(table: &LinkTable, counts: &[i64]) -> ClosureKernel {
+    assert_eq!(counts.len(), table.len(), "one count per slot");
+    let n = table.n();
     if n < SPARSE_MIN_N {
         return ClosureKernel::DenseBlocked;
     }
-    // One pass: count finite off-diagonal edges and union the endpoints.
+    // One pass: count finite slots and union their endpoints.
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
@@ -131,8 +179,8 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
         x
     }
     let mut edges = 0usize;
-    for (i, j, &w) in scaled.iter_off_diagonal() {
-        if w == UNREACHABLE {
+    for (i, j, s) in table.slots() {
+        if counts[s] == UNREACHABLE {
             continue;
         }
         edges += 1;
@@ -151,7 +199,8 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
 }
 
 /// Runs the [`plan_closure_kernel`]-selected kernel over a
-/// sentinel-encoded matrix. Both kernels agree exactly on distances.
+/// sentinel-encoded matrix, by way of its [`link_counts`]. Both kernels
+/// agree exactly on distances.
 ///
 /// # Errors
 ///
@@ -159,7 +208,11 @@ pub fn plan_closure_kernel(scaled: &SquareMatrix<i64>) -> ClosureKernel {
 pub fn dispatch_closure_i64(
     scaled: &SquareMatrix<i64>,
 ) -> Result<SquareMatrix<i64>, NegativeCycleError> {
-    plan_closure_kernel(scaled).run(scaled)
+    let (table, counts) = link_counts(scaled);
+    match plan_closure_kernel(&table, &counts) {
+        ClosureKernel::DenseBlocked => blocked_floyd_warshall_i64(scaled),
+        ClosureKernel::SparseJohnson => crate::sparse_closure_i64(scaled),
+    }
 }
 
 /// What a [`Closure::relax_edge`] call did — and, crucially, whether the
@@ -192,7 +245,7 @@ pub enum RelaxOutcome {
     /// cache is unchanged. The cache is still exact for the graph without
     /// the edge, but cannot represent the graph with it: a caller that
     /// keeps `w` MUST discard the cache and rebuild it with
-    /// [`Closure::new`], which chooses a fresh gauge and refuses the graph
+    /// [`Closure::of_links`], which chooses a fresh gauge and refuses the graph
     /// only when no gauge holds it.
     Unrepresentable,
 }
@@ -207,7 +260,7 @@ pub enum RelaxOutcome {
 /// matrix bound of DESIGN.md §4b, so any component is a SHIFTS input as
 /// is ([`Closure::component`]). [`Closure::relax_edge`] preserves the
 /// invariant under edge insertions and decreases; any other change
-/// requires a rebuild with [`Closure::new`].
+/// requires a rebuild with [`Closure::of_links`].
 ///
 /// # Examples
 ///
@@ -236,37 +289,46 @@ pub struct Closure {
 }
 
 impl Closure {
-    /// Builds the closure of a weight matrix on gauged half-nanosecond
-    /// counts: [`scaled_weights`], then [`dispatch_closure_i64`].
+    /// Builds the closure of per-link estimates on gauged half-nanosecond
+    /// counts, reading the link table: the gauge, the encoder and the
+    /// [`plan_closure_kernel`] choice, then the dense kernel over the
+    /// counts' expansion or Johnson over the table. Returns the kernel
+    /// with the closure.
     ///
     /// # Errors
     ///
-    /// The outer error is the [`ScaleBailout`] reason when an entry of `m`
-    /// has no gauged count, or a closure entry passes the SHIFTS matrix
-    /// bound (the caller's residual route answers); the inner one is
+    /// The outer error is the [`ScaleBailout`] reason when a slot of
+    /// `local` has no gauged count, or a closure entry passes the SHIFTS
+    /// matrix bound (the caller's residual route answers); the inner one is
     /// [`NegativeCycleError`] when the graph has a negative cycle.
-    pub fn new(
-        m: &SquareMatrix<ExtRatio>,
-    ) -> Result<Result<Closure, NegativeCycleError>, ScaleBailout> {
-        Closure::new_explained(m).map(|(_, closure)| closure)
-    }
-
-    /// [`Closure::new`], also naming the kernel [`plan_closure_kernel`]
-    /// chose.
-    ///
-    /// # Errors
-    ///
-    /// As [`Closure::new`].
-    pub fn new_explained(
-        m: &SquareMatrix<ExtRatio>,
+    pub fn of_links(
+        local: &LinkWeights<ExtRatio>,
     ) -> Result<(ClosureKernel, Result<Closure, NegativeCycleError>), ScaleBailout> {
-        let (scaled, gauge) = gauged_weights(m)?;
-        let kernel = plan_closure_kernel(&scaled);
-        let closure = match kernel.run(&scaled) {
+        let (counts, gauge) = gauged_links(local)?;
+        let kernel = plan_closure_kernel(local.table(), &counts);
+        let closure = match kernel.run(local.table(), &counts) {
             Ok(dist) => Ok(Closure::bounded(dist, gauge)?),
             Err(e) => Err(e),
         };
         Ok((kernel, closure))
+    }
+
+    /// [`Closure::of_links`] of a dense weight matrix, by way of its link
+    /// form ([`LinkWeights::from_matrix`]). A negative diagonal entry is a
+    /// 1-cycle: like the Floyd–Warshall kernels, this reports it at the
+    /// smallest such node.
+    ///
+    /// # Errors
+    ///
+    /// As [`Closure::of_links`].
+    pub fn new(
+        m: &SquareMatrix<ExtRatio>,
+    ) -> Result<Result<Closure, NegativeCycleError>, ScaleBailout> {
+        let (_, closure) = Closure::of_links(&LinkWeights::from_matrix(m))?;
+        match (0..m.n()).find(|&p| m[(p, p)] < <ExtRatio as Weight>::zero()) {
+            Some(witness) => Ok(Err(NegativeCycleError { witness })),
+            None => Ok(closure),
+        }
     }
 
     /// Holds a matrix that already is a closure — such as the estimates a
@@ -275,9 +337,10 @@ impl Closure {
     ///
     /// # Errors
     ///
-    /// As the outer error of [`Closure::new`].
+    /// As the outer error of [`Closure::of_links`].
     pub fn from_closed(m: &SquareMatrix<ExtRatio>) -> Result<Closure, ScaleBailout> {
-        let (dist, gauge) = gauged_weights(m)?;
+        let gauge = Gauge::of_matrix(m)?;
+        let dist = gauge.encode_matrix(m, closure_limit(m.n()), (Some(UNREACHABLE), None))?;
         Closure::bounded(dist, gauge)
     }
 
@@ -505,8 +568,8 @@ mod tests {
         let gd = floyd_warshall(&m).unwrap();
         assert_eq!(fd, gd);
         assert_eq!(
-            shortest_path_successors(&m, &fd),
-            shortest_path_successors(&m, &gd)
+            shortest_path_successors(&LinkWeights::from_matrix(&m), &fd),
+            shortest_path_successors(&LinkWeights::from_matrix(&m), &gd)
         );
     }
 
@@ -619,11 +682,12 @@ mod tests {
         let mut m = ratio_matrix(5, &edges);
         let mut c = closure(&m);
         let before = c.clone();
-        let next_before = shortest_path_successors(&m, &before.ratio_dist());
+        let next_before =
+            shortest_path_successors(&LinkWeights::from_matrix(&m), &before.ratio_dist());
         m[(0, 1)] = int(1);
         assert_eq!(c.relax_edge(0, 1, int(1)).unwrap(), RelaxOutcome::Tightened);
         assert_eq!(c.ratio_dist(), reference(&m));
-        let next = shortest_path_successors(&m, &c.ratio_dist());
+        let next = shortest_path_successors(&LinkWeights::from_matrix(&m), &c.ratio_dist());
         for i in 3..5 {
             for j in 0..5 {
                 assert_eq!(c.dist[(i, j)], before.dist[(i, j)]);
@@ -660,7 +724,7 @@ mod tests {
             c.relax_edge(u, v, w).unwrap();
         }
         let dist = c.ratio_dist();
-        let next = shortest_path_successors(&m, &dist);
+        let next = shortest_path_successors(&LinkWeights::from_matrix(&m), &dist);
         for i in 0..4 {
             for j in 0..4 {
                 match reconstruct_path(&next, i, j) {
@@ -754,16 +818,10 @@ mod tests {
     fn scaling_bailout_reasons_are_reported() {
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
         m[(1, 0)] = Ext::NegInf;
-        assert_eq!(
-            Closure::new_explained(&m).unwrap_err(),
-            ScaleBailout::NegInfWeight
-        );
+        assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::NegInfWeight);
         let mut m = ratio_matrix(2, &[(0, 1, 1, 1)]);
         m[(1, 0)] = Ext::Finite(Ratio::new(1, (1 << 41) + 1));
-        assert_eq!(
-            Closure::new_explained(&m).unwrap_err(),
-            ScaleBailout::OffGrid
-        );
+        assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::OffGrid);
         assert_eq!(Closure::new(&m).unwrap_err(), ScaleBailout::OffGrid);
         assert_eq!(ScaleBailout::MagnitudeOverflow.name(), "magnitude-overflow");
     }
@@ -797,7 +855,7 @@ mod tests {
         assert_eq!(c.ratio_dist(), reference(&m));
         m[(1, 0)] = Ext::Finite(Ratio::new(limit + 1 - 2 * epoch, 2));
         assert_eq!(
-            Closure::new_explained(&m).unwrap_err(),
+            Closure::new(&m).unwrap_err(),
             ScaleBailout::MagnitudeOverflow
         );
         assert_eq!(
@@ -808,6 +866,10 @@ mod tests {
 
     #[test]
     fn kernel_dispatch_boundaries() {
+        let plan = |m: &SquareMatrix<i64>| {
+            let (table, counts) = link_counts(m);
+            plan_closure_kernel(&table, &counts)
+        };
         let ring = |n: usize| {
             let mut m = SquareMatrix::filled(n, UNREACHABLE);
             for i in 0..n {
@@ -819,21 +881,15 @@ mod tests {
         };
         // Below SPARSE_MIN_N the dense kernel is chosen however sparse the
         // input.
-        assert_eq!(
-            plan_closure_kernel(&ring(SPARSE_MIN_N - 1)),
-            ClosureKernel::DenseBlocked
-        );
+        assert_eq!(plan(&ring(SPARSE_MIN_N - 1)), ClosureKernel::DenseBlocked);
         // At SPARSE_MIN_N a ring is far below the density threshold.
-        assert_eq!(
-            plan_closure_kernel(&ring(SPARSE_MIN_N)),
-            ClosureKernel::SparseJohnson
-        );
+        assert_eq!(plan(&ring(SPARSE_MIN_N)), ClosureKernel::SparseJohnson);
         // A fully dense matrix of the same size stays on the dense kernel.
         let mut dense = SquareMatrix::filled(SPARSE_MIN_N, 1);
         for i in 0..SPARSE_MIN_N {
             dense[(i, i)] = 0;
         }
-        assert_eq!(plan_closure_kernel(&dense), ClosureKernel::DenseBlocked);
+        assert_eq!(plan(&dense), ClosureKernel::DenseBlocked);
         // Two disjoint rings dispatch to Johnson.
         let half = SPARSE_MIN_N / 2;
         let mut split = SquareMatrix::filled(SPARSE_MIN_N, UNREACHABLE);
@@ -846,7 +902,7 @@ mod tests {
                 split[(base + i, base + (i + 1) % half)] = 1;
             }
         }
-        assert_eq!(plan_closure_kernel(&split), ClosureKernel::SparseJohnson);
+        assert_eq!(plan(&split), ClosureKernel::SparseJohnson);
         // So do two dense components, far above the density threshold, and
         // Johnson's distances equal the dense kernel's. The weights
         // `c + φ(i) − φ(j)` with `c ≥ 0` are partly negative, with many
@@ -863,10 +919,7 @@ mod tests {
         });
         let edges = two_dense.as_slice().iter().filter(|&&w| w != UNREACHABLE);
         assert!(edges.count() as f64 > SPARSE_MAX_DENSITY * (SPARSE_MIN_N * SPARSE_MIN_N) as f64);
-        assert_eq!(
-            plan_closure_kernel(&two_dense),
-            ClosureKernel::SparseJohnson
-        );
+        assert_eq!(plan(&two_dense), ClosureKernel::SparseJohnson);
         assert_eq!(
             dispatch_closure_i64(&two_dense).unwrap(),
             blocked_floyd_warshall_i64(&two_dense).unwrap()
@@ -891,8 +944,8 @@ mod tests {
             assert_eq!(c.ratio_at(p, q), v, "entry ({p}, {q})");
         }
         assert_eq!(
-            shortest_path_successors(&m, &c.ratio_dist()),
-            shortest_path_successors(&m, &d)
+            shortest_path_successors(&LinkWeights::from_matrix(&m), &c.ratio_dist()),
+            shortest_path_successors(&LinkWeights::from_matrix(&m), &d)
         );
         // A closure that arrives closed is held as is.
         let held = Closure::from_closed(&d).unwrap();

@@ -80,7 +80,7 @@ pub fn floyd_warshall<W: Weight>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reconstruct_path, shortest_path_successors, DiGraph};
+    use crate::{reconstruct_path, shortest_path_successors, DiGraph, LinkWeights};
     use clocksync_time::Ext;
 
     fn w(x: i64) -> Ext<i64> {
@@ -158,14 +158,17 @@ mod tests {
     fn path_reconstruction_follows_shortest_routes() {
         let m = graph(4, &[(0, 1, 2), (1, 2, 2), (0, 2, 10), (2, 3, 1)]);
         let d = floyd_warshall(&m).unwrap();
-        let next = shortest_path_successors(&m, &d);
+        let next = shortest_path_successors(&LinkWeights::from_matrix(&m), &d);
         assert_eq!(d[(0, 3)], w(5));
         assert_eq!(reconstruct_path(&next, 0, 3), Some(vec![0, 1, 2, 3]));
         assert_eq!(reconstruct_path(&next, 0, 0), Some(vec![0]));
         assert_eq!(reconstruct_path(&next, 3, 0), None);
         // Direct edge wins when it is cheapest.
         let m2 = graph(3, &[(0, 1, 1), (1, 2, 5), (0, 2, 2)]);
-        let next2 = shortest_path_successors(&m2, &floyd_warshall(&m2).unwrap());
+        let next2 = shortest_path_successors(
+            &LinkWeights::from_matrix(&m2),
+            &floyd_warshall(&m2).unwrap(),
+        );
         assert_eq!(reconstruct_path(&next2, 0, 2), Some(vec![0, 2]));
     }
 
@@ -183,7 +186,7 @@ mod tests {
             ],
         );
         let d = floyd_warshall(&m).unwrap();
-        let next = shortest_path_successors(&m, &d);
+        let next = shortest_path_successors(&LinkWeights::from_matrix(&m), &d);
         for i in 0..5 {
             for j in 0..5 {
                 if let Some(path) = reconstruct_path(&next, i, j) {

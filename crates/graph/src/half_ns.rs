@@ -70,7 +70,7 @@ use std::collections::VecDeque;
 
 use clocksync_time::{Ext, Ratio};
 
-use crate::{SquareMatrix, UNREACHABLE};
+use crate::{LinkWeights, SquareMatrix, UNREACHABLE};
 
 /// The largest count an `n`-node closure input may hold in magnitude.
 pub(crate) fn closure_limit(n: usize) -> i64 {
@@ -95,7 +95,7 @@ const GAUGE_LIMIT: i128 = 1 << 100;
 /// Why a value, or a matrix, has no half-nanosecond encoding — the reasons
 /// a domain falls off the integer kernels onto the residual rational
 /// route. Surfaced through
-/// [`Closure::new_explained`](crate::Closure::new_explained) so callers can
+/// [`Closure::of_links`](crate::Closure::of_links) so callers can
 /// make the perf cliff observable instead of silent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleBailout {
@@ -159,41 +159,58 @@ pub(crate) fn decode_mean(sum: i128, len: i128) -> Ratio {
 pub(crate) struct Gauge(pub(crate) Vec<i128>);
 
 impl Gauge {
-    /// The gauge of `m`'s finite entries, from the breadth-first forest
-    /// the module docs describe.
+    /// The gauge of `local`'s finite entries, from the breadth-first forest
+    /// the module docs describe, read off the link table: each row lists
+    /// its neighbours in index order.
     ///
     /// # Errors
     ///
     /// The [`ScaleBailout`] of a tree edge without a count, or
     /// [`ScaleBailout::MagnitudeOverflow`] for a gauge value past `2^100`.
-    pub(crate) fn of(m: &SquareMatrix<Ext<Ratio>>) -> Result<Gauge, ScaleBailout> {
-        let n = m.n();
-        // Bit 0 at `(p, q)` marks `m(p,q)` as an edge and bit 1 `m(q,p)`, so
-        // the search reads rows of bytes instead of strided rationals.
-        let mut edge = vec![0u8; n * n];
-        for (p, row) in m.as_slice().chunks_exact(n.max(1)).enumerate() {
-            for (q, w) in row.iter().enumerate() {
-                if !matches!(w, Ext::PosInf) {
-                    edge[p * n + q] |= 1;
-                    edge[q * n + p] |= 2;
-                }
-            }
-        }
+    pub(crate) fn of(local: &LinkWeights<Ext<Ratio>>) -> Result<Gauge, ScaleBailout> {
+        let (table, w) = (local.table(), local.weights());
+        Gauge::forest(table.n(), |p| {
+            table
+                .row(p)
+                .map(|s| (table.target(s), w[s], w[table.reverse(s)]))
+        })
+    }
+
+    /// [`Gauge::of`] for a dense matrix, such as a closure: every node is
+    /// a candidate neighbour, in index order.
+    ///
+    /// # Errors
+    ///
+    /// As [`Gauge::of`].
+    pub(crate) fn of_matrix(m: &SquareMatrix<Ext<Ratio>>) -> Result<Gauge, ScaleBailout> {
+        Gauge::forest(m.n(), |p| {
+            (0..m.n()).map(move |q| (q, m[(p, q)], m[(q, p)]))
+        })
+    }
+
+    /// The forest itself, over `entries(p)`: each neighbour `q` of `p` in
+    /// index order, with the entries `(p,q)` and `(q,p)`.
+    fn forest<I>(n: usize, entries: impl Fn(usize) -> I) -> Result<Gauge, ScaleBailout>
+    where
+        I: Iterator<Item = (usize, Ext<Ratio>, Ext<Ratio>)>,
+    {
         let mut h = vec![0i128; n];
         let mut seen = vec![false; n];
         let mut unseen = n;
+        let mut queue = VecDeque::new();
         for root in 0..n {
             if seen[root] {
                 continue;
             }
             (seen[root], unseen) = (true, unseen - 1);
-            let mut queue = VecDeque::from([root]);
+            queue.clear();
+            queue.push_back(root);
             while let Some(p) = queue.pop_front().filter(|_| unseen > 0) {
-                for (q, &e) in edge[p * n..(p + 1) * n].iter().enumerate() {
-                    let step = match (seen[q], e) {
-                        (true, _) | (_, 0) => continue,
-                        (_, 1 | 3) => Some(raw_count(m[(p, q)])?),
-                        _ => raw_count(m[(q, p)])?.checked_neg(),
+                for (q, forward, back) in entries(p) {
+                    let step = match (seen[q], forward, back) {
+                        (true, _, _) | (_, Ext::PosInf, Ext::PosInf) => continue,
+                        (_, Ext::PosInf, back) => raw_count(back)?.checked_neg(),
+                        (_, forward, _) => Some(raw_count(forward)?),
                     };
                     h[q] = step
                         .and_then(|step| h[p].checked_add(step))
@@ -205,6 +222,25 @@ impl Gauge {
             }
         }
         Ok(Gauge(h))
+    }
+
+    /// `local`'s slots as gauged counts within `±limit` ([`gauged`]), with
+    /// [`UNREACHABLE`] for `+∞`: the first slot without a count names the
+    /// reason.
+    pub(crate) fn encode_links(
+        &self,
+        local: &LinkWeights<Ext<Ratio>>,
+        limit: i64,
+    ) -> Result<Vec<i64>, ScaleBailout> {
+        let w = local.weights();
+        let mut counts = Vec::with_capacity(w.len());
+        for (p, q, s) in local.table().slots() {
+            counts.push(match w[s] {
+                Ext::PosInf => UNREACHABLE,
+                w => gauged(w, self.0[p] - self.0[q], limit)?,
+            });
+        }
+        Ok(counts)
     }
 
     /// `m` as gauged counts within `±limit` ([`gauged`]), with the given
@@ -324,7 +360,8 @@ mod tests {
             m[(p, q)] = ns(start(p) - start(q) + 7);
             m[(q, p)] = ns(start(q) - start(p) + 5);
         }
-        let gauge = Gauge::of(&m).unwrap();
+        let gauge = Gauge::of_matrix(&m).unwrap();
+        assert_eq!(Gauge::of(&LinkWeights::from_matrix(&m)), Ok(gauge.clone()));
         let counts = gauge
             .encode_matrix(&m, 1_000, (Some(UNREACHABLE), None))
             .unwrap();
@@ -344,7 +381,11 @@ mod tests {
         let mut one_way = SquareMatrix::filled(3, Ext::PosInf);
         one_way[(2, 0)] = ns(start(3));
         one_way[(0, 1)] = ns(-start(3));
-        let gauge = Gauge::of(&one_way).unwrap();
+        let gauge = Gauge::of_matrix(&one_way).unwrap();
+        assert_eq!(
+            Gauge::of(&LinkWeights::from_matrix(&one_way)),
+            Ok(gauge.clone())
+        );
         assert_eq!(gauge.0, [0, -2 * start(3), -2 * start(3)]);
         assert_eq!(gauged(one_way[(2, 0)], gauge.0[2] - gauge.0[0], 0), Ok(0));
     }
@@ -354,14 +395,14 @@ mod tests {
         let mut m = SquareMatrix::filled(3, Ext::PosInf);
         m[(0, 1)] = ns(1 << 99);
         m[(1, 2)] = ns(1 << 99);
-        assert_eq!(Gauge::of(&m), Err(ScaleBailout::MagnitudeOverflow));
+        assert_eq!(Gauge::of_matrix(&m), Err(ScaleBailout::MagnitudeOverflow));
         m[(1, 2)] = Ext::Finite(Ratio::new(1, 3));
-        assert_eq!(Gauge::of(&m), Err(ScaleBailout::OffGrid));
+        assert_eq!(Gauge::of_matrix(&m), Err(ScaleBailout::OffGrid));
         m[(1, 2)] = Ext::NegInf;
-        assert_eq!(Gauge::of(&m), Err(ScaleBailout::NegInfWeight));
+        assert_eq!(Gauge::of_matrix(&m), Err(ScaleBailout::NegInfWeight));
         // Without an entry between them, nodes root trees of their own.
         assert_eq!(
-            Gauge::of(&SquareMatrix::filled(2, Ext::PosInf)),
+            Gauge::of_matrix(&SquareMatrix::filled(2, Ext::PosInf)),
             Ok(Gauge(vec![0; 2]))
         );
     }

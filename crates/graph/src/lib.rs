@@ -23,12 +23,20 @@
 //! half nanoseconds; one module (`half_ns.rs`) owns that encoding, its
 //! magnitude bounds and the gauge — one count per node that takes the
 //! clocks' start-time differences out of every entry, so clocks that
-//! count from different epochs keep small counts. [`Closure::new`] encodes
-//! a rational matrix that way and runs the dense
-//! [`blocked_floyd_warshall_i64`] kernel or, for large sparse domains,
-//! Johnson's [`sparse_closure_i64`]; it refuses, with a [`ScaleBailout`]
-//! reason, a matrix with an entry off the half-ns grid, `−∞`, or past the
-//! bound in its gauge. The [`Closure`] caches the result as counts, so
+//! count from different epochs keep small counts.
+//!
+//! The estimates arrive per declared link. A [`LinkTable`] is a CSR over
+//! a network's links, one slot per direction, each row in ascending
+//! neighbour order, and [`LinkWeights`] holds one weight per slot: the
+//! `n × n` matrix that is `+∞` off the links, in `O(n + m)`.
+//! [`Closure::of_links`] reads the table to build the gauge, encode each
+//! slot and plan the kernel, then runs the dense
+//! [`blocked_floyd_warshall_i64`] kernel over the expanded counts or, for
+//! large sparse domains, Johnson over the table ([`sparse_closure_i64`]
+//! is the same kernel on a dense matrix); it refuses, with a
+//! [`ScaleBailout`] reason, estimates with a slot off the half-ns grid,
+//! `−∞`, or past the bound in its gauge. The [`Closure`] caches the
+//! result as counts, so
 //! single-edge tightenings are absorbed in `O(n²)` integer operations via
 //! [`Closure::relax_edge`] instead of a full `O(n³)` recompute, and
 //! rationals reappear only when a distance is read, the gauge removed:
@@ -44,7 +52,8 @@
 //!
 //! Every closure route returns distances only. The shortest paths behind
 //! them — the constraint chains that explain a pair bound — are worked out
-//! on demand by one rule, [`shortest_path_successors`], and expanded with
+//! on demand by one rule, [`shortest_path_successors`], which reads the
+//! per-link weights and the closure, and expanded with
 //! [`reconstruct_path`].
 //!
 //! # Examples
@@ -72,6 +81,7 @@ mod floyd_warshall;
 mod half_ns;
 mod howard;
 mod karp;
+mod links;
 mod matrix;
 mod paths;
 mod scaled_howard;
@@ -83,7 +93,7 @@ mod weight;
 pub use bellman_ford::{bellman_ford, NegativeCycleError};
 pub use blocked::{blocked_floyd_warshall_i64, UNREACHABLE};
 pub use closure::{
-    dispatch_closure_i64, plan_closure_kernel, scaled_weights, Closure, ClosureKernel,
+    dispatch_closure_i64, link_counts, plan_closure_kernel, scaled_weights, Closure, ClosureKernel,
     RelaxOutcome, SPARSE_MAX_DENSITY, SPARSE_MIN_N,
 };
 pub use digraph::{DiGraph, Edge};
@@ -91,6 +101,7 @@ pub use floyd_warshall::floyd_warshall;
 pub use half_ns::ScaleBailout;
 pub use howard::{howard_max_cycle_mean, howard_solve, HowardSolution};
 pub use karp::{karp_max_cycle_mean, CycleMean};
+pub use links::{LinkTable, LinkWeights};
 pub use matrix::SquareMatrix;
 pub use paths::{reconstruct_path, shortest_path_successors};
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};

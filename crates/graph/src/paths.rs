@@ -7,30 +7,33 @@
 
 use std::collections::VecDeque;
 
-use crate::{SquareMatrix, Weight};
+use crate::{LinkWeights, SquareMatrix, Weight};
 
-/// Derives a successor matrix from a weight matrix and its shortest-path
-/// closure: `next[(i, j)]` is the node after `i` on a shortest `i → j`
-/// path, `usize::MAX` when `j` is unreachable from `i` or `i == j`.
+/// Derives a successor matrix from per-link weights and their
+/// shortest-path closure: `next[(i, j)]` is the node after `i` on a
+/// shortest `i → j` path, `usize::MAX` when `j` is unreachable from `i` or
+/// `i == j`.
 ///
-/// `edges[(u, v)]` is the weight of the edge `u → v` (`W::infinity()` for
-/// none; the diagonal is ignored), and `dist` must be its closure, as
-/// [`crate::floyd_warshall`] or an integer closure kernel returns it.
+/// `edges` holds the weight of each link direction (`W::infinity()` for
+/// none), and `dist` must be the closure of its dense view
+/// ([`LinkWeights::to_matrix`]), as [`crate::floyd_warshall`] or an
+/// integer closure kernel returns it.
 ///
 /// One rule picks every successor, the **minimum-hop tie-break**. An
-/// out-edge `i → v` is *tight* for a target `j` when `edges[(i, v)] +
+/// out-edge `i → v` is *tight* for a target `j` when `edges(i, v) +
 /// dist[(v, j)] = dist[(i, j)]`; among the tight out-edges of `i`, the
 /// successor is the smallest-indexed `v` whose tight hop count to `j` is
 /// exactly one less than `i`'s. Hop counts come from a breadth-first search
 /// over reversed tight edges per target, so following `next` strictly
 /// decreases the hop count: a chain never loops, even through zero-weight
 /// cycles, and it depends only on `edges` and `dist`, never on the route
-/// that computed the closure. The cost is `O(n·(n + m))` for `m` finite
-/// off-diagonal edges.
+/// that computed the closure. Both scans read the link table's rows, in
+/// ascending far-end order. The cost is `O(n·(n + m))` for `m` finite link
+/// directions.
 ///
 /// # Panics
 ///
-/// Panics if the two matrices differ in dimension. Debug builds also
+/// Panics if the two differ in dimension. Debug builds also
 /// panic when `dist` is not the closure of `edges` (a finite entry that
 /// no tight path attains); release builds then leave that pair's
 /// successor at `usize::MAX`.
@@ -38,7 +41,9 @@ use crate::{SquareMatrix, Weight};
 /// # Examples
 ///
 /// ```
-/// use clocksync_graph::{floyd_warshall, reconstruct_path, shortest_path_successors, DiGraph};
+/// use clocksync_graph::{
+///     floyd_warshall, reconstruct_path, shortest_path_successors, DiGraph, LinkWeights,
+/// };
 /// use clocksync_time::Ext;
 ///
 /// // Two shortest 0 → 3 paths of weight 2: via 1 and via 2.
@@ -48,26 +53,18 @@ use crate::{SquareMatrix, Weight};
 /// }
 /// let edges = g.to_matrix();
 /// let dist = floyd_warshall(&edges)?;
-/// let next = shortest_path_successors(&edges, &dist);
+/// let next = shortest_path_successors(&LinkWeights::from_matrix(&edges), &dist);
 /// assert_eq!(reconstruct_path(&next, 0, 3), Some(vec![0, 1, 3]));
 /// assert_eq!(reconstruct_path(&next, 3, 0), None);
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
 pub fn shortest_path_successors<W: Weight>(
-    edges: &SquareMatrix<W>,
+    edges: &LinkWeights<W>,
     dist: &SquareMatrix<W>,
 ) -> SquareMatrix<usize> {
-    let n = edges.n();
+    let (table, w) = (edges.table(), edges.weights());
+    let n = table.n();
     assert_eq!(dist.n(), n, "edges and dist disagree on dimension");
-    // Out- and in-edges of every node, each list sorted by the far end.
-    let mut out: Vec<Vec<(usize, W)>> = vec![Vec::new(); n];
-    let mut into: Vec<Vec<(usize, W)>> = vec![Vec::new(); n];
-    for (u, v, &w) in edges.iter_off_diagonal() {
-        if w.is_reachable() {
-            out[u].push((v, w));
-            into[v].push((u, w));
-        }
-    }
     let mut next = SquareMatrix::filled(n, usize::MAX);
     let mut hops = vec![usize::MAX; n];
     let mut queue = VecDeque::new();
@@ -76,8 +73,11 @@ pub fn shortest_path_successors<W: Weight>(
         hops[j] = 0;
         queue.push_back(j);
         while let Some(x) = queue.pop_front() {
-            for &(u, w) in &into[x] {
-                if hops[u] == usize::MAX && w + dist[(x, j)] == dist[(u, j)] {
+            // The in-edges u → x of x, by ascending u: each slot x → u
+            // of x's row, read in reverse.
+            for s in table.row(x) {
+                let (u, wu) = (table.target(s), w[table.reverse(s)]);
+                if wu.is_reachable() && hops[u] == usize::MAX && wu + dist[(x, j)] == dist[(u, j)] {
                     hops[u] = hops[x] + 1;
                     queue.push_back(u);
                 }
@@ -90,12 +90,13 @@ pub fn shortest_path_successors<W: Weight>(
             let hu = hops[u];
             debug_assert_ne!(hu, usize::MAX, "finite-distance node missed by tight BFS");
             // A node one hop closer was reached, so its distance is finite.
-            let tight = out[u]
-                .iter()
-                .find(|&&(v, w)| hops[v] == hu - 1 && w + dist[(v, j)] == dist[(u, j)]);
+            let tight = table.row(u).find(|&s| {
+                let v = table.target(s);
+                w[s].is_reachable() && hops[v] == hu - 1 && w[s] + dist[(v, j)] == dist[(u, j)]
+            });
             debug_assert!(tight.is_some(), "no tight successor found");
-            if let Some(&(v, _)) = tight {
-                next[(u, j)] = v;
+            if let Some(s) = tight {
+                next[(u, j)] = table.target(s);
             }
         }
     }
@@ -148,7 +149,10 @@ mod tests {
         }
         g.add_edge(0, 3, Ext::Finite(0i64));
         let edges = g.to_matrix();
-        let next = shortest_path_successors(&edges, &floyd_warshall(&edges).unwrap());
+        let next = shortest_path_successors(
+            &LinkWeights::from_matrix(&edges),
+            &floyd_warshall(&edges).unwrap(),
+        );
         assert_eq!(reconstruct_path(&next, 0, 3), Some(vec![0, 3]));
         // 0 → 4: 0 → 3 → 4 and 0 → 5 → 4 both take two hops; 3 < 5.
         assert_eq!(reconstruct_path(&next, 0, 4), Some(vec![0, 3, 4]));
@@ -162,7 +166,10 @@ mod tests {
         let mut g = DiGraph::new(3);
         g.add_edge(0, 1, Ext::Finite(5i64));
         let edges = g.to_matrix();
-        let next = shortest_path_successors(&edges, &floyd_warshall(&edges).unwrap());
+        let next = shortest_path_successors(
+            &LinkWeights::from_matrix(&edges),
+            &floyd_warshall(&edges).unwrap(),
+        );
         assert_eq!(next[(0, 1)], 1);
         for (i, j) in [(1, 0), (0, 2), (2, 1), (1, 1)] {
             assert_eq!(next[(i, j)], usize::MAX);

@@ -150,29 +150,41 @@ impl<'a> ScaledMatrix<'a> {
 /// counts: each is `2·num − den·m(p,q)`. The diagonal is zero, which never
 /// shortens a path. `None` when a weight's magnitude passes the SHIFTS
 /// bound, which no cycle mean of a [`ScaledMatrix`] makes happen.
+///
+/// The shift is checked once, not per entry. The weights fall as the entry
+/// rises, so they all lie within the bound exactly when the two extreme
+/// ones do. A cycle mean has `den ≤ 2n` and `|2·num| ≤ den·L`, `L` the
+/// matrix bound, and then the bound's own extremes `±L` suffice:
+/// `4n·L ≤ shifts_limit(n)`. Any other shift reads the extremes off the
+/// entries. Past the check each weight is
+/// `w(lo) − den·(x − lo)`, with `0 ≤ den·(x − lo) ≤ w(lo) − w(hi)`, so every
+/// row is formed in `i64` without overflow.
 fn shifted_weights(counts: &SquareMatrix<i64>, shift: Ratio) -> Option<Vec<i64>> {
     let n = counts.n();
-    // An i64 factor keeps every product inside i128 without a check.
-    let factor = i128::from(i64::try_from(shift.denominator()).ok()?);
+    let den = shift.denominator();
+    i64::try_from(den).ok()?;
     let a = shift.numerator().checked_mul(2)?;
-    let limit = i128::from(shifts_limit(n));
-    let mut w = vec![0; n * n];
-    for (p, (row, out)) in counts
-        .as_slice()
-        .chunks_exact(n)
-        .zip(w.chunks_exact_mut(n))
-        .enumerate()
-    {
-        for (q, (&x, y)) in row.iter().zip(out).enumerate() {
-            if p == q {
-                continue;
-            }
-            let v = a.checked_sub(i128::from(x) * factor)?;
-            if !(-limit..=limit).contains(&v) {
-                return None;
-            }
-            *y = v as i64;
+    let bound = i128::from(matrix_limit(n));
+    let off_diagonal = || counts.iter_off_diagonal().map(|(_, _, &x)| i128::from(x));
+    let (lo, hi) = if den <= 2 * n as i128 && a.unsigned_abs() <= (den * bound).unsigned_abs() {
+        (-bound, bound)
+    } else {
+        match (off_diagonal().min(), off_diagonal().max()) {
+            (Some(lo), Some(hi)) => (lo, hi),
+            _ => return Some(vec![0; n * n]),
         }
+    };
+    let limit = i128::from(shifts_limit(n));
+    let top = a.checked_sub(den.checked_mul(lo)?)?;
+    let bottom = a.checked_sub(den.checked_mul(hi)?)?;
+    if top > limit || bottom < -limit {
+        return None;
+    }
+    let (top, den, lo) = (top as i64, den as i64, lo as i64);
+    let mut w = Vec::with_capacity(n * n);
+    for (p, row) in counts.as_slice().chunks_exact(n).enumerate() {
+        w.extend(row.iter().map(|&x| top - den * (x - lo)));
+        w[p * n + p] = 0;
     }
     Some(w)
 }
@@ -267,7 +279,7 @@ mod tests {
         // Half nanoseconds under any cycle mean's denominator, in a gauge
         // 10^18 ns deep: the integer pass equals the rational reference.
         let m = SquareMatrix::from_vec(3, vec![0, 3, 8, 1, 0, 5, -2, 7, 0]);
-        let far = Gauge::of(&SquareMatrix::from_fn(3, |i, j| {
+        let far = Gauge::of_matrix(&SquareMatrix::from_fn(3, |i, j| {
             Ext::Finite(Ratio::from_int(
                 1_000_000_000_000_000_000 * (i as i128 - j as i128),
             ))

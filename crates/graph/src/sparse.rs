@@ -3,13 +3,16 @@
 //! The dense kernel ([`crate::blocked_floyd_warshall_i64`]) pays `O(n³)`
 //! regardless of how many links actually exist. WAN- and toroid-like
 //! topologies have `m = O(n)` directed links, and a domain of several weak
-//! components has no path between them, so for both this module provides
-//! [`sparse_closure_i64`]: Johnson's algorithm over a
-//! compressed-sparse-row copy of the same sentinel-encoded `i64` weights.
-//! One Bellman–Ford pass from a virtual source computes potentials that
-//! reweight every edge non-negative, then a binary-heap Dijkstra per
-//! source yields all pairs in `O(n·(m + n log n))`; a Dijkstra run never
-//! leaves its source's component.
+//! components has no path between them, so for both this module runs
+//! Johnson's algorithm straight over the link table and its per-slot
+//! `i64` counts. One Bellman–Ford pass from a virtual source computes
+//! potentials that reweight every edge non-negative, then a binary-heap
+//! Dijkstra per source yields all pairs in `O(n·(m + n log n))`; a
+//! Dijkstra run never leaves its source's component. Each source's run
+//! uses its own row of the closure buffer as its distance array, and each
+//! thread keeps one heap for all its sources, so the kernel allocates the
+//! `n × n` result and little else. [`sparse_closure_i64`] is the same
+//! kernel on a dense sentinel-encoded matrix.
 //!
 //! Distances and reachability agree **exactly** with the dense kernels
 //! (the property suite in `tests/sparse_equivalence.rs` checks this on
@@ -20,59 +23,23 @@ use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 
-use crate::{NegativeCycleError, SquareMatrix, UNREACHABLE};
+use crate::{link_counts, LinkTable, NegativeCycleError, SquareMatrix, UNREACHABLE};
 
 /// Below this dimension the per-source Dijkstra runs stay on the calling
 /// thread: the vendored rayon spawns OS threads on every call, which a
 /// small closure does not repay.
 const PAR_THRESHOLD: usize = 192;
 
-/// A compressed-sparse-row digraph over sentinel-encoded `i64` weights:
-/// the adjacency representation behind the Johnson closure.
-struct CsrGraph {
-    n: usize,
-    row_ptr: Vec<usize>,
-    col: Vec<usize>,
-    weight: Vec<i64>,
-}
-
-impl CsrGraph {
-    /// Builds the CSR form of a sentinel-encoded matrix, keeping every
-    /// finite off-diagonal entry. Diagonal entries are kept only when
-    /// negative (a 1-cycle the closure kernels must detect); non-negative
-    /// self-loops can never shorten a path.
-    fn from_matrix(m: &SquareMatrix<i64>) -> CsrGraph {
-        let n = m.n();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col = Vec::new();
-        let mut weight = Vec::new();
-        row_ptr.push(0);
-        for i in 0..n {
-            for (j, &w) in m.row(i).iter().enumerate() {
-                if w == UNREACHABLE || (i == j && w >= 0) {
-                    continue;
-                }
-                col.push(j);
-                weight.push(w);
-            }
-            row_ptr.push(col.len());
-        }
-        CsrGraph {
-            n,
-            row_ptr,
-            col,
-            weight,
-        }
-    }
-
-    /// The out-edges of `u` as `(target, weight)` pairs.
-    fn out_edges(&self, u: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
-        let range = self.row_ptr[u]..self.row_ptr[u + 1];
-        self.col[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.weight[range].iter().copied())
-    }
+/// The finite out-edges of `u` as `(target, count)` pairs.
+fn out_edges<'a>(
+    table: &'a LinkTable,
+    counts: &'a [i64],
+    u: usize,
+) -> impl Iterator<Item = (usize, i64)> + 'a {
+    table
+        .row(u)
+        .filter(move |&s| counts[s] != UNREACHABLE)
+        .map(move |s| (table.target(s), counts[s]))
 }
 
 /// Bellman–Ford from a virtual source connected to every node by a
@@ -85,16 +52,17 @@ impl CsrGraph {
 /// round extends a walk by at most `n − 1` edges, so every sum stays within
 /// `±(2n−1)·L` — far from overflow on any closure input, however deep
 /// the cycle.
-fn potentials(g: &CsrGraph) -> Result<Vec<i64>, NegativeCycleError> {
-    let n = g.n;
-    let limit = g.weight.iter().fold(0, |l, w| l.max(w.saturating_abs()));
+fn potentials(table: &LinkTable, counts: &[i64]) -> Result<Vec<i64>, NegativeCycleError> {
+    let n = table.n();
+    let finite = counts.iter().filter(|&&w| w != UNREACHABLE);
+    let limit = finite.fold(0, |l, w| l.max(w.saturating_abs()));
     let floor = limit.saturating_mul(n as i64 - 1).saturating_neg();
     let mut h = vec![0i64; n];
     for round in 0..n {
         let mut changed = false;
         for u in 0..n {
             let hu = h[u];
-            for (v, w) in g.out_edges(u) {
+            for (v, w) in out_edges(table, counts, u) {
                 if hu + w < h[v] {
                     if round + 1 == n {
                         // Still relaxing on the n-th round: negative cycle.
@@ -117,19 +85,26 @@ fn potentials(g: &CsrGraph) -> Result<Vec<i64>, NegativeCycleError> {
 }
 
 /// Binary-heap Dijkstra from `s` over the reweighted graph
-/// (`w'(u, v) = w + h[u] − h[v] ≥ 0`), returning *reweighted* distances
-/// with `i64::MAX` for unreachable.
-fn dijkstra_reweighted(g: &CsrGraph, h: &[i64], s: usize) -> Vec<i64> {
-    let n = g.n;
-    let mut dist = vec![i64::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(i64, usize)>> = BinaryHeap::new();
+/// (`w'(u, v) = w + h[u] − h[v] ≥ 0`), in `dist`, which then holds the
+/// distances from `s` with the reweighting undone and [`UNREACHABLE`] for
+/// no path.
+fn dijkstra_row(
+    table: &LinkTable,
+    counts: &[i64],
+    h: &[i64],
+    s: usize,
+    dist: &mut [i64],
+    heap: &mut BinaryHeap<Reverse<(i64, usize)>>,
+) {
+    dist.fill(i64::MAX);
     dist[s] = 0;
+    heap.clear();
     heap.push(Reverse((0, s)));
     while let Some(Reverse((d, u))) = heap.pop() {
         if d > dist[u] {
             continue;
         }
-        for (v, w) in g.out_edges(u) {
+        for (v, w) in out_edges(table, counts, u) {
             let nd = d + w + h[u] - h[v];
             if nd < dist[v] {
                 dist[v] = nd;
@@ -137,20 +112,57 @@ fn dijkstra_reweighted(g: &CsrGraph, h: &[i64], s: usize) -> Vec<i64> {
             }
         }
     }
-    dist
+    for (t, entry) in dist.iter_mut().enumerate() {
+        *entry = if *entry == i64::MAX {
+            UNREACHABLE
+        } else {
+            // Undo the reweighting: d(s,t) = d'(s,t) − h[s] + h[t].
+            *entry - h[s] + h[t]
+        };
+    }
+}
+
+/// All-pairs distances over the per-slot counts of `table` (sentinel
+/// [`UNREACHABLE`] for a direction without a finite count), by Johnson's
+/// algorithm; the diagonal is `0`.
+pub(crate) fn johnson(
+    table: &LinkTable,
+    counts: &[i64],
+) -> Result<SquareMatrix<i64>, NegativeCycleError> {
+    let n = table.n();
+    let h = potentials(table, counts)?;
+    let mut flat = vec![0i64; n * n];
+    let threads = rayon::current_num_threads();
+    let rows = |first: usize, block: &mut [i64]| {
+        let mut heap = BinaryHeap::new();
+        for (k, dist) in block.chunks_exact_mut(n).enumerate() {
+            dijkstra_row(table, counts, &h, first + k, dist, &mut heap);
+        }
+    };
+    if n >= PAR_THRESHOLD && threads > 1 {
+        // One contiguous block of rows per thread.
+        let per = n.div_ceil(threads);
+        flat.par_chunks_mut(per * n)
+            .enumerate()
+            .for_each(|(b, block)| rows(b * per, block));
+    } else if n > 0 {
+        rows(0, &mut flat);
+    }
+    Ok(SquareMatrix::from_vec(n, flat))
 }
 
 /// All-pairs shortest-path distances over sentinel-encoded `i64` weights
 /// via Johnson's algorithm — the sparse counterpart of
 /// [`crate::blocked_floyd_warshall_i64`], with identical conventions
 /// ([`UNREACHABLE`] sentinel, diagonal normalized to `min(0, input)`) and
-/// bit-identical distances.
+/// bit-identical distances. It runs the closure's Johnson kernel on the
+/// matrix's [`link_counts`].
 ///
 /// # Errors
 ///
 /// Returns [`NegativeCycleError`] when the graph contains a negative
-/// cycle (including a negative diagonal entry), detected by the
-/// Bellman–Ford potential pass.
+/// cycle: a negative diagonal entry names its node, any other cycle is
+/// detected by the Bellman–Ford potential pass.
 ///
 /// # Examples
 ///
@@ -169,31 +181,11 @@ fn dijkstra_reweighted(g: &CsrGraph, h: &[i64], s: usize) -> Vec<i64> {
 pub fn sparse_closure_i64(
     weights: &SquareMatrix<i64>,
 ) -> Result<SquareMatrix<i64>, NegativeCycleError> {
-    let g = CsrGraph::from_matrix(weights);
-    let n = g.n;
-    let h = potentials(&g)?;
-    let row = |s: usize| -> Vec<i64> {
-        let mut d = dijkstra_reweighted(&g, &h, s);
-        for (t, entry) in d.iter_mut().enumerate() {
-            *entry = if *entry == i64::MAX {
-                UNREACHABLE
-            } else {
-                // Undo the reweighting: d(s,t) = d'(s,t) − h[s] + h[t].
-                *entry - h[s] + h[t]
-            };
-        }
-        d
-    };
-    let rows: Vec<Vec<i64>> = if n >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        (0..n).into_par_iter().map(row).collect()
-    } else {
-        (0..n).map(row).collect()
-    };
-    let mut flat = Vec::with_capacity(n * n);
-    for r in rows {
-        flat.extend_from_slice(&r);
+    if let Some(witness) = (0..weights.n()).find(|&i| weights[(i, i)] < 0) {
+        return Err(NegativeCycleError { witness });
     }
-    Ok(SquareMatrix::from_vec(n, flat))
+    let (table, counts) = link_counts(weights);
+    johnson(&table, &counts)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 use clocksync_graph::{
     blocked_floyd_warshall_i64, floyd_warshall, reconstruct_path, shortest_path_successors,
-    Closure, SquareMatrix, Weight, UNREACHABLE,
+    Closure, LinkWeights, SquareMatrix, Weight, UNREACHABLE,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -190,8 +190,8 @@ proptest! {
                     prop_assert_eq!(v, g, "dist mismatch at ({},{})", i, j);
                 }
                 let edges = ext_of(&m);
-                let bnext = shortest_path_successors(&edges, &ext_of(&bd));
-                let gnext = shortest_path_successors(&edges, &gd);
+                let bnext = shortest_path_successors(&LinkWeights::from_matrix(&edges), &ext_of(&bd));
+                let gnext = shortest_path_successors(&LinkWeights::from_matrix(&edges), &gd);
                 assert_successors_valid(&edges, &gd, &bnext)?;
                 prop_assert_eq!(bnext, gnext, "successor matrices differ");
             }
@@ -217,8 +217,8 @@ proptest! {
             let integer = Closure::new(m).expect("on the grid, in its gauge");
             match (integer.map(|c| c.ratio_dist()), floyd_warshall(m)) {
                 (Ok(fd), Ok(gd)) => {
-                    let fnext = shortest_path_successors(m, &fd);
-                    let gnext = shortest_path_successors(m, &gd);
+                    let fnext = shortest_path_successors(&LinkWeights::from_matrix(m), &fd);
+                    let gnext = shortest_path_successors(&LinkWeights::from_matrix(m), &gd);
                     prop_assert_eq!(fd, gd, "distances differ");
                     prop_assert_eq!(fnext, gnext, "successors differ");
                 }
@@ -249,7 +249,7 @@ proptest! {
                         .expect("relax_edge accepted, so no negative cycle exists");
                     let dist = cache.ratio_dist();
                     prop_assert_eq!(&dist, &fresh, "dist diverged at ({},{})", u, v);
-                    assert_successors_valid(&m, &dist, &shortest_path_successors(&m, &dist))?;
+                    assert_successors_valid(&m, &dist, &shortest_path_successors(&LinkWeights::from_matrix(&m), &dist))?;
                 }
                 Err(_) => {
                     m[(u, v)] = merged;

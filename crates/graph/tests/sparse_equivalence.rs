@@ -14,7 +14,7 @@
 
 use clocksync_graph::{
     blocked_floyd_warshall_i64, reconstruct_path, shortest_path_successors, sparse_closure_i64,
-    SquareMatrix, UNREACHABLE,
+    LinkWeights, SquareMatrix, UNREACHABLE,
 };
 use clocksync_time::Ext;
 use proptest::prelude::*;
@@ -107,7 +107,7 @@ proptest! {
         match (sparse_closure_i64(&m), blocked_floyd_warshall_i64(&m)) {
             (Ok(sd), Ok(dd)) => {
                 prop_assert_eq!(&sd, &dd, "sparse distances differ from dense");
-                let snext = shortest_path_successors(&ext_of(&m), &ext_of(&sd));
+                let snext = shortest_path_successors(&LinkWeights::from_matrix(&ext_of(&m)), &ext_of(&sd));
                 assert_successors_valid(&m, &sd, &snext)?;
             }
             (Err(_), Err(_)) => {}

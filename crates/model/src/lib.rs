@@ -14,9 +14,12 @@
 //!   each processor. Real times of steps, true message delays, the
 //!   [`Execution::shift`] operation (§4.1, after Lundelius–Lynch), and
 //!   execution [equivalence](Execution::is_equivalent_to) all live here.
-//! * [`LinkObservations`] — the per-directed-link estimated-delay extrema
-//!   `d̃min`/`d̃max` extracted from views. The paper's Lemma 6.1 becomes an
-//!   identity in this formulation: for a message `m` from `p` to `q`,
+//! * [`LinkObservations`] — the estimated-delay evidence of each declared
+//!   link direction (extrema `d̃min`/`d̃max`, count and samples), stored
+//!   per slot of the network's link table and filled from views in one
+//!   pass over their message table ([`ViewSet::link_observations`]). The
+//!   paper's Lemma 6.1 becomes an identity in this formulation: for a
+//!   message `m` from `p` to `q`,
 //!   `d̃(m) = d(m) + S_p − S_q = recv-clock(m) − send-clock(m)`,
 //!   so estimated delays are computable by pure clock arithmetic.
 //!
@@ -37,9 +40,10 @@
 //!     .start(q, RealTime::from_nanos(500))
 //!     .message(p, q, RealTime::from_nanos(1_000), Nanos::new(200))
 //!     .build()?;
-//! // The estimated delay is d + S_p − S_q = 200 + 0 − 500 = −300.
-//! let obs = exec.views().link_observations();
-//! assert_eq!(obs.estimated_min(p, q).finite().unwrap().as_nanos(), -300);
+//! // The estimated delay is d + S_p − S_q = 200 + 0 − 500 = −300. One
+//! // slot holds the p → q direction.
+//! let obs = exec.views().link_observations(1, |src, dst| (src, dst).eq(&(p, q)).then_some(0));
+//! assert_eq!(obs.stats(0).est_min.finite().unwrap().as_nanos(), -300);
 //! # Ok::<(), clocksync_model::ModelError>(())
 //! ```
 

@@ -129,135 +129,125 @@ impl Default for DirectedStats {
     }
 }
 
-/// Estimated-delay statistics for every directed processor pair.
+/// Estimated-delay evidence per directed link *slot*: the extrema and
+/// count of each direction's estimated delays, and its samples.
 ///
 /// This is the complete interface between the raw views and the §6 local
-/// shift estimators: each estimator needs only `d̃min`/`d̃max` per direction
-/// (paper Lemmas 6.2 and 6.5 show `mls` depends on the views only through
-/// these extrema).
+/// shift estimators: each estimator reads one link's evidence (paper
+/// Lemmas 6.2 and 6.5 show `mls` depends on the views only through the
+/// extrema `d̃min`/`d̃max` per direction; the windowed-bias and quorum
+/// models also read the samples). Only declared links carry evidence, so
+/// the store is indexed by the slots of the network's link table — one per
+/// direction of each link, `O(n + m)` in all — and the caller that owns
+/// the table maps endpoints to slots. Each slot keeps its samples in the
+/// order they were recorded.
 ///
 /// # Examples
 ///
 /// ```
-/// use clocksync_model::{LinkObservations, ProcessorId};
-/// let obs = LinkObservations::empty(2);
-/// assert_eq!(obs.stats(ProcessorId(0), ProcessorId(1)).count, 0);
+/// use clocksync_model::{LinkObservations, MsgSample};
+/// use clocksync_time::{ClockTime, Ext, Nanos};
+///
+/// // Two slots: the directions 0 → 1 and 1 → 0 of one link.
+/// let mut obs = LinkObservations::empty(2);
+/// obs.record_sample(0, MsgSample {
+///     send_clock: ClockTime::from_nanos(100),
+///     recv_clock: ClockTime::from_nanos(130),
+/// });
+/// assert_eq!(obs.stats(0).est_min, Ext::Finite(Nanos::new(30)));
+/// assert_eq!(obs.stats(1).count, 0);
+/// assert_eq!(obs.evidence(1, 0).backward_samples.len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkObservations {
-    n: usize,
-    stats: Vec<DirectedStats>,    // row-major n×n, diagonal unused
-    samples: Vec<Vec<MsgSample>>, // row-major n×n, diagonal unused
+    stats: Vec<DirectedStats>,
+    samples: Vec<Vec<MsgSample>>,
 }
 
 impl LinkObservations {
-    /// Observations for `n` processors with no messages at all.
-    pub fn empty(n: usize) -> LinkObservations {
+    /// Observations over `slots` link directions with no messages at all.
+    pub fn empty(slots: usize) -> LinkObservations {
         LinkObservations {
-            n,
-            stats: vec![DirectedStats::EMPTY; n * n],
-            samples: vec![Vec::new(); n * n],
+            stats: vec![DirectedStats::EMPTY; slots],
+            samples: vec![Vec::new(); slots],
         }
     }
 
-    /// Builds statistics from a list of jointly-observed messages.
+    /// Records each message whose directed link `slot(src, dst)` names, in
+    /// one pass over `messages`; a message without a slot is dropped.
     ///
     /// # Panics
     ///
-    /// Panics if a message references a processor `≥ n`.
-    pub fn from_messages(n: usize, messages: &[MessageObservation]) -> LinkObservations {
-        let mut obs = LinkObservations::empty(n);
+    /// Panics if `slot` names a slot `≥ slots`.
+    pub fn from_messages(
+        slots: usize,
+        messages: &[MessageObservation],
+        slot: impl Fn(ProcessorId, ProcessorId) -> Option<usize>,
+    ) -> LinkObservations {
+        let mut obs = LinkObservations::empty(slots);
         for m in messages {
-            obs.record_sample(
-                m.src,
-                m.dst,
-                MsgSample {
-                    send_clock: m.send_clock,
-                    recv_clock: m.recv_clock,
-                },
-            );
+            if let Some(s) = slot(m.src, m.dst) {
+                obs.record_sample(
+                    s,
+                    MsgSample {
+                        send_clock: m.send_clock,
+                        recv_clock: m.recv_clock,
+                    },
+                );
+            }
         }
         obs
     }
 
-    /// The number of processors.
-    pub fn n(&self) -> usize {
-        self.n
+    /// The number of slots.
+    pub fn slots(&self) -> usize {
+        self.stats.len()
     }
 
-    /// Records one estimated delay on the directed link `src → dst`,
-    /// synthesizing clock readings at `send_clock = 0`. Prefer
-    /// [`LinkObservations::record_sample`] when real clock readings are
-    /// available (the windowed-bias estimator needs them).
+    /// Records one message with both endpoint clock readings on a slot.
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range.
-    pub fn record(&mut self, src: ProcessorId, dst: ProcessorId, estimated_delay: Nanos) {
-        self.record_sample(
-            src,
-            dst,
-            MsgSample {
-                send_clock: ClockTime::ZERO,
-                recv_clock: ClockTime::ZERO + estimated_delay,
-            },
-        );
+    /// Panics if `slot` is out of range.
+    pub fn record_sample(&mut self, slot: usize, sample: MsgSample) {
+        self.stats[slot].absorb(sample.estimated_delay());
+        self.samples[slot].push(sample);
     }
 
-    /// Records one message with both endpoint clock readings.
+    /// All retained samples of a slot, in recording order.
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range.
-    pub fn record_sample(&mut self, src: ProcessorId, dst: ProcessorId, sample: MsgSample) {
-        let idx = self.index(src, dst);
-        self.stats[idx].absorb(sample.estimated_delay());
-        self.samples[idx].push(sample);
+    /// Panics if `slot` is out of range.
+    pub fn samples(&self, slot: usize) -> &[MsgSample] {
+        &self.samples[slot]
     }
 
-    /// All recorded samples on the directed link `src → dst`.
+    /// The statistics of a slot.
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range.
-    pub fn samples(&self, src: ProcessorId, dst: ProcessorId) -> &[MsgSample] {
-        &self.samples[self.index(src, dst)]
+    /// Panics if `slot` is out of range.
+    pub fn stats(&self, slot: usize) -> DirectedStats {
+        self.stats[slot]
     }
 
-    /// The complete evidence about the link `{p, q}`, oriented `p → q`.
+    /// The complete evidence about one link, oriented along the slot
+    /// `forward`, with `backward` the slot of the opposite direction.
     ///
     /// # Panics
     ///
-    /// Panics if `p` or `q` is out of range.
-    pub fn evidence(&self, p: ProcessorId, q: ProcessorId) -> LinkEvidence<'_> {
+    /// Panics if either slot is out of range.
+    pub fn evidence(&self, forward: usize, backward: usize) -> LinkEvidence<'_> {
         LinkEvidence {
-            forward: self.stats(p, q),
-            backward: self.stats(q, p),
-            forward_samples: self.samples(p, q),
-            backward_samples: self.samples(q, p),
+            forward: self.stats[forward],
+            backward: self.stats[backward],
+            forward_samples: &self.samples[forward],
+            backward_samples: &self.samples[backward],
         }
     }
 
-    /// The statistics of the directed link `src → dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range.
-    pub fn stats(&self, src: ProcessorId, dst: ProcessorId) -> DirectedStats {
-        self.stats[self.index(src, dst)]
-    }
-
-    /// `d̃min(src, dst)`: minimum estimated delay (`+∞` when unobserved).
-    pub fn estimated_min(&self, src: ProcessorId, dst: ProcessorId) -> Ext<Nanos> {
-        self.stats(src, dst).est_min
-    }
-
-    /// `d̃max(src, dst)`: maximum estimated delay (`−∞` when unobserved).
-    pub fn estimated_max(&self, src: ProcessorId, dst: ProcessorId) -> Ext<Nanos> {
-        self.stats(src, dst).est_max
-    }
-
-    /// Total messages recorded across all links.
+    /// Total messages recorded across all slots.
     ///
     /// Counts everything ever recorded; samples dropped by
     /// [`LinkObservations::compact_samples`] still count (the statistics
@@ -266,15 +256,15 @@ impl LinkObservations {
         self.stats.iter().map(|s| s.count).sum()
     }
 
-    /// Samples currently held in memory across all links (at most
+    /// Samples currently held in memory across all slots (at most
     /// [`LinkObservations::total_messages`]; lower after compaction).
     pub fn retained_samples(&self) -> usize {
         self.samples.iter().map(Vec::len).sum()
     }
 
-    /// Compacts the retained samples of the directed link `src → dst` down
-    /// to the extremal witnesses plus the `window` most recent samples,
-    /// returning how many were dropped.
+    /// Compacts the retained samples of a slot down to the extremal
+    /// witnesses plus the `window` most recent samples, returning how many
+    /// were dropped.
     ///
     /// The directed statistics (`d̃min`, `d̃max`, count) are untouched:
     /// they are maintained by absorption and never recomputed from the
@@ -290,11 +280,10 @@ impl LinkObservations {
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is out of range.
-    pub fn compact_samples(&mut self, src: ProcessorId, dst: ProcessorId, window: usize) -> usize {
-        let idx = self.index(src, dst);
-        let stats = self.stats[idx];
-        let samples = &mut self.samples[idx];
+    /// Panics if `slot` is out of range.
+    pub fn compact_samples(&mut self, slot: usize, window: usize) -> usize {
+        let stats = self.stats[slot];
+        let samples = &mut self.samples[slot];
         if samples.len() <= window.saturating_add(2) {
             return 0;
         }
@@ -315,32 +304,20 @@ impl LinkObservations {
         before - samples.len()
     }
 
-    /// Discards every recorded sample *and* statistic on the link
-    /// `{p, q}`, both directions — the evidence-retraction primitive
-    /// behind the synchronizer's `forget_link`: after a link is physically
-    /// replaced, its old observations no longer describe it. Returns how
-    /// many retained samples were dropped.
+    /// Discards every recorded sample *and* statistic of a slot — the
+    /// evidence-retraction primitive behind the synchronizer's
+    /// `forget_link`, which clears both directions of a link: after a link
+    /// is physically replaced, its old observations no longer describe it.
+    /// Returns how many retained samples were dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `p` or `q` is out of range.
-    pub fn clear_link(&mut self, p: ProcessorId, q: ProcessorId) -> usize {
-        let mut dropped = 0;
-        for (a, b) in [(p, q), (q, p)] {
-            let idx = self.index(a, b);
-            self.stats[idx] = DirectedStats::EMPTY;
-            dropped += self.samples[idx].len();
-            self.samples[idx].clear();
-        }
+    /// Panics if `slot` is out of range.
+    pub fn clear(&mut self, slot: usize) -> usize {
+        self.stats[slot] = DirectedStats::EMPTY;
+        let dropped = self.samples[slot].len();
+        self.samples[slot].clear();
         dropped
-    }
-
-    fn index(&self, src: ProcessorId, dst: ProcessorId) -> usize {
-        assert!(
-            src.index() < self.n && dst.index() < self.n,
-            "processor out of range"
-        );
-        src.index() * self.n + dst.index()
     }
 }
 
@@ -348,46 +325,91 @@ impl LinkObservations {
 mod tests {
     use super::*;
 
-    const P: ProcessorId = ProcessorId(0);
-    const Q: ProcessorId = ProcessorId(1);
+    /// The slots of the two directions of one link.
+    const FWD: usize = 0;
+    const BWD: usize = 1;
+
+    fn record(obs: &mut LinkObservations, slot: usize, delay: i64) {
+        obs.record_sample(
+            slot,
+            MsgSample {
+                send_clock: ClockTime::ZERO,
+                recv_clock: ClockTime::ZERO + Nanos::new(delay),
+            },
+        );
+    }
 
     #[test]
     fn empty_links_have_infinite_extrema() {
-        let obs = LinkObservations::empty(3);
-        assert_eq!(obs.estimated_min(P, Q), Ext::PosInf);
-        assert_eq!(obs.estimated_max(P, Q), Ext::NegInf);
+        let obs = LinkObservations::empty(2);
+        assert_eq!(obs.stats(FWD).est_min, Ext::PosInf);
+        assert_eq!(obs.stats(FWD).est_max, Ext::NegInf);
         assert_eq!(obs.total_messages(), 0);
     }
 
     #[test]
     fn extrema_track_min_and_max() {
         let mut obs = LinkObservations::empty(2);
-        obs.record(P, Q, Nanos::new(30));
-        obs.record(P, Q, Nanos::new(-10));
-        obs.record(P, Q, Nanos::new(20));
-        let s = obs.stats(P, Q);
+        record(&mut obs, FWD, 30);
+        record(&mut obs, FWD, -10);
+        record(&mut obs, FWD, 20);
+        let s = obs.stats(FWD);
         assert_eq!(s.est_min, Ext::Finite(Nanos::new(-10)));
         assert_eq!(s.est_max, Ext::Finite(Nanos::new(30)));
         assert_eq!(s.count, 3);
         // The reverse direction is untouched.
-        assert_eq!(obs.stats(Q, P), DirectedStats::EMPTY);
+        assert_eq!(obs.stats(BWD), DirectedStats::EMPTY);
     }
 
     #[test]
     fn directions_are_independent() {
         let mut obs = LinkObservations::empty(2);
-        obs.record(P, Q, Nanos::new(5));
-        obs.record(Q, P, Nanos::new(-7));
-        assert_eq!(obs.estimated_min(P, Q), Ext::Finite(Nanos::new(5)));
-        assert_eq!(obs.estimated_min(Q, P), Ext::Finite(Nanos::new(-7)));
+        record(&mut obs, FWD, 5);
+        record(&mut obs, BWD, -7);
+        assert_eq!(obs.stats(FWD).est_min, Ext::Finite(Nanos::new(5)));
+        assert_eq!(obs.stats(BWD).est_min, Ext::Finite(Nanos::new(-7)));
         assert_eq!(obs.total_messages(), 2);
+        let evidence = obs.evidence(BWD, FWD);
+        assert_eq!(evidence.forward, obs.stats(BWD));
+        assert_eq!(evidence.reversed().forward, obs.stats(FWD));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_processor_panics() {
+    fn messages_without_a_slot_are_dropped_and_order_is_kept() {
+        let (p, q, r) = (ProcessorId(0), ProcessorId(1), ProcessorId(2));
+        let message = |id, src, dst, send, recv| MessageObservation {
+            id: crate::MessageId(id),
+            src,
+            dst,
+            send_clock: ClockTime::from_nanos(send),
+            recv_clock: ClockTime::from_nanos(recv),
+        };
+        let messages = [
+            message(0, p, q, 0, 9),
+            message(1, p, r, 0, 4),
+            message(2, q, p, 10, 12),
+            message(3, p, q, 20, 23),
+        ];
+        let slot = |src: ProcessorId, dst: ProcessorId| match (src.index(), dst.index()) {
+            (0, 1) => Some(FWD),
+            (1, 0) => Some(BWD),
+            _ => None,
+        };
+        let obs = LinkObservations::from_messages(2, &messages, slot);
+        assert_eq!(obs.total_messages(), 3);
+        let delays: Vec<i64> = obs
+            .samples(FWD)
+            .iter()
+            .map(|s| s.estimated_delay().as_nanos())
+            .collect();
+        assert_eq!(delays, [9, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_slot_panics() {
         let obs = LinkObservations::empty(1);
-        let _ = obs.stats(P, Q);
+        let _ = obs.stats(1);
     }
 
     #[test]
@@ -408,20 +430,20 @@ mod tests {
     fn compaction_keeps_witnesses_and_stats() {
         let mut obs = LinkObservations::empty(2);
         // Extrema arrive early, then a long run of dominated probes.
-        obs.record(P, Q, Nanos::new(-50)); // d̃min witness
-        obs.record(P, Q, Nanos::new(90)); // d̃max witness
+        record(&mut obs, FWD, -50); // d̃min witness
+        record(&mut obs, FWD, 90); // d̃max witness
         for d in 0..20 {
-            obs.record(P, Q, Nanos::new(d));
+            record(&mut obs, FWD, d);
         }
-        let before = obs.stats(P, Q);
-        let dropped = obs.compact_samples(P, Q, 4);
+        let before = obs.stats(FWD);
+        let dropped = obs.compact_samples(FWD, 4);
         assert_eq!(dropped, 22 - 4 - 2);
-        assert_eq!(obs.samples(P, Q).len(), 6);
+        assert_eq!(obs.samples(FWD).len(), 6);
         // Stats are bit-identical and the surviving samples still witness
         // both extrema.
-        assert_eq!(obs.stats(P, Q), before);
+        assert_eq!(obs.stats(FWD), before);
         let delays: Vec<Nanos> = obs
-            .samples(P, Q)
+            .samples(FWD)
             .iter()
             .map(|s| s.estimated_delay())
             .collect();
@@ -431,7 +453,7 @@ mod tests {
         assert_eq!(obs.total_messages(), 22);
         assert_eq!(obs.retained_samples(), 6);
         // Small lists are left alone.
-        assert_eq!(obs.compact_samples(P, Q, 4), 0);
+        assert_eq!(obs.compact_samples(FWD, 4), 0);
     }
 
     #[test]
@@ -439,27 +461,23 @@ mod tests {
         let mut obs = LinkObservations::empty(2);
         // The tail itself contains the extrema: witnesses and tail overlap.
         for d in [5, 5, 5, 5, 5, -9, 70] {
-            obs.record(P, Q, Nanos::new(d));
+            record(&mut obs, FWD, d);
         }
-        obs.compact_samples(P, Q, 2);
-        assert_eq!(obs.samples(P, Q).len(), 2);
-        assert_eq!(obs.stats(P, Q).est_min, Ext::Finite(Nanos::new(-9)));
-        assert_eq!(obs.stats(P, Q).est_max, Ext::Finite(Nanos::new(70)));
+        obs.compact_samples(FWD, 2);
+        assert_eq!(obs.samples(FWD).len(), 2);
+        assert_eq!(obs.stats(FWD).est_min, Ext::Finite(Nanos::new(-9)));
+        assert_eq!(obs.stats(FWD).est_max, Ext::Finite(Nanos::new(70)));
     }
 
     #[test]
     fn clear_link_resets_both_directions() {
         let mut obs = LinkObservations::empty(3);
-        obs.record(P, Q, Nanos::new(5));
-        obs.record(Q, P, Nanos::new(7));
-        obs.record(Q, ProcessorId(2), Nanos::new(9));
-        assert_eq!(obs.clear_link(P, Q), 2);
-        assert_eq!(obs.stats(P, Q), DirectedStats::EMPTY);
-        assert_eq!(obs.stats(Q, P), DirectedStats::EMPTY);
-        // Other links are untouched.
-        assert_eq!(
-            obs.estimated_min(Q, ProcessorId(2)),
-            Ext::Finite(Nanos::new(9))
-        );
+        record(&mut obs, FWD, 5);
+        record(&mut obs, BWD, 7);
+        record(&mut obs, 2, 9);
+        assert_eq!(obs.clear(FWD) + obs.clear(BWD), 2);
+        assert_eq!(obs.stats(FWD), DirectedStats::EMPTY);
+        assert_eq!(obs.stats(BWD), DirectedStats::EMPTY);
+        assert_eq!(obs.stats(2).est_min, Ext::Finite(Nanos::new(9)));
     }
 }

@@ -237,10 +237,21 @@ impl ViewSet {
         &self.messages
     }
 
-    /// Extracts the per-directed-link estimated-delay statistics
-    /// (`d̃min`, `d̃max`, message count) used by the §6 estimators.
-    pub fn link_observations(&self) -> LinkObservations {
-        LinkObservations::from_messages(self.len(), &self.messages)
+    /// Fills a link table's evidence — the per-direction `d̃min`, `d̃max`,
+    /// message count and samples the §6 estimators read — in one pass over
+    /// the message table: `slot(src, dst)` names the slot of a message's
+    /// directed link, and a message without one is dropped. Each slot
+    /// keeps its samples in message-table (id) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` names a slot `≥ slots`.
+    pub fn link_observations(
+        &self,
+        slots: usize,
+        slot: impl Fn(ProcessorId, ProcessorId) -> Option<usize>,
+    ) -> LinkObservations {
+        LinkObservations::from_messages(slots, &self.messages, slot)
     }
 
     /// Returns a view set with only the messages satisfying `keep`,
@@ -491,9 +502,10 @@ mod tests {
         // Lemma 6.1: d̃(m) = recv_clock − send_clock, whatever the real
         // start times are (they are not even represented here).
         let vs = ViewSet::new(paired_views()).unwrap();
-        let obs = vs.link_observations();
+        let forward = |p: ProcessorId, q: ProcessorId| (p.index(), q.index()) == (0, 1);
+        let obs = vs.link_observations(1, |p, q| forward(p, q).then_some(0));
         assert_eq!(
-            obs.estimated_min(ProcessorId(0), ProcessorId(1)),
+            obs.stats(0).est_min,
             clocksync_time::Ext::Finite(Nanos::new(50))
         );
     }

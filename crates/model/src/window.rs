@@ -433,9 +433,10 @@ mod tests {
         assert_eq!(w.gc_dominated(2), 8);
         assert_eq!(w.live(), 4);
         // Extrema of the materialized views match the full history.
-        let obs = w.to_view_set().unwrap().link_observations();
-        assert_eq!(obs.estimated_min(P, Q), Ext::Finite(Nanos::new(5)));
-        assert_eq!(obs.estimated_max(P, Q), Ext::Finite(Nanos::new(90)));
+        let views = w.to_view_set().unwrap();
+        let obs = views.link_observations(1, |p, q| (p == P && q == Q).then_some(0));
+        assert_eq!(obs.stats(0).est_min, Ext::Finite(Nanos::new(5)));
+        assert_eq!(obs.stats(0).est_max, Ext::Finite(Nanos::new(90)));
         // A second tick with nothing new is a no-op.
         assert_eq!(w.gc_dominated(2), 0);
     }
@@ -491,9 +492,10 @@ mod tests {
         // ids 0 and 1 are the min/max witnesses; everything else goes.
         assert_eq!(w.gc_dominated(0), 6);
         assert_eq!(w.live(), 2);
-        let obs = w.to_view_set().unwrap().link_observations();
-        assert_eq!(obs.estimated_min(P, Q), Ext::Finite(Nanos::new(5)));
-        assert_eq!(obs.estimated_max(P, Q), Ext::Finite(Nanos::new(90)));
+        let views = w.to_view_set().unwrap();
+        let obs = views.link_observations(1, |p, q| (p == P && q == Q).then_some(0));
+        assert_eq!(obs.stats(0).est_min, Ext::Finite(Nanos::new(5)));
+        assert_eq!(obs.stats(0).est_max, Ext::Finite(Nanos::new(90)));
     }
 
     #[test]

@@ -638,7 +638,7 @@ mod tests {
         let sim = pair(us(100), ms(1)).probes(4).build();
         let run = sim.run(17);
         let mut health = run.health.clone();
-        let observations = run.execution.views().link_observations();
+        let observations = run.network.link_observations(run.execution.views());
         let mls_at = |health: &[LinkHealth]| {
             let net = sim.degraded_network(health);
             assert!(
@@ -646,7 +646,7 @@ mod tests {
                 "{} must stay truthful",
                 health[0].state
             );
-            clocksync::estimated_local_shifts(&net, &observations)[(0, 1)]
+            clocksync::estimated_local_shifts(&net, &observations).get(0, 1)
         };
         health[0].state = LinkState::Healthy;
         let healthy = mls_at(&health);
@@ -663,7 +663,10 @@ mod tests {
         health[0].state = LinkState::MarzulloQuorum;
         let net = sim.degraded_network(&health);
         let (_, _, a) = net.links().next().unwrap();
-        let ev = observations.evidence(ProcessorId(0), ProcessorId(1));
+        let s = net
+            .slot(ProcessorId(0), ProcessorId(1))
+            .expect("the pair's link");
+        let ev = observations.evidence(s, net.link_table().reverse(s));
         let stats = a.fusion_stats(&ev).expect("marzullo tier has a fusion");
         assert!(stats.quorum_reached);
         assert_eq!(stats.discarded, 0, "honest traffic is never discarded");

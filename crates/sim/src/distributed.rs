@@ -770,7 +770,8 @@ mod tests {
             m[(a.index(), b.index())] = ab;
             m[(b.index(), a.index())] = ba;
         }
-        SyncOutcome::from_global_estimates(clocksync::global_estimates(&m).unwrap())
+        let local = clocksync::LinkWeights::from_matrix(&m);
+        SyncOutcome::from_global_estimates(clocksync::global_estimates(&local).unwrap())
     }
 
     #[test]

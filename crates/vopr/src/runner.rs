@@ -923,10 +923,12 @@ impl Runner<'_> {
         Ok(())
     }
 
+    /// Every local estimate, one per declared link direction, and every
+    /// closed estimate admit the true shift.
     fn check_soundness(&self, outcome: &SyncOutcome) -> Result<(), String> {
         let offsets = self.world.offsets();
-        let check = |matrix: &SquareMatrix<ExtRatio>, what: &str| {
-            for (p, q, &bound) in matrix.iter_off_diagonal() {
+        let check = |bounds: &mut dyn Iterator<Item = (usize, usize, ExtRatio)>, what: &str| {
+            for (p, q, bound) in bounds {
                 let true_shift = Ext::Finite(Ratio::from_int(
                     i128::from(offsets[q]) - i128::from(offsets[p]),
                 ));
@@ -939,8 +941,15 @@ impl Runner<'_> {
             }
             Ok(())
         };
-        check(self.online.local_estimates(), "local estimate")?;
-        check(&outcome.global_shift_estimates(), "closed estimate")
+        let local = self.online.local_estimates();
+        let slots = local.table().slots();
+        check(
+            &mut slots.map(|(p, q, s)| (p, q, local[s])),
+            "local estimate",
+        )?;
+        let closure = outcome.global_shift_estimates();
+        let mut entries = closure.iter_off_diagonal().map(|(p, q, &b)| (p, q, b));
+        check(&mut entries, "closed estimate")
     }
 
     /// The sparse Johnson closure kernel against the dense blocked kernel,
@@ -995,7 +1004,7 @@ impl Runner<'_> {
         let margin = self.scenario.margin.clamp(0, MAX_MARGIN);
         for (&(a, b), &(lo, hi)) in &self.links {
             let (p, q) = (ProcessorId(a), ProcessorId(b));
-            let evidence = self.online.observations().evidence(p, q);
+            let evidence = self.online.evidence(p, q).expect("a declared link");
             let fwd = evidence.forward_samples;
             let bwd = evidence.backward_samples;
             let k = fwd.len() + bwd.len();

@@ -52,8 +52,11 @@ type ComponentReference = (Ratio, Vec<usize>, Vec<Ratio>);
 /// The rational reference: the generic Floyd–Warshall closure, then exact
 /// Karp and the rational Bellman–Ford from each component's first member.
 fn reference(run: &SimRun) -> (SquareMatrix<ExtRatio>, Vec<ComponentReference>) {
-    let local = estimated_local_shifts(&run.network, &run.execution.views().link_observations());
-    let closure = floyd_warshall(&local).expect("consistent run");
+    let local = estimated_local_shifts(
+        &run.network,
+        &run.network.link_observations(run.execution.views()),
+    );
+    let closure = floyd_warshall(&local.to_matrix()).expect("consistent run");
     let components = synchronizable_components(&closure)
         .into_iter()
         .map(|members| {

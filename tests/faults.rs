@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 
 use clocksync::{global_estimates, SyncOutcome, Synchronizer};
-use clocksync_graph::{SquareMatrix, Weight};
+use clocksync_graph::{LinkWeights, SquareMatrix, Weight};
 use clocksync_model::ProcessorId;
 use clocksync_sim::{DistributedSync, FaultPlan, Simulation, Topology};
 use clocksync_time::{Ext, ExtRatio, Nanos, RealTime};
@@ -171,7 +171,8 @@ proptest! {
             m[(a.index(), b.index())] = ab;
             m[(b.index(), a.index())] = ba;
         }
-        let expected = SyncOutcome::from_global_estimates(global_estimates(&m).unwrap());
+        let local = LinkWeights::from_matrix(&m);
+        let expected = SyncOutcome::from_global_estimates(global_estimates(&local).unwrap());
 
         for p in 0..n {
             if let Some(c) = run.corrections[p] {

@@ -200,9 +200,10 @@ fn estimated_delay_identity_across_sources() {
     }
     // And the observations layer reports extrema consistent with the raw
     // messages.
-    let obs = run.execution.views().link_observations();
+    let obs = run.network.link_observations(run.execution.views());
     for m in run.execution.messages() {
-        assert!(obs.estimated_min(m.src, m.dst) <= Ext::Finite(m.estimated_delay));
-        assert!(obs.estimated_max(m.src, m.dst) >= Ext::Finite(m.estimated_delay));
+        let stats = obs.stats(run.network.slot(m.src, m.dst).expect("probes ride links"));
+        assert!(stats.est_min <= Ext::Finite(m.estimated_delay));
+        assert!(stats.est_max >= Ext::Finite(m.estimated_delay));
     }
 }

@@ -103,7 +103,7 @@ fn traced_pipeline_reports_stages_kernel_and_counters() {
 #[test]
 fn scaling_bailout_is_reported_not_silent() {
     use clocksync::global_estimates_traced;
-    use clocksync_graph::{SquareMatrix, Weight};
+    use clocksync_graph::{LinkWeights, SquareMatrix, Weight};
     use clocksync_time::{Ext, Ratio};
 
     // An entry too large for the scaled-i64 kernels: the stage must fall
@@ -119,7 +119,7 @@ fn scaling_bailout_is_reported_not_silent() {
         }
     });
     let recorder = Recorder::enabled();
-    global_estimates_traced(&m, &recorder).unwrap();
+    global_estimates_traced(&LinkWeights::from_matrix(&m), &recorder).unwrap();
     let trace = recorder.snapshot();
 
     assert_eq!(
@@ -156,7 +156,7 @@ fn scaling_bailout_is_reported_not_silent() {
         _ => Ext::Finite(Ratio::from_int(5)),
     });
     let recorder = Recorder::enabled();
-    global_estimates_traced(&third, &recorder).unwrap();
+    global_estimates_traced(&LinkWeights::from_matrix(&third), &recorder).unwrap();
     let trace = recorder.snapshot();
     assert_eq!(
         trace.span_field("sync.global_estimates", "fallback_reason"),
@@ -178,7 +178,7 @@ fn scaling_bailout_is_reported_not_silent() {
         }
     });
     let recorder = Recorder::enabled();
-    global_estimates_traced(&ok, &recorder).unwrap();
+    global_estimates_traced(&LinkWeights::from_matrix(&ok), &recorder).unwrap();
     let trace = recorder.snapshot();
     assert_eq!(trace.events_named("sync.closure_fallback").count(), 0);
     assert_eq!(

@@ -405,7 +405,7 @@ fn a_max_three_ways(net: &Network, exec: &Execution) -> [(&'static str, Ext<Rati
         online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock);
     }
     let streamed = online.outcome().unwrap();
-    let local = estimated_local_shifts(net, &exec.views().link_observations());
+    let local = estimated_local_shifts(net, &net.link_observations(exec.views()));
     let leader = SyncOutcome::from_global_estimates(global_estimates(&local).unwrap());
     for outcome in [&batch, &streamed, &leader] {
         assert!(outcome.is_fully_synchronized(), "a complete graph split");

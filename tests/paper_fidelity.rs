@@ -5,7 +5,7 @@
 use clocksync::{
     estimated_local_shifts, global_estimates, DelayRange, LinkAssumption, Network, Synchronizer,
 };
-use clocksync_graph::{karp_max_cycle_mean, SquareMatrix, Weight};
+use clocksync_graph::{karp_max_cycle_mean, LinkWeights, SquareMatrix, Weight};
 use clocksync_model::{Execution, ExecutionBuilder, LinkEvidence, MsgSample, ProcessorId, ViewSet};
 use clocksync_time::{Ext, ExtRatio, Nanos, Ratio, RealTime};
 
@@ -57,7 +57,7 @@ fn true_closure(net: &Network, exec: &Execution) -> SquareMatrix<ExtRatio> {
         m[(a.index(), b.index())] = assumption.estimated_mls(&ev);
         m[(b.index(), a.index())] = assumption.reversed().estimated_mls(&ev.reversed());
     }
-    global_estimates(&m).unwrap()
+    global_estimates(&LinkWeights::from_matrix(&m)).unwrap()
 }
 
 /// Lemma 4.1 (Lundelius–Lynch): `shift(π, s)` is a history of `p` with
@@ -151,7 +151,7 @@ fn lemma_4_5_estimates_preserve_cycle_means() {
         .unwrap();
     let estimated = global_estimates(&estimated_local_shifts(
         &net,
-        &exec.views().link_observations(),
+        &net.link_observations(exec.views()),
     ))
     .unwrap();
     let truth = true_closure(&net, &exec);
@@ -218,10 +218,10 @@ fn lemmas_5_2_and_5_3_local_to_global() {
 #[test]
 fn theorem_5_5_global_estimates() {
     let (net, exec) = standard();
-    let local = estimated_local_shifts(&net, &exec.views().link_observations());
+    let local = estimated_local_shifts(&net, &net.link_observations(exec.views()));
     let closure = global_estimates(&local).unwrap();
     // Two processors: closure == local off-diagonal.
-    assert_eq!(closure[(0, 1)], local[(0, 1)]);
+    assert_eq!(closure[(0, 1)], local.get(0, 1));
     // m̃ls = mls + S_p − S_q: mls = 40, σ = 30 ⇒ m̃ls(P,Q) = 10, m̃ls(Q,P) = 70.
     assert_eq!(closure[(0, 1)], Ext::Finite(Ratio::from_int(10)));
     assert_eq!(closure[(1, 0)], Ext::Finite(Ratio::from_int(70)));
@@ -266,11 +266,11 @@ fn lemma_6_1_estimated_delay_from_views() {
 #[test]
 fn lemma_6_2_bounds_closed_form() {
     let (net, exec) = standard();
-    let local = estimated_local_shifts(&net, &exec.views().link_observations());
+    let local = estimated_local_shifts(&net, &net.link_observations(exec.views()));
     // d̃(P→Q) = 10, d̃(Q→P) = 70; m̃ls(P,Q) = min(100−70, 10−0) = 10.
-    assert_eq!(local[(0, 1)], Ext::Finite(Ratio::from_int(10)));
+    assert_eq!(local.get(0, 1), Ext::Finite(Ratio::from_int(10)));
     // m̃ls(Q,P) = min(100−10, 70−0) = 70.
-    assert_eq!(local[(1, 0)], Ext::Finite(Ratio::from_int(70)));
+    assert_eq!(local.get(1, 0), Ext::Finite(Ratio::from_int(70)));
 }
 
 /// Corollary 6.4: with no bounds at all, `m̃ls(p,q) = d̃min(p,q)` — and the
@@ -306,12 +306,12 @@ fn lemma_6_5_bias_closed_form() {
         .build()
         .unwrap();
     assert!(net.admits(&exec));
-    let local = estimated_local_shifts(&net, &exec.views().link_observations());
+    let local = estimated_local_shifts(&net, &net.link_observations(exec.views()));
     // d̃(P→Q) = 10, d̃(Q→P) = 80.
     // m̃ls(P,Q) = min(10, (20 + 10 − 80)/2) = −25.
-    assert_eq!(local[(0, 1)], Ext::Finite(Ratio::new(-25, 1)));
+    assert_eq!(local.get(0, 1), Ext::Finite(Ratio::new(-25, 1)));
     // m̃ls(Q,P) = min(80, (20 + 80 − 10)/2) = 45.
-    assert_eq!(local[(1, 0)], Ext::Finite(Ratio::from_int(45)));
+    assert_eq!(local.get(1, 0), Ext::Finite(Ratio::from_int(45)));
     // A_max = (−25 + 45)/2 = 10: the bias model pins the pair to ±10ns
     // even though no delay bound exists at all.
     let outcome = Synchronizer::new(net).synchronize(exec.views()).unwrap();

@@ -241,9 +241,11 @@ proptest! {
         prop_assert_eq!(reference::validate(&views), Ok(()));
         let joined = reference::message_observations(&views);
         prop_assert_eq!(set.message_observations(), joined.as_slice());
+        let n = set.len();
+        let slot = |p: ProcessorId, q: ProcessorId| Some(p.index() * n + q.index());
         prop_assert_eq!(
-            set.link_observations(),
-            LinkObservations::from_messages(set.len(), &joined)
+            set.link_observations(n * n, slot),
+            LinkObservations::from_messages(n * n, &joined, slot)
         );
     }
 
