@@ -3,7 +3,7 @@
 use clocksync::{
     estimated_local_shifts, reconstruct_path, shortest_path_successors, SyncOutcome, Synchronizer,
 };
-use clocksync_model::{Execution, ProcessorId};
+use clocksync_model::{discrepancy, ProcessorId};
 use clocksync_obs::Recorder;
 use clocksync_sim::{DelayDistribution, FaultPlan, LinkModel, Simulation, Topology};
 use clocksync_time::{Ext, ExtRatio, Nanos, Ratio, RealTime};
@@ -270,13 +270,10 @@ pub fn sync_traced(run: &RunFile, recorder: &Recorder) -> Result<SyncReport, Str
         .with_recorder(recorder.clone())
         .synchronize(&run.views)
         .map_err(|e| e.to_string())?;
+    // The run file's parser holds one start per processor.
     let true_error = run.true_starts_ns.as_ref().map(|starts| {
-        let exec = Execution::new(
-            starts.iter().map(|&ns| RealTime::from_nanos(ns)).collect(),
-            run.views.clone(),
-        )
-        .expect("run file consistent");
-        exec.discrepancy(outcome.corrections())
+        let starts: Vec<RealTime> = starts.iter().map(|&ns| RealTime::from_nanos(ns)).collect();
+        discrepancy(&starts, outcome.corrections())
     });
     Ok(SyncReport {
         outcome,

@@ -310,11 +310,28 @@ pub fn parse_runfile(v: &Json) -> Result<RunFile, JsonError> {
         .field("links", "runfile")?
         .as_array("runfile.links")?
         .iter()
-        .map(|l| {
+        .enumerate()
+        .map(|(i, l)| {
+            let what = format!("runfile.links[{i}]");
+            let endpoint = |key: &str| -> Result<usize, JsonError> {
+                let p = l.field(key, &what)?.as_usize(&format!("{what}.{key}"))?;
+                if p >= processors {
+                    return Err(JsonError::new(format!(
+                        "{what}.{key}: processor {p} out of range ({processors} processors)"
+                    )));
+                }
+                Ok(p)
+            };
+            let (a, b) = (endpoint("a")?, endpoint("b")?);
+            if a == b {
+                return Err(JsonError::new(format!(
+                    "{what}: a link needs two distinct endpoints, got {a} twice"
+                )));
+            }
             Ok(LinkEntry {
-                a: l.field("a", "link")?.as_usize("link.a")?,
-                b: l.field("b", "link")?.as_usize("link.b")?,
-                assumption: parse_assumption(l.field("assumption", "link")?)?,
+                a,
+                b,
+                assumption: parse_assumption(l.field("assumption", &what)?)?,
             })
         })
         .collect::<Result<Vec<_>, JsonError>>()?;
@@ -335,12 +352,20 @@ pub fn parse_runfile(v: &Json) -> Result<RunFile, JsonError> {
     }
     let true_starts_ns = match v.as_object("runfile")?.get("true_starts_ns") {
         None | Some(Json::Null) => None,
-        Some(arr) => Some(
-            arr.as_array("runfile.true_starts_ns")?
+        Some(arr) => {
+            let starts = arr
+                .as_array("runfile.true_starts_ns")?
                 .iter()
                 .map(|s| s.as_i64("true_starts_ns[..]"))
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
+                .collect::<Result<Vec<_>, _>>()?;
+            if starts.len() != processors {
+                return Err(JsonError::new(format!(
+                    "runfile.true_starts_ns: {} entries for {processors} processors",
+                    starts.len()
+                )));
+            }
+            Some(starts)
+        }
     };
     Ok(RunFile {
         processors,

@@ -292,6 +292,29 @@ mod tests {
     }
 
     #[test]
+    fn a_self_link_frame_gets_an_error_reply_and_the_connection_serves_on() {
+        let (addr, server) = spawn_server(ServiceConfig::default(), 1);
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let reply = request(
+            &mut conn,
+            r#"{"t":"domain","domain":"a","n":2,"links":[{"a":1,"b":1,"lo_ns":0,"hi_ns":100}]}"#,
+        );
+        assert!(!ok(&reply), "a self-link was accepted: {reply:?}");
+        match reply.field("error", "reply") {
+            Ok(Json::Str(msg)) => assert!(msg.contains("links[0]"), "{msg}"),
+            other => panic!("no error message: {other:?}"),
+        }
+        let reply = request(
+            &mut conn,
+            r#"{"t":"domain","domain":"a","n":2,"links":[{"a":0,"b":1,"lo_ns":0,"hi_ns":100}]}"#,
+        );
+        assert!(ok(&reply), "{reply:?}");
+        drop(conn);
+        let stats = server.join().unwrap();
+        assert_eq!((stats.frames, stats.errors), (2, 1));
+    }
+
+    #[test]
     fn concurrent_connections_share_one_service() {
         let (addr, server) = spawn_server(
             ServiceConfig {

@@ -150,6 +150,11 @@ pub(crate) fn decode_domain(doc: &Json) -> Result<DomainSpec, String> {
         };
         let a = index(a, "a")?;
         let b = index(b, "b")?;
+        if a == b {
+            return Err(format!(
+                "{what}: a link needs two distinct endpoints, got {a} twice"
+            ));
+        }
         // A link carries either the compact symmetric `lo_ns`/`hi_ns`
         // form, or an `assumption` field with the full run-file schema
         // (RttBias, MarzulloQuorum, All…). Both paths validate untrusted

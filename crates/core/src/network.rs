@@ -21,8 +21,9 @@ use crate::LinkAssumption;
 /// every declared link as one slot each, row by row in ascending
 /// neighbour order. Evidence ([`Network::link_observations`]) and local
 /// estimates ([`crate::estimated_local_shifts`]) are stored per slot, so
-/// nothing before the closure is `n × n`. The table is derived from the
-/// links and shared by every clone; it is never serialized.
+/// nothing before the closure is `n × n`. It also builds the list of
+/// declared edges every outcome carries. Both are derived from the links
+/// and shared by every clone and every outcome; neither is serialized.
 ///
 /// # Examples
 ///
@@ -45,6 +46,8 @@ pub struct Network {
     links: BTreeMap<(usize, usize), LinkAssumption>,
     #[serde(skip)]
     table: Arc<LinkTable>,
+    #[serde(skip)]
+    edges: Arc<[(ProcessorId, ProcessorId)]>,
 }
 
 impl Network {
@@ -77,6 +80,13 @@ impl Network {
     /// The link table: one slot per direction of every declared link.
     pub fn link_table(&self) -> &Arc<LinkTable> {
         &self.table
+    }
+
+    /// The declared links as `(low, high)`, in the order of
+    /// [`Network::links`]: the edge list an outcome shares
+    /// ([`crate::SyncOutcome::edges`]).
+    pub(crate) fn edges(&self) -> &Arc<[(ProcessorId, ProcessorId)]> {
+        &self.edges
     }
 
     /// The slot of the direction `p → q` in the [link
@@ -181,13 +191,19 @@ impl NetworkBuilder {
         self
     }
 
-    /// Finishes building, and builds the link table.
+    /// Finishes building, and builds the link table and the edge list.
     pub fn build(self) -> Network {
         let table = LinkTable::new(self.n, self.links.keys().copied());
+        let edges = self
+            .links
+            .keys()
+            .map(|&(a, b)| (ProcessorId(a), ProcessorId(b)))
+            .collect();
         Network {
             n: self.n,
             links: self.links,
             table: Arc::new(table),
+            edges,
         }
     }
 }

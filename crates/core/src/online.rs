@@ -11,15 +11,16 @@
 //! the grid every estimate lies on, in a gauge that takes the clocks'
 //! start-time differences out. Each new observation re-estimates only the
 //! link it travelled on and folds the (monotonically tighter) edge into the
-//! cache with [`clocksync_graph::Closure::relax_edge`] — `O(n²)` integer
-//! operations over the finite entries of one column and one row — so
-//! steady-state resynchronization never pays the `O(n³)` full recompute.
-//! SHIFTS reads the cache's integers directly, and each
+//! cache with [`clocksync_graph::Closure::relax_edge`] — one pass over a
+//! column and a row, then one integer step per pair the tightening can
+//! improve — so steady-state resynchronization never pays the `O(n³)` full
+//! recompute. SHIFTS reads the cache's integers directly, and each
 //! [`OnlineSynchronizer::outcome`] hands the outcome a plain copy of the
-//! cache (`8n²` bytes, 0.3 MB at `n = 192`): the outcome keeps the counts
-//! and decodes an entry when an accessor reads it. Only
-//! [`OnlineSynchronizer::global_estimates`] converts the whole cache to
-//! [`ExtRatio`], `n²` rationals of 48 bytes each.
+//! cache (`8n²` bytes, 0.3 MB at `n = 192`), its one allocation of that
+//! size: the outcome keeps the counts and decodes an entry when an
+//! accessor reads it. Only [`OnlineSynchronizer::global_estimates`]
+//! converts the whole cache to [`ExtRatio`], `n²` rationals of 48 bytes
+//! each.
 //!
 //! Because the estimators depend on the views only through per-link
 //! evidence (Lemmas 6.2/6.5), feeding observations incrementally is
@@ -48,12 +49,20 @@
 //! only drop — so when the cached critical cycle's mean is unchanged it is
 //! still the maximum and `A_max` is reused after an `O(n)` revalidation;
 //! when it dropped, integer Howard restarts from the cached policy instead
-//! of from scratch. Cycle means and the canonical cycle do not depend on
-//! the gauge, so the warm states survive a rebuild under a fresh one. A
-//! residual domain takes the rational route (exact Karp) and keeps no warm
-//! state. Either way the outcome is bit-identical to a cold computation
-//! (the equivalence tests and the fuzzer's `warm-equals-cold` oracle
-//! compare whole outcomes), only faster.
+//! of from scratch. The state also keeps Howard's converged bias, which
+//! stays a feasible potential while `A_max` revalidates, so the corrections
+//! are one Dijkstra pass keyed by it. Cycle means, the canonical cycle and
+//! the bias do not depend on the gauge, so the warm states survive a
+//! rebuild under a fresh one. A residual domain takes the rational route
+//! (exact Karp) and keeps no warm state. Either way the outcome is
+//! bit-identical to a cold computation (the equivalence tests and the
+//! fuzzer's `warm-equals-cold` oracle compare whole outcomes), only faster.
+//!
+//! Nothing else in an outcome is rebuilt per call. The degradation report
+//! is kept between outcomes and recomputed only after a step that could
+//! change it: a refreshed link that was, or became, unhealthy (a link
+//! healthy before and after leaves the report as it was), a bulk view
+//! merge or a retraction. The edge list is the network's own, shared.
 //!
 //! Neither the cache nor an outcome holds the shortest paths themselves.
 //! A caller that wants the constraint chain behind a bound derives it from
@@ -71,6 +80,7 @@
 //! the closure for the next outcome to rebuild once.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use clocksync_graph::{Closure, LinkWeights, RelaxOutcome, SquareMatrix};
 use clocksync_model::{
@@ -79,7 +89,7 @@ use clocksync_model::{
 use clocksync_obs::Recorder;
 use clocksync_time::{ClockTime, ExtRatio, Nanos};
 
-use crate::degradation::classify_degradations;
+use crate::degradation::{classify_degradations, LinkDegradation};
 use crate::route::{close, RoutedClosure};
 use crate::shifts::{shifts_warm, ShiftsState};
 use crate::{estimated_local_shifts, Network, SyncError, SyncOutcome};
@@ -150,6 +160,10 @@ pub struct OnlineSynchronizer {
     /// written, the closure entries among its members changed solely by
     /// tightenings (a loosening clears the map; see `refresh_link`).
     shifts_states: HashMap<Vec<ProcessorId>, ShiftsState>,
+    /// The degradation report of the last [`OnlineSynchronizer::outcome`]:
+    /// `classify_degradations` of the current evidence, or `None` after a
+    /// step that may have changed it, until the next outcome recomputes it.
+    degradations: Option<Vec<LinkDegradation>>,
 }
 
 impl OnlineSynchronizer {
@@ -163,6 +177,7 @@ impl OnlineSynchronizer {
             local,
             cached: None,
             shifts_states: HashMap::new(),
+            degradations: None,
         }
     }
 
@@ -369,12 +384,14 @@ impl OnlineSynchronizer {
         let r = self.network.link_table().reverse(s);
         let dropped = self.observations.clear(s) + self.observations.clear(r);
         self.refresh_link(s);
+        self.degradations = None;
         dropped
     }
 
-    /// Drops the cached closure and every cached `A_max` certificate, so
-    /// the next [`OnlineSynchronizer::outcome`] recomputes everything from
-    /// the `m̃ls` matrix, as it does after a loosened estimate.
+    /// Drops the cached closure, every cached `A_max` certificate and the
+    /// kept degradation report, so the next [`OnlineSynchronizer::outcome`]
+    /// recomputes everything from the `m̃ls` matrix, as it does after a
+    /// loosened estimate.
     ///
     /// No part of an outcome depends on the caches, which makes a clone
     /// that calls this the reference for differential tests of the warm
@@ -382,6 +399,7 @@ impl OnlineSynchronizer {
     pub fn invalidate_caches(&mut self) {
         self.cached = None;
         self.shifts_states.clear();
+        self.degradations = None;
     }
 
     /// Merges every message of a complete view set on a declared link into
@@ -407,6 +425,7 @@ impl OnlineSynchronizer {
         }
         self.local = estimated_local_shifts(&self.network, &self.observations);
         self.cached = None;
+        self.degradations = None;
         // The A_max states stay: adding observations only tightens the
         // estimates, and the warm-start contract tolerates tightenings.
         Ok(())
@@ -418,14 +437,18 @@ impl OnlineSynchronizer {
     /// A round-trip sample on link `{a, b}` moves the evidence both ways
     /// (a slow message raises `d̃max`, which tightens the *opposite*
     /// direction's upper-bound slack), so both directed entries are
-    /// recomputed, `s`'s first. Tightenings relax the cache in `O(n²)`; one
-    /// without a count drops the closure, and a loosening or an
-    /// inconsistency (negative cycle) drops every cache, leaving the
-    /// rebuild — and the canonical error report — to
-    /// [`OnlineSynchronizer::outcome`].
+    /// recomputed, `s`'s first. Tightenings relax the cache; one without a
+    /// count drops the closure, and a loosening or an inconsistency
+    /// (negative cycle) drops every cache, leaving the rebuild — and the
+    /// canonical error report — to [`OnlineSynchronizer::outcome`]. A link
+    /// unhealthy before or after (an estimate `+∞`) drops the kept
+    /// degradation report: its traffic or its estimates may have moved it.
     fn refresh_link(&mut self, s: usize) {
-        let table = self.network.link_table().clone();
-        for (slot, back) in [(s, table.reverse(s)), (table.reverse(s), s)] {
+        let table = Arc::clone(self.network.link_table());
+        let r = table.reverse(s);
+        let healthy = |local: &LinkWeights<ExtRatio>| local[s].is_finite() && local[r].is_finite();
+        let healthy_before = healthy(&self.local);
+        for (slot, back) in [(s, r), (r, s)] {
             let (u, v) = (table.source(slot), table.target(slot));
             let assumption = self
                 .network
@@ -472,6 +495,9 @@ impl OnlineSynchronizer {
                     self.invalidate_caches();
                 }
             }
+        }
+        if !(healthy_before && healthy(&self.local)) {
+            self.degradations = None;
         }
     }
 
@@ -527,9 +553,12 @@ impl OnlineSynchronizer {
     /// `A_max` is unchanged — and only on a miss runs integer Howard,
     /// warm-started from the cached policy. A component with no cached
     /// state runs integer Howard cold, as batch does, and caches its
-    /// converged policy. The corrections pass, the cheap SHIFTS step, is
-    /// always recomputed, on the same counts. The outcome keeps a copy of
-    /// the cache's counts, so nothing is converted to rationals here.
+    /// converged policy and bias. The corrections pass, the cheap SHIFTS
+    /// step, is always recomputed, on the same counts: one Dijkstra pass
+    /// keyed by the state's bias. The outcome keeps a copy of the cache's
+    /// counts, so nothing is converted to rationals here, and shares the
+    /// network's edge list and the kept degradation report, recomputed
+    /// only when a step since the last outcome could have changed it.
     ///
     /// While no gauge holds `m̃ls`, the domain takes the residual route
     /// whole: the generic closure, then exact Karp on every component,
@@ -559,12 +588,11 @@ impl OnlineSynchronizer {
             result
         });
         self.shifts_states = fresh;
-        outcome.set_degradations(classify_degradations(
-            &self.network,
-            &self.observations,
-            &self.local,
-        ));
-        outcome.set_edges(self.network.links().map(|(p, q, _)| (p, q)).collect());
+        let degradations = self.degradations.get_or_insert_with(|| {
+            classify_degradations(&self.network, &self.observations, &self.local)
+        });
+        outcome.set_degradations(degradations.clone());
+        outcome.share_edges(self.network.edges());
         Ok(outcome)
     }
 }
@@ -572,7 +600,7 @@ impl OnlineSynchronizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayRange, LinkAssumption, Synchronizer};
+    use crate::{DegradationReason, DelayRange, LinkAssumption, Synchronizer};
     use clocksync_model::ExecutionBuilder;
     use clocksync_time::{Ext, Ratio, RealTime};
 
@@ -1301,6 +1329,110 @@ mod tests {
         assert!(matches!(err, SyncError::InconsistentObservations { .. }));
         assert_eq!(online.global_estimates(), Err(err.clone()));
         assert_eq!(crate::global_estimates(online.local_estimates()), Err(err));
+    }
+
+    #[test]
+    fn warm_outcomes_on_a_johnson_ring_equal_the_cache_dropping_reference() {
+        // A 256-node ring with chords to the node seven ahead: sparse, so
+        // every rebuild runs Johnson. A long stream of tightening round
+        // trips takes the warm path — the pruned relax, revalidation or a
+        // warm Howard run, the Dijkstra pass over the kept bias — and each
+        // warm outcome must equal, as a whole, a clone's that drops every
+        // cache first.
+        let n = 256;
+        let range = DelayRange::new(Nanos::ZERO, Nanos::new(10_000));
+        let mut links = Vec::new();
+        let mut net = Network::builder(n);
+        for p in 0..n {
+            for q in [(p + 1) % n, (p + 7) % n] {
+                links.push((ProcessorId(p), ProcessorId(q)));
+                net = net.link(
+                    ProcessorId(p),
+                    ProcessorId(q),
+                    LinkAssumption::symmetric_bounds(range),
+                );
+            }
+        }
+        let mut online = OnlineSynchronizer::new(net.build());
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        let round_trip = |online: &mut OnlineSynchronizer, at: i64, link: usize, d: i64| {
+            let (p, q) = links[link];
+            online.observe_message(
+                p,
+                q,
+                ClockTime::from_nanos(at),
+                ClockTime::from_nanos(at + d),
+            );
+            let back = ClockTime::from_nanos(at + 20_000);
+            online.observe_message(q, p, back, back + Nanos::new(d + 100));
+        };
+        for link in 0..links.len() {
+            round_trip(&mut online, 100_000 * link as i64, link, 8_000);
+        }
+        let _ = online.outcome().unwrap();
+        for step in 0..48 {
+            let link = draw(links.len() as u64) as usize;
+            let delay = 7_000 - 100 * step - draw(500) as i64;
+            round_trip(&mut online, 100_000_000 + 100_000 * step, link, delay);
+            let warm = online.outcome().unwrap();
+            let mut cold = online.clone();
+            cold.invalidate_caches();
+            assert_eq!(warm, cold.outcome().unwrap(), "step {step}");
+        }
+        assert_eq!(
+            Closure::of_links(online.local_estimates()).unwrap().0,
+            clocksync_graph::ClosureKernel::SparseJohnson
+        );
+    }
+
+    #[test]
+    fn kept_degradations_follow_a_link_from_silent_to_healthy_and_back() {
+        // P–Q has no upper bound, so one message bounds one direction
+        // only: silent, then unbounded, then healthy once the echo comes,
+        // then silent again when its evidence is retracted. Q–R stays
+        // healthy throughout; its tightenings keep the report as it was.
+        let r = ProcessorId(2);
+        let bounded =
+            LinkAssumption::symmetric_bounds(DelayRange::new(Nanos::ZERO, Nanos::new(1_000)));
+        let net = Network::builder(3)
+            .link(P, Q, LinkAssumption::no_bounds())
+            .link(Q, r, bounded)
+            .build();
+        let mut online = OnlineSynchronizer::new(net);
+        let check = |online: &mut OnlineSynchronizer| {
+            let outcome = online.outcome().unwrap();
+            let expected =
+                classify_degradations(&online.network, &online.observations, &online.local);
+            assert_eq!(outcome.degradations(), expected.as_slice());
+            let mut cold = online.clone();
+            cold.invalidate_caches();
+            assert_eq!(cold.outcome().unwrap().degradations(), expected.as_slice());
+            expected.iter().map(|d| d.reason).collect::<Vec<_>>()
+        };
+        let silent = DegradationReason::Silent;
+        assert_eq!(check(&mut online), [silent, silent]);
+        online.observe_estimated_delay(Q, r, Nanos::new(400));
+        online.observe_estimated_delay(r, Q, Nanos::new(300));
+        assert_eq!(check(&mut online), [silent]);
+        online.observe_estimated_delay(P, Q, Nanos::new(200));
+        let unbounded = DegradationReason::Unbounded { from: Q, to: P };
+        assert_eq!(check(&mut online), [unbounded]);
+        online.observe_estimated_delay(Q, P, Nanos::new(250));
+        assert_eq!(check(&mut online), []);
+        // A healthy link's tightening keeps the report; the next outcome
+        // reuses it.
+        online.observe_estimated_delay(Q, r, Nanos::new(350));
+        assert!(online.degradations.is_some());
+        assert_eq!(check(&mut online), []);
+        assert_eq!(online.forget_link(Q, P), 2);
+        assert!(online.degradations.is_none());
+        assert_eq!(check(&mut online), [silent]);
     }
 
     #[test]

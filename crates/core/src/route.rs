@@ -84,9 +84,14 @@ impl RoutedClosure {
     }
 
     /// The synchronizable components
-    /// ([`crate::synchronizable_components`]), read off the entries.
+    /// ([`crate::synchronizable_components`]), read off the entries'
+    /// finiteness: on the integer route straight off the counts, with no
+    /// decode.
     pub(crate) fn components(&self) -> Vec<Vec<ProcessorId>> {
-        components_by(self.n(), |p, q| self.at(p, q).is_finite())
+        match self {
+            RoutedClosure::Integer(c) => components_by(c.n(), |p, q| c.reaches(p, q)),
+            RoutedClosure::Residual(m) => components_by(m.n(), |p, q| m[(p, q)].is_finite()),
+        }
     }
 
     /// SHIFTS on the component of the ascending `members`: `run_shifts` on

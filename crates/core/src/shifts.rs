@@ -12,15 +12,18 @@
 //! `A_max` is Howard's policy iteration over `i64` weights: cold without a
 //! warm state, restarted from the cached policy on a warm miss, and not run
 //! at all when an online component's cached critical cycle still
-//! certifies. The corrections pass is an early-exit Bellman–Ford over `i64`
-//! rows. A domain that no gauge holds takes the residual route of
+//! certifies. The corrections pass is one dense Dijkstra pass over the
+//! counts, keyed by Howard's converged bias, which the warm state keeps
+//! with the cycle; only where Howard stopped at its iteration cap (and so
+//! left no bias) does an early-exit Bellman–Ford over `i64` rows run
+//! instead. A domain that no gauge holds takes the residual route of
 //! `route.rs` as a whole. Every route computes the same exact `A_max`,
 //! hence the same corrections, and reports the same canonical critical
 //! cycle, so the route never shows in the output. DESIGN.md §4c gives the
 //! kernel rule, the bounds, the iteration cap and the warm-start
 //! invariant.
 
-use clocksync_graph::{Closure, ScaledMatrix, SquareMatrix};
+use clocksync_graph::{Bias, Closure, ScaledMatrix, SquareMatrix};
 use clocksync_model::ProcessorId;
 use clocksync_time::{ExtRatio, Ratio};
 
@@ -42,15 +45,17 @@ pub struct ShiftsResult {
 }
 
 /// Warm state of one online component, in component-local indices: the
-/// certified `A_max` with its canonical critical cycle, and the Howard
-/// policy to restart from once that cycle stops certifying. None of it
-/// depends on the closure's gauge, so it survives a rebuild under a fresh
-/// one.
+/// certified `A_max` with its canonical critical cycle, the Howard policy
+/// to restart from once that cycle stops certifying, and Howard's
+/// converged bias, the corrections pass's potential — `None` when Howard
+/// stopped at its cap and Karp answered. None of it depends on the
+/// closure's gauge, so it survives a rebuild under a fresh one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ShiftsState {
     pub(crate) a_max: Ratio,
     pub(crate) cycle: Vec<usize>,
     pub(crate) policy: Vec<usize>,
+    pub(crate) bias: Option<Bias>,
 }
 
 /// Runs the SHIFTS function on a *finite* closure of global shift
@@ -64,8 +69,8 @@ pub(crate) struct ShiftsState {
 ///
 /// Both steps run on one copy of the closure as gauged half-nanosecond
 /// counts ([`Closure::from_closed`]): integer Howard, then the integer
-/// corrections pass. A closure no gauge holds takes the residual route:
-/// exact Karp and the rational Bellman–Ford.
+/// corrections pass over its bias. A closure no gauge holds takes the
+/// residual route: exact Karp and the rational Bellman–Ford.
 ///
 /// The caller (the synchronizer) is responsible for splitting the system
 /// into components with finite mutual estimates first.
@@ -95,11 +100,16 @@ pub fn shifts(closure: &SquareMatrix<ExtRatio>, root: usize) -> ShiftsResult {
 /// cycle mean is ≤ its cached value, so if the cached critical cycle's
 /// mean is unchanged it is still the maximum — `A_max`, cycle, and policy
 /// are reused without running any cycle-mean kernel at all (`O(n)`
-/// revalidation). Otherwise integer Howard restarts from the cached
-/// policy, which is a valid seed whatever changed and usually a few
-/// improvement steps from optimal. Without a usable state — none, or one
-/// sized for another component — Howard starts cold, and its converged
-/// policy becomes the next state.
+/// revalidation), and so is Howard's bias: every entry only fell, so it
+/// is still a feasible potential at that `A_max`. Otherwise integer Howard
+/// restarts from the cached policy, which is a valid seed whatever changed
+/// and usually a few improvement steps from optimal. Without a usable
+/// state — none, or one sized for another component — Howard starts cold,
+/// and its converged policy and bias become the next state. The
+/// corrections are one Dijkstra pass keyed by the bias
+/// ([`ScaledMatrix::corrections`]); a state without one, from a Howard run
+/// its cap cut short, takes the Bellman–Ford
+/// ([`ScaledMatrix::shifted_distances`]).
 ///
 /// # Panics
 ///
@@ -117,18 +127,23 @@ pub(crate) fn shifts_warm(
         // canonical cycle that still certifies is still the canonical one.
         Some(s) if m.cycle_mean(&s.cycle) == s.a_max => s.clone(),
         _ => {
-            let sol = m.max_cycle_mean(usable.map(|s| s.policy.as_slice()));
+            let (sol, bias) = m.solve(usable.map(|s| s.policy.as_slice()));
             ShiftsState {
                 a_max: sol.cycle_mean.mean,
                 cycle: sol.cycle_mean.cycle,
                 policy: sol.policy,
+                bias,
             }
         }
     };
-    let result = ShiftsResult {
-        corrections: m
+    let corrections = match &state.bias {
+        Some(bias) => m.corrections(state.a_max, bias, root),
+        None => m
             .shifted_distances(state.a_max, root)
             .expect("A_max-shifted closure has no negative cycles by Theorem 4.4"),
+    };
+    let result = ShiftsResult {
+        corrections,
         precision: state.a_max,
         critical_cycle: state.cycle.clone(),
     };
@@ -322,12 +337,41 @@ mod tests {
     }
 
     #[test]
+    fn a_state_without_a_bias_takes_the_bellman_ford() {
+        // A Howard run its cap cut short leaves no bias: the state still
+        // revalidates, and the corrections take the Bellman–Ford, with the
+        // Dijkstra pass's answer.
+        let mut tri = SquareMatrix::filled(3, <ExtRatio as Weight>::zero());
+        for (i, j, w) in [
+            (0, 1, 10),
+            (1, 2, 10),
+            (2, 0, 10),
+            (1, 0, 1),
+            (2, 1, 1),
+            (0, 2, 11),
+        ] {
+            tri[(i, j)] = fin(w);
+        }
+        let (first, mut state) = shifts_howard_warm(&tri, 1, None);
+        assert!(state.bias.is_some(), "a converged run keeps its bias");
+        state.bias = None;
+        let (second, kept) = shifts_howard_warm(&tri, 1, Some(&state));
+        assert_eq!(second, first);
+        assert_eq!(kept, state);
+        assert_eq!(
+            second.corrections,
+            corrections_under(&tri, 1, second.precision)
+        );
+    }
+
+    #[test]
     fn warm_state_with_mismatched_size_is_ignored() {
         let c = two_node(6, 2);
         let stale = ShiftsState {
             a_max: Ratio::from_int(99),
             cycle: vec![0, 1, 2],
             policy: vec![0],
+            bias: None,
         };
         let (r, _) = shifts_howard_warm(&c, 0, Some(&stale));
         assert_eq!(r, shifts(&c, 0));

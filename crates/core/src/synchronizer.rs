@@ -7,12 +7,14 @@
 //! rationals; [`SyncOutcome::global_shift_estimates`] is the one call that
 //! decodes the whole matrix.
 
+use std::sync::Arc;
+
 use clocksync_graph::{LinkWeights, ScaledMatrix, SquareMatrix};
 use clocksync_model::{ProcessorId, ViewSet};
 use clocksync_time::{ClockTime, Ext, ExtRatio, Ratio};
 use serde::{Deserialize, Serialize};
 
-use clocksync_obs::Recorder;
+use clocksync_obs::{FieldValue, Recorder};
 
 use crate::analysis::{rho_bar_by, worst_bound};
 use crate::degradation::{classify_degradations, LinkDegradation};
@@ -76,7 +78,8 @@ impl Synchronizer {
     /// a `sync.marzullo_fusion` event per interval-fusing link recording
     /// the quorum size and how many sources the fusion discarded, and a
     /// `sync.local_skew` event per declared edge with the edge's local
-    /// skew bound.
+    /// skew bound, and a `sync.corrections_fallback` event per component
+    /// whose corrections pass fell back to the Bellman–Ford.
     /// Recording never changes the result: the outcome is a pure function
     /// of the views, bit-for-bit (see `tests/observability.rs`).
     ///
@@ -127,7 +130,7 @@ impl Synchronizer {
         let mut outcome = {
             let mut span = self.recorder.span("sync.shifts");
             span.field("n", views.len());
-            let outcome = SyncOutcome::from_closure(closure);
+            let outcome = SyncOutcome::from_closure(closure, &self.recorder);
             span.field("components", outcome.components().len());
             outcome
         };
@@ -136,7 +139,7 @@ impl Synchronizer {
             outcome.set_degradations(classify_degradations(&self.network, &observations, &local));
             span.field("degraded_links", outcome.degradations().len());
         }
-        outcome.set_edges(self.network.links().map(|(p, q, _)| (p, q)).collect());
+        outcome.share_edges(self.network.edges());
         self.record_local_skews(&outcome);
         Ok(outcome)
     }
@@ -151,7 +154,6 @@ impl Synchronizer {
     /// see [`SyncOutcome::local_skew`]): fields `p`, `q`, `finite`, and
     /// `skew_ns` (omitted for unbounded edges).
     fn record_local_skews(&self, outcome: &SyncOutcome) {
-        use clocksync_obs::FieldValue;
         if !self.recorder.is_enabled() {
             return;
         }
@@ -169,7 +171,6 @@ impl Synchronizer {
     }
 
     fn record_fusions(&self, observations: &clocksync_model::LinkObservations) {
-        use clocksync_obs::FieldValue;
         if !self.recorder.is_enabled() {
             return;
         }
@@ -231,7 +232,7 @@ pub struct SyncOutcome {
     closure: RoutedClosure,
     components: Vec<ComponentReport>,
     degradations: Vec<LinkDegradation>,
-    edges: Vec<(ProcessorId, ProcessorId)>,
+    edges: Arc<[(ProcessorId, ProcessorId)]>,
 }
 
 impl SyncOutcome {
@@ -244,7 +245,7 @@ impl SyncOutcome {
     /// ([`clocksync_graph::Closure::from_closed`]), and the outcome keeps
     /// those counts; a closure no gauge holds takes the residual route.
     pub fn from_global_estimates(closure: SquareMatrix<ExtRatio>) -> SyncOutcome {
-        SyncOutcome::from_closure(RoutedClosure::from_closed(closure))
+        SyncOutcome::from_closure(RoutedClosure::from_closed(closure), &Recorder::disabled())
     }
 
     /// Builds an outcome from a matrix of estimated maximal *local* shifts
@@ -261,13 +262,26 @@ impl SyncOutcome {
     /// [`SyncError::InconsistentObservations`] when `local` has a negative
     /// cycle.
     pub fn from_local_estimates(local: &SquareMatrix<ExtRatio>) -> Result<SyncOutcome, SyncError> {
-        close(&LinkWeights::from_matrix(local), &Recorder::disabled())
-            .map(SyncOutcome::from_closure)
+        let recorder = Recorder::disabled();
+        close(&LinkWeights::from_matrix(local), &recorder)
+            .map(|closure| SyncOutcome::from_closure(closure, &recorder))
     }
 
     /// The cold component loop: SHIFTS from scratch on every component.
-    pub(crate) fn from_closure(closure: RoutedClosure) -> SyncOutcome {
-        SyncOutcome::from_components_with(closure, |_, m| shifts_warm(m, 0, None).0)
+    /// A component whose corrections took the Bellman–Ford — Howard
+    /// stopped at its cap, so there was no bias to key the Dijkstra pass —
+    /// records a `sync.corrections_fallback` event with its size `n`.
+    pub(crate) fn from_closure(closure: RoutedClosure, recorder: &Recorder) -> SyncOutcome {
+        SyncOutcome::from_components_with(closure, |members, m| {
+            let (result, state) = shifts_warm(m, 0, None);
+            if state.bias.is_none() {
+                recorder.event(
+                    "sync.corrections_fallback",
+                    [("n", FieldValue::from(members.len()))],
+                );
+            }
+            result
+        })
     }
 
     /// The component loop shared by the cold batch paths and the online
@@ -306,7 +320,7 @@ impl SyncOutcome {
             closure,
             components: reports,
             degradations: Vec::new(),
-            edges: Vec::new(),
+            edges: Arc::default(),
         }
     }
 
@@ -452,7 +466,14 @@ impl SyncOutcome {
     /// outcome; callers assembling outcomes from bare closures (e.g. the
     /// distributed leader) may attach their own edge list.
     pub fn set_edges(&mut self, edges: Vec<(ProcessorId, ProcessorId)>) {
-        self.edges = edges;
+        self.edges = edges.into();
+    }
+
+    /// [`SyncOutcome::set_edges`] with a shared list: the network's own
+    /// ([`Network::edges`]), which every outcome of it holds without a
+    /// copy.
+    pub(crate) fn share_edges(&mut self, edges: &Arc<[(ProcessorId, ProcessorId)]>) {
+        self.edges = Arc::clone(edges);
     }
 
     /// The declared network edges attached to this outcome (empty when

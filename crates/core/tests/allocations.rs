@@ -1,12 +1,15 @@
 //! Evidence and local estimates live per declared link, so neither batch
 //! synchronization nor the online engine allocates an `n × n` table wider
-//! than an `i64` count: the closure's counts and the SHIFTS weights are
-//! the widest tables either builds.
+//! than an `i64` count: the closure's counts are the widest table either
+//! builds. A warm step builds only one table that size: the copy of the
+//! cached closure its outcome keeps. Observing a message relaxes the
+//! cache in place, and the corrections pass forms its weights as it goes.
 //!
-//! A counting global allocator records the largest single allocation made
-//! while a call runs, so the check reads allocation sizes, not the host's
-//! memory or timing. This binary holds one test: a second one running
-//! alongside would allocate into the count.
+//! A counting global allocator records, while a call runs, the largest
+//! single allocation and how many allocations reach `8·n²` bytes, so the
+//! check reads allocation sizes, not the host's memory or timing. This
+//! binary holds one test: a second one running alongside would allocate
+//! into the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -21,10 +24,15 @@ struct Counting;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static TABLE_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
+static TABLES: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
     if ARMED.load(Ordering::Relaxed) {
         LARGEST.fetch_max(size, Ordering::Relaxed);
+        if size >= TABLE_BYTES.load(Ordering::Relaxed) {
+            TABLES.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -54,14 +62,29 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f`, returning its result and the largest single allocation it
-/// made, in bytes.
-fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+/// What one call allocated.
+#[derive(Debug, Clone, Copy)]
+struct Allocated {
+    /// The largest single allocation, in bytes.
+    largest: usize,
+    /// Allocations of at least `table_bytes`.
+    tables: usize,
+}
+
+/// Runs `f`, returning its result and what it allocated, counting the
+/// allocations of at least `table_bytes` bytes as tables.
+fn allocations<R>(table_bytes: usize, f: impl FnOnce() -> R) -> (R, Allocated) {
     LARGEST.store(0, Ordering::Relaxed);
+    TABLES.store(0, Ordering::Relaxed);
+    TABLE_BYTES.store(table_bytes, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
     let result = f();
     ARMED.store(false, Ordering::Relaxed);
-    (result, LARGEST.load(Ordering::Relaxed))
+    let allocated = Allocated {
+        largest: LARGEST.load(Ordering::Relaxed),
+        tables: TABLES.load(Ordering::Relaxed),
+    };
+    (result, allocated)
 }
 
 /// The real start time of processor `p`'s clock, in ns.
@@ -116,46 +139,58 @@ fn no_call_allocates_an_n_by_n_table_wider_than_a_count() {
     for n in [256, 64] {
         let (net, exec) = domain(n);
         let views = exec.views();
-        let bound = 16 * n * n;
-        let check = |what: &str, largest: usize| {
+        let (bound, table) = (16 * n * n, 8 * n * n);
+        let check = |what: &str, allocated: Allocated| {
             assert!(
-                largest < bound,
-                "n = {n}: {what} allocated {largest} bytes at once, at least 16·n² = {bound}"
+                allocated.largest < bound,
+                "n = {n}: {what} allocated {} bytes at once, at least 16·n² = {bound}",
+                allocated.largest
+            );
+        };
+        // The calls of a warm step: how many n × n tables each allocates.
+        let tables = |what: &str, allocated: Allocated, expected: usize| {
+            check(what, allocated);
+            assert_eq!(
+                allocated.tables, expected,
+                "n = {n}: {what} made {} allocations of at least 8·n² = {table} bytes",
+                allocated.tables
             );
         };
 
         let sync = Synchronizer::new(net.clone());
-        let (batch, largest) = largest_allocation(|| sync.synchronize(views));
+        let (batch, allocated) = allocations(table, || sync.synchronize(views));
         let batch = batch.expect("a consistent execution");
-        check("synchronize", largest);
+        check("synchronize", allocated);
 
-        let (mut online, largest) = largest_allocation(|| OnlineSynchronizer::new(net.clone()));
-        check("OnlineSynchronizer::new", largest);
-        let (ingested, largest) = largest_allocation(|| online.ingest_views(views));
+        let (mut online, allocated) = allocations(table, || OnlineSynchronizer::new(net.clone()));
+        check("OnlineSynchronizer::new", allocated);
+        let (ingested, allocated) = allocations(table, || online.ingest_views(views));
         ingested.expect("matching sizes");
-        check("ingest_views", largest);
-        let (cold, largest) = largest_allocation(|| online.outcome());
-        check("a cold outcome", largest);
+        check("ingest_views", allocated);
+        let (cold, allocated) = allocations(table, || online.outcome());
+        check("a cold outcome", allocated);
         assert_eq!(cold.expect("consistent"), batch);
 
         // Faster messages on link 0–1 tighten it: a batch, then one
-        // message, each followed by a warm outcome.
+        // message, each followed by a warm outcome, which copies the cache
+        // and allocates no other table that size.
         let stream = [
             message(0, 1, 10_000_000, 900),
             message(1, 0, 10_001_000, 800),
         ];
-        let (applied, largest) = largest_allocation(|| online.ingest_batch(&stream));
+        let (applied, allocated) = allocations(table, || online.ingest_batch(&stream));
         assert_eq!(applied, Ok(2));
-        check("ingest_batch", largest);
-        let (warm, largest) = largest_allocation(|| online.outcome());
+        tables("ingest_batch", allocated, 0);
+        let (warm, allocated) = allocations(table, || online.outcome());
         warm.expect("consistent");
-        check("a warm outcome", largest);
+        tables("a warm outcome", allocated, 1);
         let m = message(0, 1, 10_002_000, 850);
-        let (_, largest) =
-            largest_allocation(|| online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock));
-        check("observe_message", largest);
-        let (warm, largest) = largest_allocation(|| online.outcome());
+        let (_, allocated) = allocations(table, || {
+            online.observe_message(m.src, m.dst, m.send_clock, m.recv_clock)
+        });
+        tables("observe_message", allocated, 0);
+        let (warm, allocated) = allocations(table, || online.outcome());
         warm.expect("consistent");
-        check("a warm outcome", largest);
+        tables("a warm outcome", allocated, 1);
     }
 }

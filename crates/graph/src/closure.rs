@@ -17,12 +17,13 @@
 //! [`Closure::new`] takes a dense matrix by way of its link form.
 //!
 //! The [`Closure`] is also the online engine's cache.
-//! [`Closure::relax_edge`] applies a single-edge weight *decrease* in
-//! `O(n²)` integer operations instead of recomputing the full `O(n³)`
-//! closure. Online synchronizers observe one message at a time, and each
-//! observation can only tighten the estimate of the link it travelled on,
-//! so steady-state resynchronization becomes a sequence of `relax_edge`
-//! calls. SHIFTS reads each component's counts with
+//! [`Closure::relax_edge`] applies a single-edge weight *decrease* in one
+//! pass over a column and a row plus one integer step per pair the
+//! decrease can improve — `O(n²)` at most — instead of recomputing the
+//! full `O(n³)` closure. Online synchronizers observe one message at a
+//! time, and each observation can only tighten the estimate of the link
+//! it travelled on, so steady-state resynchronization becomes a sequence
+//! of `relax_edge` calls. SHIFTS reads each component's counts with
 //! [`Closure::component`]. Rationals appear only at the edges: weights
 //! arrive as [`ExtRatio`], and a distance leaves as one, the gauge
 //! removed, when a caller reads it — one entry with [`Closure::ratio_at`],
@@ -368,6 +369,16 @@ impl Closure {
         self.gauge.decode_matrix(&self.dist)
     }
 
+    /// Whether the closure distance `(p, q)` is finite — `q` is reachable
+    /// from `p` — read off the count, with no decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `q` is out of range.
+    pub fn reaches(&self, p: usize, q: usize) -> bool {
+        self.dist[(p, q)] != UNREACHABLE
+    }
+
     /// One closure distance, `ratio_dist()[(p, q)]`, decoded on its own.
     ///
     /// # Panics
@@ -396,7 +407,9 @@ impl Closure {
     }
 
     /// Incorporates a new edge `u → v` of weight `w` (equivalently: lowers
-    /// the existing edge to `w`), updating the cached closure in `O(n²)`:
+    /// the existing edge to `w`), updating the cached closure in `O(n)`
+    /// plus one step per pair that passes the two tests below, `O(n²)` at
+    /// most:
     ///
     /// `dist[i][j] ← min(dist[i][j], dist[i][u] + w + dist[v][j])`.
     ///
@@ -404,10 +417,16 @@ impl Closure {
     /// shortest path, and any path improved by the change uses the new
     /// edge, splitting into an old shortest `i → u` prefix and `v → j`
     /// suffix — both of which the cached closure already knows. Only
-    /// pairs with a finite prefix and a finite suffix can improve, so the
-    /// loop runs over the finite entries of column `u` times those of row
-    /// `v`: on a multi-component domain that is the edge's own component.
-    /// The sum telescopes in any gauge, so `w` enters in the cache's.
+    /// pairs with a finite prefix and a finite suffix can improve, and by
+    /// the closure's triangle inequality only those whose prefix beats the
+    /// old `dist[(i, v)]` (`dist[(i, u)] + w < dist[(i, v)]`) and whose
+    /// suffix beats the old `dist[(u, j)]` (`w + dist[(v, j)] < dist[(u,
+    /// j)]`); an unreachable entry counts as beaten. So the loop runs over
+    /// the sources of column `u` and the targets of row `v` that pass
+    /// those tests, found in one pass over each: on a warm stream, where a
+    /// tightening moves few entries, a small corner of the edge's own
+    /// component. The sum telescopes in any gauge, so `w` enters in the
+    /// cache's.
     ///
     /// The [`RelaxOutcome`] makes the staleness contract explicit:
     /// [`RelaxOutcome::Tightened`] when entries changed,
@@ -469,28 +488,45 @@ impl Closure {
         // improves by detouring through u → v → … → u), so reading the old
         // values below is exact; a closed negative cycle instead surfaces
         // as a negative diagonal entry, reported as the error. Each source
-        // carries dist[(i, u)] + w.
-        let sources: Vec<(usize, i64)> = (0..n)
-            .filter_map(|i| {
-                let diu = self.dist[(i, u)];
-                (diu != UNREACHABLE).then_some((i, diu + w))
-            })
-            .collect();
-        let targets: Vec<(usize, i64)> = self
-            .dist
-            .row(v)
-            .iter()
-            .enumerate()
-            .filter(|&(_, &dvj)| dvj != UNREACHABLE)
-            .map(|(j, &dvj)| (j, dvj))
-            .collect();
+        // carries dist[(i, u)] + w, each target dist[(v, j)].
+        //
         // Every candidate lies between the sums of the extreme source and
-        // target terms (u and v are among them); keeping those within the
-        // bound keeps the invariant.
-        let lo = |xs: &[(usize, i64)]| xs.iter().map(|&(_, x)| x).min().unwrap_or(0);
-        let hi = |xs: &[(usize, i64)]| xs.iter().map(|&(_, x)| x).max().unwrap_or(0);
+        // target terms (u's and v's, w and 0, are among them); keeping
+        // those within the bound keeps the invariant, so the extremes run
+        // over every finite term. A pair improves only if its prefix beats
+        // the old dist[(i, v)] and its suffix the old dist[(u, j)], by the
+        // triangle inequalities dist[(i, j)] ≤ dist[(i, v)] + dist[(v, j)]
+        // and ≤ dist[(i, u)] + dist[(u, j)]; the sentinel is beaten by
+        // every term, which lies within the closure bound. Only those terms
+        // are kept. A negative diagonal candidate passes both tests (the
+        // old closure has no negative cycle), so the error still surfaces,
+        // at the same node.
+        let dist = self.dist.as_slice();
+        let (mut lo, mut hi) = ((w, 0), (w, 0));
+        let mut sources = Vec::with_capacity(n);
+        for i in 0..n {
+            let diu = dist[i * n + u];
+            if diu == UNREACHABLE {
+                continue;
+            }
+            let base = diu + w;
+            (lo.0, hi.0) = (lo.0.min(base), hi.0.max(base));
+            if base < dist[i * n + v] {
+                sources.push((i, base));
+            }
+        }
+        let mut targets = Vec::with_capacity(n);
+        for (j, (&duj, &dvj)) in self.dist.row(u).iter().zip(self.dist.row(v)).enumerate() {
+            if dvj == UNREACHABLE {
+                continue;
+            }
+            (lo.1, hi.1) = (lo.1.min(dvj), hi.1.max(dvj));
+            if w + dvj < duj {
+                targets.push((j, dvj));
+            }
+        }
         let limit = matrix_limit(n);
-        if lo(&sources) + lo(&targets) < -limit || hi(&sources) + hi(&targets) > limit {
+        if lo.0 + lo.1 < -limit || hi.0 + hi.1 > limit {
             return Ok(RelaxOutcome::Unrepresentable);
         }
         let mut changed = false;

@@ -37,8 +37,9 @@
 //! [`ScaleBailout`] reason, estimates with a slot off the half-ns grid,
 //! `−∞`, or past the bound in its gauge. The [`Closure`] caches the
 //! result as counts, so
-//! single-edge tightenings are absorbed in `O(n²)` integer operations via
-//! [`Closure::relax_edge`] instead of a full `O(n³)` recompute, and
+//! single-edge tightenings are absorbed via [`Closure::relax_edge`] — one
+//! integer step per pair the tightening can improve, `O(n²)` at most —
+//! instead of a full `O(n³)` recompute, and
 //! rationals reappear only when a distance is read, the gauge removed:
 //! one entry by [`Closure::ratio_at`], the matrix by
 //! [`Closure::ratio_dist`]. SHIFTS reads that same integer
@@ -46,7 +47,9 @@
 //! component's counts, and runs both SHIFTS steps on it — `A_max` by
 //! Howard's policy iteration over `i64` weights, warm-startable from any
 //! policy and capped with an integer Karp fallback
-//! ([`ScaledMatrix::max_cycle_mean`]), and the corrections pass
+//! ([`ScaledMatrix::solve`]), and the corrections pass, one Dijkstra
+//! pass keyed by Howard's [`Bias`] ([`ScaledMatrix::corrections`]) or,
+//! where the cap left none, a Bellman–Ford
 //! ([`ScaledMatrix::shifted_distances`]). [`fast_max_cycle_mean`] is
 //! integer Karp on rational input, for the kernel benchmarks.
 //!
@@ -105,6 +108,6 @@ pub use links::{LinkTable, LinkWeights};
 pub use matrix::SquareMatrix;
 pub use paths::{reconstruct_path, shortest_path_successors};
 pub use scaled_karp::{fast_max_cycle_mean, try_scaled_karp};
-pub use shifted::ScaledMatrix;
+pub use shifted::{Bias, ScaledMatrix};
 pub use sparse::sparse_closure_i64;
 pub use weight::Weight;

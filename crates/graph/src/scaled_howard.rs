@@ -80,9 +80,11 @@ impl PartialOrd for Value {
 
 /// The maximum cycle mean of the complete matrix `m` (half-nanosecond
 /// counts in `gauge`, every entry an edge within the SHIFTS bound) by
-/// policy iteration from `warm`, with the canonical witness and the last
-/// policy. Past `cap` policy evaluations it returns integer Karp's answer,
-/// which is the same, with the policy it had reached.
+/// policy iteration from `warm`, with the canonical witness, the last
+/// policy and the converged bias `q·h` (taken without the gauge, `p/q` the
+/// mean in counts). Past `cap` policy evaluations it returns integer
+/// Karp's answer, which is the same, with the policy it had reached and no
+/// bias.
 ///
 /// # Panics
 ///
@@ -92,7 +94,7 @@ pub(crate) fn scaled_howard(
     gauge: &[i128],
     warm: Option<&[usize]>,
     cap: usize,
-) -> HowardSolution {
+) -> (HowardSolution, Option<Vec<i128>>) {
     let n = m.n();
     assert!(n > 0, "a cycle mean needs a node");
     let w = m.as_slice();
@@ -136,10 +138,10 @@ pub(crate) fn scaled_howard(
             mean: half_ns::decode_mean(p, q),
             cycle,
         };
-        return HowardSolution { cycle_mean, policy };
+        return (HowardSolution { cycle_mean, policy }, Some(bias));
     }
     let cycle_mean = scaled_karp(m).expect("a nonempty complete matrix has a cycle");
-    HowardSolution { cycle_mean, policy }
+    (HowardSolution { cycle_mean, policy }, None)
 }
 
 /// Policy evaluation: each node's policy path ends in one cycle of the
@@ -260,9 +262,11 @@ mod tests {
         // Heaviest successors first: 0 → 1 → 0 at mean 5 and 2 → 3 → 2 at
         // mean 6, so the first evaluation cannot be the last.
         let m = matrix(&[&[0, 9, 1, 1], &[1, 0, 1, 1], &[1, 1, 0, 7], &[1, 1, 5, 0]]);
-        let capped = scaled_howard(&m, &[0; 4], None, 1);
-        let converged = scaled_howard(&m, &[0; 4], None, iteration_cap(4));
+        let (capped, no_bias) = scaled_howard(&m, &[0; 4], None, 1);
+        let (converged, bias) = scaled_howard(&m, &[0; 4], None, iteration_cap(4));
         assert_ne!(capped.policy, converged.policy, "the cap must cut the run");
+        // Only a converged run has a bias to hand the corrections pass.
+        assert!(no_bias.is_none() && bias.is_some());
         assert_eq!(capped.cycle_mean, converged.cycle_mean);
         let exact = karp_max_cycle_mean(&rational(&m));
         assert_eq!(Some(capped.cycle_mean), exact);
@@ -271,7 +275,8 @@ mod tests {
     #[test]
     fn a_gauge_changes_no_decision() {
         // The same values in a gauge an epoch deep: every policy Howard
-        // passes through, and so the answer and the final policy, match.
+        // passes through, and so the answer, the final policy and the bias
+        // (taken without the gauge), match.
         let m = matrix(&[&[0, 9, 1, 4], &[1, 0, 6, 1], &[3, 1, 0, 7], &[1, 8, 5, 0]]);
         let g = [0, 2_000_000_000_000_000_000, -7, 1_000_000_000_000_000_003];
         let gauged = SquareMatrix::from_fn(4, |v, u| (i128::from(m[(v, u)]) + g[v] - g[u]) as i64);
@@ -295,7 +300,7 @@ mod tests {
             1 => -limit,
             _ => limit - 1,
         });
-        let fast = scaled_howard(&m, &[0; 5], None, iteration_cap(5));
+        let (fast, _) = scaled_howard(&m, &[0; 5], None, iteration_cap(5));
         assert_eq!(Some(fast.cycle_mean), karp_max_cycle_mean(&rational(&m)));
     }
 }

@@ -12,14 +12,22 @@
 //! every entry within the SHIFTS matrix bound. Cycle weights do not see
 //! the gauge, so its `A_max` is integer Howard's (`scaled_howard.rs`) on
 //! the counts as they are, warm-startable from any policy and capped with
-//! an integer Karp fallback. Its corrections pass is an early-exit
-//! Bellman–Ford over flat `i64` rows, building a [`Ratio`] only for each
-//! output. For `λ = num/den` the pass measures in `1/(2·den)` ns, where
-//! each weight is the integer `2·num − den·m(p,q)`; the matrix bound keeps
-//! every such weight within the SHIFTS bound for every cycle mean of the
-//! matrix, so the pass always runs. A gauged distance `x′(q)` from the
-//! root `s` is the distance `x(q)` moved by `h(q) − h(s)`, and each output
-//! removes that.
+//! an integer Karp fallback. For `λ = num/den` both corrections passes
+//! measure in `1/(2·den)` ns, where each weight is the integer
+//! `2·num − den·m(p,q)`; the matrix bound keeps every such weight within
+//! the SHIFTS bound for every cycle mean of the matrix, so a pass always
+//! runs. A gauged distance `x′(q)` from the root `s` is the distance
+//! `x(q)` moved by `h(q) − h(s)`, and each output removes that.
+//!
+//! The corrections pass is one dense Dijkstra pass
+//! ([`ScaledMatrix::corrections`]) keyed by Howard's converged [`Bias`],
+//! which makes every reduced weight non-negative at `A_max`. It forms each
+//! weight in its inner loop, so no `n × n` weight matrix is built. Only
+//! where no bias exists — Howard stopped at its iteration cap and Karp
+//! answered — does SHIFTS run [`ScaledMatrix::shifted_distances`], an
+//! early-exit Bellman–Ford over a flat `i64` weight matrix, which also
+//! serves shifts other than `A_max`. Both build a [`Ratio`] only for each
+//! output.
 
 use std::borrow::Cow;
 
@@ -28,6 +36,15 @@ use clocksync_time::{Ext, Ratio};
 use crate::half_ns::{self, matrix_limit, shifts_limit, Gauge};
 use crate::scaled_howard::{iteration_cap, scaled_howard};
 use crate::{HowardSolution, NegativeCycleError, SquareMatrix};
+
+/// Integer Howard's converged bias on a [`ScaledMatrix`]: per node `q·h`,
+/// taken without the gauge, where `p/q` is `A_max` in half-nanosecond
+/// counts. It is a feasible potential of the corrections weights at
+/// `A_max`: `q·h(u) ≥ q·w(u,v) − p + q·h(v)` on every edge. So it stays
+/// one after any entrywise tightening that keeps `A_max` (every `w` only
+/// fell), and a change of gauge leaves it as it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Bias(Vec<i128>);
 
 /// A complete matrix of half-nanosecond counts in a gauge — a SHIFTS
 /// component as the closure stage holds it — whose every entry, the
@@ -45,9 +62,13 @@ use crate::{HowardSolution, NegativeCycleError, SquareMatrix};
 /// m[(0, 1)] = Ext::Finite(Ratio::from_int(3));
 /// m[(1, 0)] = Ext::Finite(Ratio::new(1, 2));
 /// let m = ScaledMatrix::from_ratio(&m).expect("half nanoseconds within the bound");
-/// let a_max = m.max_cycle_mean(None).cycle_mean.mean;
+/// let (solution, bias) = m.solve(None);
+/// let a_max = solution.cycle_mean.mean;
 /// assert_eq!(a_max, Ratio::new(7, 4));
-/// assert_eq!(m.shifted_distances(a_max, 0)?, [Ratio::ZERO, Ratio::new(-5, 4)]);
+/// let corrections = m.corrections(a_max, &bias.expect("Howard converged"), 0);
+/// assert_eq!(corrections, [Ratio::ZERO, Ratio::new(-5, 4)]);
+/// // The Bellman–Ford, the pass where Howard's cap leaves no bias, agrees.
+/// assert_eq!(m.shifted_distances(a_max, 0)?, corrections);
 /// # Ok::<(), clocksync_graph::NegativeCycleError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -107,7 +128,51 @@ impl<'a> ScaledMatrix<'a> {
     /// for the next call. Past `10n + 10` policy evaluations it answers
     /// with integer Karp instead and returns the policy it reached.
     pub fn max_cycle_mean(&self, warm: Option<&[usize]>) -> HowardSolution {
-        scaled_howard(&self.m, &self.gauge.0, warm, iteration_cap(self.n()))
+        self.solve(warm).0
+    }
+
+    /// [`ScaledMatrix::max_cycle_mean`] with Howard's converged [`Bias`],
+    /// the potential [`ScaledMatrix::corrections`] runs on: `None` when the
+    /// iteration cap cut Howard short and integer Karp answered.
+    pub fn solve(&self, warm: Option<&[usize]>) -> (HowardSolution, Option<Bias>) {
+        let (solution, bias) = scaled_howard(&self.m, &self.gauge.0, warm, iteration_cap(self.n()));
+        (solution, bias.map(Bias))
+    }
+
+    /// The corrections at `a_max`, [`ScaledMatrix::shifted_distances`]
+    /// from `source` under `w(p,q) = a_max − m(p,q)`, in one dense
+    /// Dijkstra pass keyed by `bias`.
+    ///
+    /// The caller vouches that `a_max` is the maximum cycle mean and that
+    /// `bias` is [`ScaledMatrix::solve`]'s at it on this matrix, or on one
+    /// whose every entry was at least this one's, in any gauge. The pass
+    /// measures in `1/(2·den)` ns for `a_max = num/den`, so `A_max` is
+    /// `p/q` counts with `q = den/2` for an even `den` and `q = den`
+    /// otherwise, and the potential is `π(v) = (den/q)·bias(v) + den·g(v)`
+    /// in the matrix's gauge `g`: every gauged weight `w′(u,v)` then has
+    /// `w′(u,v) + π(u) − π(v) ≥ 0`, so the keys `dist(v) − π(v)` settle in
+    /// order and each node's first settled distance is its shortest. Every
+    /// sum is an exact integer, so the distances are the Bellman–Ford's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range, `bias` has another length, or
+    /// `a_max` lies outside the range of the matrix's cycle means.
+    pub fn corrections(&self, a_max: Ratio, bias: &Bias, source: usize) -> Vec<Ratio> {
+        let n = self.n();
+        assert!(source < n, "source out of range");
+        assert_eq!(bias.0.len(), n, "one bias per node");
+        let weights = Shifted::of(&self.m, a_max).expect("A_max within the range of cycle means");
+        let den = a_max.denominator();
+        let scale = if den % 2 == 0 { 2 } else { 1 };
+        let potential: Vec<i128> = bias
+            .0
+            .iter()
+            .zip(&self.gauge.0)
+            .map(|(&b, &g)| scale * b + den * g)
+            .collect();
+        let dist = dense_dijkstra(&self.m, weights, &potential, source);
+        self.ungauged(dist, den, source)
     }
 
     /// Shortest-path distances from `source` under
@@ -133,60 +198,135 @@ impl<'a> ScaledMatrix<'a> {
         let n = self.n();
         let w = shifted_weights(&self.m, shift).expect("shift within the range of cycle means");
         let dist = dense_bellman_ford(&w, n, source, shifts_limit(n))?;
-        // A distance of x units of 1/(2·den) ns is x/den counts of ½ ns,
-        // and removing the gauge adds h(s) − h(q) counts.
-        let den = shift.denominator();
+        Ok(self.ungauged(dist, shift.denominator(), source))
+    }
+
+    /// Distances from `source` in units of `1/(2·den)` ns, gauged, as
+    /// rationals in no gauge: `x` units are `x/den` counts of ½ ns, and
+    /// removing the gauge adds `h(s) − h(q)` counts.
+    fn ungauged(&self, dist: Vec<i64>, den: i128, source: usize) -> Vec<Ratio> {
         let h = &self.gauge.0;
-        Ok(dist
-            .into_iter()
+        dist.into_iter()
             .zip(h)
             .map(|(x, &hq)| half_ns::decode_mean(i128::from(x) + den * (h[source] - hq), den))
-            .collect())
+            .collect()
     }
 }
 
-/// The weights `shift − m(p,q)` as flat `i64` rows in units of
-/// `1/(2·den)` ns, for `shift = num/den` and `m` in half-nanosecond
-/// counts: each is `2·num − den·m(p,q)`. The diagonal is zero, which never
-/// shortens a path. `None` when a weight's magnitude passes the SHIFTS
-/// bound, which no cycle mean of a [`ScaledMatrix`] makes happen.
-///
-/// The shift is checked once, not per entry. The weights fall as the entry
-/// rises, so they all lie within the bound exactly when the two extreme
-/// ones do. A cycle mean has `den ≤ 2n` and `|2·num| ≤ den·L`, `L` the
-/// matrix bound, and then the bound's own extremes `±L` suffice:
-/// `4n·L ≤ shifts_limit(n)`. Any other shift reads the extremes off the
-/// entries. Past the check each weight is
-/// `w(lo) − den·(x − lo)`, with `0 ≤ den·(x − lo) ≤ w(lo) − w(hi)`, so every
-/// row is formed in `i64` without overflow.
-fn shifted_weights(counts: &SquareMatrix<i64>, shift: Ratio) -> Option<Vec<i64>> {
-    let n = counts.n();
-    let den = shift.denominator();
-    i64::try_from(den).ok()?;
-    let a = shift.numerator().checked_mul(2)?;
-    let bound = i128::from(matrix_limit(n));
-    let off_diagonal = || counts.iter_off_diagonal().map(|(_, _, &x)| i128::from(x));
-    let (lo, hi) = if den <= 2 * n as i128 && a.unsigned_abs() <= (den * bound).unsigned_abs() {
-        (-bound, bound)
-    } else {
-        match (off_diagonal().min(), off_diagonal().max()) {
-            (Some(lo), Some(hi)) => (lo, hi),
-            _ => return Some(vec![0; n * n]),
+/// The corrections weights `shift − m(p,q)` in units of `1/(2·den)` ns,
+/// for `shift = num/den` and `m` in half-nanosecond counts: each weight
+/// is `2·num − den·m(p,q)`, formed as `top − den·(m(p,q) − lo)`.
+#[derive(Debug, Clone, Copy)]
+struct Shifted {
+    top: i64,
+    den: i64,
+    lo: i64,
+}
+
+impl Shifted {
+    /// The weights of `shift` over the off-diagonal `counts`, or `None`
+    /// when a weight's magnitude passes the SHIFTS bound, which no cycle
+    /// mean of a [`ScaledMatrix`] makes happen.
+    ///
+    /// The shift is checked once, not per entry. The weights fall as the
+    /// entry rises, so they all lie within the bound exactly when the two
+    /// extreme ones do. A cycle mean has `den ≤ 2n` and `|2·num| ≤ den·L`,
+    /// `L` the matrix bound, and then the bound's own extremes `±L`
+    /// suffice: `4n·L ≤ shifts_limit(n)`. Any other shift reads the
+    /// extremes off the entries. Past the check each weight is
+    /// `w(lo) − den·(x − lo)`, with `0 ≤ den·(x − lo) ≤ w(lo) − w(hi)`, so
+    /// every weight is formed in `i64` without overflow.
+    fn of(counts: &SquareMatrix<i64>, shift: Ratio) -> Option<Shifted> {
+        let n = counts.n();
+        let den = shift.denominator();
+        i64::try_from(den).ok()?;
+        let a = shift.numerator().checked_mul(2)?;
+        let bound = i128::from(matrix_limit(n));
+        let off_diagonal = || counts.iter_off_diagonal().map(|(_, _, &x)| i128::from(x));
+        let (lo, hi) = if den <= 2 * n as i128 && a.unsigned_abs() <= (den * bound).unsigned_abs() {
+            (-bound, bound)
+        } else {
+            match (off_diagonal().min(), off_diagonal().max()) {
+                (Some(lo), Some(hi)) => (lo, hi),
+                // No off-diagonal entry: there is no weight to form.
+                _ => {
+                    return Some(Shifted {
+                        top: 0,
+                        den: 0,
+                        lo: 0,
+                    })
+                }
+            }
+        };
+        let limit = i128::from(shifts_limit(n));
+        let top = a.checked_sub(den.checked_mul(lo)?)?;
+        let bottom = a.checked_sub(den.checked_mul(hi)?)?;
+        if top > limit || bottom < -limit {
+            return None;
         }
-    };
-    let limit = i128::from(shifts_limit(n));
-    let top = a.checked_sub(den.checked_mul(lo)?)?;
-    let bottom = a.checked_sub(den.checked_mul(hi)?)?;
-    if top > limit || bottom < -limit {
-        return None;
+        Some(Shifted {
+            top: top as i64,
+            den: den as i64,
+            lo: lo as i64,
+        })
     }
-    let (top, den, lo) = (top as i64, den as i64, lo as i64);
+
+    /// The weight of an edge whose entry is `x`.
+    fn weight(self, x: i64) -> i64 {
+        self.top - self.den * (x - self.lo)
+    }
+}
+
+/// The [`Shifted`] weights as flat `i64` rows, the diagonal zero, which
+/// never shortens a path: the Bellman–Ford's input.
+fn shifted_weights(counts: &SquareMatrix<i64>, shift: Ratio) -> Option<Vec<i64>> {
+    let shifted = Shifted::of(counts, shift)?;
+    let n = counts.n();
     let mut w = Vec::with_capacity(n * n);
     for (p, row) in counts.as_slice().chunks_exact(n).enumerate() {
-        w.extend(row.iter().map(|&x| top - den * (x - lo)));
+        w.extend(row.iter().map(|&x| shifted.weight(x)));
         w[p * n + p] = 0;
     }
     Some(w)
+}
+
+/// Dijkstra from `source` over the complete graph of `weights` on the
+/// off-diagonal `counts`, keyed by `dist(v) − potential(v)`, which never
+/// falls along an edge. The source's row seeds every distance; then each
+/// step settles the open node of least key and relaxes its row into the
+/// others still open: `O(n²)`, forming each weight as it goes.
+fn dense_dijkstra(
+    counts: &SquareMatrix<i64>,
+    weights: Shifted,
+    potential: &[i128],
+    source: usize,
+) -> Vec<i64> {
+    let n = counts.n();
+    let mut dist: Vec<i64> = counts
+        .row(source)
+        .iter()
+        .map(|&x| weights.weight(x))
+        .collect();
+    dist[source] = 0;
+    let mut key: Vec<i128> = dist
+        .iter()
+        .zip(potential)
+        .map(|(&d, &p)| i128::from(d) - p)
+        .collect();
+    let mut open: Vec<usize> = (0..n).filter(|&v| v != source).collect();
+    while let Some(at) = (0..open.len()).min_by_key(|&k| key[open[k]]) {
+        let u = open.swap_remove(at);
+        let (du, row) = (dist[u], counts.row(u));
+        for &v in &open {
+            let cand = du + weights.weight(row[v]);
+            if cand < dist[v] {
+                dist[v] = cand;
+                key[v] = i128::from(cand) - potential[v];
+                debug_assert!(key[v] >= key[u], "the potential is not feasible");
+            }
+        }
+    }
+    dist
 }
 
 /// Bellman–Ford from `source` over the complete graph with row-major
@@ -272,6 +412,27 @@ mod tests {
         let shift = Ratio::new(1 - k * i128::from(limit), 2 * k);
         assert!(scaled.shifted_distances(shift, 0).is_err());
         assert!(rational(&m, &Gauge(vec![0; n]), shift, 0).is_err());
+    }
+
+    #[test]
+    fn past_howards_cap_the_bellman_ford_answers() {
+        // The matrix of `past_the_cap_scaled_karp_answers`: one policy
+        // evaluation cannot converge, so Howard leaves no bias and integer
+        // Karp names A_max. The Bellman–Ford's corrections at it equal the
+        // rational reference and the Dijkstra pass over a converged run's
+        // bias, from every root.
+        let m = SquareMatrix::from_vec(4, vec![0, 9, 1, 1, 1, 0, 1, 1, 1, 1, 0, 7, 1, 1, 5, 0]);
+        let scaled = plain(m.clone()).unwrap();
+        let (capped, no_bias) = scaled_howard(&m, &[0; 4], None, 1);
+        assert!(no_bias.is_none());
+        let (converged, bias) = scaled.solve(None);
+        assert_eq!(capped.cycle_mean, converged.cycle_mean);
+        let (a_max, bias) = (capped.cycle_mean.mean, bias.unwrap());
+        for root in 0..4 {
+            let reference = rational(&m, &Gauge(vec![0; 4]), a_max, root);
+            assert_eq!(scaled.shifted_distances(a_max, root), reference);
+            assert_eq!(Ok(scaled.corrections(a_max, &bias, root)), reference);
+        }
     }
 
     #[test]

@@ -14,13 +14,20 @@
 //! * [`Closure::relax_edge`] must leave the scaled cache equal (in
 //!   distance) to the reference closure after any sequence of edge
 //!   decreases, so the successor rule fed its distances still
-//!   reconstructs genuine shortest paths.
+//!   reconstructs genuine shortest paths. On a sparse domain past
+//!   `SPARSE_MIN_N`, where the rebuild runs Johnson, every entry and every
+//!   verdict of a long stream of link tightenings must equal a rebuild
+//!   with [`Closure::of_links`]: the pruned product skips no pair that
+//!   improves.
 //!
 //! Each suite runs 1000 random cases.
 
+use std::sync::Arc;
+
 use clocksync_graph::{
     blocked_floyd_warshall_i64, floyd_warshall, reconstruct_path, shortest_path_successors,
-    Closure, LinkWeights, SquareMatrix, Weight, UNREACHABLE,
+    Closure, ClosureKernel, LinkTable, LinkWeights, RelaxOutcome, SquareMatrix, Weight,
+    SPARSE_MIN_N, UNREACHABLE,
 };
 use clocksync_time::{Ext, Ratio};
 use proptest::prelude::*;
@@ -260,6 +267,76 @@ proptest! {
                         "relax_edge reported a cycle the full kernel does not see"
                     );
                     return Ok(());
+                }
+            }
+        }
+    }
+}
+
+/// A ring of `n` nodes with chords to the node `stride` ahead, both
+/// directions of every link weighted in half nanoseconds drawn from
+/// `weights` (cycled).
+fn ring_with_chords(n: usize, stride: usize, weights: &[i128]) -> LinkWeights<W> {
+    let links = (0..n).flat_map(|p| [(p, (p + 1) % n), (p, (p + stride) % n)]);
+    let table = LinkTable::new(n, links.map(|(p, q)| (p.min(q), p.max(q))));
+    let mut local = LinkWeights::filled(Arc::new(table), Ext::PosInf);
+    for (s, w) in (0..local.table().len()).zip(weights.iter().cycle()) {
+        local[s] = Ext::Finite(Ratio::new(*w, 2));
+    }
+    local
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn relax_on_a_sparse_domain_equals_a_johnson_rebuild(
+        weights in proptest::collection::vec(200i128..=2_000, 64),
+        stream in proptest::collection::vec((0usize..10_000, 1i128..=400), 120),
+    ) {
+        let n = SPARSE_MIN_N + 8;
+        let mut local = ring_with_chords(n, 13, &weights);
+        let (kernel, cache) = Closure::of_links(&local).expect("half nanoseconds");
+        prop_assert_eq!(kernel, ClosureKernel::SparseJohnson);
+        let mut cache = cache.expect("positive weights close no cycle");
+        let slots = local.table().len();
+        for (k, &(pick, cut)) in stream.iter().enumerate() {
+            // Tighten one link direction by `cut` half nanoseconds; the
+            // last steps cut deep enough that a negative cycle may close.
+            let s = pick % slots;
+            let table = Arc::clone(local.table());
+            let (u, v) = (table.source(s), table.target(s));
+            let depth = if k + 10 >= stream.len() { 2_000 } else { 0 };
+            let Ext::Finite(old) = local[s] else { unreachable!("every slot is finite") };
+            let w = Ext::Finite(old - Ratio::new(cut + depth, 2));
+            local[s] = w;
+            let before = cache.clone();
+            let verdict = cache.relax_edge(u, v, w);
+            let rebuilt = Closure::of_links(&local).expect("half nanoseconds").1;
+            match (verdict, rebuilt) {
+                (Ok(verdict), Ok(rebuilt)) => {
+                    for p in 0..n {
+                        for q in 0..n {
+                            prop_assert_eq!(
+                                cache.ratio_at(p, q),
+                                rebuilt.ratio_at(p, q),
+                                "entry ({}, {}) after step {}", p, q, k
+                            );
+                        }
+                    }
+                    let moved = (0..n).any(|p| (0..n).any(|q| before.ratio_at(p, q) != rebuilt.ratio_at(p, q)));
+                    let expected = if moved {
+                        RelaxOutcome::Tightened
+                    } else if before.ratio_at(u, v) < w {
+                        RelaxOutcome::StaleLoosening
+                    } else {
+                        RelaxOutcome::Unchanged
+                    };
+                    prop_assert_eq!(verdict, expected, "step {}", k);
+                }
+                (Err(_), Err(_)) => return Ok(()),
+                (verdict, rebuilt) => {
+                    prop_assert!(false, "step {}: relax {:?}, rebuild {:?}", k, verdict, rebuilt.map(|_| ()));
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Property equivalence of the scaled corrections kernel against the
+//! Property equivalence of the scaled corrections kernels against the
 //! rational Bellman–Ford — the correctness contract of the SHIFTS
 //! corrections pass (DESIGN.md §4c):
 //!
@@ -6,6 +6,13 @@
 //!   must return exactly the distances of the rational [`bellman_ford`]
 //!   under `w(p,q) = λ − m(p,q)`, and fail exactly when it fails (a shift
 //!   below some cycle's mean);
+//! * [`ScaledMatrix::corrections`] (one Dijkstra pass keyed by Howard's
+//!   [`Bias`]) must return those distances at `A_max` from every root, in
+//!   no gauge and in a gauge `10^17·p` ns deep, and still with the old
+//!   bias after entrywise tightenings that keep the critical cycle's mean
+//!   — the online engine's revalidation case, checked from every root
+//!   against the rational reference too, in no gauge and with clocks
+//!   `10^18·p` ns apart;
 //! * on a matrix of whole and half nanoseconds, [`ScaledMatrix`] — the
 //!   integer SHIFTS — must return exact Karp's
 //!   [`CycleMean`](clocksync_graph::CycleMean) from integer Howard and
@@ -15,7 +22,7 @@
 //!   domain takes the residual rational route.
 
 use clocksync_graph::{
-    bellman_ford, fast_max_cycle_mean, floyd_warshall, karp_max_cycle_mean, try_scaled_karp,
+    bellman_ford, fast_max_cycle_mean, floyd_warshall, karp_max_cycle_mean, try_scaled_karp, Bias,
     Closure, CycleMean, DiGraph, NegativeCycleError, ScaledMatrix, SquareMatrix,
 };
 use clocksync_time::{Ext, Ratio};
@@ -111,8 +118,10 @@ fn check(
     scalable: bool,
 ) -> Result<(), TestCaseError> {
     let cm = karp(m).expect("a zero diagonal is a cycle");
-    let reference = rational(m, cm.mean, source);
-    prop_assert!(reference.is_ok(), "no cycle is negative under λ*");
+    prop_assert!(
+        rational(m, cm.mean, source).is_ok(),
+        "no cycle is negative under λ*"
+    );
     let start = |p: usize| Ratio::from_int(100_000_000_000_000_000 * p as i128);
     let far = SquareMatrix::from_fn(m.n(), |i, j| m[(i, j)].map(|r| r + start(i) - start(j)));
     let held = Closure::from_closed(&far);
@@ -133,16 +142,42 @@ fn check(
     );
     let members: Vec<usize> = (0..m.n()).collect();
     let gauged = held.as_ref().map(|c| c.component(&members));
-    let routes = ScaledMatrix::from_ratio(m).map(|s| (s, reference));
-    let far_routes = gauged.map(|s| (s, rational(&far, cm.mean, source)));
-    for (scaled, reference) in routes.into_iter().chain(far_routes) {
+    let routes = ScaledMatrix::from_ratio(m).map(|s| (s, m));
+    let far_routes = gauged.map(|s| (s, &far));
+    for (scaled, values) in routes.into_iter().chain(far_routes) {
         // The integer SHIFTS: Howard's `A_max`, which shifting every clock
-        // leaves alone, and the corrections under it.
-        prop_assert_eq!(scaled.max_cycle_mean(None).cycle_mean, cm.clone());
+        // leaves alone, and the corrections under it, by both passes.
+        let (sol, bias) = scaled.solve(None);
+        prop_assert_eq!(&sol.cycle_mean, &cm);
         prop_assert_eq!(
             outcome(scaled.shifted_distances(cm.mean, source)),
-            reference
+            rational(values, cm.mean, source)
         );
+        let bias = bias.expect("Howard converges within its cap here");
+        check_corrections(&scaled, cm.mean, &bias, values, &[source])?;
+    }
+    Ok(())
+}
+
+/// [`ScaledMatrix::corrections`] keyed by `bias` equals the Bellman–Ford
+/// from every root, and the rational reference over the values `m` from
+/// each of `rational_roots`.
+fn check_corrections(
+    scaled: &ScaledMatrix<'_>,
+    a_max: Ratio,
+    bias: &Bias,
+    m: &SquareMatrix<W>,
+    rational_roots: &[usize],
+) -> Result<(), TestCaseError> {
+    for root in 0..m.n() {
+        let dijkstra = scaled.corrections(a_max, bias, root);
+        prop_assert_eq!(
+            Ok(dijkstra.clone()),
+            outcome(scaled.shifted_distances(a_max, root))
+        );
+        if rational_roots.contains(&root) {
+            prop_assert_eq!(Ok(dijkstra), rational(m, a_max, root));
+        }
     }
     Ok(())
 }
@@ -227,5 +262,55 @@ proptest! {
         // (cycle_mean_equivalence.rs). The route is exact on the grid.
         prop_assert_eq!(ScaledMatrix::from_ratio(&m).is_some(), on_grid(&m), "route");
         check(&onto_grid(&m), source % m.n(), fast_max_cycle_mean, true)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn a_bias_survives_tightenings_that_keep_the_critical_cycle(
+        m in closure_shaped(2..=10),
+        cuts in proptest::collection::vec((0..100usize, 0..100usize, 1..=90i128), 0..=24),
+    ) {
+        // Howard's bias on a matrix keys the corrections pass on every
+        // tightening of it that leaves the critical cycle's edges alone:
+        // their mean, A_max, stays, and every other cycle only falls. So
+        // it does with clocks 10^18·p ns apart, where the tightened values
+        // are held in a gauge of their own, as after the online engine's
+        // rebuild.
+        let m = onto_grid(&m);
+        let n = m.n();
+        let start = |p: usize| Ratio::from_int(1_000_000_000_000_000_000 * p as i128);
+        let far = |m: &SquareMatrix<W>| {
+            SquareMatrix::from_fn(n, |i, j| m[(i, j)].map(|r| r + start(i) - start(j)))
+        };
+        let members: Vec<usize> = (0..n).collect();
+        let held = Closure::from_closed(&far(&m)).expect("a gauge holds it");
+        let scaled = ScaledMatrix::from_ratio(&m).expect("on the grid");
+        let (sol, bias) = scaled.solve(None);
+        let bias = bias.expect("Howard converges within its cap here");
+        let (far_sol, far_bias) = held.component(&members).solve(None);
+        prop_assert_eq!(&far_sol.cycle_mean, &sol.cycle_mean);
+        let far_bias = far_bias.expect("Howard converges within its cap here");
+        let cycle = &sol.cycle_mean.cycle;
+        let on_cycle = |i: usize, j: usize| {
+            (0..cycle.len()).any(|k| (cycle[k], cycle[(k + 1) % cycle.len()]) == (i, j))
+        };
+        let mut tight = m.clone();
+        for (i, j, cut) in cuts {
+            let (i, j) = (i % n, j % n);
+            if i != j && !on_cycle(i, j) {
+                tight[(i, j)] = tight[(i, j)].map(|r| r - Ratio::new(cut, 2));
+            }
+        }
+        let a_max = sol.cycle_mean.mean;
+        let tightened = ScaledMatrix::from_ratio(&tight).expect("still on the grid");
+        prop_assert_eq!(tightened.cycle_mean(cycle), a_max, "the cycle revalidates");
+        prop_assert_eq!(tightened.max_cycle_mean(None).cycle_mean.mean, a_max);
+        check_corrections(&tightened, a_max, &bias, &tight, &members)?;
+        let far_tight = far(&tight);
+        let rebuilt = Closure::from_closed(&far_tight).expect("a gauge holds it");
+        check_corrections(&rebuilt.component(&members), a_max, &far_bias, &far_tight, &members)?;
     }
 }

@@ -179,22 +179,33 @@ impl Execution {
     ///
     /// Panics if `corrections.len() != n`.
     pub fn discrepancy(&self, corrections: &[Ratio]) -> Ratio {
-        assert_eq!(
-            corrections.len(),
-            self.n(),
-            "correction vector has wrong length"
-        );
-        let adjusted: Vec<Ratio> = self
-            .starts
-            .iter()
-            .zip(corrections)
-            .map(|(&s, &x)| Ratio::from(s - RealTime::ZERO) - x)
-            .collect();
-        match (adjusted.iter().max(), adjusted.iter().min()) {
-            (Some(hi), Some(lo)) => *hi - *lo,
-            _ => Ratio::ZERO,
-        }
+        discrepancy(&self.starts, corrections)
     }
+}
+
+/// The discrepancy [`Execution::discrepancy`] measures, from the real
+/// start times alone: `max_p (S_p − x_p) − min_p (S_p − x_p)`, zero for
+/// fewer than two processors. For a caller that holds the ground-truth
+/// starts without an execution around them.
+///
+/// # Panics
+///
+/// Panics if `corrections.len() != starts.len()`.
+pub fn discrepancy(starts: &[RealTime], corrections: &[Ratio]) -> Ratio {
+    assert_eq!(
+        corrections.len(),
+        starts.len(),
+        "correction vector has wrong length"
+    );
+    let mut adjusted = starts
+        .iter()
+        .zip(corrections)
+        .map(|(&s, &x)| Ratio::from(s - RealTime::ZERO) - x);
+    let Some(first) = adjusted.next() else {
+        return Ratio::ZERO;
+    };
+    let (lo, hi) = adjusted.fold((first, first), |(lo, hi), a| (lo.min(a), hi.max(a)));
+    hi - lo
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ mod window;
 pub use builder::ExecutionBuilder;
 pub use error::ModelError;
 pub use event::{MessageId, ProcessorId, ViewEvent};
-pub use execution::{Execution, MessageRecord};
+pub use execution::{discrepancy, Execution, MessageRecord};
 pub use observations::{DirectedStats, LinkEvidence, LinkObservations, MsgSample};
 pub use view::{MessageObservation, View, ViewSet};
 pub use window::ViewWindow;
