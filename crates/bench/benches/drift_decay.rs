@@ -36,7 +36,7 @@ fn certificate(n: usize) -> DriftingOutcome {
         online.observe_estimated_delay(ProcessorId(j), ProcessorId(i), Nanos::from_micros(500));
     }
     let outcome = online.outcome().expect("consistent ring evidence");
-    DriftingOutcome::uniform(outcome, RealTime::ZERO, DriftBound::from_ppm(100))
+    DriftingOutcome::new(outcome, RealTime::ZERO, DriftBound::from_ppm(100))
 }
 
 fn bench_drift_decay(c: &mut Criterion) {

@@ -4,8 +4,8 @@
 //! centralized run over the full traffic.
 
 use clocksync::Synchronizer;
-use clocksync_sim::{DistributedSync, Simulation, Topology};
-use clocksync_time::{Ext, Nanos};
+use clocksync_sim::{Simulation, Topology};
+use clocksync_time::{Ext, Nanos, Ratio};
 
 use super::common::{ext_us, mark, us};
 use crate::Table;
@@ -32,19 +32,22 @@ pub fn run() -> Table {
         )
         .probes(2)
         .build();
-    let dist = DistributedSync::new(sim);
     for seed in 0..6u64 {
-        let run = dist.run(seed);
-        let central = Synchronizer::new(run.network.clone())
+        let run = sim.run_distributed(seed);
+        let precision = run.outcome.expect("fault-free leader computes").precision();
+        let corrections: Option<Vec<Ratio>> = run.corrections.into_iter().collect();
+        let central = Synchronizer::new(run.network)
             .synchronize(run.execution.views())
             .expect("consistent");
-        let err = run.execution.discrepancy(&run.corrections);
+        let err = run
+            .execution
+            .discrepancy(&corrections.expect("fault-free processors are corrected"));
         table.push_row(vec![
             seed.to_string(),
-            ext_us(run.precision),
+            ext_us(precision),
             ext_us(central.precision()),
             us(err),
-            mark(Ext::Finite(err) <= run.precision && central.precision() <= run.precision),
+            mark(Ext::Finite(err) <= precision && central.precision() <= precision),
             run.execution.messages().len().to_string(),
         ]);
     }

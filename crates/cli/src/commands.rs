@@ -260,7 +260,8 @@ pub fn sync(run: &RunFile) -> Result<SyncReport, String> {
 
 /// [`sync`] with an observability recorder attached: the synchronizer
 /// emits its per-stage `sync.*` spans (including which closure kernel ran)
-/// into `recorder`. The outcome is bit-for-bit the same either way.
+/// into `recorder`, and the ground-truth check a `cli.ground_truth` span.
+/// The outcome is bit-for-bit the same either way.
 ///
 /// # Errors
 ///
@@ -272,6 +273,7 @@ pub fn sync_traced(run: &RunFile, recorder: &Recorder) -> Result<SyncReport, Str
         .map_err(|e| e.to_string())?;
     // The run file's parser holds one start per processor.
     let true_error = run.true_starts_ns.as_ref().map(|starts| {
+        let _span = recorder.span("cli.ground_truth");
         let starts: Vec<RealTime> = starts.iter().map(|&ns| RealTime::from_nanos(ns)).collect();
         discrepancy(&starts, outcome.corrections())
     });

@@ -291,17 +291,15 @@ mod tests {
         assert_eq!(stats.errors, 3);
     }
 
-    #[test]
-    fn a_self_link_frame_gets_an_error_reply_and_the_connection_serves_on() {
+    /// Sends `frame`, expects an error reply containing `needle`, then
+    /// registers a domain on the same connection.
+    fn bad_frame_is_answered_and_the_connection_serves_on(frame: &str, needle: &str) {
         let (addr, server) = spawn_server(ServiceConfig::default(), 1);
         let mut conn = TcpStream::connect(addr).unwrap();
-        let reply = request(
-            &mut conn,
-            r#"{"t":"domain","domain":"a","n":2,"links":[{"a":1,"b":1,"lo_ns":0,"hi_ns":100}]}"#,
-        );
-        assert!(!ok(&reply), "a self-link was accepted: {reply:?}");
+        let reply = request(&mut conn, frame);
+        assert!(!ok(&reply), "{frame} was accepted: {reply:?}");
         match reply.field("error", "reply") {
-            Ok(Json::Str(msg)) => assert!(msg.contains("links[0]"), "{msg}"),
+            Ok(Json::Str(msg)) => assert!(msg.contains(needle), "{msg}"),
             other => panic!("no error message: {other:?}"),
         }
         let reply = request(
@@ -312,6 +310,22 @@ mod tests {
         drop(conn);
         let stats = server.join().unwrap();
         assert_eq!((stats.frames, stats.errors), (2, 1));
+    }
+
+    #[test]
+    fn a_self_link_frame_gets_an_error_reply_and_the_connection_serves_on() {
+        bad_frame_is_answered_and_the_connection_serves_on(
+            r#"{"t":"domain","domain":"a","n":2,"links":[{"a":1,"b":1,"lo_ns":0,"hi_ns":100}]}"#,
+            "links[0]",
+        );
+    }
+
+    #[test]
+    fn a_huge_domain_frame_gets_an_error_reply_and_the_connection_serves_on() {
+        bad_frame_is_answered_and_the_connection_serves_on(
+            r#"{"t":"domain","domain":"a","n":100000000000,"links":[]}"#,
+            "n: 100000000000 processors is past the limit of 8192",
+        );
     }
 
     #[test]

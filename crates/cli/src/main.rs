@@ -184,10 +184,12 @@ fn run(err: &mut Out<Stderr>) -> Result<(), String> {
             let recorder = trace_recorder(&args);
             args.reject_unread()?;
             let content = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let decode = recorder.span("cli.decode");
             let runfile = RunFile::from_json(&content).map_err(|e| e.to_string())?;
+            drop(decode);
             let report = commands::sync_traced(&runfile, &recorder)?;
-            write_trace(&args, &recorder, err)?;
-            if json {
+            let render = recorder.span("cli.render");
+            let lines = if json {
                 use clocksync_cli::json::Json;
                 let corrections = report
                     .outcome
@@ -226,16 +228,16 @@ fn run(err: &mut Out<Stderr>) -> Result<(), String> {
                             .map_or(Json::Null, |s| skew_json(&s)),
                     ),
                 ]);
-                out.line(clocksync_cli::json::to_string_pretty(&body))?;
+                vec![clocksync_cli::json::to_string_pretty(&body)]
+            } else if args.command() == "sync" {
+                commands::render_sync(&report)
             } else {
-                let lines = if args.command() == "sync" {
-                    commands::render_sync(&report)
-                } else {
-                    commands::render_explain(&report, &runfile)
-                };
-                for line in lines {
-                    out.line(line)?;
-                }
+                commands::render_explain(&report, &runfile)
+            };
+            drop(render);
+            write_trace(&args, &recorder, err)?;
+            for line in lines {
+                out.line(line)?;
             }
             Ok(())
         }

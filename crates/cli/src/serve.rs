@@ -33,6 +33,12 @@ use clocksync_time::{ClockTime, Nanos};
 
 use crate::json::{parse, Json};
 
+/// The most processors a `domain` command may declare. A domain's first
+/// outcome allocates its closure, `8·n²` bytes of counts (512 MiB at this
+/// limit), so an unchecked `n` from the wire could abort the whole server
+/// on one allocation; the limit leaves room for 4,096-node domains.
+const MAX_DOMAIN_PROCESSORS: usize = 8192;
+
 /// A decoded `domain` registration command.
 pub(crate) struct DomainSpec {
     /// The domain name.
@@ -125,6 +131,11 @@ pub(crate) fn decode_domain(doc: &Json) -> Result<DomainSpec, String> {
         .field("n", "domain command")
         .and_then(|v| v.as_usize("n"))
         .map_err(|e| e.to_string())?;
+    if n > MAX_DOMAIN_PROCESSORS {
+        return Err(format!(
+            "n: {n} processors is past the limit of {MAX_DOMAIN_PROCESSORS}"
+        ));
+    }
     let links = doc
         .field("links", "domain command")
         .and_then(|v| v.as_array("links"))

@@ -2,64 +2,44 @@
 //!
 //! A [`SyncOutcome`] is exact at the instant the views were recorded. On
 //! drifting hardware every bound then decays: two clocks whose rates are
-//! bounded by `ρ̄_p` and `ρ̄_q` ppm diverge by at most
-//! `(ρ̄_p + ρ̄_q)·Δt/10⁶` over an interval `Δt`, so the Lemma 6.2/6.5
-//! estimates, the `m̃s` closure entries and every pair bound widen by
-//! exactly that term. [`DriftingOutcome`] packages an outcome with its
-//! validity timestamp and per-processor drift bounds, answering queries
-//! at any later real time with bounds that remain sound — the decayed
-//! certificate the simulator's drift workload and the `drift-soundness`
-//! vopr oracle check against ground truth.
+//! bounded by `ρ̄` ppm diverge by at most `2ρ̄·Δt/10⁶` over an interval
+//! `Δt`, so the Lemma 6.2/6.5 estimates, the `m̃s` closure entries and
+//! every pair bound widen by exactly that term. [`DriftingOutcome`]
+//! packages an outcome with its validity timestamp and the declared drift
+//! bound, answering queries at any later real time with bounds that
+//! remain sound — the decayed certificate the simulator's drift workload
+//! and the `drift-soundness` vopr oracle check against ground truth.
 //!
 //! Every query is O(1) per pair: one rational multiply-add on top of the
-//! already-O(1) [`SyncOutcome::pair_bound`]. With all rates zero the
-//! decay terms are exactly `0` and every answer is bit-identical to the
+//! already-O(1) [`SyncOutcome::pair_bound`]. With a zero rate the decay
+//! term is exactly `0` and every answer is bit-identical to the
 //! underlying drift-free outcome.
 
 use clocksync_model::ProcessorId;
-use clocksync_time::{DriftBound, DriftingEstimate, Ext, ExtRatio, RealTime};
+use clocksync_time::{DriftBound, Ext, ExtRatio, RealTime};
 
 use crate::synchronizer::LocalSkew;
 use crate::SyncOutcome;
 
-/// A synchronization certificate with a validity timestamp and
-/// per-processor drift bounds, queryable at any later real time.
+/// A synchronization certificate with a validity timestamp and the drift
+/// bound every processor's clock satisfies, queryable at any later real
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DriftingOutcome {
     outcome: SyncOutcome,
     valid_at: RealTime,
-    rates: Vec<DriftBound>,
+    rate: DriftBound,
 }
 
 impl DriftingOutcome {
-    /// Wraps `outcome`, exact at `valid_at`, with one drift bound per
-    /// processor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len()` differs from the outcome's processor
-    /// count.
-    pub fn new(
-        outcome: SyncOutcome,
-        valid_at: RealTime,
-        rates: Vec<DriftBound>,
-    ) -> DriftingOutcome {
-        assert_eq!(
-            rates.len(),
-            outcome.corrections().len(),
-            "one drift bound per processor"
-        );
+    /// Wraps `outcome`, exact at `valid_at`, for clocks whose rates are
+    /// all within `rate`.
+    pub fn new(outcome: SyncOutcome, valid_at: RealTime, rate: DriftBound) -> DriftingOutcome {
         DriftingOutcome {
             outcome,
             valid_at,
-            rates,
+            rate,
         }
-    }
-
-    /// Wraps `outcome` with the same drift bound for every processor.
-    pub fn uniform(outcome: SyncOutcome, valid_at: RealTime, rate: DriftBound) -> DriftingOutcome {
-        let n = outcome.corrections().len();
-        DriftingOutcome::new(outcome, valid_at, vec![rate; n])
     }
 
     /// The underlying (undecayed) outcome.
@@ -72,33 +52,21 @@ impl DriftingOutcome {
         self.valid_at
     }
 
-    /// The per-processor drift bounds.
-    pub fn rates(&self) -> &[DriftBound] {
-        &self.rates
+    /// The drift bound of every processor's clock.
+    pub fn rate(&self) -> DriftBound {
+        self.rate
     }
 
-    /// The combined divergence rate of a pair: `ρ̄_p + ρ̄_q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `q` is out of range.
-    pub fn pair_rate(&self, p: ProcessorId, q: ProcessorId) -> DriftBound {
-        self.rates[p.index()].combined(self.rates[q.index()])
-    }
-
-    /// The pair bound of `(p, q)` as a decaying estimate: its value is
-    /// [`SyncOutcome::pair_bound`], valid at [`DriftingOutcome::valid_at`],
-    /// decaying at the pair's combined rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `q` is out of range.
-    pub fn drifting_pair_bound(&self, p: ProcessorId, q: ProcessorId) -> DriftingEstimate {
-        DriftingEstimate::new(
-            self.outcome.pair_bound(p, q),
-            self.valid_at,
-            self.pair_rate(p, q),
-        )
+    /// `bound` widened by the divergence two clocks can accumulate between
+    /// [`DriftingOutcome::valid_at`] and `t`, `2ρ̄·|t − valid_at|/10⁶`.
+    /// `+∞` stays `+∞`.
+    fn decayed(&self, bound: ExtRatio, t: RealTime) -> ExtRatio {
+        match bound {
+            Ext::Finite(b) => {
+                Ext::Finite(b + self.rate.combined(self.rate).decay_over(t - self.valid_at))
+            }
+            inf => inf,
+        }
     }
 
     /// The sound worst-case corrected-clock difference of `(p, q)` at
@@ -109,7 +77,7 @@ impl DriftingOutcome {
     ///
     /// Panics if `p` or `q` is out of range.
     pub fn pair_bound_at(&self, p: ProcessorId, q: ProcessorId, t: RealTime) -> ExtRatio {
-        self.drifting_pair_bound(p, q).value_at(t)
+        self.decayed(self.outcome.pair_bound(p, q), t)
     }
 
     /// The per-edge local skew at real time `t` — identical to
@@ -124,17 +92,9 @@ impl DriftingOutcome {
     }
 
     /// The global precision at real time `t`: the sync-time precision
-    /// widened by the worst pair's accumulated drift (twice the largest
-    /// per-processor bound).
+    /// widened by any pair's accumulated drift.
     pub fn precision_at(&self, t: RealTime) -> ExtRatio {
-        let worst = self
-            .rates
-            .iter()
-            .fold(DriftBound::ZERO, |acc, &r| acc.max(r));
-        match self.outcome.precision() {
-            Ext::Finite(p) => Ext::Finite(p + worst.combined(worst).decay_over(t - self.valid_at)),
-            inf => inf,
-        }
+        self.decayed(self.outcome.precision(), t)
     }
 
     /// Per-declared-edge local skews at real time `t`, in edge order —
@@ -181,8 +141,7 @@ mod tests {
     #[test]
     fn zero_rates_degenerate_bit_exactly() {
         let base = outcome();
-        let d =
-            DriftingOutcome::uniform(base.clone(), RealTime::from_nanos(2_040), DriftBound::ZERO);
+        let d = DriftingOutcome::new(base.clone(), RealTime::from_nanos(2_040), DriftBound::ZERO);
         let much_later = RealTime::from_nanos(2_040) + Nanos::from_secs(3_600);
         assert_eq!(d.pair_bound_at(P, Q, much_later), base.pair_bound(P, Q));
         assert_eq!(d.precision_at(much_later), base.precision());
@@ -190,32 +149,44 @@ mod tests {
     }
 
     #[test]
-    fn decay_grows_linearly_and_respects_pair_rates() {
-        let base = outcome();
+    fn zero_rate_is_bit_exact_identity() {
+        // Before the validity instant as well as after it.
         let t0 = RealTime::from_nanos(2_040);
-        let d = DriftingOutcome::new(
-            base.clone(),
-            t0,
-            vec![DriftBound::from_ppm(30), DriftBound::from_ppm(50)],
-        );
-        assert_eq!(d.pair_rate(P, Q).ppm(), 80);
-        let at = |secs: i64| d.pair_bound_at(P, Q, t0 + Nanos::from_secs(secs));
-        // 80 ppm over 1s = 80µs of decay, exactly.
-        assert_eq!(
-            at(1),
-            base.pair_bound(P, Q) + Ext::Finite(Ratio::from_int(80_000))
-        );
-        assert!(at(10) > at(1));
-        // Precision decays at twice the worst single rate (2 × 50 ppm).
-        assert_eq!(
-            d.precision_at(t0 + Nanos::from_secs(1)),
-            base.precision() + Ext::Finite(Ratio::from_int(100_000))
-        );
+        let d = DriftingOutcome::new(outcome(), t0, DriftBound::ZERO);
+        for dt in [0i64, 1, 1_000_000_000, -273] {
+            let t = RealTime::from_nanos(2_040 + dt);
+            assert_eq!(d.pair_bound_at(P, Q, t), d.pair_bound_at(P, Q, t0));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "one drift bound per processor")]
-    fn mismatched_rate_count_is_rejected() {
-        let _ = DriftingOutcome::new(outcome(), RealTime::ZERO, vec![DriftBound::ZERO]);
+    fn infinite_estimates_stay_infinite() {
+        // No link: the pair is unconstrained and the precision unbounded.
+        let exec = ExecutionBuilder::new(2).build().unwrap();
+        let base = Synchronizer::new(Network::builder(2).build())
+            .synchronize(exec.views())
+            .unwrap();
+        let d = DriftingOutcome::new(base, RealTime::ZERO, DriftBound::from_ppm(1_000));
+        let t = RealTime::from_nanos(i64::MAX / 2);
+        assert_eq!(d.pair_bound_at(P, Q, t), Ext::PosInf);
+        assert_eq!(d.precision_at(t), Ext::PosInf);
+    }
+
+    #[test]
+    fn decay_grows_linearly_and_respects_pair_rates() {
+        let base = outcome();
+        let t0 = RealTime::from_nanos(2_040);
+        let d = DriftingOutcome::new(base.clone(), t0, DriftBound::from_ppm(40));
+        let at = |secs: i64| d.pair_bound_at(P, Q, t0 + Nanos::from_secs(secs));
+        // A pair diverges at 2 × 40 ppm: over 1s that is 80µs, exactly,
+        // and ten times as much over 10s.
+        let decay = |us: i128| Ext::Finite(Ratio::from_int(us * 1_000));
+        assert_eq!(at(1), base.pair_bound(P, Q) + decay(80));
+        assert_eq!(at(10), base.pair_bound(P, Q) + decay(800));
+        // Precision decays at the same pair rate.
+        assert_eq!(
+            d.precision_at(t0 + Nanos::from_secs(1)),
+            base.precision() + decay(80)
+        );
     }
 }

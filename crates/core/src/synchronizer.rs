@@ -248,23 +248,21 @@ impl SyncOutcome {
         SyncOutcome::from_closure(RoutedClosure::from_closed(closure), &Recorder::disabled())
     }
 
-    /// Builds an outcome from a matrix of estimated maximal *local* shifts
-    /// `m̃ls` — such as the per-link estimates a distributed leader
-    /// receives in messages. It closes the matrix's link form
-    /// ([`LinkWeights::from_matrix`]) on its route, as
-    /// [`crate::global_estimates`] does, and keeps the closure as that
-    /// route computed it: on the integer route, the kernel's gauged counts,
-    /// with no `n × n` decode and re-encode on the way. The diagonal plays
-    /// no part.
+    /// Builds an outcome from per-link estimated maximal *local* shifts
+    /// `m̃ls` — such as the reports a distributed leader receives in
+    /// messages, `+∞` on a link whose report never came. It closes them on
+    /// their route, as [`crate::global_estimates`] does, and keeps the
+    /// closure as that route computed it: on the integer route, the
+    /// kernel's gauged counts, with no `n × n` decode and re-encode on the
+    /// way.
     ///
     /// # Errors
     ///
     /// [`SyncError::InconsistentObservations`] when `local` has a negative
     /// cycle.
-    pub fn from_local_estimates(local: &SquareMatrix<ExtRatio>) -> Result<SyncOutcome, SyncError> {
+    pub fn from_local_estimates(local: &LinkWeights<ExtRatio>) -> Result<SyncOutcome, SyncError> {
         let recorder = Recorder::disabled();
-        close(&LinkWeights::from_matrix(local), &recorder)
-            .map(|closure| SyncOutcome::from_closure(closure, &recorder))
+        close(local, &recorder).map(|closure| SyncOutcome::from_closure(closure, &recorder))
     }
 
     /// The cold component loop: SHIFTS from scratch on every component.

@@ -3,8 +3,8 @@
 //!
 //! PR 2 gave the runtimes a failure-semantics contract; this crate makes
 //! a run *visible* while it is in flight. The [`Recorder`] handle is
-//! accepted by every pipeline stage (`Engine`, `Cluster`,
-//! `DistributedSync`, `Synchronizer`); the default handle is a no-op
+//! accepted by every pipeline stage (`Engine`, every `Simulation` runner,
+//! `Synchronizer`); the default handle is a no-op
 //! whose cost is one branch per call site, so instrumentation stays in
 //! release builds (a Criterion guard bench, `obs_overhead`, keeps it
 //! honest).

@@ -12,7 +12,8 @@
 //! > correction value for each processor according to function SHIFTS.
 //! > Finally, the leader sends the corrections to the processors."
 //!
-//! [`DistributedSync`] runs exactly that protocol *inside* the simulator:
+//! [`Simulation::run_distributed`] runs exactly that protocol *inside*
+//! the simulator, under the scenario's fault plan and recorder:
 //!
 //! 1. **Probe phase** — each link's lower endpoint sends timestamped
 //!    probes; the peer echoes, returning its receive/send clock readings,
@@ -22,8 +23,8 @@
 //! 2. **Report phase** — when a link's probes complete, the initiator
 //!    evaluates the link's `m̃ls` in both orientations and sends the pair
 //!    up a spanning tree to the leader (processor 0).
-//! 3. **Compute & distribute** — the leader assembles the estimate
-//!    matrix, runs GLOBAL ESTIMATES + SHIFTS
+//! 3. **Compute & distribute** — the leader holds the reports per
+//!    declared link, runs GLOBAL ESTIMATES + SHIFTS
 //!    ([`SyncOutcome::from_local_estimates`]) and routes each correction
 //!    back down the tree.
 //!
@@ -36,58 +37,46 @@
 
 use std::collections::{HashMap, HashSet};
 
-use clocksync::{DegradationReason, LinkAssumption, LinkDegradation, Network, SyncOutcome};
-use clocksync_graph::{SquareMatrix, Weight};
+use clocksync::{
+    DegradationReason, LinkAssumption, LinkDegradation, LinkWeights, Network, SyncOutcome,
+};
 use clocksync_model::{Execution, LinkEvidence, MsgSample, ProcessorId};
 use clocksync_obs::{FieldValue, Recorder};
-use clocksync_time::{ClockTime, ExtRatio, Nanos, Ratio};
+use clocksync_time::{ClockTime, Ext, ExtRatio, Nanos, Ratio};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{Process, ProcessCtx};
-use crate::faults::{FaultLog, FaultPlan};
+use crate::faults::FaultLog;
 use crate::scenario::Simulation;
+
+/// How long past the last scheduled probe round the leader waits for
+/// reports under a fault plan before it computes from what arrived.
+const REPORT_TIMEOUT: Nanos = Nanos::from_millis(50);
 
 /// Messages of the distributed protocol.
 #[derive(Debug, Clone)]
-pub enum DistMsg {
+enum DistMsg {
     /// A timestamped probe from a link initiator.
-    Probe {
-        /// Round number.
-        seq: u32,
-        /// Initiator's clock at the send step.
-        sent_clock: ClockTime,
-    },
+    Probe { sent_clock: ClockTime },
     /// The responder's echo, carrying everything the initiator needs to
-    /// reconstruct both directions' samples.
+    /// reconstruct both directions' samples: the probe's own send clock,
+    /// the responder's clock when it arrived and when the echo left.
     Echo {
-        /// Round number (matches the probe).
-        seq: u32,
-        /// The probe's original send clock (echoed back).
         probe_sent_clock: ClockTime,
-        /// Responder's clock when the probe arrived.
         probe_recv_clock: ClockTime,
-        /// Responder's clock when this echo left.
         sent_clock: ClockTime,
     },
-    /// A link's estimated maximal local shifts, en route to the leader.
+    /// A link's estimated maximal local shifts `m̃ls(a, b)` and
+    /// `m̃ls(b, a)`, en route to the leader.
     Report {
-        /// Lower endpoint of the link.
         a: ProcessorId,
-        /// Higher endpoint of the link.
         b: ProcessorId,
-        /// `m̃ls(a, b)`.
         mls_ab: ExtRatio,
-        /// `m̃ls(b, a)`.
         mls_ba: ExtRatio,
     },
     /// A correction on its way from the leader to `target`.
-    Correction {
-        /// The processor this correction belongs to.
-        target: ProcessorId,
-        /// The correction value.
-        value: Ratio,
-    },
+    Correction { target: ProcessorId, value: Ratio },
 }
 
 /// One protocol participant.
@@ -109,111 +98,100 @@ struct Node {
     parent: Option<ProcessorId>,
     /// Next hop toward each processor in this node's subtree.
     route_down: HashMap<ProcessorId, ProcessorId>,
-    /// Leader-only state.
-    n: usize,
-    expected_reports: usize,
-    reports: Vec<(ProcessorId, ProcessorId, ExtRatio, ExtRatio)>,
-    /// Canonical keys of the links already reported (duplicate reports on a
-    /// lossy network must not double-count toward `expected_reports`).
-    report_keys: HashSet<(usize, usize)>,
-    /// Every declared link, for diagnosing the unreported ones.
-    all_links: Vec<(ProcessorId, ProcessorId)>,
-    /// Leader-side report deadline (set only under a fault plan): if not
-    /// every report arrived by this clock reading, compute from what's
-    /// there — a partial-but-optimal answer for the reachable part.
-    deadline_at: Option<ClockTime>,
-    /// Whether the leader has already computed and distributed.
-    computed: bool,
-    /// Immutable copy of the armed report deadline (never cleared), so the
-    /// leader can report its deadline margin when it computes.
-    deadline_clock: Option<ClockTime>,
     /// This processor's correction, once it arrived.
     correction: Option<Ratio>,
-    /// The leader's outcome, once it computed.
+    /// The leader's state; `None` at every other processor.
+    leader: Option<Leader>,
+}
+
+/// What only the leader holds.
+struct Leader {
+    /// `m̃ls` on both directions of every declared link, `+∞` until the
+    /// link's report arrives.
+    reports: LinkWeights<ExtRatio>,
+    /// Whether each slot's report arrived (duplicate reports on a lossy
+    /// network must count once).
+    heard: Vec<bool>,
+    /// Declared links whose report has not arrived.
+    missing: usize,
+    /// Under a fault plan, the report deadline: if not every report
+    /// arrived by this clock reading, compute from what is there — a
+    /// partial-but-optimal answer for the reachable part.
+    deadline: Option<ClockTime>,
+    /// The outcome, once computed.
     outcome: Option<SyncOutcome>,
     recorder: Recorder,
 }
 
 impl Node {
-    fn is_leader(&self) -> bool {
-        self.parent.is_none()
-    }
-
     fn deliver_report(
         &mut self,
-        report: (ProcessorId, ProcessorId, ExtRatio, ExtRatio),
+        (a, b, mls_ab, mls_ba): (ProcessorId, ProcessorId, ExtRatio, ExtRatio),
         via: ProcessorId,
         ctx: &mut ProcessCtx<DistMsg>,
     ) {
-        if self.is_leader() {
-            if self.computed {
-                // The deadline already fired: the answer is out. A late
-                // report cannot be folded in retroactively.
-                return;
-            }
-            let key = (
-                report.0.index().min(report.1.index()),
-                report.0.index().max(report.1.index()),
-            );
-            if self.report_keys.insert(key) {
-                if self.recorder.is_enabled() {
-                    // Report latency per subtree: `via` is the leader's
-                    // child whose subtree produced this link's report, and
-                    // `clock_ns` is the leader clock at arrival.
-                    self.recorder.event(
-                        "dist.report",
-                        [
-                            ("a", FieldValue::from(report.0.index())),
-                            ("b", FieldValue::from(report.1.index())),
-                            ("via", FieldValue::from(via.index())),
-                            ("clock_ns", FieldValue::from(ctx.clock().as_nanos())),
-                        ],
-                    );
-                }
-                self.reports.push(report);
-            }
-            if self.report_keys.len() == self.expected_reports {
-                self.leader_compute(ctx);
-            }
-        } else {
+        let Some(leader) = self.leader.as_mut() else {
             let parent = self.parent.expect("non-leader has a parent");
             ctx.send(
                 parent,
                 DistMsg::Report {
-                    a: report.0,
-                    b: report.1,
-                    mls_ab: report.2,
-                    mls_ba: report.3,
+                    a,
+                    b,
+                    mls_ab,
+                    mls_ba,
                 },
             );
+            return;
+        };
+        if leader.outcome.is_some() {
+            // The deadline already fired: the answer is out. A late
+            // report cannot be folded in retroactively.
+            return;
+        }
+        let table = leader.reports.table();
+        let ab = table
+            .slot(a.index(), b.index())
+            .expect("reports name declared links");
+        let ba = table.reverse(ab);
+        if !leader.heard[ab] {
+            if leader.recorder.is_enabled() {
+                // Report latency per subtree: `via` is the leader's child
+                // whose subtree produced this link's report, and
+                // `clock_ns` is the leader clock at arrival.
+                leader.recorder.event(
+                    "dist.report",
+                    [
+                        ("a", FieldValue::from(a.index())),
+                        ("b", FieldValue::from(b.index())),
+                        ("via", FieldValue::from(via.index())),
+                        ("clock_ns", FieldValue::from(ctx.clock().as_nanos())),
+                    ],
+                );
+            }
+            (leader.heard[ab], leader.heard[ba]) = (true, true);
+            (leader.reports[ab], leader.reports[ba]) = (mls_ab, mls_ba);
+            leader.missing -= 1;
+        }
+        if leader.missing == 0 {
+            self.leader_compute(ctx);
         }
     }
 
     fn leader_compute(&mut self, ctx: &mut ProcessCtx<DistMsg>) {
-        self.computed = true;
-        if self.recorder.is_enabled() {
+        let leader = self.leader.as_mut().expect("only the leader computes");
+        let expected = leader.reports.table().len() / 2;
+        if leader.recorder.is_enabled() {
             let mut fields = vec![
-                ("reports", FieldValue::from(self.reports.len())),
-                ("expected", FieldValue::from(self.expected_reports)),
+                ("reports", FieldValue::from(expected - leader.missing)),
+                ("expected", FieldValue::from(expected)),
             ];
-            if let Some(deadline) = self.deadline_clock {
+            if let Some(deadline) = leader.deadline {
                 // Positive margin: the leader finished before its deadline;
                 // zero: the deadline itself forced a partial compute.
                 let margin = deadline.as_nanos() - ctx.clock().as_nanos();
                 fields.push(("deadline_margin_ns", FieldValue::from(margin)));
             }
-            self.recorder.event("dist.compute", fields);
-        }
-        let mut m = SquareMatrix::from_fn(self.n, |i, j| {
-            if i == j {
-                <ExtRatio as Weight>::zero()
-            } else {
-                <ExtRatio as Weight>::infinity()
-            }
-        });
-        for &(a, b, ab, ba) in &self.reports {
-            m[(a.index(), b.index())] = ab;
-            m[(b.index(), a.index())] = ba;
+            leader.recorder.event("dist.compute", fields);
         }
         // Reachability audit: this expect is a real invariant, not a
         // reachable panic. Reports are extremal estimates computed from a
@@ -222,26 +200,20 @@ impl Node {
         // of Theorem 5.2); fault injection only *removes* reports (drops,
         // link-down, crashes), leaving +∞ entries, which cannot create
         // inconsistency either.
-        let mut outcome =
-            SyncOutcome::from_local_estimates(&m).expect("honest reports cannot be inconsistent");
-        // Links that never reported stayed +∞ in the matrix; record why.
-        let degradations: Vec<LinkDegradation> = self
-            .all_links
-            .iter()
-            .filter(|(a, b)| {
-                let key = (a.index().min(b.index()), a.index().max(b.index()));
-                !self.report_keys.contains(&key)
-            })
-            .map(|&(a, b)| LinkDegradation {
-                a,
-                b,
+        let mut outcome = SyncOutcome::from_local_estimates(&leader.reports)
+            .expect("honest reports cannot be inconsistent");
+        // Links that never reported stayed +∞; record why.
+        let degradations = (leader.reports.table().links())
+            .filter(|&(_, _, slot)| !leader.heard[slot])
+            .map(|(a, b, _)| LinkDegradation {
+                a: ProcessorId(a),
+                b: ProcessorId(b),
                 reason: DegradationReason::Unreported,
             })
             .collect();
         outcome.set_degradations(degradations);
         self.correction = Some(outcome.correction(ctx.id()));
-        self.outcome = Some(outcome.clone());
-        for i in 0..self.n {
+        for i in 0..outcome.corrections().len() {
             let target = ProcessorId(i);
             if target == ctx.id() {
                 continue;
@@ -255,19 +227,20 @@ impl Node {
                 },
             );
         }
+        leader.outcome = Some(outcome);
     }
 }
 
 impl Process<DistMsg> for Node {
     fn on_start(&mut self, ctx: &mut ProcessCtx<DistMsg>) {
-        if let Some(at) = self.deadline_at {
+        if let Some(at) = self.leader.as_ref().and_then(|l| l.deadline) {
             ctx.set_timer(at);
         }
         if !self.initiate.is_empty() {
             let at = ClockTime::ZERO + self.initial_delay;
             self.next_probe_at = Some(at);
             ctx.set_timer(at);
-        } else if self.is_leader() && self.expected_reports == 0 {
+        } else if self.leader.as_ref().is_some_and(|l| l.missing == 0) {
             // Degenerate linkless system: nothing to wait for.
             self.leader_compute(ctx);
         }
@@ -279,7 +252,6 @@ impl Process<DistMsg> for Node {
         // apart, since timers fire exactly at the clock they were set for.
         if self.next_probe_at == Some(ctx.clock()) {
             self.next_probe_at = None;
-            let seq = self.rounds_fired as u32;
             // Sorted so the send order (and hence the engine's delay-rng
             // draw order) is independent of the map's hash state.
             let mut peers: Vec<ProcessorId> = self.initiate.keys().copied().collect();
@@ -288,7 +260,6 @@ impl Process<DistMsg> for Node {
                 ctx.send(
                     peer,
                     DistMsg::Probe {
-                        seq,
                         sent_clock: ctx.clock(),
                     },
                 );
@@ -299,9 +270,8 @@ impl Process<DistMsg> for Node {
                 self.next_probe_at = Some(at);
                 ctx.set_timer(at);
             }
-        } else if self.deadline_at == Some(ctx.clock()) {
-            self.deadline_at = None;
-            if !self.computed {
+        } else if let Some(leader) = &self.leader {
+            if leader.deadline == Some(ctx.clock()) && leader.outcome.is_none() {
                 // Whoever has not reported by now is presumed unreachable:
                 // answer with the evidence that made it through.
                 self.leader_compute(ctx);
@@ -311,11 +281,10 @@ impl Process<DistMsg> for Node {
 
     fn on_message(&mut self, from: ProcessorId, payload: DistMsg, ctx: &mut ProcessCtx<DistMsg>) {
         match payload {
-            DistMsg::Probe { seq, sent_clock } => {
+            DistMsg::Probe { sent_clock } => {
                 ctx.send(
                     from,
                     DistMsg::Echo {
-                        seq,
                         probe_sent_clock: sent_clock,
                         probe_recv_clock: ctx.clock(),
                         sent_clock: ctx.clock(),
@@ -326,7 +295,6 @@ impl Process<DistMsg> for Node {
                 probe_sent_clock,
                 probe_recv_clock,
                 sent_clock,
-                ..
             } => {
                 self.fwd_samples.entry(from).or_default().push(MsgSample {
                     send_clock: probe_sent_clock,
@@ -369,176 +337,97 @@ impl Process<DistMsg> for Node {
     }
 }
 
-/// A completed distributed run.
+/// A completed run of the distributed leader protocol: what each
+/// processor ended up with.
+///
+/// Under a fault plan nothing here is guaranteed total: a crashed (or
+/// partitioned-off) processor holds no correction, and if the leader
+/// itself crashed before computing there is no outcome at all.
 #[derive(Debug, Clone)]
 pub struct DistRun {
-    /// The full recorded execution (probes, echoes, reports, corrections).
+    /// The full recorded execution (probes, echoes, reports, corrections),
+    /// faults applied.
     pub execution: Execution,
     /// The declared network.
     pub network: Network,
-    /// The corrections each processor ended up holding.
-    pub corrections: Vec<Ratio>,
-    /// The precision the leader certified (from probe-phase evidence).
-    pub precision: ExtRatio,
+    /// The correction each processor ended up holding (`None`: crashed, or
+    /// the correction message never reached it).
+    pub corrections: Vec<Option<Ratio>>,
+    /// The leader's outcome — corrections, per-component precision
+    /// certified from probe-phase evidence, and
+    /// [`Unreported`](DegradationReason::Unreported) degradations for links
+    /// whose report missed the deadline. `None` if the leader crashed
+    /// before computing.
+    pub outcome: Option<SyncOutcome>,
+    /// The `m̃ls` reports the leader accepted, on the network's link
+    /// table: `+∞` on both directions of a link whose report it never
+    /// accepted. When the leader computed, exactly the evidence its
+    /// outcome was computed from.
+    pub reports: LinkWeights<ExtRatio>,
+    /// What the fault plan actually did.
+    pub faults: FaultLog,
 }
 
-/// The distributed leader protocol over a [`Simulation`] scenario.
-///
-/// # Examples
-///
-/// ```
-/// use clocksync_sim::{DistributedSync, Simulation, Topology};
-/// use clocksync_time::{Ext, Nanos};
-///
-/// let sim = Simulation::builder(5)
-///     .uniform_links(Topology::Ring(5),
-///                    Nanos::from_micros(50), Nanos::from_micros(250), 3)
-///     .probes(2)
-///     .build();
-/// let run = DistributedSync::new(sim).run(7);
-/// // Every processor received a correction; the certificate holds.
-/// let err = run.execution.discrepancy(&run.corrections);
-/// assert!(Ext::Finite(err) <= run.precision);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DistributedSync {
-    sim: Simulation,
-    faults: FaultPlan,
-    report_timeout: Nanos,
-    recorder: Recorder,
-}
-
-impl DistributedSync {
-    /// Wraps a scenario; the protocol will use its links, assumptions,
-    /// probe counts and timing.
-    pub fn new(sim: Simulation) -> DistributedSync {
-        DistributedSync {
-            sim,
-            faults: FaultPlan::new(),
-            report_timeout: Nanos::from_millis(50),
-            recorder: Recorder::disabled(),
-        }
-    }
-
-    /// Attaches an observability recorder. The engine emits its `sim.*`
-    /// counters and `sim.run` span; the leader emits a `dist.report` event
-    /// per link report it accepts (with the subtree it arrived through)
-    /// and one `dist.compute` event with its report tally and deadline
-    /// margin. Recording never touches the delay random stream, so runs
-    /// are bit-for-bit identical with or without it.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> DistributedSync {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attaches a fault plan for [`DistributedSync::run_faulty`], whose
-    /// leader arms a report deadline: reports still missing when it
-    /// expires are presumed lost and the leader answers for the survivors.
-    pub fn with_faults(mut self, plan: FaultPlan) -> DistributedSync {
-        self.faults = plan;
-        self
-    }
-
-    /// Sets how long past the last scheduled probe round the leader waits
-    /// for reports before computing from what arrived (default 50 ms; only
-    /// meaningful for [`DistributedSync::run_faulty`]).
+impl Simulation {
+    /// Runs the distributed leader protocol of §7 over the scenario on the
+    /// engine, under its fault plan and recorder: the scenario's links,
+    /// assumptions, probe count, spacing and start spread. Under a
+    /// non-empty plan the leader arms a report deadline, 50 ms past the
+    /// last scheduled probe round: reports still missing then are presumed
+    /// lost and the leader answers for the survivors.
+    ///
+    /// A recorder gets the engine's `sim.*` counters and `sim.run` span, a
+    /// `dist.report` event per link report the leader accepts (with the
+    /// subtree it arrived through) and one `dist.compute` event with the
+    /// report tally and, under a plan, the deadline margin. Recording
+    /// never touches the random stream.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use clocksync_sim::{Simulation, Topology};
+    /// use clocksync_time::{Ext, Nanos, Ratio};
+    ///
+    /// let sim = Simulation::builder(5)
+    ///     .uniform_links(Topology::Ring(5),
+    ///                    Nanos::from_micros(50), Nanos::from_micros(250), 3)
+    ///     .probes(2)
+    ///     .build();
+    /// let run = sim.run_distributed(7);
+    /// // Every processor received a correction; the certificate holds.
+    /// let corrections: Option<Vec<Ratio>> = run.corrections.iter().copied().collect();
+    /// let err = run.execution.discrepancy(&corrections.unwrap());
+    /// assert!(Ext::Finite(err) <= run.outcome.unwrap().precision());
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if `timeout` is not positive.
-    pub fn report_timeout(mut self, timeout: Nanos) -> DistributedSync {
-        assert!(timeout > Nanos::ZERO, "report timeout must be positive");
-        self.report_timeout = timeout;
-        self
-    }
-
-    /// Runs the full protocol, fault-free, and harvests the participants'
-    /// results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the declared links do not connect all processors to the
-    /// leader (processor 0), if a processor never received its correction
-    /// (a protocol bug), or if a non-empty fault plan was attached — a
-    /// faulty run can leave processors without corrections by design, so
-    /// it must go through [`DistributedSync::run_faulty`], whose result
-    /// type can say so.
-    pub fn run(&self, seed: u64) -> DistRun {
+    /// Panics if the declared links do not connect every processor to the
+    /// leader (processor 0) — crashes may *partition* a run, but the
+    /// declared topology must be connected — or if the scenario has a
+    /// retry rule: the protocol's probe phase does not retry.
+    pub fn run_distributed(&self, seed: u64) -> DistRun {
         assert!(
-            self.faults.is_empty(),
-            "a fault plan is attached: use run_faulty"
+            self.retry.is_none(),
+            "the leader protocol's probe phase has no retry rule"
         );
-        let (execution, _log, nodes, network) = self.run_inner(seed, false);
-        let corrections: Vec<Ratio> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                node.correction
-                    .unwrap_or_else(|| panic!("p{i} never received its correction"))
-            })
-            .collect();
-        let leader = nodes[0].outcome.as_ref().expect("leader computed");
-        DistRun {
-            execution,
-            network,
-            corrections,
-            precision: leader.precision(),
-        }
-    }
-
-    /// Runs the protocol under the attached fault plan (empty if none was
-    /// attached — the deadline machinery still arms, which is useful for
-    /// testing it) and reports whatever the survivors achieved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the declared links do not connect all processors to the
-    /// leader (crash faults may *partition* the run, but the declared
-    /// topology must be connected).
-    pub fn run_faulty(&self, seed: u64) -> FaultyDistRun {
-        let (execution, log, mut nodes, network) = self.run_inner(seed, true);
-        let leader = &mut nodes[0];
-        // A leader that never computed answers with no reports.
-        let reports = match leader.outcome {
-            Some(_) => std::mem::take(&mut leader.reports),
-            None => Vec::new(),
-        };
-        FaultyDistRun {
-            execution,
-            network,
-            outcome: leader.outcome.take(),
-            reports,
-            corrections: nodes.iter().map(|node| node.correction).collect(),
-            log,
-        }
-    }
-
-    /// Shared protocol body under the attached fault plan; `deadline`
-    /// arms the leader's report deadline. Returns the participants, whose
-    /// corrections and leader outcome the callers read.
-    fn run_inner(&self, seed: u64, deadline: bool) -> (Execution, FaultLog, Vec<Node>, Network) {
-        let n = self.sim.n();
+        let n = self.n();
         let mut rng = StdRng::seed_from_u64(seed);
-        let engine = self.sim.engine(&mut rng, &self.recorder);
+        let engine = self.engine(&mut rng, &self.recorder);
+        let network = self.network();
+        let table = network.link_table();
 
-        // Spanning tree rooted at the leader, with per-node down-routing.
-        let mut adjacency = vec![Vec::new(); n];
-        for l in self.sim.links() {
-            adjacency[l.a].push(l.b);
-            adjacency[l.b].push(l.a);
-        }
+        // Spanning tree rooted at the leader, breadth first over each
+        // processor's neighbours in ascending order.
         let mut parent: Vec<Option<ProcessorId>> = vec![None; n];
         let mut order = vec![0usize];
         let mut seen = vec![false; n];
         seen[0] = true;
         let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
+        while let Some(&v) = order.get(head) {
             head += 1;
-            let mut nbs = adjacency[v].clone();
-            nbs.sort_unstable();
-            for nb in nbs {
+            for slot in table.row(v) {
+                let nb = table.target(slot);
                 if !seen[nb] {
                     seen[nb] = true;
                     parent[nb] = Some(ProcessorId(v));
@@ -563,35 +452,24 @@ impl DistributedSync {
             }
         }
 
-        let initial_delay = self.sim.start_spread() + Nanos::from_micros(100);
-        let all_links: Vec<(ProcessorId, ProcessorId)> = self
-            .sim
-            .links()
-            .iter()
-            .map(|l| (ProcessorId(l.a), ProcessorId(l.b)))
-            .collect();
-        // A faulty run arms the leader's report deadline: the last probe
-        // round is scheduled at initial_delay + (probes−1)·spacing, and the
-        // timeout budgets for its round trip plus report routing.
-        let leader_deadline = deadline.then(|| {
+        let initial_delay = self.start_spread() + Nanos::from_micros(100);
+        // The last probe round is scheduled at initial_delay +
+        // (probes−1)·spacing; the timeout budgets for its round trip plus
+        // report routing.
+        let deadline = (!self.faults.is_empty()).then(|| {
             ClockTime::ZERO
                 + initial_delay
-                + Nanos::new(
-                    self.sim.spacing().as_nanos() * self.sim.probes().saturating_sub(1) as i64,
-                )
-                + self.report_timeout
+                + Nanos::new(self.spacing().as_nanos() * self.probes().saturating_sub(1) as i64)
+                + REPORT_TIMEOUT
         });
         let mut processes: Vec<Node> = (0..n)
             .map(|i| {
-                let mut initiate = HashMap::new();
-                for l in self.sim.links() {
-                    if l.a == i {
-                        initiate.insert(ProcessorId(l.b), l.assumption.clone());
-                    }
-                }
+                let initiate = (self.links().iter().filter(|l| l.a == i))
+                    .map(|l| (ProcessorId(l.b), l.assumption.clone()))
+                    .collect();
                 Node {
-                    probes: self.sim.probes(),
-                    spacing: self.sim.spacing(),
+                    probes: self.probes(),
+                    spacing: self.spacing(),
                     initial_delay,
                     rounds_fired: 0,
                     initiate,
@@ -600,76 +478,42 @@ impl DistributedSync {
                     reported: HashSet::new(),
                     next_probe_at: None,
                     parent: parent[i],
-                    route_down: route_down[i].clone(),
-                    n,
-                    expected_reports: self.sim.links().len(),
-                    reports: Vec::new(),
-                    report_keys: HashSet::new(),
-                    all_links: all_links.clone(),
-                    deadline_at: if i == 0 { leader_deadline } else { None },
-                    computed: false,
-                    deadline_clock: if i == 0 { leader_deadline } else { None },
+                    route_down: std::mem::take(&mut route_down[i]),
                     correction: None,
-                    outcome: None,
-                    recorder: if i == 0 {
-                        self.recorder.clone()
-                    } else {
-                        Recorder::disabled()
-                    },
+                    leader: None,
                 }
             })
             .collect();
+        processes[0].leader = Some(Leader {
+            reports: LinkWeights::filled(table.clone(), Ext::PosInf),
+            heard: vec![false; table.len()],
+            missing: table.len() / 2,
+            deadline,
+            outcome: None,
+            recorder: self.recorder.clone(),
+        });
 
-        let (execution, log) = engine.run(&mut processes, &mut rng, &self.faults);
-        (execution, log, processes, self.sim.network())
-    }
-}
-
-/// A completed distributed run under faults: what the *survivors* ended up
-/// with.
-///
-/// Unlike [`DistRun`], nothing here is guaranteed total: a crashed (or
-/// partitioned-off) processor holds no correction, and if the leader
-/// itself crashed before its deadline there is no outcome at all.
-#[derive(Debug, Clone)]
-pub struct FaultyDistRun {
-    /// The full recorded execution, faults applied.
-    pub execution: Execution,
-    /// The declared network.
-    pub network: Network,
-    /// The correction each processor ended up holding (`None`: crashed, or
-    /// the correction message never reached it).
-    pub corrections: Vec<Option<Ratio>>,
-    /// The leader's computed outcome — corrections, per-component
-    /// precision, and [`Unreported`](DegradationReason::Unreported)
-    /// degradations for links whose report missed the deadline. `None` if
-    /// the leader crashed before computing.
-    pub outcome: Option<SyncOutcome>,
-    /// The per-link estimate reports that reached the leader in time —
-    /// exactly the evidence the outcome was computed from.
-    pub reports: Vec<(ProcessorId, ProcessorId, ExtRatio, ExtRatio)>,
-    /// What the fault plan actually did.
-    pub log: FaultLog,
-}
-
-impl FaultyDistRun {
-    /// The processors that hold a correction, ascending.
-    pub fn survivors(&self) -> Vec<ProcessorId> {
-        self.corrections
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|_| ProcessorId(i)))
-            .collect()
+        let (execution, faults) = engine.run(&mut processes, &mut rng, &self.faults);
+        let corrections = processes.iter().map(|node| node.correction).collect();
+        let leader = processes[0].leader.take().expect("processor 0 leads");
+        DistRun {
+            execution,
+            network,
+            corrections,
+            outcome: leader.outcome,
+            reports: leader.reports,
+            faults,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Topology;
-    use clocksync_time::{Ext, RealTime};
+    use crate::{FaultPlan, SimulationBuilder, Topology};
+    use clocksync_time::RealTime;
 
-    fn ring_sim(probes: usize) -> Simulation {
+    fn ring(probes: usize) -> SimulationBuilder {
         Simulation::builder(5)
             .uniform_links(
                 Topology::Ring(5),
@@ -678,21 +522,31 @@ mod tests {
                 11,
             )
             .probes(probes)
-            .build()
+    }
+
+    /// Every processor's correction and the leader's certificate, for a
+    /// run in which each processor received its correction.
+    fn certified(run: &DistRun) -> (Vec<Ratio>, ExtRatio) {
+        let corrections = run.corrections.iter().copied().collect::<Option<_>>();
+        let outcome = run.outcome.as_ref().expect("leader computed");
+        (
+            corrections.expect("every processor corrected"),
+            outcome.precision(),
+        )
     }
 
     #[test]
     fn every_processor_receives_a_sound_correction() {
-        let dist = DistributedSync::new(ring_sim(2));
+        let sim = ring(2).build();
         for seed in 0..4 {
-            let run = dist.run(seed);
-            assert!(run.precision.is_finite());
+            let run = sim.run_distributed(seed);
+            let (corrections, precision) = certified(&run);
+            assert!(precision.is_finite());
             assert!(run.network.admits(&run.execution));
-            let err = run.execution.discrepancy(&run.corrections);
+            let err = run.execution.discrepancy(&corrections);
             assert!(
-                Ext::Finite(err) <= run.precision,
-                "seed {seed}: {err} > {}",
-                run.precision
+                Ext::Finite(err) <= precision,
+                "seed {seed}: {err} > {precision}"
             );
         }
     }
@@ -702,13 +556,13 @@ mod tests {
         // The centralized synchronizer sees the report/correction traffic
         // too, so its certificate can only be tighter or equal (§7's
         // observation about the distributed protocol's optimality gap).
-        let dist = DistributedSync::new(ring_sim(2));
+        let sim = ring(2).build();
         for seed in 0..4 {
-            let run = dist.run(seed);
+            let run = sim.run_distributed(seed);
             let central = clocksync::Synchronizer::new(run.network.clone())
                 .synchronize(run.execution.views())
                 .unwrap();
-            assert!(central.precision() <= run.precision, "seed {seed}");
+            assert!(central.precision() <= certified(&run).1, "seed {seed}");
         }
     }
 
@@ -723,10 +577,11 @@ mod tests {
             )
             .probes(4)
             .build();
-        let run = DistributedSync::new(sim).run(0);
-        assert!(run.precision.is_finite());
-        let err = run.execution.discrepancy(&run.corrections);
-        assert!(Ext::Finite(err) <= run.precision);
+        let run = sim.run_distributed(0);
+        let (corrections, precision) = certified(&run);
+        assert!(precision.is_finite());
+        let err = run.execution.discrepancy(&corrections);
+        assert!(Ext::Finite(err) <= precision);
     }
 
     #[test]
@@ -735,8 +590,7 @@ mod tests {
         // report, the survivors {0,1,2,4} stay connected through the rest
         // of the ring and still get corrections.
         let plan = FaultPlan::new().crash(ProcessorId(3), RealTime::from_micros(5_200));
-        let dist = DistributedSync::new(ring_sim(2)).with_faults(plan);
-        let run = dist.run_faulty(3);
+        let run = ring(2).faults(plan).build().run_distributed(3);
         assert!(run.corrections[3].is_none(), "crashed node holds nothing");
         for i in [0usize, 1, 2, 4] {
             assert!(run.corrections[i].is_some(), "survivor p{i} corrected");
@@ -746,59 +600,32 @@ mod tests {
         assert!(outcome
             .degradations()
             .iter()
-            .all(|d| d.reason == clocksync::DegradationReason::Unreported
+            .all(|d| d.reason == DegradationReason::Unreported
                 && (d.a == ProcessorId(3) || d.b == ProcessorId(3))));
         // The leader's answer is exactly the batch pipeline over the
         // surviving reports.
         let expected = composed_outcome(&run);
-        for p in run.survivors() {
-            assert_eq!(run.corrections[p.index()], Some(expected.correction(p)));
+        for (i, c) in run.corrections.iter().enumerate() {
+            if let Some(c) = c {
+                assert_eq!(*c, expected.correction(ProcessorId(i)));
+            }
         }
     }
 
     /// The batch pipeline over a run's reports, composed of two calls: the
     /// closure decoded to rationals, then an outcome built from it.
-    fn composed_outcome(run: &FaultyDistRun) -> SyncOutcome {
-        let mut m = SquareMatrix::from_fn(5, |i, j| {
-            if i == j {
-                ExtRatio::zero()
-            } else {
-                ExtRatio::infinity()
-            }
-        });
-        for &(a, b, ab, ba) in &run.reports {
-            m[(a.index(), b.index())] = ab;
-            m[(b.index(), a.index())] = ba;
-        }
-        let local = clocksync::LinkWeights::from_matrix(&m);
-        SyncOutcome::from_global_estimates(clocksync::global_estimates(&local).unwrap())
+    fn composed_outcome(run: &DistRun) -> SyncOutcome {
+        SyncOutcome::from_global_estimates(clocksync::global_estimates(&run.reports).unwrap())
     }
 
     #[test]
     fn the_leader_outcome_equals_the_two_call_composition() {
-        let dist = DistributedSync::new(ring_sim(2));
+        let sim = ring(2).build();
         for seed in 0..4 {
-            let run = dist.run_faulty(seed);
+            let run = sim.run_distributed(seed);
             let outcome = run.outcome.as_ref().expect("leader computed");
             assert_eq!(*outcome, composed_outcome(&run), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn fault_free_faulty_run_matches_plain_run() {
-        // run_faulty with no plan attached arms the deadline but injects
-        // nothing; every correction must match the plain protocol's.
-        let dist = DistributedSync::new(ring_sim(2));
-        let plain = dist.run(5);
-        let armed = dist.run_faulty(5);
-        assert!(armed.log.is_clean());
-        for (i, c) in plain.corrections.iter().enumerate() {
-            assert_eq!(armed.corrections[i], Some(*c));
-        }
-        assert_eq!(
-            armed.outcome.expect("leader computed").precision(),
-            plain.precision
-        );
     }
 
     #[test]
@@ -806,7 +633,16 @@ mod tests {
         // The execution records the whole protocol, not just probes:
         // 5 links × 2 probes × 2 (probe+echo) = 20 probe messages, plus
         // reports and corrections > 0.
-        let run = DistributedSync::new(ring_sim(2)).run(1);
+        let run = ring(2).build().run_distributed(1);
         assert!(run.execution.messages().len() > 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "the leader protocol's probe phase has no retry rule")]
+    fn a_retry_rule_is_refused() {
+        let _ = ring(2)
+            .retry(Nanos::from_millis(2), 1)
+            .build()
+            .run_distributed(0);
     }
 }

@@ -138,16 +138,15 @@ fn widening_margin(horizon: Nanos, max_ppm: i64) -> Nanos {
     worst_err * 2 + Nanos::new(1)
 }
 
-/// Scales the time elapsed since `start` by `1 + ppm/10⁶`, rounding to
-/// whole ns. Drift distorts *elapsed* time only: a clock read at its own
-/// start shows the start reading no matter how fast it runs. (Scaling the
-/// absolute reading happened to coincide for views starting at clock 0,
-/// the only kind [`clocksync_model::View::validate`] admits, but was
-/// wrong for any other origin.)
-fn drift_clock(clock: ClockTime, start: ClockTime, ppm: i64) -> ClockTime {
-    let elapsed = (clock - start).as_nanos() as i128;
-    let scaled = Ratio::new(elapsed * (PPM + ppm as i128), PPM).round_nanos();
-    start + scaled
+/// The reading a clock running at `1 + ppm/10⁶` has advanced by over
+/// `elapsed` of real time since its start, exactly. Drift distorts
+/// *elapsed* time only: a clock read at its own start shows the start
+/// reading no matter how fast it runs.
+fn drifted(elapsed: Nanos, ppm: i64) -> Ratio {
+    Ratio::new(
+        i128::from(elapsed.as_nanos()) * (PPM + i128::from(ppm)),
+        PPM,
+    )
 }
 
 /// Re-expresses a view in the readings of a clock running at `1 + ppm/10⁶`
@@ -161,6 +160,7 @@ fn drift_view(view: &View, ppm: i64) -> View {
             _ => None,
         })
         .unwrap_or(ClockTime::ZERO);
+    let drift_clock = |clock: ClockTime| start + drifted(clock - start, ppm).round_nanos();
     let events = view
         .events()
         .iter()
@@ -169,15 +169,15 @@ fn drift_view(view: &View, ppm: i64) -> View {
             ViewEvent::Send { to, id, clock } => ViewEvent::Send {
                 to,
                 id,
-                clock: drift_clock(clock, start, ppm),
+                clock: drift_clock(clock),
             },
             ViewEvent::Recv { from, id, clock } => ViewEvent::Recv {
                 from,
                 id,
-                clock: drift_clock(clock, start, ppm),
+                clock: drift_clock(clock),
             },
             ViewEvent::Timer { clock } => ViewEvent::Timer {
-                clock: drift_clock(clock, start, ppm),
+                clock: drift_clock(clock),
             },
         })
         .collect();
@@ -291,9 +291,7 @@ impl DriftRun {
     /// The drifting logical clock of `p` at real time `t`:
     /// `(t − S_p)·(1 + ρ_p/10⁶) + x_p`.
     pub fn logical_clock_at(&self, p: ProcessorId, t: RealTime) -> Ratio {
-        let elapsed = (t - self.execution.start(p)).as_nanos() as i128;
-        let reading = Ratio::new(elapsed * (PPM + self.drift_ppm[p.index()] as i128), PPM);
-        reading + self.outcome.correction(p)
+        drifted(t - self.execution.start(p), self.drift_ppm[p.index()]) + self.outcome.correction(p)
     }
 
     /// The worst pairwise disagreement of the corrected (still drifting)
@@ -328,7 +326,7 @@ impl DriftRun {
     /// declared `max_ppm` (the certificate holder never learns the
     /// secret per-processor rates).
     pub fn certificate(&self) -> DriftingOutcome {
-        DriftingOutcome::uniform(
+        DriftingOutcome::new(
             self.outcome.clone(),
             self.sync_time(),
             DriftBound::from_ppm(self.max_ppm),
@@ -398,8 +396,6 @@ pub struct ResyncConfig {
     pub rounds: usize,
     /// Real-time spacing between rounds.
     pub period: Nanos,
-    /// Probe round trips per link per round.
-    pub probes: usize,
     /// Drift magnitude bound, ppm (secret rates are sampled within it).
     pub max_ppm: i64,
     /// Drop one (rotating) link's evidence before each round after the
@@ -414,7 +410,6 @@ impl Default for ResyncConfig {
         ResyncConfig {
             rounds: 4,
             period: Nanos::from_millis(250),
-            probes: 2,
             max_ppm: 100,
             churn: true,
         }
@@ -442,8 +437,7 @@ impl ContinuousDriftRun {
     /// The drifting logical clock of `p` at real time `t`, corrected by
     /// round `round`'s certificate.
     pub fn logical_clock_at(&self, round: usize, p: ProcessorId, t: RealTime) -> Ratio {
-        let elapsed = (t - self.starts[p.index()]).as_nanos() as i128;
-        let reading = Ratio::new(elapsed * (PPM + self.drift_ppm[p.index()] as i128), PPM);
+        let reading = drifted(t - self.starts[p.index()], self.drift_ppm[p.index()]);
         reading + self.snapshots[round].outcome().correction(p)
     }
 
@@ -469,27 +463,39 @@ impl ContinuousDriftRun {
 /// evidence is dropped before each round and re-learned from that round's
 /// probes, so the evidence graph keeps changing shape.
 ///
-/// Delay models and declared assumptions are taken from `sim`;
-/// declarations are widened by the drift the whole horizon can
-/// accumulate, so they stay truthful for every round.
+/// Delay models, declared assumptions, the probe count per link and
+/// round ([`Simulation::probes`]) and the spacing between probes are taken
+/// from `sim`; declarations are widened by the drift the whole horizon can
+/// accumulate, so they stay truthful for every round. The scenario's
+/// recorder gets nothing: the online synchronizer this workload drives
+/// records no spans or events.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_with_drift`].
+///
+/// # Panics
+///
+/// Panics if `sim` carries a fault plan or a retry rule: this workload
+/// samples its probe delays itself, with no engine to inject faults or
+/// retry a round.
 pub fn run_continuous_resync(
     sim: &Simulation,
     cfg: &ResyncConfig,
     seed: u64,
 ) -> Result<ContinuousDriftRun, DriftError> {
+    assert!(
+        sim.faults.is_empty() && sim.retry.is_none(),
+        "continuous resync runs no fault plan or retry rule"
+    );
     check_rate(cfg.max_ppm)?;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2E5C11D);
     let drift_ppm = draw_rates(&mut rng, sim.n(), cfg.max_ppm);
     let (starts, resolved) = sim.draw(&mut rng);
 
     // The reading of p's drifting clock at real time t (t ≥ start_p).
-    let reading = |p: usize, t: RealTime| -> ClockTime {
-        let elapsed = (t - starts[p]).as_nanos() as i128;
-        ClockTime::ZERO + Ratio::new(elapsed * (PPM + drift_ppm[p] as i128), PPM).round_nanos()
+    let reading = |p: usize, t: RealTime| {
+        ClockTime::ZERO + drifted(t - starts[p], drift_ppm[p]).round_nanos()
     };
 
     // Generate every round's probe traffic first, tracking the largest
@@ -505,7 +511,7 @@ pub fn run_continuous_resync(
         let mut t = origin + cfg.period * round as i64;
         let mut last_delivery = t;
         for (l, link) in sim.links().iter().zip(&resolved) {
-            for _ in 0..cfg.probes {
+            for _ in 0..sim.probes() {
                 // One round trip: a → b, then the echo b → a.
                 for &(src, dst, forward) in &[(l.a, l.b, true), (l.b, l.a, false)] {
                     let delay = link.sample(forward, &mut rng);
@@ -536,7 +542,7 @@ pub fn run_continuous_resync(
         }
         online.ingest_batch(&batch)?;
         let outcome = online.outcome()?;
-        snapshots.push(DriftingOutcome::uniform(outcome, last_delivery, rate_bound));
+        snapshots.push(DriftingOutcome::new(outcome, last_delivery, rate_bound));
     }
 
     Ok(ContinuousDriftRun {
@@ -551,9 +557,9 @@ pub fn run_continuous_resync(
 mod tests {
     use super::*;
     use crate::delay::{DelayDistribution, LinkModel};
-    use crate::Topology;
+    use crate::{SimulationBuilder, Topology};
 
-    fn sim() -> Simulation {
+    fn ring() -> SimulationBuilder {
         Simulation::builder(4)
             .uniform_links(
                 Topology::Ring(4),
@@ -563,7 +569,10 @@ mod tests {
             )
             .probes(2)
             .spacing(Nanos::from_millis(5))
-            .build()
+    }
+
+    fn sim() -> Simulation {
+        ring().build()
     }
 
     #[test]
@@ -659,12 +668,10 @@ mod tests {
                 clock: origin + Nanos::from_micros(1_000) + Nanos::new(1_000),
             }
         );
-        // The same reading on a zero-origin clock drifts by the same
-        // elapsed-proportional amount plus the origin's share under the
-        // old (wrong) rule — guard the exact value too.
+        // The exact advance, before rounding: 1.001 ms.
         assert_eq!(
-            drift_clock(origin + Nanos::from_micros(1_000), origin, 1_000),
-            origin + Nanos::from_micros(1_000) + Nanos::new(1_000)
+            drifted(Nanos::from_micros(1_000), 1_000),
+            Ratio::from_int(1_001_000)
         );
     }
 
@@ -792,7 +799,6 @@ mod tests {
         let cfg = ResyncConfig {
             rounds: 3,
             period: Nanos::from_millis(200),
-            probes: 2,
             max_ppm: 100,
             churn: true,
         };
@@ -855,6 +861,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "continuous resync runs no fault plan or retry rule")]
+    fn continuous_resync_refuses_a_fault_plan() {
+        let plan = crate::FaultPlan::new().drop_messages(ProcessorId(0), ProcessorId(1), 0.5);
+        let _ = run_continuous_resync(&ring().faults(plan).build(), &ResyncConfig::default(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "continuous resync runs no fault plan or retry rule")]
+    fn continuous_resync_refuses_a_retry_rule() {
+        let retrying = ring().retry(Nanos::from_millis(2), 1).build();
+        let _ = run_continuous_resync(&retrying, &ResyncConfig::default(), 1);
     }
 
     #[test]

@@ -153,8 +153,9 @@ impl Engine {
     /// scheduled in `plan`, and returns the recorded execution with the
     /// [`FaultLog`] of what actually fired. The payload type `P` is free,
     /// so protocols can carry structured data (timestamps, shift reports,
-    /// corrections — see [`crate::DistributedSync`]). The processes are
-    /// borrowed, so a caller can read what they tallied after the run.
+    /// corrections — see [`crate::Simulation::run_distributed`]). The
+    /// processes are borrowed, so a caller can read what they tallied
+    /// after the run.
     ///
     /// The execution satisfies every model axiom: sends of lost messages
     /// are erased from the views at harvest (the processors cannot tell

@@ -20,9 +20,13 @@
 //!   experiments, with an optional retry rule, and the per-link
 //!   [`LinkHealth`] its rounds earn;
 //! * [`Simulation`] — the one-stop scenario API: topology + delay models +
-//!   (optionally truthful) assumptions + fault plan, seeded and
+//!   (optionally truthful) assumptions + fault plan + recorder, seeded and
 //!   reproducible, run on the engine ([`Simulation::run`]) or on OS
-//!   threads ([`Simulation::run_threaded`]).
+//!   threads ([`Simulation::run_threaded`]); the paper's §7 leader
+//!   protocol runs over the same scenario on the engine
+//!   ([`Simulation::run_distributed`]);
+//! * [`run_with_drift`] / [`run_continuous_resync`] — the scenario under
+//!   bounded clock drift, once or resynchronized every period.
 //!
 //! # Examples
 //!
@@ -55,7 +59,7 @@ mod topology;
 
 pub use cluster::{ThreadedRun, Threads};
 pub use delay::{DelayDistribution, LinkModel, ResolvedLink, HEAVY_TAIL_CAP};
-pub use distributed::{DistMsg, DistRun, DistributedSync, FaultyDistRun};
+pub use distributed::DistRun;
 pub use drift::{
     run_continuous_resync, run_with_drift, widen_assumption, ContinuousDriftRun, DriftError,
     DriftRun, ResyncConfig,

@@ -81,7 +81,7 @@ pub struct Simulation {
     probes: usize,
     spacing: Nanos,
     start_spread: Nanos,
-    retry: Option<(Nanos, u32)>,
+    pub(crate) retry: Option<(Nanos, u32)>,
     pub(crate) faults: FaultPlan,
     pub(crate) recorder: Recorder,
 }

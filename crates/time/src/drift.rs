@@ -1,25 +1,20 @@
-//! Drift-aware decay arithmetic: estimates that widen as clocks drift.
+//! Drift-aware decay arithmetic: the bound a drifting clock's readings
+//! can wander by.
 //!
 //! The paper's estimates are *instantaneous*: an `m̃ls`/`m̃s` bound is
 //! exact at the moment the views were recorded and silently assumes the
 //! clocks never move again. Real oscillators drift by parts-per-million,
 //! so a bound certified at time `t₀` is only sound at a later time `t`
 //! if it is widened by the drift the clocks may have accumulated over
-//! `Δt = t − t₀`. This module provides the two primitives that make
-//! those decayed queries exact:
-//!
-//! * [`DriftBound`] — a declared worst-case drift rate `ρ̄` in ppm, with
-//!   the exact decay product `ρ̄·Δt/10⁶` as a [`Ratio`];
-//! * [`DriftingEstimate`] — an upper estimate carrying its validity
-//!   timestamp and decay rate, queryable at any later (or earlier) real
-//!   time; the answer is the estimate plus the accumulated decay and is
-//!   therefore still a sound upper bound.
+//! `Δt = t − t₀`. [`DriftBound`] is that declared worst-case rate `ρ̄` in
+//! ppm, with the exact decay product `ρ̄·Δt/10⁶` as a [`Ratio`];
+//! `clocksync::DriftingOutcome` widens a whole certificate by it.
 //!
 //! A zero rate degenerates bit-exactly to the drift-free value: the
 //! decay term is the exact rational `0`, and adding it is the identity
 //! on normalized [`Ratio`]s.
 
-use crate::{Ext, ExtRatio, Nanos, Ratio, RealTime};
+use crate::{Nanos, Ratio};
 
 /// A worst-case clock drift rate `ρ̄`, in parts per million.
 ///
@@ -56,16 +51,6 @@ impl DriftBound {
         self.ppm == 0
     }
 
-    /// The larger of two bounds.
-    #[must_use]
-    pub fn max(self, other: DriftBound) -> DriftBound {
-        if self.ppm >= other.ppm {
-            self
-        } else {
-            other
-        }
-    }
-
     /// The combined bound of two independently drifting clocks: their
     /// mutual divergence rate is at most the sum of the individual
     /// rates.
@@ -88,84 +73,6 @@ impl DriftBound {
     }
 }
 
-/// An upper estimate with a validity timestamp and a decay rate.
-///
-/// `value` is sound at `valid_at`; at any other real time `t` the sound
-/// bound is `value + rate·|t − valid_at|/10⁶` ([`DriftingEstimate::value_at`]).
-/// The query is O(1): one multiplication and one rational addition,
-/// independent of how the estimate was derived.
-///
-/// # Examples
-///
-/// ```
-/// use clocksync_time::{DriftBound, DriftingEstimate, Ext, Nanos, Ratio, RealTime};
-///
-/// let est = DriftingEstimate::new(
-///     Ext::Finite(Ratio::from_int(1_000)),
-///     RealTime::ZERO,
-///     DriftBound::from_ppm(100),
-/// );
-/// // One second later the bound has decayed by 100ppm × 1s = 100µs.
-/// let later = est.value_at(RealTime::ZERO + Nanos::from_secs(1));
-/// assert_eq!(later, Ext::Finite(Ratio::from_int(1_000 + 100_000)));
-/// // A zero-rate estimate never decays, bit-exactly.
-/// let frozen = est.with_rate(DriftBound::ZERO);
-/// assert_eq!(frozen.value_at(RealTime::ZERO + Nanos::from_secs(3600)), est.value());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriftingEstimate {
-    value: ExtRatio,
-    valid_at: RealTime,
-    rate: DriftBound,
-}
-
-impl DriftingEstimate {
-    /// An estimate `value`, exact at `valid_at`, decaying at `rate`.
-    pub fn new(value: ExtRatio, valid_at: RealTime, rate: DriftBound) -> DriftingEstimate {
-        DriftingEstimate {
-            value,
-            valid_at,
-            rate,
-        }
-    }
-
-    /// A drift-free estimate (rate zero): `value_at` is constant.
-    pub fn pinned(value: ExtRatio, valid_at: RealTime) -> DriftingEstimate {
-        DriftingEstimate::new(value, valid_at, DriftBound::ZERO)
-    }
-
-    /// The undecayed value (exact at [`DriftingEstimate::valid_at`]).
-    pub fn value(&self) -> ExtRatio {
-        self.value
-    }
-
-    /// The instant at which [`DriftingEstimate::value`] is exact.
-    pub fn valid_at(&self) -> RealTime {
-        self.valid_at
-    }
-
-    /// The decay rate.
-    pub fn rate(&self) -> DriftBound {
-        self.rate
-    }
-
-    /// The same estimate with a different decay rate.
-    #[must_use]
-    pub fn with_rate(&self, rate: DriftBound) -> DriftingEstimate {
-        DriftingEstimate { rate, ..*self }
-    }
-
-    /// The sound bound at real time `t`: the value widened by the drift
-    /// accumulated since (or until) the validity instant. Infinite
-    /// values stay infinite — `+∞` cannot decay further.
-    pub fn value_at(&self, t: RealTime) -> ExtRatio {
-        match self.value {
-            Ext::Finite(v) => Ext::Finite(v + self.rate.decay_over(t - self.valid_at)),
-            inf => inf,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,29 +89,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_is_bit_exact_identity() {
-        let v = Ext::Finite(Ratio::new(7, 3));
-        let est = DriftingEstimate::pinned(v, RealTime::from_nanos(5));
-        for dt in [0i64, 1, 1_000_000_000, -273] {
-            assert_eq!(est.value_at(RealTime::from_nanos(5 + dt)), v);
-        }
-    }
-
-    #[test]
-    fn infinite_estimates_stay_infinite() {
-        let est = DriftingEstimate::new(Ext::PosInf, RealTime::ZERO, DriftBound::from_ppm(1_000));
-        assert_eq!(
-            est.value_at(RealTime::from_nanos(i64::MAX / 2)),
-            Ext::PosInf
-        );
-    }
-
-    #[test]
-    fn combined_and_max_compose_rates() {
+    fn combined_rates_add() {
         let a = DriftBound::from_ppm(30);
         let b = DriftBound::from_ppm(50);
         assert_eq!(a.combined(b).ppm(), 80);
-        assert_eq!(a.max(b), b);
         assert!(DriftBound::ZERO.is_zero());
         assert!(!a.is_zero());
     }

@@ -37,7 +37,7 @@ mod ext;
 mod nanos;
 mod ratio;
 
-pub use drift::{DriftBound, DriftingEstimate};
+pub use drift::DriftBound;
 pub use ext::Ext;
 pub use nanos::{ClockTime, Nanos, RealTime};
 pub use ratio::Ratio;

@@ -85,7 +85,6 @@ pub(crate) fn check_seed(seed: u64) -> Result<(), String> {
     let cfg = ResyncConfig {
         rounds: rng.range_i64(2, 3) as usize,
         period: Nanos::from_millis(rng.range_i64(50, 250)),
-        probes,
         max_ppm,
         churn: rng.chance_ppm(500_000),
     };
@@ -171,7 +170,7 @@ fn check_pairs(
 }
 
 /// Structural checks on one round's certificate: per-edge local skews
-/// decay monotonically and degenerate exactly at zero rates.
+/// decay monotonically and degenerate exactly at a zero rate.
 fn check_snapshot(ctx: &str, round: usize, snap: &DriftingOutcome) -> Result<(), String> {
     let t0 = snap.valid_at();
     let later = t0 + Nanos::from_secs(5);
@@ -187,7 +186,7 @@ fn check_snapshot(ctx: &str, round: usize, snap: &DriftingOutcome) -> Result<(),
                 skew_now.a, skew_now.b
             ));
         }
-        if snap.rates().iter().all(|r| r.is_zero()) && skew_later.skew != skew_now.skew {
+        if snap.rate().is_zero() && skew_later.skew != skew_now.skew {
             return Err(format!(
                 "{ctx}: round {round}: zero-rate certificate decayed"
             ));

@@ -4,11 +4,23 @@
 
 use clocksync::{DelayRange, LinkAssumption, Network, OnlineSynchronizer, Synchronizer};
 use clocksync_model::{ExecutionBuilder, ProcessorId};
-use clocksync_sim::{DistributedSync, Simulation, Topology};
+use clocksync_sim::{DistRun, Simulation, Topology};
 use clocksync_time::{Ext, Nanos, Ratio, RealTime};
 
 fn us(x: i64) -> Nanos {
     Nanos::from_micros(x)
+}
+
+/// A fault-free leader run's true error and certificate.
+fn audit(run: &DistRun) -> (Ratio, Ext<Ratio>) {
+    let corrections: Option<Vec<Ratio>> = run.corrections.iter().copied().collect();
+    let err = run
+        .execution
+        .discrepancy(&corrections.expect("every processor corrected"));
+    (
+        err,
+        run.outcome.as_ref().expect("leader computed").precision(),
+    )
 }
 
 #[test]
@@ -24,10 +36,9 @@ fn distributed_protocol_on_every_topology() {
             .uniform_links(topo, us(40), us(350), 17)
             .probes(2)
             .build();
-        let run = DistributedSync::new(sim).run(3);
-        assert!(run.precision.is_finite(), "{topo:?}");
-        let err = run.execution.discrepancy(&run.corrections);
-        assert!(Ext::Finite(err) <= run.precision, "{topo:?}");
+        let (err, precision) = audit(&sim.run_distributed(3));
+        assert!(precision.is_finite(), "{topo:?}");
+        assert!(Ext::Finite(err) <= precision, "{topo:?}");
     }
 }
 
@@ -172,8 +183,7 @@ fn distributed_protocol_handles_mixed_assumptions() {
         )
         .probes(3)
         .build();
-    let run = DistributedSync::new(sim).run(12);
-    assert!(run.precision.is_finite());
-    let err = run.execution.discrepancy(&run.corrections);
-    assert!(Ext::Finite(err) <= run.precision);
+    let (err, precision) = audit(&sim.run_distributed(12));
+    assert!(precision.is_finite());
+    assert!(Ext::Finite(err) <= precision);
 }

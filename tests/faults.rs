@@ -12,10 +12,9 @@
 use std::collections::HashSet;
 
 use clocksync::{global_estimates, SyncOutcome, Synchronizer};
-use clocksync_graph::{LinkWeights, SquareMatrix, Weight};
 use clocksync_model::ProcessorId;
-use clocksync_sim::{DistributedSync, FaultPlan, Simulation, Topology};
-use clocksync_time::{Ext, ExtRatio, Nanos, RealTime};
+use clocksync_sim::{FaultPlan, Simulation, Topology};
+use clocksync_time::{Ext, Nanos, RealTime};
 use proptest::prelude::*;
 
 /// A random fault schedule over the links of an `n`-ring, with an
@@ -152,27 +151,14 @@ proptest! {
         let (victim, at) = victim_and_time;
         prop_assume!(victim < n);
         let plan = FaultPlan::new().crash(ProcessorId(victim), RealTime::from_micros(at));
-        let dist = DistributedSync::new(ring_sim(n, 2, seed, FaultPlan::new())).with_faults(plan);
-        let run = dist.run_faulty(seed);
+        let run = ring_sim(n, 2, seed, plan).run_distributed(seed);
 
         // The leader survives, so its deadline guarantees an answer.
         let outcome = run.outcome.as_ref().expect("leader must compute");
 
-        // Fault-free restriction: batch-synchronize the very report
-        // matrix the leader saw.
-        let mut m = SquareMatrix::from_fn(n, |i, j| {
-            if i == j {
-                <ExtRatio as Weight>::zero()
-            } else {
-                <ExtRatio as Weight>::infinity()
-            }
-        });
-        for &(a, b, ab, ba) in &run.reports {
-            m[(a.index(), b.index())] = ab;
-            m[(b.index(), a.index())] = ba;
-        }
-        let local = LinkWeights::from_matrix(&m);
-        let expected = SyncOutcome::from_global_estimates(global_estimates(&local).unwrap());
+        // Fault-free restriction: batch-synchronize the very reports the
+        // leader saw.
+        let expected = SyncOutcome::from_global_estimates(global_estimates(&run.reports).unwrap());
 
         for p in 0..n {
             if let Some(c) = run.corrections[p] {
@@ -185,11 +171,11 @@ proptest! {
             }
         }
         // Every link the leader never heard about is flagged, and every
-        // flagged-unreported link is genuinely absent from the reports.
-        let reported: HashSet<_> = run
-            .reports
-            .iter()
-            .map(|&(a, b, _, _)| (a.index().min(b.index()), a.index().max(b.index())))
+        // flagged-unreported link is genuinely absent from the reports
+        // (a bounded link's report is finite; a missing one stays +∞).
+        let reported: HashSet<_> = (run.reports.table().links())
+            .filter(|&(_, _, slot)| run.reports[slot].is_finite())
+            .map(|(a, b, _)| (a, b))
             .collect();
         for d in outcome.degradations() {
             if d.reason == clocksync::DegradationReason::Unreported {

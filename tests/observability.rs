@@ -211,3 +211,44 @@ fn faulty_run_counters_reflect_the_fault_log() {
         faulty.faults.dropped.len() as u64
     );
 }
+
+#[test]
+fn a_leader_run_records_under_the_scenario_recorder() {
+    use clocksync_model::ProcessorId;
+    // Without a plan: the engine's span and one `dist.report` per link,
+    // and a `dist.compute` with no deadline, since none is armed.
+    let recorder = Recorder::enabled();
+    ring_sim(5, recorder.clone()).run_distributed(2);
+    let trace = recorder.snapshot();
+    assert!(trace.span_names().contains(&"sim.run"));
+    assert_eq!(trace.events_named("dist.report").count(), 5);
+    let computes: Vec<_> = trace.events_named("dist.compute").collect();
+    assert_eq!(computes.len(), 1);
+    assert!(computes[0].iter().all(|(k, _)| k != "deadline_margin_ns"));
+
+    // Under a plan that duplicates every message on link 0–1, the leader
+    // arms its deadline and still accepts one report per link.
+    let plan = FaultPlan::new().duplicate_messages(ProcessorId(0), ProcessorId(1), 1.0);
+    let recorder = Recorder::enabled();
+    let sim = Simulation::builder(5)
+        .uniform_links(
+            Topology::Ring(5),
+            Nanos::from_micros(50),
+            Nanos::from_micros(400),
+            11,
+        )
+        .faults(plan)
+        .recorder(recorder.clone())
+        .build();
+    let run = sim.run_distributed(2);
+    assert!(!run.faults.duplicated.is_empty(), "the plan never fired");
+    let trace = recorder.snapshot();
+    assert!(trace.span_names().contains(&"sim.run"));
+    assert_eq!(trace.events_named("dist.report").count(), 5);
+    let computes: Vec<_> = trace.events_named("dist.compute").collect();
+    assert_eq!(computes.len(), 1);
+    match computes[0].iter().find(|(k, _)| k == "deadline_margin_ns") {
+        Some((_, FieldValue::Int(margin))) => assert!(*margin > 0, "margin {margin}"),
+        other => panic!("no deadline margin: {other:?}"),
+    }
+}

@@ -5,7 +5,7 @@
 
 use clocksync::{DelayRange, LinkAssumption, Network, SyncError, Synchronizer};
 use clocksync_model::{ExecutionBuilder, ProcessorId};
-use clocksync_sim::{DistributedSync, Simulation, Topology};
+use clocksync_sim::{Simulation, Topology};
 use clocksync_time::{Ext, Nanos, Ratio, RealTime};
 use proptest::prelude::*;
 
@@ -125,10 +125,13 @@ proptest! {
             )
             .probes(probes)
             .build();
-        let run = DistributedSync::new(sim).run(seed);
-        prop_assert!(run.precision.is_finite());
-        prop_assert_eq!(run.corrections.len(), n);
-        let err = run.execution.discrepancy(&run.corrections);
-        prop_assert!(Ext::Finite(err) <= run.precision);
+        let run = sim.run_distributed(seed);
+        let precision = run.outcome.as_ref().expect("leader computed").precision();
+        prop_assert!(precision.is_finite());
+        let corrections: Option<Vec<Ratio>> = run.corrections.iter().copied().collect();
+        let corrections = corrections.expect("every processor corrected");
+        prop_assert_eq!(corrections.len(), n);
+        let err = run.execution.discrepancy(&corrections);
+        prop_assert!(Ext::Finite(err) <= precision);
     }
 }
