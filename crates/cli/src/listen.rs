@@ -27,8 +27,8 @@ use clocksync_net::wire::{read_frame, write_frame, WireError};
 use clocksync_obs::Recorder;
 use clocksync_service::{ConcurrentService, ServiceConfig};
 
-use crate::json::{parse, to_string, Json};
-use crate::serve::{decode_batch, decode_domain};
+use crate::json::{to_string, Json};
+use crate::serve::{decode_command, Command};
 
 /// What one `serve --listen` run saw, reported when the acceptor stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub fn serve_listener(
             let svc = &svc;
             let (frames, errors) = (&frames, &errors);
             scope.spawn(move || {
-                let (f, e) = serve_connection(stream, svc);
+                let (f, e) = serve_connection(stream, svc, recorder);
                 frames.fetch_add(f, Ordering::Relaxed);
                 errors.fetch_add(e, Ordering::Relaxed);
                 // Connection handlers are request/reply loops; nothing to
@@ -96,7 +96,7 @@ pub fn serve_listener(
 }
 
 /// Serves one connection to completion; returns `(frames, errors)`.
-fn serve_connection(stream: TcpStream, svc: &ConcurrentService) -> (u64, u64) {
+fn serve_connection(stream: TcpStream, svc: &ConcurrentService, recorder: &Recorder) -> (u64, u64) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return (0, 1),
@@ -113,7 +113,7 @@ fn serve_connection(stream: TcpStream, svc: &ConcurrentService) -> (u64, u64) {
             }
         };
         frames += 1;
-        let reply = match handle_frame(&payload, svc) {
+        let reply = match handle_frame(&payload, svc, recorder) {
             Ok(reply) => reply,
             Err(msg) => {
                 errors += 1;
@@ -129,17 +129,22 @@ fn serve_connection(stream: TcpStream, svc: &ConcurrentService) -> (u64, u64) {
     (frames, errors)
 }
 
-/// Decodes and executes one request frame, building the success reply.
-fn handle_frame(payload: &[u8], svc: &ConcurrentService) -> Result<Json, String> {
+/// Decodes and executes one request frame against `svc`, building the
+/// success reply; `recorder` gets the decode stage (see
+/// [`decode_command`]).
+///
+/// # Errors
+///
+/// The message of the `{"ok":false,...}` reply: an undecodable frame, a
+/// command that breaks its schema, or one the service refuses.
+pub fn handle_frame(
+    payload: &[u8],
+    svc: &ConcurrentService,
+    recorder: &Recorder,
+) -> Result<Json, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "frame is not utf-8".to_string())?;
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    let t = doc
-        .field("t", "command")
-        .and_then(|v| v.as_str("t"))
-        .map_err(|e| e.to_string())?;
-    match t {
-        "domain" => {
-            let spec = decode_domain(&doc)?;
+    match decode_command(text, recorder)? {
+        Command::Domain(spec) => {
             svc.register_domain(spec.name.as_str(), spec.network)
                 .map_err(|e| e.to_string())?;
             Ok(Json::object([
@@ -148,8 +153,7 @@ fn handle_frame(payload: &[u8], svc: &ConcurrentService) -> Result<Json, String>
                 ("shard", Json::Int(svc.shard_of(&spec.name) as i128)),
             ]))
         }
-        "batch" => {
-            let batch = decode_batch(&doc)?;
+        Command::Batch(batch) => {
             // Block for the receipt: the reply frame is the client's
             // application acknowledgement, and waiting here is also the
             // protocol's backpressure (a producer cannot have more than
@@ -174,7 +178,7 @@ fn handle_frame(payload: &[u8], svc: &ConcurrentService) -> Result<Json, String>
                 ),
             ]))
         }
-        "outcome" => {
+        Command::Outcome(doc) => {
             let name = doc
                 .field("domain", "outcome command")
                 .and_then(|v| v.as_str("domain"))
@@ -198,13 +202,13 @@ fn handle_frame(payload: &[u8], svc: &ConcurrentService) -> Result<Json, String>
                 ("corrections_ns", Json::Array(corrections)),
             ]))
         }
-        other => Err(format!("unknown command `{other}`")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use std::net::TcpStream;
 
     fn request(stream: &mut TcpStream, body: &str) -> Json {
@@ -221,12 +225,51 @@ mod tests {
         config: ServiceConfig,
         max_conns: u64,
     ) -> (std::net::SocketAddr, std::thread::JoinHandle<ListenStats>) {
+        spawn_traced_server(config, max_conns, Recorder::disabled())
+    }
+
+    fn spawn_traced_server(
+        config: ServiceConfig,
+        max_conns: u64,
+        recorder: Recorder,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<ListenStats>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            serve_listener(listener, config, &Recorder::disabled(), Some(max_conns)).unwrap()
+            serve_listener(listener, config, &recorder, Some(max_conns)).unwrap()
         });
         (addr, handle)
+    }
+
+    #[test]
+    fn each_decoded_batch_frame_is_one_wire_decode_sample() {
+        let recorder = Recorder::enabled();
+        let (addr, server) = spawn_traced_server(ServiceConfig::default(), 1, recorder.clone());
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let reply = request(
+            &mut conn,
+            r#"{"t":"domain","domain":"a","n":2,"links":[{"a":0,"b":1,"lo_ns":0,"hi_ns":1000}]}"#,
+        );
+        assert!(ok(&reply), "{reply:?}");
+        let batches = 5;
+        for i in 0..batches {
+            let send = 1_000 * i;
+            let frame = format!(
+                r#"{{"t":"batch","domain":"a","obs":[[0,1,{send},{}],[1,0,{},{}]]}}"#,
+                send + 400,
+                send + 500,
+                send + 800
+            );
+            assert!(ok(&request(&mut conn, &frame)));
+        }
+        assert!(ok(&request(&mut conn, r#"{"t":"outcome","domain":"a"}"#)));
+        drop(conn);
+        server.join().unwrap();
+        let decode = recorder
+            .snapshot()
+            .hist("wire.decode")
+            .expect("no wire.decode");
+        assert_eq!(decode.count, batches);
     }
 
     #[test]

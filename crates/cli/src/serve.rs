@@ -21,17 +21,21 @@
 //! shard engine behind `serve --listen` and the soak — redeeming each
 //! batch's receipt before reading the next line, so errors keep their
 //! line-numbered abort semantics while the ingestion path itself is the
-//! production one. The command decoders (`decode_domain`,
-//! `decode_batch`) are shared with the TCP front-end in
-//! [`crate::listen`].
+//! production one. One decode entry, [`decode_command`], serves both this
+//! mode and the TCP front-end in [`crate::listen`]: a `batch`'s `obs`
+//! array goes from the line's bytes straight to observations, in the same
+//! pass that parses the rest of the line (DESIGN.md §8).
+
+use std::time::Instant;
 
 use clocksync::{BatchObservation, DelayRange, LinkAssumption, Network, SyncOutcome};
 use clocksync_model::ProcessorId;
+use clocksync_obs::json::{parse_with_rows, RowError, RowFault, Table, WithRows};
 use clocksync_obs::Recorder;
 use clocksync_service::{ConcurrentService, IngestReceipt, ObservationBatch, ServiceConfig};
 use clocksync_time::{ClockTime, Nanos};
 
-use crate::json::{parse, Json};
+use crate::json::{Json, JsonError};
 
 /// The most processors a `domain` command may declare. A domain's first
 /// outcome allocates its closure, `8·n²` bytes of counts (512 MiB at this
@@ -40,7 +44,8 @@ use crate::json::{parse, Json};
 const MAX_DOMAIN_PROCESSORS: usize = 8192;
 
 /// A decoded `domain` registration command.
-pub(crate) struct DomainSpec {
+#[derive(Debug)]
+pub struct DomainSpec {
     /// The domain name.
     pub name: String,
     /// Processor count.
@@ -81,14 +86,9 @@ pub fn run_serve_on_str(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let doc = parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let t = doc
-            .field("t", "command")
-            .and_then(|v| v.as_str("t"))
-            .map_err(|e| format!("line {lineno}: {e}"))?;
-        match t {
-            "domain" => {
-                let spec = decode_domain(&doc).map_err(|e| format!("line {lineno}: {e}"))?;
+        let command = decode_command(line, recorder).map_err(|e| format!("line {lineno}: {e}"))?;
+        match command {
+            Command::Domain(spec) => {
                 svc.register_domain(spec.name.as_str(), spec.network)
                     .map_err(|e| format!("line {lineno}: {e}"))?;
                 out.push(format!(
@@ -100,8 +100,7 @@ pub fn run_serve_on_str(
                 ));
                 domains.push(spec.name);
             }
-            "batch" => {
-                let batch = decode_batch(&doc).map_err(|e| format!("line {lineno}: {e}"))?;
+            Command::Batch(batch) => {
                 // Redeem immediately: file mode is a replayable artifact,
                 // so the first bad line aborts before the next is read.
                 let receipt = svc
@@ -110,7 +109,9 @@ pub fn run_serve_on_str(
                     .map_err(|e| format!("line {lineno}: {e}"))?;
                 out.push(receipt_line(&receipt));
             }
-            other => return Err(format!("line {lineno}: unknown command `{other}`")),
+            // Queries are a wire command; file mode prints every outcome
+            // at the end.
+            Command::Outcome(_) => return Err(format!("line {lineno}: unknown command `outcome`")),
         }
     }
     for name in &domains {
@@ -121,8 +122,70 @@ pub fn run_serve_on_str(
     Ok(out)
 }
 
+/// One decoded command line or frame.
+#[derive(Debug)]
+pub enum Command {
+    /// `{"t":"domain",...}`: a registration.
+    Domain(DomainSpec),
+    /// `{"t":"batch",...}`: observations to ingest.
+    Batch(ObservationBatch),
+    /// `{"t":"outcome",...}`: the document, whose `domain` the wire
+    /// front-end reads (file mode has no such command).
+    Outcome(Json),
+}
+
+/// Decodes one command line or frame: the one decode entry of `serve`
+/// and `serve --listen`.
+///
+/// The line is read in one pass (see [`parse_with_rows`]): the top-level
+/// `obs` array goes from the bytes straight to observations, with no
+/// JSON tree and no allocation per observation, while every other key
+/// gets the generic parser. Results and error text are those of parsing
+/// the whole line into a tree and then walking it: a syntax error anywhere
+/// wins over a bad row, the last of duplicate keys wins, `t` may follow
+/// `obs`, and a non-batch command's `obs` is ignored. With an enabled
+/// `recorder`, each `batch` command, whether its rows meet the schema or
+/// not, adds its decode time to the `wire.decode` histogram.
+///
+/// # Errors
+///
+/// A message for malformed JSON, a missing or unknown `t`, and a `domain`
+/// or `batch` command that breaks its schema.
+pub fn decode_command(text: &str, recorder: &Recorder) -> Result<Command, String> {
+    let started = recorder.is_enabled().then(Instant::now);
+    let WithRows { doc, table } =
+        parse_with_rows(text, "obs", |src, dst, send, recv| BatchObservation {
+            src: ProcessorId(src),
+            dst: ProcessorId(dst),
+            send_clock: ClockTime::from_nanos(send),
+            recv_clock: ClockTime::from_nanos(recv),
+        })
+        .map_err(|e| e.to_string())?;
+    let t = doc
+        .field("t", "command")
+        .and_then(|v| v.as_str("t"))
+        .map_err(|e| e.to_string())?;
+    match t {
+        "domain" => decode_domain(&doc).map(Command::Domain),
+        "batch" => {
+            let batch = decode_batch(&doc, table);
+            if let Some(started) = started {
+                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                recorder.observe_ns("wire.decode", ns);
+            }
+            batch.map(Command::Batch)
+        }
+        "outcome" => Ok(Command::Outcome(doc)),
+        other => Err(format!("unknown command `{other}`")),
+    }
+}
+
 /// Decodes a `domain` command into its name and declared network.
-pub(crate) fn decode_domain(doc: &Json) -> Result<DomainSpec, String> {
+///
+/// # Errors
+///
+/// A message naming the field that breaks the schema.
+pub fn decode_domain(doc: &Json) -> Result<DomainSpec, String> {
     let name = doc
         .field("domain", "domain command")
         .and_then(|v| v.as_str("domain"))
@@ -199,46 +262,36 @@ pub(crate) fn decode_domain(doc: &Json) -> Result<DomainSpec, String> {
     })
 }
 
-/// Decodes a `batch` command into an [`ObservationBatch`].
-pub(crate) fn decode_batch(doc: &Json) -> Result<ObservationBatch, String> {
+/// Completes a `batch` command from its document and its `obs` table.
+fn decode_batch(doc: &Json, table: Table<BatchObservation>) -> Result<ObservationBatch, String> {
     let name = doc
         .field("domain", "batch command")
         .and_then(|v| v.as_str("domain"))
         .map_err(|e| e.to_string())?;
-    let rows = doc
-        .field("obs", "batch command")
-        .and_then(|v| v.as_array("obs"))
-        .map_err(|e| e.to_string())?;
-    let mut observations = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let what = format!("obs[{i}]");
-        let row = row.as_array(&what).map_err(|e| e.to_string())?;
-        if row.len() != 4 {
-            return Err(format!(
-                "{what}: expected [src, dst, send_ns, recv_ns], got {} elements",
-                row.len()
-            ));
+    let observations = match table {
+        Table::Rows(rows) => rows.map_err(row_error)?,
+        Table::NotArray => return Err(JsonError::new("obs: expected an array").to_string()),
+        Table::Absent => {
+            return Err(JsonError::new("batch command: missing field `obs`").to_string())
         }
-        let src = row[0]
-            .as_usize(&format!("{what}[0]"))
-            .map_err(|e| e.to_string())?;
-        let dst = row[1]
-            .as_usize(&format!("{what}[1]"))
-            .map_err(|e| e.to_string())?;
-        let send = row[2]
-            .as_i64(&format!("{what}[2]"))
-            .map_err(|e| e.to_string())?;
-        let recv = row[3]
-            .as_i64(&format!("{what}[3]"))
-            .map_err(|e| e.to_string())?;
-        observations.push(BatchObservation {
-            src: ProcessorId(src),
-            dst: ProcessorId(dst),
-            send_clock: ClockTime::from_nanos(send),
-            recv_clock: ClockTime::from_nanos(recv),
-        });
-    }
+    };
     Ok(ObservationBatch::new(name, observations))
+}
+
+/// The message for the first `obs` row that breaks the schema, labelled
+/// as the tree walk labels it.
+fn row_error(e: RowError) -> String {
+    let what = format!("obs[{}]", e.row);
+    let json = |msg: String| JsonError::new(msg).to_string();
+    match e.fault {
+        RowFault::NotArray => json(format!("{what}: expected an array")),
+        RowFault::Length(len) => {
+            format!("{what}: expected [src, dst, send_ns, recv_ns], got {len} elements")
+        }
+        RowFault::NotInteger(col) => json(format!("{what}[{col}]: expected an integer")),
+        RowFault::NotIndex(col) => json(format!("{what}[{col}]: expected a nonnegative index")),
+        RowFault::OutOfI64(col) => json(format!("{what}[{col}]: integer out of i64 range")),
+    }
 }
 
 /// Renders one ingest receipt as the serve acknowledgement line.
@@ -291,6 +344,24 @@ mod tests {
         assert!(out[0].contains("registered `a`"), "{}", out[0]);
         assert!(out[1].contains("a: applied 2"), "{}", out[1]);
         assert!(out[2].starts_with("a: precision"), "{}", out[2]);
+    }
+
+    #[test]
+    fn each_batch_line_is_one_wire_decode_sample() {
+        let input = r#"
+{"t":"domain","domain":"a","n":2,"links":[{"a":0,"b":1,"lo_ns":0,"hi_ns":1000}]}
+{"t":"batch","domain":"a","obs":[[0,1,100,400],[1,0,500,900]]}
+{"t":"batch","domain":"a","obs":[[0,1,1100,1400]]}
+{"t":"batch","domain":"a","obs":[[0,1,1100]]}
+"#;
+        let recorder = Recorder::enabled();
+        let err = run_serve_on_str(input, 2, 8, &recorder).unwrap_err();
+        assert!(err.starts_with("line 5: obs[0]: expected"), "{err}");
+        let decode = recorder
+            .snapshot()
+            .hist("wire.decode")
+            .expect("no wire.decode");
+        assert_eq!(decode.count, 3);
     }
 
     #[test]
@@ -441,10 +512,8 @@ mod tests {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let doc = parse(line).unwrap();
-            match doc.field("t", "t").unwrap().as_str("t").unwrap() {
-                "domain" => {
-                    let spec = decode_domain(&doc).unwrap();
+            match decode_command(line, &Recorder::disabled()).unwrap() {
+                Command::Domain(spec) => {
                     svc.register_domain(spec.name.as_str(), spec.network)
                         .unwrap();
                     expected.push(format!(
@@ -456,10 +525,11 @@ mod tests {
                     ));
                     names.push(spec.name);
                 }
-                _ => {
-                    let receipt = svc.ingest(&decode_batch(&doc).unwrap()).unwrap();
+                Command::Batch(batch) => {
+                    let receipt = svc.ingest(&batch).unwrap();
                     expected.push(receipt_line(&receipt));
                 }
+                Command::Outcome(_) => unreachable!("the input has no outcome line"),
             }
         }
         for name in &names {

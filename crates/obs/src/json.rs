@@ -299,20 +299,119 @@ fn write_string(s: &str, out: &mut String) {
 ///
 /// Reports the byte offset and nature of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(JsonError::new(format!(
-            "trailing characters at offset {}",
-            p.pos
-        )));
-    }
+    p.finish()?;
     Ok(v)
+}
+
+/// Why one row of a table read by [`parse_with_rows`] breaks the row
+/// schema `[index, index, i64, i64]`. Columns count from 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowFault {
+    /// The row is not an array.
+    NotArray,
+    /// The row has this many elements, not four.
+    Length(usize),
+    /// The element in this column is not an integer.
+    NotInteger(usize),
+    /// The index in this column is negative or past `usize`.
+    NotIndex(usize),
+    /// The value in this column is past `i64`.
+    OutOfI64(usize),
+}
+
+/// The first row of a table that breaks the row schema.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowError {
+    /// The row's position in the table.
+    pub row: usize,
+    /// What is wrong with it.
+    pub fault: RowFault,
+}
+
+/// What [`parse_with_rows`] found under its key in a top-level object.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Table<T> {
+    /// The key is absent, or the document is not an object.
+    Absent,
+    /// The key's last value is not an array.
+    NotArray,
+    /// The key's last value, read as rows: every row, or the first that
+    /// breaks the schema.
+    Rows(Result<Vec<T>, RowError>),
+}
+
+/// A document read by [`parse_with_rows`]: the tree without the table's
+/// key, and the table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WithRows<T> {
+    /// The document, with every top-level occurrence of the key left out.
+    pub doc: Json,
+    /// The table under the key.
+    pub table: Table<T>,
+}
+
+/// Parses a complete JSON document as [`parse`] does, except that the
+/// array under `key` in a top-level object is read in the same pass as a
+/// table of rows `[index, index, i64, i64]`, each handed to `row`, with
+/// no tree and no allocation per row.
+///
+/// The syntax and its errors are exactly [`parse`]'s: the table's bytes
+/// go through the same scanner, so a document `parse` rejects is
+/// rejected here with the same error, even if a row broke the schema
+/// earlier. Duplicate keys keep their last value, the table's key
+/// included; the key is matched after unescaping.
+///
+/// # Errors
+///
+/// Reports the byte offset and nature of the first syntax error.
+pub fn parse_with_rows<T>(
+    input: &str,
+    key: &str,
+    mut row: impl FnMut(usize, usize, i64, i64) -> T,
+) -> Result<WithRows<T>, JsonError> {
+    let mut p = Parser::new(input);
+    let mut table = Table::Absent;
+    p.skip_ws();
+    let doc = if p.peek() == Some(b'{') {
+        Json::Object(p.object_with(|p, k, map| {
+            if k != key {
+                let v = p.value()?;
+                map.insert(k, v);
+            } else if p.peek() == Some(b'[') {
+                table = Table::Rows(p.rows(&mut row)?);
+            } else {
+                p.value()?;
+                table = Table::NotArray;
+            }
+            Ok(())
+        })?)
+    } else {
+        p.value()?
+    };
+    p.finish()?;
+    Ok(WithRows { doc, table })
+}
+
+/// A row that meets the schema: two indices and two values.
+type Row = (usize, usize, i64, i64);
+
+/// Checks a row's four elements against `[index, index, i64, i64]`, in
+/// column order; `None` is an element that is not an integer.
+fn check_row(cells: [Option<i128>; 4]) -> Result<Row, RowFault> {
+    let int = |col: usize| cells[col].ok_or(RowFault::NotInteger(col));
+    let index = |col| usize::try_from(int(col)?).map_err(|_| RowFault::NotIndex(col));
+    let value = |col| i64::try_from(int(col)?).map_err(|_| RowFault::OutOfI64(col));
+    Ok((index(0)?, index(1)?, value(2)?, value(3)?))
+}
+
+/// A number token: an integer, or a float if it has a fraction or an
+/// exponent.
+enum Number {
+    Int(i128),
+    Float(f64),
 }
 
 struct Parser<'a> {
@@ -320,7 +419,26 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Skips trailing whitespace and fails on anything after it.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(JsonError::new(format!(
+                "trailing characters at offset {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError::new(format!("{msg} at offset {}", self.pos))
     }
@@ -389,13 +507,128 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads one row of a [`parse_with_rows`] table, a JSON value of any
+    /// shape, and checks it against the schema `[index, index, i64,
+    /// i64]`. A number element goes through [`Parser::number_token`], any
+    /// other element through [`Parser::value`], exactly as
+    /// [`Parser::array`] would read them.
+    fn row(&mut self) -> Result<Result<Row, RowFault>, JsonError> {
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(Err(RowFault::NotArray));
+        }
+        self.pos += 1;
+        // The first four elements; `None` for one that is not an integer.
+        let mut cells = [None::<i128>; 4];
+        let mut len = 0;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                let cell = match self.peek() {
+                    Some(c) if c == b'-' || c.is_ascii_digit() => match self.number_token()? {
+                        Number::Int(v) => Some(v),
+                        Number::Float(_) => None,
+                    },
+                    _ => {
+                        self.value()?;
+                        None
+                    }
+                };
+                if let Some(slot) = cells.get_mut(len) {
+                    *slot = cell;
+                }
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.err("expected `,` or `]`")),
+                }
+            }
+        }
+        Ok(if len == 4 {
+            check_row(cells)
+        } else {
+            Err(RowFault::Length(len))
+        })
+    }
+
+    /// Reads the array at the cursor as a [`parse_with_rows`] table.
+    /// After the first row that breaks the schema, the rest is only
+    /// scanned, so a later syntax error still wins.
+    fn rows<T>(
+        &mut self,
+        make: &mut impl FnMut(usize, usize, i64, i64) -> T,
+    ) -> Result<Result<Vec<T>, RowError>, JsonError> {
+        self.expect(b'[')?;
+        let start = self.pos;
+        let mut rows = Vec::new();
+        let mut fault = None;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Ok(rows));
+        }
+        loop {
+            self.skip_ws();
+            match self.row()? {
+                Ok((a, b, x, y)) if fault.is_none() => {
+                    if rows.len() == rows.capacity() {
+                        // Size the table from the bytes left at the mean
+                        // width of the rows so far, so a frame of even
+                        // rows takes one allocation of about its size.
+                        let width = (self.pos - start) / (rows.len() + 1);
+                        rows.reserve_exact((self.bytes.len() - self.pos) / width.max(1) + 1);
+                    }
+                    rows.push(make(a, b, x, y));
+                }
+                Err(f) if fault.is_none() => {
+                    fault = Some(RowError {
+                        row: rows.len(),
+                        fault: f,
+                    });
+                }
+                _ => {}
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(fault.map_or(Ok(rows), Err));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
     fn object(&mut self) -> Result<Json, JsonError> {
+        self.object_with(|p, key, map| {
+            let val = p.value()?;
+            map.insert(key, val);
+            Ok(())
+        })
+        .map(Json::Object)
+    }
+
+    /// Reads an object, handing each key, with the cursor on its value,
+    /// to `entry`, which reads the value and stores what it keeps.
+    fn object_with(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, String, &mut BTreeMap<String, Json>) -> Result<(), JsonError>,
+    ) -> Result<BTreeMap<String, Json>, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(map));
+            return Ok(map);
         }
         loop {
             self.skip_ws();
@@ -403,14 +636,13 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
+            entry(self, key, &mut map)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(map));
+                    return Ok(map);
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }
@@ -478,23 +710,56 @@ impl Parser<'_> {
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.number_token()? {
+            Number::Int(v) => Json::Int(v),
+            Number::Float(f) => Json::Float(f),
+        })
+    }
+
+    /// Reads the number at the cursor, which is on a `-` or a digit.
+    ///
+    /// Integers of up to 19 digits, every `i64` among them, are
+    /// accumulated as the digits are scanned; longer ones go to `i128`'s
+    /// parser. Leading zeros and `-0` are accepted, and a `-` with no
+    /// digits reads as `integer overflow`, as `i128`'s parser has it.
+    fn number_token(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits = self.pos;
+        let mut magnitude = 0u64;
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
         }
-        let mut is_float = false;
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return self.float(start);
+        }
+        // 19 digits stay below 10^19 < 2^64, so the accumulation is exact.
+        if (1..=19).contains(&(self.pos - digits)) {
+            let m = i128::from(magnitude);
+            return Ok(Number::Int(if negative { -m } else { m }));
+        }
+        // The token is ASCII: a sign and digits.
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<i128>().ok())
+            .map(Number::Int)
+            .ok_or_else(|| self.err("integer overflow"))
+    }
+
+    /// Reads the fraction and exponent of the float that starts at
+    /// `start`, with the cursor past its integer digits.
+    fn float(&mut self, start: usize) -> Result<Number, JsonError> {
         if self.peek() == Some(b'.') {
-            is_float = true;
             self.pos += 1;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -503,17 +768,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("invalid number"))
-        } else {
-            text.parse::<i128>()
-                .map(Json::Int)
-                .map_err(|_| self.err("integer overflow"))
-        }
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
+            .map(Number::Float)
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 
@@ -626,6 +885,58 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn integers_read_exactly_on_both_sides_of_the_fast_path() {
+        for (text, value) in [
+            ("-0", 0),
+            ("007", 7),
+            ("9999999999999999999", 9_999_999_999_999_999_999),
+            ("-9999999999999999999", -9_999_999_999_999_999_999),
+            ("10000000000000000000", 10_000_000_000_000_000_000),
+            ("00000000000000000000042", 42),
+            ("-9223372036854775808", i128::from(i64::MIN)),
+        ] {
+            assert_eq!(parse(text), Ok(Json::Int(value)), "{text}");
+        }
+        assert_eq!(
+            parse("-").unwrap_err().to_string(),
+            "json: integer overflow at offset 1"
+        );
+        assert_eq!(
+            parse("[170141183460469231731687303715884105728]")
+                .unwrap_err()
+                .to_string(),
+            "json: integer overflow at offset 40"
+        );
+        assert_eq!(parse("-0.5e1"), Ok(Json::Float(-5.0)));
+    }
+
+    #[test]
+    fn a_table_is_read_beside_the_tree() {
+        let read = |text: &str| parse_with_rows(text, "obs", |a, b, x, y| (a, b, x, y)).unwrap();
+        let doc = read(r#"{"t":"x","obs":[[1,2,-3,4]],"n":[5]}"#);
+        assert_eq!(doc.table, Table::Rows(Ok(vec![(1, 2, -3, 4)])));
+        assert_eq!(doc.doc, parse(r#"{"t":"x","n":[5]}"#).unwrap());
+        assert_eq!(
+            read(r#"{"obs":[[1,2,3,4]],"obs":{}}"#).table,
+            Table::NotArray
+        );
+        assert_eq!(read(r#"{"x":{"obs":[]}}"#).table, Table::Absent);
+        assert_eq!(read("[[1,2,3,4]]").table, Table::Absent);
+        assert_eq!(
+            read(r#"{"obs":[[1,2,3,4],[1,2,3,4.5],[-1]]}"#).table,
+            Table::Rows(Err(RowError {
+                row: 1,
+                fault: RowFault::NotInteger(3)
+            }))
+        );
+        // The syntax error after the bad row wins.
+        assert_eq!(
+            parse_with_rows(r#"{"obs":[[-1,2,3,4]],}"#, "obs", |a, b, x, y| (a, b, x, y)),
+            Err(parse(r#"{"obs":[[-1,2,3,4]],}"#).unwrap_err())
+        );
     }
 
     #[test]

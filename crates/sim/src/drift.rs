@@ -337,7 +337,9 @@ impl DriftRun {
 /// Runs `sim` under clock drift: rates are sampled uniformly in
 /// `[−max_ppm, +max_ppm]`, views are re-expressed in drifted readings,
 /// declarations are widened just enough to stay truthful, and the
-/// synchronizer runs on what the drifting processors saw.
+/// synchronizer runs on what the drifting processors saw. The engine run
+/// and the synchronization both report to the scenario's recorder
+/// ([`SimulationBuilder::recorder`](crate::SimulationBuilder::recorder)).
 ///
 /// With `max_ppm == 0` the margin is exactly zero, the widened network
 /// equals the declared one and the run is bit-identical to the plain
@@ -376,7 +378,9 @@ pub fn run_with_drift(sim: &Simulation, max_ppm: i64, seed: u64) -> Result<Drift
     let margin = widening_margin(Nanos::new(horizon), max_ppm);
 
     let network = widened_network(sim, margin);
-    let outcome = Synchronizer::new(network.clone()).synchronize(&drifted_views)?;
+    let outcome = Synchronizer::new(network.clone())
+        .with_recorder(sim.recorder.clone())
+        .synchronize(&drifted_views)?;
 
     Ok(DriftRun {
         execution: base.execution,

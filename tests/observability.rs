@@ -4,7 +4,7 @@
 //! JSONL schema.
 
 use clocksync_obs::{FieldValue, Recorder, Trace};
-use clocksync_sim::{FaultPlan, Simulation, Topology};
+use clocksync_sim::{run_with_drift, FaultPlan, Simulation, Topology};
 use clocksync_time::Nanos;
 use proptest::prelude::*;
 
@@ -250,5 +250,21 @@ fn a_leader_run_records_under_the_scenario_recorder() {
     match computes[0].iter().find(|(k, _)| k == "deadline_margin_ns") {
         Some((_, FieldValue::Int(margin))) => assert!(*margin > 0, "margin {margin}"),
         other => panic!("no deadline margin: {other:?}"),
+    }
+}
+
+#[test]
+fn a_drift_run_records_its_synchronization() {
+    let recorder = Recorder::enabled();
+    run_with_drift(&ring_sim(5, recorder.clone()), 50, 3).unwrap();
+    let trace = recorder.snapshot();
+    let spans = trace.span_names();
+    assert!(spans.contains(&"sim.run"), "{spans:?}");
+    for stage in [
+        "sync.local_estimates",
+        "sync.global_estimates",
+        "sync.shifts",
+    ] {
+        assert!(spans.contains(&stage), "no {stage} in {spans:?}");
     }
 }
